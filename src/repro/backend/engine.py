@@ -18,6 +18,14 @@ vectorized dispatch plans.  A statement whose subtree the emitter
 rejects is marked and never attempted again; a launch whose concrete
 structure no longer matches the plan (a rank or scalar-kind change)
 falls back for that launch only.
+
+A launch is ``marshal -> fire -> distribute``: :meth:`NativeEngine.
+marshal` turns the directives into a :class:`Launch` (concrete argument
+arrays; mutates nothing), :func:`fire` is the ctypes call, and
+:func:`distribute` folds the counters the C code accumulated into the
+run's ``KernelStat``s.  :mod:`repro.runtime.tape` keeps the ``Launch``
+objects of a captured run and replays them through the same ``fire``
+and ``distribute``.
 """
 
 from __future__ import annotations
@@ -40,6 +48,74 @@ REJECTED = object()
 
 class _Mismatch(Exception):
     """This launch's concrete structure diverges from the cached plan."""
+
+
+_LL_PTR = ctypes.POINTER(ctypes.c_longlong)
+_DBL_PTR = ctypes.POINTER(ctypes.c_double)
+
+
+class Launch:
+    """One marshalled launch: every argument that depends only on the
+    host environment (so, for a :class:`repro.runtime.Program`, only on
+    the request's shape class).  Buffers and counters are supplied per
+    execution; a launch tape (:mod:`repro.runtime.tape`) keeps these
+    objects and re-fires them."""
+
+    __slots__ = ("spec", "width", "ia", "fa", "ia_ptr", "fa_ptr", "allocs")
+
+    def __init__(self, spec, width, ia, fa, allocs):
+        self.spec = spec
+        self.width = width
+        # The arrays own the memory the pointers address.
+        self.ia = ia
+        self.fa = fa
+        self.ia_ptr = ia.ctypes.data_as(_LL_PTR)
+        self.fa_ptr = fa.ctypes.data_as(_DBL_PTR)
+        #: Per in-kernel allocation site: (buffer position, element
+        #: count, numpy dtype) of the fresh zeroed block each execution
+        #: needs, then (static name, bytes, block count, space) for the
+        #: executor's footprint accounting.
+        self.allocs = allocs
+
+
+def fire(launch: Launch, buf_ptrs, counters_ptr) -> None:
+    """The ctypes call.  ``buf_ptrs`` addresses this execution's
+    ``char*[]``, ``counters_ptr`` its zeroed ``len(sites) * SLOTS``
+    counter block."""
+    launch.spec.fn(
+        launch.width, launch.ia_ptr, launch.fa_ptr, buf_ptrs, counters_ptr
+    )
+
+
+def distribute(stats, sites, counters) -> None:
+    """Fold C-accumulated counters into ``stats``: one ``SLOTS``-wide
+    row of ``counters`` per ``(stmt, kind, label)`` site.
+
+    A site whose row is all zero never executed and must not create a
+    ``KernelStat`` (the interpreter registers a nested statement's stat
+    per execution); the launch's own site was registered by the
+    executor before the launch, so skipping its all-zero row loses
+    nothing.  Additive, hence order-independent: rows of several
+    launches may be distributed in any order or pre-summed per site.
+    """
+    rows = counters.reshape(-1, SLOTS).tolist()
+    for (sstmt, kind, label), row in zip(sites, rows):
+        if not any(row):
+            continue
+        _ent, br, bw, fl, elc, elb, scr, scw, rgr, rgw = row
+        ks = stats.kernel(id(sstmt), kind, label)
+        ks.bytes_read += br
+        ks.bytes_written += bw
+        ks.flops += fl
+        # Space slots duplicate the part of br/bw that touched a
+        # non-HBM space (see cemit.SPACE_SLOTS).
+        for sp, rd, wr in (("scratch", scr, scw), ("regs", rgr, rgw)):
+            if rd:
+                ks.space_read[sp] = ks.space_read.get(sp, 0) + rd
+            if wr:
+                ks.space_written[sp] = ks.space_written.get(sp, 0) + wr
+        stats.elided_copies += elc
+        stats.elided_bytes += elb
 
 
 def _eval_int(expr, env) -> int:
@@ -67,15 +143,18 @@ class NativeEngine:
         if ex.shared_memory_model:
             return False
         plan = self.plans.get(id(stmt))
-        if plan is REJECTED:
-            return False
         if plan is None:
             plan = self._emit(ex, stmt, exp, env, dests)
-            if plan is REJECTED:
-                return False
+        rec = ex._recorder
+        if plan is REJECTED:
+            if rec is not None:
+                rec.rejected(stmt)
+            return False
         try:
             self._launch(plan, ex, env, width, dests)
         except (_Mismatch, InterpError):
+            if rec is not None:
+                rec.mismatched()
             return False
         return True
 
@@ -100,6 +179,43 @@ class NativeEngine:
 
     # ------------------------------------------------------------------
     def _launch(self, spec: KernelSpec, ex, env, width, dests) -> None:
+        """marshal -> fire -> distribute: the one launch path.
+
+        With a tape recorder attached to the executor the counters are
+        handed to it instead (it distributes them at the end of the run,
+        after snapshotting the run's host-only statistics)."""
+        launch, bufs = self.marshal(spec, ex, env, width, dests)
+        # Commit point: allocate the per-site backing blocks with the
+        # interpreter's exact accounting (one fresh zeroed block per
+        # site holding all per-execution slots; freed wholesale when the
+        # outermost map ends, via the kernel-alloc log).
+        for i, elems, np_dtype, name, nbytes, total, space in launch.allocs:
+            buf = np.zeros(elems, dtype=np_dtype)
+            ex._alloc_counter += 1
+            unique = f"{name}@{ex._alloc_counter}"
+            ex.mem[unique] = buf
+            ex.stats.alloc_count += total
+            ex.stats.alloc_bytes += nbytes
+            ex._note_alloc(name, unique, nbytes, space)
+            bufs[i] = buf
+        counters = np.zeros(len(spec.sites) * SLOTS, dtype=np.int64)
+        buf_ptrs = (ctypes.c_void_p * max(1, len(bufs)))(
+            *[b.ctypes.data for b in bufs] or [0]
+        )
+        fire(launch, buf_ptrs, counters.ctypes.data_as(_LL_PTR))
+        rec = ex._recorder
+        if rec is None:
+            distribute(ex.stats, spec.sites, counters)
+        else:
+            rec.launch(launch, bufs, counters)
+
+    def marshal(self, spec: KernelSpec, ex, env, width, dests):
+        """Directives -> concrete arguments of one launch.
+
+        Returns ``(launch, bufs)``; ``bufs[i]`` is ``None`` where the
+        kernel wants a per-launch backing block (``launch.allocs``).
+        Mutates nothing: a :class:`_Mismatch` here is a clean no-op
+        fallback."""
         ia: list = []
         for d in spec.int_dirs:
             tag = d[0]
@@ -123,10 +239,6 @@ class NativeEngine:
             self._scalar(env, d[1], d[2], want_int=False)
             for d in spec.flt_dirs
         ]
-
-        # Resolve every concrete buffer (and pre-size the in-kernel
-        # allocations) before mutating any executor state, so a mismatch
-        # is a clean no-op fallback.
         bufs: list = [None] * len(spec.buf_dirs)
         allocs = []
         for i, d in enumerate(spec.buf_dirs):
@@ -144,65 +256,16 @@ class NativeEngine:
                 total = 1
                 for cs in count_syms:
                     total *= _eval_int(cs, env)
-                allocs.append((i, name, size, total, dtype, space))
-
-        # Commit point: allocate the per-site backing blocks with the
-        # interpreter's exact accounting (one fresh zeroed block per
-        # site holding all per-execution slots; freed wholesale when the
-        # outermost map ends, via the kernel-alloc log).
-        for i, name, size, total, dtype, space in allocs:
-            buf = np.zeros(total * size, dtype=DTYPE_INFO[dtype][0])
-            ex._alloc_counter += 1
-            unique = f"{name}@{ex._alloc_counter}"
-            ex.mem[unique] = buf
-            nbytes = total * size * DTYPE_INFO[dtype][1]
-            ex.stats.alloc_count += total
-            ex.stats.alloc_bytes += nbytes
-            ex._note_alloc(name, unique, nbytes, space)
-            bufs[i] = buf
-
-        counters = np.zeros(len(spec.sites) * SLOTS, dtype=np.int64)
-        ia_arr = np.asarray(ia, dtype=np.int64)
-        fa_arr = np.asarray(fa, dtype=np.float64)
-        buf_ptrs = (ctypes.c_void_p * max(1, len(bufs)))(
-            *[b.ctypes.data for b in bufs] or [0]
-        )
-        spec.fn(
-            ctypes.c_longlong(int(width)),
-            ia_arr.ctypes.data_as(ctypes.POINTER(ctypes.c_longlong)),
-            fa_arr.ctypes.data_as(ctypes.POINTER(ctypes.c_double)),
-            buf_ptrs,
-            counters.ctypes.data_as(ctypes.POINTER(ctypes.c_longlong)),
-        )
-
-        # Distribute the counters the C code accumulated.  Site 0 is the
-        # outermost map's already-pushed KernelStat; nested sites create
-        # their stat only if the statement actually executed (entered >
-        # 0), matching the interpreter's per-execution registry.
-        for si, (sstmt, kind, label) in enumerate(spec.sites):
-            ent, br, bw, fl, elc, elb, scr, scw, rgr, rgw = (
-                int(x) for x in counters[si * SLOTS:(si + 1) * SLOTS]
-            )
-            if si == 0:
-                ks = ex._kernel_stack[-1]
-            else:
-                if ent == 0:
-                    continue
-                ks = ex.stats.kernel(id(sstmt), kind, label)
-            ks.bytes_read += br
-            ks.bytes_written += bw
-            ks.flops += fl
-            # Space slots duplicate the part of br/bw that touched a
-            # non-HBM space (see cemit.SPACE_SLOTS).
-            for sp, rd, wr in (("scratch", scr, scw), ("regs", rgr, rgw)):
-                if rd:
-                    ks.space_read[sp] = ks.space_read.get(sp, 0) + rd
-                if wr:
-                    ks.space_written[sp] = (
-                        ks.space_written.get(sp, 0) + wr
-                    )
-            ex.stats.elided_copies += elc
-            ex.stats.elided_bytes += elb
+                np_dtype, itemsize = DTYPE_INFO[dtype]
+                allocs.append((
+                    i, total * size, np_dtype,
+                    name, total * size * itemsize, total, space,
+                ))
+        return Launch(
+            spec, int(width),
+            np.asarray(ia, dtype=np.int64), np.asarray(fa, dtype=np.float64),
+            tuple(allocs),
+        ), bufs
 
     # ------------------------------------------------------------------
     @staticmethod

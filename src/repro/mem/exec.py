@@ -111,6 +111,7 @@ class MemExecutor:
         offs_cache: Optional[Dict[Tuple[str, IndexFn], np.ndarray]] = None,
         vec_plans: Optional[Dict[int, bool]] = None,
         native=None,
+        recorder=None,
     ):
         if mode not in ("real", "dry"):
             raise ValueError(f"unknown mode {mode!r}")
@@ -127,6 +128,12 @@ class MemExecutor:
         #: exact vec/interp launch counts); :class:`repro.runtime.
         #: Program` wires a shared engine in for warm serving.
         self._native = native if self.vectorize else None
+        #: Optional :class:`repro.runtime.tape.TapeRecorder`: told of
+        #: every host-level effect on buffer contents (input binding,
+        #: copy, fill, point write, native launch) and of every
+        #: host-level statement whose value depends on buffer contents,
+        #: so that the run's host schedule can be frozen and replayed.
+        self._recorder = recorder if self._native is not None else None
         #: Shadow-memory checking: every block gets a parallel boolean
         #: "was this element ever written" array; reads and writes are
         #: bounds-checked against the block extent.  Copies *propagate*
@@ -169,7 +176,6 @@ class MemExecutor:
         # the totals above stay authoritative; these partition them.
         self._live_by_space: Dict[str, int] = {}
         self._peak_by_space: Dict[str, int] = {}
-        self._kernel_baseline_by_space: Dict[str, int] = {}
         # unique (run-time) block name -> memory space; parameter blocks
         # and anything absent default to "hbm".
         self._mem_space: Dict[str, str] = {}
@@ -177,7 +183,6 @@ class MemExecutor:
         self._static_live: Dict[str, List[str]] = {}  # static -> uniques
         self._alloc_log: List[Tuple[str, str]] = []  # (static, unique)
         self._kernel_allocs: List[Tuple[str, str]] = []
-        self._kernel_baseline = 0
         # Blocks allocated inside a kernel are thread-local (the GPU's
         # shared memory / registers): traffic to them is not DRAM traffic.
         self._local_mems: set = set()
@@ -252,6 +257,8 @@ class MemExecutor:
                 buf, reused = self._pool.acquire(arr.size, t.dtype, zero=False)
                 np.copyto(buf, arr.reshape(-1))
                 self.mem[mem] = buf
+                if self._recorder is not None:
+                    self._recorder.input(p.name, buf)
                 if reused:
                     self.stats.pool_hits += 1
                 else:
@@ -502,6 +509,11 @@ class MemExecutor:
             if offs.size:
                 data = self._read(src)
                 self._write(dst, data.reshape(offs.shape))
+                if self._recorder is not None and not self._kernel_stack:
+                    self._recorder.copy(
+                        self.mem[dst.mem], offs,
+                        self.mem[src.mem], self._offsets(src),
+                    )
                 if self.debug:
                     # Copies move the shadow bits with the data: copying
                     # poison is legal, consuming it later is the error.
@@ -525,6 +537,16 @@ class MemExecutor:
                 for m in stmt.mem_frees:
                     self._note_free_static(m)
         return [self._resolve_result(r, env) for r in block.result]
+
+    def _host_data_dependent(self, stmt: A.Let, what: str) -> None:
+        """(Recording only.)  A host-level statement is about to produce
+        a scalar from buffer contents: everything downstream of it may
+        differ between two requests of one shape class, so no tape can
+        be frozen."""
+        if not self._kernel_stack:
+            self._recorder.refuse(
+                f"host-level {what} at {stmt.names[0]}", permanent=True
+            )
 
     def _resolve_result(self, name: str, env: Dict[str, object]):
         if name in env:
@@ -593,14 +615,16 @@ class MemExecutor:
                 if self.mode == "real":
                     if isinstance(exp, A.Iota):
                         n = eval_sym(exp.n, env)
-                        self._write(dest, np.arange(n, dtype=DTYPE_INFO[exp.dtype][0]))
+                        data = np.arange(n, dtype=DTYPE_INFO[exp.dtype][0])
                     else:
-                        self._write(
-                            dest,
-                            np.full(
-                                self._offsets(dest).shape,
-                                self._scalar_operand(exp.value, env),
-                            ),
+                        data = np.full(
+                            self._offsets(dest).shape,
+                            self._scalar_operand(exp.value, env),
+                        )
+                    self._write(dest, data)
+                    if self._recorder is not None and not self._kernel_stack:
+                        self._recorder.fill(
+                            self.mem[dest.mem], self._offsets(dest), data
                         )
             # Scratch is *uninitialized* memory: it must not write anything.
             # (Zero-filling a scratch that short-circuiting re-homed into a
@@ -641,6 +665,8 @@ class MemExecutor:
             return
 
         if isinstance(exp, A.Index):
+            if self._recorder is not None:
+                self._host_data_dependent(stmt, "index")
             src = env[exp.src]
             assert isinstance(src, RuntimeArray)
             idx = [eval_sym(i, env) for i in exp.indices]
@@ -681,6 +707,8 @@ class MemExecutor:
             return
 
         if isinstance(exp, (A.Reduce, A.ArgMin)):
+            if self._recorder is not None:
+                self._host_data_dependent(stmt, type(exp).__name__.lower())
             src = env[exp.src]
             assert isinstance(src, RuntimeArray)
             ks = self._current_kernel()
@@ -737,6 +765,8 @@ class MemExecutor:
                     self._point_write_check(result.mem, off)
                 buf = self.mem[result.mem]
                 buf[off] = self._scalar_operand(exp.value, env)
+                if self._recorder is not None and not self._kernel_stack:
+                    self._recorder.fill(buf, off, buf[off])
             elif self.debug:
                 off = result.ixfn.apply_concrete(idx, {})
                 self._check_bounds(result.mem, np.array([off]))
@@ -828,8 +858,12 @@ class MemExecutor:
                 # mem) group is (1 write + k reads) * n, never more.
                 per_elem = (1 if rec.duplicated else 2) * rec.elem_bytes
                 self.stats.bytes_elided_fusion += per_elem * n
-            self._kernel_baseline = self._live_bytes
-            self._kernel_baseline_by_space = dict(self._live_by_space)
+            # Live bytes (total, per space) to return to when the
+            # kernel's scratch dies.  Locals, not attributes: CPython
+            # stops sharing instance-dict keys (and specializing
+            # attribute loads) past 29 attributes, which costs every
+            # executor mode ~6 %.
+            baseline = (self._live_bytes, dict(self._live_by_space))
             self._kernel_allocs = []
 
         def run_thread(i: int) -> None:
@@ -930,8 +964,7 @@ class MemExecutor:
                     if lst and unique in lst:
                         lst.remove(unique)
                 self._kernel_allocs = []
-                self._live_bytes = self._kernel_baseline
-                self._live_by_space = dict(self._kernel_baseline_by_space)
+                self._live_bytes, self._live_by_space = baseline
 
         for pe, dest in zip(stmt.pattern, dests):
             env[pe.name] = dest

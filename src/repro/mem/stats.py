@@ -16,7 +16,8 @@ the paper's "Opt. Impact" column.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import copy
+from dataclasses import dataclass, field, replace
 from typing import Dict, Optional, Tuple
 
 
@@ -143,8 +144,28 @@ class ExecStats:
     #: from :meth:`signature` (satellite of the pool_hits precedent) and
     #: surfaced in ``--explain`` instead.
     halo_bytes: int = 0
+    #: How :class:`repro.runtime.Program` produced this run with respect
+    #: to its launch tapes (:mod:`repro.runtime.tape`): ``"captured"``
+    #: (ordinary executor, schedule frozen for later requests of this
+    #: shape class), ``"replayed"``, or ``"off: <reason>"``.  Describes
+    #: *how* the run executed -- excluded from :meth:`signature`.
+    tape: str = "off: bare executor"
 
     # ------------------------------------------------------------------
+    def copy(self) -> "ExecStats":
+        """An independent copy (every mutable part duplicated)."""
+        out = copy.copy(self)
+        out.kernels = {
+            key: replace(
+                ks,
+                space_read=dict(ks.space_read),
+                space_written=dict(ks.space_written),
+            )
+            for key, ks in self.kernels.items()
+        }
+        out.space_peak_bytes = dict(self.space_peak_bytes)
+        return out
+
     def kernel(self, site: int, kind: str, label: str) -> KernelStat:
         key = (site, kind)
         ks = self.kernels.get(key)
@@ -295,7 +316,8 @@ class ExecStats:
             lines.append(
                 f"native kernels  : {self.native_launches} launches "
                 f"(hit rate {self.native_hit_rate:.2f}, "
-                f"codegen {self.codegen_seconds:.3f}s)"
+                f"codegen {self.codegen_seconds:.3f}s, "
+                f"tape {self.tape})"
             )
         if self.pool_hits or self.pool_misses:
             lines.append(

@@ -119,6 +119,19 @@ class BufferPool:
     def plan(self, shape_key: str):
         return self._plans.get(shape_key)
 
+    def drop_plan(self, shape_key: str) -> None:
+        """Forget a shape class: its plan, and every idle buffer whose
+        ``(dtype, size)`` no retained plan draws (exact-size free lists
+        mean no later request of a retained class can match it)."""
+        with self._lock:
+            if self._plans.pop(shape_key, None) is None:
+                return
+            keep = {
+                key for entry in self._plans.values() for key in entry.manifest
+            }
+            for key in [k for k in self._free if k not in keep]:
+                del self._free[key]
+
     def reserve(self, shape_key: str, copies: int) -> int:
         """Pre-allocate up to ``copies`` leases' worth of the plan.
 
@@ -203,6 +216,10 @@ class PoolLease:
     def manifest(self):
         """(dtype-agnostic) what this lease drew, as (np dtype str, size)."""
         return tuple((b.dtype.str, b.size) for b in self._held)
+
+    def buffers(self) -> Tuple[np.ndarray, ...]:
+        """The buffers this lease holds, in acquisition order."""
+        return tuple(self._held)
 
     def close(self) -> None:
         if self.closed:

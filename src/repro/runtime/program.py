@@ -11,13 +11,21 @@ reusable across executions:
   function, the dominant warm-run cost after buffer allocation;
 * the **coalesced allocation plan**, materialized per shape class into a
   :class:`~repro.runtime.pool.BufferPool` whose buffers are reused
-  across calls instead of re-allocated with ``np.zeros``.
+  across calls instead of re-allocated with ``np.zeros``;
+* the **launch tape** of each shape class (:mod:`repro.runtime.tape`):
+  the host schedule of a native request -- acquisitions, marshalled
+  launches, host copies, output locations -- captured by the first
+  request of that class and replayed by every later one, so a warm
+  request costs its kernels rather than a trip through the symbolic
+  interpreter per statement.  Plans and tapes share one bounded LRU of
+  shape classes.
 
-Each :meth:`Program.run` builds a fresh :class:`~repro.mem.exec.
-MemExecutor` (executors are cheap, single-use state machines) wired to a
-private pool lease, so concurrent workers serving the same program never
-share mutable executor state; the shared structures (pool free lists,
-offset cache, dispatch plans) are either lock-protected or grow-only.
+Each :meth:`Program.run` that does not replay a tape builds a fresh
+:class:`~repro.mem.exec.MemExecutor` (executors are cheap, single-use
+state machines) wired to a private pool lease, so concurrent workers
+serving the same program never share mutable executor state; the shared
+structures (pool free lists, offset cache, dispatch plans, tapes) are
+lock-protected, grow-only or immutable.
 
 Outputs are materialized into caller-owned NumPy arrays before the lease
 closes -- a served response never aliases pool memory.
@@ -39,7 +47,6 @@ exercise the pooled executor itself.
 
 from __future__ import annotations
 
-import copy
 import hashlib
 import threading
 import time
@@ -58,6 +65,7 @@ from repro.runtime.cache import (
     program_cache,
 )
 from repro.runtime.pool import BufferPool
+from repro.runtime.tape import Tape, TapeRecorder, read_region, region_plan
 
 
 def _resolve_flags(
@@ -137,11 +145,27 @@ def compile_cached(
     return compiled
 
 
+class _ShapeClass:
+    """What a Program retains per shape class beside the pool's
+    allocation plan: the launch tape, or why there is none."""
+
+    __slots__ = ("tape", "off", "replays")
+
+    def __init__(self) -> None:
+        self.tape: Optional[Tape] = None
+        #: Why this class is not taped (None: not yet tried, or taped).
+        self.off: Optional[str] = None
+        self.replays = 0
+
+
 class Program:
     """A compiled function plus its reusable runtime state."""
 
     #: Bounded response-memo size (distinct request contents retained).
     MEMO_ENTRIES = 32
+    #: Bounded number of shape classes whose allocation plan and launch
+    #: tape are retained (least recently requested evicted first).
+    SHAPE_CLASSES = 16
 
     def __init__(self, compiled, cache_state: str = COLD,
                  cold_compile_seconds: Optional[float] = None,
@@ -172,6 +196,14 @@ class Program:
         self._native_plans: Dict[int, object] = {}
         self._native_engine = None
         self._native_probed = False
+        #: Shape-class LRU: shape key -> launch tape state.  Evicting a
+        #: class also drops its allocation plan (and the idle buffers
+        #: only it could reuse) from the pool.
+        self._classes: "OrderedDict[str, _ShapeClass]" = OrderedDict()
+        #: Why no shape class of this program can be taped (a host-level
+        #: data-dependent scalar, a map the native emitter rejects);
+        #: once set, no later request pays for a recorder.
+        self._untapeable: Optional[str] = None
         #: Serve repeated identical requests from prior responses
         #: (sound: the language is pure).  Overridable per call.
         self.memoize = memoize
@@ -197,15 +229,50 @@ class Program:
         return self.compiled.pipeline
 
     def shape_key(self, inputs: Mapping[str, object]) -> str:
-        """The concrete shape class of one request's inputs."""
+        """The concrete shape class of one request's inputs: the shape
+        of every array, the type and value of everything else (0-d
+        included) -- so every value the host program computes without
+        reading a buffer is a function of this key."""
         parts = []
         for name in sorted(inputs):
             v = inputs[name]
             shape = getattr(v, "shape", None)
             parts.append(
-                f"{name}:{shape}" if shape is not None else f"{name}={v!r}"
+                f"{name}:{shape}" if shape
+                else f"{name}={type(v).__name__}:{v!r}"
             )
         return "|".join(parts)
+
+    def _shape_class(self, skey: str) -> _ShapeClass:
+        """The (most recently used) LRU entry of ``skey``."""
+        with self._lock:
+            cls = self._classes.get(skey)
+            if cls is None:
+                cls = self._classes[skey] = _ShapeClass()
+                while len(self._classes) > self.SHAPE_CLASSES:
+                    evicted, _ = self._classes.popitem(last=False)
+                    self.pool.drop_plan(evicted)
+            else:
+                self._classes.move_to_end(skey)
+            return cls
+
+    def tape_report(self) -> Dict[str, Dict[str, object]]:
+        """Per retained shape class: ``state`` (``"captured"``,
+        ``"off"``, or ``"new"`` before the first native request),
+        ``launches`` on the tape, ``replays`` served, ``reason``."""
+        with self._lock:
+            classes = list(self._classes.items())
+        report = {}
+        for skey, cls in classes:
+            reason = self._untapeable or cls.off
+            tape = None if reason else cls.tape
+            report[skey] = {
+                "state": "captured" if tape else "off" if reason else "new",
+                "launches": tape.launches if tape else 0,
+                "replays": cls.replays,
+                "reason": reason,
+            }
+        return report
 
     def _native(self, want: Optional[bool]):
         """Resolve the per-call native preference to an engine (or None).
@@ -247,7 +314,7 @@ class Program:
         outs, stats = entry
         return (
             [o.copy() if isinstance(o, np.ndarray) else o for o in outs],
-            copy.deepcopy(stats),
+            stats.copy(),
         )
 
     # ------------------------------------------------------------------
@@ -257,6 +324,7 @@ class Program:
         vectorize: bool = True,
         memoize: Optional[bool] = None,
         native: Optional[bool] = None,
+        replay: Optional[bool] = None,
     ) -> Tuple[List[object], ExecStats]:
         """Execute (or recall) one request against pooled buffers.
 
@@ -267,6 +335,11 @@ class Program:
         warm/cold timing pair; on a response-memo hit it is a copy of
         the producing run's stats (signature-identical by construction)
         restamped with this call's wall clock.
+
+        ``replay=False`` forces the ordinary executor: no launch tape is
+        replayed or captured (the differential tests compare against
+        it); ``None``/``True`` replay the shape class's tape when there
+        is one and try to capture it when there is not.
         """
         t0 = time.perf_counter()
         engine = self._native(native) if vectorize else None
@@ -302,7 +375,7 @@ class Program:
             # store the loop returns the recalled response, otherwise
             # this call becomes the next leader and executes itself.
         try:
-            outs, stats = self._execute(inputs, vectorize, engine)
+            outs, stats = self._execute(inputs, vectorize, engine, replay)
         finally:
             if leader:
                 with self._lock:
@@ -322,28 +395,64 @@ class Program:
         return outs, stats
 
     def _execute(
-        self, inputs: Mapping[str, object], vectorize: bool, engine=None
+        self, inputs: Mapping[str, object], vectorize: bool, engine=None,
+        replay: Optional[bool] = None,
     ) -> Tuple[List[object], ExecStats]:
-        """One real pooled execution (the memo's production path)."""
+        """One real pooled execution (the memo's production path):
+        a replay of the shape class's launch tape when there is one,
+        else the executor -- recording, if a tape may come of it."""
+        skey = self.shape_key(inputs)
+        cls = self._shape_class(skey)
+        if engine is None:
+            off = "native tier not in use"
+        elif replay is False:
+            off = "replay=False"
+        else:
+            off = self._untapeable or cls.off
+        tape = cls.tape if off is None else None
         with self.pool.lease() as lease:
-            ex = MemExecutor(
-                self.compiled.fun,
-                pool=lease,
-                offs_cache=self._offs_cache,
-                vec_plans=self._vec_plans,
-                vectorize=vectorize,
-                native=engine,
-            )
-            vals, stats = ex.run(**dict(inputs))
+            if tape is not None:
+                try:
+                    outs, stats = tape.replay(inputs, lease)
+                except BaseException:
+                    # Keep no tape a request failed on: the next request
+                    # at this shape goes through the executor again.
+                    cls.tape = None
+                    raise
+                with self._lock:
+                    cls.replays += 1
+                stats.tape = "replayed"
+            else:
+                rec = TapeRecorder() if off is None else None
+                ex = MemExecutor(
+                    self.compiled.fun,
+                    pool=lease,
+                    offs_cache=self._offs_cache,
+                    vec_plans=self._vec_plans,
+                    vectorize=vectorize,
+                    native=engine,
+                    recorder=rec,
+                )
+                vals, stats = ex.run(**dict(inputs))
+                outs = [self._materialize(ex, v) for v in vals]
+                if rec is not None:
+                    cls.tape = rec.finish(ex, lease, vals)
+                    off = rec.reason
+                    if rec.permanent:
+                        self._untapeable = off
+                    else:
+                        cls.off = off
+                stats.tape = "captured" if off is None else f"off: {off}"
             if engine is not None:
                 stats.codegen_seconds = engine.codegen_seconds
-            outs = [self._materialize(ex, v) for v in vals]
-            skey = self.shape_key(inputs)
             if self.pool.plan(skey) is None:
                 # First execution at this shape class: freeze the
                 # allocation plan so the pool can be provisioned for a
                 # worker fleet (reserve) and hits become deterministic.
-                self.pool.note_plan(skey, lease.manifest())
+                # (Not for a class evicted while this request ran.)
+                with self._lock:
+                    if self._classes.get(skey) is cls:
+                        self.pool.note_plan(skey, lease.manifest())
         return outs, stats
 
     def reserve(self, inputs: Mapping[str, object], workers: int) -> int:
@@ -368,7 +477,9 @@ class Program:
         if isinstance(val, RuntimeArray):
             buf = ex.mem[val.mem]
             assert isinstance(buf, np.ndarray)
-            return buf[ex._offsets(val)]
+            return read_region(
+                buf, region_plan(val.ixfn, lambda: ex._offsets(val))
+            )
         return val
 
 

@@ -16,7 +16,9 @@ reports
   (counted over the runs that actually executed),
 * **memo hit rate** -- the fraction of requests recalled from the
   program's response memo (sound for a pure language; see
-  :class:`~repro.runtime.Program`).
+  :class:`~repro.runtime.Program`),
+* **tape** -- per shape class, whether the executed requests replayed a
+  launch tape (:mod:`repro.runtime.tape`) or why they could not.
 
 Correctness rides along: before measuring, the harness runs the pooled
 program and a fresh uncached ``compile_fun`` + :class:`MemExecutor` on
@@ -216,4 +218,5 @@ def measure_serve(
         "pool_hits_total": program.pool.hits,
         "pool_misses_total": program.pool.misses,
         "pool_hit_rate": program.pool.hits / acq if acq else 0.0,
+        "tape": program.tape_report(),
     }

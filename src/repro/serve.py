@@ -12,7 +12,9 @@ the persistent program cache), provisioned with pooled buffers, and
 served by a pool of worker threads draining a request queue.  The report
 carries throughput, p50/p99 latency, warm-vs-cold amortization (mean
 warm call vs mean cold compile+run, extrapolated to the 100-call
-windows), pool hit rate, and the correctness verdicts (pooled outputs
+windows), pool hit rate, the launch-tape state of each shape class
+served (captured and replayed, or off with the reason), and the
+correctness verdicts (pooled outputs
 and ``ExecStats`` signatures must match a fresh uncached run on both
 executor tiers).  Exit status is nonzero if any benchmark fails the
 correctness check.
@@ -95,6 +97,13 @@ def main(argv=None) -> int:
                   f"program lifetime (rate {serve['pool_hit_rate']:.2f})")
             print(f"  memo       : {serve['memo_hits']} responses "
                   f"recalled (rate {serve['memo_hit_rate']:.2f})")
+            for entry in serve["tape"].values():
+                what = (
+                    f"off: {entry['reason']}" if entry["state"] == "off"
+                    else f"{entry['state']}, {entry['launches']} launches "
+                         f"a request, {entry['replays']} replays"
+                )
+                print(f"  tape       : {what}")
             print(f"  identical  : {serve['ok']}")
         if not serve["ok"]:
             failed.append(name)

@@ -1,0 +1,480 @@
+"""Launch tapes: a replay must be observably the same program.
+
+``Program.run(x, replay=False)`` (the ordinary executor) is the
+reference; the capturing run and every replay -- on *different* inputs of
+the same shape class -- must produce equal outputs and equal simulated
+statistics, including the counters C code accumulates from the data.
+"""
+
+import importlib
+import sys
+import threading
+
+import numpy as np
+import pytest
+
+import repro.runtime as rt
+from repro.backend import native_enabled
+from repro.backend.engine import NativeEngine, _Mismatch
+from repro.ir.builder import FunBuilder
+from repro.ir.types import ArrayType
+from repro.lmad import IndexFn
+from repro.runtime import Program
+from repro.runtime.tape import _COPY, _LAUNCH, read_region, region_plan
+
+needs_native = pytest.mark.skipif(
+    not native_enabled(), reason="native tier unavailable"
+)
+
+TAPED = {
+    "nw": [(4, 8), (6, 16)],
+    "lud": [(3, 4), (6, 8)],
+    "hotspot": [(16, 3), (48, 4)],
+    "lbm": [(8, 3), (16, 4)],
+}
+UNTAPED = {
+    "nn": ((200,), "host-level argmin at "),
+    "locvolcalib": ((3, 8, 3), "rejected by native emitter"),
+    "optionpricing": ((16, 8), "rejected by native emitter"),
+}
+
+
+def module(name):
+    return importlib.import_module(f"repro.bench.programs.{name}")
+
+
+def seeded(inputs, seed):
+    """The same shape class, different data."""
+    rng = np.random.default_rng(seed)
+    out = dict(inputs)
+    for k, v in inputs.items():
+        if isinstance(v, np.ndarray) and v.dtype.kind == "f":
+            out[k] = (v * (1 + 0.1 * rng.random(v.shape))).astype(v.dtype)
+    return out
+
+
+def same_run(a, b):
+    """Everything the issue lists: outputs and every simulated quantity."""
+    (outs_a, st_a), (outs_b, st_b) = a, b
+    assert len(outs_a) == len(outs_b)
+    for x, y in zip(outs_a, outs_b):
+        assert np.array_equal(x, y)
+        assert np.asarray(x).dtype == np.asarray(y).dtype
+    assert st_a.signature() == st_b.signature()
+    assert st_a.traffic_signature() == st_b.traffic_signature()
+    for field in (
+        "peak_bytes", "space_peak_bytes", "alloc_count", "alloc_bytes",
+        "elided_copies", "elided_bytes", "fused_kernels",
+        "bytes_elided_fusion", "native_launches",
+    ):
+        assert getattr(st_a, field) == getattr(st_b, field), field
+    assert (st_a.pool_hits + st_a.pool_misses
+            == st_b.pool_hits + st_b.pool_misses)
+
+
+def branchy():
+    """y[i] = x[i] < 0 ? x[i] * x[i] + 1 : x[i] -- the flops a launch
+    counts depend on how many elements are negative."""
+    b = FunBuilder("branchy")
+    n = b.size_param("n")
+    x = b.param("x", ArrayType("f32", (n,)))
+    with b.map_(n, names=["y"]) as m:
+        v = m.index(x, [m.idx])
+        ih = m.if_(m.binop("<", v, 0.0))
+        sq = ih.then_builder.binop("*", v, v)
+        ih.then_builder.returns(ih.then_builder.binop("+", sq, 1.0))
+        ih.else_builder.returns(v)
+        m.returns(*ih.end())
+    b.returns("y")
+    return b.build()
+
+
+def host_reduce():
+    """A host-level reduce feeding a later launch's scalar argument."""
+    b = FunBuilder("hostred")
+    n = b.size_param("n")
+    x = b.param("x", ArrayType("f32", (n,)))
+    s = b.reduce("+", x)
+    with b.map_(n, names=["y"]) as m:
+        m.returns(m.binop("*", m.index(x, [m.idx]), s))
+    b.returns("y")
+    return b.build()
+
+
+def host_fills():
+    """Host-level replicate, point write and iota around one launch,
+    and a host scalar among the results."""
+    b = FunBuilder("fills")
+    n = b.size_param("n")
+    x = b.param("x", ArrayType("f32", (n,)))
+    z = b.update_point(b.replicate([n], 1.5), [0], b.lit(7.0))
+    io = b.iota(n)
+    with b.map_(n, names=["y"]) as m:
+        m.returns(m.binop("*", m.index(x, [m.idx]), m.index(z, [m.idx])))
+    b.scalar(n * 2, name="k")
+    b.returns("y", io, "k")
+    return b.build()
+
+
+def branchy_input(seed, n=64):
+    x = np.random.default_rng(seed).standard_normal(n).astype(np.float32)
+    return {"n": n, "x": x}
+
+
+def state(program):
+    (entry,) = program.tape_report().values()
+    return entry
+
+
+# ----------------------------------------------------------------------
+# The differential
+# ----------------------------------------------------------------------
+@needs_native
+@pytest.mark.parametrize(
+    "name,args", [(n, a) for n, sizes in TAPED.items() for a in sizes]
+)
+def test_replay_matches_executor(name, args):
+    mod = module(name)
+    program = rt.compile(mod.build(), pipeline="full", memoize=False)
+    base = mod.inputs_for(*args)
+    reference = program.run(base, replay=False)
+    assert reference[1].tape == "off: replay=False"
+    captured = program.run(base)
+    assert captured[1].tape == "captured"
+    same_run(reference, captured)
+    for seed in range(1, 4):
+        x = seeded(base, seed)
+        replayed = program.run(x)
+        assert replayed[1].tape == "replayed"
+        same_run(program.run(x, replay=False), replayed)
+    entry = state(program)
+    assert entry["state"] == "captured" and entry["replays"] == 3
+    assert entry["launches"] == reference[1].native_launches > 0
+    assert entry["reason"] is None
+
+
+@needs_native
+@pytest.mark.parametrize("name", ["nw", "hotspot", "lbm"])
+def test_unopt_replays_host_copies_and_kernel_scratch(name):
+    """Without short-circuiting the host program copies between
+    launches and the kernels allocate per-launch scratch: both are on
+    the tape."""
+    mod = module(name)
+    program = rt.compile(mod.build(), pipeline="unopt", memoize=False)
+    base = mod.inputs_for(*TAPED[name][0])
+    assert program.run(base)[1].tape == "captured"
+    (cls,) = program._classes.values()
+    ops = [op[0] for op in cls.tape.ops]
+    launches = [op[1] for op in cls.tape.ops if op[0] == _LAUNCH]
+    assert any(launch.allocs for launch in launches)
+    assert name == "lbm" or _COPY in ops
+    for seed in range(1, 4):
+        x = seeded(base, seed)
+        replayed = program.run(x)
+        assert replayed[1].tape == "replayed"
+        same_run(program.run(x, replay=False), replayed)
+
+
+@needs_native
+def test_host_fills_point_writes_and_scalar_results_replay():
+    program = rt.compile(host_fills(), memoize=False)
+    for seed in range(3):
+        x = branchy_input(seed, n=10)
+        run = program.run(x)
+        assert run[1].tape == ("replayed" if seed else "captured")
+        same_run(program.run(x, replay=False), run)
+        y, io, k = run[0]
+        scale = np.full(10, 1.5, np.float32)
+        scale[0] = 7.0
+        assert np.array_equal(y, x["x"] * scale)
+        assert np.array_equal(io, np.arange(10)) and k == 20
+
+
+@needs_native
+@pytest.mark.parametrize("name", sorted(UNTAPED))
+def test_untapeable_programs_say_why(name):
+    mod = module(name)
+    args, reason = UNTAPED[name]
+    program = rt.compile(mod.build(), pipeline="full", memoize=False)
+    x = mod.inputs_for(*args)
+    reference = program.run(x, replay=False)
+    for _ in range(2):
+        run = program.run(x)
+        assert run[1].tape.startswith("off: ") and reason in run[1].tape
+        same_run(reference, run)
+    entry = state(program)
+    assert entry["state"] == "off" and reason in entry["reason"]
+    assert entry["replays"] == 0
+
+
+@needs_native
+def test_counters_follow_each_requests_data():
+    program = rt.compile(branchy(), memoize=False)
+    flops = set()
+    for seed in range(4):
+        x = branchy_input(seed)
+        run = program.run(x)
+        assert run[1].tape == ("replayed" if seed else "captured")
+        reference = program.run(x, replay=False)
+        same_run(reference, run)
+        assert run[1].flops == reference[1].flops
+        flops.add(run[1].flops)
+    assert len(flops) > 1, "the inputs should disagree on the branch count"
+
+
+@needs_native
+def test_host_reduce_feeding_a_launch_is_refused():
+    program = rt.compile(host_reduce(), memoize=False)
+    for seed in range(3):
+        x = branchy_input(seed)
+        outs, stats = program.run(x)
+        assert stats.tape == "off: host-level reduce at t_1"
+        assert stats.native_launches == 1
+        want = x["x"] * x["x"].sum(dtype=np.float32)
+        assert np.array_equal(outs[0], want)
+    assert program._untapeable == "host-level reduce at t_1"
+
+
+@needs_native
+def test_launch_time_mismatch_turns_one_class_off(monkeypatch):
+    program = rt.compile(module("nw").build(), memoize=False)
+    x = module("nw").inputs_for(4, 8)
+    reference = program.run(x, replay=False)
+    marshal, calls = NativeEngine.marshal, []
+
+    def flaky(self, *args):
+        calls.append(1)
+        if len(calls) in (2, 5):
+            raise _Mismatch("injected")
+        return marshal(self, *args)
+
+    monkeypatch.setattr(NativeEngine, "marshal", flaky)
+    run = program.run(x)
+    monkeypatch.undo()
+    n = reference[1].native_launches
+    assert run[1].tape == (
+        f"off: 2 of {n} launches fell back (launch-time mismatch)"
+    )
+    assert np.array_equal(reference[0][0], run[0][0])
+    assert run[1].signature() == reference[1].signature()
+    assert program.run(x)[1].tape == run[1].tape  # not retried
+    # ... but only that shape class: another one is captured.
+    assert program.run(module("nw").inputs_for(3, 4))[1].tape == "captured"
+
+
+def test_scalar_inputs_key_the_shape_class_by_type_and_value():
+    program = rt.compile(branchy())
+    a = {"n": 4, "x": np.zeros((4, 2), np.float32)}
+    assert program.shape_key(a) == "n=int:4|x:(4, 2)"
+    keys = {
+        program.shape_key(dict(a, n=n))
+        for n in (4, 5, np.int64(4), np.int64(5), np.float32(4), 4.0)
+    }
+    assert len(keys) == 6
+
+
+# ----------------------------------------------------------------------
+# Never capture off the native tier
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("how", ["vectorize", "native", "env"])
+def test_never_captures_without_the_native_tier(how, monkeypatch):
+    if how == "env":
+        monkeypatch.setenv("REPRO_NATIVE", "off")
+    kwargs = {"vectorize": {"vectorize": False},
+              "native": {"native": False}, "env": {}}[how]
+    program = rt.compile(branchy(), memoize=False)
+    for seed in range(3):
+        _, stats = program.run(branchy_input(seed), **kwargs)
+        assert stats.tape == "off: native tier not in use"
+        assert stats.native_launches == 0
+    entry = state(program)
+    assert entry == {
+        "state": "new", "launches": 0, "replays": 0, "reason": None,
+    }
+
+
+# ----------------------------------------------------------------------
+# Concurrency
+# ----------------------------------------------------------------------
+@needs_native
+def test_two_threads_replay_one_tape():
+    mod = module("lud")
+    program = rt.compile(mod.build(), memoize=False)
+    base = mod.inputs_for(4, 8)
+    program.run(base)
+    requests = [seeded(base, s) for s in (11, 12)]
+    want = [program.run(x, replay=False) for x in requests]
+    barrier = threading.Barrier(2)
+    failures = []
+
+    def client(i):
+        try:
+            barrier.wait(timeout=30)
+            for _ in range(25):
+                got = program.run(requests[i])
+                assert got[1].tape == "replayed"
+                same_run(want[i], got)
+        except BaseException as exc:  # reported by the main thread
+            failures.append(exc)
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=client, args=(i,)) for i in (0, 1)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=120)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(th.is_alive() for th in threads)
+    assert not failures, failures
+    assert state(program)["replays"] == 50
+
+
+# ----------------------------------------------------------------------
+# Failure paths
+# ----------------------------------------------------------------------
+class Boom(RuntimeError):
+    pass
+
+
+def fail_on_call(monkeypatch, program, k):
+    """Make the k-th kernel call of the next request raise."""
+    calls = []
+    for spec in program._native_plans.values():
+        def fn(*args, _fn=spec.fn):
+            calls.append(1)
+            if len(calls) == k:
+                raise Boom(f"kernel call {k}")
+            return _fn(*args)
+
+        monkeypatch.setattr(spec, "fn", fn)
+
+
+@needs_native
+@pytest.mark.parametrize("phase", ["capture", "replay"])
+def test_kernel_exception_keeps_pool_and_drops_tape(phase, monkeypatch):
+    mod = module("lud")
+    program = rt.compile(mod.build(), memoize=False)
+    x = mod.inputs_for(3, 4)
+    reference = program.run(x, replay=False)  # emits kernels, warms pool
+    if phase == "replay":
+        assert program.run(x)[1].tape == "captured"
+    clean = program.pool.free_buffers()
+    fail_on_call(monkeypatch, program, 5)
+    with pytest.raises(Boom):
+        program.run(x)
+    monkeypatch.undo()
+    assert program.pool.free_buffers() == clean
+    assert state(program)["state"] == "new"  # no tape stored / kept
+    run = program.run(x)
+    assert run[1].tape == "captured"
+    same_run(reference, run)
+    same_run(reference, program.run(x))
+    assert program.pool.free_buffers() == clean
+
+
+@needs_native
+@pytest.mark.parametrize("name", sorted(TAPED))
+def test_poisoned_pool_replays_bit_identically(name):
+    mod = module(name)
+    program = rt.compile(mod.build(), memoize=False)
+    x = mod.inputs_for(*TAPED[name][0])
+    reference = program.run(x, replay=False)
+    program.run(x)
+    program.pool.poison()
+    run = program.run(x)
+    assert run[1].tape == "replayed"
+    same_run(reference, run)
+
+
+@needs_native
+def test_evicted_tape_is_recaptured_not_resurrected():
+    program = rt.compile(branchy(), memoize=False)
+    first = branchy_input(0, n=8)
+    assert program.run(first)[1].tape == "captured"
+    assert program.run(first)[1].tape == "replayed"
+    for n in range(9, 9 + Program.SHAPE_CLASSES):
+        program.run(branchy_input(0, n=n))
+    assert len(program.tape_report()) == Program.SHAPE_CLASSES
+    run = program.run(first)
+    assert run[1].tape == "captured"
+    same_run(program.run(first, replay=False), run)
+
+
+# ----------------------------------------------------------------------
+# The shape-class LRU bounds plans and idle buffers
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("build", [branchy, host_reduce])
+def test_never_seen_shapes_leave_the_pool_bounded(build):
+    program = rt.compile(build(), memoize=False)
+    for n in range(1, 501):
+        program.run(branchy_input(0, n=n))
+    pool = program.pool
+    assert len(pool._plans) <= Program.SHAPE_CLASSES
+    assert len(program.tape_report()) <= Program.SHAPE_CLASSES
+    # x and y of the retained classes, nothing of the 484 evicted ones
+    assert pool.free_bytes() <= Program.SHAPE_CLASSES * 2 * 4 * 500
+    retained = {
+        key for e in pool._plans.values() for key in e.manifest
+    }
+    assert set(pool._free) <= retained
+
+
+def test_eight_class_ring_keeps_full_pool_hit_rate():
+    mod = module("optionpricing")
+    program = rt.compile(mod.build(), memoize=False)
+    ring = [mod.inputs_for(16 + 4 * i, 8) for i in range(8)]
+    for x in ring:
+        program.run(x)
+    for _ in range(3):
+        for x in ring:
+            _, stats = program.run(x)
+            assert stats.pool_misses == 0 and stats.pool_hits > 0
+
+
+# ----------------------------------------------------------------------
+# Output materialization: contiguous results are sliced, not gathered
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize(
+    "name", ["nw", "lud", "hotspot", "lbm", "optionpricing",
+             "locvolcalib", "nn"],
+)
+def test_sliced_output_equals_the_gather(name):
+    from repro.mem.exec import MemExecutor, RuntimeArray
+
+    mod = module(name)
+    program = rt.compile(mod.build())
+    ex = MemExecutor(program.fun)
+    vals, _ = ex.run(**mod.inputs_for(*mod.TEST_DATASETS["small"]))
+    sliced = 0
+    for v in vals:
+        got = Program._materialize(ex, v)
+        if not isinstance(v, RuntimeArray):
+            assert got is v
+            continue
+        want = ex.mem[v.mem][v.ixfn.gather_offsets({})]
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+        assert not np.shares_memory(got, ex.mem[v.mem])
+        sliced += region_plan(v.ixfn, lambda: None)[0] == "slice"
+    assert sliced or name in ("optionpricing",)
+
+
+def test_strided_and_transposed_results_take_the_gather():
+    buf = np.arange(24, dtype=np.float32)
+    row_major = IndexFn.row_major((4, 6))
+    assert region_plan(row_major, lambda: None) == ("slice", 0, 24, (4, 6))
+    window = row_major.slice_triplets([(1, 2, 1), (0, 6, 1)])
+    assert region_plan(window, lambda: None) == ("slice", 6, 12, (2, 6))
+    for ixfn in (
+        row_major.transpose(),
+        row_major.slice_triplets([(0, 4, 1), (0, 3, 2)]),
+        row_major.slice_triplets([(0, 4, 1), (1, 3, 1)]),
+        row_major.reverse(0),
+    ):
+        offs = ixfn.gather_offsets({})
+        plan = region_plan(ixfn, lambda offs=offs: offs)
+        assert plan[0] == "gather" and plan[1] is offs
+        assert np.array_equal(read_region(buf, plan), buf[offs])
