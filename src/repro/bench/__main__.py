@@ -254,6 +254,10 @@ def main(argv=None) -> int:
 
         if args.explain:
             print(report.traces["opt"].render())
+            if report.sc_failure_records:
+                print("sc rejections (optimized pipeline):")
+                for r in report.sc_failure_records:
+                    print(f"  {r.render()}")
             if fst.failure_records:
                 print("fuse rejections (optimized pipeline):")
                 rows = [
@@ -418,6 +422,10 @@ def main(argv=None) -> int:
             "short_circuits": report.sc_committed,
             "dead_copy_reuses": report.sc_reused_copies,
             "sc_rejected": dict(report.sc_failures),
+            "sc_rejection_records": [
+                {"rule": r.rule, "location": r.location, "witness": r.witness}
+                for r in report.sc_failure_records
+            ],
             "fuse_rejections": {
                 "counts": dict(fst.failures),
                 "repeat_suppressed": fst.repeat_failures,

@@ -7,14 +7,15 @@ passes ask, as relation-emptiness problems.  Every public query returns
 a :class:`~repro.isl.emptiness.Verdict`; ``EMPTY`` is exact and is the
 only verdict the passes act on.
 
-Queries are memoized per engine (the engine lives in the compilation's
-:class:`~repro.lmad.overlap.ProverPool`, so memos amortize across
-passes exactly like the structural prover's).
+The engine keeps no answers of its own: finished disjointness verdicts
+are remembered one level up, by the compilation's
+:class:`~repro.lmad.overlap.ProverPool`, keyed by the facts they were
+proved under rather than by this object.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
+from typing import Optional
 
 from repro.isl.bridge import (
     lift_parameters,
@@ -22,6 +23,7 @@ from repro.isl.bridge import (
 )
 from repro.isl.emptiness import Verdict, basic_empty
 from repro.isl.terms import BasicSet, Constraint, IntSet
+from repro.lmad.lmad import Lmad
 from repro.symbolic.expr import ExprLike, SymExpr, sym
 from repro.symbolic.prove import Prover
 
@@ -31,7 +33,10 @@ class PolyEngine:
 
     def __init__(self, prover: Prover):
         self.prover = prover
-        self._disjoint_memo: Dict[Tuple, Verdict] = {}
+        #: The offset both operands of the most recent
+        #: :meth:`accesses_disjoint` call provably contain, when that is
+        #: how it reached ``NONEMPTY``; ``None`` otherwise.
+        self.shared_point: Optional[SymExpr] = None
 
     # ------------------------------------------------------------------
     def set_is_empty(self, s) -> Verdict:
@@ -58,17 +63,29 @@ class PolyEngine:
         ``EMPTY`` = provably disjoint; ``NONEMPTY`` = provably sharing
         at least one offset; ``UNKNOWN`` otherwise.
         """
-        key = (a, b)
-        memo = self._disjoint_memo.get(key)
-        if memo is not None:
-            return memo
+        self.shared_point = self._shared_first_point(a, b)
+        if self.shared_point is not None:
+            return Verdict.NONEMPTY
         try:
-            verdict = self.set_is_empty(overlap_set(a, b))
+            return self.set_is_empty(overlap_set(a, b))
         except (ValueError, OverflowError):
-            verdict = Verdict.UNKNOWN
-        if len(self._disjoint_memo) < 4096:
-            self._disjoint_memo[key] = verdict
-        return verdict
+            return Verdict.UNKNOWN
+
+    def _shared_first_point(self, a, b) -> Optional[SymExpr]:
+        """Refutation by inspection: two LMADs whose offsets are provably
+        equal and whose every dimension provably has at least one point
+        both contain that offset (index tuple all zeros), whatever the
+        parameters.  Elimination cannot say more than ``NONEMPTY`` about
+        such a pair, and under lifted parameters it says less after
+        searching for longer."""
+        if not (isinstance(a, Lmad) and isinstance(b, Lmad)):
+            return None
+        ctx = self.prover.ctx
+        if ctx.numeric_range(a.offset - b.offset) != (0, 0):
+            return None
+        if not all(self.prover.pos(d.shape) for l in (a, b) for d in l.dims):
+            return None
+        return b.offset
 
     def disjoint_from_extra(self, access, extra: IntSet) -> Verdict:
         """Is ``access``'s offset set disjoint from the ``extra`` region?
@@ -103,10 +120,6 @@ class PolyEngine:
         """
         from repro.isl.bridge import lmad_to_relation
 
-        key = ("inj", l)
-        memo = self._disjoint_memo.get(key)
-        if memo is not None:
-            return memo
         try:
             r1 = lmad_to_relation(l)
             r2 = lmad_to_relation(l)
@@ -127,14 +140,10 @@ class PolyEngine:
         except (ValueError, OverflowError):
             verdicts = [Verdict.UNKNOWN]
         if not verdicts or all(v is Verdict.EMPTY for v in verdicts):
-            verdict = Verdict.EMPTY
-        elif any(v is Verdict.NONEMPTY for v in verdicts):
-            verdict = Verdict.NONEMPTY
-        else:
-            verdict = Verdict.UNKNOWN
-        if len(self._disjoint_memo) < 4096:
-            self._disjoint_memo[key] = verdict
-        return verdict
+            return Verdict.EMPTY
+        if any(v is Verdict.NONEMPTY for v in verdicts):
+            return Verdict.NONEMPTY
+        return Verdict.UNKNOWN
 
     # ------------------------------------------------------------------
     def entails_nonneg(self, expr: ExprLike) -> bool:

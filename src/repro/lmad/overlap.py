@@ -212,28 +212,63 @@ class TieredChecker(NonOverlapChecker):
 
     pool: Optional["ProverPool"] = None
     engine: Optional[object] = None  # a repro.isl.PolyEngine
+    #: Why the most recent query is *known* to overlap (a shared point),
+    #: when it is; empty for "disjoint" and for plain "cannot prove".
+    witness: str = ""
 
     def check(self, l1: Lmad, l2: Lmad) -> bool:
-        structural = NonOverlapChecker.check(self, l1, l2)
-        result, tier = structural, "structural" if structural else "unknown"
-        if not structural and self.engine is not None:
-            from repro.isl.emptiness import Verdict
-
-            verdict = self.engine.accesses_disjoint(l1, l2)
-            if verdict is Verdict.EMPTY:
-                self.trace.append(
-                    "polyhedral fallback: overlap set proven empty"
-                )
-                result, tier = True, "polyhedral"
+        pool, ctx = self.pool, self.prover.ctx
+        if pool is None:
+            verdict = self._decide(l1, l2)
+        else:
+            # One proof per question: the answer depends on the context
+            # only through its effective facts, so it is looked up by
+            # them.  The fingerprint is taken now, not when the checker
+            # was pooled -- the context may have gained facts since.
+            key = (ctx.fingerprint(), l1, l2, self.enable_splitting)
+            verdict = pool.verdicts.get(key)
+            if verdict is None:
+                pool.verdict_misses += 1
+                verdict = self._decide(l1, l2)
+                pool.store_verdict(key, verdict)
             else:
-                self.trace.append(
-                    f"polyhedral fallback inconclusive ({verdict.name.lower()})"
-                )
-        if self.pool is not None:
-            self.pool.record_query(
-                self.prover.ctx, l1, l2, structural, tier, result
-            )
+                pool.verdict_hits += 1
+                self.trace = [
+                    f"verdict table: tier {verdict[1]} under equal facts"
+                    + (f" ({verdict[3]})" if verdict[3] else "")
+                ]
+            # A hit is still a query: it is logged and tallied like the
+            # proof it stands for, so tier counts and the overlap audit
+            # (which re-decides every logged query from scratch) see all
+            # of them.
+            pool.record_query(ctx, l1, l2, *verdict[:3])
+        _, _, result, self.witness = verdict
         return result
+
+    def _decide(self, l1: Lmad, l2: Lmad) -> "tuple[bool, str, bool, str]":
+        """Prove from scratch: ``(structural, tier, result, witness)``."""
+        structural = NonOverlapChecker.check(self, l1, l2)
+        if structural:
+            return True, "structural", True, ""
+        if self.engine is None:
+            return False, "unknown", False, ""
+        from repro.isl.emptiness import Verdict
+
+        emptiness = self.engine.accesses_disjoint(l1, l2)
+        if emptiness is Verdict.EMPTY:
+            self.trace.append("polyhedral fallback: overlap set proven empty")
+            return False, "polyhedral", True, ""
+        witness = ""
+        if self.engine.shared_point is not None:
+            witness = f"first points coincide at {self.engine.shared_point}"
+            self.trace.append(f"refuted without elimination: {witness}")
+            if self.pool is not None:
+                self.pool.refuted_by_shared_point += 1
+        else:
+            self.trace.append(
+                f"polyhedral fallback inconclusive ({emptiness.name.lower()})"
+            )
+        return False, "unknown", False, witness
 
 
 @dataclass
@@ -250,7 +285,8 @@ class QueryRecord:
 
 
 class ProverPool:
-    """Memoized :class:`Prover`/:class:`TieredChecker` pairs per context.
+    """Memoized :class:`Prover`/:class:`TieredChecker` pairs per context,
+    and one table of disjointness verdicts for all of them.
 
     One :class:`~repro.symbolic.Prover` per assumption :class:`Context`
     object, shared across every query issued against that context, so the
@@ -261,18 +297,35 @@ class ProverPool:
     same pool, and queries against the compilation's shared root context
     hit memos populated by earlier passes.
 
-    Entries are keyed by ``id(ctx)`` and hold a strong reference to the
-    context so the key cannot be recycled; a rebuilt context is a new
-    object and transparently gets a fresh entry.  Contexts may gain facts
-    after registration (passes ``define`` scalar SSA equalities as they
-    walk) -- that only ever adds information, so memoized ``True``
-    answers stay sound and ``False`` answers stay conservative, exactly
-    as for a long-lived :class:`Prover` today.
+    Provers, checkers and engines are keyed by the context *object*
+    (contexts hash by identity, and the table keeps them alive); a
+    rebuilt context is a new object and gets a fresh entry.  They are
+    deliberately not shared between distinct contexts that hold equal
+    facts: a prover reads its context live, so one shared by content
+    would silently inherit whatever its first owner learns later and
+    answer the second owner's questions with facts it does not have.
+    Contexts may gain facts after registration (passes ``define`` scalar
+    SSA equalities as they walk) -- that only ever adds information, so
+    memoized ``True`` answers stay sound and ``False`` answers stay
+    conservative, exactly as for a long-lived :class:`Prover`.
 
-    The memo tables are LRU-bounded (``max_entries`` contexts): analyses
-    that walk many short-lived extended contexts (races, per-loop sc
-    bodies) no longer grow the pool without bound.  ``hits``/``misses``
-    count memo-table lookups and surface in the PipelineTrace.
+    What *is* shared by content is the finished answer.  ``verdicts``
+    maps ``(ctx.fingerprint(), l1, l2, enable_splitting)`` to
+    ``(structural, tier, result, witness)``: a verdict is a theorem about
+    two access sets under a set of facts, not about the Python object
+    that happened to hold the facts, so passes that rebuild their scope
+    contexts (short-circuiting does, every fixpoint round) pay for each
+    question once.  The table stops growing at ``VERDICT_CAP`` entries
+    and lives and dies with the pool -- one compilation; nothing is kept
+    per process or on disk.
+
+    The prover tables are LRU-bounded (``max_entries`` contexts):
+    analyses that walk many short-lived extended contexts (races,
+    per-loop sc bodies) no longer grow the pool without bound.
+    ``hits``/``misses`` count pooled-object lookups, ``verdict_hits``/
+    ``verdict_misses`` verdict-table lookups and
+    ``refuted_by_shared_point`` the queries settled as overlapping by
+    inspection; all surface in the PipelineTrace.
 
     Checkers are additionally keyed by their ``enable_splitting`` flag
     (the prover itself is splitting-agnostic and shared between both
@@ -282,14 +335,21 @@ class ProverPool:
     ``tiers`` and the last ``log_cap`` queries in ``query_log``.
     """
 
+    #: Verdicts the table holds before it stops taking new ones.
+    VERDICT_CAP = 4096
+
     def __init__(self, max_entries: int = 64, log_cap: int = 4096) -> None:
         self.max_entries = max_entries
         self.log_cap = log_cap
         self._provers: "OrderedDict" = OrderedDict()
-        self._checkers: "OrderedDict" = OrderedDict()
-        self._engines: "OrderedDict" = OrderedDict()
+        self._checkers: Dict[tuple, TieredChecker] = {}
+        self._engines: Dict[object, object] = {}
         self.hits = 0
         self.misses = 0
+        self.verdicts: Dict[tuple, tuple] = {}
+        self.verdict_hits = 0
+        self.verdict_misses = 0
+        self.refuted_by_shared_point = 0
         self._client = "?"
         #: client name -> {"structural": n, "polyhedral": n, "unknown": n}
         self.tiers: Dict[str, Dict[str, int]] = {}
@@ -308,10 +368,7 @@ class ProverPool:
         self, ctx, l1: Lmad, l2: Lmad, structural: bool, tier: str,
         result: bool,
     ) -> None:
-        tally = self.tiers.setdefault(
-            self._client, {"structural": 0, "polyhedral": 0, "unknown": 0}
-        )
-        tally[tier] = tally.get(tier, 0) + 1
+        self.record_tier(tier)
         if len(self.query_log) < self.log_cap:
             self.query_log.append(
                 QueryRecord(self._client, ctx, l1, l2, structural, tier, result)
@@ -333,66 +390,59 @@ class ProverPool:
                 total[k] = total.get(k, 0) + v
         return total
 
-    # -- pooled objects ------------------------------------------------
-    def _touch(self, table: "OrderedDict", key) -> None:
-        table.move_to_end(key)
+    def store_verdict(self, key: tuple, verdict: tuple) -> None:
+        if len(self.verdicts) < self.VERDICT_CAP:
+            self.verdicts[key] = verdict
 
+    # -- pooled objects ------------------------------------------------
     def _evict(self) -> None:
         while len(self._provers) > self.max_entries:
             evicted, _ = self._provers.popitem(last=False)
-            for key in [k for k in self._checkers if k[0] == evicted]:
+            for key in [k for k in self._checkers if k[0] is evicted]:
                 del self._checkers[key]
             self._engines.pop(evicted, None)
 
     def prover_for(self, ctx) -> Prover:
         """The pooled prover for ``ctx`` (created on first use)."""
-        ent = self._provers.get(id(ctx))
-        if ent is None or ent[0] is not ctx:
+        prover = self._provers.get(ctx)
+        if prover is None:
             self.misses += 1
-            ent = (ctx, Prover(ctx))
-            self._provers[id(ctx)] = ent
+            prover = self._provers[ctx] = Prover(ctx)
             self._evict()
         else:
             self.hits += 1
-        self._touch(self._provers, id(ctx))
-        return ent[1]
+        self._provers.move_to_end(ctx)
+        return prover
 
     def engine_for(self, ctx):
-        """The pooled polyhedral engine for ``ctx``.
-
-        Returns ``None`` only if :mod:`repro.isl` is unavailable (it is
-        part of this tree, so in practice: never).
-        """
-        ent = self._engines.get(id(ctx))
-        if ent is None or ent[0] is not ctx:
+        """The pooled polyhedral engine for ``ctx``."""
+        engine = self._engines.get(ctx)
+        if engine is None:
             from repro.isl.engine import PolyEngine
 
             self.misses += 1
-            ent = (ctx, PolyEngine(self.prover_for(ctx)))
-            self._engines[id(ctx)] = ent
+            engine = self._engines[ctx] = PolyEngine(self.prover_for(ctx))
         else:
             self.hits += 1
-        return ent[1]
+        return engine
 
     def checker_for(
         self, ctx, enable_splitting: bool = True
     ) -> "TieredChecker":
         """The pooled tiered non-overlap checker for ``ctx``."""
-        key = (id(ctx), enable_splitting)
-        ent = self._checkers.get(key)
-        if ent is None or ent[0] is not ctx:
+        key = (ctx, enable_splitting)
+        checker = self._checkers.get(key)
+        if checker is None:
             self.misses += 1
-            checker = TieredChecker(
+            checker = self._checkers[key] = TieredChecker(
                 self.prover_for(ctx),
                 enable_splitting=enable_splitting,
                 pool=self,
                 engine=self.engine_for(ctx),
             )
-            ent = (ctx, checker)
-            self._checkers[key] = ent
         else:
             self.hits += 1
-        return ent[1]
+        return checker
 
     def pair_for(
         self, ctx, enable_splitting: bool = True

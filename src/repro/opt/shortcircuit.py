@@ -53,14 +53,18 @@ class ScFailure:
 
     ``rule`` is the safety-condition identifier (the strings raised by
     :class:`_Failure`, e.g. ``update:write-overlaps-uses``); ``location``
-    identifies the candidate by its root name and destination block.
+    identifies the candidate by its root name and destination block;
+    ``witness`` says why, when the checker knows (an overlap it can point
+    at, as opposed to a disjointness it merely failed to prove).
     """
 
     rule: str
     location: str
+    witness: str = ""
 
     def render(self) -> str:
-        return f"{self.rule} @ {self.location}" if self.location else self.rule
+        out = f"{self.rule} @ {self.location}" if self.location else self.rule
+        return f"{out} ({self.witness})" if self.witness else out
 
 
 @dataclass
@@ -94,7 +98,7 @@ class ShortCircuitStats:
     repeat_failures: int = 0
     committed_roots: List[str] = field(default_factory=list)
 
-    def fail(self, reason: str, location: str = "") -> None:
+    def fail(self, reason: str, location: str = "", witness: str = "") -> None:
         # One site, one tally: a candidate rejected again on a later
         # fixpoint round (possibly by a different rule, the program
         # having changed around it) counts only under the rule that
@@ -105,7 +109,7 @@ class ShortCircuitStats:
             self.repeat_failures += 1
             return
         self.failures[reason] = self.failures.get(reason, 0) + 1
-        self.failure_records.append(ScFailure(reason, location))
+        self.failure_records.append(ScFailure(reason, location, witness))
 
     def summary(self) -> str:
         lines = [
@@ -182,9 +186,10 @@ class _Candidate:
 
 
 class _Failure(Exception):
-    def __init__(self, reason: str):
+    def __init__(self, reason: str, witness: str = ""):
         super().__init__(reason)
         self.reason = reason
+        self.witness = witness
 
 
 _CREATORS = (A.Copy, A.Iota, A.Replicate, A.Scratch, A.Concat, A.Map)
@@ -221,7 +226,6 @@ class _ShortCircuiter:
         self._pool: ProverPool = (
             shared.provers if shared is not None else ProverPool()
         )
-        self._cross_iter_cache: Dict[tuple, Tuple[Context, NonOverlapChecker]] = {}
 
     def _prover_for(self, ctx: Context) -> Tuple[Prover, NonOverlapChecker]:
         return self._pool.pair_for(ctx, self.enable_splitting)
@@ -237,9 +241,9 @@ class _ShortCircuiter:
             self.stats.rounds += 1
             # Per-round contexts are rebuilt (and may gain equalities)
             # every round.  The pool needs no clearing: rebuilt contexts
-            # are new objects with fresh (LRU-bounded) entries, and the
-            # long-lived root context's facts are stable across rounds.
-            self._cross_iter_cache.clear()
+            # are new objects with fresh (LRU-bounded) entries, and a
+            # question already answered under equal facts is answered
+            # from the pool's verdict table.
             root_scope = self._root_scope()
             changed = self._process_block(self.fun.body, root_scope)
             # Views and update results derived from rebased arrays must
@@ -523,7 +527,9 @@ class _ShortCircuiter:
                     cand.writes, cand.uses, var, count, both, scope
                 )
         except _Failure as f:
-            self.stats.fail(f.reason, f"root={cand.root} dst={cand.dst_mem}")
+            self.stats.fail(
+                f.reason, f"root={cand.root} dst={cand.dst_mem}", f.witness
+            )
             return False
         # Commit.
         for pe, binding in cand.planned:
@@ -983,21 +989,12 @@ class _ShortCircuiter:
         if both_directions:
             directions.append((sym(0), SymExpr.var(var) - 1))
         for lo, hi in directions:
-            # The extended context (and its prover memo) depends only on
-            # the enclosing scope and the shifted-iteration range, so it
-            # is shared across every candidate checked at this loop/map.
-            key = (id(scope.ctx), jvar, lo, hi)
-            ent = self._cross_iter_cache.get(key)
-            if ent is None or ent[0] is not scope.ctx:
-                ctx = scope.ctx.extended()
-                ctx.assume_range(jvar, lo, hi)
-                checker = self._pool.checker_for(ctx, self.enable_splitting)
-                self._cross_iter_cache[key] = (scope.ctx, checker)
-            else:
-                checker = ent[1]
+            ctx = scope.ctx.extended()
+            ctx.assume_range(jvar, lo, hi)
+            checker = self._pool.checker_for(ctx, self.enable_splitting)
             shifted = uses.substitute({var: SymExpr.var(jvar)})
             if not writes.disjoint_from(shifted, checker):
-                raise _Failure("cross-iteration-overlap")
+                raise _Failure("cross-iteration-overlap", checker.witness)
 
 
 def _last_use_position(block: A.Block, name: str) -> Optional[int]:

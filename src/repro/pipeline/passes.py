@@ -47,7 +47,8 @@ def _compiler():
 
 def _pool_detail(ctx: CompileContext, tiers: Dict[str, int]) -> Dict[str, object]:
     """PassRecord detail entries for the prover pool's deciding-tier
-    tallies and (cumulative) memo hit/miss counters."""
+    tallies and its (cumulative) counters: pooled-object and
+    verdict-table hits/misses, and queries refuted by a shared point."""
     detail: Dict[str, object] = {}
     if any(tiers.values()):
         detail["tiers"] = {k: v for k, v in tiers.items() if v}
@@ -55,6 +56,9 @@ def _pool_detail(ctx: CompileContext, tiers: Dict[str, int]) -> Dict[str, object
     if pool is not None:
         detail["pool_hits"] = pool.hits
         detail["pool_misses"] = pool.misses
+        detail["verdict_hits"] = pool.verdict_hits
+        detail["verdict_misses"] = pool.verdict_misses
+        detail["refuted_by_shared_point"] = pool.refuted_by_shared_point
     return detail
 
 

@@ -65,12 +65,28 @@ class Bound:
 class Context:
     """A scoped set of assumptions about integer program variables."""
 
-    __slots__ = ("_eqs", "_bounds", "_parent")
+    __slots__ = (
+        "_eqs", "_bounds", "_parent", "_eq_version", "_bound_version",
+        "_eq_cache", "_fingerprint_cache",
+    )
+
+    #: Entries a context's ``normalize`` memo may hold before it restarts.
+    NORMALIZE_MEMO_CAP = 8192
 
     def __init__(self, parent: Optional["Context"] = None):
         self._eqs: Dict[str, SymExpr] = {}
         self._bounds: Dict[str, Bound] = {}
         self._parent = parent
+        # Facts are only ever added (``define`` / ``assume_*``), here or in
+        # an ancestor, so the *sum* of these counters over the parent
+        # chain is a stamp that moves whenever any of them does.  The
+        # derived tables below are valid for exactly one stamp.
+        self._eq_version = 0
+        self._bound_version = 0
+        #: (eq stamp, flattened equalities, normalize memo)
+        self._eq_cache: Optional[Tuple[int, Dict[str, SymExpr], dict]] = None
+        #: ((eq stamp, bound stamp), fingerprint)
+        self._fingerprint_cache: Optional[Tuple[Tuple[int, int], tuple]] = None
 
     # ------------------------------------------------------------------
     # Building
@@ -85,6 +101,7 @@ class Context:
         if var in value.free_vars():
             raise ValueError(f"self-referential definition of {var}: {value}")
         self._eqs[var] = value
+        self._eq_version += 1
         return self
 
     def assume_lower(self, var: str, lo: ExprLike) -> "Context":
@@ -105,6 +122,7 @@ class Context:
     def _merge_bound(self, var: str, bound: Bound) -> None:
         existing = self._bounds.get(var) or self._lookup_bound_parent(var)
         self._bounds[var] = existing.merged(bound) if existing else bound
+        self._bound_version += 1
 
     def extended(self) -> "Context":
         """A child context; additions to it do not affect ``self``."""
@@ -113,14 +131,6 @@ class Context:
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
-    def _lookup_eq(self, var: str) -> Optional[SymExpr]:
-        ctx: Optional[Context] = self
-        while ctx is not None:
-            if var in ctx._eqs:
-                return ctx._eqs[var]
-            ctx = ctx._parent
-        return None
-
     def _lookup_bound_parent(self, var: str) -> Optional[Bound]:
         ctx = self._parent
         while ctx is not None:
@@ -137,16 +147,64 @@ class Context:
             ctx = ctx._parent
         return Bound()
 
-    def all_equalities(self) -> Dict[str, SymExpr]:
-        out: Dict[str, SymExpr] = {}
-        chain: List[Context] = []
+    def _stamps(self) -> Tuple[int, int]:
+        """(equality stamp, bound stamp) of this context's parent chain."""
+        eqs = bounds = 0
         ctx: Optional[Context] = self
         while ctx is not None:
-            chain.append(ctx)
+            eqs += ctx._eq_version
+            bounds += ctx._bound_version
             ctx = ctx._parent
-        for c in reversed(chain):
-            out.update(c._eqs)
-        return out
+        return eqs, bounds
+
+    def _equalities(self) -> Tuple[Dict[str, SymExpr], dict]:
+        """The flattened equalities (innermost definition wins) and the
+        ``normalize`` memo that goes with them, rebuilt when the chain's
+        equality stamp has moved."""
+        stamp = self._stamps()[0]
+        cache = self._eq_cache
+        if cache is None or cache[0] != stamp:
+            chain: List[Context] = []
+            ctx: Optional[Context] = self
+            while ctx is not None:
+                chain.append(ctx)
+                ctx = ctx._parent
+            eqs: Dict[str, SymExpr] = {}
+            for c in reversed(chain):
+                eqs.update(c._eqs)
+            cache = self._eq_cache = (stamp, eqs, {})
+        return cache[1], cache[2]
+
+    def all_equalities(self) -> Dict[str, SymExpr]:
+        return dict(self._equalities()[0])
+
+    def fingerprint(self) -> tuple:
+        """A hashable snapshot of the *effective* facts: the flattened
+        equalities and, per variable, the innermost bound.
+
+        Everything a prover can learn from a context goes through
+        :meth:`normalize`, :meth:`bound` and :meth:`numeric_range`, and
+        those see exactly these facts, so two contexts with equal
+        fingerprints answer every question alike -- whatever the order
+        the facts arrived in or the shape of the parent chain that holds
+        them.  Contexts gain facts after they are handed out, so callers
+        take a fingerprint when they need one and never keep it.
+        """
+        stamps = self._stamps()
+        cache = self._fingerprint_cache
+        if cache is None or cache[0] != stamps:
+            bounds: Dict[str, Bound] = {}
+            ctx: Optional[Context] = self
+            while ctx is not None:
+                for var, b in ctx._bounds.items():
+                    bounds.setdefault(var, b)
+                ctx = ctx._parent
+            fp = (
+                frozenset(self._equalities()[0].items()),
+                frozenset(bounds.items()),
+            )
+            cache = self._fingerprint_cache = (stamps, fp)
+        return cache[1]
 
     # ------------------------------------------------------------------
     # Normalization
@@ -159,19 +217,26 @@ class Context:
         but belt-and-braces) cyclic definitions.
         """
         e = sym(expr)
-        eqs = self.all_equalities()
+        eqs, memo = self._equalities()
         if not eqs:
             return e
-        for _ in range(max_rounds):
-            fv = e.free_vars()
-            applicable = {v: rhs for v, rhs in eqs.items() if v in fv}
-            if not applicable:
-                return e
-            e2 = e.substitute(applicable)
-            if e2 == e:
-                return e
-            e = e2
-        return e
+        key = (e, max_rounds)
+        out = memo.get(key)
+        if out is None:
+            out = e
+            for _ in range(max_rounds):
+                fv = out.free_vars()
+                applicable = {v: rhs for v, rhs in eqs.items() if v in fv}
+                if not applicable:
+                    break
+                e2 = out.substitute(applicable)
+                if e2 == out:
+                    break
+                out = e2
+            if len(memo) >= self.NORMALIZE_MEMO_CAP:
+                memo.clear()
+            memo[key] = out
+        return out
 
     def numeric_range(
         self, expr: ExprLike, depth: int = 6

@@ -53,3 +53,36 @@ def test_cli_overlap_audit(capsys):
     assert main(["nw", "--overlap-audit", "--pipeline", "sc"]) == 0
     out = capsys.readouterr().out
     assert "nw/sc" in out and "[ok]" in out
+
+
+def test_audit_catches_a_structural_claim_on_symbolic_shared_points(monkeypatch):
+    """The "structural = disjoint but polyhedral = NONEMPTY" cross-check
+    under *lifted parameters*: elimination downgrades a witness found at
+    one parameter value to UNKNOWN, so before the shared-point refutation
+    this check could never fire on a symbolic pair.  Simulate a broken
+    structural tier that calls two blocks with the same first point
+    disjoint; the audit must object."""
+    from repro.lmad.overlap import NonOverlapChecker
+    from repro.symbolic import SymExpr
+
+    b, k, n, q, z = (SymExpr.var(v) for v in "bknqz")
+    ctx = Context()  # the facts of lud's width-1 map body
+    ctx.define("n", b * q)
+    ctx.assume_lower("b", 2)
+    ctx.assume_lower("q", 2)
+    ctx.assume_range("k", 0, q - 1)
+    ctx.assume_range("z", 0, 0)
+    dims = (LmadDim(b, n), LmadDim(b, sym(1)))
+    blk = Lmad(b * k * n + b * k + z, dims)
+    row = Lmad(b * k * n + b * k, dims)
+
+    pool = ProverPool()
+    pool.set_client("sc")
+    assert not pool.checker_for(ctx).check(blk, row)
+    assert pool.refuted_by_shared_point == 1
+    assert audit_pool(pool, "synthetic", "full").ok()
+
+    monkeypatch.setattr(NonOverlapChecker, "check", lambda self, a, b: True)
+    res = audit_pool(pool, "synthetic", "full")
+    assert not res.ok()
+    assert "structural=disjoint but polyhedral=NONEMPTY" in res.render()

@@ -130,3 +130,26 @@ def test_tables_render(compiled):
     text = rep.render()
     assert "hotspot" in text and "A100" in text and "MI100" in text
     assert all(r.impact >= 1.0 for r in rep.rows)
+
+
+def test_lud_rejection_carries_its_witness_and_the_pool_its_counters():
+    """No silent decisions: lud's one rejected candidate says *why* the
+    sets overlap, and the trace shows how many disjointness questions
+    were answered from the verdict table instead of proved again."""
+    from repro.compiler import compile_fun
+
+    c = compile_fun(BENCH["lud"].build(), cache=False)
+    (rej,) = c.sc_stats.failure_records
+    assert rej.rule == "cross-iteration-overlap"
+    assert rej.location.startswith("root=t_19 ")
+    assert rej.witness == "first points coincide at b*k*n + b*k"
+    assert rej.witness in rej.render()
+
+    (sc,) = [r for r in c.trace.records if r.name == "short_circuit"]
+    asked = sc.detail["verdict_hits"] + sc.detail["verdict_misses"]
+    # lud has no widened-slice obligations, so every tier tally is one
+    # TieredChecker.check; the four fixpoint rounds repeat about a third.
+    assert asked == sum(sc.detail["tiers"].values())
+    assert sc.detail["verdict_hits"] >= 10
+    assert sc.detail["refuted_by_shared_point"] == 1
+    assert "verdict_hits=" in c.trace.render()

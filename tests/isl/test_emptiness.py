@@ -163,3 +163,83 @@ def test_randomized_differential_pairs(seed):
             assert not members, str(both)
         elif verdict is Verdict.NONEMPTY:
             assert members, str(both)
+
+
+class TestSharedPointRefutation:
+    """``PolyEngine.accesses_disjoint`` settles a pair whose first points
+    provably coincide without running elimination at all."""
+
+    @staticmethod
+    def lud_context(z_hi=0):
+        b, q = SymExpr.var("b"), SymExpr.var("q")
+        ctx = Context()
+        ctx.define("n", b * q)
+        ctx.assume_lower("b", 2)
+        ctx.assume_lower("q", 2)
+        ctx.assume_range("k", 0, q - 1)
+        ctx.assume_range("z", 0, z_hi)
+        return ctx
+
+    @staticmethod
+    def block(offset, rows):
+        from repro.lmad.lmad import Lmad, LmadDim
+
+        b, n = SymExpr.var("b"), SymExpr.var("n")
+        return Lmad(offset, (LmadDim(rows, n), LmadDim(b, SymExpr.const(1))))
+
+    @pytest.fixture
+    def no_elimination(self, monkeypatch):
+        import repro.isl.emptiness as emptiness
+
+        def boom(*args, **kw):
+            raise AssertionError("elimination ran")
+
+        monkeypatch.setattr(emptiness, "_empty_rec", boom)
+
+    def test_lud_pair_is_nonempty_by_inspection(self, no_elimination):
+        """lud's width-1 map: ``b*k*n + b*k + z`` against ``b*k*n + b*k``
+        under ``0 <= z <= 0``, every extent ``b >= 2``."""
+        from repro.isl.engine import PolyEngine
+
+        b, k, n, z = (SymExpr.var(v) for v in "bknz")
+        base = b * k * n + b * k
+        engine = PolyEngine(Prover(self.lud_context()))
+        verdict = engine.accesses_disjoint(
+            self.block(base + z, b), self.block(base, b)
+        )
+        assert verdict is Verdict.NONEMPTY
+        assert engine.shared_point == base
+
+    def test_extent_not_provably_positive_is_not_refuted(self, monkeypatch):
+        """Equal offsets, but ``m`` may be 0: one side may be empty, so
+        the shortcut must not fire (and what elimination then says about
+        a lifted parameter is at most UNKNOWN)."""
+        import repro.isl.emptiness as emptiness
+        from repro.isl.engine import PolyEngine
+
+        ran = []
+        real = emptiness._empty_rec
+        monkeypatch.setattr(
+            emptiness, "_empty_rec",
+            lambda *a, **kw: ran.append(1) or real(*a, **kw),
+        )
+        b, k, n, m = (SymExpr.var(v) for v in "bknm")
+        ctx = self.lud_context()
+        ctx.assume_range("m", 0, 4)
+        base = b * k * n + b * k
+        engine = PolyEngine(Prover(ctx))
+        verdict = engine.accesses_disjoint(
+            self.block(base, m), self.block(base, b)
+        )
+        assert engine.shared_point is None
+        assert ran, "the pair must have gone to elimination"
+        assert verdict is not Verdict.NONEMPTY
+
+    def test_offsets_not_provably_equal_are_not_refuted(self):
+        from repro.isl.engine import PolyEngine
+
+        b, k, n, z = (SymExpr.var(v) for v in "bknz")
+        base = b * k * n + b * k
+        engine = PolyEngine(Prover(self.lud_context(z_hi=1)))
+        engine.accesses_disjoint(self.block(base + z, b), self.block(base, b))
+        assert engine.shared_point is None

@@ -5,7 +5,10 @@ import pytest
 from repro.isl.engine import PolyEngine
 from repro.lmad.lmad import Lmad, LmadDim
 from repro.lmad.overlap import NonOverlapChecker, ProverPool, TieredChecker
-from repro.symbolic import Context, sym
+from repro.symbolic import Context, Prover, SymExpr, sym
+
+
+V = SymExpr.var
 
 
 def L(off, *dims):
@@ -160,3 +163,159 @@ class TestEngineSharing:
         assert isinstance(chk, TieredChecker)
         assert isinstance(chk.engine, PolyEngine)
         assert pool.engine_for(ctx) is chk.engine
+
+
+def _facts(ctx):
+    """The facts lud's width-1 map body holds, added to ``ctx``."""
+    ctx.define("n", V("b") * V("q"))
+    ctx.assume_lower("b", 2)
+    ctx.assume_lower("q", 2)
+    ctx.assume_range("k", 0, V("q") - 1)
+    return ctx
+
+
+#: Disjoint exactly when ``lo >= 4``: [0..3] against [lo..lo+3].
+def shifted_pair():
+    return L(0, (4, 1)), L(V("lo"), (4, 1))
+
+
+class TestVerdictTable:
+    def test_equal_facts_share_one_proof(self, monkeypatch):
+        pool = ProverPool()
+        pool.set_client("sc")
+        a, b = _facts(Context()), _facts(Context())
+        assert pool.checker_for(a).check(*POLYHEDRAL_PAIR)
+        assert (pool.verdict_hits, pool.verdict_misses) == (0, 1)
+
+        def boom(*args, **kw):
+            raise AssertionError("a remembered verdict was proved again")
+
+        import repro.isl.engine as engine_mod
+
+        monkeypatch.setattr(NonOverlapChecker, "check", boom)
+        monkeypatch.setattr(engine_mod, "basic_empty", boom)
+        chk_b = pool.checker_for(b)
+        assert chk_b is not pool.checker_for(a)  # provers are not shared
+        assert chk_b.prover.ctx is b
+        assert chk_b.check(*POLYHEDRAL_PAIR)
+        assert (pool.verdict_hits, pool.verdict_misses) == (1, 1)
+        # Both calls are queries: logged under their own context, with
+        # the same deciding tier, and tallied twice.
+        first, second = pool.query_log
+        assert (first.ctx, second.ctx) == (a, b)
+        assert first.tier == second.tier == "polyhedral"
+        assert first.result and second.result
+        assert pool.tiers["sc"]["polyhedral"] == 2
+        assert "verdict table" in chk_b.trace[0]
+
+    def test_facts_one_context_gains_do_not_leak(self):
+        """The shared-prover trap: A learns something that makes the
+        pair disjoint; B, whose facts did not change, must not."""
+        pool = ProverPool()
+        pair = shifted_pair()
+        a, b = Context(), Context()
+        a.assume_lower("lo", 0)
+        b.assume_lower("lo", 0)
+        assert not pool.checker_for(a).check(*pair)
+        assert not pool.checker_for(b).check(*pair)  # a table hit
+        assert pool.verdict_hits == 1
+        a.assume_range("lo", 4, 9)
+        assert pool.checker_for(a).check(*pair)
+        assert not pool.checker_for(b).check(*pair)
+        # The same holds for an equality.
+        c, d = Context(), Context()
+        assert not pool.checker_for(c).check(*pair)
+        c.define("lo", 8)
+        assert pool.checker_for(c).check(*pair)
+        assert not pool.checker_for(d).check(*pair)
+
+    def test_child_bound_overrides_parent_in_the_key(self):
+        pool = ProverPool()
+        pair = shifted_pair()
+        parent = Context().assume_range("lo", 0, 9)
+        child = parent.extended().assume_range("lo", 4, 9)
+        assert not pool.checker_for(parent).check(*pair)
+        assert pool.checker_for(child).check(*pair)
+        assert pool.verdict_hits == 0
+
+    def test_splitting_flag_is_part_of_the_key(self):
+        pool = ProverPool()
+        ctx = Context()
+        pool.checker_for(ctx).check(*STRUCTURAL_PAIR)
+        pool.checker_for(ctx, enable_splitting=False).check(*STRUCTURAL_PAIR)
+        assert (pool.verdict_hits, pool.verdict_misses) == (0, 2)
+        pool.checker_for(ctx, enable_splitting=False).check(*STRUCTURAL_PAIR)
+        assert pool.verdict_hits == 1
+
+    def test_table_stays_within_its_cap(self, monkeypatch):
+        monkeypatch.setattr(
+            TieredChecker, "_decide",
+            lambda self, l1, l2: (True, "structural", True, ""),
+        )
+        pool = ProverPool(log_cap=8)
+        chk = pool.checker_for(Context())
+        for off in range(10_000):
+            assert chk.check(L(0, (2, 1)), L(off + 2, (2, 1)))
+        assert len(pool.verdicts) == ProverPool.VERDICT_CAP
+        assert pool.verdict_misses == 10_000
+
+    def test_a_second_pool_starts_empty(self):
+        first = ProverPool()
+        first.checker_for(Context()).check(*STRUCTURAL_PAIR)
+        assert first.verdicts
+        second = ProverPool()
+        assert not second.verdicts
+        second.checker_for(Context()).check(*STRUCTURAL_PAIR)
+        assert (second.verdict_hits, second.verdict_misses) == (0, 1)
+
+    def test_checker_without_a_pool_still_decides(self):
+        prover = Prover()
+        chk = TieredChecker(prover, engine=PolyEngine(prover))
+        assert chk.check(*POLYHEDRAL_PAIR)
+        assert not chk.check(*OVERLAP_PAIR)
+
+
+class TestFingerprint:
+    def test_insertion_order_and_chain_shape_do_not_matter(self):
+        flat = Context()
+        flat.define("n", V("b") * V("q"))
+        flat.define("m", V("n") + 1)
+        flat.assume_range("i", 0, V("n") - 1)
+        flat.assume_lower("b", 2)
+
+        other_order = Context()
+        other_order.assume_lower("b", 2)
+        other_order.assume_range("i", 0, V("n") - 1)
+        other_order.define("m", V("n") + 1)
+        other_order.define("n", V("b") * V("q"))
+
+        root = Context()
+        root.assume_lower("b", 2)
+        root.define("n", V("b") * V("q"))
+        mid = root.extended()
+        mid.define("m", V("n") + 1)
+        leaf = mid.extended()
+        leaf.assume_range("i", 0, V("n") - 1)
+
+        assert flat.fingerprint() == other_order.fingerprint()
+        assert flat.fingerprint() == leaf.fingerprint()
+        assert hash(flat.fingerprint()) == hash(leaf.fingerprint())
+        assert flat.fingerprint() != mid.fingerprint()
+
+    def test_follows_facts_gained_anywhere_up_the_chain(self):
+        root = Context()
+        leaf = root.extended().extended()
+        before = leaf.fingerprint()
+        assert leaf.fingerprint() is before  # stamped, not rebuilt
+        root.define("n", 4)
+        after = leaf.fingerprint()
+        assert after != before
+        root.assume_lower("q", 2)
+        assert leaf.fingerprint() != after
+
+    def test_innermost_bound_is_the_effective_one(self):
+        parent = Context().assume_range("i", 0, 9)
+        child = parent.extended().assume_range("i", 2, 5)
+        direct = Context().assume_range("i", 2, 5)
+        assert child.fingerprint() == direct.fingerprint()
+        assert child.fingerprint() != parent.fingerprint()

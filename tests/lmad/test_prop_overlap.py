@@ -63,6 +63,43 @@ def test_self_overlap_never_proven(l):
 
 
 @st.composite
+def lmad_pairs_often_sharing_an_offset(draw):
+    """Two small LMADs, extents from 0 (empty) up, the second one's
+    offset equal to the first one's half of the time."""
+    def one(offset):
+        dims = [
+            (draw(st.integers(0, 4)), draw(st.integers(-6, 6)))
+            for _ in range(draw(st.integers(0, 3)))
+        ]
+        return lmad(offset, dims)
+
+    off = draw(st.integers(0, 20))
+    same = draw(st.booleans())
+    return one(off), one(off if same else draw(st.integers(0, 20)))
+
+
+@given(lmad_pairs_often_sharing_an_offset())
+@settings(max_examples=150, deadline=None)
+def test_shared_point_refutation_soundness(pair):
+    """Engine says "first points coincide" => brute force finds a common
+    offset; equal offsets with an empty side never fire it."""
+    from repro.isl.emptiness import Verdict
+    from repro.isl.engine import PolyEngine
+
+    l1, l2 = pair
+    engine = PolyEngine(Prover())
+    verdict = engine.accesses_disjoint(l1, l2)
+    common = set(l1.enumerate_offsets({})) & set(l2.enumerate_offsets({}))
+    if engine.shared_point is not None:
+        assert verdict is Verdict.NONEMPTY
+        assert engine.shared_point.as_int() in common, f"{l1} vs {l2}"
+    elif verdict is Verdict.NONEMPTY:
+        assert common, f"{l1} vs {l2}"
+    elif verdict is Verdict.EMPTY:
+        assert not common, f"{l1} vs {l2}"
+
+
+@st.composite
 def transformation_chains(draw):
     """A random chain of change-of-layout ops applied to a fresh 2-D array."""
     h = draw(st.integers(2, 6))

@@ -77,6 +77,50 @@ class TestContext:
         assert "n=q" in s and "q" in s
 
 
+class TestContextMemos:
+    """normalize() and all_equalities() are remembered per equality stamp
+    of the whole parent chain -- never past a new definition."""
+
+    def test_normalize_sees_definitions_added_later(self):
+        ctx = Context()
+        ctx.define("a", b + 1)
+        assert ctx.normalize(a) == b + 1
+        ctx.define("b", q * 2)
+        assert ctx.normalize(a) == 2 * q + 1
+
+    def test_child_memo_follows_an_ancestor(self):
+        root = Context()
+        root.define("a", b + 1)
+        leaf = root.extended().extended()
+        assert leaf.normalize(a) == b + 1
+        root.define("b", Const(3))
+        assert leaf.normalize(a) == Const(4)
+        leaf.define("b", Const(5))  # innermost definition wins
+        assert leaf.normalize(a) == Const(6)
+        assert root.normalize(a) == Const(4)
+
+    def test_bounds_do_not_disturb_the_equality_memo(self):
+        ctx = Context()
+        ctx.define("n", q * b)
+        first = ctx.normalize(n + 1)
+        ctx.assume_lower("q", 2)
+        assert ctx.normalize(n + 1) is first
+
+    def test_all_equalities_is_a_private_copy(self):
+        ctx = Context()
+        ctx.define("n", q * b)
+        ctx.all_equalities()["n"] = Const(0)
+        assert ctx.normalize(n) == q * b
+
+    def test_memo_restarts_at_its_cap(self, monkeypatch):
+        monkeypatch.setattr(Context, "NORMALIZE_MEMO_CAP", 4)
+        ctx = Context()
+        ctx.define("n", q * b)
+        for k in range(20):
+            assert ctx.normalize(n + k) == q * b + k
+        assert len(ctx._eq_cache[2]) <= 4
+
+
 class TestProverBasics:
     def test_constant_signs(self):
         p = Prover()
@@ -115,6 +159,24 @@ class TestProverBasics:
         assert p.le(i, n - 1)
         assert p.lt(i, n)
         assert p.nonneg(i)
+
+
+class TestPosMemo:
+    def test_pos_is_proved_once_per_normalized_expression(self, monkeypatch):
+        ctx = Context().assume_lower("b", 2).assume_lower("q", 2)
+        ctx.define("n", q * b)
+        p = Prover(ctx)
+        assert p.pos(n - b)  # q*b - b = b*(q - 1): the factored route
+        assert not p.pos(q - b)
+
+        def boom(*args, **kw):
+            raise AssertionError("pos() proved a remembered question again")
+
+        monkeypatch.setattr(Prover, "_prove_nonneg", boom)
+        monkeypatch.setattr(Prover, "_prove_pos_factored", boom)
+        assert p.pos(n - b)
+        assert p.pos(q * b - b)  # same normal form, same entry
+        assert not p.pos(q - b)
 
 
 class TestBoundSubstitution:
