@@ -1,11 +1,12 @@
 """Free-annotation validation (F rules): cross-checks ``Let.mem_frees``.
 
-The executor and the footprint estimator treat a ``mem_frees`` entry as
-"this block's lifetime ends here" and retire it from the live set.  The
-annotations are produced by :mod:`repro.reuse.liveranges`; this checker
-re-derives the obligations from the program alone (it never imports
-:mod:`repro.reuse` -- same translation-validation stance as the rest of
-the package, including its own existential-indirection expansion):
+The executor -- and so the footprint estimate, a dry-mode run of it --
+treats a ``mem_frees`` entry as "this block's lifetime ends here" and
+retires it from the live set.  The annotations are produced by
+:mod:`repro.reuse.liveranges`; this checker re-derives the obligations
+from the program alone (it never imports :mod:`repro.reuse` -- same
+translation-validation stance as the rest of the package, including its
+own existential-indirection expansion):
 
 * F01 -- a block freed at a statement must not be touched by any later
   statement of the same IR block, nor be reachable from the block's

@@ -15,6 +15,9 @@
                                           # two simulated devices: halo
                                           # traffic + scaling efficiency
     python -m repro.bench --json --out p  # write the JSON report to p
+    python -m repro.bench --quick --write-baseline footprint traffic
+                                          # re-record regression baselines
+                                          # (repro.bench.gates; "all" = all)
     python -m repro.bench --list          # available benchmarks
 """
 
@@ -27,6 +30,7 @@ import time
 import warnings
 from pathlib import Path
 
+from repro.bench.gates import GATES, load_baseline, write_baseline
 from repro.bench.harness import (
     PERF_DATASETS,
     QUICK_DATASETS,
@@ -38,51 +42,9 @@ from repro.bench.harness import (
 )
 from repro.bench.programs import all_benchmarks
 
-#: Committed reference for the peak-footprint regression gate: CI fails
-#: when a benchmark's optimized-pipeline peak (static estimate at the
-#: PERF_DATASETS size) exceeds the recorded value.  Regenerate with
-#: ``python -m repro.bench --write-footprint-baseline`` after a change
-#: that legitimately alters the footprint.
-FOOTPRINT_BASELINE = Path("benchmarks") / "results" / "footprint_baseline.json"
-
-#: Committed reference for the traffic regression gate: CI fails when the
-#: optimized pipeline's dry-run traffic (bytes read + written at the
-#: PERF_DATASETS size) exceeds the recorded value -- e.g. when a fusion
-#: or short-circuit opportunity is lost.  Regenerate with
-#: ``python -m repro.bench --write-traffic-baseline``.
-TRAFFIC_BASELINE = Path("benchmarks") / "results" / "traffic_baseline.json"
-
-#: Committed reference for the prover-tier regression gate: CI fails
-#: when the optimized pipeline *decides* (structural + polyhedral) fewer
-#: disjointness/size queries than recorded, or leaves more undecided --
-#: e.g. when a prover change silently demotes polyhedral recoveries back
-#: to ``unknown``.  Regenerate with
-#: ``python -m repro.bench --write-prover-baseline``.
-PROVER_BASELINE = Path("benchmarks") / "results" / "prover_tier_baseline.json"
-
-#: Committed reference for the serving regression gate: CI fails when a
-#: benchmark's warm/cold amortization ratio reaches 0.25 (the acceptance
-#: bar: 100 warm calls must cost under a quarter of 100 cold
-#: compile+run calls) or its pool hit rate falls materially below the
-#: recorded value.  Regenerate with
-#: ``python -m repro.bench --write-serve-baseline``.
-SERVE_BASELINE = Path("benchmarks") / "results" / "serve_baseline.json"
-
-#: Committed reference for the native-tier regression gate: CI fails
-#: when a benchmark's native kernel coverage (fraction of real-mode map
-#: dispatches served by compiled C) falls below the recorded value, or
-#: when fewer benchmarks beat the vectorized tier's warm wall clock than
-#: recorded.  Skipped entirely when no C compiler is available.
-#: Regenerate with ``python -m repro.bench --write-native-baseline``.
-NATIVE_BASELINE = Path("benchmarks") / "results" / "native_baseline.json"
-
-#: Committed reference for the sharding regression gate: CI fails when a
-#: sharded benchmark's 2-device run stops producing bit-identical output,
-#: stops exchanging halos, or its scaling efficiency falls below the
-#: recorded value.  The simulation is deterministic, so only a small
-#: slack (0.02) absorbs cost-model retuning.  Regenerate with
-#: ``python -m repro.bench --write-shard-baseline``.
-SHARD_BASELINE = Path("benchmarks") / "results" / "shard_baseline.json"
+# Tests locate the committed baselines through these.
+PROVER_BASELINE = GATES["prover"].path
+SERVE_BASELINE = GATES["serve"].path
 
 #: Datasets for the sharding simulation.  Chosen so the per-device slabs
 #: stay interesting (nonzero halo traffic, efficiency well away from
@@ -101,10 +63,12 @@ def _prover_tiers(opt) -> dict:
         ("reuse", opt.reuse_stats),
     ):
         tiers = dict(getattr(st, "tiers", None) or {})
-        if any(tiers.values()):
-            per_pass[label] = {k: v for k, v in tiers.items() if v}
         for k, v in tiers.items():
             total[k] = total.get(k, 0) + v
+        if any(tiers.values()):
+            # In ``total``'s fixed tier order: tallies arrive in the order
+            # a pass first decides each tier, which is not stable.
+            per_pass[label] = {k: tiers[k] for k in total if tiers.get(k)}
     total["per_pass"] = per_pass
     return total
 
@@ -137,31 +101,12 @@ def main(argv=None) -> int:
                         help="print each benchmark's optimized-pipeline "
                              "trace: per-pass timings, IR size/alloc "
                              "deltas, and rejection diagnostics")
-    parser.add_argument("--write-footprint-baseline", action="store_true",
-                        help="record current peak footprints as the "
-                             "regression baseline "
-                             "(benchmarks/results/footprint_baseline.json)")
-    parser.add_argument("--write-traffic-baseline", action="store_true",
-                        help="record current optimized-pipeline traffic as "
-                             "the regression baseline "
-                             "(benchmarks/results/traffic_baseline.json)")
-    parser.add_argument("--write-prover-baseline", action="store_true",
-                        help="record current deciding-tier tallies as the "
-                             "regression baseline "
-                             "(benchmarks/results/prover_tier_baseline.json)")
-    parser.add_argument("--write-serve-baseline", action="store_true",
-                        help="record current serving metrics as the "
-                             "regression baseline "
-                             "(benchmarks/results/serve_baseline.json)")
-    parser.add_argument("--write-shard-baseline", action="store_true",
-                        help="record current 2-device scaling efficiency "
-                             "and halo traffic as the regression baseline "
-                             "(benchmarks/results/shard_baseline.json)")
-    parser.add_argument("--write-native-baseline", action="store_true",
-                        help="record per-benchmark native-tier coverage "
-                             "and wall-clock wins as the regression "
-                             "baseline "
-                             "(benchmarks/results/native_baseline.json)")
+    parser.add_argument("--write-baseline", nargs="+", default=[],
+                        metavar="NAME", choices=[*GATES, "all"],
+                        help="record the current measurements as the "
+                             "regression baseline of the named gate(s) "
+                             f"({', '.join(GATES)}; 'all' = every one) "
+                             "under benchmarks/results/")
     parser.add_argument("--serve-requests", type=int, default=100,
                         metavar="N",
                         help="warm requests per benchmark in the serve "
@@ -188,35 +133,47 @@ def main(argv=None) -> int:
                   file=sys.stderr)
             return 2
 
-    failed = []
-    tier_failed = []
-    footprint_failed = []
-    fusion_failed = []
-    traffic_failed = []
-    baseline = {}
-    if FOOTPRINT_BASELINE.exists():
-        baseline = json.loads(FOOTPRINT_BASELINE.read_text())
-    traffic_baseline = {}
-    if TRAFFIC_BASELINE.exists():
-        traffic_baseline = json.loads(TRAFFIC_BASELINE.read_text())
-    prover_failed = []
-    prover_baseline = {}
-    if PROVER_BASELINE.exists():
-        prover_baseline = json.loads(PROVER_BASELINE.read_text())
-    serve_failed = []
-    serve_baseline = {}
-    if SERVE_BASELINE.exists():
-        serve_baseline = json.loads(SERVE_BASELINE.read_text())
-    native_failed = []
-    native_baseline = {}
-    if NATIVE_BASELINE.exists():
-        native_baseline = json.loads(NATIVE_BASELINE.read_text())
-    shard_failed = []
-    shard_baseline = {}
-    if SHARD_BASELINE.exists():
-        shard_baseline = json.loads(SHARD_BASELINE.read_text())
-    native_wins = 0
-    native_measured = 0
+    writes = set(GATES) if "all" in args.write_baseline else set(
+        args.write_baseline
+    )
+
+    def wanted(gate_name: str) -> bool:
+        """Does this run take the gate's measurement?"""
+        needs = GATES[gate_name].needs
+        return (
+            gate_name in writes
+            or needs == "always"
+            or (needs == "json" and args.json)
+            or (needs == "devices" and args.devices > 1)
+        )
+
+    baselines = {g.name: load_baseline(g) for g in GATES.values()}
+    gate_rows = {gate_name: {} for gate_name in GATES}
+    # The run's closing "<label>: <benchmarks>" lines, in the order they
+    # are tried; the first non-empty one is printed and the run exits 1.
+    failures = {
+        label: []
+        for label in (
+            "VALIDATION FAILED", "EXECUTOR TIER CHECK FAILED",
+            "FOOTPRINT REGRESSION", "FUSION DIFFERENTIAL FAILED",
+            "TRAFFIC REGRESSION", "PROVER TIER REGRESSION",
+            "SERVE REGRESSION", "NATIVE TIER REGRESSION",
+            "SHARD CHECK FAILED",
+        )
+    }
+
+    def gate(gate_name: str, name: str, measured: dict) -> None:
+        """Check one measurement against its baseline row; keep its row."""
+        g = GATES[gate_name]
+        msgs = g.check(measured, baselines[gate_name].get(name))
+        for msg in msgs:
+            print(msg, file=sys.stderr)
+        if msgs:
+            failures[g.failed].append(name)
+        row = g.row(measured)
+        if row is not None:
+            gate_rows[gate_name][name] = row
+
     results = {}
     for name in names:
         module = registry[name]
@@ -242,7 +199,7 @@ def main(argv=None) -> int:
             )
             print(f"sc candidates rejected: {rejected}")
         if report.validation_ran and not report.validated:
-            failed.append(name)
+            failures["VALIDATION FAILED"].append(name)
 
         fst = compiled[1].fuse_stats
         if fst.failures:
@@ -291,11 +248,7 @@ def main(argv=None) -> int:
                     f"{sp} {peaks[sp]:,}" for sp in sorted(peaks)
                 )
                 print(f"  space peaks ({label}): {per_space or 'hbm 0'}")
-        recorded = baseline.get(name, {}).get("opt_peak_bytes")
-        if recorded is not None and opt_fp["peak_bytes"] > recorded:
-            print(f"FOOTPRINT REGRESSION: peak {opt_fp['peak_bytes']:,} "
-                  f"exceeds baseline {recorded:,}", file=sys.stderr)
-            footprint_failed.append(name)
+        gate("footprint", name, footprint)
 
         fusion = measure_fusion(
             module, PERF_DATASETS[name], PERF_DATASETS[name], compiled[1]
@@ -309,26 +262,8 @@ def main(argv=None) -> int:
                   f"outputs identical: {fusion['outputs_equal']}")
         if not fusion["ok"]:
             print(f"FUSION DIFFERENTIAL FAILED: {fusion}", file=sys.stderr)
-            fusion_failed.append(name)
-
-        recorded_traffic = traffic_baseline.get(name, {}).get("opt_traffic_bytes")
-        recorded_unfused = traffic_baseline.get(name, {}).get("unfused_traffic_bytes")
-        if recorded_traffic is not None and fusion["fused_traffic"] > recorded_traffic:
-            print(f"TRAFFIC REGRESSION: {fusion['fused_traffic']:,} bytes "
-                  f"exceeds baseline {recorded_traffic:,}", file=sys.stderr)
-            traffic_failed.append(name)
-        elif (recorded_traffic is not None and recorded_unfused is not None
-              and recorded_traffic < recorded_unfused
-              and fusion["fused_traffic"] >= fusion["unfused_traffic"]):
-            # Tighter than the absolute ceiling: where the baseline records
-            # a strict fusion win, losing it (fusion silently no longer
-            # committing) fails even if traffic stays under the ceiling.
-            print(f"TRAFFIC REGRESSION: fusion win lost "
-                  f"({fusion['fused_traffic']:,} >= "
-                  f"{fusion['unfused_traffic']:,} unfused; baseline won "
-                  f"{recorded_unfused - recorded_traffic:,} bytes)",
-                  file=sys.stderr)
-            traffic_failed.append(name)
+            failures["FUSION DIFFERENTIAL FAILED"].append(name)
+        gate("traffic", name, fusion)
 
         prover_tier = _prover_tiers(compiled[1])
         decided = prover_tier["structural"] + prover_tier["polyhedral"]
@@ -336,18 +271,10 @@ def main(argv=None) -> int:
             print(f"prover tiers: structural {prover_tier['structural']} / "
                   f"polyhedral {prover_tier['polyhedral']} / "
                   f"unknown {prover_tier['unknown']}")
-        rec_tiers = prover_baseline.get(name)
-        if rec_tiers is not None:
-            rec_decided = rec_tiers["structural"] + rec_tiers["polyhedral"]
-            if decided < rec_decided or prover_tier["unknown"] > rec_tiers["unknown"]:
-                print(f"PROVER TIER REGRESSION: decided {decided} "
-                      f"(baseline {rec_decided}), unknown "
-                      f"{prover_tier['unknown']} (baseline "
-                      f"{rec_tiers['unknown']})", file=sys.stderr)
-                prover_failed.append(name)
+        gate("prover", name, prover_tier)
 
         engine = None
-        if args.json or args.write_native_baseline:
+        if wanted("native"):
             engine = measure_engine(module, PERF_DATASETS[name], compiled)
             print(f"engine: interp {engine['interp_s']:.2f}s / "
                   f"vec {engine['vec_s']:.2f}s = "
@@ -356,31 +283,18 @@ def main(argv=None) -> int:
             if not (engine["outputs_equal"] and engine["stats_equal"]
                     and engine["vec_hit_rate"] > 0
                     and engine["footprint_equal"]):
-                tier_failed.append(name)
+                failures["EXECUTOR TIER CHECK FAILED"].append(name)
             native = engine["native"]
             if native is not None:
-                native_measured += 1
-                if native["native_speedup"] > 1.0:
-                    native_wins += 1
                 print(f"native: {native['native_s'] * 1000:.2f}ms warm = "
                       f"{native['native_speedup']:.1f}x over vec  "
                       f"(coverage {native['native_hit_rate']:.2f}, "
                       f"{native['native_launches']} launches, "
                       f"codegen {native['codegen_s']:.2f}s)")
-                if not (native["outputs_equal"] and native["stats_equal"]
-                        and native["footprint_equal"]):
-                    print(f"NATIVE DIFFERENTIAL FAILED: {native}",
-                          file=sys.stderr)
-                    native_failed.append(name)
-                rec = native_baseline.get(name, {}).get("native_hit_rate")
-                if rec is not None and native["native_hit_rate"] < rec:
-                    print(f"NATIVE COVERAGE REGRESSION: hit rate "
-                          f"{native['native_hit_rate']:.2f} below baseline "
-                          f"{rec:.2f}", file=sys.stderr)
-                    native_failed.append(name)
+            gate("native", name, engine)
 
         serve = None
-        if args.json or args.write_serve_baseline:
+        if wanted("serve"):
             from repro.runtime.serve import measure_serve
 
             serve = measure_serve(
@@ -393,24 +307,7 @@ def main(argv=None) -> int:
                   f"warm/cold {serve['warm_cold_ratio']:.3f}  "
                   f"pool hit rate {serve['pool_hit_rate']:.2f}  "
                   f"cache {serve['cache_state']}")
-            if not serve["ok"]:
-                print(f"SERVE DIFFERENTIAL FAILED: {serve}", file=sys.stderr)
-                serve_failed.append(name)
-            elif serve["warm_cold_ratio"] >= 0.25:
-                print(f"SERVE AMORTIZATION REGRESSION: warm/cold "
-                      f"{serve['warm_cold_ratio']:.3f} >= 0.25 "
-                      f"(100 warm calls {serve['warm_100_s']:.2f}s vs "
-                      f"100 cold {serve['cold_100_s']:.2f}s)",
-                      file=sys.stderr)
-                serve_failed.append(name)
-            else:
-                rec = serve_baseline.get(name, {}).get("pool_hit_rate")
-                # 0.05 slack: hit rates depend on worker interleaving.
-                if rec is not None and serve["pool_hit_rate"] < rec - 0.05:
-                    print(f"SERVE POOL REGRESSION: hit rate "
-                          f"{serve['pool_hit_rate']:.2f} below baseline "
-                          f"{rec:.2f}", file=sys.stderr)
-                    serve_failed.append(name)
+            gate("serve", name, serve)
 
         results[name] = {
             "fusion": fusion,
@@ -463,7 +360,7 @@ def main(argv=None) -> int:
         print()
 
     shard_results = {}
-    if args.devices > 1 or args.write_shard_baseline:
+    if wanted("shard"):
         from repro.shard import scaling_report
 
         devices = args.devices if args.devices > 1 else 2
@@ -481,110 +378,19 @@ def main(argv=None) -> int:
                   f"{rep['halo_exchanges']} exchanges  "
                   f"efficiency {rep['efficiency']:.3f} "
                   f"(speedup {rep['speedup']:.2f}x over 1 device)")
-            if not rep["outputs_identical"]:
-                print(f"SHARD DIFFERENTIAL FAILED: {name} x{devices} "
-                      f"output differs from the 1-device run",
-                      file=sys.stderr)
-                shard_failed.append(name)
-            elif rep["halo_bytes"] <= 0:
-                print(f"SHARD HALO CHECK FAILED: {name} x{devices} "
-                      f"exchanged no cross-device bytes", file=sys.stderr)
-                shard_failed.append(name)
-            rec = shard_baseline.get(name)
-            if rec is not None and devices == rec.get("devices"):
-                # Deterministic simulation: 0.02 slack only absorbs
-                # deliberate cost-model retuning, not lost overlap.
-                if rep["efficiency"] < rec["efficiency"] - 0.02:
-                    print(f"SHARD SCALING REGRESSION: {name} efficiency "
-                          f"{rep['efficiency']:.3f} below baseline "
-                          f"{rec['efficiency']:.3f}", file=sys.stderr)
-                    shard_failed.append(name)
+            gate("shard", name, rep)
 
-    if args.write_shard_baseline:
-        SHARD_BASELINE.parent.mkdir(parents=True, exist_ok=True)
-        payload = {
-            name: {
-                "dataset": shard_results[name]["dataset"],
-                "devices": shard_results[name]["devices"],
-                "halo_bytes": shard_results[name]["halo_bytes"],
-                "halo_exchanges": shard_results[name]["halo_exchanges"],
-                "efficiency": round(shard_results[name]["efficiency"], 4),
-            }
-            for name in shard_results
-        }
-        SHARD_BASELINE.write_text(json.dumps(payload, indent=2) + "\n")
-        print(f"wrote {SHARD_BASELINE}")
-
-    if args.write_footprint_baseline:
-        FOOTPRINT_BASELINE.parent.mkdir(parents=True, exist_ok=True)
-        payload = {
-            name: {
-                "dataset": results[name]["footprint"]["dataset"],
-                "opt_peak_bytes": results[name]["footprint"]["opt"]["peak_bytes"],
-                "opt_naive_bytes": results[name]["footprint"]["opt"]["naive_bytes"],
-                "unopt_peak_bytes": results[name]["footprint"]["unopt"]["peak_bytes"],
-            }
-            for name in results
-        }
-        FOOTPRINT_BASELINE.write_text(json.dumps(payload, indent=2) + "\n")
-        print(f"wrote {FOOTPRINT_BASELINE}")
-
-    if args.write_traffic_baseline:
-        TRAFFIC_BASELINE.parent.mkdir(parents=True, exist_ok=True)
-        payload = {
-            name: {
-                "dataset": results[name]["fusion"]["dry_dataset"],
-                "opt_traffic_bytes": results[name]["fusion"]["fused_traffic"],
-                "unfused_traffic_bytes": results[name]["fusion"]["unfused_traffic"],
-            }
-            for name in results
-        }
-        TRAFFIC_BASELINE.write_text(json.dumps(payload, indent=2) + "\n")
-        print(f"wrote {TRAFFIC_BASELINE}")
-
-    if args.write_prover_baseline:
-        PROVER_BASELINE.parent.mkdir(parents=True, exist_ok=True)
-        payload = {
-            name: results[name]["prover_tier"] for name in results
-        }
-        PROVER_BASELINE.write_text(json.dumps(payload, indent=2) + "\n")
-        print(f"wrote {PROVER_BASELINE}")
-
-    if args.write_native_baseline:
-        NATIVE_BASELINE.parent.mkdir(parents=True, exist_ok=True)
-        payload = {
-            name: {
-                "dataset": results[name]["engine"]["dataset"],
-                "native_hit_rate":
-                    results[name]["engine"]["native"]["native_hit_rate"],
-                "native_launches":
-                    results[name]["engine"]["native"]["native_launches"],
-                "native_speedup_over_vec":
-                    results[name]["engine"]["native"]["native_speedup"],
-            }
-            for name in results
-            if (results[name]["engine"] or {}).get("native") is not None
-        }
-        payload["_wins_over_vec"] = native_wins
-        NATIVE_BASELINE.write_text(json.dumps(payload, indent=2) + "\n")
-        print(f"wrote {NATIVE_BASELINE}")
-
-    if args.write_serve_baseline:
-        SERVE_BASELINE.parent.mkdir(parents=True, exist_ok=True)
-        payload = {
-            name: {
-                "dataset": results[name]["serve"]["dataset"],
-                "requests": results[name]["serve"]["requests"],
-                "workers": results[name]["serve"]["workers"],
-                "warm_cold_ratio": results[name]["serve"]["warm_cold_ratio"],
-                "pool_hit_rate": results[name]["serve"]["pool_hit_rate"],
-                "throughput_rps": results[name]["serve"]["throughput_rps"],
-            }
-            for name in results
-            if results[name]["serve"] is not None
-        }
-        SERVE_BASELINE.write_text(json.dumps(payload, indent=2) + "\n")
-        print(f"wrote {SERVE_BASELINE}")
+    # Benchmarks whose warm native run beat the vectorized tier: a
+    # whole-run count, recorded beside the native gate's per-benchmark rows.
+    native_wins = sum(
+        r["native_speedup_over_vec"] > 1.0 for r in gate_rows["native"].values()
+    )
+    for g in GATES.values():
+        if g.name in writes:
+            payload = dict(gate_rows[g.name])
+            if g.name == "native":
+                payload["_wins_over_vec"] = native_wins
+            write_baseline(g, payload)
 
     if args.json:
         ts = time.strftime("%Y%m%d-%H%M%S")
@@ -605,42 +411,16 @@ def main(argv=None) -> int:
         out_path.write_text(json.dumps(payload, indent=2) + "\n")
         print(f"wrote {out_path}")
 
-    if failed:
-        print(f"VALIDATION FAILED: {', '.join(failed)}", file=sys.stderr)
-        return 1
-    if tier_failed:
-        print(f"EXECUTOR TIER CHECK FAILED: {', '.join(tier_failed)}",
-              file=sys.stderr)
-        return 1
-    if footprint_failed:
-        print(f"FOOTPRINT REGRESSION: {', '.join(footprint_failed)}",
-              file=sys.stderr)
-        return 1
-    if fusion_failed:
-        print(f"FUSION DIFFERENTIAL FAILED: {', '.join(fusion_failed)}",
-              file=sys.stderr)
-        return 1
-    if traffic_failed:
-        print(f"TRAFFIC REGRESSION: {', '.join(traffic_failed)}",
-              file=sys.stderr)
-        return 1
-    if prover_failed:
-        print(f"PROVER TIER REGRESSION: {', '.join(prover_failed)}",
-              file=sys.stderr)
-        return 1
-    if serve_failed:
-        print(f"SERVE REGRESSION: {', '.join(serve_failed)}",
-              file=sys.stderr)
-        return 1
-    if native_failed:
-        print(f"NATIVE TIER REGRESSION: {', '.join(sorted(set(native_failed)))}",
-              file=sys.stderr)
-        return 1
-    if shard_failed:
-        print(f"SHARD CHECK FAILED: {', '.join(sorted(set(shard_failed)))}",
-              file=sys.stderr)
-        return 1
-    rec_wins = native_baseline.get("_wins_over_vec")
+    for label, bad in failures.items():
+        if bad:
+            if label in ("NATIVE TIER REGRESSION", "SHARD CHECK FAILED"):
+                bad = sorted(bad)  # these two lines list sorted names
+            print(f"{label}: {', '.join(bad)}", file=sys.stderr)
+            return 1
+    # Fewer benchmarks beating the vectorized tier's warm wall clock than
+    # recorded (only judged when every benchmark was measured natively).
+    rec_wins = baselines["native"].get("_wins_over_vec")
+    native_measured = len(gate_rows["native"])
     if (rec_wins is not None and native_measured >= len(registry)
             and native_wins < min(rec_wins, 3)):
         print(f"NATIVE WALL-CLOCK REGRESSION: only {native_wins} of "

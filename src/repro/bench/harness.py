@@ -195,7 +195,7 @@ def measure_engine(module, args: Sequence, compiled=None) -> Dict[str, object]:
         "outputs_equal": outputs_equal,
         "stats_equal": ex_i.stats.signature() == ex_v.stats.signature(),
         # Peak allocation footprint: both real tiers' runtime high-water
-        # marks and the static estimator must agree exactly.
+        # marks and the dry-mode estimate must agree exactly.
         "peak_bytes_interp": ex_i.stats.peak_bytes,
         "peak_bytes_vec": ex_v.stats.peak_bytes,
         "peak_bytes_est": est.peak_bytes,
@@ -314,11 +314,11 @@ def measure_fusion(
 
 
 def measure_footprint(module, args: Sequence, compiled=None) -> Dict[str, object]:
-    """Static peak-footprint estimates for both pipelines on one dataset.
+    """Peak-footprint estimates for both pipelines on one dataset.
 
-    Uses :func:`repro.reuse.footprint.estimate_peak` only (no execution);
-    ``measure_engine`` separately checks the estimator against both real
-    executor tiers' high-water marks.
+    Uses :func:`repro.reuse.footprint.estimate_peak` only (an unsampled
+    dry run: sizes, no data); ``measure_engine`` separately checks it
+    against both real executor tiers' high-water marks.
     """
     unopt, opt = compiled if compiled is not None else compile_both(module)
     inp = module.inputs_for(*args)

@@ -164,8 +164,8 @@ class MemExecutor:
         self.stats = ExecStats()
         self._kernel_stack: List[KernelStat] = []
         self._alloc_counter = 0
-        # Live-allocation accounting (the runtime high-water mark that
-        # repro.reuse.footprint predicts statically).  Lifetimes follow
+        # Live-allocation accounting (the high-water mark; a dry-mode run
+        # of it is what repro.reuse.footprint reports).  Lifetimes follow
         # the Let.mem_frees annotations at host level; blocks allocated
         # inside a kernel die wholesale when the outermost map ends; and
         # blocks born inside a host loop die at each iteration's end
@@ -236,21 +236,23 @@ class MemExecutor:
         t = p.type
         assert isinstance(t, ArrayType)
         mem = param_mem_name(p.name)
+        # Unify symbolic shape vars with the concrete input shape (both
+        # modes: a dry run may be handed arrays, whose contents it never
+        # reads, or nothing but the shape variables themselves).
+        for dim_expr, extent in zip(t.shape, np.shape(inputs.get(p.name))):
+            fv = sorted(dim_expr.free_vars())
+            if (
+                len(fv) == 1
+                and fv[0] not in env
+                and dim_expr == SymExpr.var(fv[0])
+            ):
+                env[fv[0]] = int(extent)
         if self.mode == "real":
             if p.name not in inputs:
                 raise InterpError(f"missing input {p.name!r}")
             arr = np.ascontiguousarray(
                 inputs[p.name], dtype=DTYPE_INFO[t.dtype][0]
             )
-            # Unify symbolic shape vars with the concrete input shape.
-            for dim_expr, extent in zip(t.shape, arr.shape):
-                fv = sorted(dim_expr.free_vars())
-                if (
-                    len(fv) == 1
-                    and fv[0] not in env
-                    and dim_expr == SymExpr.var(fv[0])
-                ):
-                    env[fv[0]] = int(extent)
             if self._pool is not None:
                 # Input contents overwrite the whole buffer: skip the
                 # zero fill, count the pool round trip like an alloc.

@@ -17,10 +17,9 @@ This package is the second half:
   (sizes compared with :mod:`repro.symbolic.prove`; the surviving alloc
   is widened to the max of the merged sizes when the later block is the
   larger one);
-* :mod:`repro.reuse.footprint` -- a peak-footprint estimator: an abstract
-  interpreter over the memory IR that tracks live allocation bytes
-  symbolically-sized but concretely-evaluated, mirroring the executor's
-  runtime high-water mark.
+* :mod:`repro.reuse.footprint` -- the peak-footprint estimate: a dry-mode
+  run of the memory-IR executor (sizes only, no buffers), so the lifetime
+  model exists once, in :mod:`repro.mem.exec`.
 
 Everything here is accounting or annotation-level rewriting: deleting the
 ``mem_frees`` annotations or disabling the coalescer never changes what a

@@ -1,94 +1,37 @@
-"""Static peak-footprint estimation over the memory IR.
+"""Peak-footprint estimation: a dry-mode run of the memory-IR executor.
 
-An abstract interpreter that walks a memory-annotated function the same
-way :class:`repro.mem.exec.MemExecutor` does -- same binding resolution,
-same existential indirection, same per-iteration loop freshness -- but
-tracks only one thing: how many bytes of allocation are *live* at each
-point.  Data values are replaced by an :data:`UNKNOWN` sentinel unless
-they are scalars computable from the inputs (shapes, loop counts,
-allocation sizes all are, in every benchmark).
+There is one lifetime model -- which blocks are live when -- and it is
+:class:`repro.mem.exec.MemExecutor`'s live-allocation accounting,
+documented there.  :func:`estimate_peak` runs that executor in
+``mode="dry"`` (sizes only, no buffers, map bodies executed once at a
+representative thread and scaled by the width) and reports its counters.
+The estimate equals ``ExecStats.peak_bytes`` of a real-mode run whenever
+map bodies allocate uniformly across threads, which the vectorized
+engine independently requires.
 
-The lifetime model is exactly the executor's accounting model:
-
-* input parameter blocks are live for the whole run;
-* an ``alloc`` creates a fresh instance each time it executes;
-* blocks allocated inside a ``map`` die wholesale when the outermost
-  kernel ends (per-thread growth is scaled by the map width first --
-  every thread's scratch coexists on the simulated GPU, which is also
-  what the vectorized engine's ``width * size`` buffers make concrete);
-* at host level, an instance dies at its ``Let.mem_frees`` annotation
-  (:mod:`repro.reuse.liveranges`), and instances allocated inside a host
-  loop die at each iteration's end unless reachable from the carried
-  state (the double-buffering rotation);
-* an ``if`` with a statically-unknown condition takes the branch with
-  the larger live footprint -- the only place the estimate can exceed
-  the runtime high-water mark (no benchmark has one).
-
-The estimate is exact -- equal to ``ExecStats.peak_bytes`` of a real-mode
-run -- whenever map bodies allocate uniformly across threads, which the
-vectorized engine independently requires.
+Where a quantity depends on array *contents* the estimate follows the
+dry executor's placeholder values (0 for integers, 1.0 for floats,
+``False`` for booleans).  So, by decision and not by oversight (no
+benchmark, test or caller has either): an ``if`` on such a condition
+counts the one branch the placeholder selects, not the heavier of the
+two; and an allocation size or trip count computed from contents is
+evaluated from placeholders, not rejected with an error.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional
-
-import numpy as np
+from typing import Dict, Mapping
 
 from repro.ir import ast as A
-from repro.ir.interp import Interpreter
 from repro.ir.types import ArrayType, DTYPE_INFO
-from repro.mem.memir import MemBinding, binding_of, param_mem_name
-from repro.symbolic import SymExpr
-
-
-class FootprintError(Exception):
-    """The estimator hit a quantity it cannot evaluate statically
-    (an allocation size or trip count depending on array contents)."""
-
-
-class _Unknown:
-    __slots__ = ()
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return "UNKNOWN"
-
-
-#: Sentinel for data-dependent scalar values.
-UNKNOWN = _Unknown()
-
-
-class _Inst:
-    """One runtime instance of an allocation (or an input block)."""
-
-    __slots__ = ("static", "nbytes", "freed", "space")
-
-    def __init__(self, static: str, nbytes: int, space: str = "hbm"):
-        self.static = static
-        self.nbytes = nbytes
-        self.freed = False
-        self.space = space
-
-
-@dataclass(frozen=True)
-class _MemVal:
-    """Abstract value of a memory-block binding."""
-
-    inst: Optional[_Inst]
-
-
-@dataclass(frozen=True)
-class _ArrVal:
-    """Abstract array value: just the instance it lives in."""
-
-    inst: Optional[_Inst]
-    dtype: str
+from repro.mem.exec import MemExecutor
+from repro.mem.memir import param_mem_name
 
 
 @dataclass(frozen=True)
 class FootprintEstimate:
-    """Symbolically-derived allocation footprint of one run."""
+    """Allocation footprint of one (dry) run."""
 
     #: High-water mark of live bytes (input blocks + live allocations).
     peak_bytes: int
@@ -116,417 +59,6 @@ class FootprintEstimate:
         return 1.0 - self.peak_bytes / self.naive_bytes
 
 
-class _Estimator:
-    def __init__(self, fun: A.Fun, inputs: Mapping[str, object]):
-        self.fun = fun
-        self.inputs = inputs
-        self.live = 0
-        self.peak = 0
-        self.live_by_space: Dict[str, int] = {}
-        self.peak_by_space: Dict[str, int] = {}
-        self.param_bytes = 0
-        self.alloc_total = 0
-        self.alloc_count = 0
-        self.depth = 0  # kernel (map) nesting depth
-        self.kernel_insts: List[_Inst] = []
-        self.kernel_baseline = 0
-        self.kernel_baseline_by_space: Dict[str, int] = {}
-        self.alloc_log: List[_Inst] = []
-        self.by_name: Dict[str, List[_Inst]] = {}
-        self.param_insts: Dict[str, _Inst] = {}
-
-    # ------------------------------------------------------------------
-    # Accounting
-    # ------------------------------------------------------------------
-    def _bump(self, nbytes: int, space: str = "hbm") -> None:
-        self.live += nbytes
-        if self.live > self.peak:
-            self.peak = self.live
-        live = self.live_by_space.get(space, 0) + nbytes
-        self.live_by_space[space] = live
-        if live > self.peak_by_space.get(space, 0):
-            self.peak_by_space[space] = live
-
-    def _note_alloc(self, static: str, nbytes: int, space: str = "hbm") -> _Inst:
-        inst = _Inst(static, nbytes, space)
-        self._bump(nbytes, space)
-        self.alloc_total += nbytes
-        self.alloc_count += 1
-        self.alloc_log.append(inst)
-        self.by_name.setdefault(static, []).append(inst)
-        if self.depth:
-            self.kernel_insts.append(inst)
-        return inst
-
-    def _free_inst(self, inst: _Inst) -> None:
-        if inst.freed:
-            return
-        inst.freed = True
-        self.live -= inst.nbytes
-        self.live_by_space[inst.space] = (
-            self.live_by_space.get(inst.space, 0) - inst.nbytes
-        )
-        lst = self.by_name.get(inst.static)
-        if lst and inst in lst:
-            lst.remove(inst)
-
-    def _free_name(self, static: str) -> None:
-        for inst in list(self.by_name.get(static, ())):
-            self._free_inst(inst)
-
-    # Snapshots let an unknown-condition ``if`` explore both branches.
-    def _snap(self):
-        return (
-            self.live,
-            self.alloc_total,
-            self.alloc_count,
-            list(self.alloc_log),
-            [i.freed for i in self.alloc_log],
-            {k: list(v) for k, v in self.by_name.items()},
-            list(self.kernel_insts),
-            dict(self.live_by_space),
-        )
-
-    def _restore(self, snap) -> None:
-        (
-            self.live,
-            self.alloc_total,
-            self.alloc_count,
-            log,
-            freed,
-            by_name,
-            kernel_insts,
-            live_by_space,
-        ) = snap
-        self.live_by_space = dict(live_by_space)
-        self.alloc_log = list(log)
-        for inst, f in zip(self.alloc_log, freed):
-            inst.freed = f
-        self.by_name = {k: list(v) for k, v in by_name.items()}
-        self.kernel_insts = list(kernel_insts)
-
-    # ------------------------------------------------------------------
-    # Scalar evaluation (UNKNOWN-propagating)
-    # ------------------------------------------------------------------
-    def _eval_sym(self, expr: SymExpr, env: Mapping[str, object]):
-        vals: Dict[str, int] = {}
-        for v in expr.free_vars():
-            val = env.get(v, UNKNOWN)
-            if isinstance(val, np.generic):
-                val = val.item()
-            if not isinstance(val, int) or isinstance(val, bool):
-                return UNKNOWN
-            vals[v] = val
-        return expr.evaluate(vals)
-
-    def _operand(self, op, env):
-        if isinstance(op, str):
-            return env.get(op, UNKNOWN)
-        if isinstance(op, SymExpr):
-            return self._eval_sym(op, env)
-        return op
-
-    def _require_int(self, val, what: str, stmt: A.Let) -> int:
-        if isinstance(val, np.generic):
-            val = val.item()
-        if not isinstance(val, int) or isinstance(val, bool):
-            raise FootprintError(
-                f"{what} of {'/'.join(stmt.names)} is not statically known"
-            )
-        return val
-
-    # ------------------------------------------------------------------
-    # Binding resolution (mirrors MemExecutor)
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _inst_of(val) -> Optional[_Inst]:
-        if isinstance(val, (_ArrVal, _MemVal)):
-            return val.inst
-        return None
-
-    def _mem_inst(self, name: str, env: Mapping[str, object]) -> Optional[_Inst]:
-        val = env.get(name)
-        if isinstance(val, _MemVal):
-            return val.inst
-        pi = self.param_insts.get(name)
-        if pi is not None:
-            return pi
-        return None
-
-    def _binding_value(self, pe: A.PatElem, env) -> _ArrVal:
-        b = binding_of(pe)
-        assert b is not None and isinstance(pe.type, ArrayType)
-        return _ArrVal(self._mem_inst(b.mem, env), pe.type.dtype)
-
-    # ------------------------------------------------------------------
-    # Entry
-    # ------------------------------------------------------------------
-    def run(self) -> FootprintEstimate:
-        env: Dict[str, object] = {}
-        declared = {p.name for p in self.fun.params}
-        for k, v in self.inputs.items():
-            if k not in declared and not hasattr(v, "shape"):
-                env[k] = v
-        for p in self.fun.params:
-            if isinstance(p.type, ArrayType):
-                self._bind_input_array(p, env)
-            else:
-                env[p.name] = self.inputs.get(p.name, UNKNOWN)
-        self._block(self.fun.body, env)
-        return FootprintEstimate(
-            peak_bytes=self.peak,
-            param_bytes=self.param_bytes,
-            alloc_bytes=self.alloc_total,
-            alloc_count=self.alloc_count,
-            space_peaks=dict(self.peak_by_space),
-        )
-
-    def _bind_input_array(self, p: A.Param, env) -> None:
-        t = p.type
-        assert isinstance(t, ArrayType)
-        given = self.inputs.get(p.name)
-        if given is not None and hasattr(given, "shape"):
-            # Unify symbolic shape vars with the concrete input shape,
-            # exactly like MemExecutor._bind_input_array.
-            for dim_expr, extent in zip(t.shape, np.shape(given)):
-                fv = sorted(dim_expr.free_vars())
-                if (
-                    len(fv) == 1
-                    and fv[0] not in env
-                    and dim_expr == SymExpr.var(fv[0])
-                ):
-                    env[fv[0]] = int(extent)
-        size = self._eval_sym(t.size(), env)
-        if not isinstance(size, int):
-            raise FootprintError(f"shape of input {p.name!r} is unknown")
-        nbytes = size * DTYPE_INFO[t.dtype][1]
-        inst = _Inst(param_mem_name(p.name), nbytes)
-        self.param_bytes += nbytes
-        self._bump(nbytes, "hbm")
-        self.param_insts[param_mem_name(p.name)] = inst
-        env[p.name] = _ArrVal(inst, t.dtype)
-
-    # ------------------------------------------------------------------
-    # Blocks and statements
-    # ------------------------------------------------------------------
-    def _block(self, block: A.Block, env: Dict[str, object]) -> List[object]:
-        for stmt in block.stmts:
-            self._stmt(stmt, env)
-            if self.depth == 0:
-                # Host-level lifetime ends (repro.reuse.liveranges).
-                for m in stmt.mem_frees:
-                    self._free_name(m)
-        return [self._result(r, env) for r in block.result]
-
-    def _result(self, name: str, env):
-        if name in env:
-            return env[name]
-        pi = self.param_insts.get(name)
-        if pi is not None:
-            return _MemVal(pi)
-        return UNKNOWN
-
-    def _stmt(self, stmt: A.Let, env: Dict[str, object]) -> None:
-        exp = stmt.exp
-
-        if isinstance(exp, A.Alloc):
-            size = self._require_int(
-                self._eval_sym(exp.size, env), "allocation size", stmt
-            )
-            inst = self._note_alloc(
-                stmt.names[0], size * DTYPE_INFO[exp.dtype][1], exp.space
-            )
-            env[stmt.names[0]] = _MemVal(inst)
-            return
-
-        if isinstance(exp, A.Lit):
-            env[stmt.names[0]] = np.dtype(DTYPE_INFO[exp.dtype][0]).type(exp.value)
-            return
-        if isinstance(exp, A.ScalarE):
-            env[stmt.names[0]] = self._eval_sym(exp.expr, env)
-            return
-        if isinstance(exp, (A.BinOp, A.UnOp)):
-            x = self._operand(exp.x, env)
-            y = self._operand(exp.y, env) if isinstance(exp, A.BinOp) else None
-            if x is UNKNOWN or y is UNKNOWN:
-                env[stmt.names[0]] = UNKNOWN
-            else:
-                try:
-                    env[stmt.names[0]] = (
-                        Interpreter._binop(exp.op, x, y)
-                        if isinstance(exp, A.BinOp)
-                        else Interpreter._unop(exp.op, x)
-                    )
-                except Exception:
-                    env[stmt.names[0]] = UNKNOWN
-            return
-
-        if isinstance(exp, A.VarRef):
-            pe = stmt.pattern[0]
-            env[pe.name] = (
-                self._binding_value(pe, env)
-                if pe.is_array()
-                else env.get(exp.name, UNKNOWN)
-            )
-            return
-
-        if isinstance(
-            exp,
-            (A.SliceT, A.LmadSlice, A.Rearrange, A.Reshape, A.Reverse,
-             A.Iota, A.Replicate, A.Scratch, A.Copy, A.Concat),
-        ):
-            env[stmt.names[0]] = self._binding_value(stmt.pattern[0], env)
-            return
-
-        if isinstance(exp, A.Index):
-            env[stmt.names[0]] = UNKNOWN
-            return
-
-        if isinstance(exp, A.Update):
-            env[stmt.names[0]] = self._binding_value(stmt.pattern[0], env)
-            return
-
-        if isinstance(exp, A.Map):
-            self._map(stmt, exp, env)
-            return
-
-        if isinstance(exp, A.Loop):
-            self._loop(stmt, exp, env)
-            return
-
-        if isinstance(exp, A.If):
-            self._if(stmt, exp, env)
-            return
-
-        if isinstance(exp, (A.Reduce, A.ArgMin)):
-            for n in stmt.names:
-                env[n] = UNKNOWN
-            return
-
-        raise FootprintError(f"unknown expression {type(exp).__name__}")
-
-    # ------------------------------------------------------------------
-    def _map(self, stmt: A.Let, exp: A.Map, env) -> None:
-        width = self._require_int(
-            self._operand(exp.width, env), "map width", stmt
-        )
-        dests = [
-            self._binding_value(pe, env) if pe.is_array() else None
-            for pe in stmt.pattern
-        ]
-        if self.depth == 0:
-            self.kernel_baseline = self.live
-            self.kernel_baseline_by_space = dict(self.live_by_space)
-            self.kernel_insts = []
-        self.depth += 1
-        before = (self.alloc_total, self.alloc_count)
-        before_by_space = dict(self.live_by_space)
-        if width > 0:
-            # One representative thread, growth scaled by the width: every
-            # thread's scratch coexists for the duration of the kernel.
-            child = dict(env)
-            child[exp.lam.params[0]] = width // 2
-            self._block(exp.lam.body, child)
-            for sp in list(self.live_by_space):
-                growth = self.live_by_space[sp] - before_by_space.get(sp, 0)
-                if growth:
-                    self._bump(growth * (width - 1), sp)
-            self.alloc_total += (self.alloc_total - before[0]) * (width - 1)
-            self.alloc_count += (self.alloc_count - before[1]) * (width - 1)
-        self.depth -= 1
-        if self.depth == 0:
-            # Kernel scratch dies wholesale at the outermost map's end.
-            for inst in self.kernel_insts:
-                inst.freed = True
-                lst = self.by_name.get(inst.static)
-                if lst and inst in lst:
-                    lst.remove(inst)
-            self.kernel_insts = []
-            self.live = self.kernel_baseline
-            self.live_by_space = dict(self.kernel_baseline_by_space)
-        for pe, dest in zip(stmt.pattern, dests):
-            env[pe.name] = dest
-
-    # ------------------------------------------------------------------
-    def _loop(self, stmt: A.Let, exp: A.Loop, env) -> None:
-        count = self._require_int(
-            self._operand(exp.count, env), "loop count", stmt
-        )
-        state: List[object] = [env.get(init, UNKNOWN) for _, init in exp.carried]
-        param_bindings: Dict[str, MemBinding] = getattr(
-            exp.body, "param_bindings", {}
-        )
-        mark = len(self.alloc_log)
-        for it in range(count):
-            child = dict(env)
-            child[exp.index] = it
-            for (prm, _), val in zip(exp.carried, state):
-                if isinstance(prm.type, ArrayType):
-                    b = param_bindings.get(prm.name)
-                    if b is not None:
-                        if b.mem not in self.param_insts:
-                            child[b.mem] = _MemVal(self._inst_of(val))
-                        child[prm.name] = _ArrVal(
-                            self._mem_inst(b.mem, child), prm.type.dtype
-                        )
-                    else:
-                        child[prm.name] = val
-                else:
-                    child[prm.name] = val
-            state = self._block(exp.body, child)
-            if self.depth == 0:
-                # Instances born in the loop die at iteration end unless
-                # the carried state still reaches them (double-buffering
-                # keeps exactly the rotating pair alive).
-                reachable = {
-                    id(i)
-                    for i in (self._inst_of(v) for v in state)
-                    if i is not None
-                }
-                for inst in self.alloc_log[mark:]:
-                    if not inst.freed and id(inst) not in reachable:
-                        self._free_inst(inst)
-        self._bind_compound(stmt, state, env)
-
-    # ------------------------------------------------------------------
-    def _if(self, stmt: A.Let, exp: A.If, env) -> None:
-        cond = self._operand(exp.cond, env)
-        if cond is not UNKNOWN:
-            block = exp.then_block if cond else exp.else_block
-            vals = self._block(block, dict(env))
-            self._bind_compound(stmt, vals, env)
-            return
-        # Statically unknown condition: explore both branches and keep
-        # the heavier one (a safe over-approximation of either outcome).
-        base = self._snap()
-        vals_t = self._block(exp.then_block, dict(env))
-        end_t = self._snap()
-        self._restore(base)
-        vals_e = self._block(exp.else_block, dict(env))
-        if end_t[0] >= self.live:
-            self._restore(end_t)
-            vals = vals_t
-        else:
-            vals = vals_e
-        self._bind_compound(stmt, vals, env)
-
-    # ------------------------------------------------------------------
-    def _bind_compound(self, stmt: A.Let, vals: List[object], env) -> None:
-        for pe, val in zip(stmt.pattern, vals):
-            if not pe.is_array():
-                env[pe.name] = val
-        for pe, val in zip(stmt.pattern, vals):
-            if not pe.is_array():
-                continue
-            if pe.mem is not None:
-                b = binding_of(pe)
-                if b.mem not in self.param_insts and b.mem not in env:
-                    env[b.mem] = _MemVal(self._inst_of(val))
-                env[pe.name] = self._binding_value(pe, env)
-            else:
-                env[pe.name] = val
-
-
 def estimate_peak(
     fun: A.Fun, inputs: Mapping[str, object]
 ) -> FootprintEstimate:
@@ -535,4 +67,16 @@ def estimate_peak(
     ``inputs`` is the executor's input mapping (concrete arrays and/or
     the scalar shape variables); array contents are never inspected.
     """
-    return _Estimator(fun, inputs).run()
+    ex = MemExecutor(fun, mode="dry")
+    _, stats = ex.run(**inputs)
+    return FootprintEstimate(
+        peak_bytes=stats.peak_bytes,
+        param_bytes=sum(
+            ex.mem[param_mem_name(p.name)] * DTYPE_INFO[p.type.dtype][1]
+            for p in fun.params
+            if isinstance(p.type, ArrayType)
+        ),
+        alloc_bytes=stats.alloc_bytes,
+        alloc_count=stats.alloc_count,
+        space_peaks=dict(stats.space_peak_bytes),
+    )

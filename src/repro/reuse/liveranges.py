@@ -21,9 +21,10 @@ executor retires their per-iteration instances by reachability from the
 carried state instead.
 
 :func:`annotate_frees` writes each non-escaping block's last-touch
-position into ``Let.mem_frees``.  The executor and the footprint
-estimator apply these only at host level (outside kernels): blocks
-allocated inside a ``map`` die wholesale when the kernel ends.
+position into ``Let.mem_frees``.  The executor (and so the footprint
+estimate, a dry-mode run of it) applies these only at host level
+(outside kernels): blocks allocated inside a ``map`` die wholesale when
+the kernel ends.
 """
 
 from __future__ import annotations

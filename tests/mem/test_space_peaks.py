@@ -1,12 +1,13 @@
-"""Per-space peak accounting: the four implementations must agree.
+"""Per-space peak accounting: every measurement must agree.
 
 Mirrors ``tests/reuse/test_footprint.py``'s total-peak agreement at the
-per-space granularity: the interpreted executor, the vectorized engine,
-dry mode, and the static estimator each maintain a live/peak counter
-*per memory space*, and the dicts must match exactly on every benchmark
-under both pipelines.  A second test pins that the placement actually
-uses the scratchpad: kernel-local intermediates land in ``scratch``
-somewhere in the corpus, so the agreement is not vacuous.
+per-space granularity: the executor keeps a live/peak counter *per
+memory space*, and the dicts it reports interpreted, vectorized, dry and
+through ``estimate_peak`` (a dry run on the real inputs' shapes) must
+match exactly on every benchmark under both pipelines.  A second test
+pins that the placement actually uses the scratchpad: kernel-local
+intermediates land in ``scratch`` somewhere in the corpus, so the
+agreement is not vacuous.
 """
 
 import pytest

@@ -3,9 +3,10 @@
 Spaces are descriptive (see :mod:`repro.mem.spaces`): re-homing any
 alloc'd block into any space must leave the verifier clean (the
 assignment moves Alloc and bindings together), compute the same values,
-and keep the four per-space peak accountants in exact agreement.  The
-corpus is the fusion generator's random pipelines with every block's
-space drawn at random, under both compile presets.
+and keep the per-space peaks of all three executor modes (and of
+``estimate_peak``, a dry run) in exact agreement.  The corpus is the
+fusion generator's random pipelines with every block's space drawn at
+random, under both compile presets.
 """
 
 import numpy as np
