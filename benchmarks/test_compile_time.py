@@ -17,8 +17,8 @@ def test_compile_time_overhead(benchmark):
     def run():
         for name, module in all_benchmarks().items():
             fun = module.build()
-            unopt = compile_fun(fun, short_circuit=False, cache=False)
-            opt = compile_fun(fun, short_circuit=True, cache=False)
+            unopt = compile_fun(fun, pipeline="nosc", cache=False)
+            opt = compile_fun(fun, cache=False)
             rows[name] = (
                 unopt.compile_seconds,
                 opt.compile_seconds,

@@ -72,8 +72,9 @@ def main():
 
     cm = CostModel(A100)
     print(f"1-D heat stencil, n={nv}, {steps} steps")
-    for sc in (False, True):
-        compiled = compile_fun(fun, short_circuit=sc)
+    for pipeline in ("nosc", "full"):
+        compiled = compile_fun(fun, pipeline=pipeline)
+        sc = compiled.short_circuited
         ex = MemExecutor(compiled.fun)
         vals, stats = ex.run(n=nv, u=u.copy())
         got = ex.mem[vals[0].mem][vals[0].ixfn.gather_offsets({})]

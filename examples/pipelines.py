@@ -1,8 +1,8 @@
 """Pipelines: drive the pass manager, read the trace, pick a preset.
 
 ``compile_fun`` is a thin wrapper over :class:`repro.pipeline.PassManager`
-running one of four named presets (``unopt``, ``sc``, ``sc+fuse``,
-``full``).  This example compiles one program under every preset and
+running one of six named presets (``unopt``, ``sc``, ``sc+fuse``,
+``full``, ``nosc``, ``nofuse``).  This example compiles one program under every preset and
 shows what the pipeline layer gives you beyond the compiled function:
 
 * the per-pass :class:`repro.pipeline.PipelineTrace` -- wall-clock

@@ -57,8 +57,9 @@ def main():
     (expected,) = run_fun(fun, n=nv, A=A.copy())
 
     cm = CostModel(A100)
-    for short_circuit in (False, True):
-        compiled = compile_fun(fun, short_circuit=short_circuit)
+    for pipeline in ("nosc", "full"):
+        compiled = compile_fun(fun, pipeline=pipeline)
+        short_circuit = compiled.short_circuited
         ex = MemExecutor(compiled.fun)
         vals, stats = ex.run(n=nv, A=A.copy())
         got = ex.mem[vals[0].mem][vals[0].ixfn.gather_offsets({})]

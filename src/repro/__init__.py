@@ -28,7 +28,6 @@ from repro.pipeline import (
     CompileContext,
     PassManager,
     PipelineTrace,
-    build_pipeline,
     preset_pipeline,
 )
 
@@ -41,7 +40,6 @@ __all__ = [
     "CompileContext",
     "PassManager",
     "PipelineTrace",
-    "build_pipeline",
     "preset_pipeline",
     "FunBuilder",
     "run_fun",

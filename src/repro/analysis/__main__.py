@@ -8,8 +8,8 @@
                                           # one pipeline preset only
 
 Each program is compiled under the named pipeline presets (default: all
-four -- ``unopt``, ``sc``, ``sc+fuse``, ``full``; see
-:mod:`repro.pipeline.presets`) and the final IR of every preset is
+six -- ``unopt``, ``sc``, ``sc+fuse``, ``full``, ``nosc``, ``nofuse``;
+see :mod:`repro.pipeline.presets`) and the final IR of every preset is
 verified: well-formedness of the memory annotations, index-function
 bounds, last-use/ordering consistency, read/write race-freedom, fusion
 provenance and frees annotations.  Exit status is nonzero when any

@@ -88,14 +88,8 @@ def audit_pool(pool: ProverPool, name: str, preset: str) -> AuditResult:
 
 def audit_compilation(fun, name: str, preset: str) -> AuditResult:
     """Compile ``fun`` under ``preset`` and audit the pool it used."""
-    from repro.pipeline import (
-        CompileContext,
-        PassManager,
-        PRESETS,
-        build_pipeline,
-    )
+    from repro.pipeline import CompileContext, PassManager, preset_pipeline
 
-    flags = PRESETS[preset]
     ctx = CompileContext(source=fun)
-    PassManager(build_pipeline(**flags), name=preset).run(ctx)
+    PassManager(preset_pipeline(preset), name=preset).run(ctx)
     return audit_pool(ctx.provers, name, preset)

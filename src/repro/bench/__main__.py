@@ -5,7 +5,7 @@
     python -m repro.bench nw hotspot      # a subset
     python -m repro.bench nw --quick      # scaled-down datasets (seconds)
     python -m repro.bench --filter hot    # names containing "hot"
-    python -m repro.bench --quick --json  # + executor-tier wall clock,
+    python -m repro.bench --quick --json  # + native-tier coverage, all
                                           # written to benchmarks/results/
     python -m repro.bench nw --explain    # per-pass pipeline trace
                                           # (timings, IR deltas,
@@ -42,9 +42,8 @@ from repro.bench.harness import (
 )
 from repro.bench.programs import all_benchmarks
 
-# Tests locate the committed baselines through these.
+# Tests locate the committed baseline through this.
 PROVER_BASELINE = GATES["prover"].path
-SERVE_BASELINE = GATES["serve"].path
 
 #: Datasets for the sharding simulation.  Chosen so the per-device slabs
 #: stay interesting (nonzero halo traffic, efficiency well away from
@@ -88,7 +87,7 @@ def main(argv=None) -> int:
     parser.add_argument("--no-validate", action="store_true",
                         help="skip the real-data validation run")
     parser.add_argument("--json", action="store_true",
-                        help="measure executor tiers and write a "
+                        help="measure native-tier coverage and write a "
                              "benchmarks/results/BENCH_<ts>.json report")
     parser.add_argument("--out", metavar="PATH", default=None,
                         help="write the --json report to PATH instead of "
@@ -107,12 +106,6 @@ def main(argv=None) -> int:
                              "regression baseline of the named gate(s) "
                              f"({', '.join(GATES)}; 'all' = every one) "
                              "under benchmarks/results/")
-    parser.add_argument("--serve-requests", type=int, default=100,
-                        metavar="N",
-                        help="warm requests per benchmark in the serve "
-                             "measurement (default 100)")
-    parser.add_argument("--serve-workers", type=int, default=4, metavar="N",
-                        help="concurrent serving workers (default 4)")
     args = parser.parse_args(argv)
 
     registry = all_benchmarks()
@@ -149,15 +142,16 @@ def main(argv=None) -> int:
 
     baselines = {g.name: load_baseline(g) for g in GATES.values()}
     gate_rows = {gate_name: {} for gate_name in GATES}
-    # The run's closing "<label>: <benchmarks>" lines, in the order they
-    # are tried; the first non-empty one is printed and the run exits 1.
+    #: Gate -> why it took no measurement although it was wanted.
+    unmeasured = {}
+    # The run's closing "<label>: <benchmarks>" lines, in print order;
+    # any non-empty one makes the run exit 1.
     failures = {
         label: []
         for label in (
-            "VALIDATION FAILED", "EXECUTOR TIER CHECK FAILED",
-            "FOOTPRINT REGRESSION", "FUSION DIFFERENTIAL FAILED",
-            "TRAFFIC REGRESSION", "PROVER TIER REGRESSION",
-            "SERVE REGRESSION", "NATIVE TIER REGRESSION",
+            "VALIDATION FAILED", "FOOTPRINT REGRESSION",
+            "FUSION DIFFERENTIAL FAILED", "TRAFFIC REGRESSION",
+            "PROVER TIER REGRESSION", "NATIVE TIER REGRESSION",
             "SHARD CHECK FAILED",
         )
     }
@@ -170,16 +164,13 @@ def main(argv=None) -> int:
             print(msg, file=sys.stderr)
         if msgs:
             failures[g.failed].append(name)
-        row = g.row(measured)
-        if row is not None:
-            gate_rows[gate_name][name] = row
+        gate_rows[gate_name][name] = g.row(measured)
 
     results = {}
     for name in names:
         module = registry[name]
         datasets = QUICK_DATASETS[name] if args.quick else None
         compiled = compile_both(module)
-        t0 = time.perf_counter()
         report = run_table(
             module,
             datasets=datasets,
@@ -187,7 +178,6 @@ def main(argv=None) -> int:
             loop_sample=4,
             compiled=compiled,
         )
-        table_s = time.perf_counter() - t0
         print(report.render())
         print(f"validated: {report.validated}  "
               f"short-circuits: {report.sc_committed}  "
@@ -273,48 +263,21 @@ def main(argv=None) -> int:
                   f"unknown {prover_tier['unknown']}")
         gate("prover", name, prover_tier)
 
-        engine = None
+        native = None
         if wanted("native"):
-            engine = measure_engine(module, PERF_DATASETS[name], compiled)
-            print(f"engine: interp {engine['interp_s']:.2f}s / "
-                  f"vec {engine['vec_s']:.2f}s = "
-                  f"{engine['speedup']:.1f}x  "
-                  f"(hit rate {engine['vec_hit_rate']:.2f})")
-            if not (engine["outputs_equal"] and engine["stats_equal"]
-                    and engine["vec_hit_rate"] > 0
-                    and engine["footprint_equal"]):
-                failures["EXECUTOR TIER CHECK FAILED"].append(name)
-            native = engine["native"]
-            if native is not None:
-                print(f"native: {native['native_s'] * 1000:.2f}ms warm = "
-                      f"{native['native_speedup']:.1f}x over vec  "
-                      f"(coverage {native['native_hit_rate']:.2f}, "
-                      f"{native['native_launches']} launches, "
-                      f"codegen {native['codegen_s']:.2f}s)")
-            gate("native", name, engine)
-
-        serve = None
-        if wanted("serve"):
-            from repro.runtime.serve import measure_serve
-
-            serve = measure_serve(
-                module, PERF_DATASETS[name],
-                requests=args.serve_requests, workers=args.serve_workers,
-            )
-            print(f"serve: {serve['throughput_rps']:.0f} req/s "
-                  f"(p50 {serve['p50_ms']:.2f}ms / p99 "
-                  f"{serve['p99_ms']:.2f}ms, {serve['workers']} workers)  "
-                  f"warm/cold {serve['warm_cold_ratio']:.3f}  "
-                  f"pool hit rate {serve['pool_hit_rate']:.2f}  "
-                  f"cache {serve['cache_state']}")
-            gate("serve", name, serve)
+            native = measure_engine(module, PERF_DATASETS[name], compiled)
+            if native is None:
+                unmeasured["native"] = "no C compiler"
+            else:
+                print(f"native: coverage {native['native_hit_rate']:.2f}, "
+                      f"{native['native_launches']} launches")
+                gate("native", name, native)
 
         results[name] = {
             "fusion": fusion,
             "footprint": footprint,
             "validated": report.validated,
             "validation_ran": report.validation_ran,
-            "table_wall_s": table_s,
             "compile_s": report.compile_seconds,
             "short_circuits": report.sc_committed,
             "dead_copy_reuses": report.sc_reused_copies,
@@ -341,8 +304,7 @@ def main(argv=None) -> int:
                 label: trace.to_dict()
                 for label, trace in report.traces.items()
             },
-            "engine": engine,
-            "serve": serve,
+            "native": native,
             "rows": [
                 {
                     "device": r.device,
@@ -367,10 +329,7 @@ def main(argv=None) -> int:
         for name in names:
             if name not in SHARD_DATASETS:
                 continue
-            dataset = SHARD_DATASETS[name]
-            t0 = time.perf_counter()
-            rep = scaling_report(name, dataset, devices)
-            rep["wall_s"] = time.perf_counter() - t0
+            rep = scaling_report(name, SHARD_DATASETS[name], devices)
             shard_results[name] = rep
             print(f"shard ({name} x{devices}): "
                   f"identical {rep['outputs_identical']}  "
@@ -380,17 +339,16 @@ def main(argv=None) -> int:
                   f"(speedup {rep['speedup']:.2f}x over 1 device)")
             gate("shard", name, rep)
 
-    # Benchmarks whose warm native run beat the vectorized tier: a
-    # whole-run count, recorded beside the native gate's per-benchmark rows.
-    native_wins = sum(
-        r["native_speedup_over_vec"] > 1.0 for r in gate_rows["native"].values()
-    )
     for g in GATES.values():
-        if g.name in writes:
-            payload = dict(gate_rows[g.name])
-            if g.name == "native":
-                payload["_wins_over_vec"] = native_wins
-            write_baseline(g, payload)
+        if g.name not in writes:
+            continue
+        if gate_rows[g.name]:
+            write_baseline(g, gate_rows[g.name])
+        else:
+            # An empty table would read back as "nothing is gated".
+            why = unmeasured.get(g.name, "no selected benchmark has one")
+            print(f"{g.path} left alone: the {g.name} gate took no "
+                  f"measurement ({why})", file=sys.stderr)
 
     if args.json:
         ts = time.strftime("%Y%m%d-%H%M%S")
@@ -411,23 +369,12 @@ def main(argv=None) -> int:
         out_path.write_text(json.dumps(payload, indent=2) + "\n")
         print(f"wrote {out_path}")
 
-    for label, bad in failures.items():
-        if bad:
-            if label in ("NATIVE TIER REGRESSION", "SHARD CHECK FAILED"):
-                bad = sorted(bad)  # these two lines list sorted names
-            print(f"{label}: {', '.join(bad)}", file=sys.stderr)
-            return 1
-    # Fewer benchmarks beating the vectorized tier's warm wall clock than
-    # recorded (only judged when every benchmark was measured natively).
-    rec_wins = baselines["native"].get("_wins_over_vec")
-    native_measured = len(gate_rows["native"])
-    if (rec_wins is not None and native_measured >= len(registry)
-            and native_wins < min(rec_wins, 3)):
-        print(f"NATIVE WALL-CLOCK REGRESSION: only {native_wins} of "
-              f"{native_measured} benchmarks beat the vectorized tier "
-              f"(baseline {rec_wins})", file=sys.stderr)
-        return 1
-    return 0
+    failed = {label: bad for label, bad in failures.items() if bad}
+    for label, bad in failed.items():
+        if label in ("NATIVE TIER REGRESSION", "SHARD CHECK FAILED"):
+            bad = sorted(bad)  # these two lines list sorted names
+        print(f"{label}: {', '.join(bad)}", file=sys.stderr)
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":

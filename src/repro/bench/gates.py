@@ -28,8 +28,8 @@ class Gate:
     #: When the measurement is taken: "always", only under "json", or only
     #: under "devices" (``--devices N``); writing the baseline forces it.
     needs: str
-    #: Measurement -> the row recorded for it (None: nothing to record).
-    row: Callable[[dict], Optional[dict]]
+    #: Measurement -> the row recorded for it.
+    row: Callable[[dict], dict]
     #: (measurement, recorded row or None) -> stderr messages, in order.
     check: Callable[[dict, Optional[dict]], List[str]]
     #: Label of the run's closing "<label>: <benchmarks>" line.
@@ -109,54 +109,15 @@ def _prover_check(tiers: dict, recorded: Optional[dict]) -> List[str]:
     return []
 
 
-# -- serve: warm responses must match cold ones, 100 warm calls must
-# cost under a quarter of 100 cold compile+run calls (the acceptance
-# bar), and the pool hit rate must not fall materially below the
-# recorded value.
-def _serve_row(serve: dict) -> dict:
-    return {k: serve[k] for k in (
-        "dataset", "requests", "workers", "warm_cold_ratio",
-        "pool_hit_rate", "throughput_rps",
-    )}
-
-
-def _serve_check(serve: dict, recorded: Optional[dict]) -> List[str]:
-    if not serve["ok"]:
-        return [f"SERVE DIFFERENTIAL FAILED: {serve}"]
-    if serve["warm_cold_ratio"] >= 0.25:
-        return [f"SERVE AMORTIZATION REGRESSION: warm/cold "
-                f"{serve['warm_cold_ratio']:.3f} >= 0.25 (100 warm calls "
-                f"{serve['warm_100_s']:.2f}s vs 100 cold "
-                f"{serve['cold_100_s']:.2f}s)"]
-    rec = (recorded or {}).get("pool_hit_rate")
-    # 0.05 slack: hit rates depend on worker interleaving.
-    if rec is not None and serve["pool_hit_rate"] < rec - 0.05:
-        return [f"SERVE POOL REGRESSION: hit rate "
-                f"{serve['pool_hit_rate']:.2f} below baseline {rec:.2f}"]
-    return []
-
-
 # -- native: the compiled-C tier must agree with the vectorized one, and
 # its kernel coverage (fraction of real-mode map dispatches served by
-# compiled C) must not fall below the recorded value.  Nothing is
-# measured, recorded or checked when no C compiler is available.  (The
-# baseline's ``_wins_over_vec`` is a whole-run count; ``main`` owns it.)
-def _native_row(engine: dict) -> Optional[dict]:
-    native = engine["native"]
-    if native is None:
-        return None
-    return {
-        "dataset": engine["dataset"],
-        "native_hit_rate": native["native_hit_rate"],
-        "native_launches": native["native_launches"],
-        "native_speedup_over_vec": native["native_speedup"],
-    }
+# compiled C) must not fall below the recorded value.  Without a C
+# compiler there is no measurement, and the gate is not consulted.
+def _native_row(native: dict) -> dict:
+    return {k: native[k] for k in ("dataset", "native_hit_rate", "native_launches")}
 
 
-def _native_check(engine: dict, recorded: Optional[dict]) -> List[str]:
-    native = engine["native"]
-    if native is None:
-        return []
+def _native_check(native: dict, recorded: Optional[dict]) -> List[str]:
     msgs = []
     if not (native["outputs_equal"] and native["stats_equal"]
             and native["footprint_equal"]):
@@ -210,8 +171,6 @@ GATES: Dict[str, Gate] = {
              _traffic_row, _traffic_check, "TRAFFIC REGRESSION"),
         Gate("prover", _RESULTS / "prover_tier_baseline.json", "always",
              dict, _prover_check, "PROVER TIER REGRESSION"),
-        Gate("serve", _RESULTS / "serve_baseline.json", "json",
-             _serve_row, _serve_check, "SERVE REGRESSION"),
         Gate("native", _RESULTS / "native_baseline.json", "json",
              _native_row, _native_check, "NATIVE TIER REGRESSION"),
         Gate("shard", _RESULTS / "shard_baseline.json", "devices",

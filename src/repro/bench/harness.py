@@ -19,7 +19,6 @@ For each benchmark and dataset the harness:
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -42,11 +41,10 @@ QUICK_DATASETS = {
     "nn": {"855280": (855280,)},
 }
 
-#: Real-mode datasets for the executor-tier wall-clock comparison and the
-#: serving harness (``--json`` / ``python -m repro.serve``).  Sized so
-#: the interpreted tier finishes in seconds while the vectorized engine's
-#: speedup is well past amortization -- these are the numbers the perf
-#: trajectory tracks across PRs.
+#: Small real-mode datasets at which the gates take their exact counts
+#: (footprint, traffic, native coverage) and the fusion differential
+#: runs every executor tier.  Speed is not measured here: that is
+#: ``python3 -m perfbench``.
 PERF_DATASETS = {
     "nw": (16, 16),
     "lud": (8, 8),
@@ -89,7 +87,7 @@ class BenchReport:
     sc_failures: Dict[str, int] = field(default_factory=dict)
     sc_failure_records: List = field(default_factory=list)
     compile_seconds: Dict[str, float] = field(default_factory=dict)
-    #: Pipeline label ("unopt" / "opt") -> the compilation's structured
+    #: Table column ("unopt" / "opt") -> the compilation's structured
     #: :class:`repro.pipeline.PipelineTrace` (per-pass timings, IR
     #: deltas, rejection diagnostics); rendered by ``--explain`` and
     #: serialized into the ``--json`` report.
@@ -110,19 +108,21 @@ class BenchReport:
 
 
 # ----------------------------------------------------------------------
-def compile_both(module, fuse: bool = True) -> Tuple[CompiledFun, CompiledFun]:
-    """(unopt, opt) pipelines for a benchmark module.
+def compile_both(module) -> Tuple[CompiledFun, CompiledFun]:
+    """(unopt, opt) table columns for a benchmark module: the ``nosc``
+    and ``full`` presets.
 
-    ``fuse`` applies to *both* pipelines: the paper tables compare
-    short-circuiting on otherwise identical programs, so the fusion
-    ablation is measured separately (:func:`measure_fusion`), not folded
-    into the unopt column.
+    The paper tables compare short-circuiting on otherwise identical
+    programs, so both columns fuse and reuse; the fusion ablation is
+    measured separately (:func:`measure_fusion`).
     """
     fun = module.build()
-    return (
-        compile_fun(fun, short_circuit=False, fuse=fuse),
-        compile_fun(fun, short_circuit=True, fuse=fuse),
-    )
+    return compile_fun(fun, pipeline="nosc"), compile_fun(fun)
+
+
+def _fresh(inp: Dict[str, object]) -> Dict[str, object]:
+    """A private copy of one input set (executors may write in place)."""
+    return {k: (v.copy() if hasattr(v, "copy") else v) for k, v in inp.items()}
 
 
 def materialize(ex: MemExecutor, val):
@@ -140,9 +140,7 @@ def validate(module, dataset: str = "small", compiled=None) -> bool:
     expected = _reference_of(module, args, inp)
     for c in (unopt, opt):
         ex = MemExecutor(c.fun)
-        vals, _ = ex.run(
-            **{k: (v.copy() if hasattr(v, "copy") else v) for k, v in inp.items()}
-        )
+        vals, _ = ex.run(**_fresh(inp))
         got = [materialize(ex, v) for v in vals]
         for g, e in zip(got, expected):
             if not np.allclose(np.asarray(g, dtype=np.float64),
@@ -152,93 +150,42 @@ def validate(module, dataset: str = "small", compiled=None) -> bool:
     return True
 
 
-def measure_engine(module, args: Sequence, compiled=None) -> Dict[str, object]:
-    """Wall-clock the two real-mode executor tiers on one dataset.
+def measure_engine(
+    module, args: Sequence, compiled=None
+) -> Optional[Dict[str, object]]:
+    """Native-tier coverage of the optimized pipeline on one dataset.
 
-    Runs the optimized pipeline once under the interpreted executor
-    (``vectorize=False``) and once under the vectorized engine, on
-    identical inputs, and checks the tier-equivalence invariant along the
-    way: bit-identical outputs and an identical :meth:`ExecStats.signature`.
-    The returned dict feeds the ``--json`` perf trajectory.
+    One vectorized run and one native run on identical inputs: the
+    fraction (and number) of map launches compiled C served, and whether
+    the native run's outputs, :meth:`ExecStats.signature` and peak
+    footprint equal the vectorized run's.  ``None`` when no C compiler
+    is available.
     """
-    _, opt = compiled if compiled is not None else compile_both(module)
-    inp = module.inputs_for(*args)
-
-    def fresh():
-        return {k: (v.copy() if hasattr(v, "copy") else v) for k, v in inp.items()}
-
-    ex_i = MemExecutor(opt.fun, vectorize=False)
-    t0 = time.perf_counter()
-    vals_i, _ = ex_i.run(**fresh())
-    interp_s = time.perf_counter() - t0
-
-    ex_v = MemExecutor(opt.fun)
-    t0 = time.perf_counter()
-    vals_v, _ = ex_v.run(**fresh())
-    vec_s = time.perf_counter() - t0
-
-    outputs_equal = all(
-        np.array_equal(
-            np.asarray(materialize(ex_i, a)), np.asarray(materialize(ex_v, b))
-        )
-        for a, b in zip(vals_i, vals_v)
-    )
-    est = estimate_peak(opt.fun, inp)
-    out = {
-        "dataset": list(args),
-        "interp_s": interp_s,
-        "vec_s": vec_s,
-        "speedup": interp_s / vec_s if vec_s > 0 else float("inf"),
-        "vec_hit_rate": ex_v.stats.vec_hit_rate,
-        "vec_launches": ex_v.stats.vec_launches,
-        "interp_launches": ex_v.stats.interp_launches,
-        "outputs_equal": outputs_equal,
-        "stats_equal": ex_i.stats.signature() == ex_v.stats.signature(),
-        # Peak allocation footprint: both real tiers' runtime high-water
-        # marks and the dry-mode estimate must agree exactly.
-        "peak_bytes_interp": ex_i.stats.peak_bytes,
-        "peak_bytes_vec": ex_v.stats.peak_bytes,
-        "peak_bytes_est": est.peak_bytes,
-        "naive_bytes": est.naive_bytes,
-        "footprint_equal": (
-            ex_i.stats.peak_bytes
-            == ex_v.stats.peak_bytes
-            == est.peak_bytes
-        ),
-        "native": None,
-    }
-
     from repro.backend import maybe_engine
 
     eng = maybe_engine(warn=False)
-    if eng is not None:
-        # First run pays C emission + cc; the reported wall clock is a
-        # warm launch into the cached shared objects (the serving path).
-        ex_w = MemExecutor(opt.fun, native=eng)
-        ex_w.run(**fresh())
-        ex_n = MemExecutor(opt.fun, native=eng)
-        t0 = time.perf_counter()
-        vals_n, _ = ex_n.run(**fresh())
-        native_s = time.perf_counter() - t0
-        native_outputs_equal = all(
-            np.array_equal(
-                np.asarray(materialize(ex_i, a)),
-                np.asarray(materialize(ex_n, b)),
-            )
-            for a, b in zip(vals_i, vals_n)
-        )
-        out["native"] = {
-            "native_s": native_s,
-            "native_speedup": vec_s / native_s if native_s > 0 else float("inf"),
-            "native_hit_rate": ex_n.stats.native_hit_rate,
-            "native_launches": ex_n.stats.native_launches,
-            "codegen_s": eng.codegen_seconds,
-            "outputs_equal": native_outputs_equal,
-            "stats_equal": ex_i.stats.signature() == ex_n.stats.signature(),
-            "peak_bytes_native": ex_n.stats.peak_bytes,
-            "footprint_equal": ex_n.stats.peak_bytes == est.peak_bytes,
-        }
-    return out
+    if eng is None:
+        return None
+    _, opt = compiled if compiled is not None else compile_both(module)
+    inp = module.inputs_for(*args)
+
+    def run(native):
+        ex = MemExecutor(opt.fun, native=native)
+        vals, stats = ex.run(**_fresh(inp))
+        return [np.asarray(materialize(ex, v)) for v in vals], stats
+
+    outs_v, st_v = run(None)
+    outs_n, st_n = run(eng)
+    return {
+        "dataset": list(args),
+        "native_hit_rate": st_n.native_hit_rate,
+        "native_launches": st_n.native_launches,
+        "outputs_equal": all(
+            np.array_equal(a, b) for a, b in zip(outs_v, outs_n)
+        ),
+        "stats_equal": st_v.signature() == st_n.signature(),
+        "footprint_equal": st_v.peak_bytes == st_n.peak_bytes,
+    }
 
 
 def measure_fusion(
@@ -249,32 +196,24 @@ def measure_fusion(
 ) -> Dict[str, object]:
     """Fuse-on / fuse-off differential for one benchmark.
 
-    Compiles the optimized pipeline twice (``fuse=True`` / ``fuse=False``),
-    runs both on identical real data under *both* executor tiers and
-    requires bit-identical outputs (fusion only changes where intermediate
-    values live, never what is computed), then dry-runs both at
+    Compiles the ``full`` and ``nofuse`` presets, runs both on identical
+    real data under *both* executor tiers and requires bit-identical
+    outputs (fusion only changes where intermediate values live, never
+    what is computed), then dry-runs both at
     ``dry_args`` to measure the traffic the pass eliminated.  The
     vectorized tier's interpreted-launch count must not increase: a fused
     body that silently falls back to the interpreted path would trade
     traffic for wall clock.
     """
-    fused = (
-        compiled
-        if compiled is not None
-        else compile_fun(module.build(), short_circuit=True, fuse=True)
-    )
-    unfused = compile_fun(module.build(), short_circuit=True, fuse=False)
+    fused = compiled if compiled is not None else compile_fun(module.build())
+    unfused = compile_fun(module.build(), pipeline="nofuse")
     inp = module.inputs_for(*real_args)
-
-    def fresh():
-        return {k: (v.copy() if hasattr(v, "copy") else v) for k, v in inp.items()}
-
     outs: Dict[Tuple[str, bool], List[np.ndarray]] = {}
     tier_stats: Dict[Tuple[str, bool], ExecStats] = {}
     for label, c in (("fused", fused), ("unfused", unfused)):
         for vec in (False, True):
             ex = MemExecutor(c.fun, vectorize=vec)
-            vals, st = ex.run(**fresh())
+            vals, st = ex.run(**_fresh(inp))
             outs[(label, vec)] = [np.asarray(materialize(ex, v)) for v in vals]
             tier_stats[(label, vec)] = st
     outputs_equal = all(
@@ -317,8 +256,8 @@ def measure_footprint(module, args: Sequence, compiled=None) -> Dict[str, object
     """Peak-footprint estimates for both pipelines on one dataset.
 
     Uses :func:`repro.reuse.footprint.estimate_peak` only (an unsampled
-    dry run: sizes, no data); ``measure_engine`` separately checks it
-    against both real executor tiers' high-water marks.
+    dry run: sizes, no data); ``tests/reuse`` checks it against every
+    executor tier's high-water mark.
     """
     unopt, opt = compiled if compiled is not None else compile_both(module)
     inp = module.inputs_for(*args)

@@ -121,7 +121,7 @@ def build(iters: int | None = None) -> Fun:
     # naive stencil compiler emits: a rank-2 [n-2][n-2] mapnest producer
     # feeding the update consumer below.  Mapnest fusion inlines the
     # producer at its single (r, c) read site and restores the classic
-    # one-kernel interior; fuse=False materializes the full interior sum
+    # one-kernel interior; ``nofuse`` materializes the full interior sum
     # grid in global memory and pays its write+read round trip per step.
     sums = lp.map_(n - 2, index="rs")
     rr2 = sums.idx + 1

@@ -61,7 +61,7 @@ def build() -> Fun:
     # Mapnest fusion inlines the gather at its single read site inside
     # the per-cell kernel below, restoring the classic one-kernel
     # stream+collide step (the row/column decomposition it recomputes
-    # per read is arithmetic, not traffic); fuse=False materializes the
+    # per read is arithmetic, not traffic); ``nofuse`` materializes the
     # full [n*n][9] streamed grid and pays its write+read round trip
     # every time step.
     st = lp.map_(n * n, index="cl")

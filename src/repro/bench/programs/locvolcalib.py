@@ -52,7 +52,7 @@ def build() -> Fun:
     # Initial condition: a call-option payoff parameterized by instance,
     # staged as FinPar stages it -- a grid-minus-strike producer feeding
     # the payoff clamp.  Fusion inlines the producer (one init kernel, as
-    # the classic code); fuse=False materializes the per-thread
+    # the classic code); ``nofuse`` materializes the per-thread
     # differences vector in expanded global memory.
     grid = mp.map_(numX, index="ig")
     xi = grid.binop("*", grid.unop("f32", grid.scalar(grid.idx)), 0.01)

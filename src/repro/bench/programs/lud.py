@@ -155,7 +155,7 @@ def build() -> Fun:
     # the per-read *footprint* proof narrows the producer's reads to the
     # row/column panel regions, which are disjoint from the interior
     # region the fused kernel writes (whole-array reasoning would see
-    # A's block and give up).  fuse=False materializes all
+    # A's block and give up).  ``nofuse`` materializes all
     # (q-1-k)^2 * b^2 dot products and pays their write+read round trip
     # every step.
     dt = lp.map_(cnt, index="di")

@@ -44,7 +44,7 @@ def build(k: int = K_NEIGHBOURS) -> Fun:
     # Squared distances and the square root are written as a two-stage
     # producer/consumer pipeline, as Rodinia's separate kernels would be;
     # fusion inlines the producer so the compiled program is exactly the
-    # classic one-kernel distances map (fuse=False pays the sq round trip).
+    # classic one-kernel distances map (``nofuse`` pays the sq round trip).
     mp = bld.map_(n, index="i")
     i = mp.idx
     dx = mp.binop("-", mp.index(lat, [i]), "qlat")

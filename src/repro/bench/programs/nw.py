@@ -73,7 +73,7 @@ def build() -> Fun:
         # per-block similarity rows ([cnt][2b-1], one entry per interior
         # anti-diagonal of a block) that the DP sweep then reads per
         # cell.  Mapnest fusion inlines the (data-independent) lookup
-        # back into the block kernel; fuse=False pays the table's
+        # back into the block kernel; ``nofuse`` pays the table's
         # write+read round trip per anti-diagonal sweep.
         sims = lp.map_(cnt, index="sj")
         srow = sims.map_(b + b - 1, index="sk")

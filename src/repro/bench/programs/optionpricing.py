@@ -83,7 +83,7 @@ def build() -> Fun:
     # Kernel 2: the spot grid, a batched rank-2 producer read by both
     # pricing legs below.  The body is cheap (one exp), so fusion
     # duplicates it into each consumer instead of materializing the
-    # [npaths][ndates] matrix; fuse=False pays its write plus two reads.
+    # [npaths][ndates] matrix; ``nofuse`` pays its write plus two reads.
     sp = bld.map_(npaths, index="sp")
     sr = sp.map_(ndates, index="sd")
     bval = sr.index(paths, [sp.idx, sr.idx])

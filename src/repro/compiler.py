@@ -13,14 +13,14 @@ Mirrors the relevant slice of the Futhark pipeline the paper extends:
 8. **memory reuse** (:mod:`repro.reuse`) -- optional: allocation
    coalescing plus the ``mem_frees`` lifetime annotations.
 
-:func:`compile_fun` is a thin, kwarg-compatible wrapper over
+:func:`compile_fun` is a thin wrapper over
 :func:`repro.runtime.compile_cached` (the persistent program cache of
 :mod:`repro.runtime`: repeat compiles of structurally identical
-functions are O(lookup)), which itself drives
-:mod:`repro.pipeline`: the flags (or a named ``pipeline=`` preset --
-``unopt``, ``sc``, ``sc+fuse``, ``full``) select an ordered pass list
-(:func:`repro.pipeline.build_pipeline`), and a
-:class:`~repro.pipeline.PassManager` runs it over a shared
+functions are O(lookup)), which itself drives :mod:`repro.pipeline`: a
+named ``pipeline=`` preset (``unopt``, ``sc``, ``sc+fuse``, ``full``,
+``nosc``, ``nofuse`` -- :mod:`repro.pipeline.presets` is the one place
+that knows which passes each schedules) selects an ordered pass list,
+and a :class:`~repro.pipeline.PassManager` runs it over a shared
 :class:`~repro.pipeline.CompileContext` (pooled Prover/NonOverlapChecker
 memos, derived-analysis validity ledger).  Every pass occurrence is
 individually timed under a unique stage key, and the whole run is
@@ -70,9 +70,11 @@ class CompiledFun:
     fun: A.Fun
     short_circuited: bool
     sc_stats: Optional[ShortCircuitStats]
-    #: What the memory-reuse coalescer did (None when reuse=False).
+    #: What the memory-reuse coalescer did (None when the preset has no
+    #: reuse stage).
     reuse_stats: Optional["ReuseStats"] = None
-    #: What producer-consumer fusion did (None when fuse=False).
+    #: What producer-consumer fusion did (None when the preset has no
+    #: fuse stage).
     fuse_stats: Optional["FuseStats"] = None
     #: Unique stage key -> seconds; every pass occurrence gets its own
     #: key (``dead_allocs``, ``dead_allocs#2``, ...) so repeated passes
@@ -82,9 +84,8 @@ class CompiledFun:
     verify_reports: Dict[str, "Report"] = field(default_factory=dict)
     #: Full structured observability record of the pipeline run.
     trace: Optional["PipelineTrace"] = None
-    #: The preset this compilation corresponds to (``unopt``, ``sc``,
-    #: ``sc+fuse``, ``full``), or ``custom`` for other flag combinations.
-    pipeline: str = "custom"
+    #: The :data:`repro.pipeline.PRESETS` name this was compiled under.
+    pipeline: str = "full"
 
     @property
     def compile_seconds(self) -> float:
@@ -97,19 +98,16 @@ class CompiledFun:
 
 def compile_fun(
     fun: A.Fun,
-    short_circuit: bool = True,
+    pipeline: str = "full",
     enable_splitting: bool = True,
     typecheck: bool = True,
     verify: bool = False,
-    fuse: bool = True,
-    reuse: bool = True,
-    pipeline: Optional[str] = None,
     cache=None,
 ) -> CompiledFun:
     """Compile a source function (which is not mutated), cached.
 
     A thin wrapper over :func:`repro.runtime.compile_cached`: the
-    compilation is keyed by (program hash, resolved pipeline,
+    compilation is keyed by (program hash, pipeline preset,
     symbolic-shape class, assumptions, options) and repeat compiles of a
     structurally identical function return the memoized ``CompiledFun``
     in O(lookup).  ``cache=None`` follows the ``REPRO_PROGCACHE``
@@ -117,76 +115,56 @@ def compile_fun(
     compile; ``cache="disk"`` adds the persistent layer under
     ``benchmarks/results/.progcache/``.
 
-    ``pipeline`` selects a named preset (``unopt``, ``sc``, ``sc+fuse``,
-    ``full``) and overrides the ``short_circuit``/``fuse``/``reuse``
-    flags; without it the flags pick the pass list directly (defaults ==
-    the ``full`` preset).
+    ``pipeline`` names a preset of :data:`repro.pipeline.PRESETS`; the
+    ablations are presets too (``nosc``: no short-circuiting, ``nofuse``:
+    no fusion, ``sc+fuse``: no reuse).
 
     ``verify=True`` runs the :mod:`repro.analysis` verifier after each
     memory-transforming stage and raises
     :class:`~repro.analysis.VerificationError` on the first stage whose
     output has errors, identifying the pass that broke the program.
-
-    ``fuse=False`` disables producer-consumer fusion -- the ablation
-    path: the traffic gate compares fused and unfused runs and requires
-    bit-identical outputs with strictly less traffic.
-
-    ``reuse=False`` disables allocation coalescing and the ``mem_frees``
-    lifetime annotations; the differential tests compare against it to
-    pin that reuse never changes outputs or traffic.
     """
     from repro.runtime import compile_cached
 
     return compile_cached(
         fun,
-        short_circuit=short_circuit,
+        pipeline=pipeline,
         enable_splitting=enable_splitting,
         typecheck=typecheck,
         verify=verify,
-        fuse=fuse,
-        reuse=reuse,
-        pipeline=pipeline,
         cache=cache,
     )
 
 
 def _compile_uncached(
     fun: A.Fun,
-    short_circuit: bool,
+    pipeline: str,
     enable_splitting: bool,
     typecheck: bool,
     verify: bool,
-    fuse: bool,
-    reuse: bool,
-    label: str,
 ) -> CompiledFun:
-    """One full pipeline run (no cache): the cold-compile primitive.
+    """One full pipeline run (no cache): the cold-compile primitive."""
+    from repro.pipeline import (
+        PRESETS,
+        CompileContext,
+        PassManager,
+        preset_pipeline,
+    )
 
-    Flags arrive already resolved against any preset (see
-    :func:`repro.runtime.program._resolve_flags`); ``label`` is the
-    preset name or ``custom``.
-    """
-    from repro.pipeline import CompileContext, PassManager, build_pipeline
-
+    passes = preset_pipeline(pipeline, typecheck=typecheck)
     ctx = CompileContext(
         source=fun, verify=verify, enable_splitting=enable_splitting
     )
-    passes = build_pipeline(
-        short_circuit=short_circuit,
-        fuse=fuse,
-        reuse=reuse,
-        typecheck=typecheck,
-    )
-    trace = PassManager(passes, name=label).run(ctx)
+    trace = PassManager(passes, name=pipeline).run(ctx)
     assert ctx.mfun is not None
     return CompiledFun(
         ctx.mfun,
-        short_circuit,
+        "short_circuit" in PRESETS[pipeline],
         ctx.sc_stats,
         reuse_stats=ctx.reuse_stats,
         fuse_stats=ctx.fuse_stats,
         stage_seconds=trace.stage_seconds(),
         verify_reports=ctx.verify_reports,
         trace=trace,
-        pipeline=label,
+        pipeline=pipeline,
     )

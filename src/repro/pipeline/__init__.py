@@ -14,10 +14,11 @@ explicit architecture (DESIGN.md section 10):
   memory IR under construction, the validity ledger, and the pooled
   Prover/NonOverlapChecker memos every pass shares
   (:class:`repro.lmad.ProverPool`);
-* :mod:`~repro.pipeline.presets` -- named pipelines reproducing the
-  paper's configurations: ``unopt``, ``sc``, ``sc+fuse``, ``full``.
+* :mod:`~repro.pipeline.presets` -- the named pipelines (``unopt``,
+  ``sc``, ``sc+fuse``, ``full``, ``nosc``, ``nofuse``) and the one
+  constructor of a pass list, :func:`preset_pipeline`.
 
-``repro.compiler.compile_fun`` is now a thin, kwarg-compatible wrapper
+``repro.compiler.compile_fun(fun, pipeline=<preset>)`` is a thin wrapper
 over these pieces.
 """
 
@@ -37,8 +38,6 @@ from repro.pipeline.passes import (
 )
 from repro.pipeline.presets import (
     PRESETS,
-    build_pipeline,
-    preset_for_flags,
     preset_pass_names,
     preset_pipeline,
 )
@@ -62,8 +61,6 @@ __all__ = [
     "ShortCircuitPass",
     "TypecheckPass",
     "PRESETS",
-    "build_pipeline",
     "preset_pipeline",
     "preset_pass_names",
-    "preset_for_flags",
 ]

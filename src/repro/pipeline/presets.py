@@ -1,25 +1,27 @@
-"""Named pipeline presets reproducing the paper's configurations.
+"""Named pipeline presets: the one place that knows which passes make a
+pipeline.
 
-========== =============================================================
-``unopt``  the paper's "Unopt. Futhark" baseline: memory introduction,
-           hoisting and last-use analysis only
-``sc``     + array short-circuiting (paper section V)
+=========== ============================================================
+``unopt``   the paper's "Unopt. Futhark" baseline: memory introduction,
+            hoisting and last-use analysis only
+``sc``      + array short-circuiting (paper section V)
 ``sc+fuse`` + producer-consumer kernel fusion
-``full``   + memory reuse (allocation coalescing and ``mem_frees``
-           lifetime annotations) -- identical to ``compile_fun``'s
-           defaults
-========== =============================================================
+``full``    + memory reuse (allocation coalescing and ``mem_frees``
+            lifetime annotations) -- ``compile_fun``'s default
+``nosc``    ``full`` without short-circuiting: the "without" column of
+            the paper's tables (``repro.bench.harness.compile_both``)
+``nofuse``  ``full`` without fusion: the unfused leg of the traffic gate
+=========== ============================================================
 
-:func:`build_pipeline` constructs the ordered pass list for any flag
-combination (the eight ``compile_fun`` kwarg combinations are a superset
-of the four presets); :func:`preset_pipeline` instantiates a preset by
-name and :func:`preset_pass_names` exposes the expected schedule for
-tests and ``--explain``.
+:func:`preset_pipeline` is the one constructor of a pass list;
+:func:`preset_pass_names` exposes the expected schedule for tests and
+``--explain``.  A combination no preset names is built from the pass
+classes and handed to :class:`~repro.pipeline.PassManager` directly.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List, Tuple
 
 from repro.pipeline.context import CompileContext
 from repro.pipeline.passes import (
@@ -34,12 +36,14 @@ from repro.pipeline.passes import (
     TypecheckPass,
 )
 
-#: Preset name -> the ``compile_fun`` flag combination it stands for.
-PRESETS: Dict[str, Dict[str, bool]] = {
-    "unopt": {"short_circuit": False, "fuse": False, "reuse": False},
-    "sc": {"short_circuit": True, "fuse": False, "reuse": False},
-    "sc+fuse": {"short_circuit": True, "fuse": True, "reuse": False},
-    "full": {"short_circuit": True, "fuse": True, "reuse": True},
+#: Preset name -> the optional stages it schedules, in pipeline order.
+PRESETS: Dict[str, Tuple[str, ...]] = {
+    "unopt": (),
+    "sc": ("short_circuit",),
+    "sc+fuse": ("short_circuit", "fuse"),
+    "full": ("short_circuit", "fuse", "reuse"),
+    "nosc": ("fuse", "reuse"),
+    "nofuse": ("short_circuit", "reuse"),
 }
 
 
@@ -53,13 +57,8 @@ def _reuse_merged(ctx: CompileContext) -> bool:
     return st is not None and bool(st.mapping)
 
 
-def build_pipeline(
-    short_circuit: bool = True,
-    fuse: bool = True,
-    reuse: bool = True,
-    typecheck: bool = True,
-) -> List[Pass]:
-    """The ordered pass list for one flag combination.
+def preset_pipeline(name: str, typecheck: bool = True) -> List[Pass]:
+    """Instantiate the ordered pass list of a named preset.
 
     Verify checkpoints carry the labels ``compile_fun(verify=True)`` has
     always produced (``introduce_memory``, ``hoist+last_use``,
@@ -67,50 +66,34 @@ def build_pipeline(
     after fusion and reuse are gated on those passes having changed
     anything, exactly like the historical inline pipeline.
     """
+    try:
+        stages = PRESETS[name]
+    except KeyError:
+        raise KeyError(
+            f"unknown pipeline preset {name!r} "
+            f"(available: {', '.join(PRESETS)})"
+        ) from None
     pipe: List[Pass] = []
     if typecheck:
         pipe.append(TypecheckPass())
     pipe.append(IntroduceMemoryPass(verify_label="introduce_memory"))
     pipe.append(HoistPass())
     pipe.append(AnalysisPass("last_use", verify_label="hoist+last_use"))
-    if short_circuit:
+    if "short_circuit" in stages:
         pipe.append(ShortCircuitPass())
         pipe.append(DeadAllocsPass(verify_label="short_circuit"))
-    if fuse:
+    if "fuse" in stages:
         pipe.append(FusePass())
         pipe.append(
             DeadAllocsPass(verify_label="fuse", condition=_fuse_committed)
         )
-    if reuse:
+    if "reuse" in stages:
         pipe.append(ReusePass())
         pipe.append(DeadAllocsPass(condition=_reuse_merged))
         pipe.append(AnalysisPass("mem_frees", verify_label="reuse"))
     return pipe
 
 
-def preset_pipeline(name: str, typecheck: bool = True) -> List[Pass]:
-    """Instantiate the pass list of a named preset."""
-    try:
-        flags = PRESETS[name]
-    except KeyError:
-        raise KeyError(
-            f"unknown pipeline preset {name!r} "
-            f"(available: {', '.join(PRESETS)})"
-        ) from None
-    return build_pipeline(typecheck=typecheck, **flags)
-
-
 def preset_pass_names(name: str, typecheck: bool = True) -> List[str]:
     """The ordered pass/analysis names a preset schedules."""
     return [p.name for p in preset_pipeline(name, typecheck=typecheck)]
-
-
-def preset_for_flags(
-    short_circuit: bool, fuse: bool, reuse: bool
-) -> Optional[str]:
-    """The preset name matching a flag combination, if any."""
-    flags = {"short_circuit": short_circuit, "fuse": fuse, "reuse": reuse}
-    for name, preset in PRESETS.items():
-        if preset == flags:
-            return name
-    return None

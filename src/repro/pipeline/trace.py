@@ -95,7 +95,7 @@ class PassRecord:
 class PipelineTrace:
     """Everything one :class:`~repro.pipeline.PassManager` run observed."""
 
-    pipeline: str  # preset name, or "custom"
+    pipeline: str  # preset name, or a hand-built PassManager's own
     fun_name: str = ""
     records: List[PassRecord] = field(default_factory=list)
 

@@ -14,9 +14,9 @@ immutable artifact; this package makes producing it *rare* and running it
 * :class:`BufferPool` / :class:`PoolLease` (:mod:`~repro.runtime.pool`)
   -- pooled, zero-filled-on-demand buffers handed to the executor
   instead of per-call ``np.zeros``, with thread-safe per-run leases;
-* :mod:`~repro.runtime.serve` -- the worker-pool serving harness behind
-  ``python -m repro.serve`` (throughput, p50/p99 latency, warm-vs-cold
-  amortization, pool hit rate).
+* :mod:`~repro.runtime.serve` -- the worker-pool concurrency driver and
+  the pooled-vs-fresh identity check (no timings: serving speed is
+  perfbench's ``serve-mix`` workload).
 
 ``repro.compiler.compile_fun`` delegates here (:func:`compile_cached`),
 so every existing call site is cache-hitting without change.

@@ -7,8 +7,7 @@ amortization.  A compilation is identified by a :class:`CacheKey` of
 * the **program hash** -- SHA-256 of the pretty-printed source IR (name,
   params, body), which is a canonical rendering: two structurally
   identical ``Fun`` objects built independently hash equal;
-* the **pipeline** -- the preset label plus the resolved flag triple, so
-  ``sc+fuse`` and ``full`` never collide even if presets are re-labelled;
+* the **pipeline** -- the preset name (:data:`repro.pipeline.PRESETS`);
 * the **symbolic-shape class** -- the parameter type row (e.g.
   ``[n][n]f32, i64``); compiles are fully symbolic in shapes, so this is
   the granularity at which a compiled artifact is reusable;
@@ -53,7 +52,7 @@ if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
     from repro.ir import ast as A
 
 #: Bump to invalidate every on-disk entry (IR/pickle format changes).
-CACHE_VERSION = 1
+CACHE_VERSION = 2
 
 #: Package version baked into disk entries (a version bump invalidates).
 REPRO_VERSION = "0.1.0"
@@ -97,7 +96,7 @@ class CacheKey:
     """Identity of one compilation (see module docstring)."""
 
     source: str  # program hash (pretty-printed source IR)
-    pipeline: str  # preset label + resolved flag triple
+    pipeline: str  # preset name
     shapes: str  # symbolic-shape class
     assumptions: str  # dataset invariants, canonical text
     options: str  # enable_splitting / typecheck / verify
@@ -120,17 +119,14 @@ class CacheKey:
 
 def make_key(
     fun: "A.Fun",
-    label: str,
-    short_circuit: bool,
-    fuse: bool,
-    reuse: bool,
+    pipeline: str,
     enable_splitting: bool,
     typecheck: bool,
     verify: bool,
 ) -> CacheKey:
     return CacheKey(
         source=source_fingerprint(fun),
-        pipeline=f"{label}:sc={short_circuit},fuse={fuse},reuse={reuse}",
+        pipeline=pipeline,
         shapes=shape_class(fun),
         assumptions=assumptions_fingerprint(fun),
         options=(

@@ -68,43 +68,19 @@ from repro.runtime.pool import BufferPool
 from repro.runtime.tape import Tape, TapeRecorder, read_region, region_plan
 
 
-def _resolve_flags(
-    pipeline: Optional[str],
-    short_circuit: bool,
-    fuse: bool,
-    reuse: bool,
-) -> Tuple[bool, bool, bool, str]:
-    """Preset/flag resolution shared with :func:`repro.compiler.compile_fun`."""
-    from repro.pipeline import PRESETS, preset_for_flags
-
-    if pipeline is not None:
-        if pipeline not in PRESETS:
-            raise KeyError(
-                f"unknown pipeline preset {pipeline!r} "
-                f"(available: {', '.join(PRESETS)})"
-            )
-        flags = PRESETS[pipeline]
-        return flags["short_circuit"], flags["fuse"], flags["reuse"], pipeline
-    label = preset_for_flags(short_circuit, fuse, reuse) or "custom"
-    return short_circuit, fuse, reuse, label
-
-
 def compile_cached(
     fun: A.Fun,
-    short_circuit: bool = True,
+    pipeline: str = "full",
     enable_splitting: bool = True,
     typecheck: bool = True,
     verify: bool = False,
-    fuse: bool = True,
-    reuse: bool = True,
-    pipeline: Optional[str] = None,
     cache=None,
     _want_state: bool = False,
 ):
     """Cache-aware compilation returning a plain ``CompiledFun``.
 
     This is what :func:`repro.compiler.compile_fun` delegates to.  The
-    cache key includes the program hash, resolved pipeline, shape class,
+    cache key includes the program hash, pipeline preset, shape class,
     *and the function's assumptions* -- see :mod:`repro.runtime.cache`.
     ``cache=None`` follows the ``REPRO_PROGCACHE`` environment default
     (in-process memoization); ``cache=False`` forces a cold compile;
@@ -112,20 +88,13 @@ def compile_cached(
     """
     from repro.compiler import _compile_uncached
 
-    short_circuit, fuse, reuse, label = _resolve_flags(
-        pipeline, short_circuit, fuse, reuse
-    )
-
     def thunk():
         return _compile_uncached(
             fun,
-            short_circuit=short_circuit,
+            pipeline=pipeline,
             enable_splitting=enable_splitting,
             typecheck=typecheck,
             verify=verify,
-            fuse=fuse,
-            reuse=reuse,
-            label=label,
         )
 
     mode = cache_mode(cache)
@@ -133,10 +102,7 @@ def compile_cached(
         compiled = thunk()
         state, cold_seconds = COLD, compiled.compile_seconds
     else:
-        key = make_key(
-            fun, label, short_circuit, fuse, reuse,
-            enable_splitting, typecheck, verify,
-        )
+        key = make_key(fun, pipeline, enable_splitting, typecheck, verify)
         compiled, state, cold_seconds = program_cache().get_or_compile(
             key, thunk, disk=(mode == "disk")
         )
@@ -485,26 +451,20 @@ class Program:
 
 def compile(
     fun: A.Fun,
-    pipeline: Optional[str] = None,
-    short_circuit: bool = True,
+    pipeline: str = "full",
     enable_splitting: bool = True,
     typecheck: bool = True,
     verify: bool = False,
-    fuse: bool = True,
-    reuse: bool = True,
     cache=None,
     memoize: bool = True,
 ) -> Program:
     """Compile (or fetch from cache) and wrap into a :class:`Program`."""
     compiled, state, cold_seconds = compile_cached(
         fun,
-        short_circuit=short_circuit,
+        pipeline=pipeline,
         enable_splitting=enable_splitting,
         typecheck=typecheck,
         verify=verify,
-        fuse=fuse,
-        reuse=reuse,
-        pipeline=pipeline,
         cache=cache,
         _want_state=True,
     )

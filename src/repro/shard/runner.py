@@ -82,9 +82,7 @@ class _Runner:
     def __init__(self, device: Device):
         self.device = device
         self.cm = CostModel(device)
-        self.halo_prog = compile_fun(
-            build_halo_copy(), short_circuit=True, fuse=True
-        )
+        self.halo_prog = compile_fun(build_halo_copy())
         self.halo_bytes = 0
         self.halo_exchanges = 0
         self.sim_time_s = 0.0
@@ -183,7 +181,7 @@ def _run_hotspot(args: Sequence[int], devices: int, device: Device) -> ShardResu
     T, P = inp["T"], inp["P"]
 
     rn = _Runner(device)
-    prog = compile_fun(module.build_rect(), short_circuit=True, fuse=True)
+    prog = compile_fun(module.build_rect())
 
     slabs, pslabs = [], []
     for d in range(devices):
@@ -240,7 +238,7 @@ def _run_lbm(args: Sequence[int], devices: int, device: Device) -> ShardResult:
     f = inp["f"].reshape(nv, nv * 9)  # row-major cell rows
 
     rn = _Runner(device)
-    prog = compile_fun(module.build_rect(), short_circuit=True, fuse=True)
+    prog = compile_fun(module.build_rect())
 
     slabs = []
     for d in range(devices):
@@ -295,7 +293,7 @@ def _run_nw(args: Sequence[int], devices: int, device: Device) -> ShardResult:
     A = module.make_input(nv).reshape(nv, nv)
 
     rn = _Runner(device)
-    prog = compile_fun(module.build_rect(), short_circuit=True, fuse=True)
+    prog = compile_fun(module.build_rect())
 
     # Device d's slab: its qc*b matrix columns plus the ghost column on
     # the left (global column d*qc*b, device 0's being the real col 0).

@@ -36,7 +36,7 @@ def simple_fun() -> A.Fun:
 
 @pytest.fixture
 def compiled_simple() -> A.Fun:
-    return compile_fun(simple_fun(), short_circuit=False).fun
+    return compile_fun(simple_fun(), pipeline="nosc").fun
 
 
 def find_stmt(fun: A.Fun, pred) -> A.Let:

@@ -30,7 +30,7 @@ def test_pristine_spaces_are_clean(compiled_simple):
 def test_legal_rehoming_is_clean():
     """assign_space moves the Alloc *and* every binding, which is the
     coherent way to re-home a block: no rule may fire."""
-    fun = compile_fun(simple_fun(), short_circuit=False).fun
+    fun = compile_fun(simple_fun(), pipeline="nosc").fun
     stmt = _alloc_stmt(fun)
     assert assign_space(fun, stmt.pattern[0].name, "scratch") >= 1
     report = verify_fun(fun)
@@ -40,7 +40,7 @@ def test_legal_rehoming_is_clean():
 def test_ms01_scratch_overflow_is_rejected():
     """A concrete allocation bigger than the scratchpad is a proven
     capacity violation."""
-    fun = compile_fun(simple_fun(), short_circuit=False).fun
+    fun = compile_fun(simple_fun(), pipeline="nosc").fun
     stmt = _alloc_stmt(fun)
     assign_space(fun, stmt.pattern[0].name, "scratch")
     too_big = SPACES["scratch"].capacity // 4 + 1  # f32 elements
@@ -56,7 +56,7 @@ def test_ms01_scratch_overflow_is_rejected():
 def test_ms01_symbolic_sizes_are_skipped():
     """Capacity claims about symbolic sizes are not decidable here: a
     scratch block of n elements passes even though n could be huge."""
-    fun = compile_fun(simple_fun(), short_circuit=False).fun
+    fun = compile_fun(simple_fun(), pipeline="nosc").fun
     stmt = _alloc_stmt(fun)
     assign_space(fun, stmt.pattern[0].name, "scratch")
     report = verify_fun(fun)
@@ -64,7 +64,7 @@ def test_ms01_symbolic_sizes_are_skipped():
 
 
 def test_ms01_unknown_space_name():
-    fun = compile_fun(simple_fun(), short_circuit=False).fun
+    fun = compile_fun(simple_fun(), pipeline="nosc").fun
     stmt = _alloc_stmt(fun)
     stmt.exp = A.Alloc(stmt.exp.size, stmt.exp.dtype, "l2")
     report = verify_fun(fun)

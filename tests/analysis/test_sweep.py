@@ -21,7 +21,7 @@ BENCHMARKS = sorted(all_benchmarks())
 @pytest.mark.parametrize("sc", [False, True], ids=["unopt", "opt"])
 def test_benchmark_verifies_clean(name, sc):
     fun = all_benchmarks()[name].build()
-    compiled = compile_fun(fun, short_circuit=sc).fun
+    compiled = compile_fun(fun, pipeline="full" if sc else "nosc").fun
     report = verify_fun(compiled, stage="opt" if sc else "unopt")
     assert report.ok(), report.render(show_notes=True)
     assert not report.diagnostics, report.render(show_notes=True)
@@ -67,7 +67,7 @@ def test_mutated_pass_is_caught(monkeypatch):
         for name in BENCHMARKS:
             fun = all_benchmarks()[name].build()
             broken_funs.append(
-                (name, compile_fun(fun, short_circuit=True).fun)
+                (name, compile_fun(fun).fun)
             )
     caught = []
     for name, fun in broken_funs:

@@ -199,7 +199,7 @@ def _consumed_map_fun() -> A.Fun:
 
 
 def test_f01_free_before_later_touch():
-    fun = compile_fun(_consumed_map_fun(), short_circuit=False).fun
+    fun = compile_fun(_consumed_map_fun(), pipeline="nosc").fun
     freeing = find_stmt(fun, lambda s: s.mem_frees)
     mem = freeing.mem_frees[0]
     freeing.mem_frees = ()
@@ -245,7 +245,7 @@ def test_verify_option_raises_on_broken_pass(monkeypatch):
 
     monkeypatch.setattr("repro.compiler.introduce_memory", sabotaged)
     try:
-        compile_fun(simple_fun(), short_circuit=False, verify=True)
+        compile_fun(simple_fun(), pipeline="nosc", verify=True)
     except VerificationError as e:
         assert e.stage == "introduce_memory"
         assert "WF01" in e.report.rules_fired()

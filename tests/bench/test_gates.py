@@ -34,18 +34,9 @@ HEALTHY = {
         "per_pass": {"short_circuit": {"structural": 18, "polyhedral": 2,
                                       "unknown": 1}},
     },
-    "serve": {
-        "dataset": [16, 16], "requests": 100, "workers": 4, "ok": True,
-        "warm_cold_ratio": 0.05, "warm_100_s": 0.5, "cold_100_s": 10.0,
-        "pool_hit_rate": 0.8, "throughput_rps": 200.0,
-    },
     "native": {
-        "dataset": [16, 16],
-        "native": {
-            "native_hit_rate": 0.5, "native_launches": 31,
-            "native_speedup": 4.0, "outputs_equal": True,
-            "stats_equal": True, "footprint_equal": True,
-        },
+        "dataset": [16, 16], "native_hit_rate": 0.5, "native_launches": 31,
+        "outputs_equal": True, "stats_equal": True, "footprint_equal": True,
     },
     "shard": {
         "benchmark": "hotspot", "dataset": [256, 3], "devices": 2,
@@ -71,11 +62,12 @@ REGRESSED = [
     ("prover", {}, {"unknown": 0},
      "PROVER TIER REGRESSION: decided 20 (baseline 20), unknown 1 "
      "(baseline 0)"),
-    ("serve", {}, {"pool_hit_rate": 0.9},
-     "SERVE POOL REGRESSION: hit rate 0.80 below baseline 0.90"),
-    ("serve", {"warm_cold_ratio": 0.3}, {},
-     "SERVE AMORTIZATION REGRESSION: warm/cold 0.300 >= 0.25 (100 warm "
-     "calls 0.50s vs 100 cold 10.00s)"),
+    ("native", {"outputs_equal": False}, {},
+     "NATIVE DIFFERENTIAL FAILED: {'dataset': [16, 16], 'native_hit_rate': "
+     "0.5, 'native_launches': 31, 'outputs_equal': False, 'stats_equal': "
+     "True, 'footprint_equal': True}"),
+    ("native", {"native_hit_rate": 0.25}, {},
+     "NATIVE COVERAGE REGRESSION: hit rate 0.25 below baseline 0.50"),
     ("native", {}, {"native_hit_rate": 1.0},
      "NATIVE COVERAGE REGRESSION: hit rate 0.50 below baseline 1.00"),
     ("shard", {}, {"efficiency": 0.5},
@@ -101,6 +93,10 @@ def test_gate_passes_its_own_row_and_a_missing_baseline(name):
     assert gate.check(measured, None) == []
     # What is recorded survives the baseline file's JSON round trip.
     assert json.loads(json.dumps(row)) == row
+    # Baselines are exact: integer counts, and two ratios of such counts
+    # (no wall clock anywhere).
+    floats = {(name, k) for k, v in row.items() if isinstance(v, float)}
+    assert floats <= {("shard", "efficiency"), ("native", "native_hit_rate")}
 
 
 @pytest.mark.parametrize(
@@ -118,17 +114,11 @@ def test_gate_reports_its_historical_message(
 
 
 def test_native_gate_reports_differential_before_coverage():
-    engine = {
-        "dataset": [16, 16],
-        "native": {**HEALTHY["native"]["native"], "stats_equal": False},
-    }
-    msgs = GATES["native"].check(engine, {"native_hit_rate": 1.0})
+    native = {**HEALTHY["native"], "stats_equal": False}
+    msgs = GATES["native"].check(native, {"native_hit_rate": 1.0})
     assert [m.split(":")[0] for m in msgs] == [
         "NATIVE DIFFERENTIAL FAILED", "NATIVE COVERAGE REGRESSION",
     ]
-    # No C compiler: nothing measured, recorded or checked.
-    assert GATES["native"].check({"native": None}, {"native_hit_rate": 1.0}) == []
-    assert GATES["native"].row({"native": None}) is None
 
 
 def test_write_baseline_round_trip(tmp_path, monkeypatch, capsys):
@@ -150,20 +140,48 @@ def test_write_baseline_round_trip(tmp_path, monkeypatch, capsys):
     # Read back: the rows just written pass...
     assert main(argv) == 0
     assert capsys.readouterr().err == ""
-    # ...and a hand-regressed one fails with the gate's message and label.
+    # ...and hand-regressed ones fail with their gate's message, and the
+    # run closes with every failed label, not just the first.
     path = tmp_path / GATES["traffic"].path
     rows = json.loads(path.read_text())
     rows["hotspot"]["opt_traffic_bytes"] -= 1
     path.write_text(json.dumps(rows))
+    prover_path = tmp_path / GATES["prover"].path
+    tiers = json.loads(prover_path.read_text())
+    tiers["hotspot"]["structural"] += 1
+    prover_path.write_text(json.dumps(tiers))
     assert main(argv) == 1
     err = capsys.readouterr().err.splitlines()
     assert err[0].startswith("TRAFFIC REGRESSION: ")
     assert err[0].endswith(f"exceeds baseline {rows['hotspot']['opt_traffic_bytes']:,}")
-    assert err[-1] == "TRAFFIC REGRESSION: hotspot"
+    assert err[1].startswith("PROVER TIER REGRESSION: decided ")
+    assert err[2:] == [
+        "TRAFFIC REGRESSION: hotspot", "PROVER TIER REGRESSION: hotspot",
+    ]
+
+
+def test_unmeasured_gate_leaves_its_baseline_alone(tmp_path, monkeypatch, capsys):
+    """Without a C compiler the native gate measures nothing; writing it
+    must not replace the recorded table with an empty one."""
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr("repro.backend.maybe_engine", lambda **kw: None)
+    path = tmp_path / GATES["native"].path
+    path.parent.mkdir(parents=True)
+    recorded = json.dumps({"hotspot": GATES["native"].row(HEALTHY["native"])})
+    path.write_text(recorded)
+    argv = ["hotspot", "--quick", "--no-validate", "--write-baseline", "native"]
+    assert main(argv) == 0
+    assert path.read_text() == recorded
+    captured = capsys.readouterr()
+    assert f"wrote {GATES['native'].path}" not in captured.out
+    assert captured.err == (
+        f"{GATES['native'].path} left alone: the native gate took no "
+        "measurement (no C compiler)\n"
+    )
 
 
 def test_old_write_flags_are_gone():
-    for old in ("footprint", "traffic", "prover", "serve", "native", "shard"):
+    for old in ("footprint", "traffic", "prover", "native", "shard"):
         with pytest.raises(SystemExit) as exc:
             main(["--list", f"--write-{old}-baseline"])
         assert exc.value.code == 2

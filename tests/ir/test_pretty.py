@@ -42,7 +42,7 @@ def test_annotations_and_last_uses_render():
     c = b.copy(x, name="c")
     b.returns(c)
     fun = b.build()
-    compiled = compile_fun(fun, short_circuit=False)
+    compiled = compile_fun(fun, pipeline="nosc")
     analyze_last_uses(compiled.fun)
     text = pretty_fun(compiled.fun)
     assert "alloc" in text

@@ -35,7 +35,7 @@ MAX_POINTS = 512
 
 def _benchmark_ixfns(name):
     """Every index function installed on the optimized kernel's bindings."""
-    fun = compile_fun(BENCHMARKS[name].build(), short_circuit=True).fun
+    fun = compile_fun(BENCHMARKS[name].build()).fun
     seen = set()
     for stmt in iter_stmts(fun.body):
         for pe in stmt.pattern:

@@ -58,7 +58,7 @@ def test_dry_debug_runs_bounds_only():
 def test_dry_debug_negative_offset_is_out_of_bounds():
     # The analytic bounds check works at paper-scale extents where real
     # shadow memory would be prohibitive.
-    fun = compile_fun(_double_map(), short_circuit=False).fun
+    fun = compile_fun(_double_map(), pipeline="nosc").fun
     pe = _map_pat(fun)
     b = binding_of(pe)
     pe.mem = MemBinding(b.mem, IndexFn((lmad(-1, [(SymExpr.var("n"), 1)]),)))
@@ -68,7 +68,7 @@ def test_dry_debug_negative_offset_is_out_of_bounds():
 
 
 def test_dry_debug_offset_past_end_is_out_of_bounds():
-    fun = compile_fun(_double_map(), short_circuit=False).fun
+    fun = compile_fun(_double_map(), pipeline="nosc").fun
     pe = _map_pat(fun)
     b = binding_of(pe)
     pe.mem = MemBinding(b.mem, IndexFn((lmad(1, [(SymExpr.var("n"), 1)]),)))
@@ -81,7 +81,7 @@ def test_dry_debug_copy_region_checked():
     x = b.param("x", f32(n))
     c = b.copy(x)
     b.returns(c)
-    fun = compile_fun(b.build(), short_circuit=False).fun
+    fun = compile_fun(b.build(), pipeline="nosc").fun
     for stmt in iter_stmts(fun.body):
         if isinstance(stmt.exp, A.Copy):
             pe = stmt.pattern[0]
@@ -98,7 +98,7 @@ def test_dry_debug_copy_region_checked():
 
 def test_negative_offset_is_out_of_bounds():
     # NumPy silently wraps buf[-1]; the shadow memory must not.
-    fun = compile_fun(_double_map(), short_circuit=False).fun
+    fun = compile_fun(_double_map(), pipeline="nosc").fun
     pe = _map_pat(fun)
     b = binding_of(pe)
     pe.mem = MemBinding(b.mem, IndexFn((lmad(-1, [(SymExpr.var("n"), 1)]),)))
@@ -111,7 +111,7 @@ def test_negative_offset_is_out_of_bounds():
 
 
 def test_offset_past_end_is_out_of_bounds():
-    fun = compile_fun(_double_map(), short_circuit=False).fun
+    fun = compile_fun(_double_map(), pipeline="nosc").fun
     pe = _map_pat(fun)
     b = binding_of(pe)
     pe.mem = MemBinding(b.mem, IndexFn((lmad(1, [(SymExpr.var("n"), 1)]),)))
@@ -125,7 +125,7 @@ def test_scratch_read_is_uninitialized():
     s = b.scratch("f32", [n])
     v = b.index(s, [0])
     b.returns(v)
-    fun = compile_fun(b.build(), short_circuit=False).fun
+    fun = compile_fun(b.build(), pipeline="nosc").fun
     x = np.arange(4, dtype=np.float32)
     MemExecutor(fun).run(x=x.copy())  # deterministic zeros without debug
     with pytest.raises(UninitializedReadError):
@@ -141,7 +141,7 @@ def test_copy_propagates_poison_instead_of_raising():
     c = b.copy(s)
     v = b.index(c, [0])
     b.returns(v)
-    fun = compile_fun(b.build(), short_circuit=False).fun
+    fun = compile_fun(b.build(), pipeline="nosc").fun
     with pytest.raises(UninitializedReadError):
         MemExecutor(fun, debug=True).run(x=np.arange(4, dtype=np.float32))
 

@@ -187,8 +187,10 @@ class TestBenchJson:
         assert payload["quick"] is True
         entry = payload["benchmarks"]["nn"]
         assert entry["validated"] is True
-        engine = entry["engine"]
-        assert engine["outputs_equal"] and engine["stats_equal"]
-        assert engine["vec_hit_rate"] > 0
-        assert engine["speedup"] > 1.0
+        # The report carries no stopwatch sections (perfbench is the clock).
+        assert not {"engine", "serve", "table_wall_s"} & set(entry)
+        native = entry["native"]  # None without a C compiler
+        if native is not None:
+            assert native["outputs_equal"] and native["stats_equal"]
+            assert native["footprint_equal"]
         assert entry["rows"], "simulated table rows missing"

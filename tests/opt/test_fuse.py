@@ -1,7 +1,7 @@
 """Producer-consumer fusion: semantics, accounting, and rejection paths.
 
 The positive tests run a fixed corpus of randomly generated two-stage map
-pipelines (see conftest) through both the fused and the ``fuse=False``
+pipelines (see conftest) through both the fused and the ``nofuse``
 ablation pipeline and require *bit-identical* outputs on both executor
 tiers -- fusion changes where the intermediate lives, never a single
 floating-point operation -- plus a strict simulated-traffic decrease.
@@ -17,7 +17,7 @@ import pytest
 
 from repro.compiler import compile_fun
 from repro.ir import FunBuilder, f32
-from repro.mem.codegen import generate_code
+from repro.ir.pretty import pretty_fun
 from repro.mem.exec import MemExecutor
 from repro.symbolic import Var
 
@@ -61,7 +61,7 @@ def test_fusion_preserves_outputs_on_random_pipelines(seed, gen_pipeline):
     xs = rng.randn(N).astype(np.float32)
 
     fused = compile_fun(fun, verify=True)
-    unfused = compile_fun(fun, fuse=False)
+    unfused = compile_fun(fun, pipeline="nofuse")
     assert fused.fuse_stats.committed == 1, fused.fuse_stats.summary()
     assert all(r.ok for r in fused.verify_reports.values())
 
@@ -96,7 +96,7 @@ def test_mapnest_fusion_preserves_outputs_on_random_dags(
     xs = rng.randn(N * N).astype(np.float32)
 
     fused = compile_fun(fun, verify=True)
-    unfused = compile_fun(fun, fuse=False)
+    unfused = compile_fun(fun, pipeline="nofuse")
     assert fused.fuse_stats.committed == 1, fused.fuse_stats.summary()
     assert fused.fuse_stats.duplicated == n_outs - 1
     assert all(r.ok for r in fused.verify_reports.values())
@@ -139,10 +139,14 @@ def test_fused_accounting_is_tier_and_mode_identical():
     assert st_i.signature() == st_v.signature() == st_d.signature()
 
 
-def test_codegen_marks_fused_kernel():
-    code = generate_code(compile_fun(_simple_pipeline()).fun)
-    assert "fused producer" in code
-    assert code.count("__global__") == 1
+def test_fused_memory_ir_is_a_single_kernel():
+    text = pretty_fun(compile_fun(_simple_pipeline()).fun)
+    # One map and one allocation are left, and the producer's body (the
+    # square) sits inside the consumer's.
+    assert text.count("map (") == 1 and text.count("alloc (") == 1
+    assert "t_1__f1 * t_1__f1" in text
+    unfused = pretty_fun(compile_fun(_simple_pipeline(), pipeline="nofuse").fun)
+    assert unfused.count("map (") == 2 and unfused.count("alloc (") == 2
 
 
 # ----------------------------------------------------------------------

@@ -98,7 +98,7 @@ def test_chain_fusion_stacks_records_with_depths():
 def test_chain_fusion_outputs_and_accounting():
     fun = _chain_fun()
     fused = compile_fun(fun)
-    unfused = compile_fun(fun, fuse=False)
+    unfused = compile_fun(fun, pipeline="nofuse")
     xs = np.arange(N, dtype=np.float32)
 
     outs = []

@@ -79,7 +79,7 @@ def test_optimized_pipeline_preserves_semantics(fun, seed):
     x = rng.randn(N).astype(np.float32)
     (expected,) = run_fun(fun, n=N, x=x.copy())
     for sc in (False, True):
-        compiled = compile_fun(fun, short_circuit=sc)
+        compiled = compile_fun(fun, pipeline="full" if sc else "nosc")
         ex = MemExecutor(compiled.fun)
         vals, _ = ex.run(n=N, x=x.copy())
         got = ex.mem[vals[0].mem][vals[0].ixfn.gather_offsets({})]
@@ -93,7 +93,7 @@ def test_optimized_pipeline_preserves_semantics(fun, seed):
 @given(programs())
 def test_dry_run_traffic_matches_real(fun):
     """Dry-mode accounting must equal real-mode accounting exactly."""
-    compiled = compile_fun(fun, short_circuit=True)
+    compiled = compile_fun(fun)
     x = np.ones(N, dtype=np.float32)
     _, real = MemExecutor(compiled.fun).run(n=N, x=x)
     _, dry = MemExecutor(compiled.fun, mode="dry").run(n=N)

@@ -24,7 +24,7 @@ def exec_and_compare(fun, **inputs):
     )
     results = {}
     for sc in (False, True):
-        c = compile_fun(fun, short_circuit=sc)
+        c = compile_fun(fun, pipeline="full" if sc else "nosc")
         ex = MemExecutor(c.fun)
         vals, stats = ex.run(
             **{k: (v.copy() if hasattr(v, "copy") else v) for k, v in inputs.items()}

@@ -71,7 +71,9 @@ def _check(fun, inputs, dry_inputs, expected):
 def test_random_spaces_two_stage(seed, gen_pipeline):
     rng = np.random.RandomState(seed)
     fun = gen_pipeline(rng)
-    compiled = compile_fun(fun, short_circuit=bool(seed % 2), cache=False)
+    compiled = compile_fun(
+        fun, pipeline="full" if seed % 2 else "nosc", cache=False
+    )
     x = rng.randn(N).astype(np.float32)
     ex = MemExecutor(compiled.fun)
     vals, _ = ex.run(n=N, xs=x.copy())
@@ -86,7 +88,7 @@ def test_random_spaces_mapnest(seed, gen_mapnest_pipeline):
     rng = np.random.RandomState(100 + seed)
     fun = gen_mapnest_pipeline(rng)
     compiled = compile_fun(
-        fun, short_circuit=True, fuse=bool(seed % 2), cache=False
+        fun, pipeline="full" if seed % 2 else "nofuse", cache=False
     )
     x = rng.randn(N * N).astype(np.float32)
     ex = MemExecutor(compiled.fun)

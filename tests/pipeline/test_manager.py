@@ -71,7 +71,7 @@ class TestAnalysisLedger:
             ShortCircuitPass(),  # requires last_use -> forced re-run
         ]
         ctx = CompileContext(source=simple_fun())
-        trace = PassManager(passes, name="custom").run(ctx)
+        trace = PassManager(passes, name="scrambled").run(ctx)
         analyses = [r.key for r in trace.records if r.kind == KIND_ANALYSIS]
         assert analyses == ["last_use", "last_use#2"]
 
@@ -134,17 +134,13 @@ class TestCompileFunWrapper:
         assert by_default.pipeline == by_name.pipeline == "full"
         assert pretty_fun(by_default.fun) == pretty_fun(by_name.fun)
 
-    def test_flag_combinations_are_labelled(self):
-        c = compile_fun(simple_fun(), short_circuit=False, fuse=False,
-                        reuse=False)
-        assert c.pipeline == "unopt"
-        c = compile_fun(simple_fun(), short_circuit=False)
-        assert c.pipeline == "custom"
+    @pytest.mark.parametrize("flag", ["short_circuit", "fuse", "reuse"])
+    def test_a_preset_name_is_the_only_selector(self, flag):
+        import repro.runtime as rt
 
-    def test_preset_overrides_flags(self):
-        c = compile_fun(simple_fun(), short_circuit=False, pipeline="sc")
-        assert c.pipeline == "sc"
-        assert "short_circuit" in c.stage_seconds
+        for entry in (compile_fun, rt.compile_cached, rt.compile):
+            with pytest.raises(TypeError, match=flag):
+                entry(simple_fun(), **{flag: False})
 
     def test_manager_is_usable_directly(self):
         ctx = CompileContext(source=simple_fun())

@@ -1,8 +1,8 @@
 """Pipeline presets: every preset compiles every benchmark verifier-clean.
 
 This is the preset-level acceptance gate for the pass-manager refactor:
-``unopt``, ``sc``, ``sc+fuse`` and ``full`` must all (a) produce final IR
-that :func:`repro.analysis.verifier.verify_fun` accepts, (b) execute the
+all six presets must (a) produce final IR that
+:func:`repro.analysis.verifier.verify_fun` accepts, (b) execute the
 exact ordered pass list that :func:`repro.pipeline.preset_pass_names`
 advertises, and (c) emit a :class:`repro.pipeline.PipelineTrace` that
 survives a JSON round-trip.
@@ -18,7 +18,6 @@ from repro.bench.programs import all_benchmarks
 from repro.pipeline import (
     PRESETS,
     PipelineTrace,
-    preset_for_flags,
     preset_pass_names,
 )
 from repro.pipeline.trace import KIND_ANALYSIS, KIND_PASS
@@ -70,12 +69,32 @@ def test_trace_json_round_trip(preset):
     assert back.compile_seconds == trace.compile_seconds
 
 
-def test_preset_flags_round_trip():
-    assert preset_for_flags(True, True, True) == "full"
-    assert preset_for_flags(True, True, False) == "sc+fuse"
-    assert preset_for_flags(True, False, False) == "sc"
-    assert preset_for_flags(False, False, False) == "unopt"
-    assert preset_for_flags(False, True, True) is None
+#: preset -> the optional passes it schedules after ``last_use``.
+OPTIONAL = {
+    "unopt": [],
+    "sc": ["short_circuit", "dead_allocs"],
+    "sc+fuse": ["short_circuit", "dead_allocs", "fuse", "dead_allocs"],
+    "full": ["short_circuit", "dead_allocs", "fuse", "dead_allocs",
+             "reuse", "dead_allocs", "mem_frees"],
+    "nosc": ["fuse", "dead_allocs", "reuse", "dead_allocs", "mem_frees"],
+    "nofuse": ["short_circuit", "dead_allocs", "reuse", "dead_allocs",
+               "mem_frees"],
+}
+
+
+def test_the_six_presets_build_verify_and_schedule_their_passes():
+    assert list(PRESETS) == list(OPTIONAL)
+    common = ["typecheck", "introduce_memory", "hoist", "last_use"]
+    fun = BENCHMARKS["nn"].build()
+    for preset, optional in OPTIONAL.items():
+        assert preset_pass_names(preset) == common + optional
+        assert preset_pass_names(preset, typecheck=False) == (
+            common[1:] + optional
+        )
+        c = compile_fun(fun, pipeline=preset, verify=True)
+        assert c.verify_reports
+        assert all(r.ok() for r in c.verify_reports.values()), preset
+        assert c.short_circuited == ("short_circuit" in optional)
 
 
 def test_unknown_preset_is_an_error():

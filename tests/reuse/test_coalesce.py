@@ -14,6 +14,16 @@ from repro.compiler import compile_fun
 from repro.ir import ast as A
 from repro.mem.exec import MemExecutor
 from repro.mem.memir import array_bindings, iter_stmts
+from repro.pipeline import (
+    AnalysisPass,
+    CompileContext,
+    DeadAllocsPass,
+    FusePass,
+    HoistPass,
+    IntroduceMemoryPass,
+    PassManager,
+    TypecheckPass,
+)
 from repro.reuse.liveranges import LiveRanges
 
 from tests.reuse.conftest import double_buffer_loop, if_escape, m, n, two_stage
@@ -35,7 +45,7 @@ def _run_scalar(fun, **inputs):
 # Merge modes
 # ----------------------------------------------------------------------
 def test_equal_sizes_merge():
-    c = compile_fun(two_stage(n, n), short_circuit=False)
+    c = compile_fun(two_stage(n, n), pipeline="nosc")
     assert [r[2] for r in c.reuse_stats.records] == ["equal"]
     (cand, survivor), = c.reuse_stats.mapping.items()
     allocs = _allocs(c.fun)
@@ -53,7 +63,7 @@ def test_equal_sizes_merge():
 
 def test_smaller_candidate_fits():
     c = compile_fun(
-        two_stage(n, m, declare_sizes=("n", "m")), short_circuit=False
+        two_stage(n, m, declare_sizes=("n", "m")), pipeline="nosc"
     )
     assert [r[2] for r in c.reuse_stats.records] == ["fits"]
     assert c.reuse_stats.widened == 0
@@ -65,7 +75,7 @@ def test_smaller_candidate_fits():
 
 def test_larger_candidate_widens_survivor():
     c = compile_fun(
-        two_stage(m, n, declare_sizes=("n", "m")), short_circuit=False
+        two_stage(m, n, declare_sizes=("n", "m")), pipeline="nosc"
     )
     assert [r[2] for r in c.reuse_stats.records] == ["widened"]
     assert c.reuse_stats.widened == 1
@@ -82,14 +92,14 @@ def test_larger_candidate_widens_survivor():
 def test_unrelated_sizes_rejected():
     # No provable relation between n and m: the merge must be rejected
     # even though the lifetimes are disjoint.
-    c = compile_fun(two_stage(n, m), short_circuit=False)
+    c = compile_fun(two_stage(n, m), pipeline="nosc")
     assert not c.reuse_stats.mapping
     assert c.reuse_stats.rejected.get("size", 0) >= 1
 
 
 def test_reuse_passes_leave_program_verifiable():
     for fun in (two_stage(n, n), double_buffer_loop(), if_escape()):
-        report = verify_fun(compile_fun(fun, short_circuit=False).fun)
+        report = verify_fun(compile_fun(fun, pipeline="nosc").fun)
         assert report.ok(), report.render()
 
 
@@ -97,7 +107,7 @@ def test_reuse_passes_leave_program_verifiable():
 # Soundness boundaries
 # ----------------------------------------------------------------------
 def test_double_buffer_loop_not_merged_or_freed():
-    c = compile_fun(double_buffer_loop(), short_circuit=False)
+    c = compile_fun(double_buffer_loop(), pipeline="nosc")
     assert not c.reuse_stats.mapping
     # The per-iteration buffer escapes into the carried state ...
     ranges = LiveRanges(c.fun)
@@ -116,7 +126,7 @@ def test_double_buffer_loop_not_merged_or_freed():
 
 
 def test_if_escaping_aliases_not_merged_or_freed_in_branch():
-    c = compile_fun(if_escape(), short_circuit=False)
+    c = compile_fun(if_escape(), pipeline="nosc")
     assert not c.reuse_stats.mapping
     ranges = LiveRanges(c.fun)
     escaping = set().union(
@@ -136,15 +146,24 @@ def test_if_escaping_aliases_not_merged_or_freed_in_branch():
 
 
 # ----------------------------------------------------------------------
-# The reuse=False escape hatch
+# Without the reuse stage
 # ----------------------------------------------------------------------
 def test_reuse_off_is_pure_accounting():
-    on = compile_fun(two_stage(n, n), short_circuit=False)
-    off = compile_fun(two_stage(n, n), short_circuit=False, reuse=False)
-    assert off.reuse_stats is None
-    assert all(not s.mem_frees for s in iter_stmts(off.fun.body))
+    on = compile_fun(two_stage(n, n), pipeline="nosc")
+    # ``nosc`` minus reuse is no preset: build it from the pass classes.
+    ctx = CompileContext(source=two_stage(n, n))
+    PassManager(
+        [
+            TypecheckPass(), IntroduceMemoryPass(), HoistPass(),
+            AnalysisPass("last_use"), FusePass(), DeadAllocsPass(),
+        ],
+        name="fuse-only",
+    ).run(ctx)
+    off = ctx.mfun
+    assert ctx.reuse_stats is None
+    assert all(not s.mem_frees for s in iter_stmts(off.body))
     x = np.arange(5, dtype=np.float32)
     y = np.arange(5, dtype=np.float32) * 3
     a = _run_scalar(on.fun, x=x.copy(), y=y.copy(), n=5)
-    b = _run_scalar(off.fun, x=x.copy(), y=y.copy(), n=5)
+    b = _run_scalar(off, x=x.copy(), y=y.copy(), n=5)
     assert a == b

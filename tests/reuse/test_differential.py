@@ -32,10 +32,8 @@ def test_reuse_preserves_outputs_and_traffic(name):
     module = BENCHMARKS[name]
     args = module.TEST_DATASETS["small"]
     inp = module.inputs_for(*args)
-    fun_on = compile_fun(module.build(), short_circuit=True).fun
-    fun_off = compile_fun(
-        module.build(), short_circuit=True, reuse=False
-    ).fun
+    fun_on = compile_fun(module.build()).fun
+    fun_off = compile_fun(module.build(), pipeline="sc+fuse").fun
     for vectorize in (True, False):
         runs = []
         for fun in (fun_on, fun_off):

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from repro.bench.__main__ import PERF_DATASETS
-from repro.bench.harness import compile_both, measure_footprint
+from repro.bench.harness import measure_footprint
 from repro.bench.programs import all_benchmarks
 from repro.compiler import compile_fun
 from repro.mem.exec import MemExecutor
@@ -34,11 +34,10 @@ def _fresh(inp):
 def test_peak_agreement_across_tiers_and_estimator(name):
     module = BENCHMARKS[name]
     args = module.TEST_DATASETS["small"]
-    # The harness's paper-table pair (its "unopt" is not a preset: only
-    # short-circuiting is off) and all four presets.
-    variants = compile_both(module) + tuple(
+    # All six presets (the harness's paper-table pair is ``nosc``/``full``).
+    variants = [
         compile_fun(module.build(), pipeline=preset) for preset in PRESETS
-    )
+    ]
     for compiled in variants:
         inp = module.inputs_for(*args)
         ex_i = MemExecutor(compiled.fun, vectorize=False)
@@ -103,10 +102,10 @@ def test_frees_are_deletable_annotations():
     args = PERF_DATASETS["lud"]
     inp = module.inputs_for(*args)
 
-    annotated = compile_fun(module.build(), short_circuit=False)
+    annotated = compile_fun(module.build(), pipeline="nosc")
     # cache=False: this compile's IR is mutated below, and the program
     # cache would otherwise hand back the same (shared) CompiledFun.
-    stripped = compile_fun(module.build(), short_circuit=False, cache=False)
+    stripped = compile_fun(module.build(), pipeline="nosc", cache=False)
     for s in iter_stmts(stripped.fun.body):
         s.mem_frees = ()
 

@@ -14,7 +14,6 @@ from repro.runtime import (
     make_key,
     program_cache,
 )
-from repro.runtime.program import _resolve_flags
 from repro.symbolic import Var
 
 n = Var("n")
@@ -33,9 +32,8 @@ def simple_fun(assume_upper=None):
     return b.build()
 
 
-def _key(fun, label="full"):
-    sc, fu, re_, label = _resolve_flags(label, True, True, True)
-    return make_key(fun, label, sc, fu, re_, True, True, False)
+def _key(fun, pipeline="full"):
+    return make_key(fun, pipeline, True, True, False)
 
 
 class TestMemoryLayer:
@@ -99,15 +97,12 @@ class TestKeyAnatomy:
 
     def test_flags_differentiate(self):
         fun = simple_fun()
-        sc, fu, re_, label = _resolve_flags(None, True, True, False)
-        k1 = make_key(fun, label, sc, fu, re_, True, True, False)
-        k2 = _key(fun)
-        assert k1.digest() != k2.digest()
+        assert _key(fun, "sc+fuse").digest() != _key(fun).digest()
 
     def test_options_differentiate(self):
         fun = simple_fun()
-        k1 = make_key(fun, "full", True, True, True, True, True, False)
-        k2 = make_key(fun, "full", True, True, True, True, True, True)
+        k1 = make_key(fun, "full", True, True, False)
+        k2 = make_key(fun, "full", True, True, True)
         assert k1.digest() != k2.digest()
 
 

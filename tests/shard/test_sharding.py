@@ -30,7 +30,7 @@ def _original_output(name, args):
     from repro.bench.programs import all_benchmarks
 
     module = all_benchmarks()[name]
-    compiled = compile_fun(module.build(), short_circuit=True, fuse=True)
+    compiled = compile_fun(module.build())
     inp = module.inputs_for(*args)
     ex = MemExecutor(compiled.fun)
     vals, _ = ex.run(**inp)
@@ -40,7 +40,7 @@ def _original_output(name, args):
 def test_halo_copy_is_a_strided_copy():
     """The halo program scatters a strided gather: D[doff + k*dstr] =
     S[soff + k*sstr], leaving the rest of D untouched."""
-    compiled = compile_fun(build_halo_copy(), short_circuit=True, fuse=True)
+    compiled = compile_fun(build_halo_copy())
     rng = np.random.RandomState(0)
     S = rng.randn(40).astype(np.float32)
     D = rng.randn(50).astype(np.float32)

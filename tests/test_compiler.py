@@ -38,7 +38,7 @@ class TestPipeline:
         assert c.sc_seconds <= c.compile_seconds
 
     def test_unopt_has_no_sc_stage(self):
-        c = compile_fun(simple_fun(), short_circuit=False)
+        c = compile_fun(simple_fun(), pipeline="nosc")
         assert c.sc_stats is None
         assert "short_circuit" not in c.stage_seconds
 
