@@ -14,6 +14,7 @@ from repro.compiler import compile_fun
 from repro.gpu import A100, CostModel
 from repro.ir import FunBuilder, f32, run_fun
 from repro.mem.exec import MemExecutor
+from repro.runtime import materialize
 from repro.symbolic import Var
 
 ALPHA = 0.25
@@ -77,7 +78,7 @@ def main():
         sc = compiled.short_circuited
         ex = MemExecutor(compiled.fun)
         vals, stats = ex.run(n=nv, u=u.copy())
-        got = ex.mem[vals[0].mem][vals[0].ixfn.gather_offsets({})]
+        got = materialize(ex, vals[0])
         assert np.allclose(got, expected, atol=1e-4)
         label = "opt  " if sc else "unopt"
         extra = (

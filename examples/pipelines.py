@@ -9,8 +9,8 @@ shows what the pipeline layer gives you beyond the compiled function:
   timings, IR statement / allocation deltas and structured rejection
   diagnostics, JSON-serializable and renderable as a table (the same
   object ``python -m repro.bench --explain`` prints);
-* direct :class:`~repro.pipeline.PassManager` use with a hand-built pass
-  list, including the automatic re-run of an invalidated analysis;
+* direct :class:`~repro.pipeline.PassManager` use with a pass list
+  (here the ``sc`` preset's), run in exactly the order given;
 * the ``REPRO_PRINT_AFTER`` environment variable (try
   ``REPRO_PRINT_AFTER=short_circuit python examples/pipelines.py`` to
   dump the IR right after short-circuiting).
@@ -76,8 +76,8 @@ def main():
     print()
 
     # -- driving the manager by hand ----------------------------------
-    # A custom pipeline is just a pass list; the manager re-runs any
-    # analysis an earlier pass invalidated before a pass that needs it.
+    # A pipeline is just a pass list, analyses included; the manager
+    # runs it in the order given.
     ctx = CompileContext(source=fun, verify=False)
     trace = PassManager(preset_pipeline("sc"), name="sc").run(ctx)
     print(f"hand-run 'sc' pipeline: {len(trace.records)} records, "

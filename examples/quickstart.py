@@ -17,6 +17,7 @@ from repro.ir import FunBuilder, f32, run_fun
 from repro.ir.pretty import pretty_fun
 from repro.lmad import lmad
 from repro.mem.exec import MemExecutor
+from repro.runtime import materialize
 from repro.symbolic import Var
 
 
@@ -62,7 +63,7 @@ def main():
         short_circuit = compiled.short_circuited
         ex = MemExecutor(compiled.fun)
         vals, stats = ex.run(n=nv, A=A.copy())
-        got = ex.mem[vals[0].mem][vals[0].ixfn.gather_offsets({})]
+        got = materialize(ex, vals[0])
         assert np.allclose(got, expected), "pipelines must agree!"
         label = "with short-circuiting" if short_circuit else "baseline"
         print(f"--- {label} ---")

@@ -20,7 +20,7 @@ The seven paper benchmarks live in :mod:`repro.bench.programs`;
 """
 
 from repro.compiler import CompiledFun, compile_fun
-from repro.ir import FunBuilder, boolean, f32, f64, i64, run_fun
+from repro.ir import FunBuilder, f32, i64, run_fun
 from repro.ir.parser import parse_fun
 from repro.ir.pretty import pretty_fun
 from repro.pipeline import (
@@ -46,8 +46,6 @@ __all__ = [
     "parse_fun",
     "pretty_fun",
     "f32",
-    "f64",
     "i64",
-    "boolean",
     "__version__",
 ]

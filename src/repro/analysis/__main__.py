@@ -57,12 +57,6 @@ def main(argv=None) -> int:
                         metavar="PRESET",
                         help="pipeline preset(s) to verify "
                              f"({', '.join(PRESETS)}; default: all)")
-    parser.add_argument("--opt-only", action="store_true",
-                        help="only the fully optimized pipeline "
-                             "(alias for --pipeline full)")
-    parser.add_argument("--unopt-only", action="store_true",
-                        help="only the unoptimized pipeline "
-                             "(alias for --pipeline unopt)")
     parser.add_argument("-v", "--verbose", action="store_true",
                         help="also show NOTE-level findings")
     parser.add_argument("--overlap-audit", action="store_true",
@@ -86,10 +80,6 @@ def main(argv=None) -> int:
         parser.error("no programs given (try --all or --list)")
 
     presets: List[str] = args.pipeline or list(PRESETS)
-    if args.opt_only:
-        presets = ["full"]
-    if args.unopt_only:
-        presets = ["unopt"]
 
     failed = False
     for name in names:

@@ -293,23 +293,6 @@ class _Emitter:
         return self._scopes[-1]
 
     # -- argument slots -------------------------------------------------
-    def _host_launch_int(self, expr: SymExpr) -> str:
-        """A host-evaluable symbolic int as an ia[] argument expression."""
-        for v in expr.free_vars():
-            if v not in self.env:
-                raise Reject(f"free var {v!r} not launch-evaluable")
-        c = expr.as_int()
-        if c is not None:
-            return _c_int(c)
-        key = ("sym", expr)
-        slot = self._int_slots.get(key)
-        if slot is None:
-            slot = self._int_width
-            self._int_width += 1
-            self.int_dirs.append(("sym", expr))
-            self._int_slots[key] = slot
-        return f"ia[{slot}]"
-
     def _host_scalar(self, name: str) -> SVal:
         """A free host scalar as an argument-backed SVal."""
         if name not in self.env:

@@ -140,8 +140,6 @@ class NativeEngine:
 
     # ------------------------------------------------------------------
     def try_run_map(self, ex, stmt, exp, env, width, dests) -> bool:
-        if ex.shared_memory_model:
-            return False
         plan = self.plans.get(id(stmt))
         if plan is None:
             plan = self._emit(ex, stmt, exp, env, dests)

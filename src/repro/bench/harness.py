@@ -26,9 +26,10 @@ import numpy as np
 
 from repro.compiler import CompiledFun, compile_fun
 from repro.gpu import A100, MI100, CostModel, Device
-from repro.mem.exec import MemExecutor, RuntimeArray
+from repro.mem.exec import MemExecutor
 from repro.mem.stats import ExecStats
 from repro.reuse import estimate_peak
+from repro.runtime import materialize
 
 #: Scaled-down datasets for --quick runs (same code paths, small sizes).
 QUICK_DATASETS = {
@@ -123,12 +124,6 @@ def compile_both(module) -> Tuple[CompiledFun, CompiledFun]:
 def _fresh(inp: Dict[str, object]) -> Dict[str, object]:
     """A private copy of one input set (executors may write in place)."""
     return {k: (v.copy() if hasattr(v, "copy") else v) for k, v in inp.items()}
-
-
-def materialize(ex: MemExecutor, val):
-    if isinstance(val, RuntimeArray):
-        return ex.mem[val.mem][val.ixfn.gather_offsets({})]
-    return val
 
 
 def validate(module, dataset: str = "small", compiled=None) -> bool:

@@ -20,9 +20,9 @@ functions are O(lookup)), which itself drives :mod:`repro.pipeline`: a
 named ``pipeline=`` preset (``unopt``, ``sc``, ``sc+fuse``, ``full``,
 ``nosc``, ``nofuse`` -- :mod:`repro.pipeline.presets` is the one place
 that knows which passes each schedules) selects an ordered pass list,
-and a :class:`~repro.pipeline.PassManager` runs it over a shared
-:class:`~repro.pipeline.CompileContext` (pooled Prover/NonOverlapChecker
-memos, derived-analysis validity ledger).  Every pass occurrence is
+and a :class:`~repro.pipeline.PassManager` runs it, in order, over a
+shared :class:`~repro.pipeline.CompileContext` (pooled
+Prover/NonOverlapChecker memos).  Every pass occurrence is
 individually timed under a unique stage key, and the whole run is
 recorded as a JSON-serializable :class:`~repro.pipeline.PipelineTrace`
 on :attr:`CompiledFun.trace` (``python -m repro.bench --explain`` pretty-
@@ -100,7 +100,6 @@ def compile_fun(
     fun: A.Fun,
     pipeline: str = "full",
     enable_splitting: bool = True,
-    typecheck: bool = True,
     verify: bool = False,
     cache=None,
 ) -> CompiledFun:
@@ -130,7 +129,6 @@ def compile_fun(
         fun,
         pipeline=pipeline,
         enable_splitting=enable_splitting,
-        typecheck=typecheck,
         verify=verify,
         cache=cache,
     )
@@ -140,7 +138,6 @@ def _compile_uncached(
     fun: A.Fun,
     pipeline: str,
     enable_splitting: bool,
-    typecheck: bool,
     verify: bool,
 ) -> CompiledFun:
     """One full pipeline run (no cache): the cold-compile primitive."""
@@ -151,7 +148,7 @@ def _compile_uncached(
         preset_pipeline,
     )
 
-    passes = preset_pipeline(pipeline, typecheck=typecheck)
+    passes = preset_pipeline(pipeline)
     ctx = CompileContext(
         source=fun, verify=verify, enable_splitting=enable_splitting
     )

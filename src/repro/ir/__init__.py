@@ -22,7 +22,7 @@ an *add-on*, so that "if the memory annotations are deleted, the program
 remains semantically unchanged" (paper section I).
 """
 
-from repro.ir.types import ArrayType, ScalarType, Type, f32, f64, i64, boolean
+from repro.ir.types import ArrayType, ScalarType, Type, f32, i64
 from repro.ir.ast import (
     Alloc,
     ArgMin,
@@ -64,9 +64,7 @@ __all__ = [
     "ScalarType",
     "Type",
     "f32",
-    "f64",
     "i64",
-    "boolean",
     "Alloc",
     "ArgMin",
     "BinOp",

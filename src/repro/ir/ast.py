@@ -61,9 +61,6 @@ class Param:
     name: str
     type: Type
 
-    def is_array(self) -> bool:
-        return isinstance(self.type, ArrayType)
-
 
 # ======================================================================
 # Index specifications for reads/updates

@@ -262,14 +262,6 @@ class LoopBuilder(BlockBuilder):
         self.results = self._emit_into.emit(exp, self._names)
         return self.results
 
-    def __enter__(self):
-        return self
-
-    def __exit__(self, exc_type, exc, tb):
-        if exc_type is None:
-            self.end()
-        return False
-
 
 class MapBuilder(BlockBuilder):
     """Body builder for a mapnest; the thread index is ``self.index``."""

@@ -12,13 +12,14 @@ a backward walk per block:
   body (this is what lets the NW update inside the loop be a circuit point).
 
 Results are stored in-place in each :class:`repro.ir.ast.Let`'s
-``last_uses`` field, and summarised in the returned :class:`LastUseInfo`.
+``last_uses`` field; the returned :class:`LastUseInfo` carries the alias
+analysis the walk was based on.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Set
+from dataclasses import dataclass
+from typing import Set
 
 from repro.ir import ast as A
 from repro.ir.alias import AliasInfo, analyze_aliases
@@ -26,19 +27,14 @@ from repro.ir.alias import AliasInfo, analyze_aliases
 
 @dataclass
 class LastUseInfo:
-    """Queryable summary of last uses (statements are identified by id())."""
+    """What the analysis computed besides the in-place annotations."""
 
     aliases: AliasInfo
-    per_stmt: Dict[int, FrozenSet[str]] = field(default_factory=dict)
-
-    def is_last_use(self, stmt: A.Let, var: str) -> bool:
-        return var in self.per_stmt.get(id(stmt), frozenset())
 
 
 def analyze_last_uses(fun: A.Fun) -> LastUseInfo:
     """Annotate every statement of ``fun`` with its last-used variables."""
     aliases = analyze_aliases(fun)
-    info = LastUseInfo(aliases)
 
     def closure_of(names) -> Set[str]:
         out: Set[str] = set()
@@ -54,7 +50,6 @@ def analyze_last_uses(fun: A.Fun) -> LastUseInfo:
                 v for v in uses if not (aliases.closure(v) & live)
             )
             stmt.last_uses = lu
-            info.per_stmt[id(stmt)] = lu
             if isinstance(stmt.exp, (A.Loop, A.Map)):
                 # Free variables of the body are re-used by later
                 # iterations/threads, so they stay live inside.  Loop
@@ -75,4 +70,4 @@ def analyze_last_uses(fun: A.Fun) -> LastUseInfo:
         # (Definitions do not make names live before their binding.)
 
     walk(fun.body, set())
-    return info
+    return LastUseInfo(aliases)

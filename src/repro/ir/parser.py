@@ -443,14 +443,6 @@ class _Parser:
         if op in _BINOPS:
             self.lx.next()
             right = self._parse_operand()
-            if (
-                op in ("+", "-", "*")
-                and self._is_i64(left)
-                and self._is_i64(right)
-            ):
-                return A.ScalarE(_as_sym(left) .__add__(_as_sym(right)) if op == "+" else (
-                    _as_sym(left) - _as_sym(right) if op == "-" else _as_sym(left) * _as_sym(right)
-                ))
             return A.BinOp(op, left, right)
         if isinstance(left, str):
             t = self.types.get(left)
@@ -608,22 +600,7 @@ class _Parser:
 _STOPWORDS = {"let", "in", "then", "do", "with"}
 
 
-def _as_sym(op: A.Operand) -> SymExpr:
-    if isinstance(op, SymExpr):
-        return op
-    if isinstance(op, str):
-        return SymExpr.var(op)
-    return sym(int(op))
-
-
 def parse_fun(text: str) -> A.Fun:
     """Parse a whole function from the pretty-printed surface syntax."""
     return _Parser(text).parse_fun()
 
-
-def parse_block(text: str, types: Optional[Dict[str, Type]] = None) -> A.Block:
-    """Parse a bare block (``let ... in (...)``)."""
-    p = _Parser(text)
-    if types:
-        p.types.update(types)
-    return p.parse_block(end=None)

@@ -21,12 +21,6 @@ def pretty_fun(fun: A.Fun) -> str:
     return "\n".join(lines)
 
 
-def pretty_block(block: A.Block) -> str:
-    lines: List[str] = []
-    _pretty_block(block, lines, indent=0)
-    return "\n".join(lines)
-
-
 def _pretty_block(block: A.Block, lines: List[str], indent: int) -> None:
     pad = "  " * indent
     for stmt in block.stmts:

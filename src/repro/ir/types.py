@@ -40,14 +40,6 @@ class ScalarType:
         if self.dtype not in DTYPES:
             raise ValueError(f"unknown dtype {self.dtype!r}")
 
-    @property
-    def itemsize(self) -> int:
-        return DTYPE_INFO[self.dtype][1]
-
-    @property
-    def np_dtype(self) -> str:
-        return DTYPE_INFO[self.dtype][0]
-
     def __str__(self) -> str:
         return self.dtype
 
@@ -73,28 +65,11 @@ class ArrayType:
     def rank(self) -> int:
         return len(self.shape)
 
-    @property
-    def itemsize(self) -> int:
-        return DTYPE_INFO[self.dtype][1]
-
-    @property
-    def np_dtype(self) -> str:
-        return DTYPE_INFO[self.dtype][0]
-
     def size(self) -> SymExpr:
         total: SymExpr = sym(1)
         for s in self.shape:
             total = total * s
         return total
-
-    def elem_type(self) -> Union["ArrayType", ScalarType]:
-        """Type of one element along the outermost dimension."""
-        if self.rank == 1:
-            return ScalarType(self.dtype)
-        return ArrayType(self.dtype, self.shape[1:])
-
-    def with_unique(self, unique: bool = True) -> "ArrayType":
-        return ArrayType(self.dtype, self.shape, unique)
 
     def __str__(self) -> str:
         dims = "".join(f"[{s}]" for s in self.shape)
@@ -110,13 +85,6 @@ def f32(*shape: ExprLike) -> Type:
     return ArrayType("f32", tuple(shape)) if shape else ScalarType("f32")
 
 
-def f64(*shape: ExprLike) -> Type:
-    return ArrayType("f64", tuple(shape)) if shape else ScalarType("f64")
-
-
 def i64(*shape: ExprLike) -> Type:
     return ArrayType("i64", tuple(shape)) if shape else ScalarType("i64")
 
-
-def boolean(*shape: ExprLike) -> Type:
-    return ArrayType("bool", tuple(shape)) if shape else ScalarType("bool")

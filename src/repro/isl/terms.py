@@ -61,11 +61,6 @@ class Constraint:
         """``expr >= 0``."""
         return Constraint(sym(expr), is_eq=False)
 
-    @staticmethod
-    def le(a: ExprLike, b: ExprLike) -> "Constraint":
-        """``a <= b``."""
-        return Constraint(sym(b) - sym(a), is_eq=False)
-
     def substitute(self, mapping: Mapping[str, ExprLike]) -> "Constraint":
         return Constraint(self.expr.substitute(mapping), self.is_eq)
 
@@ -211,19 +206,8 @@ class IntSet:
     def of(*pieces: BasicSet) -> "IntSet":
         return IntSet(tuple(pieces))
 
-    @property
-    def dims(self) -> Tuple[str, ...]:
-        return self.pieces[0].dims if self.pieces else ()
-
     def union(self, other: "IntSet") -> "IntSet":
         return IntSet(self.pieces + other.pieces)
-
-    def intersect(self, other: "IntSet") -> "IntSet":
-        return IntSet(
-            tuple(
-                a.intersect(b) for a in self.pieces for b in other.pieces
-            )
-        )
 
     def difference(self, other: BasicSet) -> "IntSet":
         """``self \\ other`` for a *quantifier-free* ``other``.

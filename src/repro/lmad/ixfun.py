@@ -59,10 +59,6 @@ class IndexFn:
     def col_major(shape: Sequence[ExprLike], offset: ExprLike = 0) -> "IndexFn":
         return IndexFn((Lmad.col_major(shape, offset),))
 
-    @staticmethod
-    def from_lmad(single: Lmad) -> "IndexFn":
-        return IndexFn((single,))
-
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------

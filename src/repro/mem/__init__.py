@@ -24,7 +24,7 @@ package adds a *notion of memory* as annotations on pattern elements:
 from repro.mem.memir import MemBinding, MEM_TYPE
 from repro.mem.introduce import introduce_memory
 from repro.mem.hoist import hoist_allocations
-from repro.mem.exec import MemExecutor, run_mem_fun
+from repro.mem.exec import MemExecutor
 from repro.mem.stats import ExecStats, KernelStat
 
 __all__ = [
@@ -33,7 +33,6 @@ __all__ = [
     "introduce_memory",
     "hoist_allocations",
     "MemExecutor",
-    "run_mem_fun",
     "ExecStats",
     "KernelStat",
 ]

@@ -103,7 +103,6 @@ class MemExecutor:
         self,
         fun: A.Fun,
         mode: str = "real",
-        shared_memory_model: bool = False,
         loop_sample: Optional[int] = None,
         debug: bool = False,
         vectorize: bool = True,
@@ -149,12 +148,6 @@ class MemExecutor:
         #: Initialization checking needs real data and stays real-only.
         self.debug = debug
         self._shadow: Dict[str, np.ndarray] = {}
-        #: When True, arrays allocated inside kernels are treated as
-        #: GPU shared memory (free traffic).  The default models Futhark's
-        #: *expanded allocations*: per-thread arrays live in global memory,
-        #: which is what makes the mapnest implicit-copy elision profitable
-        #: (LBM / LocVolCalib in the paper).
-        self.shared_memory_model = shared_memory_model
         #: In dry mode: sample at most this many iterations of sequential
         #: loops *inside kernels* and extrapolate the traffic (per-thread
         #: work is uniform or linearly varying in these benchmarks).  None
@@ -183,9 +176,6 @@ class MemExecutor:
         self._static_live: Dict[str, List[str]] = {}  # static -> uniques
         self._alloc_log: List[Tuple[str, str]] = []  # (static, unique)
         self._kernel_allocs: List[Tuple[str, str]] = []
-        # Blocks allocated inside a kernel are thread-local (the GPU's
-        # shared memory / registers): traffic to them is not DRAM traffic.
-        self._local_mems: set = set()
         # Offset arrays depend only on the (fully concrete) index function,
         # so identical regions accessed across loop iterations share one
         # array.  Callers never mutate the result.  A Program serving the
@@ -502,10 +492,8 @@ class MemExecutor:
         if ks is None:
             ks = self._kernel(stmt, kind, f"{kind}:{'/'.join(stmt.names)}")
             ks.launches += 1
-        if src.mem not in self._local_mems:
-            ks.note_read(src.nbytes(), self._space_of(src.mem))
-        if dst.mem not in self._local_mems:
-            ks.note_written(dst.nbytes(), self._space_of(dst.mem))
+        ks.note_read(src.nbytes(), self._space_of(src.mem))
+        ks.note_written(dst.nbytes(), self._space_of(dst.mem))
         if self.mode == "real":
             offs = self._offsets(dst)
             if offs.size:
@@ -574,8 +562,6 @@ class MemExecutor:
                     self._shadow[unique] = np.zeros(size, dtype=bool)
             else:
                 self.mem[unique] = size
-            if self._kernel_stack and self.shared_memory_model:
-                self._local_mems.add(unique)
             env[name] = MemRef(unique)
             self.stats.alloc_count += 1
             self.stats.alloc_bytes += size * DTYPE_INFO[exp.dtype][1]
@@ -610,8 +596,7 @@ class MemExecutor:
                 if not isinstance(exp, A.Scratch):
                     ks.launches += 1
             if not isinstance(exp, A.Scratch):
-                if dest.mem not in self._local_mems:
-                    ks.note_written(dest.nbytes(), self._space_of(dest.mem))
+                ks.note_written(dest.nbytes(), self._space_of(dest.mem))
                 if self.mode != "real" and self.debug:
                     self._check_region(dest)
                 if self.mode == "real":
@@ -672,8 +657,7 @@ class MemExecutor:
             src = env[exp.src]
             assert isinstance(src, RuntimeArray)
             idx = [eval_sym(i, env) for i in exp.indices]
-            if src.mem not in self._local_mems:
-                self._count_read(src.itemsize, self._space_of(src.mem))
+            self._count_read(src.itemsize, self._space_of(src.mem))
             if self.mode == "real":
                 off = src.ixfn.apply_concrete(idx, {})
                 if self.debug:
@@ -717,9 +701,8 @@ class MemExecutor:
             if ks is None:
                 ks = self._kernel(stmt, "reduce", f"reduce:{stmt.names[0]}")
                 ks.launches += 1
-            if src.mem not in self._local_mems:
-                ks.note_read(src.nbytes(), self._space_of(src.mem))
-                ks.bytes_written += src.itemsize
+            ks.note_read(src.nbytes(), self._space_of(src.mem))
+            ks.bytes_written += src.itemsize
             ks.flops += src.size()
             if self.mode == "real":
                 if self.debug:
@@ -754,13 +737,11 @@ class MemExecutor:
         spec = exp.spec
         if isinstance(spec, A.PointSpec):
             idx = [eval_sym(i, env) for i in spec.indices]
-            is_global = result.mem not in self._local_mems
             ks = self._current_kernel()
             if ks is None:
                 ks = self._kernel(stmt, "update", f"update:{stmt.names[0]}")
                 ks.launches += 1
-            if is_global:
-                ks.note_written(result.itemsize, self._space_of(result.mem))
+            ks.note_written(result.itemsize, self._space_of(result.mem))
             if self.mode == "real":
                 off = result.ixfn.apply_concrete(idx, {})
                 if self.debug:
@@ -1123,11 +1104,6 @@ class MemExecutor:
         assert isinstance(exp, A.UnOp)
         self._count_flop()
         return Interpreter._unop(exp.op, self._scalar_operand(exp.x, env))
-
-
-def run_mem_fun(fun: A.Fun, mode: str = "real", debug: bool = False, **inputs):
-    """One-shot convenience for executing a memory-annotated function."""
-    return MemExecutor(fun, mode=mode, debug=debug).run(**inputs)
 
 
 def _dummy(dtype: str):

@@ -23,8 +23,7 @@ from dataclasses import dataclass
 from typing import Dict, Optional
 
 from repro.ir import ast as A
-from repro.ir.types import ArrayType
-from repro.mem.memir import binding_of, iter_stmts, param_mem_name
+from repro.mem.memir import binding_of, iter_stmts
 
 
 @dataclass(frozen=True)
@@ -34,7 +33,6 @@ class MemSpace:
     name: str
     #: Capacity in bytes; ``None`` means unbounded (host-sized HBM).
     capacity: Optional[int]
-    description: str
 
 
 #: Default space for every block the frontend or a pass does not place
@@ -47,11 +45,9 @@ DEFAULT_SPACE = "hbm"
 #: shared memory), and the register file budget per thread is 1 KiB
 #: (256 x 32-bit registers).
 SPACES: Dict[str, MemSpace] = {
-    "hbm": MemSpace("hbm", None, "device-global high-bandwidth memory"),
-    "scratch": MemSpace(
-        "scratch", 192 * 1024, "per-kernel shared scratchpad (on-chip)"
-    ),
-    "regs": MemSpace("regs", 1024, "per-thread register file"),
+    "hbm": MemSpace("hbm", None),  # device-global high-bandwidth memory
+    "scratch": MemSpace("scratch", 192 * 1024),  # per-kernel, on-chip
+    "regs": MemSpace("regs", 1024),  # per-thread register file
 }
 
 
@@ -63,28 +59,6 @@ def space_of(name: str) -> MemSpace:
         raise KeyError(
             f"unknown memory space {name!r} (known: {sorted(SPACES)})"
         ) from None
-
-
-def is_space(name: str) -> bool:
-    return name in SPACES
-
-
-def alloc_spaces(fun: A.Fun) -> Dict[str, str]:
-    """Map every memory block name to its space.
-
-    Covers ``alloc``-bound blocks (their :class:`~repro.ir.ast.Alloc`
-    carries the space) and parameter blocks (always ``hbm``).
-    Existential blocks (if/loop results) are *not* included -- their
-    space is whichever branch block they resolve to at run time.
-    """
-    out: Dict[str, str] = {}
-    for p in fun.params:
-        if isinstance(p.type, ArrayType):
-            out[param_mem_name(p.name)] = DEFAULT_SPACE
-    for stmt in iter_stmts(fun.body):
-        if isinstance(stmt.exp, A.Alloc):
-            out[stmt.pattern[0].name] = stmt.exp.space
-    return out
 
 
 def assign_space(fun: A.Fun, mem: str, space: str) -> int:
@@ -115,35 +89,5 @@ def assign_space(fun: A.Fun, mem: str, space: str) -> int:
                 for prm, b in list(pb.items()):
                     if b.mem == mem and b.space != space:
                         pb[prm] = b.with_space(space)
-                        changed += 1
-    return changed
-
-
-def sync_binding_spaces(fun: A.Fun) -> int:
-    """Stamp every binding with its block's declared space.
-
-    The introduce pass and all rewriting passes maintain binding spaces
-    incrementally; this helper exists for programs built by hand (tests,
-    the parser) whose bindings predate a space assignment.  Bindings to
-    existential blocks are left untouched.  Returns the number of
-    bindings updated.
-    """
-    table = alloc_spaces(fun)
-    changed = 0
-    for stmt in iter_stmts(fun.body):
-        for pe in stmt.pattern:
-            if pe.is_array() and pe.mem is not None:
-                b = binding_of(pe)
-                want = table.get(b.mem)
-                if want is not None and b.space != want:
-                    pe.mem = b.with_space(want)
-                    changed += 1
-        if isinstance(stmt.exp, A.Loop):
-            pb = getattr(stmt.exp.body, "param_bindings", None)
-            if pb:
-                for prm, b in list(pb.items()):
-                    want = table.get(b.mem)
-                    if want is not None and b.space != want:
-                        pb[prm] = b.with_space(want)
                         changed += 1
     return changed

@@ -127,12 +127,6 @@ class ExecStats:
     #: :meth:`merge_scaled`.
     pool_hits: int = 0
     pool_misses: int = 0
-    #: Compile-once/serve-many timing pair, stamped by
-    #: :meth:`repro.runtime.Program.run`: the original (uncached) compile
-    #: wall clock this call amortizes, and this call's own wall clock.
-    #: Pure bookkeeping -- excluded from :meth:`signature`.
-    cold_compile_seconds: float = 0.0
-    warm_call_seconds: float = 0.0
     #: Per-space high-water marks, same lifetime model as ``peak_bytes``
     #: (which remains the all-spaces total).  Keyed by space name; like
     #: ``peak_bytes`` they are stamped once at run end and excluded from
@@ -223,9 +217,6 @@ class ExecStats:
 
     def written_in(self, space: str) -> int:
         return sum(k.written_in(space) for k in self.kernels.values())
-
-    def bytes_in(self, space: str) -> int:
-        return self.read_in(space) + self.written_in(space)
 
     def spaces_touched(self) -> tuple:
         """Space names with any traffic or peak recorded, hbm first."""

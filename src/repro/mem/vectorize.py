@@ -416,8 +416,6 @@ class _VecRun:
             unique = f"{stmt.names[0]}@{ex._alloc_counter}"
             ex.mem[unique] = np.zeros(W * size, dtype=DTYPE_INFO[exp.dtype][0])
             self.lane_blocks[unique] = (size, 1)
-            if ex._kernel_stack and ex.shared_memory_model:
-                ex._local_mems.add(unique)
             venv[stmt.names[0]] = MemRef(unique)
             ex.stats.alloc_count += W
             ex.stats.alloc_bytes += W * size * DTYPE_INFO[exp.dtype][1]
@@ -450,11 +448,10 @@ class _VecRun:
         if isinstance(exp, (A.Iota, A.Replicate, A.Scratch)):
             dest = self._binding_value(stmt.pattern[0], venv, lanes)
             if not isinstance(exp, A.Scratch):
-                if dest.mem not in ex._local_mems:
-                    ex._count_write(
-                        self._varr_nbytes(dest, lanes) * L,
-                        ex._space_of(dest.mem),
-                    )
+                ex._count_write(
+                    self._varr_nbytes(dest, lanes) * L,
+                    ex._space_of(dest.mem),
+                )
                 offs = self.region_offsets(dest, lanes)
                 buf = ex.mem[dest.mem]
                 if offs.size:
@@ -480,8 +477,7 @@ class _VecRun:
         if isinstance(exp, A.Index):
             src = self._as_varr(venv[exp.src])
             idx = [self._eval_scalar(i, venv, lanes) for i in exp.indices]
-            if src.mem not in ex._local_mems:
-                ex._count_read(src.itemsize * L, ex._space_of(src.mem))
+            ex._count_read(src.itemsize * L, ex._space_of(src.mem))
             off = self.point_offsets(src, idx, lanes)
             buf = ex.mem[src.mem]
             venv[stmt.names[0]] = buf[off]
@@ -536,10 +532,7 @@ class _VecRun:
         result = self._binding_value(stmt.pattern[0], venv, lanes)
         spec = exp.spec
         if isinstance(spec, A.PointSpec):
-            if result.mem not in ex._local_mems:
-                ex._count_write(
-                    result.itemsize * L, ex._space_of(result.mem)
-                )
+            ex._count_write(result.itemsize * L, ex._space_of(result.mem))
             idx = [self._eval_scalar(i, venv, lanes) for i in spec.indices]
             off = self.point_offsets(result, idx, lanes)
             val = self._operand(exp.value, venv, lanes)
@@ -925,10 +918,8 @@ class _VecRun:
             return
         ks = ex._current_kernel()
         assert ks is not None
-        if src.mem not in ex._local_mems:
-            ks.note_read(src_nb * n_rem, ex._space_of(src.mem))
-        if dst.mem not in ex._local_mems:
-            ks.note_written(dst_nb * n_rem, ex._space_of(dst.mem))
+        ks.note_read(src_nb * n_rem, ex._space_of(src.mem))
+        ks.note_written(dst_nb * n_rem, ex._space_of(dst.mem))
         rlanes = lanes[~elide]
         doffs = self.region_offsets(dst, rlanes)
         if doffs.size:

@@ -113,12 +113,6 @@ class FuseFailure:
     producer: str = ""
     consumer: str = ""
 
-    def render(self) -> str:
-        loc = self.location
-        if self.consumer:
-            loc = f"{loc} -> {self.consumer}" if loc else self.consumer
-        return f"{self.rule} @ {loc}" if loc else self.rule
-
 
 @dataclass
 class FuseStats:
@@ -167,23 +161,6 @@ class FuseStats:
         self.failure_records.append(
             FuseFailure(reason, location, producer, consumer)
         )
-
-    def summary(self) -> str:
-        lines = [
-            f"fusions attempted : {self.attempted}",
-            f"fusions committed : {self.committed}",
-            f"fixpoint rounds   : {self.rounds}",
-        ]
-        if self.duplicated:
-            lines.append(f"duplicated bodies : {self.duplicated}")
-        if self.chained:
-            lines.append(f"chain fusions     : {self.chained}")
-        for tier, count in sorted(self.tiers.items()):
-            if count:
-                lines.append(f"  tier ({tier}): {count}")
-        for reason, count in sorted(self.failures.items()):
-            lines.append(f"  failed ({reason}): {count}")
-        return "\n".join(lines)
 
 
 # ----------------------------------------------------------------------

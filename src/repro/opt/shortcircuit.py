@@ -111,24 +111,6 @@ class ShortCircuitStats:
         self.failures[reason] = self.failures.get(reason, 0) + 1
         self.failure_records.append(ScFailure(reason, location, witness))
 
-    def summary(self) -> str:
-        lines = [
-            f"candidates attempted : {self.attempted}",
-            f"candidates committed : {self.committed}",
-            f"dead-copy reuses     : {self.reused_copies}",
-            f"fixpoint rounds      : {self.rounds}",
-        ]
-        if self.widened_candidates:
-            lines.append(f"widened-slice commits: {self.widened_candidates}")
-        if self.noop_writes:
-            lines.append(f"no-op writes exempted: {self.noop_writes}")
-        for tier, count in sorted(self.tiers.items()):
-            if count:
-                lines.append(f"  tier ({tier}): {count}")
-        for reason, count in sorted(self.failures.items()):
-            lines.append(f"  failed ({reason}): {count}")
-        return "\n".join(lines)
-
 
 @dataclass
 class _Scope:
@@ -530,6 +512,13 @@ class _ShortCircuiter:
             self.stats.fail(
                 f.reason, f"root={cand.root} dst={cand.dst_mem}", f.witness
             )
+            return False
+        if all(pe.mem == b for pe, b in cand.planned) and all(
+            pbs.get(prm) == b for pbs, prm, b in cand.planned_params
+        ):
+            # An earlier round installed exactly these bindings; the
+            # circuit point only *spells* the region differently (through
+            # a scalar translate_ixfn substituted away).  Not a commit.
             return False
         # Commit.
         for pe, binding in cand.planned:

@@ -4,14 +4,14 @@ The historical ``compile_fun`` grew one boolean flag and one inline
 ``timed()`` thunk per optimization; this package replaces that with an
 explicit architecture (DESIGN.md section 10):
 
-* :class:`Pass` -- the pass protocol: a name, ``run(ctx, fun) ->
-  PassStats``, and declared ``requires``/``preserves``/``establishes``
-  sets over the derived analyses (last-use, aliasing, ``mem_frees``);
-* :class:`PassManager` -- runs a pipeline, auto re-runs invalidated
-  analyses, honors verify checkpoints, and emits a uniquely-keyed,
+* :class:`Pass` -- the pass protocol: a name, a kind and ``run(ctx,
+  fun) -> PassStats``; the derived analyses (``last_use``,
+  ``mem_frees``) are :class:`AnalysisPass` entries of the pass list;
+* :class:`PassManager` -- runs a pass list in the order given, honors
+  verify checkpoints, and emits a uniquely-keyed,
   per-occurrence-timed :class:`PipelineTrace`;
 * :class:`CompileContext` -- the shared state of one compilation: the
-  memory IR under construction, the validity ledger, and the pooled
+  memory IR under construction and the pooled
   Prover/NonOverlapChecker memos every pass shares
   (:class:`repro.lmad.ProverPool`);
 * :mod:`~repro.pipeline.presets` -- the named pipelines (``unopt``,
@@ -22,7 +22,7 @@ explicit architecture (DESIGN.md section 10):
 over these pieces.
 """
 
-from repro.pipeline.context import ANALYSES, CompileContext
+from repro.pipeline.context import CompileContext
 from repro.pipeline.manager import PRINT_AFTER_ENV, PassManager
 from repro.pipeline.passes import (
     AnalysisPass,
@@ -44,7 +44,6 @@ from repro.pipeline.presets import (
 from repro.pipeline.trace import PassRecord, PipelineTrace
 
 __all__ = [
-    "ANALYSES",
     "CompileContext",
     "PassManager",
     "PRINT_AFTER_ENV",

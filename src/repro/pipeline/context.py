@@ -9,10 +9,6 @@ compile_fun` invocation.  It owns
   circuiting, fusion, reuse) so Prover/NonOverlapChecker memo tables and
   normalization work amortize across the whole pipeline instead of being
   rebuilt per pass;
-* the validity ledger for **derived analyses** (``last_use``, ``alias``,
-  ``mem_frees``): passes declare what they preserve and invalidate, and
-  the :class:`~repro.pipeline.PassManager` re-runs an invalidated
-  analysis automatically before the next pass that requires it;
 * the accumulated pass payloads (``ShortCircuitStats``, ``FuseStats``,
   ``ReuseStats``) and verifier reports.
 
@@ -25,7 +21,7 @@ importable without :mod:`repro.pipeline`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, Optional, Set
+from typing import TYPE_CHECKING, Dict, Optional
 
 from repro.lmad import ProverPool
 
@@ -33,10 +29,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guards
     from repro.analysis.diagnostics import Report
     from repro.ir import ast as A
     from repro.symbolic import Context
-
-#: The derived analyses the manager knows how to (re-)run.  Values are
-#: computed lazily by :meth:`CompileContext.ensure_analysis`.
-ANALYSES = ("alias", "last_use", "mem_frees")
 
 
 @dataclass
@@ -55,12 +47,6 @@ class CompileContext:
 
     #: Shared Prover/NonOverlapChecker memos (see ProverPool).
     provers: ProverPool = field(default_factory=ProverPool)
-
-    #: Analyses currently known valid for :attr:`mfun`.
-    valid_analyses: Set[str] = field(default_factory=set)
-    #: Last computed value per analysis (kept even when invalidated, for
-    #: debugging; only :attr:`valid_analyses` membership grants reuse).
-    analysis_values: Dict[str, object] = field(default_factory=dict)
 
     #: Pass payloads by pass name (e.g. ``"short_circuit"`` ->
     #: ShortCircuitStats).  A pass that runs multiple times keeps its
@@ -90,47 +76,6 @@ class CompileContext:
             fun = self.mfun if self.mfun is not None else self.source
             self._root_ctx = fun.build_context()
         return self._root_ctx
-
-    # ------------------------------------------------------------------
-    # Derived-analysis ledger
-    # ------------------------------------------------------------------
-    def ensure_analysis(self, name: str) -> object:
-        """Compute ``name`` if not currently valid; return its value."""
-        if name not in ANALYSES:
-            raise KeyError(f"unknown analysis {name!r} (have {ANALYSES})")
-        if name in self.valid_analyses:
-            return self.analysis_values[name]
-        value = self._run_analysis(name)
-        self.analysis_values[name] = value
-        self.valid_analyses.add(name)
-        return value
-
-    def _run_analysis(self, name: str) -> object:
-        assert self.mfun is not None, "analyses run on the memory IR"
-        if name == "alias":
-            from repro.ir.alias import analyze_aliases
-
-            return analyze_aliases(self.mfun)
-        if name == "last_use":
-            from repro.ir.lastuse import analyze_last_uses
-
-            info = analyze_last_uses(self.mfun)
-            # Last-use analysis recomputes aliasing as its first step.
-            self.analysis_values["alias"] = info.aliases
-            self.valid_analyses.add("alias")
-            return info
-        if name == "mem_frees":
-            from repro.reuse import annotate_frees
-
-            return annotate_frees(self.mfun)
-        raise KeyError(name)
-
-    def invalidate(self, names) -> None:
-        for name in names:
-            self.valid_analyses.discard(name)
-
-    def invalidate_all_except(self, preserved) -> None:
-        self.valid_analyses &= set(preserved)
 
     # ------------------------------------------------------------------
     # Payload conveniences (typed accessors for the common stats)

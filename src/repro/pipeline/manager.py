@@ -3,13 +3,10 @@
 
 Responsibilities:
 
-* **Scheduling** -- run the pass list in order; an occurrence whose
-  ``condition`` says no is recorded as skipped (with its verify
-  checkpoint still honored).
-* **Derived analyses** -- before a pass that ``requires`` an analysis a
-  previous pass invalidated, automatically insert and time a re-run;
-  after each pass, update the validity ledger from its declared
-  ``preserves``/``establishes`` sets.
+* **Scheduling** -- run the pass list in order, exactly as given (the
+  derived analyses are entries of the list like any other pass); an
+  occurrence whose ``condition`` says no is recorded as skipped (with
+  its verify checkpoint still honored).
 * **Verification** -- with ``verify=True`` on the context, run the
   :mod:`repro.analysis` verifier at every pass that declares a
   ``verify_label`` and raise :class:`repro.analysis.VerificationError`
@@ -32,7 +29,7 @@ import time
 from typing import Dict, List, Optional, Sequence
 
 from repro.pipeline.context import CompileContext
-from repro.pipeline.passes import AnalysisPass, Pass
+from repro.pipeline.passes import Pass
 from repro.pipeline.trace import KIND_VERIFY, PassRecord, PipelineTrace
 
 #: Environment variable: comma-separated pass names/keys (or ``all``)
@@ -54,10 +51,6 @@ class PassManager:
         print_after = self._print_after_tokens()
 
         for p in self.passes:
-            for need in p.requires:
-                if need not in ctx.valid_analyses:
-                    self._execute(AnalysisPass(need), ctx, trace, used_keys,
-                                  print_after)
             self._execute(p, ctx, trace, used_keys, print_after)
         return trace
 
@@ -88,12 +81,6 @@ class PassManager:
                 rec.stmts_before, rec.allocs_before = before
                 rec.stmts_after, rec.allocs_after = after
             trace.records.append(rec)
-            if p.mutates_ir:
-                ctx.valid_analyses = (
-                    ctx.valid_analyses & set(p.preserves)
-                ) | set(p.establishes)
-            else:
-                ctx.valid_analyses |= set(p.establishes)
             self._maybe_print(p, rec, ctx, print_after)
         if p.verify_label is not None and ctx.verify:
             self._verify(p.verify_label, ctx, trace, used_keys)

@@ -1,16 +1,13 @@
 """The :class:`Pass` protocol and the concrete pipeline passes.
 
-A pass declares, besides its ``run`` method:
-
-* ``mutates_ir`` -- whether it can change the memory IR (the manager
-  measures IR-size deltas and honors verify checkpoints only for these);
-* ``requires`` -- derived analyses (:data:`repro.pipeline.context.
-  ANALYSES`) that must be valid before it runs; the manager re-runs any
-  that an earlier pass invalidated;
-* ``preserves`` -- analyses that stay valid across the pass;
-* ``establishes`` -- analyses guaranteed valid *after* the pass (e.g.
-  short-circuiting's fixpoint loop ends with a fresh last-use analysis);
-* everything else is implicitly invalidated (see :attr:`Pass.invalidates`).
+A pass declares, besides its ``run`` method, a ``name``, a ``kind``
+(``"pass"`` or ``"analysis"``) and ``mutates_ir`` -- whether it can
+change the memory IR (the manager measures IR-size deltas only for
+these).  A preset *is* its pass list: the derived analyses (``last_use``,
+``mem_frees``) are scheduled explicitly as :class:`AnalysisPass`
+occurrences, and the optimization passes that need fresher last-use
+information than the scheduled one recompute it themselves, every round
+of their fixpoint loops.
 
 ``run(ctx, fun)`` returns a :class:`PassStats` (changed flag, structured
 detail counters, per-rule rejection tallies); the manager fills in the
@@ -26,7 +23,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Callable, Dict, Optional, Tuple
 
-from repro.pipeline.context import ANALYSES, CompileContext
+from repro.pipeline.context import CompileContext
 from repro.pipeline.trace import KIND_ANALYSIS, KIND_PASS, PassRecord
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -83,9 +80,6 @@ class Pass:
     name: str = "?"
     kind: str = KIND_PASS
     mutates_ir: bool = True
-    requires: Tuple[str, ...] = ()
-    preserves: Tuple[str, ...] = ()
-    establishes: Tuple[str, ...] = ()
 
     def __init__(
         self,
@@ -100,14 +94,6 @@ class Pass:
         #: recorded as skipped (e.g. the dead-alloc sweep after a fusion
         #: round that committed nothing).
         self.condition = condition
-
-    @property
-    def invalidates(self) -> Tuple[str, ...]:
-        """Analyses this pass does *not* carry over (derived)."""
-        if not self.mutates_ir:
-            return ()
-        kept = set(self.preserves) | set(self.establishes)
-        return tuple(a for a in ANALYSES if a not in kept)
 
     def stats(self, changed: bool, **detail) -> PassStats:
         return PassRecord(
@@ -150,7 +136,6 @@ class HoistPass(Pass):
     """Hoist allocations upward within their blocks."""
 
     name = "hoist"
-    preserves = ("alias",)  # moves allocs; value aliasing is untouched
 
     def run(self, ctx: CompileContext, fun: "A.Fun") -> PassStats:
         moved = _compiler().hoist_allocations(fun)
@@ -158,37 +143,32 @@ class HoistPass(Pass):
 
 
 class AnalysisPass(Pass):
-    """Explicitly scheduled run of a derived analysis (``last_use``,
-    ``mem_frees``).  The manager also instantiates these automatically
-    when a pass requires an invalidated analysis."""
+    """Scheduled run of a derived analysis: ``last_use`` (annotates
+    every statement's last uses) or ``mem_frees`` (annotates where each
+    block's lifetime ends)."""
 
     kind = KIND_ANALYSIS
     mutates_ir = False
 
     def __init__(self, analysis: str, **kw):
         super().__init__(**kw)
-        if analysis not in ANALYSES:
+        if analysis not in ("last_use", "mem_frees"):
             raise ValueError(f"unknown analysis {analysis!r}")
         self.name = analysis
-        self.establishes = (analysis,)
 
     def run(self, ctx: CompileContext, fun: "A.Fun") -> PassStats:
-        value = ctx.ensure_analysis(self.name)
-        detail: Dict[str, object] = {}
-        if self.name == "mem_frees":
-            detail["annotations"] = value
-        return self.stats(changed=False, **detail)
+        if self.name == "last_use":
+            _compiler().analyze_last_uses(fun)
+            return self.stats(changed=False)
+        from repro.reuse import annotate_frees
+
+        return self.stats(changed=False, annotations=annotate_frees(fun))
 
 
 class ShortCircuitPass(Pass):
     """Array short-circuiting (paper section V)."""
 
     name = "short_circuit"
-    requires = ("last_use",)
-    # The fixpoint loop's final round runs a fresh last-use analysis and
-    # commits no further rebase, so both come out valid.
-    preserves = ("alias", "last_use")
-    establishes = ("alias", "last_use")
 
     def run(self, ctx: CompileContext, fun: "A.Fun") -> PassStats:
         from repro.opt.shortcircuit import short_circuit_fun
@@ -213,9 +193,6 @@ class DeadAllocsPass(Pass):
     """Drop allocations no binding references any more."""
 
     name = "dead_allocs"
-    # Removes whole Alloc statements only: value aliasing and the
-    # last-use annotations of surviving statements are untouched.
-    preserves = ("alias", "last_use")
 
     def run(self, ctx: CompileContext, fun: "A.Fun") -> PassStats:
         removed = _compiler().remove_dead_allocations(fun)
@@ -226,9 +203,6 @@ class FusePass(Pass):
     """Producer-consumer kernel fusion (inline sole-last-use producers)."""
 
     name = "fuse"
-    requires = ("last_use",)
-    preserves = ("alias", "last_use")
-    establishes = ("alias", "last_use")  # re-analyzed at fixpoint exit
 
     def run(self, ctx: CompileContext, fun: "A.Fun") -> PassStats:
         from repro.opt.fuse import fuse_fun
@@ -252,8 +226,6 @@ class ReusePass(Pass):
     """Allocation coalescing: merge provably disjoint live ranges."""
 
     name = "reuse"
-    # Rewrites memory bindings only; value-level analyses survive.
-    preserves = ("alias", "last_use")
 
     def run(self, ctx: CompileContext, fun: "A.Fun") -> PassStats:
         from repro.reuse import reuse_allocations

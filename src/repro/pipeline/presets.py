@@ -57,7 +57,7 @@ def _reuse_merged(ctx: CompileContext) -> bool:
     return st is not None and bool(st.mapping)
 
 
-def preset_pipeline(name: str, typecheck: bool = True) -> List[Pass]:
+def preset_pipeline(name: str) -> List[Pass]:
     """Instantiate the ordered pass list of a named preset.
 
     Verify checkpoints carry the labels ``compile_fun(verify=True)`` has
@@ -73,12 +73,12 @@ def preset_pipeline(name: str, typecheck: bool = True) -> List[Pass]:
             f"unknown pipeline preset {name!r} "
             f"(available: {', '.join(PRESETS)})"
         ) from None
-    pipe: List[Pass] = []
-    if typecheck:
-        pipe.append(TypecheckPass())
-    pipe.append(IntroduceMemoryPass(verify_label="introduce_memory"))
-    pipe.append(HoistPass())
-    pipe.append(AnalysisPass("last_use", verify_label="hoist+last_use"))
+    pipe: List[Pass] = [
+        TypecheckPass(),
+        IntroduceMemoryPass(verify_label="introduce_memory"),
+        HoistPass(),
+        AnalysisPass("last_use", verify_label="hoist+last_use"),
+    ]
     if "short_circuit" in stages:
         pipe.append(ShortCircuitPass())
         pipe.append(DeadAllocsPass(verify_label="short_circuit"))
@@ -94,6 +94,6 @@ def preset_pipeline(name: str, typecheck: bool = True) -> List[Pass]:
     return pipe
 
 
-def preset_pass_names(name: str, typecheck: bool = True) -> List[str]:
+def preset_pass_names(name: str) -> List[str]:
     """The ordered pass/analysis names a preset schedules."""
-    return [p.name for p in preset_pipeline(name, typecheck=typecheck)]
+    return [p.name for p in preset_pipeline(name)]

@@ -7,7 +7,9 @@ immutable artifact; this package makes producing it *rare* and running it
 * :class:`Program` (:mod:`~repro.runtime.program`) -- a compiled
   function plus its reusable runtime state: the frozen memory IR, the
   vectorized dispatch plan, the LMAD offset cache, and the coalesced
-  allocation plan materialized into a :class:`BufferPool`;
+  allocation plan materialized into a :class:`BufferPool` -- and
+  :func:`materialize`, the one function that reads a result out of an
+  executor;
 * :class:`ProgramCache` (:mod:`~repro.runtime.cache`) -- the persistent
   compile cache (in-process LRU + opt-in disk layer) keyed by program
   hash, pipeline, symbolic-shape class, and assumptions;
@@ -38,7 +40,12 @@ from repro.runtime.cache import (
     source_fingerprint,
 )
 from repro.runtime.pool import BufferPool, PoolLease
-from repro.runtime.program import Program, compile, compile_cached  # noqa: A004
+from repro.runtime.program import (  # noqa: A004
+    Program,
+    compile,
+    compile_cached,
+    materialize,
+)
 
 
 def clear_caches(disk: bool = False) -> None:
@@ -52,6 +59,7 @@ __all__ = [
     "Program",
     "compile",
     "compile_cached",
+    "materialize",
     "BufferPool",
     "PoolLease",
     "ProgramCache",

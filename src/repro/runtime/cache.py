@@ -19,8 +19,8 @@ amortization.  A compilation is identified by a :class:`CacheKey` of
   ``id()``-keyed :class:`~repro.lmad.ProverPool` entry of each fresh
   compile.  Keying the cache on assumptions makes the separation
   explicit and structural;
-* the **option fingerprint** -- ``enable_splitting`` / ``typecheck`` /
-  ``verify``, each of which changes observable compile behavior.
+* the **option fingerprint** -- ``enable_splitting`` / ``verify``, each
+  of which changes observable compile behavior.
 
 :class:`ProgramCache` layers an in-process LRU over an on-disk store
 (default ``benchmarks/results/.progcache/``).  Disk entries embed
@@ -52,7 +52,7 @@ if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
     from repro.ir import ast as A
 
 #: Bump to invalidate every on-disk entry (IR/pickle format changes).
-CACHE_VERSION = 2
+CACHE_VERSION = 3
 
 #: Package version baked into disk entries (a version bump invalidates).
 REPRO_VERSION = "0.1.0"
@@ -99,7 +99,7 @@ class CacheKey:
     pipeline: str  # preset name
     shapes: str  # symbolic-shape class
     assumptions: str  # dataset invariants, canonical text
-    options: str  # enable_splitting / typecheck / verify
+    options: str  # enable_splitting / verify
     version: int = CACHE_VERSION
 
     def digest(self) -> str:
@@ -121,7 +121,6 @@ def make_key(
     fun: "A.Fun",
     pipeline: str,
     enable_splitting: bool,
-    typecheck: bool,
     verify: bool,
 ) -> CacheKey:
     return CacheKey(
@@ -129,10 +128,7 @@ def make_key(
         pipeline=pipeline,
         shapes=shape_class(fun),
         assumptions=assumptions_fingerprint(fun),
-        options=(
-            f"splitting={enable_splitting},typecheck={typecheck},"
-            f"verify={verify}"
-        ),
+        options=f"splitting={enable_splitting},verify={verify}",
     )
 
 
@@ -171,8 +167,7 @@ class ProgramCache:
         self.max_entries = max_entries
         self.disk_dir = Path(disk_dir) if disk_dir is not None else None
         self._lock = threading.RLock()
-        #: digest -> (CompiledFun, cold compile seconds)
-        self._mem: "OrderedDict[str, Tuple[CompiledFun, float]]" = OrderedDict()
+        self._mem: "OrderedDict[str, CompiledFun]" = OrderedDict()
         self.hits = 0
         self.misses = 0
         self.disk_hits = 0
@@ -185,38 +180,32 @@ class ProgramCache:
         key: CacheKey,
         thunk: Callable[[], "CompiledFun"],
         disk: bool = False,
-    ) -> Tuple["CompiledFun", str, float]:
-        """Return ``(compiled, state, cold_compile_seconds)``.
-
-        ``state`` is ``"memory"``, ``"disk"`` or ``"cold"``.  The cold
-        compile time travels with the entry so warm callers can report
-        amortization without recompiling.
-        """
+    ) -> Tuple["CompiledFun", str]:
+        """Return ``(compiled, state)``; ``state`` is ``"memory"``,
+        ``"disk"`` or ``"cold"``."""
         digest = key.digest()
         with self._lock:
-            entry = self._mem.get(digest)
-            if entry is not None:
+            compiled = self._mem.get(digest)
+            if compiled is not None:
                 self._mem.move_to_end(digest)
                 self.hits += 1
-                return entry[0], MEM_HIT, entry[1]
+                return compiled, MEM_HIT
             self.misses += 1
         if disk:
-            loaded = self._disk_load(digest)
-            if loaded is not None:
-                compiled, cold_seconds = loaded
+            compiled = self._disk_load(digest)
+            if compiled is not None:
                 with self._lock:
-                    self._remember(digest, compiled, cold_seconds)
-                return compiled, DISK_HIT, cold_seconds
+                    self._remember(digest, compiled)
+                return compiled, DISK_HIT
         compiled = thunk()
-        cold_seconds = compiled.compile_seconds
         with self._lock:
-            self._remember(digest, compiled, cold_seconds)
+            self._remember(digest, compiled)
         if disk:
-            self._disk_store(digest, key, compiled, cold_seconds)
-        return compiled, COLD, cold_seconds
+            self._disk_store(digest, key, compiled)
+        return compiled, COLD
 
-    def _remember(self, digest, compiled, cold_seconds) -> None:
-        self._mem[digest] = (compiled, cold_seconds)
+    def _remember(self, digest, compiled) -> None:
+        self._mem[digest] = compiled
         self._mem.move_to_end(digest)
         while len(self._mem) > self.max_entries:
             self._mem.popitem(last=False)
@@ -245,12 +234,9 @@ class ProgramCache:
             self.disk_errors += 1
             return None
         self.disk_hits += 1
-        return (
-            _rebuild_compiled(payload, digest, load_seconds),
-            float(payload.get("cold_compile_seconds", 0.0)),
-        )
+        return _rebuild_compiled(payload, digest, load_seconds)
 
-    def _disk_store(self, digest, key, compiled, cold_seconds) -> None:
+    def _disk_store(self, digest, key, compiled) -> None:
         path = self._disk_path(digest)
         try:
             payload = {
@@ -264,7 +250,6 @@ class ProgramCache:
                 "reuse_stats": compiled.reuse_stats,
                 "fuse_stats": compiled.fuse_stats,
                 "verify_reports": compiled.verify_reports,
-                "cold_compile_seconds": cold_seconds,
                 "cold_stage_seconds": dict(compiled.stage_seconds),
             }
             blob = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
@@ -316,9 +301,6 @@ def _rebuild_compiled(payload, digest: str, load_seconds: float):
             detail={
                 "state": DISK_HIT,
                 "key": digest[:12],
-                "cold_compile_seconds": payload.get(
-                    "cold_compile_seconds", 0.0
-                ),
                 "passes_skipped": len(payload.get("cold_stage_seconds", {})),
             },
         )

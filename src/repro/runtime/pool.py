@@ -183,13 +183,6 @@ class BufferPool:
                     else:
                         buf.fill(np.iinfo(buf.dtype).max)
 
-    def clear(self) -> None:
-        with self._lock:
-            self._free.clear()
-            self._plans.clear()
-            self.hits = 0
-            self.misses = 0
-
 
 @dataclass
 class PoolLease:

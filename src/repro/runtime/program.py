@@ -8,7 +8,9 @@ reusable across executions:
   verdicts of :class:`repro.mem.vectorize.VecEngine`, computed once and
   shared by every subsequent run's engine;
 * the **offset cache** -- enumerated LMAD offsets per concrete index
-  function, the dominant warm-run cost after buffer allocation;
+  function, the dominant warm-run cost after buffer allocation
+  (cleared whenever a shape class is evicted, so it holds entries of
+  retained classes only);
 * the **coalesced allocation plan**, materialized per shape class into a
   :class:`~repro.runtime.pool.BufferPool` whose buffers are reused
   across calls instead of re-allocated with ``np.zeros``;
@@ -25,7 +27,8 @@ Each :meth:`Program.run` that does not replay a tape builds a fresh
 state machines) wired to a private pool lease, so concurrent workers
 serving the same program never share mutable executor state; the shared
 structures (pool free lists, offset cache, dispatch plans, tapes) are
-lock-protected, grow-only or immutable.
+lock-protected, or hold immutable values whose loss only costs a
+recomputation.
 
 Outputs are materialized into caller-owned NumPy arrays before the lease
 closes -- a served response never aliases pool memory.
@@ -39,17 +42,16 @@ serve-many analogue of common-subexpression elimination, and the reason
 warm serving throughput is decoupled from the simulator's per-run
 interpretation cost.  Every memoized response was produced by a real
 pooled execution; hits return fresh copies of its outputs and
-:class:`ExecStats` (so callers may mutate freely), restamped with this
-call's wall clock.  Pass ``memoize=False`` (per call or per program) to
-force execution -- the differential tests do, since they exist to
-exercise the pooled executor itself.
+:class:`ExecStats` (so callers may mutate freely).  Pass
+``memoize=False`` (per call or per program) to force execution -- the
+differential tests do, since they exist to exercise the pooled executor
+itself.
 """
 
 from __future__ import annotations
 
 import hashlib
 import threading
-import time
 from collections import OrderedDict
 from typing import Dict, List, Mapping, Optional, Tuple
 
@@ -58,12 +60,7 @@ import numpy as np
 from repro.ir import ast as A
 from repro.mem.exec import MemExecutor, RuntimeArray
 from repro.mem.stats import ExecStats
-from repro.runtime.cache import (
-    COLD,
-    cache_mode,
-    make_key,
-    program_cache,
-)
+from repro.runtime.cache import cache_mode, make_key, program_cache
 from repro.runtime.pool import BufferPool
 from repro.runtime.tape import Tape, TapeRecorder, read_region, region_plan
 
@@ -72,10 +69,8 @@ def compile_cached(
     fun: A.Fun,
     pipeline: str = "full",
     enable_splitting: bool = True,
-    typecheck: bool = True,
     verify: bool = False,
     cache=None,
-    _want_state: bool = False,
 ):
     """Cache-aware compilation returning a plain ``CompiledFun``.
 
@@ -93,21 +88,16 @@ def compile_cached(
             fun,
             pipeline=pipeline,
             enable_splitting=enable_splitting,
-            typecheck=typecheck,
             verify=verify,
         )
 
     mode = cache_mode(cache)
     if mode == "off":
-        compiled = thunk()
-        state, cold_seconds = COLD, compiled.compile_seconds
-    else:
-        key = make_key(fun, pipeline, enable_splitting, typecheck, verify)
-        compiled, state, cold_seconds = program_cache().get_or_compile(
-            key, thunk, disk=(mode == "disk")
-        )
-    if _want_state:
-        return compiled, state, cold_seconds
+        return thunk()
+    key = make_key(fun, pipeline, enable_splitting, verify)
+    compiled, _state = program_cache().get_or_compile(
+        key, thunk, disk=(mode == "disk")
+    )
     return compiled
 
 
@@ -133,24 +123,13 @@ class Program:
     #: tape are retained (least recently requested evicted first).
     SHAPE_CLASSES = 16
 
-    def __init__(self, compiled, cache_state: str = COLD,
-                 cold_compile_seconds: Optional[float] = None,
-                 memoize: bool = True):
+    def __init__(self, compiled, memoize: bool = True):
         self.compiled = compiled
-        #: How this program's compilation was obtained ("cold" /
-        #: "memory" / "disk").
-        self.cache_state = cache_state
-        #: Wall clock of the original (uncached) compilation -- the cost
-        #: a warm call amortizes.
-        self.cold_compile_seconds = (
-            compiled.compile_seconds
-            if cold_compile_seconds is None
-            else cold_compile_seconds
-        )
         #: Shared allocation-plan pool (lock-protected; leased per run).
         self.pool = BufferPool()
-        #: Shared per-(mem, ixfn) offset arrays (grow-only, read-only
-        #: values; see MemExecutor._offsets).
+        #: Shared per-(mem, ixfn) offset arrays (read-only values; see
+        #: MemExecutor._offsets).  Cleared when a shape class is
+        #: evicted: retained classes re-enumerate once.
         self._offs_cache: Dict = {}
         #: Shared vectorization plans (id(stmt) -> expressible?).
         self._vec_plans: Dict[int, bool] = {}
@@ -183,16 +162,11 @@ class Program:
         self._inflight: Dict[tuple, threading.Event] = {}
         self.memo_hits = 0
         self._lock = threading.Lock()
-        self.calls = 0
 
     # ------------------------------------------------------------------
     @property
     def fun(self) -> A.Fun:
         return self.compiled.fun
-
-    @property
-    def pipeline(self) -> str:
-        return self.compiled.pipeline
 
     def shape_key(self, inputs: Mapping[str, object]) -> str:
         """The concrete shape class of one request's inputs: the shape
@@ -218,6 +192,7 @@ class Program:
                 while len(self._classes) > self.SHAPE_CLASSES:
                     evicted, _ = self._classes.popitem(last=False)
                     self.pool.drop_plan(evicted)
+                    self._offs_cache.clear()
             else:
                 self._classes.move_to_end(skey)
             return cls
@@ -297,17 +272,15 @@ class Program:
         Inputs are read, never mutated (the executor copies array
         parameters into leased buffers).  Outputs are materialized NumPy
         arrays/scalars owned by the caller.  The returned
-        :class:`ExecStats` carries ``pool_hits``/``pool_misses`` and the
-        warm/cold timing pair; on a response-memo hit it is a copy of
-        the producing run's stats (signature-identical by construction)
-        restamped with this call's wall clock.
+        :class:`ExecStats` carries ``pool_hits``/``pool_misses``; on a
+        response-memo hit it is a copy of the producing run's stats
+        (signature-identical by construction).
 
         ``replay=False`` forces the ordinary executor: no launch tape is
         replayed or captured (the differential tests compare against
         it); ``None``/``True`` replay the shape class's tape when there
         is one and try to capture it when there is not.
         """
-        t0 = time.perf_counter()
         engine = self._native(native) if vectorize else None
         use_memo = self.memoize if memoize is None else memoize
         key = (
@@ -322,12 +295,9 @@ class Program:
                 if entry is not None:
                     self._memo.move_to_end(key)
                     self.memo_hits += 1
-                    self.calls += 1
                     outs, stats = self._fresh_response(entry)
                     # A recalled response acquired no buffers.
                     stats.pool_hits = stats.pool_misses = 0
-                    stats.warm_call_seconds = time.perf_counter() - t0
-                    stats.cold_compile_seconds = self.cold_compile_seconds
                     return outs, stats
                 ev = self._inflight.get(key)
                 if ev is None:
@@ -354,10 +324,6 @@ class Program:
                     self._memo[key] = self._fresh_response((outs, stats))
                     while len(self._memo) > self.MEMO_ENTRIES:
                         self._memo.popitem(last=False)
-        stats.warm_call_seconds = time.perf_counter() - t0
-        stats.cold_compile_seconds = self.cold_compile_seconds
-        with self._lock:
-            self.calls += 1
         return outs, stats
 
     def _execute(
@@ -400,7 +366,7 @@ class Program:
                     recorder=rec,
                 )
                 vals, stats = ex.run(**dict(inputs))
-                outs = [self._materialize(ex, v) for v in vals]
+                outs = [materialize(ex, v) for v in vals]
                 if rec is not None:
                     cls.tape = rec.finish(ex, lease, vals)
                     off = rec.reason
@@ -438,35 +404,34 @@ class Program:
             self.run(inputs)
         return self.pool.reserve(skey, workers)
 
-    @staticmethod
-    def _materialize(ex: MemExecutor, val):
-        if isinstance(val, RuntimeArray):
-            buf = ex.mem[val.mem]
-            assert isinstance(buf, np.ndarray)
-            return read_region(
-                buf, region_plan(val.ixfn, lambda: ex._offsets(val))
-            )
-        return val
+
+def materialize(ex: MemExecutor, val):
+    """Read one result of ``ex.run`` out of the executor: a caller-owned
+    array for an array value (a contiguous slice where the region is
+    one, else a gather through the executor's offset cache), scalars
+    unchanged.  The one way every caller -- :class:`Program`, the bench
+    harness, the sharding driver, the examples -- reads an output."""
+    if isinstance(val, RuntimeArray):
+        buf = ex.mem[val.mem]
+        assert isinstance(buf, np.ndarray)
+        return read_region(buf, region_plan(val.ixfn, lambda: ex._offsets(val)))
+    return val
 
 
 def compile(
     fun: A.Fun,
     pipeline: str = "full",
     enable_splitting: bool = True,
-    typecheck: bool = True,
     verify: bool = False,
     cache=None,
     memoize: bool = True,
 ) -> Program:
     """Compile (or fetch from cache) and wrap into a :class:`Program`."""
-    compiled, state, cold_seconds = compile_cached(
+    compiled = compile_cached(
         fun,
         pipeline=pipeline,
         enable_splitting=enable_splitting,
-        typecheck=typecheck,
         verify=verify,
         cache=cache,
-        _want_state=True,
     )
-    return Program(compiled, cache_state=state,
-                   cold_compile_seconds=cold_seconds, memoize=memoize)
+    return Program(compiled, memoize=memoize)

@@ -23,7 +23,7 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from repro.mem.exec import MemExecutor
-from repro.runtime.program import Program
+from repro.runtime.program import Program, materialize
 
 
 def serve_program(
@@ -91,7 +91,7 @@ def serve_program(
 def _run_uncached(fun, inputs, vectorize: bool = True):
     ex = MemExecutor(fun, vectorize=vectorize)
     vals, stats = ex.run(**dict(inputs))
-    outs = [np.asarray(Program._materialize(ex, v)) for v in vals]
+    outs = [np.asarray(materialize(ex, v)) for v in vals]
     return outs, stats
 
 

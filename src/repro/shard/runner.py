@@ -43,8 +43,9 @@ import numpy as np
 
 from repro.compiler import compile_fun
 from repro.gpu import A100, CostModel, Device
-from repro.mem.exec import MemExecutor, RuntimeArray
+from repro.mem.exec import MemExecutor
 from repro.mem.stats import ExecStats
+from repro.runtime import materialize
 from repro.shard.halo import build_halo_copy
 
 #: Simulated inter-device link (NVLink-class): bytes/second and per
@@ -95,18 +96,12 @@ class _Runner:
         """Run one compiled program; returns (first output array, time)."""
         ex = MemExecutor(compiled.fun)
         vals, st = ex.run(**inputs)
-        out = self._materialize(ex, vals[0])
+        out = materialize(ex, vals[0])
         self.agg.merge_scaled(st, 1.0)
         self._peak = max(self._peak, st.peak_bytes)
         t = self.cm.total_time(st)
         self.compute_time_s += t
         return out, t
-
-    @staticmethod
-    def _materialize(ex: MemExecutor, val) -> np.ndarray:
-        if isinstance(val, RuntimeArray):
-            return np.asarray(ex.mem[val.mem][val.ixfn.gather_offsets({})])
-        return np.asarray(val)
 
     # ------------------------------------------------------------------
     def halo_copy(

@@ -25,7 +25,7 @@ incomplete prover costs performance, never correctness -- exactly the
 trade-off the paper describes in section III-D.
 """
 
-from repro.symbolic.expr import SymExpr, Var, Const, sym, gcd_exprs
+from repro.symbolic.expr import SymExpr, Var, Const, sym
 from repro.symbolic.assumptions import Context, Bound
 from repro.symbolic.prove import (
     Prover,
@@ -35,7 +35,6 @@ from repro.symbolic.prove import (
     prove_eq,
     prove_le,
     prove_lt,
-    compare,
 )
 
 __all__ = [
@@ -43,7 +42,6 @@ __all__ = [
     "Var",
     "Const",
     "sym",
-    "gcd_exprs",
     "Context",
     "Bound",
     "Prover",
@@ -53,5 +51,4 @@ __all__ = [
     "prove_eq",
     "prove_le",
     "prove_lt",
-    "compare",
 ]

@@ -28,7 +28,7 @@ Design notes
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, Mapping, Optional, Tuple, Union
+from typing import Dict, Mapping, Optional, Tuple, Union
 
 #: A monomial: sorted tuple of (variable, power) pairs, powers >= 1.
 Monomial = Tuple[Tuple[str, int], ...]
@@ -406,10 +406,3 @@ def sym(value: ExprLike) -> SymExpr:
     """Coerce an int or SymExpr to SymExpr (idempotent)."""
     return SymExpr.coerce(value)
 
-
-def gcd_exprs(exprs: Iterable[ExprLike]) -> int:
-    """GCD of the integer contents of several expressions."""
-    g = 0
-    for e in exprs:
-        g = math.gcd(g, sym(e).content())
-    return g

@@ -9,13 +9,14 @@ import numpy as np
 
 from repro.analysis import verify_fun
 from repro.compiler import compile_fun
+from repro.ir import FunBuilder, f32
 from repro.ir import ast as A
 from repro.lmad import IndexFn, lmad
 from repro.mem.exec import MemExecutor
 from repro.mem.memir import MemBinding, binding_of, param_mem_name
 from repro.symbolic import SymExpr
 
-from tests.analysis.conftest import array_pat, find_stmt, map_stmt, simple_fun
+from tests.analysis.conftest import array_pat, find_stmt, map_stmt, n, simple_fun
 
 
 def test_pristine_program_is_clean(compiled_simple):
@@ -83,6 +84,36 @@ def test_l01_stale_last_use(compiled_simple):
     assert "L01" in report.rules_fired()
 
 
+def test_l01_through_the_enclosing_block_chain(compiled_simple):
+    # A stale annotation *inside* a nested block: nothing later in that
+    # block reads the name, so the validator has to climb the chain of
+    # enclosing blocks to find who still observes it.
+    body = map_stmt(compiled_simple).exp.lam.body
+    read = find_stmt(compiled_simple, lambda s: isinstance(s.exp, A.Index))
+    assert read in body.stmts
+    read.last_uses = frozenset(read.last_uses) | {"x"}
+    report = verify_fun(compiled_simple)
+    assert [d.rule for d in report.errors] == ["L01"]
+    assert "re-execution of the enclosing loop/map" in report.errors[0].message
+
+    # Same damage under an `if` (which does not re-execute): the later
+    # reader is a statement of the enclosing block.
+    b = FunBuilder("g")
+    x = b.param("x", f32(n))
+    br = b.if_(b.binop("<", b.index(x, [0]), 0.0))
+    for side in (br.then_builder, br.else_builder):
+        side.returns(side.index(x, [1]))
+    (picked,) = br.end()
+    b.returns(picked, b.reduce("+", x))
+    fun = compile_fun(b.build(), pipeline="nosc").fun
+    assert verify_fun(fun).ok()
+    branch = find_stmt(fun, lambda s: isinstance(s.exp, A.If)).exp.then_block
+    branch.stmts[0].last_uses = frozenset({"x"})
+    report = verify_fun(fun)
+    assert [d.rule for d in report.errors] == ["L01"]
+    assert "of an enclosing block" in report.errors[0].message
+
+
 def test_l02_alloc_after_use(compiled_simple):
     block = compiled_simple.body
     alloc = find_stmt(compiled_simple, lambda s: isinstance(s.exp, A.Alloc))
@@ -121,6 +152,47 @@ def test_r02_threads_share_an_element(compiled_simple):
     pe.mem = MemBinding(b.mem, squashed)
     report = verify_fun(compiled_simple)
     assert "R02" in report.rules_fired()
+
+
+def _composed_read_fun() -> A.Fun:
+    """``X = map i<8. 2*y[i]`` beside a reduce over the flattened
+    transpose of ``x``'s top two rows -- a zero-copy view whose index
+    function is a two-LMAD composition covering offsets 0..11 of
+    ``x_mem``."""
+    b = FunBuilder("g")
+    x = b.param("x", f32(4, 6))
+    y = b.param("y", f32(8))
+    mp = b.map_(8, index="i")
+    mp.returns(mp.binop("*", mp.index(y, [mp.idx]), 2.0))
+    (X,) = mp.end()
+    top = b.slice(x, [(0, 2, 1), (0, 6, 1)])
+    s = b.reduce("+", b.flatten(b.transpose(top)))
+    b.returns(X, s)
+    return b.build()
+
+
+def test_r04_composed_region_on_a_shared_block():
+    # Re-home the map result into x's block, as in the R01 case, but the
+    # later reader goes through a composed index function, which only
+    # the polyhedral tier can reason about.
+    def rehomed(offset: int):
+        fun = compile_fun(_composed_read_fun(), pipeline="nosc").fun
+        pe = array_pat(map_stmt(fun))
+        pe.mem = MemBinding(
+            param_mem_name("x"), IndexFn((lmad(offset, [(8, 1)]),))
+        )
+        return verify_fun(fun)
+
+    # Offsets 12..19: exactly EMPTY against 0..11, so the pair passes.
+    disjoint = rehomed(12)
+    assert disjoint.ok() and not disjoint.diagnostics
+    assert disjoint.tiers.get("polyhedral") == 1
+    # Offsets 8..15 meet the view at 8..11: no proof, and no single-LMAD
+    # region to name in an R01 -- the checker says it cannot tell.
+    overlapping = rehomed(8)
+    assert [d.rule for d in overlapping.warnings] == ["R04"]
+    assert "composed index function" in overlapping.warnings[0].message
+    assert not overlapping.errors and not overlapping.ok()
 
 
 # ----------------------------------------------------------------------

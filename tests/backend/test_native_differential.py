@@ -13,10 +13,10 @@ import numpy as np
 import pytest
 
 from repro.backend import NativeEngine, native_enabled
-from repro.bench.harness import materialize
 from repro.bench.programs import all_benchmarks
 from repro.compiler import compile_fun
 from repro.mem.exec import MemExecutor
+from repro.runtime import materialize
 
 pytestmark = pytest.mark.skipif(
     not native_enabled(), reason="no C compiler available"

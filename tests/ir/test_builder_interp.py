@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.ir import FunBuilder, f32, f64, run_fun
+from repro.ir import FunBuilder, f32, run_fun
 from repro.ir.interp import InterpError
 from repro.lmad import lmad
 from repro.symbolic import Var

@@ -58,3 +58,9 @@ class TestExecStats:
         st.kernel(1, "map", "a").bytes_read = 1024
         text = st.summary()
         assert "bytes read" in text and "1,024" in text
+        assert "space" not in text  # all-hbm runs print no per-space lines
+        st.kernel(1, "map", "a").note_written(64, "scratch")
+        st.space_peak_bytes = {"scratch": 64}
+        lines = st.summary().splitlines()
+        assert "space hbm       : 1,024 read / 0 written / peak 0" in lines
+        assert "space scratch   : 0 read / 64 written / peak 64" in lines

@@ -11,13 +11,16 @@ import importlib
 import numpy as np
 import pytest
 
-from repro.bench.harness import compile_both, materialize
-from repro.ir import FunBuilder, f32
+from repro.bench.harness import compile_both
+from repro.compiler import compile_fun
+from repro.ir import FunBuilder, f32, i64
 from repro.mem import introduce_memory
 from repro.mem.exec import MemExecutor
+from repro.runtime import materialize
 from repro.symbolic import Var
 
 n = Var("n")
+m = Var("m")
 
 BENCHMARKS = ["nw", "lud", "hotspot", "lbm", "optionpricing", "locvolcalib", "nn"]
 
@@ -60,6 +63,98 @@ class TestDifferential:
             assert_tier_equivalent(ex_i, vals_i, ex_v, vals_v)
             assert ex_v.stats.vec_launches > 0, "engine never engaged"
             assert ex_i.stats.vec_launches == 0
+
+
+# ----------------------------------------------------------------------
+# Lowerings no benchmark reaches (also replayed through the native tier
+# by tests/backend/test_native_corpus.py)
+# ----------------------------------------------------------------------
+def strided_fill_case():
+    """In-kernel triplet-slice update: each thread fills the even slots
+    of a private 4-element row from a private 2-element array."""
+    b = FunBuilder("strided_fill")
+    b.size_param("n")
+    x = b.param("x", f32(n))
+    mp = b.map_(n, index="i")
+    xi = mp.index(x, [mp.idx])
+    row = mp.replicate([4], 0.0)
+    pair = mp.replicate([2], xi)
+    mp.returns(mp.update_slice(row, [(0, 2, 2)], pair))
+    (out,) = mp.end()
+    b.returns(out)
+    return b.build(), dict(n=5, x=np.arange(1, 6, dtype=np.float32))
+
+
+def composed_operand_case():
+    """Kernel operand whose index function is a two-LMAD composition
+    (the flattened transpose), read both as a region and as a point."""
+    b = FunBuilder("columns")
+    b.size_param("n")
+    b.size_param("m")
+    x = b.param("x", f32(n, m))
+    flat = b.flatten(b.transpose(x))
+    mp = b.map_(m, index="j")
+    col = mp.slice(flat, [(mp.idx * n, n, 1)])
+    mp.returns(col, mp.binop("*", mp.index(flat, [mp.idx]), 2.0))
+    b.returns(*mp.end())
+    x_in = np.arange(12, dtype=np.float32).reshape(3, 4)
+    return b.build(), dict(n=3, m=4, x=x_in)
+
+
+def uniform_if_array_case():
+    """Lane-uniform ``if`` (the condition is a host scalar) whose
+    branches each build the thread's result array."""
+    b = FunBuilder("pick")
+    b.size_param("n")
+    flag = b.param("flag", i64())
+    x = b.param("x", f32(n))
+    mp = b.map_(n, index="i")
+    xi = mp.index(x, [mp.idx])
+    br = mp.if_(mp.binop(">", flag, 0))
+    br.then_builder.returns(br.then_builder.replicate([3], xi))
+    neg = br.else_builder.unop("neg", xi)
+    br.else_builder.returns(br.else_builder.replicate([3], neg))
+    mp.returns(*br.end())
+    b.returns(*mp.end())
+    return b.build(), dict(n=4, flag=0, x=np.arange(1, 5, dtype=np.float32))
+
+
+def comparisons_case():
+    """Every comparison and both logical operators on lane vectors."""
+    b = FunBuilder("compare")
+    b.size_param("n")
+    x = b.param("x", f32(n))
+    y = b.param("y", f32(n))
+    mp = b.map_(n, index="i")
+    xi = mp.index(x, [mp.idx])
+    yi = mp.index(y, [mp.idx])
+    cmp = {op: mp.binop(op, xi, yi) for op in ("<", "<=", "==", "!=", ">", ">=")}
+    both = mp.binop("&&", cmp["<="], cmp[">="])
+    either = mp.binop("||", cmp["<"], cmp[">"])
+    mp.returns(*cmp.values(), both, either)
+    b.returns(*mp.end())
+    return b.build(), dict(
+        n=6,
+        x=np.array([0, 1, 2, 3, 4, 5], dtype=np.float32),
+        y=np.array([5, 1, 0, 3, 9, 2], dtype=np.float32),
+    )
+
+
+LOWERING_CASES = [
+    strided_fill_case, composed_operand_case, uniform_if_array_case,
+    comparisons_case,
+]
+
+
+@pytest.mark.parametrize("case", LOWERING_CASES)
+def test_lowering_case_tiers_agree(case):
+    fun, inputs = case()
+    for preset in ("unopt", "full"):
+        compiled = compile_fun(fun, pipeline=preset)
+        ex_i, vals_i, ex_v, vals_v = run_tiers(compiled.fun, inputs)
+        assert_tier_equivalent(ex_i, vals_i, ex_v, vals_v)
+        assert ex_v.stats.vec_launches == 1
+        assert ex_v.stats.interp_launches == 0
 
 
 # ----------------------------------------------------------------------

@@ -15,10 +15,10 @@ import numpy as np
 import pytest
 
 from repro.analysis.verifier import verify_fun
-from repro.bench.harness import materialize
 from repro.bench.programs import all_benchmarks
 from repro.compiler import compile_fun
 from repro.mem.exec import MemExecutor
+from repro.runtime import materialize
 
 BENCH = all_benchmarks()
 PRESETS = ("unopt", "sc", "sc+fuse", "full")
@@ -38,9 +38,9 @@ def _outputs(fun, inputs, vectorize=True):
 def test_nw_widened_sites_recovered_by_polyhedral_tier():
     opt = compile_fun(BENCH["nw"].build())
     st = opt.sc_stats
-    assert st.committed == 6, st.summary()
-    assert st.widened_candidates == 2, st.summary()
-    assert st.tiers.get("polyhedral", 0) >= 2, st.summary()
+    assert st.committed == 6, st
+    assert st.widened_candidates == 2, st
+    assert st.tiers.get("polyhedral", 0) >= 2, st
     # The structural-era rejection reason must be gone entirely.
     assert "non-invertible-layout" not in st.failures, st.failures
 

@@ -157,6 +157,49 @@ class TestUpdateCircuit:
         )
         assert opt.sc_stats.committed == 1
 
+    def test_region_is_translated_to_the_creation_scope(self):
+        """Section V-A-b: the slice start is a scalar defined *after* the
+        fresh array, so the rebased index function must be rewritten, via
+        the symbol table (two rounds: k -> h - n -> n), into names in
+        scope where the array is created -- or the candidate fails."""
+
+        def prog(start_of):
+            b = FunBuilder("f")
+            x = b.param("x", f32(n))
+            big = b.param("big", f32(n * 3))
+            offs = b.param("offs", i64(2))
+            mp = b.map_(n, index="i")
+            mp.returns(mp.binop("*", mp.index(x, [mp.idx]), 2.0))
+            (X,) = mp.end()
+            b.returns(b.update_slice(big, [(start_of(b, offs), n, 1)], X))
+            return b.build()
+
+        inputs = dict(
+            x=np.arange(4, dtype=np.float32),
+            big=np.zeros(12, dtype=np.float32),
+            offs=np.array([4, 0]),
+        )
+        opt, stats = exec_and_compare(
+            prog(lambda b, _: b.scalar(b.scalar(n * 2, name="h") - n, name="k")),
+            **inputs,
+        )
+        # One commit, not one per fixpoint round: the installed binding
+        # says `n`, the circuit point says `k`, and they are the same.
+        assert opt.sc_stats.committed == 1 and not opt.sc_stats.failures
+        assert stats.copy_traffic() == 0
+        created = next(
+            s for s in opt.fun.body.stmts if isinstance(s.exp, A.Map)
+        )
+        assert str(created.pattern[0].mem.ixfn) == "n + {(n : 1)}"
+
+        # A start read out of a buffer has no symbol-table definition.
+        opt, stats = exec_and_compare(
+            prog(lambda b, offs: Var(b.index(offs, [0]))), **inputs
+        )
+        assert opt.sc_stats.committed == 0
+        assert opt.sc_stats.failures == {"untranslatable-ixfn": 1}
+        assert stats.copy_traffic() > 0
+
 
 # ----------------------------------------------------------------------
 # Concat circuit points and chains

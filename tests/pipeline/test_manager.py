@@ -1,4 +1,4 @@
-"""PassManager mechanics: keys, ledger, checkpoints, snapshots."""
+"""PassManager mechanics: keys, schedule, checkpoints, snapshots."""
 
 from __future__ import annotations
 
@@ -7,17 +7,14 @@ import pytest
 from repro import compile_fun, f32, pretty_fun
 from repro.ir import FunBuilder
 from repro.pipeline import (
-    AnalysisPass,
+    PRESETS,
     CompileContext,
-    HoistPass,
-    IntroduceMemoryPass,
-    Pass,
     PassManager,
     PRINT_AFTER_ENV,
-    ShortCircuitPass,
+    preset_pass_names,
     preset_pipeline,
 )
-from repro.pipeline.trace import KIND_ANALYSIS, KIND_VERIFY
+from repro.pipeline.trace import KIND_VERIFY
 from repro.symbolic import Var
 
 n = Var("n")
@@ -54,34 +51,18 @@ class TestStageKeys:
 
 
 class TestAnalysisLedger:
-    def test_invalidated_analysis_is_rerun_automatically(self):
-        class ScramblePass(Pass):
-            """Mutating no-op that declares it preserves nothing."""
-
-            name = "scramble"
-
-            def run(self, ctx, fun):
-                return self.stats(changed=False)
-
-        passes = [
-            IntroduceMemoryPass(),
-            HoistPass(),
-            AnalysisPass("last_use"),
-            ScramblePass(),
-            ShortCircuitPass(),  # requires last_use -> forced re-run
-        ]
-        ctx = CompileContext(source=simple_fun())
-        trace = PassManager(passes, name="scrambled").run(ctx)
-        analyses = [r.key for r in trace.records if r.kind == KIND_ANALYSIS]
-        assert analyses == ["last_use", "last_use#2"]
-
     def test_preserved_analysis_is_not_rerun(self):
-        ctx = CompileContext(source=simple_fun())
-        trace = PassManager(preset_pipeline("full"), name="full").run(ctx)
-        analyses = [r.key for r in trace.records if r.kind == KIND_ANALYSIS]
-        # One scheduled last_use, one scheduled mem_frees -- and nothing
-        # auto-inserted: sc/fuse/dead_allocs/reuse all carry last_use over.
-        assert analyses == ["last_use", "mem_frees"]
+        """A preset *is* its pass list: for every benchmark under every
+        preset the trace is the advertised schedule record for record --
+        nothing inserted, nothing re-run."""
+        from tests.pipeline.test_presets import BENCHMARKS, compiled
+
+        for name in BENCHMARKS:
+            for preset in PRESETS:
+                trace = compiled(name, preset).trace
+                assert [r.name for r in trace.records] == (
+                    preset_pass_names(preset)
+                ), (name, preset)
 
 
 class TestVerifyCheckpoints:

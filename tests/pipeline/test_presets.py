@@ -88,13 +88,12 @@ def test_the_six_presets_build_verify_and_schedule_their_passes():
     fun = BENCHMARKS["nn"].build()
     for preset, optional in OPTIONAL.items():
         assert preset_pass_names(preset) == common + optional
-        assert preset_pass_names(preset, typecheck=False) == (
-            common[1:] + optional
-        )
         c = compile_fun(fun, pipeline=preset, verify=True)
         assert c.verify_reports
         assert all(r.ok() for r in c.verify_reports.values()), preset
         assert c.short_circuited == ("short_circuit" in optional)
+    with pytest.raises(TypeError, match="typecheck"):
+        compile_fun(fun, **{"typecheck": False})
 
 
 def test_unknown_preset_is_an_error():

@@ -33,7 +33,7 @@ def simple_fun(assume_upper=None):
 
 
 def _key(fun, pipeline="full"):
-    return make_key(fun, pipeline, True, True, False)
+    return make_key(fun, pipeline, True, False)
 
 
 class TestMemoryLayer:
@@ -72,7 +72,7 @@ class TestMemoryLayer:
             pc.get_or_compile(_key(f), lambda f=f: compile_fun(f, cache=False))
         assert len(pc) == 2
         # The oldest entry (no assumption) was evicted.
-        _, state, _ = pc.get_or_compile(
+        _, state = pc.get_or_compile(
             _key(funs[0]), lambda: compile_fun(funs[0], cache=False)
         )
         assert state == COLD
@@ -101,8 +101,8 @@ class TestKeyAnatomy:
 
     def test_options_differentiate(self):
         fun = simple_fun()
-        k1 = make_key(fun, "full", True, True, False)
-        k2 = make_key(fun, "full", True, True, True)
+        k1 = make_key(fun, "full", True, False)
+        k2 = make_key(fun, "full", True, True)
         assert k1.digest() != k2.digest()
 
 
@@ -115,7 +115,7 @@ class TestDiskLayer:
         key = _key(fun)
 
         pc1 = ProgramCache(disk_dir=tmp_path)
-        cold, state, cold_s = pc1.get_or_compile(
+        cold, state = pc1.get_or_compile(
             key, lambda: compile_fun(fun, cache=False), disk=True
         )
         assert state == COLD
@@ -125,7 +125,7 @@ class TestDiskLayer:
 
         # A fresh process: empty memory layer, same disk directory.
         pc2 = ProgramCache(disk_dir=tmp_path)
-        warm, state, warm_cold_s = pc2.get_or_compile(
+        warm, state = pc2.get_or_compile(
             key, lambda: pytest.fail("disk hit must not recompile"),
             disk=True,
         )
@@ -137,9 +137,8 @@ class TestDiskLayer:
         assert rec.detail["passes_skipped"] == cold_passes
         assert pretty_fun(warm.fun) == pretty_fun(cold.fun)
         assert warm.pipeline == cold.pipeline
-        assert warm_cold_s == pytest.approx(cold_s)
         # The disk hit is promoted into the memory layer.
-        again, state, _ = pc2.get_or_compile(
+        again, state = pc2.get_or_compile(
             key, lambda: pytest.fail("must not recompile"), disk=True
         )
         assert state == MEM_HIT and again is warm
@@ -154,7 +153,7 @@ class TestDiskLayer:
 
         monkeypatch.setattr(cache_mod, "CACHE_VERSION", 999)
         pc2 = ProgramCache(disk_dir=tmp_path)
-        _, state, _ = pc2.get_or_compile(
+        _, state = pc2.get_or_compile(
             key, lambda: compile_fun(fun, cache=False), disk=True
         )
         assert state == COLD
@@ -168,7 +167,7 @@ class TestDiskLayer:
         for p in tmp_path.glob("*.pkl"):
             p.write_bytes(b"not a pickle")
         pc2 = ProgramCache(disk_dir=tmp_path)
-        _, state, _ = pc2.get_or_compile(
+        _, state = pc2.get_or_compile(
             key, lambda: compile_fun(fun, cache=False), disk=True
         )
         assert state == COLD

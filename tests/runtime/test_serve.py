@@ -36,7 +36,6 @@ class TestServeProgram:
         serve_program(program, inputs, requests=12, workers=4)
         # reserve() produced once; every served request was recalled.
         assert program.memo_hits == 12
-        assert program.calls == 13
 
     def test_worker_errors_propagate(self):
         mod, inputs = bench("hotspot")

@@ -92,8 +92,8 @@ class TestPipeline:
         fun = nw.build()
         strong = compile_fun(fun, enable_splitting=True).sc_stats
         weak = compile_fun(fun, enable_splitting=False).sc_stats
-        assert strong.committed == 6, strong.summary()
-        assert strong.tiers.get("structural", 0) > 0, strong.summary()
-        assert weak.committed == 6, weak.summary()
-        assert weak.tiers.get("structural", 0) == 0, weak.summary()
-        assert weak.tiers.get("polyhedral", 0) > 0, weak.summary()
+        assert strong.committed == 6, strong
+        assert strong.tiers.get("structural", 0) > 0, strong
+        assert weak.committed == 6, weak
+        assert weak.tiers.get("structural", 0) == 0, weak
+        assert weak.tiers.get("polyhedral", 0) > 0, weak
