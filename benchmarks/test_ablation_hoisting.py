@@ -12,6 +12,7 @@ from repro.ir.lastuse import analyze_last_uses
 from repro.mem.hoist import hoist_allocations
 from repro.mem.introduce import introduce_memory
 from repro.opt.shortcircuit import short_circuit_fun
+from repro.pipeline import CompileContext
 
 
 def compile_sc(fun, hoist: bool):
@@ -19,7 +20,7 @@ def compile_sc(fun, hoist: bool):
     if hoist:
         hoist_allocations(mfun)
     analyze_last_uses(mfun)
-    return short_circuit_fun(mfun)
+    return short_circuit_fun(mfun, CompileContext(source=fun, mfun=mfun))
 
 
 def test_ablation_hoisting(benchmark):

@@ -1,7 +1,9 @@
 """See the imperative code the optimization recovers (paper section IV-A).
 
 Compiles the fig. 1 diagonal program with and without short-circuiting,
-runs both on the native tier and prints, for each, the memory IR and the
+runs both on the native tier and prints, for each, the memory IR (every
+annotation: bindings, last uses, and the ``-- frees: mem_1`` of the
+temporary that only the unoptimized program has) and the
 C translation unit ``repro.backend`` built for its ``map``: one flat
 loop, the LMAD index functions inlined as affine addressing.  Without
 short-circuiting the host allocates a temporary for the map's result and

@@ -36,7 +36,6 @@ from repro.analysis.facts import (
     stmt_location,
 )
 from repro.ir import ast as A
-from repro.ir.types import ArrayType
 from repro.lmad.lmad import Lmad
 from repro.mem.memir import MemBinding
 from repro.symbolic import Context, Prover, SymExpr
@@ -57,14 +56,13 @@ class _BoundsWalker(ScopeWalker):
             if pe.is_array() and isinstance(pe.mem, MemBinding):
                 self._check(pe.name, pe.mem, ctx, loc)
         if isinstance(stmt.exp, A.Loop):
-            pb = getattr(stmt.exp.body, "param_bindings", {})
             lctx = ctx.extended()
             count = stmt.exp.count
             cexpr = SymExpr.var(count) if isinstance(count, str) else count
             lctx.assume_range(stmt.exp.index, 0, cexpr - 1)
             for prm, _init in stmt.exp.carried:
-                if isinstance(prm.type, ArrayType) and prm.name in pb:
-                    self._check(prm.name, pb[prm.name], lctx, loc)
+                if prm.mem is not None:
+                    self._check(prm.name, prm.mem, lctx, loc)
 
     # ------------------------------------------------------------------
     def _check(
@@ -107,8 +105,13 @@ def _all_empty(l: Lmad, prover: Prover) -> bool:
 
 
 # ----------------------------------------------------------------------
+#: Two-sided index variables :func:`_concrete_check` enumerates corners
+#: of (2^n evaluations).
+_MAX_CORNER_VARS = 8
+
+
 def _concrete_check(
-    region: Lmad, size: SymExpr, ctx: Context, max_corner_vars: int = 8
+    region: Lmad, size: SymExpr, ctx: Context
 ) -> Tuple[Optional[bool], str]:
     """Evaluate the image numerically under a model of the assumptions.
 
@@ -126,7 +129,7 @@ def _concrete_check(
         if ctx.bound(v).lower is not None and ctx.bound(v).upper is not None
     }
     ranges = index_var_ranges(ctx, corner_vars, env)
-    if ranges is None or len(ranges) > max_corner_vars:
+    if ranges is None or len(ranges) > _MAX_CORNER_VARS:
         return None, "unbounded index variables"
     choices: List[List[Tuple[str, int]]] = []
     for v, lo, hi in ranges:

@@ -50,8 +50,8 @@ RULES = {
         "a rebase installed an index function of the wrong shape",
     ),
     "WF06": (
-        "loop array parameter lacks a param_bindings entry",
-        "a pass rebuilt a loop body without its binding side table",
+        "loop array parameter lacks a memory binding",
+        "a pass rebuilt a loop without carrying its parameters' bindings",
     ),
     "B01": (
         "index-function image escapes its memory block",
@@ -172,11 +172,9 @@ class Report:
     def notes(self) -> List[Diagnostic]:
         return [d for d in self.diagnostics if d.severity is Severity.NOTE]
 
-    def ok(self, allow_notes: bool = True) -> bool:
-        """No errors or warnings (notes tolerated by default)."""
-        if allow_notes:
-            return not self.errors and not self.warnings
-        return not self.diagnostics
+    def ok(self) -> bool:
+        """No errors or warnings (notes are tolerated)."""
+        return not self.errors and not self.warnings
 
     def rules_fired(self) -> List[str]:
         return sorted({d.rule for d in self.diagnostics})

@@ -28,10 +28,11 @@ from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 from repro.ir import ast as A
 from repro.ir.pretty import _pretty_exp
 from repro.ir.types import ArrayType
-from repro.lmad import IndexFn
 from repro.mem.memir import (
     MemBinding,
+    binders,
     binding_of,
+    entry_bindings,
     iter_stmts,
     param_mem_name,
 )
@@ -97,12 +98,7 @@ def referenced_mems(fun: A.Fun) -> Set[str]:
     """Every memory-block name any binding mentions."""
     out: Set[str] = set()
     for stmt in iter_stmts(fun.body):
-        for pe in stmt.pattern:
-            if pe.is_array() and pe.mem is not None:
-                out.add(binding_of(pe).mem)
-        if isinstance(stmt.exp, A.Loop):
-            for b in getattr(stmt.exp.body, "param_bindings", {}).values():
-                out.add(b.mem)
+        out.update(pe.mem.mem for pe in binders(stmt) if pe.mem is not None)
     return out
 
 
@@ -127,15 +123,8 @@ class ScopeWalker:
 
     def run(self) -> None:
         ctx = self.fun.build_context()
-        bindings: Dict[str, MemBinding] = {}
-        avail: Set[str] = set()
-        for p in self.fun.params:
-            if isinstance(p.type, ArrayType):
-                mem = param_mem_name(p.name)
-                bindings[p.name] = MemBinding(
-                    mem, IndexFn.row_major(p.type.shape)
-                )
-                avail.add(mem)
+        bindings = entry_bindings(self.fun)
+        avail = {b.mem for b in bindings.values()}
         self._block(self.fun.body, ctx, bindings, avail, "body")
 
     # -- hook ----------------------------------------------------------
@@ -186,11 +175,10 @@ class ScopeWalker:
                 lctx.assume_range(exp.index, 0, count - 1)
                 lb = dict(bindings)
                 lav = set(avail)
-                pb = getattr(exp.body, "param_bindings", {})
                 for prm, _init in exp.carried:
-                    if isinstance(prm.type, ArrayType) and prm.name in pb:
-                        lb[prm.name] = pb[prm.name]
-                        lav.add(pb[prm.name].mem)
+                    if prm.mem is not None:
+                        lb[prm.name] = prm.mem
+                        lav.add(prm.mem.mem)
                 self._block(exp.body, lctx, lb, lav, spath + ".loop")
             elif isinstance(exp, A.If):
                 self._block(
@@ -371,16 +359,21 @@ def alias_closure(fun: A.Fun) -> Dict[str, FrozenSet[str]]:
 # ----------------------------------------------------------------------
 # Concrete sample environments (bounds fallback)
 # ----------------------------------------------------------------------
-def sample_env(
-    ctx: Context, needed: Set[str], default: int = 3, rounds: int = 8
-) -> Optional[Dict[str, int]]:
+#: The value :func:`sample_env` gives an unconstrained variable, and the
+#: dependency-resolution rounds it takes before giving up.
+_SAMPLE_DEFAULT = 3
+_SAMPLE_ROUNDS = 8
+
+
+def sample_env(ctx: Context, needed: Set[str]) -> Optional[Dict[str, int]]:
     """A concrete assignment consistent with the context's equalities and
     numeric bounds; ``None`` when some needed variable cannot be pinned.
 
     Defined variables get their defining expression evaluated; bounded
     variables get their lower bound (clamped into the upper bound when
-    both exist); free variables get ``default``.
+    both exist); free variables get ``_SAMPLE_DEFAULT``.
     """
+    default = _SAMPLE_DEFAULT
     eqs = ctx.all_equalities()
     # Close the needed set over defining expressions and bounds.
     work = set(needed)
@@ -405,7 +398,7 @@ def sample_env(
     def try_eval(e: SymExpr) -> Optional[int]:
         return e.substitute(env).as_int() if env else e.as_int()
 
-    for _ in range(rounds):
+    for _ in range(_SAMPLE_ROUNDS):
         progress = False
         for v in sorted(closed):
             if v in env:

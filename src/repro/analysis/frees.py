@@ -27,14 +27,13 @@ from typing import Dict, Set, Tuple
 from repro.analysis.diagnostics import Report, Severity
 from repro.analysis.facts import stmt_location
 from repro.ir import ast as A
-from repro.ir.types import ArrayType
-from repro.lmad import IndexFn
 from repro.mem.memir import (
     MemBinding,
     array_bindings,
+    binders,
     binding_of,
+    entry_bindings,
     iter_stmts,
-    param_mem_name,
 )
 
 
@@ -68,15 +67,12 @@ class FreeChecker:
                 exp = stmt.exp
                 if isinstance(exp, A.Loop):
                     lb = dict(bindings)
-                    pb = getattr(exp.body, "param_bindings", {})
                     for prm, _init in exp.carried:
-                        if isinstance(prm.type, ArrayType) and prm.name in pb:
-                            lb[prm.name] = pb[prm.name]
+                        if prm.mem is not None:
+                            lb[prm.name] = prm.mem
                     child = walk(exp.body, lb)
                     for k, (prm, init) in enumerate(exp.carried):
-                        if not isinstance(prm.type, ArrayType):
-                            continue
-                        if prm.name not in pb:
+                        if prm.mem is None:
                             continue
                         under: Set[str] = set()
                         ib = bindings.get(init)
@@ -85,7 +81,7 @@ class FreeChecker:
                         rb = child.get(exp.body.result[k])
                         if rb is not None:
                             under.add(rb.mem)
-                        register(pb[prm.name].mem, under)
+                        register(prm.mem.mem, under)
                     for k, pe in enumerate(stmt.pattern):
                         if not pe.is_array() or pe.mem is None:
                             continue
@@ -123,14 +119,7 @@ class FreeChecker:
                         bindings[pe.name] = binding_of(pe)
             return bindings
 
-        params = {
-            p.name: MemBinding(
-                param_mem_name(p.name), IndexFn.row_major(p.type.shape)
-            )
-            for p in self.fun.params
-            if isinstance(p.type, ArrayType)
-        }
-        walk(self.fun.body, params)
+        walk(self.fun.body, entry_bindings(self.fun))
         self._indirect = {m: tuple(sorted(t)) for m, t in raw.items()}
 
     def _expand(self, mem: str, _seen: Tuple[str, ...] = ()) -> Tuple[str, ...]:
@@ -153,12 +142,7 @@ class FreeChecker:
         mems: Set[str] = set()
 
         def of_stmt(s: A.Let) -> None:
-            for pe in s.pattern:
-                if pe.is_array() and pe.mem is not None:
-                    mems.add(binding_of(pe).mem)
-            if isinstance(s.exp, A.Loop):
-                for b in getattr(s.exp.body, "param_bindings", {}).values():
-                    mems.add(b.mem)
+            mems.update(pe.mem.mem for pe in binders(s) if pe.mem is not None)
             for blk in A.sub_blocks(s.exp):
                 mems.update(r for r in blk.result if r not in self.bindings)
                 for sub in blk.stmts:

@@ -7,10 +7,11 @@ record asserts, from the program alone (it never imports the pass --
 the same translation-validation stance as the rest of the package):
 
 * FU01 -- the elided intermediate's memory block must be *gone*: no
-  binding, allocation, loop side table or existential block result may
-  still reference it.  A surviving reference means the fusion was not
-  actually total (the round trip it claims to have elided still happens)
-  or the dead-allocation sweep was skipped.
+  binding (of a pattern element or loop parameter), allocation or
+  existential block result may still reference it.  A surviving
+  reference means the fusion was not actually total (the round trip it
+  claims to have elided still happens) or the dead-allocation sweep was
+  skipped.
 * FU02 -- the fused kernel's write set must equal the union of the
   original pair's write sets minus the elided intermediate.  Fusion is a
   pure read-path transformation; if the consumer's destinations drifted

@@ -22,7 +22,6 @@ from repro.analysis.diagnostics import Report, Severity
 from repro.analysis.facts import ScopeWalker, alias_closure, stmt_location
 from repro.analysis.wellformed import known_blocks
 from repro.ir import ast as A
-from repro.ir.types import ArrayType
 from repro.mem.memir import binding_of
 
 
@@ -145,8 +144,8 @@ class _OrderWalker(ScopeWalker):
             pe.name for pe in stmt.pattern if not pe.is_array()
         }
         if isinstance(stmt.exp, A.Loop):
-            pb = getattr(stmt.exp.body, "param_bindings", {})
-            effective = effective | {b.mem for b in pb.values()}
+            params = [p for p, _ in stmt.exp.carried if p.mem is not None]
+            effective = effective | {p.mem.mem for p in params}
             # Loop results bind their own existential block (rmem).
             effective |= {
                 binding_of(pe).mem
@@ -155,9 +154,8 @@ class _OrderWalker(ScopeWalker):
                 and pe.mem is not None
                 and binding_of(pe).mem not in self._concrete
             }
-            for prm, _init in stmt.exp.carried:
-                if isinstance(prm.type, ArrayType) and prm.name in pb:
-                    self._check(prm.name, pb[prm.name].mem, effective, loc)
+            for prm in params:
+                self._check(prm.name, prm.mem.mem, effective, loc)
         for pe in stmt.pattern:
             if pe.is_array() and pe.mem is not None:
                 self._check(pe.name, binding_of(pe).mem, effective, loc)

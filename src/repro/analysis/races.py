@@ -58,14 +58,9 @@ from repro.analysis.facts import (
     stmt_location,
 )
 from repro.ir import ast as A
-from repro.ir.types import ArrayType
 from repro.lmad import IndexFn, ProverPool, aggregate_over_loop
 from repro.lmad.lmad import Lmad, LmadDim
-from repro.mem.memir import (
-    MemBinding,
-    binding_of,
-    param_mem_name,
-)
+from repro.mem.memir import MemBinding, binding_of, entry_bindings
 from repro.symbolic import Context, Prover, SymExpr
 
 
@@ -139,19 +134,10 @@ class RaceChecker:
         self._unknown_flagged: Set[Tuple[str, str]] = set()
 
     def run(self) -> None:
-        self.pool.set_client("races")
-        tier_base = dict(self.pool.tiers.get("races", {}))
-        ctx = self.fun.build_context()
-        bindings: Dict[str, MemBinding] = {}
-        for p in self.fun.params:
-            if isinstance(p.type, ArrayType):
-                bindings[p.name] = MemBinding(
-                    param_mem_name(p.name), IndexFn.row_major(p.type.shape)
-                )
-        self._block(self.fun.body, ctx, bindings, "body")
-        tier_now = self.pool.tiers.get("races", {})
-        for k in set(tier_now) | set(tier_base):
-            delta = tier_now.get(k, 0) - tier_base.get(k, 0)
+        with self.pool.client("races") as tiers:
+            ctx = self.fun.build_context()
+            self._block(self.fun.body, ctx, entry_bindings(self.fun), "body")
+        for k, delta in tiers.items():
             if delta:
                 self.report.tiers[k] = self.report.tiers.get(k, 0) + delta
 
@@ -563,10 +549,9 @@ class RaceChecker:
         lctx = ctx.extended()
         lctx.assume_range(exp.index, 0, count - 1)
         lb = dict(bindings)
-        pb = getattr(exp.body, "param_bindings", {})
         for prm, _init in exp.carried:
-            if isinstance(prm.type, ArrayType) and prm.name in pb:
-                lb[prm.name] = pb[prm.name]
+            if prm.mem is not None:
+                lb[prm.name] = prm.mem
         child, local, child_bindings = self._block(
             exp.body, lctx, lb, spath + ".loop"
         )
@@ -586,11 +571,10 @@ class RaceChecker:
     def _register_loop_indirect(
         self, stmt, exp: A.Loop, bindings, child_bindings
     ) -> None:
-        pb = getattr(exp.body, "param_bindings", {})
         for k, (prm, init) in enumerate(exp.carried):
-            if not isinstance(prm.type, ArrayType) or prm.name not in pb:
+            if prm.mem is None:
                 continue
-            pmem = pb[prm.name].mem
+            pmem = prm.mem.mem
             if pmem in self.concrete or pmem in self._indirect:
                 continue
             under: Set[str] = set()

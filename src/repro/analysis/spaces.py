@@ -29,7 +29,7 @@ from repro.analysis.diagnostics import Report, Severity
 from repro.analysis.facts import stmt_location
 from repro.ir import ast as A
 from repro.ir.types import ArrayType, DTYPE_INFO
-from repro.mem.memir import binding_of, iter_stmts, param_mem_name
+from repro.mem.memir import binders, binding_of, iter_stmts, param_mem_name
 from repro.mem.spaces import SPACES, space_of
 
 
@@ -125,17 +125,11 @@ def check_spaces(fun: A.Fun, report: Report) -> None:
     def walk_bindings(block: A.Block, path: str) -> None:
         for i, stmt in enumerate(block.stmts):
             loc = stmt_location(f"{path}[{i}]", stmt)
-            for pe in stmt.pattern:
-                if pe.is_array() and pe.mem is not None:
-                    b = binding_of(pe)
+            for pe in binders(stmt):
+                b = binding_of(pe)
+                if b is not None:
                     check_binding(
                         b.mem, b.space, f"binding of {pe.name!r}", loc
-                    )
-            if isinstance(stmt.exp, A.Loop):
-                pb = getattr(stmt.exp.body, "param_bindings", {})
-                for prm, b in pb.items():
-                    check_binding(
-                        b.mem, b.space, f"loop param {prm!r}", loc
                     )
             for k, blk in enumerate(A.sub_blocks(stmt.exp)):
                 walk_bindings(blk, f"{path}[{i}].sub[{k}]")

@@ -13,7 +13,7 @@
 * WF05 -- the pattern's array type and its binding's index function agree
   on rank (shape disagreements are reported at WARNING, since provers may
   be too weak for exotic but correct shapes);
-* WF06 -- every array-typed loop parameter has a ``param_bindings`` entry.
+* WF06 -- every array-typed loop parameter has a memory binding.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from repro.analysis.facts import (
 )
 from repro.ir import ast as A
 from repro.ir.types import ArrayType
-from repro.mem.memir import MemBinding, binding_of
+from repro.mem.memir import MemBinding, binders, binding_of
 from repro.symbolic import Context, Prover, SymExpr
 
 
@@ -43,13 +43,12 @@ def known_blocks(fun: A.Fun) -> Set[str]:
             if not pe.is_array():
                 known.add(pe.name)  # existential mem results are scalars
         if isinstance(stmt.exp, A.Loop):
-            for b in getattr(stmt.exp.body, "param_bindings", {}).values():
-                known.add(b.mem)
-            for pe in stmt.pattern:
-                # Loop results bind their existential block (rmem)
-                # implicitly: there is no separate binder statement.
-                if pe.is_array() and pe.mem is not None:
-                    known.add(binding_of(pe).mem)
+            # Loop parameters and results bind their existential blocks
+            # (lmem, rmem) implicitly: there is no separate binder
+            # statement.
+            known.update(
+                pe.mem.mem for pe in binders(stmt) if pe.mem is not None
+            )
     return known
 
 
@@ -87,21 +86,18 @@ class _WfWalker(ScopeWalker):
             self._check_binding(pe.name, pe.type, b, ctx, loc)
 
         if isinstance(exp, A.Loop):
-            pb = getattr(exp.body, "param_bindings", None) or {}
             for prm, _init in exp.carried:
-                if not isinstance(prm.type, ArrayType):
+                if not prm.is_array():
                     continue
                 rep.count()
-                if prm.name not in pb:
+                if prm.mem is None:
                     rep.add(
                         "WF06", Severity.ERROR, loc,
                         f"loop array parameter {prm.name!r} has no "
-                        "param_bindings entry",
+                        "memory binding",
                     )
                     continue
-                self._check_binding(
-                    prm.name, prm.type, pb[prm.name], ctx, loc
-                )
+                self._check_binding(prm.name, prm.type, prm.mem, ctx, loc)
         if isinstance(exp, A.If):
             self._check_if_existentials(stmt, exp, bindings, loc)
 

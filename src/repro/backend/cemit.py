@@ -160,8 +160,8 @@ class KernelSpec:
     #: Per in-kernel-alloc site: (static name, size expr, enclosing
     #: count exprs, dtype).
     alloc_sites: List[tuple]
-    #: Per counter-site: (stmt, kind, label); site 0 is the launch.
-    sites: List[tuple]
+    #: Per counter-site: (kind, label); site 0 is the launch.
+    sites: Tuple[Tuple[str, str], ...]
     fn: object = None  # ctypes function, attached by the builder
     digest: str = ""
 
@@ -206,14 +206,14 @@ class _Emitter:
         #: Memory space per buffer slot, parallel to ``buf_dirs``.
         self.buf_space: List[str] = []
         self.alloc_sites: List[tuple] = []
-        self.sites: List[tuple] = []
+        #: ``(kind, label)`` of every counter site -> its row index.
+        self.sites: Dict[Tuple[str, str], int] = {}
         self._int_slots: Dict[tuple, object] = {}
         #: Expanded width of ``ia`` so far (an "arrcomp" directive
         #: expands to 1 + 2*rank integers per LMAD).
         self._int_width = 0
         self._flt_slots: Dict[tuple, int] = {}
         self._buf_slots: Dict[tuple, int] = {}
-        self._site_ids: Dict[int, int] = {}
         #: Stack of open lexical scopes (ids); values created in a scope
         #: are usable only while it is open.
         self._scopes: List[int] = [0]
@@ -376,13 +376,11 @@ class _Emitter:
             self._buf_slots[key] = slot
         return slot
 
-    def site_of(self, stmt: A.Let, kind: str, label: str) -> int:
-        sid = self._site_ids.get(id(stmt))
-        if sid is None:
-            sid = len(self.sites)
-            self.sites.append((stmt, kind, label))
-            self._site_ids[id(stmt)] = sid
-        return sid
+    def site_of(self, stmt: A.Let) -> int:
+        """Counter row of a ``map`` statement, keyed as the executor keys
+        its :class:`~repro.mem.stats.KernelStat`."""
+        key = ("map", f"map:{'/'.join(stmt.names)}")
+        return self.sites.setdefault(key, len(self.sites))
 
     # -- symbolic expressions ------------------------------------------
     def sym_c(self, expr: SymExpr, scope: Dict[str, object],
@@ -948,7 +946,7 @@ class _Emitter:
     def _emit_nested_map(self, stmt, exp: A.Map, scope, memenv) -> None:
         if len(exp.lam.params) != 1:
             raise Reject("multi-parameter map lambda")
-        nsite = self.site_of(stmt, "map", f"map:{'/'.join(stmt.names)}")
+        nsite = self.site_of(stmt)
         # The statement's execution (not its threads) creates the kernel
         # stat, width 0 included -- counted in the *enclosing* block.
         self.pend(nsite, 0, 1)
@@ -1000,7 +998,6 @@ class _Emitter:
     def _emit_loop(self, stmt, exp: A.Loop, scope, memenv, site) -> None:
         cnt = self.fresh("n")
         self.emit(f"long long {cnt} = {self.sym_c(exp.count, scope)};")
-        param_bindings = getattr(exp.body, "param_bindings", {})
         carried = []
         for prm, initname in exp.carried:
             val = self.value_of(initname, scope, memenv)
@@ -1008,7 +1005,7 @@ class _Emitter:
                 if not isinstance(val, CArr):
                     raise Reject("array loop param initialized by non-array")
                 self.check_scope(val.scope, val.mem.scope)
-                b = param_bindings.get(prm.name)
+                b = binding_of(prm)
                 # Mirrors the interpreter: the param binding's memory
                 # rebinds to the carried value's block unless it already
                 # names a host-level block.
@@ -1191,7 +1188,7 @@ def emit_kernel(ex, stmt: A.Let, exp: A.Map, env, dests) -> KernelSpec:
     if len(exp.lam.params) != 1:
         raise Reject("multi-parameter map lambda")
     em = _Emitter(ex, env)
-    em.site_of(stmt, "map", f"map:{'/'.join(stmt.names)}")  # site 0
+    em.site_of(stmt)  # site 0
     dest_arrs = []
     for k, d in enumerate(dests):
         dest_arrs.append(
@@ -1226,5 +1223,5 @@ def emit_kernel(ex, stmt: A.Let, exp: A.Map, env, dests) -> KernelSpec:
         flt_dirs=em.flt_dirs,
         buf_dirs=em.buf_dirs,
         alloc_sites=em.alloc_sites,
-        sites=em.sites,
+        sites=tuple(em.sites),
     )

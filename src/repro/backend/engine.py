@@ -89,7 +89,7 @@ def fire(launch: Launch, buf_ptrs, counters_ptr) -> None:
 
 def distribute(stats, sites, counters) -> None:
     """Fold C-accumulated counters into ``stats``: one ``SLOTS``-wide
-    row of ``counters`` per ``(stmt, kind, label)`` site.
+    row of ``counters`` per ``(kind, label)`` site.
 
     A site whose row is all zero never executed and must not create a
     ``KernelStat`` (the interpreter registers a nested statement's stat
@@ -99,11 +99,11 @@ def distribute(stats, sites, counters) -> None:
     launches may be distributed in any order or pre-summed per site.
     """
     rows = counters.reshape(-1, SLOTS).tolist()
-    for (sstmt, kind, label), row in zip(sites, rows):
+    for (kind, label), row in zip(sites, rows):
         if not any(row):
             continue
         _ent, br, bw, fl, elc, elb, scr, scw, rgr, rgw = row
-        ks = stats.kernel(id(sstmt), kind, label)
+        ks = stats.kernel(kind, label)
         ks.bytes_read += br
         ks.bytes_written += bw
         ks.flops += fl

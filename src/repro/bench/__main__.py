@@ -240,9 +240,7 @@ def main(argv=None) -> int:
                 print(f"  space peaks ({label}): {per_space or 'hbm 0'}")
         gate("footprint", name, footprint)
 
-        fusion = measure_fusion(
-            module, PERF_DATASETS[name], PERF_DATASETS[name], compiled[1]
-        )
+        fusion = measure_fusion(module, PERF_DATASETS[name], compiled[1])
         if fusion["committed"]:
             saved = fusion["unfused_traffic"] - fusion["fused_traffic"]
             pct = saved / fusion["unfused_traffic"] if fusion["unfused_traffic"] else 0

@@ -186,7 +186,6 @@ def measure_engine(
 def measure_fusion(
     module,
     real_args: Sequence,
-    dry_args: Optional[Sequence] = None,
     compiled: Optional[CompiledFun] = None,
 ) -> Dict[str, object]:
     """Fuse-on / fuse-off differential for one benchmark.
@@ -194,8 +193,8 @@ def measure_fusion(
     Compiles the ``full`` and ``nofuse`` presets, runs both on identical
     real data under *both* executor tiers and requires bit-identical
     outputs (fusion only changes where intermediate values live, never
-    what is computed), then dry-runs both at
-    ``dry_args`` to measure the traffic the pass eliminated.  The
+    what is computed), then dry-runs both at the same dataset to
+    measure the traffic the pass eliminated.  The
     vectorized tier's interpreted-launch count must not increase: a fused
     body that silently falls back to the interpreted path would trade
     traffic for wall clock.
@@ -217,8 +216,7 @@ def measure_fusion(
         for a, b in zip(outs[("fused", vec)], outs[("unfused", vec)])
     )
 
-    dargs = dry_args if dry_args is not None else real_args
-    dinp = module.dry_inputs_for(*dargs)
+    dinp = module.dry_inputs_for(*real_args)
     _, dry_f = MemExecutor(fused.fun, mode="dry").run(**dict(dinp))
     _, dry_u = MemExecutor(unfused.fun, mode="dry").run(**dict(dinp))
 
@@ -232,7 +230,7 @@ def measure_fusion(
     )
     return {
         "real_dataset": list(real_args),
-        "dry_dataset": list(dargs),
+        "dry_dataset": list(real_args),
         "committed": committed,
         "outputs_equal": outputs_equal,
         "fused_traffic": dry_f.bytes_total,

@@ -35,9 +35,9 @@ from repro.symbolic import Var
 n, q, b = Var("n"), Var("q"), Var("b")
 
 
-def _load_block(bb, A: str, row0, col0, name=None) -> str:
+def _load_block(bb, A: str, row0, col0) -> str:
     """Copy a b x b block of the flat matrix into a local scratch array."""
-    blk = bb.scratch("f32", [b, b], name=name)
+    blk = bb.scratch("f32", [b, b])
     lr = bb.loop(count=b, carried=[("lb_r", blk)], index="r")
     lc = lr.loop(count=b, carried=[("lb_c", lr["lb_r"])], index="c")
     v = lc.index(A, [(row0 + lr.idx) * n + col0 + lc.idx])

@@ -8,10 +8,11 @@ symbolic integer expressions (:class:`repro.symbolic.SymExpr`) over scalar
 ``i64`` variables -- the latter mirrors how a real compiler keeps index
 arithmetic transparent to the analyses.
 
-Memory is *not* part of the language semantics: pattern elements carry an
-optional ``mem`` annotation (filled in by :mod:`repro.mem.introduce`) that
-can be deleted without changing the meaning of the program (paper section
-I, "the memory information can be seen as an add-on to the IR").
+Memory is *not* part of the language semantics: every binder -- a pattern
+element or a loop parameter, both :class:`PatElem` -- carries an optional
+``mem`` annotation (filled in by :mod:`repro.mem.introduce`) that can be
+deleted without changing the meaning of the program (paper section I, "the
+memory information can be seen as an add-on to the IR").
 """
 
 from __future__ import annotations
@@ -34,7 +35,8 @@ Operand = Union[str, int, float, bool, SymExpr]
 # ======================================================================
 @dataclass
 class PatElem:
-    """One bound variable of a pattern, with its type and memory add-on.
+    """One bound variable of a pattern or one loop parameter, with its
+    type and memory add-on.
 
     ``mem`` is ``None`` until the memory introduction pass runs; afterwards
     it is a :class:`repro.mem.memir.MemBinding` for array-typed elements.
@@ -56,7 +58,8 @@ class PatElem:
 
 @dataclass(frozen=True)
 class Param:
-    """A function or loop parameter."""
+    """A function parameter.  An array-typed one lives row-major in its
+    implicit block (:func:`repro.mem.memir.binding_of` spells it)."""
 
     name: str
     type: Type
@@ -321,10 +324,12 @@ class Loop(Exp):
 
     ``carried`` pairs each loop parameter with its initializer variable;
     the body block's results become the next iteration's parameters, and
-    the final parameters are the loop's value.
+    the final parameters are the loop's value.  A parameter is a binder
+    like any pattern element: its ``mem`` says where the carried array
+    lives inside the body.
     """
 
-    carried: Tuple[Tuple[Param, str], ...]
+    carried: Tuple[Tuple[PatElem, str], ...]
     index: str
     count: SymExpr
     body: Block
@@ -389,7 +394,7 @@ class FusedRecord:
     into its sole consumer and deletes the intermediate array.  Like
     ``mem`` annotations this is a deletable add-on: the executor uses it
     for ``fused_kernels`` / ``bytes_elided_fusion`` accounting, the
-    pseudo-CUDA backend for a provenance comment, and the verifier's FU
+    printer for a trailing ``-- fused:`` comment, and the verifier's FU
     rules for translation validation -- none of it changes semantics.
     """
 

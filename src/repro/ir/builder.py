@@ -233,14 +233,14 @@ class LoopBuilder(BlockBuilder):
         self._count = count
         self._index = parent._root.unique(index)
         self._names = names
-        self._carried: List[Tuple[A.Param, str]] = []
+        self._carried: List[Tuple[A.PatElem, str]] = []
         self._param_alias: Dict[str, str] = {}
         self._bind(self._index, ScalarType("i64"))
         for pname, init in carried:
             actual = parent._root.unique(pname)
             self._param_alias[pname] = actual
             t = parent.lookup(init)
-            self._carried.append((A.Param(actual, t), init))
+            self._carried.append((A.PatElem(actual, t), init))
             self._bind(actual, t)
         self.results: Tuple[str, ...] = ()
 

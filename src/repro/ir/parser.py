@@ -11,12 +11,13 @@ Grammar sketch (statement-oriented, ANF):
     fun     ::= 'fun' NAME '(' params ')' '=' block
     block   ::= stmt* 'in' '(' names ')'
     stmt    ::= 'let' '(' pat (',' pat)* ')' '=' exp
-    pat     ::= NAME ':' type annotation?
+    pat     ::= NAME ':' type binding?
+    binding ::= '@' ...               (a memory annotation; discarded)
     type    ::= '*'? ('[' poly ']')* dtype
     exp     ::= compound | simple
     compound::= 'map' '(' NAME '<' poly ')' '{' block '}'
-              | 'loop' '(' NAME '=' NAME (',' ...)* ')' 'for' NAME '<' poly
-                    'do' '{' block '}'
+              | 'loop' '(' NAME binding? '=' NAME (',' ...)* ')'
+                    'for' NAME '<' poly 'do' '{' block '}'
               | 'if' operand 'then' '{' block '}' 'else' '{' block '}'
     simple  ::= 'iota' poly | 'scratch' poly* dtype | 'copy' NAME
               | 'concat' NAME+ | 'replicate' poly* operand
@@ -200,7 +201,9 @@ class _Parser:
         return A.Let(pattern, exp)
 
     def _skip_annotation(self) -> None:
-        """Discard a ``@ mem -> ixfn`` memory annotation, if present."""
+        """Discard a ``@ mem -> ixfn`` memory annotation, if present (it
+        ends at the ``,``/``)`` of a pattern or the ``=`` of a loop
+        parameter)."""
         if not self.lx.accept("@"):
             return
         depth = 0
@@ -208,7 +211,7 @@ class _Parser:
             kind, tok = self.lx.peek()
             if kind == "eof":
                 return
-            if depth == 0 and tok in (",", ")"):
+            if depth == 0 and tok in (",", ")", "="):
                 return
             if tok in "([{":
                 depth += 1
@@ -335,6 +338,7 @@ class _Parser:
         carried: List[Tuple[str, str]] = []
         while True:
             _, pname = self.lx.next()
+            self._skip_annotation()
             self.lx.expect("=")
             _, init = self.lx.next()
             carried.append((pname, init))
@@ -354,7 +358,7 @@ class _Parser:
                 self.types[pname] = init_t
         body = self.parse_block("}")
         params = tuple(
-            (A.Param(p, self.types.get(p, ScalarType("f32"))), init)
+            (A.PatElem(p, self.types.get(p, ScalarType("f32"))), init)
             for p, init in carried
         )
         return A.Loop(params, ivar, count, body)

@@ -4,10 +4,17 @@ The output mimics the paper's notation:
 
     let (X : [q][b][b]f32 @ mem_1 -> i*b+n+1 + {(i+1 : n*b-b), ...}) =
       map (j < q) { ... }
+
+Every annotation the compiler adds is printed, so two programs that print
+alike *are* alike: binders (pattern elements and loop parameters) carry
+``@ mem -> ixfn``, an ``alloc`` its ``@ space``, and a statement's
+``last_uses`` / ``mem_frees`` / ``fused`` records trail it as ``--``
+comments.  :mod:`repro.ir.parser` discards all of them.
 """
 
 from __future__ import annotations
 
+from dataclasses import fields
 from typing import List
 
 from repro.ir import ast as A
@@ -25,11 +32,13 @@ def _pretty_block(block: A.Block, lines: List[str], indent: int) -> None:
     pad = "  " * indent
     for stmt in block.stmts:
         pat = ", ".join(str(pe) for pe in stmt.pattern)
-        lu = (
-            "  -- last use: " + ", ".join(sorted(stmt.last_uses))
-            if stmt.last_uses
-            else ""
-        )
+        lu = ""
+        if stmt.last_uses:
+            lu += "  -- last use: " + ", ".join(sorted(stmt.last_uses))
+        if stmt.mem_frees:
+            lu += "  -- frees: " + ", ".join(stmt.mem_frees)
+        if stmt.fused:
+            lu += "  -- fused: " + "; ".join(map(_fused_str, stmt.fused))
         head = f"{pad}let ({pat}) ="
         exp = stmt.exp
         if isinstance(exp, (A.Map, A.Loop, A.If)):
@@ -47,7 +56,11 @@ def _pretty_compound(exp: A.Exp, lines: List[str], indent: int) -> None:
         _pretty_block(exp.lam.body, lines, indent + 1)
         lines.append(f"{pad}}}")
     elif isinstance(exp, A.Loop):
-        carried = ", ".join(f"{p.name} = {init}" for p, init in exp.carried)
+        carried = ", ".join(
+            f"{p.name} = {init}" if p.mem is None
+            else f"{p.name} @ {p.mem} = {init}"
+            for p, init in exp.carried
+        )
         lines.append(f"{pad}loop ({carried}) for {exp.index} < {exp.count} do {{")
         _pretty_block(exp.body, lines, indent + 1)
         lines.append(f"{pad}}}")
@@ -57,6 +70,14 @@ def _pretty_compound(exp: A.Exp, lines: List[str], indent: int) -> None:
         lines.append(f"{pad}}} else {{")
         _pretty_block(exp.else_block, lines, indent + 1)
         lines.append(f"{pad}}}")
+
+
+def _fused_str(rec: A.FusedRecord) -> str:
+    """Every field of a fusion record, ``name=value`` (tuples as ``a|b``)."""
+    vals = ((f.name, getattr(rec, f.name)) for f in fields(rec))
+    return " ".join(
+        f"{k}={'|'.join(v) if isinstance(v, tuple) else v}" for k, v in vals
+    )
 
 
 def _operand_str(op: A.Operand) -> str:

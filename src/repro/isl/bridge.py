@@ -53,9 +53,9 @@ def lmad_to_relation(l: Lmad, tag: str = "i") -> BasicRel:
     return BasicRel(tuple(dims), (addr,), tuple(cons))
 
 
-def lmad_to_set(l: Lmad, tag: str = "i") -> BasicSet:
+def lmad_to_set(l: Lmad) -> BasicSet:
     """The abstract *offset set* of an LMAD (indices existentialized)."""
-    return lmad_to_relation(l, tag).range()
+    return lmad_to_relation(l, "i").range()
 
 
 def unrank_relation(shape: Sequence[SymExpr], out: Lmad) -> BasicRel:
@@ -148,7 +148,12 @@ def slice_box_difference(
     return IntSet(tuple(pieces))
 
 
-def lift_parameters(bs: BasicSet, ctx, max_lift: int = 12) -> Tuple[BasicSet, bool]:
+#: Parameters :func:`lift_parameters` promotes at most (each one is a
+#: Fourier-Motzkin dimension).
+_MAX_LIFT = 12
+
+
+def lift_parameters(bs: BasicSet, ctx) -> Tuple[BasicSet, bool]:
     """Promote additively-occurring free parameters into bounded dims.
 
     A parameter qualifies when every occurrence across all constraints
@@ -189,7 +194,7 @@ def lift_parameters(bs: BasicSet, ctx, max_lift: int = 12) -> Tuple[BasicSet, bo
                 break
         if ok:
             candidates.append(v)
-        if len(candidates) >= max_lift:
+        if len(candidates) >= _MAX_LIFT:
             break
     # A candidate whose coefficient mentions *another* candidate would
     # become bilinear once both are set variables; drop until stable.

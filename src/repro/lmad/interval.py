@@ -99,11 +99,15 @@ def _leading_term(e: SymExpr) -> Tuple[Monomial, int]:
 # ----------------------------------------------------------------------
 # Offset distribution (paper footnote 27)
 # ----------------------------------------------------------------------
+#: Leading-term matching steps :func:`distribute_offset` takes before it
+#: gives up (conservatively).
+_MAX_STEPS = 32
+
+
 def distribute_offset(
     delta: SymExpr,
     strides: Sequence[SymExpr],
     prover: Prover,
-    max_steps: int = 32,
 ) -> Optional[Tuple[Dict[int, SymExpr], Dict[int, SymExpr]]]:
     """Express ``delta`` as non-negative multiples of the given strides.
 
@@ -128,7 +132,7 @@ def distribute_offset(
     )
 
     d = delta
-    for _ in range(max_steps):
+    for _ in range(_MAX_STEPS):
         if d.is_zero():
             return shifts_pos, shifts_neg
         # Most complex term of the remaining offset.

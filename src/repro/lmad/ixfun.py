@@ -100,14 +100,26 @@ class IndexFn:
     # frozen but not slotted, so per-instance caches can live in
     # ``__dict__`` without affecting the generated field-based
     # ``__eq__``/``__hash__``.  Entries are themselves immutable, so
-    # sharing the returned instances is safe.
+    # sharing the returned instances is safe.  The memos pay off when one
+    # shape is re-run; an index function that lives in a cached program
+    # sees new keys with every never-seen shape, so each memo restarts at
+    # ``MEMO_CAP`` entries, and none of them is serialized or copied.
     # ------------------------------------------------------------------
+    #: Entries one memo of one instance may hold before it restarts.
+    MEMO_CAP = 256
+
     def _memo(self, name: str) -> dict:
         cache = self.__dict__.get(name)
         if cache is None:
             cache = {}
             object.__setattr__(self, name, cache)
+        elif len(cache) >= self.MEMO_CAP:
+            cache.clear()
         return cache
+
+    def __reduce__(self):
+        """``pickle`` and ``deepcopy`` carry the field, never the memos."""
+        return (IndexFn, (self.lmads,))
 
     def substitute(self, mapping: Mapping[str, ExprLike]) -> "IndexFn":
         key = tuple(

@@ -26,8 +26,9 @@ what makes the NW proof (paper fig. 9) go through.
 from __future__ import annotations
 
 from collections import OrderedDict
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, Iterator, List, Optional
 
 from repro.lmad.interval import (
     SumOfIntervals,
@@ -363,6 +364,19 @@ class ProverPool:
     def set_client(self, name: str) -> None:
         """Name the pass issuing subsequent queries (for tier tallies)."""
         self._client = name
+
+    @contextmanager
+    def client(self, name: str) -> Iterator[Dict[str, int]]:
+        """:meth:`set_client` for a block of work.  The yielded dict holds,
+        once the block ends, the deciding-tier tallies of the block's own
+        queries: the client's cumulative tally minus its value on entry
+        (a pool outlives its clients, and a client may run twice)."""
+        self.set_client(name)
+        base = dict(self.tiers.get(name, {}))
+        delta: Dict[str, int] = {}
+        yield delta
+        now = self.tiers.get(name, {})
+        delta.update((k, n - base.get(k, 0)) for k, n in now.items())
 
     def record_query(
         self, ctx, l1: Lmad, l2: Lmad, structural: bool, tier: str,

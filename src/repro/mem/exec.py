@@ -39,7 +39,7 @@ from repro.symbolic import SymExpr
 from repro.ir import ast as A
 from repro.ir.interp import Interpreter, InterpError, eval_sym
 from repro.ir.types import ArrayType, DTYPE_INFO
-from repro.mem.memir import MemBinding, binding_of, param_mem_name
+from repro.mem.memir import MemBinding, binding_of
 from repro.mem.stats import ExecStats, KernelStat
 
 
@@ -198,7 +198,7 @@ class MemExecutor:
         # Static fused-producer plans per outermost map statement (see
         # _fused_plan); the subtree never changes after compilation.
         self._fused_cache: Dict[
-            int, List[Tuple[A.FusedRecord, Tuple[SymExpr, ...]]]
+            str, List[Tuple[A.FusedRecord, Tuple[SymExpr, ...]]]
         ] = {}
 
     # ------------------------------------------------------------------
@@ -225,7 +225,8 @@ class MemExecutor:
     def _bind_input_array(self, p: A.Param, inputs, env) -> None:
         t = p.type
         assert isinstance(t, ArrayType)
-        mem = param_mem_name(p.name)
+        binding = binding_of(p)
+        mem = binding.mem
         # Unify symbolic shape vars with the concrete input shape (both
         # modes: a dry run may be handed arrays, whose contents it never
         # reads, or nothing but the shape variables themselves).
@@ -265,7 +266,7 @@ class MemExecutor:
             self.mem[mem] = size
         # Input blocks are live for the whole run (never freed).
         self._bump_live("hbm", size * DTYPE_INFO[t.dtype][1])
-        ixfn = self._instantiate(IndexFn.row_major(t.shape), env)
+        ixfn = self._instantiate(binding.ixfn, env)
         env[p.name] = RuntimeArray(mem, ixfn, t.dtype)
 
     # ------------------------------------------------------------------
@@ -453,9 +454,6 @@ class MemExecutor:
     # ------------------------------------------------------------------
     # Kernel accounting
     # ------------------------------------------------------------------
-    def _kernel(self, stmt: A.Let, kind: str, label: str) -> KernelStat:
-        return self.stats.kernel(id(stmt), kind, label)
-
     def _current_kernel(self) -> Optional[KernelStat]:
         return self._kernel_stack[-1] if self._kernel_stack else None
 
@@ -490,7 +488,7 @@ class MemExecutor:
             return
         ks = self._current_kernel()
         if ks is None:
-            ks = self._kernel(stmt, kind, f"{kind}:{'/'.join(stmt.names)}")
+            ks = self.stats.kernel(kind, f"{kind}:{'/'.join(stmt.names)}")
             ks.launches += 1
         ks.note_read(src.nbytes(), self._space_of(src.mem))
         ks.note_written(dst.nbytes(), self._space_of(dst.mem))
@@ -592,7 +590,7 @@ class MemExecutor:
             dest = self._binding_value(stmt.pattern[0], env)
             ks = self._current_kernel()
             if ks is None:
-                ks = self._kernel(stmt, "fill", f"fill:{stmt.names[0]}")
+                ks = self.stats.kernel("fill", f"fill:{stmt.names[0]}")
                 if not isinstance(exp, A.Scratch):
                     ks.launches += 1
             if not isinstance(exp, A.Scratch):
@@ -699,7 +697,7 @@ class MemExecutor:
             assert isinstance(src, RuntimeArray)
             ks = self._current_kernel()
             if ks is None:
-                ks = self._kernel(stmt, "reduce", f"reduce:{stmt.names[0]}")
+                ks = self.stats.kernel("reduce", f"reduce:{stmt.names[0]}")
                 ks.launches += 1
             ks.note_read(src.nbytes(), self._space_of(src.mem))
             ks.bytes_written += src.itemsize
@@ -739,7 +737,7 @@ class MemExecutor:
             idx = [eval_sym(i, env) for i in spec.indices]
             ks = self._current_kernel()
             if ks is None:
-                ks = self._kernel(stmt, "update", f"update:{stmt.names[0]}")
+                ks = self.stats.kernel("update", f"update:{stmt.names[0]}")
                 ks.launches += 1
             ks.note_written(result.itemsize, self._space_of(result.mem))
             if self.mode == "real":
@@ -790,7 +788,7 @@ class MemExecutor:
         Counted once per outermost launch, *before* tier dispatch, so the
         vectorized, interpreted and dry paths agree exactly.
         """
-        plan = self._fused_cache.get(id(stmt))
+        plan = self._fused_cache.get(stmt.pattern[0].name)
         if plan is None:
             plan = []
 
@@ -810,7 +808,7 @@ class MemExecutor:
                             walk(sub, factors)
 
             walk(stmt, ())
-            self._fused_cache[id(stmt)] = plan
+            self._fused_cache[stmt.pattern[0].name] = plan
         return plan
 
     def _exec_map(self, stmt: A.Let, exp: A.Map, env) -> None:
@@ -822,7 +820,7 @@ class MemExecutor:
         # A map nested inside another map is part of the same GPU kernel
         # (a multi-dimensional grid), not a separate launch.
         nested = bool(self._kernel_stack)
-        ks = self._kernel(stmt, "map", f"map:{'/'.join(stmt.names)}")
+        ks = self.stats.kernel("map", f"map:{'/'.join(stmt.names)}")
         if not nested:
             ks.launches += 1
             for rec, factors in self._fused_plan(stmt):
@@ -917,7 +915,7 @@ class MemExecutor:
                     outer_stats = self.stats
                     sub = ExecStats()
                     self.stats = sub
-                    sub_ks = sub.kernel(id(stmt), "map", ks.label)
+                    sub_ks = sub.kernel("map", ks.label)
                     self._kernel_stack.append(sub_ks)
                     live_before = dict(self._live_by_space)
                     try:
@@ -956,9 +954,6 @@ class MemExecutor:
     def _exec_loop(self, stmt: A.Let, exp: A.Loop, env) -> None:
         count = eval_sym(exp.count, env)
         state = [env[init] for _, init in exp.carried]
-        param_bindings: Dict[str, MemBinding] = getattr(
-            exp.body, "param_bindings", {}
-        )
         iterations = range(count)
         scale = 1.0
         if (
@@ -978,16 +973,14 @@ class MemExecutor:
             # proxy kernel (same registry key) for correct attribution.
             outer_stats = self.stats
             cur = self._current_kernel()
-            assert cur is not None and cur.key is not None
+            assert cur is not None
             sub = ExecStats()
             self.stats = sub
-            proxy = sub.kernel(cur.key[0], cur.key[1], cur.label)
+            proxy = sub.kernel(cur.kind, cur.label)
             self._kernel_stack.append(proxy)
             live_before = dict(self._live_by_space)
             try:
-                self._run_loop_iterations(
-                    iterations, stmt, exp, env, state, param_bindings
-                )
+                self._run_loop_iterations(iterations, exp, env, state)
             finally:
                 self._kernel_stack.pop()
                 self.stats = outer_stats
@@ -1004,14 +997,10 @@ class MemExecutor:
                             sp, int(growth * scale) - growth
                         )
         else:
-            self._run_loop_iterations(
-                iterations, stmt, exp, env, state, param_bindings
-            )
+            self._run_loop_iterations(iterations, exp, env, state)
         self._bind_compound_results(stmt, state, env)
 
-    def _run_loop_iterations(
-        self, iterations, stmt, exp, env, state, param_bindings
-    ) -> None:
+    def _run_loop_iterations(self, iterations, exp, env, state) -> None:
         free_mark = len(self._alloc_log)
         for it in iterations:
             child = dict(env)
@@ -1019,7 +1008,7 @@ class MemExecutor:
             for (prm, _), val in zip(exp.carried, state):
                 if isinstance(prm.type, ArrayType):
                     assert isinstance(val, RuntimeArray)
-                    b = param_bindings.get(prm.name)
+                    b = binding_of(prm)
                     if b is not None and b.mem not in self.mem:
                         child[b.mem] = MemRef(val.mem)
                     if b is not None:

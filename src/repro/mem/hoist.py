@@ -22,7 +22,7 @@ from dataclasses import replace
 from typing import Dict, List, Set
 
 from repro.ir import ast as A
-from repro.mem.memir import MemBinding, binding_of, iter_stmts
+from repro.mem.memir import MemBinding, binders, iter_stmts
 
 
 def hoist_allocations(fun: A.Fun) -> int:
@@ -72,8 +72,8 @@ def rewrite_mem_bindings(fun: A.Fun, mapping: Dict[str, str]) -> int:
 
     Coalescing (``repro.reuse``) replaces blocks wholesale, so a stale
     ``MemBinding`` naming a merged-away block would read memory nothing
-    allocates.  This rewrites pattern bindings, loop ``param_bindings``,
-    and block results that carry existential memory by name; returns how
+    allocates.  This rewrites every binder's binding and the block
+    results that carry existential memory by name; returns how
     many references changed.  Chains in ``mapping`` are resolved.
     """
 
@@ -86,18 +86,11 @@ def rewrite_mem_bindings(fun: A.Fun, mapping: Dict[str, str]) -> int:
 
     changed = 0
     for stmt in iter_stmts(fun.body):
-        for pe in stmt.pattern:
-            b = binding_of(pe) if pe.mem is not None else None
+        for pe in binders(stmt):
+            b = pe.mem
             if b is not None and b.mem in mapping:
                 pe.mem = MemBinding(resolve(b.mem), b.ixfn, b.space)
                 changed += 1
-        if isinstance(stmt.exp, A.Loop):
-            pb = getattr(stmt.exp.body, "param_bindings", None)
-            if pb:
-                for prm, b in list(pb.items()):
-                    if b.mem in mapping:
-                        pb[prm] = MemBinding(resolve(b.mem), b.ixfn, b.space)
-                        changed += 1
         if stmt.fused and any(
             r.mem in mapping or set(r.write_mems) & mapping.keys()
             for r in stmt.fused
@@ -133,14 +126,7 @@ def remove_dead_allocations(fun: A.Fun) -> int:
     """Drop allocs whose memory block no binding references; returns count."""
     live: Set[str] = set()
     for stmt in iter_stmts(fun.body):
-        for pe in stmt.pattern:
-            b = binding_of(pe) if pe.mem is not None else None
-            if b is not None:
-                live.add(b.mem)
-        if isinstance(stmt.exp, A.Loop):
-            extra = getattr(stmt.exp.body, "param_bindings", None)
-            if extra:
-                live |= {b.mem for b in extra.values()}
+        live |= {pe.mem.mem for pe in binders(stmt) if pe.mem is not None}
         # Existential memory flows through block results by name.
         for blk in A.sub_blocks(stmt.exp):
             live |= set(blk.result)

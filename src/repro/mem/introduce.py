@@ -34,7 +34,7 @@ from repro.symbolic import Prover, SymExpr
 
 from repro.ir import ast as A
 from repro.ir.types import ArrayType, ScalarType
-from repro.mem.memir import MEM_TYPE, MemBinding, clone_fun, param_mem_name
+from repro.mem.memir import MEM_TYPE, MemBinding, clone_fun, entry_bindings
 
 
 class _Introducer:
@@ -48,12 +48,7 @@ class _Introducer:
         # host-level allocations default to HBM.
         self.kernel_depth = 0
         # Bindings of every array variable currently in scope.
-        self.bindings: Dict[str, MemBinding] = {}
-        for p in fun.params:
-            if isinstance(p.type, ArrayType):
-                self.bindings[p.name] = MemBinding(
-                    param_mem_name(p.name), IndexFn.row_major(p.type.shape)
-                )
+        self.bindings: Dict[str, MemBinding] = entry_bindings(fun)
 
     # ------------------------------------------------------------------
     def fresh(self, prefix: str) -> str:
@@ -285,17 +280,18 @@ class _Introducer:
                     self.bindings[cp] = binding
                     init = cp
             new_carried.append((prm, init))
-        object.__setattr__(exp, "carried", tuple(new_carried))
+        exp = stmt.exp = A.Loop(
+            tuple(new_carried), exp.index, exp.count, exp.body
+        )
 
         # Bind params to existential memory, row-major.
-        param_bindings: Dict[str, MemBinding] = {}
         saved = dict(self.bindings)
         for prm, _ in exp.carried:
             if isinstance(prm.type, ArrayType):
                 pm = self.fresh("lmem")
-                binding = MemBinding(pm, IndexFn.row_major(prm.type.shape))
-                param_bindings[prm.name] = binding
-                self.bindings[prm.name] = binding
+                self.bind_view(
+                    prm, MemBinding(pm, IndexFn.row_major(prm.type.shape))
+                )
 
         self.process_block(exp.body)
 
@@ -309,9 +305,6 @@ class _Introducer:
             if not b.ixfn.is_direct(self.prover):
                 self._copy_result(exp.body, k, prm.type)
 
-        # Record param bindings on the body for downstream passes/executor.
-        exp.body.param_bindings = param_bindings  # type: ignore[attr-defined]
-
         self.bindings = saved
         # Loop results: existential memory, row-major.
         for k, pe in enumerate(stmt.pattern):
@@ -323,9 +316,9 @@ class _Introducer:
                 )
 
 
-def introduce_memory(fun: A.Fun, in_place: bool = False) -> A.Fun:
+def introduce_memory(fun: A.Fun) -> A.Fun:
     """Annotate ``fun`` with memory; returns a (deep-copied) annotated Fun."""
-    target = fun if in_place else clone_fun(fun)
+    target = clone_fun(fun)
     _Introducer(target).process_block(target.body)
     return target
 
@@ -341,12 +334,7 @@ def refresh_derived_bindings(fun: A.Fun) -> int:
     bindings that changed.
     """
     prover = Prover(fun.build_context())
-    bindings: Dict[str, MemBinding] = {}
-    for p in fun.params:
-        if isinstance(p.type, ArrayType):
-            bindings[p.name] = MemBinding(
-                param_mem_name(p.name), IndexFn.row_major(p.type.shape)
-            )
+    bindings = entry_bindings(fun)
     changed = 0
 
     def derive(exp: A.Exp, src: MemBinding) -> MemBinding:
@@ -368,8 +356,9 @@ def refresh_derived_bindings(fun: A.Fun) -> int:
         for stmt in block.stmts:
             exp = stmt.exp
             if isinstance(exp, A.Loop):
-                pb = getattr(exp.body, "param_bindings", {})
-                bindings.update(pb)
+                bindings.update(
+                    (p.name, p.mem) for p, _ in exp.carried if p.mem is not None
+                )
             for blk in A.sub_blocks(exp):
                 walk(blk)
             if isinstance(

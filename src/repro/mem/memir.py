@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass
-from typing import Dict, Iterator, Optional
+from typing import Dict, Iterator, Optional, Union
 
 from repro.lmad import IndexFn
 from repro.ir import ast as A
@@ -58,13 +58,37 @@ def clone_fun(fun: A.Fun) -> A.Fun:
     return copy.deepcopy(fun)
 
 
-def binding_of(pat_elem: A.PatElem) -> Optional[MemBinding]:
-    b = pat_elem.mem
-    if b is None:
-        return None
-    if not isinstance(b, MemBinding):
-        raise TypeError(f"pattern {pat_elem.name} has non-MemBinding: {b!r}")
-    return b
+def binding_of(binder: Union[A.PatElem, A.Param]) -> Optional[MemBinding]:
+    """Where ``binder``'s array lives -- the one answer for every binder.
+
+    A pattern element or loop parameter carries its binding in ``mem``
+    (``None`` for scalars and before memory introduction); an array-typed
+    function parameter lives row-major in its implicit ``<p>_mem`` block,
+    which is spelled here and nowhere else.
+    """
+    if isinstance(binder, A.Param):
+        if not isinstance(binder.type, ArrayType):
+            return None
+        return MemBinding(
+            param_mem_name(binder.name), IndexFn.row_major(binder.type.shape)
+        )
+    return binder.mem
+
+
+def entry_bindings(fun: A.Fun) -> Dict[str, MemBinding]:
+    """The bindings in scope at function entry: the array parameters'."""
+    return {
+        p.name: b for p in fun.params if (b := binding_of(p)) is not None
+    }
+
+
+def binders(stmt: A.Let) -> Iterator[A.PatElem]:
+    """Every binder a statement introduces: its pattern elements, then --
+    for a loop -- the loop's parameters (in scope inside the body only)."""
+    yield from stmt.pattern
+    if isinstance(stmt.exp, A.Loop):
+        for prm, _ in stmt.exp.carried:
+            yield prm
 
 
 def iter_stmts(block: A.Block) -> Iterator[A.Let]:
@@ -80,22 +104,9 @@ def array_bindings(fun: A.Fun) -> Dict[str, MemBinding]:
 
     Function parameters are included with their implicit bindings.
     """
-    out: Dict[str, MemBinding] = {}
-    for p in fun.params:
-        if isinstance(p.type, ArrayType):
-            out[p.name] = MemBinding(
-                param_mem_name(p.name), IndexFn.row_major(p.type.shape)
-            )
+    out = entry_bindings(fun)
     for stmt in iter_stmts(fun.body):
-        for pe in stmt.pattern:
-            if pe.is_array() and pe.mem is not None:
-                out[pe.name] = binding_of(pe)
-        if isinstance(stmt.exp, A.Loop):
-            for prm, _ in stmt.exp.carried:
-                if isinstance(prm.type, ArrayType):
-                    # Loop params carry bindings via a side table on the
-                    # Loop's body block (set by the introduce pass).
-                    extra = getattr(stmt.exp.body, "param_bindings", None)
-                    if extra and prm.name in extra:
-                        out[prm.name] = extra[prm.name]
+        for b in binders(stmt):
+            if b.mem is not None:
+                out[b.name] = b.mem
     return out

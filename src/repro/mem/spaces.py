@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import Dict, Optional
 
 from repro.ir import ast as A
-from repro.mem.memir import binding_of, iter_stmts
+from repro.mem.memir import binders, iter_stmts
 
 
 @dataclass(frozen=True)
@@ -77,17 +77,9 @@ def assign_space(fun: A.Fun, mem: str, space: str) -> int:
         ):
             stmt.exp = A.Alloc(stmt.exp.size, stmt.exp.dtype, space)
             changed += 1
-        for pe in stmt.pattern:
-            if pe.is_array() and pe.mem is not None:
-                b = binding_of(pe)
-                if b.mem == mem and b.space != space:
-                    pe.mem = b.with_space(space)
-                    changed += 1
-        if isinstance(stmt.exp, A.Loop):
-            pb = getattr(stmt.exp.body, "param_bindings", None)
-            if pb:
-                for prm, b in list(pb.items()):
-                    if b.mem == mem and b.space != space:
-                        pb[prm] = b.with_space(space)
-                        changed += 1
+        for pe in binders(stmt):
+            b = pe.mem
+            if b is not None and b.mem == mem and b.space != space:
+                pe.mem = b.with_space(space)
+                changed += 1
     return changed

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass, field, replace
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 
 @dataclass
@@ -26,9 +26,9 @@ class KernelStat:
     """Aggregated statistics for one static kernel site."""
 
     kind: str  # "map" | "copy" | "update" | "concat" | "reduce" | "fill"
+    #: ``kind:names`` of the statement -- binding names are unique in a
+    #: program, so ``(kind, label)`` identifies the site.
     label: str
-    #: (site, kind) registry key, set by ExecStats.kernel.
-    key: Optional[Tuple[int, str]] = None
     launches: int = 0
     bytes_read: int = 0
     bytes_written: int = 0
@@ -83,7 +83,7 @@ class KernelStat:
 class ExecStats:
     """Whole-run statistics."""
 
-    kernels: Dict[Tuple[int, str], KernelStat] = field(default_factory=dict)
+    kernels: Dict[Tuple[str, str], KernelStat] = field(default_factory=dict)
     elided_copies: int = 0
     elided_bytes: int = 0
     alloc_bytes: int = 0
@@ -160,13 +160,11 @@ class ExecStats:
         out.space_peak_bytes = dict(self.space_peak_bytes)
         return out
 
-    def kernel(self, site: int, kind: str, label: str) -> KernelStat:
-        key = (site, kind)
+    def kernel(self, kind: str, label: str) -> KernelStat:
+        key = (kind, label)
         ks = self.kernels.get(key)
         if ks is None:
-            ks = KernelStat(kind, label)
-            ks.key = key
-            self.kernels[key] = ks
+            ks = self.kernels[key] = KernelStat(kind, label)
         return ks
 
     def merge_scaled(self, other: "ExecStats", factor: float) -> None:
@@ -255,11 +253,9 @@ class ExecStats:
 
         Two runs of the same program are cost-model equivalent iff their
         signatures are equal; the differential tests use this to pin the
-        vectorized engine to the interpreted path bit-for-bit.  Kernel
-        registry keys carry ``id(stmt)`` (not stable across compiles), so
-        kernels are identified by (kind, label) here.  Execution-tier
-        counters are deliberately excluded: they describe *how* the run
-        executed, not *what* it simulated.
+        vectorized engine to the interpreted path bit-for-bit.
+        Execution-tier counters are deliberately excluded: they describe
+        *how* the run executed, not *what* it simulated.
         """
         kernels = sorted(
             (k.kind, k.label, k.launches, k.bytes_read, k.bytes_written, k.flops)

@@ -279,12 +279,9 @@ class VecEngine:
         if isinstance(exp, A.Loop):
             if masked or (exp.count.free_vars() & tainted):
                 raise _Reject
-            param_bindings: Dict[str, MemBinding] = getattr(
-                exp.body, "param_bindings", {}
-            )
             for prm, _init in exp.carried:
                 if isinstance(prm.type, ArrayType):
-                    b = param_bindings.get(prm.name)
+                    b = binding_of(prm)
                     if b is not None:
                         for l in b.ixfn.lmads:
                             for d in l.dims:
@@ -580,7 +577,7 @@ class _VecRun:
             self._binding_value(pe, venv, lanes) if pe.is_array() else None
             for pe in stmt.pattern
         ]
-        ks = ex._kernel(stmt, "map", f"map:{'/'.join(stmt.names)}")
+        ks = ex.stats.kernel("map", f"map:{'/'.join(stmt.names)}")
         big = W * wi
         sub = _VecRun(ex, big)
         sub.lane_blocks = {
@@ -646,16 +643,13 @@ class _VecRun:
         ex = self.ex
         count = int(self._eval_scalar(exp.count, venv, lanes))
         state = [venv[init] for _, init in exp.carried]
-        param_bindings: Dict[str, MemBinding] = getattr(
-            exp.body, "param_bindings", {}
-        )
         for it in range(count):
             child = dict(venv)
             child[exp.index] = it
             for (prm, _), val in zip(exp.carried, state):
                 if isinstance(prm.type, ArrayType):
                     v = self._as_varr(val)
-                    b = param_bindings.get(prm.name)
+                    b = binding_of(prm)
                     if b is not None and b.mem not in ex.mem:
                         child[b.mem] = MemRef(v.mem)
                     if b is not None:

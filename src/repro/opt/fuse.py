@@ -85,8 +85,15 @@ from repro.symbolic import Context, Prover, SymExpr, sym
 from repro.ir import ast as A
 from repro.ir.alias import AliasInfo
 from repro.ir.lastuse import analyze_last_uses
+from repro.ir.pretty import pretty_fun
 from repro.ir.types import ArrayType, DTYPE_INFO, ScalarType
-from repro.mem.memir import MemBinding, array_bindings, binding_of, iter_stmts
+from repro.mem.memir import (
+    MemBinding,
+    array_bindings,
+    binders,
+    binding_of,
+    iter_stmts,
+)
 
 #: Maximum statement count (recursive) of a producer body that may be
 #: *duplicated* into more than one consumer.  Cheap bodies trade a few
@@ -258,7 +265,7 @@ def _ren_exp(exp: A.Exp, mapping: Dict[str, str]) -> A.Exp:
         return A.Loop(
             tuple(
                 (
-                    A.Param(mapping.get(p.name, p.name), p.type),
+                    A.PatElem(mapping.get(p.name, p.name), p.type),
                     _ren_op(init, mapping),
                 )
                 for p, init in exp.carried
@@ -314,64 +321,17 @@ def _canon_hash(stmts: List[A.Let], seed: Dict[str, str]) -> str:
 
     def collect(ss: Iterable[A.Let]) -> None:
         for s in ss:
-            for pe in s.pattern:
+            for pe in binders(s):
                 intern(pe.name)
-            exp = s.exp
-            if isinstance(exp, A.Loop):
-                intern(exp.index)
-                for p, _ in exp.carried:
-                    intern(p.name)
-            for blk in A.sub_blocks(exp):
+            if isinstance(s.exp, A.Loop):
+                intern(s.exp.index)
+            for blk in A.sub_blocks(s.exp):
                 collect(blk.stmts)
 
     collect(stmts)
-    dump = _dump_stmts(_ren_stmts(stmts, mapping))
+    body = A.Block(_ren_stmts(stmts, mapping), ())
+    dump = pretty_fun(A.Fun("", [], body))
     return hashlib.sha1(dump.encode()).hexdigest()[:16]
-
-
-def _dump_op(op: A.Operand) -> str:
-    if isinstance(op, SymExpr):
-        return f"${op}"
-    return str(op)
-
-
-def _dump_exp(exp: A.Exp) -> str:
-    if isinstance(exp, A.Lit):
-        return f"lit({exp.value!r}:{exp.dtype})"
-    if isinstance(exp, A.ScalarE):
-        return f"sym({exp.expr})"
-    if isinstance(exp, A.BinOp):
-        return f"({_dump_op(exp.x)} {exp.op} {_dump_op(exp.y)})"
-    if isinstance(exp, A.UnOp):
-        return f"{exp.op}({_dump_op(exp.x)})"
-    if isinstance(exp, A.VarRef):
-        return f"ref({exp.name})"
-    if isinstance(exp, A.Index):
-        return f"{exp.src}[{', '.join(str(i) for i in exp.indices)}]"
-    if isinstance(exp, A.Loop):
-        carried = ", ".join(
-            f"{p.name}={_dump_op(init)}" for p, init in exp.carried
-        )
-        return (
-            f"loop({carried}; {exp.index} < {exp.count})"
-            f"{{{_dump_block(exp.body)}}}"
-        )
-    assert isinstance(exp, A.If)
-    return (
-        f"if({_dump_op(exp.cond)}){{{_dump_block(exp.then_block)}}}"
-        f"else{{{_dump_block(exp.else_block)}}}"
-    )
-
-
-def _dump_block(block: A.Block) -> str:
-    body = _dump_stmts(block.stmts)
-    return f"{body} -> ({', '.join(block.result)})"
-
-
-def _dump_stmts(stmts: List[A.Let]) -> str:
-    return "; ".join(
-        f"{', '.join(s.names)} = {_dump_exp(s.exp)}" for s in stmts
-    )
 
 
 # ----------------------------------------------------------------------
@@ -423,18 +383,20 @@ class _SiteFailure(Exception):
 
 
 # ======================================================================
+#: Fixpoint rounds of the whole-function walk (a fused consumer can be
+#: the producer of the next round's fusion).
+_MAX_ROUNDS = 10
+
+
 class _Fuser:
-    def __init__(self, fun: A.Fun, max_rounds: int = 10, shared=None):
+    def __init__(self, fun: A.Fun, shared):
         self.fun = fun
-        self.max_rounds = max_rounds
         #: Per-compilation shared state (duck-typed; see
         #: :class:`repro.pipeline.CompileContext`).  Supplies the shared
         #: root assumption context and the Prover/NonOverlapChecker pool
-        #: pre-warmed by short-circuiting; standalone runs fall back to a
-        #: private pool so repeated disjointness queries against one
-        #: block context still share a memo.
+        #: pre-warmed by short-circuiting.
         self.shared = shared
-        self._pool = shared.provers if shared is not None else ProverPool()
+        self._pool: ProverPool = shared.provers
         self.stats = FuseStats()
         self.aliases: Optional[AliasInfo] = None
         self.bindings: Dict[str, MemBinding] = {}
@@ -445,34 +407,24 @@ class _Fuser:
         #: fixpoint loop against synthetic IR that re-presents one.
         self._fused_away: Set[str] = set()
 
-    def _root_context(self) -> Context:
-        if self.shared is not None:
-            return self.shared.root_context()
-        return self.fun.build_context()
-
     # ------------------------------------------------------------------
     def run(self) -> FuseStats:
-        self._pool.set_client("fuse")
-        tier_base = dict(self._pool.tiers.get("fuse", {}))
-        for _ in range(self.max_rounds):
-            info = analyze_last_uses(self.fun)
-            self.aliases = info.aliases
-            self.bindings = array_bindings(self.fun)
-            self.allocated = {
-                s.names[0]
-                for s in iter_stmts(self.fun.body)
-                if isinstance(s.exp, A.Alloc)
-            }
-            self.stats.rounds += 1
-            if not self._block(self.fun.body, self._root_context(), "body"):
-                break
-        else:
-            analyze_last_uses(self.fun)
-        tier_now = self._pool.tiers.get("fuse", {})
-        self.stats.tiers = {
-            k: tier_now.get(k, 0) - tier_base.get(k, 0)
-            for k in set(tier_now) | set(tier_base)
-        }
+        with self._pool.client("fuse") as self.stats.tiers:
+            for _ in range(_MAX_ROUNDS):
+                info = analyze_last_uses(self.fun)
+                self.aliases = info.aliases
+                self.bindings = array_bindings(self.fun)
+                self.allocated = {
+                    s.names[0]
+                    for s in iter_stmts(self.fun.body)
+                    if isinstance(s.exp, A.Alloc)
+                }
+                self.stats.rounds += 1
+                root = self.shared.root_context()
+                if not self._block(self.fun.body, root, "body"):
+                    break
+            else:
+                analyze_last_uses(self.fun)
         return self.stats
 
     # ------------------------------------------------------------------
@@ -1088,12 +1040,12 @@ class _Fuser:
 
 
 # ----------------------------------------------------------------------
-def fuse_fun(fun: A.Fun, max_rounds: int = 10, shared=None) -> FuseStats:
+def fuse_fun(fun: A.Fun, shared) -> FuseStats:
     """Run producer-consumer fusion to a fixpoint on ``fun`` (in place).
 
     ``shared`` is the compilation's shared state (see
-    :class:`repro.pipeline.CompileContext`): when given, the root
-    assumption context and the Prover/NonOverlapChecker memo pool are
-    reused across the whole pipeline instead of rebuilt per pass.
+    :class:`repro.pipeline.CompileContext`): the root assumption context
+    and the Prover/NonOverlapChecker memo pool are reused across the
+    whole pipeline instead of rebuilt per pass.
     """
-    return _Fuser(fun, max_rounds=max_rounds, shared=shared).run()
+    return _Fuser(fun, shared).run()

@@ -37,7 +37,7 @@ from repro.symbolic import Context, Prover, SymExpr, sym
 from repro.ir import ast as A
 from repro.ir.lastuse import analyze_last_uses
 from repro.ir.types import ArrayType
-from repro.mem.memir import MemBinding, binding_of, param_mem_name
+from repro.mem.memir import MemBinding, binding_of, entry_bindings
 from repro.opt.rebase import inverse_rebase, translate_ixfn, widened_slice_inverse
 from repro.opt.summaries import (
     AccessSet,
@@ -149,8 +149,8 @@ class _Candidate:
         self.dst_space = dst_space
         self.pending: Dict[str, IndexFn] = {root: root_ixfn}
         self.names: Set[str] = {root}
+        #: Binders (pattern elements and loop parameters) to re-home.
         self.planned: List[Tuple[A.PatElem, MemBinding]] = []
-        self.planned_params: List[Tuple[Dict[str, MemBinding], str, MemBinding]] = []
         self.uses = AccessSet()  # U_xss
         self.writes = AccessSet()  # W_bs
         #: Statement index the walk is currently at (for ordering checks).
@@ -178,23 +178,21 @@ _CREATORS = (A.Copy, A.Iota, A.Replicate, A.Scratch, A.Concat, A.Map)
 _LAYOUT = (A.SliceT, A.LmadSlice, A.Rearrange, A.Reshape, A.Reverse, A.VarRef)
 
 
+#: Fixpoint rounds of the whole-function walk (a commit can expose a new
+#: circuit point).
+_MAX_ROUNDS = 4
+
+
 class _ShortCircuiter:
-    def __init__(
-        self,
-        fun: A.Fun,
-        enable_splitting: bool = True,
-        max_rounds: int = 4,
-        shared=None,
-    ):
+    def __init__(self, fun: A.Fun, shared, enable_splitting: bool = True):
         self.fun = fun
         self.enable_splitting = enable_splitting
-        self.max_rounds = max_rounds
-        #: Optional per-compilation shared state (duck-typed: a
+        #: The compilation's shared state (duck-typed: a
         #: :class:`repro.pipeline.CompileContext` or anything with a
         #: ``provers`` :class:`repro.lmad.ProverPool` and a
-        #: ``root_context()``).  When present, Prover/NonOverlapChecker
-        #: memos are pooled there and survive this pass, so fusion and
-        #: reuse queries against the same contexts start warm.
+        #: ``root_context()``).  Prover/NonOverlapChecker memos are
+        #: pooled there and survive this pass, so fusion and reuse
+        #: queries against the same contexts start warm.
         self.shared = shared
         self.stats = ShortCircuitStats()
         self._rebased: Set[str] = set()
@@ -202,12 +200,8 @@ class _ShortCircuiter:
         #: context, shared across every non-overlap query issued against
         #: that context, so the prover's memo table amortizes over all
         #: circuit points of a block instead of being rebuilt per query
-        #: batch (paper section V-D).  A compilation-shared pool extends
-        #: the amortization across passes; a standalone run gets a private
-        #: pool with the same LRU bounds and polyhedral fallback tier.
-        self._pool: ProverPool = (
-            shared.provers if shared is not None else ProverPool()
-        )
+        #: batch (paper section V-D), and across passes.
+        self._pool: ProverPool = shared.provers
 
     def _prover_for(self, ctx: Context) -> Tuple[Prover, NonOverlapChecker]:
         return self._pool.pair_for(ctx, self.enable_splitting)
@@ -216,45 +210,31 @@ class _ShortCircuiter:
     def run(self) -> ShortCircuitStats:
         from repro.mem.introduce import refresh_derived_bindings
 
-        self._pool.set_client("sc")
-        tier_base = dict(self._pool.tiers.get("sc", {}))
-        for _ in range(self.max_rounds):
-            analyze_last_uses(self.fun)
-            self.stats.rounds += 1
-            # Per-round contexts are rebuilt (and may gain equalities)
-            # every round.  The pool needs no clearing: rebuilt contexts
-            # are new objects with fresh (LRU-bounded) entries, and a
-            # question already answered under equal facts is answered
-            # from the pool's verdict table.
-            root_scope = self._root_scope()
-            changed = self._process_block(self.fun.body, root_scope)
-            # Views and update results derived from rebased arrays must
-            # follow their sources into the new memory.
-            refresh_derived_bindings(self.fun)
-            if not changed:
-                break
-        tier_now = self._pool.tiers.get("sc", {})
-        self.stats.tiers = {
-            k: tier_now.get(k, 0) - tier_base.get(k, 0)
-            for k in set(tier_now) | set(tier_base)
-        }
+        with self._pool.client("sc") as self.stats.tiers:
+            for _ in range(_MAX_ROUNDS):
+                analyze_last_uses(self.fun)
+                self.stats.rounds += 1
+                # Per-round contexts are rebuilt (and may gain equalities)
+                # every round.  The pool needs no clearing: rebuilt
+                # contexts are new objects with fresh (LRU-bounded)
+                # entries, and a question already answered under equal
+                # facts is answered from the pool's verdict table.
+                root_scope = self._root_scope()
+                changed = self._process_block(self.fun.body, root_scope)
+                # Views and update results derived from rebased arrays
+                # must follow their sources into the new memory.
+                refresh_derived_bindings(self.fun)
+                if not changed:
+                    break
         return self.stats
 
     def _root_scope(self) -> _Scope:
-        ctx = (
-            self.shared.root_context()
-            if self.shared is not None
-            else self.fun.build_context()
-        )
-        bindings: Dict[str, MemBinding] = {}
-        outer: Set[str] = set()
+        ctx = self.shared.root_context()
+        bindings = entry_bindings(self.fun)
+        outer: Set[str] = {b.mem for b in bindings.values()}
         for p in self.fun.params:
             outer.add(p.name)
             if isinstance(p.type, ArrayType):
-                bindings[p.name] = MemBinding(
-                    param_mem_name(p.name), IndexFn.row_major(p.type.shape)
-                )
-                outer.add(param_mem_name(p.name))
                 # Shape variables are implicitly in scope everywhere.
                 for s in p.type.shape:
                     outer |= s.free_vars()
@@ -397,9 +377,9 @@ class _ShortCircuiter:
         )
 
     def _loop_body_scope(self, stmt, exp: A.Loop, scope: _Scope, idx: int) -> _Scope:
-        extra_bindings: Dict[str, MemBinding] = {}
-        pb = getattr(exp.body, "param_bindings", {})
-        extra_bindings.update(pb)
+        extra_bindings = {
+            p.name: p.mem for p, _ in exp.carried if p.mem is not None
+        }
         names = {exp.index} | {p.name for p, _ in exp.carried}
         return self._child_scope(
             exp.body,
@@ -513,9 +493,7 @@ class _ShortCircuiter:
                 f.reason, f"root={cand.root} dst={cand.dst_mem}", f.witness
             )
             return False
-        if all(pe.mem == b for pe, b in cand.planned) and all(
-            pbs.get(prm) == b for pbs, prm, b in cand.planned_params
-        ):
+        if all(pe.mem == b for pe, b in cand.planned):
             # An earlier round installed exactly these bindings; the
             # circuit point only *spells* the region differently (through
             # a scalar translate_ixfn substituted away).  Not a commit.
@@ -525,10 +503,6 @@ class _ShortCircuiter:
             pe.mem = binding
             scope.bindings[pe.name] = binding
             self._rebased.add(pe.name)
-        for pb_dict, pname, binding in cand.planned_params:
-            pb_dict[pname] = binding
-            scope.bindings[pname] = binding
-            self._rebased.add(pname)
         self.stats.committed += 1
         self.stats.committed_roots.append(cand.root)
         if cand.extra_sets:
@@ -878,7 +852,6 @@ class _ShortCircuiter:
             if sub.pending:
                 raise _Failure("if-branch-creation-not-found")
             cand.planned.extend(sub.planned)
-            cand.planned_params.extend(sub.planned_params)
             cand.writes.add_all(sub.writes)
             cand.uses.add_all(sub.uses)
             cand.names |= sub.names
@@ -894,8 +867,7 @@ class _ShortCircuiter:
         k = stmt.names.index(pe.name)
         prm, init = exp.carried[k]
         body_res = exp.body.result[k]
-        pb = getattr(exp.body, "param_bindings", None)
-        if pb is None:
+        if prm.mem is None:
             raise _Failure("loop-without-param-bindings")
 
         child = self._loop_body_scope(stmt, exp, scope, j)
@@ -947,8 +919,7 @@ class _ShortCircuiter:
 
         cand.planned.append((pe, MemBinding(cand.dst_mem, Ft, cand.dst_space)))
         cand.planned.extend(sub.planned)
-        cand.planned_params.extend(sub.planned_params)
-        cand.planned_params.append((pb, prm.name, MemBinding(cand.dst_mem, Ft, cand.dst_space)))
+        cand.planned.append((prm, MemBinding(cand.dst_mem, Ft, cand.dst_space)))
         cand.writes.add_all(w_loop)
         cand.uses.add_all(u_loop)
         cand.names |= sub.names
@@ -1007,17 +978,13 @@ def _last_use_position(block: A.Block, name: str) -> Optional[int]:
 
 
 def short_circuit_fun(
-    fun: A.Fun,
-    enable_splitting: bool = True,
-    max_rounds: int = 4,
-    shared=None,
+    fun: A.Fun, shared, enable_splitting: bool = True
 ) -> ShortCircuitStats:
     """Run array short-circuiting on a memory-annotated function in place.
 
     ``shared`` is the compilation's shared state (see
-    :class:`repro.pipeline.CompileContext`): when given, the root
-    assumption context and all Prover/NonOverlapChecker memos are pooled
-    there and carried into the later pipeline passes.
+    :class:`repro.pipeline.CompileContext`): the root assumption context
+    and all Prover/NonOverlapChecker memos are pooled there and carried
+    into the later pipeline passes.
     """
-    sc = _ShortCircuiter(fun, enable_splitting, max_rounds, shared=shared)
-    return sc.run()
+    return _ShortCircuiter(fun, shared, enable_splitting).run()

@@ -229,8 +229,9 @@ def collect_dst_uses(
         return out
     if isinstance(exp, A.Loop):
         body_bindings = dict(bindings)
-        pb = getattr(exp.body, "param_bindings", {})
-        body_bindings.update(pb)
+        body_bindings.update(
+            (p.name, p.mem) for p, _ in exp.carried if p.mem is not None
+        )
         inner = collect_block_dst_uses(
             exp.body, dst_mem, body_bindings, prover, skip_vars
         )

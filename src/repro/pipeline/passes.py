@@ -173,9 +173,7 @@ class ShortCircuitPass(Pass):
     def run(self, ctx: CompileContext, fun: "A.Fun") -> PassStats:
         from repro.opt.shortcircuit import short_circuit_fun
 
-        st = short_circuit_fun(
-            fun, enable_splitting=ctx.enable_splitting, shared=ctx
-        )
+        st = short_circuit_fun(fun, ctx, ctx.enable_splitting)
         ctx.results[self.name] = st
         rec = self.stats(
             changed=st.committed > 0 or st.reused_copies > 0,
@@ -207,7 +205,7 @@ class FusePass(Pass):
     def run(self, ctx: CompileContext, fun: "A.Fun") -> PassStats:
         from repro.opt.fuse import fuse_fun
 
-        st = fuse_fun(fun, shared=ctx)
+        st = fuse_fun(fun, ctx)
         ctx.results[self.name] = st
         rec = self.stats(
             changed=st.committed > 0,
@@ -230,7 +228,7 @@ class ReusePass(Pass):
     def run(self, ctx: CompileContext, fun: "A.Fun") -> PassStats:
         from repro.reuse import reuse_allocations
 
-        st = reuse_allocations(fun, shared=ctx)
+        st = reuse_allocations(fun, ctx)
         ctx.results[self.name] = st
         rec = self.stats(
             changed=bool(st.mapping),

@@ -61,40 +61,27 @@ def _operand_expr(op) -> SymExpr:
 
 
 class _Coalescer:
-    def __init__(self, fun: A.Fun, shared=None):
+    def __init__(self, fun: A.Fun, shared):
         self.fun = fun
         #: Per-compilation shared state (duck-typed; see
         #: :class:`repro.pipeline.CompileContext`): supplies the shared
         #: root assumption context and the Prover memo pool the earlier
         #: passes already warmed up.
         self.shared = shared
-        self._pool: ProverPool = (
-            shared.provers if shared is not None else ProverPool()
-        )
+        self._pool: ProverPool = shared.provers
         self.ranges = LiveRanges(fun)
         self.stats = ReuseStats()
         self._engine = None
 
     def run(self) -> ReuseStats:
-        self._pool.set_client("reuse")
-        tier_base = dict(self._pool.tiers.get("reuse", {}))
-        root = (
-            self.shared.root_context()
-            if self.shared is not None
-            else self.fun.build_context()
-        )
-        self._block(
-            self.fun.body,
-            root,
-            {p.name for p in self.fun.params},
-        )
+        with self._pool.client("reuse") as self.stats.tiers:
+            self._block(
+                self.fun.body,
+                self.shared.root_context(),
+                {p.name for p in self.fun.params},
+            )
         if self.stats.mapping:
             rewrite_mem_bindings(self.fun, self.stats.mapping)
-        tier_now = self._pool.tiers.get("reuse", {})
-        self.stats.tiers = {
-            k: tier_now.get(k, 0) - tier_base.get(k, 0)
-            for k in set(tier_now) | set(tier_base)
-        }
         return self.stats
 
     # ------------------------------------------------------------------
@@ -235,12 +222,12 @@ class _Coalescer:
         return None
 
 
-def reuse_allocations(fun: A.Fun, shared=None) -> ReuseStats:
+def reuse_allocations(fun: A.Fun, shared) -> ReuseStats:
     """Coalesce provably non-overlapping allocations of ``fun`` in place.
 
     ``shared`` is the compilation's shared state (see
-    :class:`repro.pipeline.CompileContext`): when given, the root
-    assumption context and the Prover memo pool are reused across the
-    whole pipeline instead of rebuilt per pass.
+    :class:`repro.pipeline.CompileContext`): the root assumption context
+    and the Prover memo pool are reused across the whole pipeline instead
+    of rebuilt per pass.
     """
-    return _Coalescer(fun, shared=shared).run()
+    return _Coalescer(fun, shared).run()

@@ -33,14 +33,13 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.ir import ast as A
-from repro.ir.types import ArrayType
-from repro.lmad import IndexFn
 from repro.mem.memir import (
     MemBinding,
     array_bindings,
+    binders,
     binding_of,
+    entry_bindings,
     iter_stmts,
-    param_mem_name,
 )
 
 
@@ -64,13 +63,12 @@ def build_indirection(fun: A.Fun) -> Dict[str, Tuple[str, ...]]:
             exp = stmt.exp
             if isinstance(exp, A.Loop):
                 lb = dict(bindings)
-                pb = getattr(exp.body, "param_bindings", {})
                 for prm, _init in exp.carried:
-                    if isinstance(prm.type, ArrayType) and prm.name in pb:
-                        lb[prm.name] = pb[prm.name]
+                    if prm.mem is not None:
+                        lb[prm.name] = prm.mem
                 child = block(exp.body, lb)
                 for k, (prm, init) in enumerate(exp.carried):
-                    if not isinstance(prm.type, ArrayType) or prm.name not in pb:
+                    if prm.mem is None:
                         continue
                     under: Set[str] = set()
                     ib = bindings.get(init)
@@ -79,7 +77,7 @@ def build_indirection(fun: A.Fun) -> Dict[str, Tuple[str, ...]]:
                     rb = child.get(exp.body.result[k])
                     if rb is not None:
                         under.add(rb.mem)
-                    register(pb[prm.name].mem, under)
+                    register(prm.mem.mem, under)
                 for k, pe in enumerate(stmt.pattern):
                     if not pe.is_array() or pe.mem is None:
                         continue
@@ -117,12 +115,7 @@ def build_indirection(fun: A.Fun) -> Dict[str, Tuple[str, ...]]:
                     bindings[pe.name] = binding_of(pe)
         return bindings
 
-    params = {
-        p.name: MemBinding(param_mem_name(p.name), IndexFn.row_major(p.type.shape))
-        for p in fun.params
-        if isinstance(p.type, ArrayType)
-    }
-    block(fun.body, params)
+    block(fun.body, entry_bindings(fun))
     # Only names never bound by an alloc are true indirections.
     allocated = {
         s.names[0] for s in iter_stmts(fun.body) if isinstance(s.exp, A.Alloc)
@@ -209,12 +202,7 @@ class LiveRanges:
         mems: Set[str] = set()
 
         def of_stmt(s: A.Let) -> None:
-            for pe in s.pattern:
-                if pe.is_array() and pe.mem is not None:
-                    mems.add(binding_of(pe).mem)
-            if isinstance(s.exp, A.Loop):
-                for b in getattr(s.exp.body, "param_bindings", {}).values():
-                    mems.add(b.mem)
+            mems.update(pe.mem.mem for pe in binders(s) if pe.mem is not None)
             for blk in A.sub_blocks(s.exp):
                 # Existential memory flows through results by name.
                 mems.update(r for r in blk.result if r not in self.bindings)

@@ -170,14 +170,15 @@ class BufferPool:
         with self._lock:
             return sum(b.nbytes for v in self._free.values() for b in v)
 
-    def poison(self, value: float = float("nan")) -> None:
-        """Overwrite every *idle* buffer (test hook: a dirty pool must
-        still serve bit-identical results, because acquisition zeros)."""
+    def poison(self) -> None:
+        """Overwrite every *idle* buffer with NaN / all-ones (test hook: a
+        dirty pool must still serve bit-identical results, because
+        acquisition zeros)."""
         with self._lock:
             for lst in self._free.values():
                 for buf in lst:
                     if buf.dtype.kind == "f":
-                        buf.fill(value)
+                        buf.fill(np.nan)
                     elif buf.dtype.kind == "b":
                         buf.fill(True)
                     else:

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import queue
 import threading
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 import numpy as np
 
@@ -31,14 +31,12 @@ def serve_program(
     inputs: Dict[str, object],
     requests: int,
     workers: int = 1,
-    barrier: Optional[threading.Barrier] = None,
 ) -> Dict[str, object]:
     """Serve ``requests`` identical requests over ``workers`` threads.
 
     Workers share the program (and its pool) but each request runs on a
-    private executor with a private pool lease; ``barrier`` (defaulting
-    to one spanning all workers) synchronizes the start so the race
-    surface is maximal.
+    private executor with a private pool lease; a barrier spanning all
+    workers synchronizes the start so the race surface is maximal.
     """
     program.reserve(inputs, workers)
     q: "queue.Queue[int]" = queue.Queue()
@@ -47,7 +45,7 @@ def serve_program(
     pool_hits = pool_misses = 0
     errors: List[BaseException] = []
     lock = threading.Lock()
-    start_barrier = barrier or threading.Barrier(workers)
+    start_barrier = threading.Barrier(workers)
     memo_before = program.memo_hits
 
     def worker() -> None:

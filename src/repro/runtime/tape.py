@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import ctypes
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -241,8 +241,7 @@ class TapeRecorder:
         )
         ops: List[tuple] = []
         ptr_slots: List[int] = []
-        sinks: List[tuple] = []
-        sink_of: dict = {}
+        sink_of: Dict[tuple, int] = {}
         row_sink: List[int] = []
         for op in self._ops:
             if op[0] == _LAUNCH:
@@ -254,11 +253,7 @@ class TapeRecorder:
                     for i, b in enumerate(bufs)
                 ] or [len(held)]
                 for site in launch.spec.sites:
-                    key = (id(site[0]), site[1])
-                    if key not in sink_of:
-                        sink_of[key] = len(sinks)
-                        sinks.append(site)
-                    row_sink.append(sink_of[key])
+                    row_sink.append(sink_of.setdefault(site, len(sink_of)))
             elif op[0] == _COPY:
                 _, dst, doffs, src, soffs = op
                 ops.append(
@@ -276,7 +271,7 @@ class TapeRecorder:
                 outputs.append(("const", val))
         return Tape(
             acquisitions, inputs, tuple(ops),
-            np.asarray(ptr_slots, dtype=np.intp), tuple(sinks),
+            np.asarray(ptr_slots, dtype=np.intp), tuple(sink_of),
             np.asarray(row_sink, dtype=np.intp), tuple(outputs),
             ex.stats.copy(), self.launches,
         )

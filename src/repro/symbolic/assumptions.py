@@ -209,22 +209,21 @@ class Context:
     # ------------------------------------------------------------------
     # Normalization
     # ------------------------------------------------------------------
-    def normalize(self, expr: ExprLike, max_rounds: int = 32) -> SymExpr:
+    def normalize(self, expr: ExprLike) -> SymExpr:
         """Apply equality rewrites to a fixpoint.
 
         Each round substitutes every defined variable simultaneously; the
-        round count is bounded to guard against (rejected-by-construction
-        but belt-and-braces) cyclic definitions.
+        round count is bounded (32) to guard against (rejected-by-
+        construction but belt-and-braces) cyclic definitions.
         """
         e = sym(expr)
         eqs, memo = self._equalities()
         if not eqs:
             return e
-        key = (e, max_rounds)
-        out = memo.get(key)
+        out = memo.get(e)
         if out is None:
             out = e
-            for _ in range(max_rounds):
+            for _ in range(32):
                 fv = out.free_vars()
                 applicable = {v: rhs for v, rhs in eqs.items() if v in fv}
                 if not applicable:
@@ -235,7 +234,7 @@ class Context:
                 out = e2
             if len(memo) >= self.NORMALIZE_MEMO_CAP:
                 memo.clear()
-            memo[key] = out
+            memo[e] = out
         return out
 
     def numeric_range(

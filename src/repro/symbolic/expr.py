@@ -87,6 +87,11 @@ class SymExpr:
         self._hash: Optional[int] = None
         self._fv: Optional[frozenset] = None
 
+    def __reduce__(self):
+        # Terms only: ``_hash`` is built from per-process string hashes and
+        # ``_fv`` is a memo; neither belongs in a pickle or a deep copy.
+        return (SymExpr, (self._terms,))
+
     # ------------------------------------------------------------------
     # Construction helpers
     # ------------------------------------------------------------------

@@ -195,6 +195,26 @@ def test_r04_composed_region_on_a_shared_block():
     assert not overlapping.errors and not overlapping.ok()
 
 
+def test_wf06_loop_parameter_without_binding():
+    """A loop parameter is a binder like any pattern element: WF06 is
+    WF01 for it."""
+    fun = compile_fun(
+        _carried_update_loop(drift=False), pipeline="unopt", cache=False
+    ).fun
+    assert verify_fun(fun).ok()
+    loop = find_stmt(fun, lambda s: isinstance(s.exp, A.Loop)).exp
+    (prm, _init), = loop.carried
+    assert binding_of(prm).mem.startswith("lmem_")
+    prm.mem = None
+    report = verify_fun(fun)
+    # (WF02 fires too: the body's views still name the now-unbound lmem)
+    assert "WF06" in report.rules_fired()
+    assert any(
+        d.rule == "WF06" and "'Xc' has no memory binding" in d.message
+        for d in report.errors
+    )
+
+
 # ----------------------------------------------------------------------
 # Dependence distance (R03 refinement)
 # ----------------------------------------------------------------------

@@ -8,7 +8,7 @@ from repro.mem.stats import ExecStats, KernelStat
 
 def stats_with(kind="map", launches=1, br=0, bw=0, flops=0) -> ExecStats:
     st = ExecStats()
-    k = st.kernel(1, kind, "k")
+    k = st.kernel(kind, "k")
     k.launches = launches
     k.bytes_read = br
     k.bytes_written = bw
@@ -49,8 +49,8 @@ class TestCostModel:
 
     def test_copy_kernels_use_stream_bandwidth(self):
         cm = CostModel(A100)
-        t_copy = cm.kernel_time(KernelStat("copy", "c", None, 1, 10**9, 10**9, 0))
-        t_map = cm.kernel_time(KernelStat("map", "m", None, 1, 10**9, 10**9, 0))
+        t_copy = cm.kernel_time(KernelStat("copy", "c", 1, 10**9, 10**9, 0))
+        t_map = cm.kernel_time(KernelStat("map", "m", 1, 10**9, 10**9, 0))
         assert t_copy < t_map  # contiguous copies stream faster
 
     def test_launch_overhead_scales_with_launches(self):

@@ -1,9 +1,17 @@
 """Golden tests for the pretty-printer."""
 
+from dataclasses import fields, replace
+
+import pytest
 
 from repro import FunBuilder, compile_fun, f32, pretty_fun
+from repro.bench.programs import all_benchmarks
+from repro.ir import ast as A
 from repro.ir.lastuse import analyze_last_uses
+from repro.ir.parser import parse_fun
 from repro.lmad import lmad
+from repro.mem.memir import clone_fun, iter_stmts
+from repro.pipeline import PRESETS
 from repro.symbolic import Var
 
 n = Var("n")
@@ -85,3 +93,72 @@ def test_all_expression_forms_render():
         "argmin y", "if cond then",
     ):
         assert needle in text, needle
+
+
+# ----------------------------------------------------------------------
+# pretty_fun is the byte-equality oracle: it must see every annotation
+# ----------------------------------------------------------------------
+def _lud():
+    """lud under ``full`` carries all five annotation kinds."""
+    return clone_fun(compile_fun(all_benchmarks()["lud"].build()).fun)
+
+
+def _first(fun, pred):
+    return next(s for s in iter_stmts(fun.body) if pred(s))
+
+
+def test_loop_parameter_bindings_are_printed():
+    fun = _lud()
+    before = pretty_fun(fun)
+    loop = _first(fun, lambda s: isinstance(s.exp, A.Loop)).exp
+    prm = next(p for p, _ in loop.carried if p.mem is not None)
+    assert f"{prm.name} @ {prm.mem} = " in before
+    prm.mem = prm.mem.with_ixfn(prm.mem.ixfn.reverse(0))
+    assert pretty_fun(fun) != before
+
+
+def test_mem_frees_are_printed():
+    fun = _lud()
+    before = pretty_fun(fun)
+    stmt = _first(fun, lambda s: s.mem_frees)
+    assert "  -- frees: " + ", ".join(stmt.mem_frees) in before
+    stmt.mem_frees = stmt.mem_frees[1:]
+    assert pretty_fun(fun) != before
+
+
+def test_every_field_of_a_fused_record_is_printed():
+    fun = _lud()
+    before = pretty_fun(fun)
+    stmt = _first(fun, lambda s: s.fused)
+    assert "  -- fused: producer=" in before
+    rec = stmt.fused[0]
+    other = {
+        str: lambda v: v + "_x", int: lambda v: v + 1, bool: lambda v: not v,
+        tuple: lambda v: v + ("x",),
+    }
+    for f in fields(rec):
+        old = getattr(rec, f.name)
+        new = old + 1 if f.name == "width" else other[type(old)](old)
+        stmt.fused = (replace(rec, **{f.name: new}),) + stmt.fused[1:]
+        assert pretty_fun(fun) != before, f.name
+    stmt.fused = (rec,) + stmt.fused[1:]
+    assert pretty_fun(fun) == before
+
+
+@pytest.mark.parametrize("name", sorted(all_benchmarks()))
+def test_compiled_ir_reparses_under_every_preset(name):
+    """The parser discards what the printer adds: annotations on patterns
+    and loop parameters, and the trailing ``--`` comments."""
+    source = all_benchmarks()[name].build()
+    for preset in PRESETS:
+        fun = compile_fun(source, pipeline=preset).fun
+        again = parse_fun(pretty_fun(fun))
+        assert [p.name for p in again.params] == [p.name for p in fun.params]
+        assert sum(1 for _ in iter_stmts(again.body)) == sum(
+            1 for _ in iter_stmts(fun.body)
+        )
+        assert all(
+            pe.mem is None and not s.mem_frees and not s.fused
+            for s in iter_stmts(again.body)
+            for pe in s.pattern
+        )

@@ -23,7 +23,8 @@ from repro.isl.emptiness import Verdict, basic_empty
 from repro.isl.terms import BasicSet, Constraint
 from repro.lmad import IndexFn
 from repro.lmad.lmad import Lmad, LmadDim
-from repro.mem.memir import iter_stmts
+from repro.ir import ast as A
+from repro.mem.memir import binding_of, iter_stmts
 from repro.symbolic import Context, Prover, SymExpr, sym
 
 BENCHMARKS = all_benchmarks()
@@ -41,10 +42,10 @@ def _benchmark_ixfns(name):
         for pe in stmt.pattern:
             if getattr(pe, "ixfn", None) is not None:
                 seen.add(pe.ixfn)
-        pb = getattr(getattr(stmt.exp, "body", None), "param_bindings", None)
-        if pb:
-            for b in pb.values():
-                seen.add(b.ixfn)
+        if isinstance(stmt.exp, A.Loop):
+            for prm, _init in stmt.exp.carried:
+                if binding_of(prm) is not None:
+                    seen.add(binding_of(prm).ixfn)
     return sorted(seen, key=str)
 
 

@@ -7,7 +7,7 @@ from repro.ir import ast as A
 from repro.lmad import IndexFn, lmad
 from repro.mem import introduce_memory, hoist_allocations
 from repro.mem.hoist import remove_dead_allocations
-from repro.mem.memir import binding_of
+from repro.mem.memir import MemBinding, array_bindings, binders, binding_of
 from repro.symbolic import Var
 
 n, m = Var("n"), Var("m")
@@ -207,8 +207,37 @@ class TestLoopNormalization:
         b.returns(res)
         mfun = introduce_memory(b.build())
         loop_stmt = [s for s in mfun.body.stmts if isinstance(s.exp, A.Loop)][0]
-        pb = getattr(loop_stmt.exp.body, "param_bindings")
-        assert "xc" in pb
+        (prm, _init), = loop_stmt.exp.carried
+        assert prm.name == "xc"
+        assert binding_of(prm).mem.startswith("lmem_")
+        assert not hasattr(loop_stmt.exp.body, "param_bindings")
+
+    def test_binding_of_answers_for_every_kind_of_binder(self):
+        """Pattern element, loop parameter, function parameter: one
+        accessor, and it agrees with the whole-function table."""
+        b = FunBuilder("f")
+        x = b.param("x", f32(n))
+        b.size_param("k")
+        lp = b.loop(count=3, carried=[("xc", x), ("acc", b.lit(0.0))], index="i")
+        x2 = lp.update_point(lp["xc"], [lp.idx], lp["acc"])
+        lp.returns(x2, lp["acc"])
+        res, _acc = lp.end()
+        b.returns(res)
+        mfun = introduce_memory(b.build())
+        table = array_bindings(mfun)
+        (loop_stmt,) = [s for s in mfun.body.stmts if isinstance(s.exp, A.Loop)]
+        seen = {p.name: binding_of(p) for p in mfun.params}
+        seen.update((pe.name, binding_of(pe)) for pe in binders(loop_stmt))
+        _, x2_pe = _find(mfun, x2)
+        seen[x2] = binding_of(x2_pe)
+        assert seen["x"] == MemBinding("x_mem", IndexFn.row_major([n]))
+        assert seen["k"] is None and seen["acc"] is None  # scalars
+        arrays = {k: v for k, v in seen.items() if v is not None}
+        assert set(arrays) == {"x", "xc", x2, loop_stmt.names[0]}
+        assert arrays == {k: table[k] for k in arrays}
+        assert [pe.name for pe in binders(loop_stmt)] == (
+            list(loop_stmt.names) + ["xc", "acc"]
+        )
 
     def test_nondirect_init_copied(self):
         b = FunBuilder("f")

@@ -7,6 +7,7 @@ statistics, including the counters C code accumulates from the data.
 """
 
 import importlib
+import pickle
 import sys
 import threading
 
@@ -424,6 +425,57 @@ def test_never_seen_shapes_leave_the_pool_bounded(build):
         key for e in pool._plans.values() for key in e.manifest
     }
     assert set(pool._free) <= retained
+
+
+def _reachable_index_fns(root):
+    """Every ``IndexFn`` reachable from ``root`` through fields, slots,
+    containers and instance ``__dict__``s (where the memos live)."""
+    seen, found, stack = set(), 0, [root]
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        found += isinstance(obj, IndexFn)
+        if isinstance(obj, dict):
+            stack.extend(obj.keys())
+            stack.extend(obj.values())
+        elif isinstance(obj, (tuple, list, set, frozenset)):
+            stack.extend(obj)
+        elif type(obj).__module__.startswith("repro."):
+            stack.append(getattr(obj, "__dict__", None))
+            stack.extend(
+                getattr(obj, slot, None)
+                for slot in getattr(type(obj), "__slots__", ())
+            )
+    return found
+
+
+@pytest.mark.parametrize(
+    "name, shape",
+    [
+        ("nw", lambda i: (2 + i % 20, 2 + i // 20)),
+        ("nn", lambda i: (16 + i,)),
+        ("optionpricing", lambda i: (8 + i, 4 + i % 3)),
+    ],
+    ids=["nw", "nn", "optionpricing"],
+)
+def test_never_seen_shapes_leave_the_ir_bounded(name, shape, monkeypatch):
+    """A cached program's IR must not grow with the shapes it has served:
+    the ``IndexFn`` memos restart at ``MEMO_CAP`` and are not pickled."""
+    monkeypatch.setattr(IndexFn, "MEMO_CAP", 16, raising=False)
+    mod = module(name)
+    program = rt.compile(mod.build(), memoize=False)
+    fun = program.compiled.fun
+    in_ir = _reachable_index_fns(fun)
+    pickled = len(pickle.dumps(fun))
+    # one generation of full memos (three per index function) and a spare
+    bound = in_ir * (1 + 4 * IndexFn.MEMO_CAP)
+    for i in range(200):
+        program.run(mod.inputs_for(*shape(i)))
+        if i % 20 == 19:
+            assert _reachable_index_fns(fun) <= bound, f"after {i + 1} shapes"
+    assert len(pickle.dumps(fun)) == pickled
 
 
 def test_eight_class_ring_keeps_full_pool_hit_rate():
