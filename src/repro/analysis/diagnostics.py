@@ -109,11 +109,6 @@ RULES = {
         "placement chose a bounded on-chip space for a block that only "
         "fits in DRAM",
     ),
-    "MS02": (
-        "binding's space tag disagrees with its block's declared space",
-        "a rebase or merge crossed memory spaces without re-tagging "
-        "(coalescing must reject cross-space donors)",
-    ),
 }
 
 

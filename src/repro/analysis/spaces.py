@@ -1,8 +1,9 @@
-"""Memory-space validation (MS rules): capacities and space coherence.
+"""Memory-space validation (the MS rule): capacities.
 
 Memory blocks carry a space tag (:mod:`repro.mem.spaces`): ``hbm`` is
 device DRAM, ``scratch`` and ``regs`` are the bounded on-chip spaces.
-Two things can go wrong once passes start moving arrays between blocks:
+The tag lives on the ``alloc`` alone, so the one thing that can go
+wrong is a block that does not fit where it was put:
 
 * MS01 -- a block placed in a bounded space must fit it.  An individual
   allocation whose *concrete* size exceeds the space's capacity is a
@@ -12,13 +13,6 @@ Two things can go wrong once passes start moving arrays between blocks:
   scratch, but a real backend would spill.  Symbolic sizes are skipped:
   the benchmarks are compiled at symbolic shapes and a capacity claim
   about ``n*n`` bytes is not decidable here.
-* MS02 -- every binding's space tag must agree with the space of the
-  block it names: an ``alloc``'s declared space, or ``hbm`` for input
-  parameter blocks.  A mismatch means a pass re-homed an array across
-  spaces without the corresponding copy (coalescing must never merge
-  across spaces; short-circuiting must re-tag when it rebases into the
-  destination block).  Existential blocks (loop/if results) have no
-  declaration site and are skipped.
 """
 
 from __future__ import annotations
@@ -28,8 +22,8 @@ from typing import Dict
 from repro.analysis.diagnostics import Report, Severity
 from repro.analysis.facts import stmt_location
 from repro.ir import ast as A
-from repro.ir.types import ArrayType, DTYPE_INFO
-from repro.mem.memir import binders, binding_of, iter_stmts, param_mem_name
+from repro.ir.types import DTYPE_INFO
+from repro.mem.memir import iter_stmts
 from repro.mem.spaces import SPACES, space_of
 
 
@@ -40,13 +34,7 @@ def _concrete_nbytes(exp: A.Alloc) -> int | None:
 
 
 def check_spaces(fun: A.Fun, report: Report) -> None:
-    """Run the MS rules over one memory-IR function."""
-    # Declared space of every ground block: allocs + parameter blocks.
-    declared: Dict[str, str] = {
-        param_mem_name(p.name): "hbm"
-        for p in fun.params
-        if isinstance(p.type, ArrayType)
-    }
+    """Run the MS rule over one memory-IR function."""
 
     def walk(block: A.Block, path: str, kernel: bool) -> None:
         # Per-space concrete-byte totals of this kernel body's subtree
@@ -55,7 +43,6 @@ def check_spaces(fun: A.Fun, report: Report) -> None:
             exp = stmt.exp
             loc = stmt_location(f"{path}[{i}]", stmt)
             if isinstance(exp, A.Alloc):
-                declared[stmt.names[0]] = exp.space
                 report.count()
                 try:
                     space = space_of(exp.space)
@@ -108,30 +95,3 @@ def check_spaces(fun: A.Fun, report: Report) -> None:
                 )
 
     walk(fun.body, "body", kernel=False)
-
-    # MS02: binding tags against declaration sites.
-    def check_binding(mem: str, space: str, what: str, loc: str) -> None:
-        decl = declared.get(mem)
-        if decl is None:  # existential: no declaration site
-            return
-        report.count()
-        if decl != space:
-            report.add(
-                "MS02", Severity.ERROR, loc,
-                f"{what} is tagged @{space} but block {mem!r} lives "
-                f"in @{decl}",
-            )
-
-    def walk_bindings(block: A.Block, path: str) -> None:
-        for i, stmt in enumerate(block.stmts):
-            loc = stmt_location(f"{path}[{i}]", stmt)
-            for pe in binders(stmt):
-                b = binding_of(pe)
-                if b is not None:
-                    check_binding(
-                        b.mem, b.space, f"binding of {pe.name!r}", loc
-                    )
-            for k, blk in enumerate(A.sub_blocks(stmt.exp)):
-                walk_bindings(blk, f"{path}[{i}].sub[{k}]")
-
-    walk_bindings(fun.body, "body")

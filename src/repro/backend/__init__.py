@@ -7,12 +7,17 @@ loops mirror the interpreter's thread walk and whose counter stores
 mirror its :class:`~repro.mem.stats.ExecStats` accounting exactly.
 :mod:`repro.backend.build` compiles and caches the shared objects;
 :mod:`repro.backend.engine` marshals launches and falls back to the
-vectorized/interpreted tiers per statement (emission rejected) or per
-launch (structure changed).
+vectorized/interpreted tiers per statement (emission declined, or the
+toolchain failed) or per launch (structure changed).
 
 ``REPRO_NATIVE=off`` (or ``0``) disables the tier globally; a missing C
-compiler disables it with a one-line warning.  Either way every program
-still runs -- bit-identically -- on the remaining tiers.
+compiler disables it with a one-line warning.  A C compiler that is
+present but faulty -- it exits nonzero, or exits 0 having written an
+object that does not load -- costs one attempt per statement and
+leaves a ``cc-failed`` / ``so-unloadable`` record saying what it said
+(:attr:`NativeEngine.declined`, surfaced by ``Program.coverage()``).
+In every one of those cases every program still runs -- bit-identically
+-- on the remaining tiers.
 """
 
 from __future__ import annotations

@@ -10,7 +10,9 @@ program cache under ``benchmarks/results/.nativecache/`` (override with
 so concurrent builders never observe a torn ``.so``, and a cache entry
 that fails to load (truncated, wrong architecture, hand-edited) is
 unlinked and rebuilt cold -- mirroring the program cache's corruption
-semantics.
+semantics.  An object that fails to load *right after* ``cc`` wrote it
+is a toolchain fault like a nonzero exit status: :class:`BuildError`,
+no retry.
 """
 
 from __future__ import annotations
@@ -36,7 +38,14 @@ _DEFAULT_DIR = Path("benchmarks") / "results" / ".nativecache"
 
 
 class BuildError(RuntimeError):
-    """The C compiler failed (or is absent)."""
+    """The toolchain failed -- a fault, not an unsupported construct.
+    ``rule`` says how (``no-cc``, ``cc-failed``, ``so-unloadable``),
+    ``detail`` what it said."""
+
+    def __init__(self, rule: str, detail: str):
+        super().__init__(f"{rule}: {detail}")
+        self.rule = rule
+        self.detail = detail
 
 
 # -- toolchain detection ------------------------------------------------
@@ -138,7 +147,7 @@ def compile_kernel(source: str):
     once per (source, toolchain, ABI) across processes."""
     cc, _ = find_cc()
     if cc is None:
-        raise BuildError("no C compiler available")
+        raise BuildError("no-cc", "no C compiler available")
     digest = source_digest(source)
     hit = _memo.get(digest)
     if hit is not None:
@@ -167,10 +176,18 @@ def compile_kernel(source: str):
                 tmp.unlink()
             except OSError:
                 pass
+            said = proc.stderr.strip().splitlines()
             raise BuildError(
-                f"cc failed ({proc.returncode}): {proc.stderr.strip()}"
+                "cc-failed",
+                f"exit status {proc.returncode}: {said[0] if said else ''}",
             )
-        os.replace(tmp, so)
-        lib_fn = _load(so)
+        try:
+            os.replace(tmp, so)
+            lib_fn = _load(so)
+        except (OSError, AttributeError) as e:
+            # What cc just wrote does not load.  Building it again would
+            # give the same object: unlink it and let the caller degrade.
+            so.unlink(missing_ok=True)
+            raise BuildError("so-unloadable", str(e)) from None
     _memo[digest] = lib_fn
     return lib_fn[1], digest

@@ -25,9 +25,11 @@ first launch of a statement (when the runtime environment reveals each
 free array's index-function structure and each free scalar's kind) and
 the resulting function is reused for every later launch, receiving
 widths, scalars and LMAD components as arguments.  Any construct outside
-the supported set raises :class:`Reject`, and the statement permanently
-falls back to the vectorized/interpreted tiers -- dispatch stays
-per-statement, exactly like the vectorized planner.
+the supported set raises :class:`~repro.decisions.Declined` -- rule
+``unsupported``, or ``not-bit-exact`` where C has the operation but not
+NumPy's bits -- with the construct named in its detail, and the
+statement permanently falls back to the vectorized/interpreted tiers --
+dispatch stays per-statement, exactly like the vectorized planner.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from repro.decisions import Declined
 from repro.symbolic import SymExpr
 
 from repro.ir import ast as A
@@ -73,10 +76,6 @@ _PROMOTE = {
     ("bool", "f32"): "f32",
     ("bool", "f64"): "f64",
 }
-
-
-class Reject(Exception):
-    """The statement is not expressible in the native tier."""
 
 
 @dataclass
@@ -179,11 +178,11 @@ def _c_lit(value, dtype: str) -> str:
     if dtype == "f32":
         d = float(np.float32(value))
         if not np.isfinite(d):
-            raise Reject("non-finite literal")
+            raise Declined("unsupported", "non-finite literal")
         return f"((float){d!r})"
     d = float(value)
     if not np.isfinite(d):
-        raise Reject("non-finite literal")
+        raise Declined("unsupported", "non-finite literal")
     return f"({d!r})"
 
 
@@ -286,7 +285,7 @@ class _Emitter:
     def check_scope(self, *ids: int) -> None:
         for s in ids:
             if s not in self._scopes:
-                raise Reject("value escapes its C scope")
+                raise Declined("unsupported", "value escapes its C scope")
 
     @property
     def cur_scope(self) -> int:
@@ -296,7 +295,7 @@ class _Emitter:
     def _host_scalar(self, name: str) -> SVal:
         """A free host scalar as an argument-backed SVal."""
         if name not in self.env:
-            raise Reject(f"unbound variable {name!r}")
+            raise Declined("unsupported", f"unbound variable {name!r}")
         v = self.env[name]
         if isinstance(v, (bool, np.bool_)):
             weak = type(v) is bool
@@ -310,7 +309,7 @@ class _Emitter:
             kind = "pyfloat" if isinstance(v, float) else "f64"
             dtype, weak = "f64", isinstance(v, float)
         else:
-            raise Reject(f"unsupported free value for {name!r}")
+            raise Declined("unsupported", f"unsupported free value for {name!r}")
         if dtype in ("i64", "bool"):
             key = ("env", name)
             slot = self._int_slots.get(key)
@@ -346,7 +345,7 @@ class _Emitter:
             self._int_slots[key] = ent
         bslot, base, eranks, edtype = ent
         if eranks != ranks or edtype != ra.dtype:
-            raise Reject("inconsistent array structure at emission")
+            raise Declined("unsupported", "inconsistent array structure at emission")
         lmads = []
         k = base
         # One "arrcomp" directive expands to 1 + 2*rank ints per LMAD:
@@ -401,7 +400,9 @@ class _Emitter:
             if sv is None:
                 sv = self._host_scalar(v)
             if not isinstance(sv, SVal) or sv.dtype not in ("i64", "bool"):
-                raise Reject(f"non-integer variable {v!r} in index expression")
+                raise Declined(
+                    "unsupported", f"non-integer variable {v!r} in index expression"
+                )
             self.check_scope(sv.scope)
             c = sv.c if sv.dtype == "i64" else f"((long long)({sv.c}))"
             if sv.mutable:
@@ -431,7 +432,7 @@ class _Emitter:
     def view_from_binding(self, pe, scope, memenv) -> CArr:
         b = binding_of(pe)
         if b is None:
-            raise Reject(f"array {pe.name} lacks a memory binding")
+            raise Declined("unsupported", f"array {pe.name} lacks a memory binding")
         assert isinstance(pe.type, ArrayType)
         return self.view_of(b.mem, b.ixfn, pe.type.dtype, scope, memenv)
 
@@ -447,7 +448,7 @@ class _Emitter:
             try:
                 self.ex._resolve_mem(mem, self.env)
             except Exception:
-                raise Reject(f"unresolvable memory {mem!r}") from None
+                raise Declined("unsupported", f"unresolvable memory {mem!r}") from None
             obj = MemObj(self._mem_buf(mem), "0", 0)
         self.check_scope(obj.scope)
         return obj
@@ -502,7 +503,7 @@ class _Emitter:
     def point_offset(self, arr: CArr, idx: List[str]) -> str:
         inner = arr.inner
         if len(idx) != inner.rank:
-            raise Reject("index rank mismatch")
+            raise Declined("unsupported", "index rank mismatch")
         terms = [f"({inner.offset})"] + [
             f"({i})*({st})" for i, (_, st) in zip(idx, inner.dims)
         ]
@@ -572,7 +573,7 @@ class _Emitter:
         xc, yc = self.cast(x, dt), self.cast(y, dt)
         if op in ("+", "-", "*"):
             if dt == "bool":
-                raise Reject("boolean arithmetic")
+                raise Declined("unsupported", "boolean arithmetic")
             return self._bind_local(f"{xc} {op} {yc}", dt, weak)
         if op == "/":
             if dt in ("i64", "bool"):
@@ -582,7 +583,7 @@ class _Emitter:
             return self._bind_local(f"{xc} / {yc}", dt, weak)
         if op in ("//", "%"):
             if dt not in ("i64",):
-                raise Reject(f"float {op} has no exact C form")
+                raise Declined("not-bit-exact", f"float {op} has no exact C form")
             fn = "repro_fdiv" if op == "//" else "repro_fmod"
             return self._bind_local(f"{fn}({xc}, {yc})", dt, weak)
         if op in ("min", "max"):
@@ -590,7 +591,7 @@ class _Emitter:
             # result dtype would be value-dependent under mixed operand
             # types; only the homogeneous case is exactly expressible.
             if x.dtype != y.dtype or x.weak != y.weak:
-                raise Reject("mixed-type min/max")
+                raise Declined("not-bit-exact", "mixed-type min/max")
             cmp = "<" if op == "min" else ">"
             return self._bind_local(
                 f"({yc} {cmp} {xc}) ? {yc} : {xc}", dt, weak
@@ -602,13 +603,13 @@ class _Emitter:
                 f"(({x.c}) {op} ({y.c}))", "bool", False
             )
         if op == "pow":
-            raise Reject("pow has no bit-exact C form")
-        raise Reject(f"unknown binop {op!r}")
+            raise Declined("not-bit-exact", "pow has no bit-exact C form")
+        raise Declined("unsupported", f"unknown binop {op!r}")
 
     def unop(self, op: str, x: SVal) -> SVal:
         if op == "neg":
             if x.dtype == "bool":
-                raise Reject("negating a boolean")
+                raise Declined("unsupported", "negating a boolean")
             return self._bind_local(f"-({x.c})", x.dtype, x.weak)
         if op == "sqrt":
             if x.dtype == "f32" and not x.weak:
@@ -621,7 +622,7 @@ class _Emitter:
                 return self._bind_local(f"fabsf({x.c})", "f32", x.weak)
             if x.dtype == "f64":
                 return self._bind_local(f"fabs({x.c})", "f64", x.weak)
-            raise Reject("abs of a boolean")
+            raise Declined("unsupported", "abs of a boolean")
         if op == "i64":
             return self._bind_local(f"((long long)({x.c}))", "i64", True)
         if op == "f32":
@@ -629,8 +630,8 @@ class _Emitter:
         if op == "f64":
             return self._bind_local(f"((double)({x.c}))", "f64", False)
         if op in ("exp", "log"):
-            raise Reject(f"{op} is not bit-stable across libm/NumPy")
-        raise Reject(f"unknown unop {op!r}")
+            raise Declined("not-bit-exact", f"{op} is not bit-stable across libm/NumPy")
+        raise Declined("unsupported", f"unknown unop {op!r}")
 
     def operand(self, op, scope) -> SVal:
         if isinstance(op, str):
@@ -638,7 +639,9 @@ class _Emitter:
             if sv is None:
                 return self._host_scalar(op)
             if not isinstance(sv, SVal):
-                raise Reject(f"array operand {op!r} in scalar position")
+                raise Declined(
+                    "unsupported", f"array operand {op!r} in scalar position"
+                )
             self.check_scope(sv.scope)
             return sv
         if isinstance(op, SymExpr):
@@ -649,7 +652,7 @@ class _Emitter:
             return SVal(_c_int(op), "i64", weak=True)
         if isinstance(op, float):
             return SVal(_c_lit(op, "f64"), "f64", weak=True)
-        raise Reject(f"unsupported operand {op!r}")
+        raise Declined("unsupported", f"unsupported operand {op!r}")
 
     # -- statements -----------------------------------------------------
     def value_of(self, name: str, scope, memenv):
@@ -665,19 +668,19 @@ class _Emitter:
         if isinstance(hv, RuntimeArray):
             return self._arg_array(("env", name), hv)
         if hv is None:
-            raise Reject(f"unbound variable {name!r}")
+            raise Declined("unsupported", f"unbound variable {name!r}")
         return self._host_scalar(name)
 
     def array_value(self, name: str, scope, memenv) -> CArr:
         v = self.value_of(name, scope, memenv)
         if not isinstance(v, CArr):
-            raise Reject(f"{name!r} is not an array value")
+            raise Declined("unsupported", f"{name!r} is not an array value")
         return self.use(v)
 
     def fix0(self, arr: CArr, idx: str) -> CArr:
         inner = arr.inner
         if inner.rank < 1:
-            raise Reject("fixing a dimension of a rank-0 view")
+            raise Declined("unsupported", "fixing a dimension of a rank-0 view")
         fixed = CLmad(
             f"({inner.offset}) + ({idx})*({inner.dims[0][1]})",
             list(inner.dims[1:]),
@@ -758,13 +761,13 @@ class _Emitter:
             dest = self.view_from_binding(stmt.pattern[0], scope, memenv)
             inner = dest.inner
             if inner.rank < 1:
-                raise Reject("concat into a rank-0 view")
+                raise Declined("unsupported", "concat into a rank-0 view")
             co = self.fresh("co")
             self.emit(f"long long {co} = 0;")
             for s in exp.srcs:
                 src = self.array_value(s, scope, memenv)
                 if src.inner.rank < 1:
-                    raise Reject("concat of a rank-0 view")
+                    raise Declined("unsupported", "concat of a rank-0 view")
                 rows = self.fresh("rw")
                 self.emit(f"long long {rows} = {src.inner.dims[0][0]};")
                 region = CLmad(
@@ -808,7 +811,7 @@ class _Emitter:
             self._emit_if(stmt, exp, scope, memenv, site)
             return
 
-        raise Reject(f"{type(exp).__name__} inside a kernel")
+        raise Declined("unsupported", f"{type(exp).__name__} inside a kernel")
 
     def _scalar_exp(self, exp: A.Exp, scope, site: int) -> SVal:
         if isinstance(exp, A.Lit):
@@ -830,7 +833,7 @@ class _Emitter:
     def emit_copy(self, src: CArr, dst: CArr, site: int) -> None:
         src, dst = self.use(src), self.use(dst)
         if src.dtype != dst.dtype:
-            raise Reject("copy between differing element types")
+            raise Declined("unsupported", "copy between differing element types")
         ssz, dsz = self.size_c(src), self.size_c(dst)
         snb = f"{ssz}*{src.itemsize}"
         dnb = f"{dsz}*{dst.itemsize}"
@@ -877,13 +880,17 @@ class _Emitter:
         counts = []
         for entry in self._alloc_path:
             if entry is None:
-                raise Reject("allocation under a data-dependent branch")
+                raise Declined(
+                    "unsupported", "allocation under a data-dependent branch"
+                )
             if not entry[3]:
-                raise Reject("allocation under a non-launch-evaluable loop")
+                raise Declined(
+                    "unsupported", "allocation under a non-launch-evaluable loop"
+                )
             counts.append(entry)
         for fv in exp.size.free_vars():
             if fv not in self.env or fv in scope:
-                raise Reject("allocation size not launch-evaluable")
+                raise Declined("unsupported", "allocation size not launch-evaluable")
         site_idx = len(self.alloc_sites)
         bslot = len(self.buf_dirs)
         self.buf_dirs.append(("alloc", site_idx))
@@ -921,7 +928,7 @@ class _Emitter:
         if isinstance(spec, A.TripletSpec):
             inner = result.inner
             if len(spec.triplets) != inner.rank:
-                raise Reject("triplet rank mismatch")
+                raise Declined("unsupported", "triplet rank mismatch")
             off_terms = [f"({inner.offset})"]
             dims = []
             for (a, b, c), (_, st) in zip(spec.triplets, inner.dims):
@@ -936,16 +943,18 @@ class _Emitter:
                 scope=self.cur_scope,
             )
             if not isinstance(exp.value, str):
-                raise Reject("slice update value must be an array variable")
+                raise Declined(
+                    "unsupported", "slice update value must be an array variable"
+                )
             value = self.array_value(exp.value, scope, memenv)
             self.emit_copy(value, region, site)
             scope[stmt.names[0]] = result
             return
-        raise Reject("LMAD-spec update inside a kernel")
+        raise Declined("unsupported", "LMAD-spec update inside a kernel")
 
     def _emit_nested_map(self, stmt, exp: A.Map, scope, memenv) -> None:
         if len(exp.lam.params) != 1:
-            raise Reject("multi-parameter map lambda")
+            raise Declined("unsupported", "multi-parameter map lambda")
         nsite = self.site_of(stmt)
         # The statement's execution (not its threads) creates the kernel
         # stat, width 0 included -- counted in the *enclosing* block.
@@ -993,7 +1002,7 @@ class _Emitter:
                     f"({_CTYPE[dest.dtype]})({val.c});"
                 )
             else:
-                raise Reject("unsupported map result value")
+                raise Declined("unsupported", "unsupported map result value")
 
     def _emit_loop(self, stmt, exp: A.Loop, scope, memenv, site) -> None:
         cnt = self.fresh("n")
@@ -1003,7 +1012,9 @@ class _Emitter:
             val = self.value_of(initname, scope, memenv)
             if isinstance(prm.type, ArrayType):
                 if not isinstance(val, CArr):
-                    raise Reject("array loop param initialized by non-array")
+                    raise Declined(
+                        "unsupported", "array loop param initialized by non-array"
+                    )
                 self.check_scope(val.scope, val.mem.scope)
                 b = binding_of(prm)
                 # Mirrors the interpreter: the param binding's memory
@@ -1013,7 +1024,9 @@ class _Emitter:
                 carried.append(("arr", prm, val, b, rebind))
             else:
                 if not isinstance(val, SVal):
-                    raise Reject("scalar loop param initialized by non-scalar")
+                    raise Declined(
+                        "unsupported", "scalar loop param initialized by non-scalar"
+                    )
                 cvar = self.fresh("s")
                 self.emit(f"{_CTYPE[val.dtype]} {cvar} = {val.c};")
                 sv = SVal(
@@ -1061,21 +1074,23 @@ class _Emitter:
         for (kind, prm, v, b, rebind), nv in zip(carried, vals):
             if kind == "scal":
                 if not isinstance(nv, SVal):
-                    raise Reject("scalar loop result is not a scalar")
+                    raise Declined("unsupported", "scalar loop result is not a scalar")
                 if nv.dtype != v.dtype or nv.weak != v.weak:
-                    raise Reject("loop-carried scalar changes type")
+                    raise Declined("unsupported", "loop-carried scalar changes type")
                 t = self.fresh("t")
                 self.emit(f"{_CTYPE[v.dtype]} {t} = {nv.c};")
                 upds.append((v.c, t))
             else:
                 if not isinstance(nv, CArr):
-                    raise Reject("array loop result is not an array")
+                    raise Declined("unsupported", "array loop result is not an array")
                 # Fixpoint requirement: the carried block must not rotate
                 # across iterations (in-place update chains satisfy this;
                 # in-kernel double-buffering falls back to vectorized).
                 if rebind or b is None:
                     if not nv.mem.same(v.mem):
-                        raise Reject("loop-carried array changes blocks")
+                        raise Declined(
+                            "unsupported", "loop-carried array changes blocks"
+                        )
         for cvar, t in upds:
             self.emit(f"{cvar} = {t};")
         self.close_block()
@@ -1097,7 +1112,7 @@ class _Emitter:
         for pe, val in zip(stmt.pattern, vals):
             if not pe.is_array():
                 if not isinstance(val, (SVal, MemObj)):
-                    raise Reject("unsupported compound result")
+                    raise Declined("unsupported", "unsupported compound result")
                 scope[pe.name] = val
         for pe, val in zip(stmt.pattern, vals):
             if pe.is_array():
@@ -1105,7 +1120,9 @@ class _Emitter:
                     b = binding_of(pe)
                     if not self._mem_resolvable(b.mem, scope, memenv):
                         if not isinstance(val, CArr):
-                            raise Reject("existential result is not an array")
+                            raise Declined(
+                                "unsupported", "existential result is not an array"
+                            )
                         self.check_scope(val.mem.scope)
                         memenv[b.mem] = val.mem
                     scope[pe.name] = self.view_from_binding(
@@ -1132,7 +1149,7 @@ class _Emitter:
         tvals = self.emit_block(exp.then_block, dict(scope), memenv, site)
         for v in tvals:
             if not isinstance(v, SVal):
-                raise Reject("non-scalar if result inside a kernel")
+                raise Declined("unsupported", "non-scalar if result inside a kernel")
         temps = [self.fresh("r") for _ in tvals]
         for t, v in zip(temps, tvals):
             self.emit(f"{t} = {v.c};")
@@ -1140,12 +1157,12 @@ class _Emitter:
         self.open_block("else")
         evals = self.emit_block(exp.else_block, dict(scope), memenv, site)
         if len(evals) != len(tvals):
-            raise Reject("if branches disagree on result arity")
+            raise Declined("unsupported", "if branches disagree on result arity")
         for v, tv in zip(evals, tvals):
             if not isinstance(v, SVal):
-                raise Reject("non-scalar if result inside a kernel")
+                raise Declined("unsupported", "non-scalar if result inside a kernel")
             if v.dtype != tv.dtype or v.weak != tv.weak:
-                raise Reject("if branches disagree on result type")
+                raise Declined("unsupported", "if branches disagree on result type")
         for t, v in zip(temps, evals):
             self.emit(f"{t} = {v.c};")
         self.close_block()
@@ -1182,11 +1199,12 @@ def emit_kernel(ex, stmt: A.Let, exp: A.Map, env, dests) -> KernelSpec:
 
     ``env``/``dests`` come from the statement's *first* launch; structure
     derived from them (index-function ranks, scalar kinds) is validated
-    against every later launch by the engine.  Raises :class:`Reject`
-    when any construct in the subtree is outside the native set.
+    against every later launch by the engine.  Raises
+    :class:`~repro.decisions.Declined` when any construct in the subtree
+    is outside the native set.
     """
     if len(exp.lam.params) != 1:
-        raise Reject("multi-parameter map lambda")
+        raise Declined("unsupported", "multi-parameter map lambda")
     em = _Emitter(ex, env)
     em.site_of(stmt)  # site 0
     dest_arrs = []

@@ -15,9 +15,10 @@ per launch).  The compiled entry point is cached by source digest
 (:mod:`repro.backend.build`); the per-statement plan is shared across
 all executors of a :class:`repro.runtime.Program`, exactly like the
 vectorized dispatch plans.  A statement whose subtree the emitter
-rejects is marked and never attempted again; a launch whose concrete
-structure no longer matches the plan (a rank or scalar-kind change)
-falls back for that launch only.
+declines -- or whose C the toolchain fails to build -- is marked and
+never attempted again; a launch whose concrete structure no longer
+matches the plan (a rank or scalar-kind change) falls back for that
+launch only.  Either way :attr:`NativeEngine.declined` says why.
 
 A launch is ``marshal -> fire -> distribute``: :meth:`NativeEngine.
 marshal` turns the directives into a :class:`Launch` (concrete argument
@@ -38,17 +39,14 @@ from typing import Dict, Optional
 import numpy as np
 
 from repro.backend import build
-from repro.backend.cemit import SLOTS, KernelSpec, Reject, emit_kernel
+from repro.backend.cemit import SLOTS, KernelSpec, emit_kernel
+from repro.decisions import DecisionLog, Declined
 from repro.ir.interp import InterpError, eval_sym
 from repro.ir.types import DTYPE_INFO
 
-#: Plan sentinel: the emitter rejected this statement's subtree.
+#: Plan sentinel: no kernel for this statement (``NativeEngine.declined``
+#: holds the reason under the statement's binding name).
 REJECTED = object()
-
-
-class _Mismatch(Exception):
-    """This launch's concrete structure diverges from the cached plan."""
-
 
 _LL_PTR = ctypes.POINTER(ctypes.c_longlong)
 _DBL_PTR = ctypes.POINTER(ctypes.c_double)
@@ -123,7 +121,7 @@ def _eval_int(expr, env) -> int:
     if isinstance(v, (bool, np.bool_)):
         return int(v)
     if not isinstance(v, (int, np.integer)):
-        raise _Mismatch("non-integer symbolic value")
+        raise Declined("structure-changed", "non-integer symbolic value")
     return int(v)
 
 
@@ -134,6 +132,11 @@ class NativeEngine:
         #: id(stmt) -> KernelSpec | REJECTED (shared per Program, like
         #: the vectorized dispatch plans).
         self.plans: Dict[int, object] = plans if plans is not None else {}
+        #: Why a statement has no kernel (layer ``native``) or a launch
+        #: of it fell back (``launch``), under the statement's binding
+        #: name: ``plans`` is keyed by addresses, which mean nothing to a
+        #: reader and nothing after this process.
+        self.declined = DecisionLog()
         self._lock = threading.Lock()
         #: Cumulative emission + cc wall clock (ExecStats.codegen_seconds).
         self.codegen_seconds = 0.0
@@ -146,13 +149,22 @@ class NativeEngine:
         rec = ex._recorder
         if plan is REJECTED:
             if rec is not None:
-                rec.rejected(stmt)
+                rec.refuse(self.declined.at("native", stmt.names[0]))
             return False
         try:
             self._launch(plan, ex, env, width, dests)
-        except (_Mismatch, InterpError):
+        except (Declined, InterpError) as e:
+            # This launch's concrete structure diverges from the plan.
+            rule, detail = (
+                (e.rule, e.detail) if isinstance(e, Declined)
+                else ("interp-error", str(e))
+            )
+            with self._lock:
+                why = self.declined.add(
+                    "launch", rule, stmt.names[0], detail
+                )
             if rec is not None:
-                rec.mismatched()
+                rec.refuse(why)
             return False
         return True
 
@@ -169,7 +181,10 @@ class NativeEngine:
                 spec.fn = fn
                 spec.digest = digest
                 plan = spec
-            except (Reject, build.BuildError):
+            except (Declined, build.BuildError) as why:
+                self.declined.add(
+                    "native", why.rule, stmt.names[0], why.detail
+                )
                 plan = REJECTED
             self.codegen_seconds += time.perf_counter() - t0
             self.plans[id(stmt)] = plan
@@ -212,22 +227,22 @@ class NativeEngine:
 
         Returns ``(launch, bufs)``; ``bufs[i]`` is ``None`` where the
         kernel wants a per-launch backing block (``launch.allocs``).
-        Mutates nothing: a :class:`_Mismatch` here is a clean no-op
-        fallback."""
+        Mutates nothing: a :class:`~repro.decisions.Declined` here is a
+        clean no-op fallback."""
         ia: list = []
         for d in spec.int_dirs:
             tag = d[0]
             if tag == "env":
                 ia.append(self._scalar(env, d[1], d[2], want_int=True))
-            elif tag == "sym":
-                ia.append(_eval_int(d[1], env))
             else:  # ("arrcomp", source, ranks, dtype)
                 _, source, ranks, dtype = d
                 ra = self._source_array(source, env, dests)
                 if ra.dtype != dtype:
-                    raise _Mismatch("array dtype changed")
+                    raise Declined("structure-changed", "array dtype changed")
                 if tuple(len(l.dims) for l in ra.ixfn.lmads) != ranks:
-                    raise _Mismatch("index-function structure changed")
+                    raise Declined(
+                        "structure-changed", "index-function structure changed"
+                    )
                 for lmad in ra.ixfn.lmads:
                     ia.append(self._concrete(lmad.offset))
                     for dim in lmad.dims:
@@ -270,7 +285,7 @@ class NativeEngine:
     def _scalar(env, name, kind, want_int):
         v = env.get(name)
         if v is None and name not in env:
-            raise _Mismatch(f"free variable {name!r} vanished")
+            raise Declined("structure-changed", f"free variable {name!r} vanished")
         ok = (
             kind == "pyint" and type(v) is int
             or kind == "npint" and isinstance(v, np.integer)
@@ -283,7 +298,7 @@ class NativeEngine:
             and not isinstance(v, np.float32)
         )
         if not ok:
-            raise _Mismatch(f"scalar kind of {name!r} changed")
+            raise Declined("structure-changed", f"scalar kind of {name!r} changed")
         return int(v) if want_int else float(v)
 
     @staticmethod
@@ -293,19 +308,19 @@ class NativeEngine:
         tag, key = source
         ra = env.get(key) if tag == "env" else dests[key]
         if not isinstance(ra, RuntimeArray):
-            raise _Mismatch("array argument vanished")
+            raise Declined("structure-changed", "array argument vanished")
         return ra
 
     @staticmethod
     def _concrete(expr) -> int:
         v = expr.as_int()
         if v is None:
-            raise _Mismatch("symbolic index-function component")
+            raise Declined("structure-changed", "symbolic index-function component")
         return v
 
     @staticmethod
     def _buffer(ex, mem, env) -> np.ndarray:
         buf = ex.mem[ex._resolve_mem(mem, env)]
         if not isinstance(buf, np.ndarray):
-            raise _Mismatch("memory block is not materialized")
+            raise Declined("structure-changed", "memory block is not materialized")
         return buf

@@ -9,8 +9,9 @@
                                           # written to benchmarks/results/
     python -m repro.bench nw --explain    # per-pass pipeline trace
                                           # (timings, IR deltas,
-                                          # rejection diagnostics,
-                                          # per-space peaks)
+                                          # per-space peaks) and the
+                                          # decisions table: what every
+                                          # layer declined, and why
     python -m repro.bench --devices 2     # shard hotspot/lbm/nw across
                                           # two simulated devices: halo
                                           # traffic + scaling efficiency
@@ -25,12 +26,14 @@ from __future__ import annotations
 
 import argparse
 import json
+from dataclasses import asdict
 import sys
 import time
 import warnings
 from pathlib import Path
 
 from repro.bench.gates import GATES, load_baseline, write_baseline
+from repro.decisions import render_table
 from repro.bench.harness import (
     PERF_DATASETS,
     QUICK_DATASETS,
@@ -98,8 +101,10 @@ def main(argv=None) -> int:
                              "halo traffic and scaling efficiency")
     parser.add_argument("--explain", action="store_true",
                         help="print each benchmark's optimized-pipeline "
-                             "trace: per-pass timings, IR size/alloc "
-                             "deltas, and rejection diagnostics")
+                             "trace (per-pass timings, IR size/alloc "
+                             "deltas) and its decisions table: what the "
+                             "passes and the executor tiers declined, "
+                             "where and why")
     parser.add_argument("--write-baseline", nargs="+", default=[],
                         metavar="NAME", choices=[*GATES, "all"],
                         help="record the current measurements as the "
@@ -136,7 +141,7 @@ def main(argv=None) -> int:
         return (
             gate_name in writes
             or needs == "always"
-            or (needs == "json" and args.json)
+            or (needs == "json" and (args.json or args.explain))
             or (needs == "devices" and args.devices > 1)
         )
 
@@ -182,49 +187,19 @@ def main(argv=None) -> int:
         print(f"validated: {report.validated}  "
               f"short-circuits: {report.sc_committed}  "
               f"dead-copy reuses: {report.sc_reused_copies}")
-        if report.sc_failures:
-            rejected = ", ".join(
-                f"{rule} x{count}"
-                for rule, count in sorted(report.sc_failures.items())
-            )
-            print(f"sc candidates rejected: {rejected}")
+        trace = compiled[1].trace
+        for r in trace.records:
+            if r.rejections:
+                rejected = ", ".join(
+                    f"{rule} x{count}"
+                    for rule, count in sorted(r.rejections.items())
+                )
+                print(f"{r.key} candidates declined: {rejected}")
         if report.validation_ran and not report.validated:
             failures["VALIDATION FAILED"].append(name)
 
-        fst = compiled[1].fuse_stats
-        if fst.failures:
-            rejected = ", ".join(
-                f"{rule} x{count}"
-                for rule, count in sorted(fst.failures.items())
-            )
-            print(f"fuse candidates rejected: {rejected}")
-
         if args.explain:
-            print(report.traces["opt"].render())
-            if report.sc_failure_records:
-                print("sc rejections (optimized pipeline):")
-                for r in report.sc_failure_records:
-                    print(f"  {r.render()}")
-            if fst.failure_records:
-                print("fuse rejections (optimized pipeline):")
-                rows = [
-                    (r.rule, r.producer or "-", r.consumer or "-", r.location)
-                    for r in fst.failure_records
-                ]
-                widths = [
-                    max(len(h), *(len(row[i]) for row in rows))
-                    for i, h in enumerate(("rule", "producer", "consumer"))
-                ]
-                hdr = (f"  {'rule':<{widths[0]}}  {'producer':<{widths[1]}}  "
-                       f"{'consumer':<{widths[2]}}  location")
-                print(hdr)
-                print("  " + "-" * (len(hdr) - 2))
-                for rule, prod, cons, loc in rows:
-                    print(f"  {rule:<{widths[0]}}  {prod:<{widths[1]}}  "
-                          f"{cons:<{widths[2]}}  {loc}")
-                if fst.repeat_failures:
-                    print(f"  ({fst.repeat_failures} repeat rejection(s) of "
-                          f"already-tallied sites suppressed)")
+            print(trace.render())
 
         footprint = measure_footprint(module, PERF_DATASETS[name], compiled)
         opt_fp = footprint["opt"]
@@ -271,6 +246,18 @@ def main(argv=None) -> int:
                       f"{native['native_launches']} launches")
                 gate("native", name, native)
 
+        # Compile-time layers from the optimized pipeline's trace,
+        # run-time layers from the native gate's run (when it ran).
+        declined = [d for r in trace.records for d in r.declined.records]
+        declined += native.pop("declined") if native else []
+        if args.explain:
+            print("decisions:")
+            print(render_table(declined))
+            repeats = sum(r.declined.repeats for r in trace.records)
+            if repeats:
+                print(f"  ({repeats} repeat decision(s) at already-tallied "
+                      f"sites not shown)")
+
         results[name] = {
             "fusion": fusion,
             "footprint": footprint,
@@ -279,24 +266,7 @@ def main(argv=None) -> int:
             "compile_s": report.compile_seconds,
             "short_circuits": report.sc_committed,
             "dead_copy_reuses": report.sc_reused_copies,
-            "sc_rejected": dict(report.sc_failures),
-            "sc_rejection_records": [
-                {"rule": r.rule, "location": r.location, "witness": r.witness}
-                for r in report.sc_failure_records
-            ],
-            "fuse_rejections": {
-                "counts": dict(fst.failures),
-                "repeat_suppressed": fst.repeat_failures,
-                "records": [
-                    {
-                        "rule": r.rule,
-                        "location": r.location,
-                        "producer": r.producer,
-                        "consumer": r.consumer,
-                    }
-                    for r in fst.failure_records
-                ],
-            },
+            "rejections": [asdict(d) for d in declined],
             "prover_tier": prover_tier,
             "pipeline_trace": {
                 label: trace.to_dict()

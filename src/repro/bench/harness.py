@@ -83,14 +83,10 @@ class BenchReport:
     validation_ran: bool = False
     sc_committed: int = 0
     sc_reused_copies: int = 0
-    #: Per-rule tallies of abandoned short-circuit candidates, plus the
-    #: structured (rule, location) records behind them.
-    sc_failures: Dict[str, int] = field(default_factory=dict)
-    sc_failure_records: List = field(default_factory=list)
     compile_seconds: Dict[str, float] = field(default_factory=dict)
     #: Table column ("unopt" / "opt") -> the compilation's structured
     #: :class:`repro.pipeline.PipelineTrace` (per-pass timings, IR
-    #: deltas, rejection diagnostics); rendered by ``--explain`` and
+    #: deltas, declined candidates); rendered by ``--explain`` and
     #: serialized into the ``--json`` report.
     traces: Dict[str, object] = field(default_factory=dict)
 
@@ -153,8 +149,9 @@ def measure_engine(
     One vectorized run and one native run on identical inputs: the
     fraction (and number) of map launches compiled C served, and whether
     the native run's outputs, :meth:`ExecStats.signature` and peak
-    footprint equal the vectorized run's.  ``None`` when no C compiler
-    is available.
+    footprint equal the vectorized run's -- and ``declined``, what the
+    two runs' tiers said no to (the run-time layers of ``--explain``'s
+    ``decisions`` table).  ``None`` when no C compiler is available.
     """
     from repro.backend import maybe_engine
 
@@ -164,8 +161,10 @@ def measure_engine(
     _, opt = compiled if compiled is not None else compile_both(module)
     inp = module.inputs_for(*args)
 
+    vec_plans: Dict[int, object] = {}
+
     def run(native):
-        ex = MemExecutor(opt.fun, native=native)
+        ex = MemExecutor(opt.fun, native=native, vec_plans=vec_plans)
         vals, stats = ex.run(**_fresh(inp))
         return [np.asarray(materialize(ex, v)) for v in vals], stats
 
@@ -180,6 +179,8 @@ def measure_engine(
         ),
         "stats_equal": st_v.signature() == st_n.signature(),
         "footprint_equal": st_v.peak_bytes == st_n.peak_bytes,
+        "declined": eng.declined.records
+        + [d for d in vec_plans.values() if d is not True],
     }
 
 
@@ -364,8 +365,6 @@ def run_table(
         compiled = compile_both(module)
     report.sc_committed = compiled[1].sc_stats.committed
     report.sc_reused_copies = compiled[1].sc_stats.reused_copies
-    report.sc_failures = dict(compiled[1].sc_stats.failures)
-    report.sc_failure_records = list(compiled[1].sc_stats.failure_records)
     report.compile_seconds = {
         "unopt": compiled[0].compile_seconds,
         "opt": compiled[1].compile_seconds,

@@ -374,8 +374,8 @@ class Alloc(Exp):
     Only introduced by the memory pipeline; never written by frontends.
     ``space`` names the memory tier the block lives in (``hbm`` /
     ``scratch`` / ``regs``, see :mod:`repro.mem.spaces`); the alloc is
-    the source of truth that every binding's space must agree with
-    (verifier rule MS02).
+    the one place that says so -- bindings view the block, they do not
+    re-declare where it lives.
     """
 
     size: SymExpr

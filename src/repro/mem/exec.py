@@ -33,6 +33,7 @@ from typing import Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
+from repro.decisions import Decision
 from repro.lmad import IndexFn
 from repro.symbolic import SymExpr
 
@@ -108,7 +109,7 @@ class MemExecutor:
         vectorize: bool = True,
         pool=None,
         offs_cache: Optional[Dict[Tuple[str, IndexFn], np.ndarray]] = None,
-        vec_plans: Optional[Dict[int, bool]] = None,
+        vec_plans: Optional[Dict[int, object]] = None,
         native=None,
         recorder=None,
     ):
@@ -532,9 +533,10 @@ class MemExecutor:
         differ between two requests of one shape class, so no tape can
         be frozen."""
         if not self._kernel_stack:
-            self._recorder.refuse(
-                f"host-level {what} at {stmt.names[0]}", permanent=True
-            )
+            self._recorder.refuse(Decision(
+                "tape", "host-data-dependent", stmt.names[0],
+                f"host-level {what}",
+            ))
 
     def _resolve_result(self, name: str, env: Dict[str, object]):
         if name in env:

@@ -89,7 +89,7 @@ def rewrite_mem_bindings(fun: A.Fun, mapping: Dict[str, str]) -> int:
         for pe in binders(stmt):
             b = pe.mem
             if b is not None and b.mem in mapping:
-                pe.mem = MemBinding(resolve(b.mem), b.ixfn, b.space)
+                pe.mem = MemBinding(resolve(b.mem), b.ixfn)
                 changed += 1
         if stmt.fused and any(
             r.mem in mapping or set(r.write_mems) & mapping.keys()

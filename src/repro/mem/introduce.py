@@ -27,7 +27,7 @@ The pass never changes program semantics; it only adds annotations and
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.lmad import IndexFn, antiunify_ixfns
 from repro.symbolic import Prover, SymExpr
@@ -59,13 +59,12 @@ class _Introducer:
         """Default memory space at the current program point."""
         return "scratch" if self.kernel_depth else "hbm"
 
-    def alloc_stmt(
-        self, size: SymExpr, dtype: str, space: Optional[str] = None
-    ) -> Tuple[A.Let, str]:
-        if space is None:
-            space = self.placement_space()
+    def alloc_stmt(self, size: SymExpr, dtype: str) -> Tuple[A.Let, str]:
         mem = self.fresh("mem")
-        stmt = A.Let([A.PatElem(mem, MEM_TYPE)], A.Alloc(size, dtype, space))
+        stmt = A.Let(
+            [A.PatElem(mem, MEM_TYPE)],
+            A.Alloc(size, dtype, self.placement_space()),
+        )
         return stmt, mem
 
     def bind_fresh(
@@ -74,10 +73,9 @@ class _Introducer:
         """Alloc a block for a fresh array and annotate its pattern element."""
         t = pe.type
         assert isinstance(t, ArrayType)
-        space = self.placement_space()
-        stmt, mem = self.alloc_stmt(t.size(), t.dtype, space)
+        stmt, mem = self.alloc_stmt(t.size(), t.dtype)
         out.append(stmt)
-        binding = MemBinding(mem, IndexFn.row_major(t.shape), space)
+        binding = MemBinding(mem, IndexFn.row_major(t.shape))
         pe.mem = binding
         self.bindings[pe.name] = binding
 
@@ -239,11 +237,10 @@ class _Introducer:
     ) -> MemBinding:
         """Replace result position k with a fresh row-major copy."""
         old = block.result[k]
-        space = self.placement_space()
-        stmt_alloc, mem = self.alloc_stmt(t.size(), t.dtype, space)
+        stmt_alloc, mem = self.alloc_stmt(t.size(), t.dtype)
         new_name = self.fresh(old + "_cp")
         pe = A.PatElem(new_name, ArrayType(t.dtype, t.shape, unique=True))
-        binding = MemBinding(mem, IndexFn.row_major(t.shape), space)
+        binding = MemBinding(mem, IndexFn.row_major(t.shape))
         pe.mem = binding
         block.stmts.append(stmt_alloc)
         block.stmts.append(A.Let([pe], A.Copy(old)))
@@ -263,9 +260,8 @@ class _Introducer:
             if isinstance(prm.type, ArrayType):
                 b = self.bindings[init]
                 if not b.ixfn.is_direct(self.prover):
-                    space = self.placement_space()
                     stmt_alloc, mem = self.alloc_stmt(
-                        prm.type.size(), prm.type.dtype, space
+                        prm.type.size(), prm.type.dtype
                     )
                     out.append(stmt_alloc)
                     cp = self.fresh(init + "_cp")
@@ -273,7 +269,7 @@ class _Introducer:
                         cp, ArrayType(prm.type.dtype, prm.type.shape, True)
                     )
                     binding = MemBinding(
-                        mem, IndexFn.row_major(prm.type.shape), space
+                        mem, IndexFn.row_major(prm.type.shape)
                     )
                     pe.mem = binding
                     out.append(A.Let([pe], A.Copy(init)))

@@ -28,24 +28,19 @@ MEM_TYPE = ScalarType("i64")
 class MemBinding:
     """``array @ mem -> ixfn``: where an array's elements live.
 
-    ``space`` mirrors the block's memory space (see
-    :mod:`repro.mem.spaces`); the alloc statement is authoritative and
-    verifier rule MS02 audits that every binding agrees with it.
+    Which memory space that is is a property of the block, declared
+    once on its ``alloc`` (see :mod:`repro.mem.spaces`): a view cannot
+    disagree with the block it views.
     """
 
     mem: str
     ixfn: IndexFn
-    space: str = "hbm"
 
     def __str__(self) -> str:
-        tag = f" @{self.space}" if self.space != "hbm" else ""
-        return f"{self.mem}{tag} -> {self.ixfn}"
+        return f"{self.mem} -> {self.ixfn}"
 
     def with_ixfn(self, ixfn: IndexFn) -> "MemBinding":
-        return MemBinding(self.mem, ixfn, self.space)
-
-    def with_space(self, space: str) -> "MemBinding":
-        return MemBinding(self.mem, self.ixfn, space)
+        return MemBinding(self.mem, ixfn)
 
 
 def param_mem_name(param: str) -> str:

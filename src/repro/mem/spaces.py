@@ -3,16 +3,16 @@
 Every memory block (``alloc`` statement or parameter block) lives in a
 named *space*: the flat device memory (``hbm``), the on-chip scratchpad
 shared by a kernel's threads (``scratch``), or the register file
-(``regs``).  The space is carried on both the :class:`~repro.ir.ast.Alloc`
-expression (the source of truth) and on every
-:class:`~repro.mem.memir.MemBinding` that views the block (audited by
-verifier rule MS02), so it survives pretty-print/parse round-trips and
-is visible to every pass.
+(``regs``).  The space is carried on the :class:`~repro.ir.ast.Alloc`
+expression that declares the block, and nowhere else: every reader
+(executors, coalescer, emitter, verifier) asks the block, so a
+:class:`~repro.mem.memir.MemBinding` that views it cannot disagree.  It
+survives pretty-print/parse round-trips with the ``alloc``.
 
 Spaces are deliberately *descriptive*, not semantic: erasing them (like
 erasing the bindings themselves) recovers the same functional program.
 They change what the accountants report (per-space traffic and peaks),
-what the coalescer may merge (never across spaces, MS02), what the
+what the coalescer may merge (never across spaces), what the
 capacity rule admits (MS01), and what the cost model charges (tiered
 bandwidths in :mod:`repro.gpu.costmodel`).
 """
@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import Dict, Optional
 
 from repro.ir import ast as A
-from repro.mem.memir import binders, iter_stmts
+from repro.mem.memir import iter_stmts
 
 
 @dataclass(frozen=True)
@@ -62,24 +62,16 @@ def space_of(name: str) -> MemSpace:
 
 
 def assign_space(fun: A.Fun, mem: str, space: str) -> int:
-    """Re-home one alloc'd block into ``space``, updating the Alloc and
-    every binding that views the block.  Returns the number of rewritten
-    sites.  Used by the fuzz corpus to generate cross-space programs and
-    by tests; real placement happens in :mod:`repro.mem.introduce`.
+    """Re-home one alloc'd block into ``space``: replace its ``Alloc``.
+    Returns the number of rewritten sites (1, or 0 when no ``alloc``
+    binds ``mem``).  Used by the fuzz corpus to generate cross-space
+    programs and by tests; real placement happens in
+    :mod:`repro.mem.introduce`.
     """
     space_of(space)  # validate
     changed = 0
     for stmt in iter_stmts(fun.body):
-        if (
-            isinstance(stmt.exp, A.Alloc)
-            and stmt.pattern
-            and stmt.pattern[0].name == mem
-        ):
+        if isinstance(stmt.exp, A.Alloc) and stmt.names[0] == mem:
             stmt.exp = A.Alloc(stmt.exp.size, stmt.exp.dtype, space)
             changed += 1
-        for pe in binders(stmt):
-            b = pe.mem
-            if b is not None and b.mem == mem and b.space != space:
-                pe.mem = b.with_space(space)
-                changed += 1
     return changed

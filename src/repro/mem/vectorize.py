@@ -44,6 +44,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from repro.decisions import Decision, Declined
 from repro.lmad import IndexFn
 from repro.symbolic import SymExpr
 
@@ -57,10 +58,6 @@ from repro.mem.memir import MemBinding, binding_of
 #: Synthetic variable standing for the thread index in destination index
 #: functions (``dest.ixfn.fix_dim(0, LANE_VAR)``).
 LANE_VAR = "__lane__"
-
-
-class _Reject(Exception):
-    """Internal: the map body is not expressible in the vectorized engine."""
 
 
 @dataclass
@@ -88,12 +85,14 @@ class VArr:
 class VecEngine:
     """Per-executor vectorization planner and runner."""
 
-    def __init__(self, ex: MemExecutor, plans: Optional[Dict[int, bool]] = None):
+    def __init__(self, ex: MemExecutor, plans: Optional[Dict[int, object]] = None):
         self.ex = ex
-        #: id(map stmt) -> is the body expressible?  (Static, so cached;
-        #: a Program passes a shared dict so the taint analysis runs once
-        #: per compiled function, not once per serving call.)
-        self._plans: Dict[int, bool] = plans if plans is not None else {}
+        #: id(map stmt) -> ``True`` (the body is expressible) or the
+        #: :class:`~repro.decisions.Decision` that says why not.
+        #: (Static, so cached; a Program passes a shared dict so the
+        #: taint analysis runs once per compiled function, not once per
+        #: serving call.)
+        self._plans: Dict[int, object] = plans if plans is not None else {}
 
     # ------------------------------------------------------------------
     # Entry point (called from MemExecutor._exec_map, real mode only)
@@ -108,9 +107,8 @@ class VecEngine:
     ) -> bool:
         plan = self._plans.get(id(stmt))
         if plan is None:
-            plan = self._plan_map(exp)
-            self._plans[id(stmt)] = plan
-        if not plan:
+            plan = self._plans[id(stmt)] = self._plan_map(stmt, exp)
+        if plan is not True:
             return False
         _VecRun(self.ex, width).run_map(stmt, exp, env, dests)
         return True
@@ -118,17 +116,23 @@ class VecEngine:
     # ------------------------------------------------------------------
     # Planning: taint analysis seeded with the thread variable
     # ------------------------------------------------------------------
-    def _plan_map(self, exp: A.Map) -> bool:
+    def _plan_map(self, stmt: A.Let, exp: A.Map):
         try:
             tainted = {exp.lam.params[0]}
             self._plan_block(exp.lam.body, tainted, set(), set(), False)
-        except _Reject:
-            return False
+        except Declined as why:
+            return Decision("vectorize", why.rule, stmt.names[0], why.detail)
         return True
 
     def _plan_block(self, block, tainted, lane_arrays, local_mems, masked):
         for stmt in block.stmts:
-            self._plan_stmt(stmt, tainted, lane_arrays, local_mems, masked)
+            try:
+                self._plan_stmt(stmt, tainted, lane_arrays, local_mems, masked)
+            except Declined as why:
+                # Name the innermost statement the analysis stopped at.
+                raise Declined(
+                    why.rule, why.detail or f"at {stmt.names[0]}"
+                ) from None
 
     def _check_bindings(self, stmt: A.Let, tainted) -> None:
         """Array bindings must have lane-uniform extents.
@@ -141,11 +145,11 @@ class VecEngine:
             if pe.is_array():
                 b = binding_of(pe)
                 if b is None:
-                    raise _Reject
+                    raise Declined("array-without-binding")
                 for l in b.ixfn.lmads:
                     for d in l.dims:
                         if d.shape.free_vars() & tainted:
-                            raise _Reject
+                            raise Declined("lane-varying-shape")
 
     def _lane_binding(self, pe, tainted, local_mems) -> bool:
         b = binding_of(pe)
@@ -156,8 +160,10 @@ class VecEngine:
         name = stmt.names[0]
 
         if isinstance(exp, A.Alloc):
-            if masked or (exp.size.free_vars() & tainted):
-                raise _Reject
+            if masked:
+                raise Declined("masked-array-stmt")
+            if exp.size.free_vars() & tainted:
+                raise Declined("lane-varying-shape")
             local_mems.add(name)
             return
 
@@ -178,7 +184,7 @@ class VecEngine:
             pe = stmt.pattern[0]
             if pe.is_array():
                 if masked:
-                    raise _Reject
+                    raise Declined("masked-array-stmt")
                 self._check_bindings(stmt, tainted)
                 if (
                     self._lane_binding(pe, tainted, local_mems)
@@ -191,7 +197,7 @@ class VecEngine:
 
         if isinstance(exp, (A.SliceT, A.LmadSlice, A.Rearrange, A.Reshape, A.Reverse)):
             if masked:
-                raise _Reject
+                raise Declined("masked-array-stmt")
             self._check_bindings(stmt, tainted)
             if (
                 self._lane_binding(stmt.pattern[0], tainted, local_mems)
@@ -202,14 +208,14 @@ class VecEngine:
 
         if isinstance(exp, (A.Iota, A.Replicate, A.Scratch)):
             if masked:
-                raise _Reject
+                raise Declined("masked-array-stmt")
             self._check_bindings(stmt, tainted)
             if isinstance(exp, A.Iota) and (exp.n.free_vars() & tainted):
-                raise _Reject
+                raise Declined("lane-varying-shape")
             if isinstance(exp, A.Replicate):
                 for s in exp.shape:
                     if s.free_vars() & tainted:
-                        raise _Reject
+                        raise Declined("lane-varying-shape")
             # Scratch contents get written per-lane later; replicate of a
             # tainted value differs per lane; all are conservatively
             # lane-varying unless provably uniform, which we never need.
@@ -218,7 +224,7 @@ class VecEngine:
 
         if isinstance(exp, A.Copy):
             if masked:
-                raise _Reject
+                raise Declined("masked-array-stmt")
             self._check_bindings(stmt, tainted)
             if (
                 self._lane_binding(stmt.pattern[0], tainted, local_mems)
@@ -237,26 +243,26 @@ class VecEngine:
 
         if isinstance(exp, A.Update):
             if masked:
-                raise _Reject
+                raise Declined("masked-array-stmt")
             self._check_bindings(stmt, tainted)
             spec = exp.spec
             if isinstance(spec, A.TripletSpec):
                 for _, count, _ in spec.triplets:
                     if count.free_vars() & tainted:
-                        raise _Reject
+                        raise Declined("lane-varying-shape")
             elif isinstance(spec, A.LmadSpec):
                 for d in spec.lmad.dims:
                     if d.shape.free_vars() & tainted:
-                        raise _Reject
+                        raise Declined("lane-varying-shape")
             lane_arrays.add(name)
             return
 
         if isinstance(exp, (A.Reduce, A.ArgMin)):
-            raise _Reject
+            raise Declined("reduction-in-body")
 
         if isinstance(exp, A.Concat):
             if masked:
-                raise _Reject
+                raise Declined("masked-array-stmt")
             self._check_bindings(stmt, tainted)
             lane_arrays.add(name)
             return
@@ -264,8 +270,10 @@ class VecEngine:
         if isinstance(exp, A.Map):
             # A nested map extends the lane space: width_outer x width_inner
             # composite lanes, provided the inner width is lane-uniform.
-            if masked or (exp.width.free_vars() & tainted):
-                raise _Reject
+            if masked:
+                raise Declined("masked-array-stmt")
+            if exp.width.free_vars() & tainted:
+                raise Declined("lane-varying-map-width")
             self._check_bindings(stmt, tainted)
             tainted.add(exp.lam.params[0])
             self._plan_block(exp.lam.body, tainted, lane_arrays, local_mems, False)
@@ -277,8 +285,10 @@ class VecEngine:
             return
 
         if isinstance(exp, A.Loop):
-            if masked or (exp.count.free_vars() & tainted):
-                raise _Reject
+            if masked:
+                raise Declined("masked-loop")
+            if exp.count.free_vars() & tainted:
+                raise Declined("lane-varying-trip-count")
             for prm, _init in exp.carried:
                 if isinstance(prm.type, ArrayType):
                     b = binding_of(prm)
@@ -286,7 +296,7 @@ class VecEngine:
                         for l in b.ixfn.lmads:
                             for d in l.dims:
                                 if d.shape.free_vars() & tainted:
-                                    raise _Reject
+                                    raise Declined("lane-varying-shape")
                     lane_arrays.add(prm.name)
                 else:
                     # Even a uniform initializer can become lane-varying
@@ -303,14 +313,14 @@ class VecEngine:
 
         if isinstance(exp, A.If):
             if masked and any(pe.is_array() for pe in stmt.pattern):
-                raise _Reject
+                raise Declined("masked-array-stmt")
             if operand_vars(exp.cond) & tainted:
                 # Lane-varying condition: masked execution of both
                 # branches.  Array-producing statements are forbidden
                 # inside (they would need per-lane shapes), and all
                 # results become lane vectors.
                 if any(pe.is_array() for pe in stmt.pattern):
-                    raise _Reject
+                    raise Declined("lane-varying-array-branch")
                 self._plan_block(exp.then_block, tainted, lane_arrays, local_mems, True)
                 self._plan_block(exp.else_block, tainted, lane_arrays, local_mems, True)
                 for pe in stmt.pattern:
@@ -332,7 +342,7 @@ class VecEngine:
                         tainted.add(pe.name)
             return
 
-        raise _Reject
+        raise Declined("unsupported-expression")
 
 
 class _VecRun:

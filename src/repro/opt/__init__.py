@@ -21,13 +21,12 @@ with the cross-iteration conditions of paper section V-B; transitive
 chaining (fig. 6a) falls out of running the pass to a fixpoint.
 """
 
-from repro.opt.summaries import AccessSet, StmtAccess
+from repro.opt.summaries import AccessSet
 from repro.opt.shortcircuit import ShortCircuitStats, short_circuit_fun
 from repro.opt.fuse import FuseStats, fuse_fun
 
 __all__ = [
     "AccessSet",
-    "StmtAccess",
     "ShortCircuitStats",
     "short_circuit_fun",
     "FuseStats",

@@ -79,6 +79,7 @@ import hashlib
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
+from repro.decisions import DecisionLog, Declined
 from repro.lmad import Lmad, ProverPool, lmad
 from repro.symbolic import Context, Prover, SymExpr, sym
 
@@ -107,20 +108,6 @@ DUP_COST_LIMIT = 16
 MAX_CHAIN_DEPTH = 4
 
 
-@dataclass(frozen=True)
-class FuseFailure:
-    """One abandoned fusion candidate, as a structured record.
-
-    ``producer``/``consumer`` complete the dedup key: distinct consumer
-    sites of one producer rejected by the same rule are distinct sites.
-    """
-
-    rule: str
-    location: str
-    producer: str = ""
-    consumer: str = ""
-
-
 @dataclass
 class FuseStats:
     """Outcome counters plus per-reason failure tallies."""
@@ -135,39 +122,19 @@ class FuseStats:
     #: Deciding-tier tallies for this pass's disjointness/injectivity
     #: queries (``structural`` / ``polyhedral`` / ``unknown``).
     tiers: Dict[str, int] = field(default_factory=dict)
-    failures: Dict[str, int] = field(default_factory=dict)
-    failure_records: List[FuseFailure] = field(default_factory=list)
-    #: Re-failures of an already-tallied site (fixpoint rounds re-attempt
-    #: every pair), suppressed from the per-rule tallies.
-    repeat_failures: int = 0
+    #: Abandoned candidates, one record per producer -- or per
+    #: ``producer -> consumer`` where a consumer decided it, so two
+    #: consumers of one producer tally separately.
+    declined: DecisionLog = field(default_factory=DecisionLog)
     #: (intermediate, consumer-names) per committed fusion.
     committed_pairs: List[Tuple[str, Tuple[str, ...]]] = field(
         default_factory=list
     )
 
-    def fail(
-        self,
-        reason: str,
-        location: str = "",
-        producer: str = "",
-        consumer: str = "",
-    ) -> None:
-        # One site, one tally: a (producer, consumer) pair rejected again
-        # on a later fixpoint round counts only under the rule that first
-        # decided it.  The consumer is part of the key so two consumers
-        # of one producer rejected by the same rule tally separately.
-        if location and any(
-            r.location == location
-            and r.producer == producer
-            and r.consumer == consumer
-            for r in self.failure_records
-        ):
-            self.repeat_failures += 1
-            return
-        self.failures[reason] = self.failures.get(reason, 0) + 1
-        self.failure_records.append(
-            FuseFailure(reason, location, producer, consumer)
-        )
+    @property
+    def failures(self) -> Dict[str, int]:
+        """Per-rule tallies of the abandoned candidates."""
+        return self.declined.tallies
 
 
 # ----------------------------------------------------------------------
@@ -376,12 +343,6 @@ class _ReadSite:
     ranges: List[Tuple[str, SymExpr, SymExpr]]
 
 
-class _SiteFailure(Exception):
-    def __init__(self, reason: str):
-        super().__init__(reason)
-        self.reason = reason
-
-
 # ======================================================================
 #: Fixpoint rounds of the whole-function walk (a fused consumer can be
 #: the producer of the next round's fusion).
@@ -421,7 +382,7 @@ class _Fuser:
                 }
                 self.stats.rounds += 1
                 root = self.shared.root_context()
-                if not self._block(self.fun.body, root, "body"):
+                if not self._block(self.fun.body, root):
                     break
             else:
                 analyze_last_uses(self.fun)
@@ -430,33 +391,30 @@ class _Fuser:
     # ------------------------------------------------------------------
     # Block walk
     # ------------------------------------------------------------------
-    def _block(self, block: A.Block, ctx: Context, path: str) -> bool:
+    def _block(self, block: A.Block, ctx: Context) -> bool:
         """Try to commit one fusion in this block or below; True if mutated."""
         self._add_defines(block, ctx)
         for pi, pstmt in enumerate(block.stmts):
             nest = self._decompose_producer(pstmt)
             if nest is None:
                 continue
-            if self._try_fuse(block, pi, pstmt, nest, ctx, path):
+            if self._try_fuse(block, pi, pstmt, nest, ctx):
                 return True
-        for i, stmt in enumerate(block.stmts):
+        for stmt in block.stmts:
             exp = stmt.exp
             if isinstance(exp, A.Map):
                 child = ctx.extended()
                 self._assume(child, exp.lam.params[0], exp.width)
-                if self._block(exp.lam.body, child, f"{path}[{i}].map"):
+                if self._block(exp.lam.body, child):
                     return True
             elif isinstance(exp, A.Loop):
                 child = ctx.extended()
                 self._assume(child, exp.index, exp.count)
-                if self._block(exp.body, child, f"{path}[{i}].loop"):
+                if self._block(exp.body, child):
                     return True
             elif isinstance(exp, A.If):
-                for label, blk in (
-                    ("then", exp.then_block),
-                    ("else", exp.else_block),
-                ):
-                    if self._block(blk, ctx.extended(), f"{path}[{i}].{label}"):
+                for blk in (exp.then_block, exp.else_block):
+                    if self._block(blk, ctx.extended()):
                         return True
         return False
 
@@ -579,28 +537,28 @@ class _Fuser:
         pstmt: A.Let,
         nest: _Nest,
         ctx: Context,
-        path: str,
     ) -> bool:
         inter = pstmt.names[0]
         pexp = pstmt.exp
         assert isinstance(pexp, A.Map)
-        loc = f"{path}[{pi}]: {inter}"
         self.stats.attempted += 1
+
+        def no(rule: str, consumer: str = "") -> bool:
+            site = f"{inter} -> {consumer}" if consumer else inter
+            self.stats.declined.add("fuse", rule, site)
+            return False
 
         # -- cycle guard (defensive; SSA makes this unreachable) --------
         if inter in self._fused_away:
-            self.stats.fail("cycle-guard", loc, producer=inter)
-            return False
+            return no("cycle-guard")
 
         # -- condition 2a: the intermediate must not leave the block ----
         if inter in block.result:
-            self.stats.fail("escapes-block-result", loc, producer=inter)
-            return False
+            return no("escapes-block-result")
         assert self.aliases is not None
         interior = self._interior_names(pstmt)
         if self.aliases.closure(inter) - interior != frozenset({inter}):
-            self.stats.fail("alias-escapes", loc, producer=inter)
-            return False
+            return no("alias-escapes")
 
         # -- condition 1: every consuming statement is a later map ------
         consumers = [
@@ -609,42 +567,31 @@ class _Fuser:
             if inter in A.exp_uses(s.exp)
         ]
         if not consumers:
-            self.stats.fail("no-consumer", loc, producer=inter)
-            return False
+            return no("no-consumer")
         for ci, cstmt in consumers:
             if not isinstance(cstmt.exp, A.Map):
                 rule = (
                     "consumer-not-map" if len(consumers) == 1 else "multi-use"
                 )
-                self.stats.fail(
-                    rule, loc, producer=inter, consumer=cstmt.names[0]
-                )
-                return False
+                return no(rule, cstmt.names[0])
         last_ci, last_consumer = consumers[-1]
         if inter not in last_consumer.last_uses:
-            self.stats.fail(
-                "not-last-use", loc,
-                producer=inter, consumer=last_consumer.names[0],
-            )
-            return False
+            return no("not-last-use", last_consumer.names[0])
 
         # -- condition 6: duplication cost + chain depth bounds ---------
         if len(consumers) > 1 and nest.cost > DUP_COST_LIMIT:
-            self.stats.fail("dup-too-costly", loc, producer=inter)
-            return False
+            return no("dup-too-costly")
         chain_depth = 1 + max(
             (r.chain_depth for r in pstmt.fused), default=0
         )
         if chain_depth > MAX_CHAIN_DEPTH:
-            self.stats.fail("chain-depth-exceeded", loc, producer=inter)
-            return False
+            return no("chain-depth-exceeded")
 
         # -- condition 2b: the memory block is exclusively the inter's --
         pmem = binding_of(pstmt.pattern[0]).mem
         sharers = {n for n, b in self.bindings.items() if b.mem == pmem}
         if pmem not in self.allocated or sharers - interior != {inter}:
-            self.stats.fail("mem-shared", loc, producer=inter)
-            return False
+            return no("mem-shared")
 
         # -- condition 3 (layout): the intermediate's LMAD must store
         #    each logical cell at its own offset.  Rank 1 exclusive fresh
@@ -653,11 +600,9 @@ class _Fuser:
         if nest.rank >= 2:
             lmad = self.bindings[inter].ixfn.as_single()
             if lmad is None:
-                self.stats.fail("non-invertible-layout", loc, producer=inter)
-                return False
+                return no("non-invertible-layout")
             if not self._pool.injective(ctx, lmad):
-                self.stats.fail("non-injective-layout", loc, producer=inter)
-                return False
+                return no("non-injective-layout")
 
         # -- per-consumer hazard, capture and coverage checks -----------
         read_mems = self._read_mems(nest)
@@ -673,17 +618,9 @@ class _Fuser:
             # condition 4a: no intervening write to producer inputs
             # (earlier consumers of a duplicated producer count: their
             # destination writes must not feed the recomputed body).
-            hazard = False
             for mid in block.stmts[pi + 1 : ci]:
                 if self._written_mems(mid) & (read_mems | {pmem}):
-                    self.stats.fail(
-                        "intervening-write", loc,
-                        producer=inter, consumer=cname,
-                    )
-                    hazard = True
-                    break
-            if hazard:
-                return False
+                    return no("intervening-write", cname)
 
             # condition 4b: fused kernel's writes vs inlined reads
             dest_mems = {
@@ -696,28 +633,17 @@ class _Fuser:
             if collisions and not self._proves_disjoint(
                 ctx, cstmt, collisions, nest
             ):
-                self.stats.fail(
-                    "consumer-overwrites-input", loc,
-                    producer=inter, consumer=cname,
-                )
-                return False
+                return no("consumer-overwrites-input", cname)
 
             # condition 5: capture-free inlining
             if pfree & _bound_names(cexp.lam.body.stmts):
-                self.stats.fail(
-                    "shadowed-free-var", loc,
-                    producer=inter, consumer=cname,
-                )
-                return False
+                return no("shadowed-free-var", cname)
 
             # condition 3: collect read sites + coverage proofs
             try:
                 sites = self._collect_sites(cexp, inter, ctx, nest)
-            except _SiteFailure as f:
-                self.stats.fail(
-                    f.reason, loc, producer=inter, consumer=cname
-                )
-                return False
+            except Declined as why:
+                return no(why.rule, cname)
             all_sites.append((cstmt, sites))
 
         # ---------------------------------------------------------------
@@ -927,12 +853,12 @@ class _Fuser:
 
         def walk(block: A.Block, ranges) -> None:
             if inter in block.result:
-                raise _SiteFailure("non-index-use")
+                raise Declined("non-index-use")
             for i, stmt in enumerate(block.stmts):
                 exp = stmt.exp
                 if isinstance(exp, A.Index) and exp.src == inter:
                     if len(exp.indices) != nest.rank:
-                        raise _SiteFailure("non-scalar-read")
+                        raise Declined("non-scalar-read")
                     sites.append(
                         _ReadSite(
                             block, i, stmt, tuple(exp.indices), list(ranges)
@@ -942,7 +868,7 @@ class _Fuser:
                 sub = A.sub_blocks(exp)
                 if not sub:
                     if inter in A.exp_uses(exp):
-                        raise _SiteFailure("non-index-use")
+                        raise Declined("non-index-use")
                     continue
                 # Direct (non-body) operands of compound statements.
                 direct: Set[str] = set()
@@ -954,7 +880,7 @@ class _Fuser:
                 elif isinstance(exp, A.If):
                     direct |= A.operand_vars(exp.cond)
                 if inter in direct:
-                    raise _SiteFailure("non-index-use")
+                    raise Declined("non-index-use")
                 extra = list(ranges)
                 if isinstance(exp, A.Loop):
                     extra.append((exp.index, sym(0), exp.count - 1))
@@ -967,7 +893,7 @@ class _Fuser:
 
         walk(cexp.lam.body, base)
         if not sites:
-            raise _SiteFailure("non-index-use")
+            raise Declined("non-index-use")
 
         # Coverage: the producer writes every logical cell of its result
         # shape, so a read ``inter[e_1, .., e_R]`` is covered iff every
@@ -983,7 +909,7 @@ class _Fuser:
             prover = Prover(sctx)
             for e, dim in zip(site.idxs, shape):
                 if not (prover.nonneg(e) and prover.nonneg(dim - 1 - e)):
-                    raise _SiteFailure("read-out-of-range")
+                    raise Declined("read-out-of-range")
         return sites
 
     # ------------------------------------------------------------------

@@ -31,6 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
+from repro.decisions import DecisionLog, Declined
 from repro.lmad import IndexFn, NonOverlapChecker, ProverPool
 from repro.symbolic import Context, Prover, SymExpr, sym
 
@@ -45,26 +46,6 @@ from repro.opt.summaries import (
     collect_dst_uses,
     _ixfn_region_of_update,
 )
-
-
-@dataclass(frozen=True)
-class ScFailure:
-    """One abandoned short-circuiting candidate, as a structured record.
-
-    ``rule`` is the safety-condition identifier (the strings raised by
-    :class:`_Failure`, e.g. ``update:write-overlaps-uses``); ``location``
-    identifies the candidate by its root name and destination block;
-    ``witness`` says why, when the checker knows (an overlap it can point
-    at, as opposed to a disjointness it merely failed to prove).
-    """
-
-    rule: str
-    location: str
-    witness: str = ""
-
-    def render(self) -> str:
-        out = f"{self.rule} @ {self.location}" if self.location else self.rule
-        return f"{out} ({self.witness})" if self.witness else out
 
 
 @dataclass
@@ -88,28 +69,14 @@ class ShortCircuitStats:
     #: Deciding-tier tallies for this pass's disjointness queries
     #: (``structural`` / ``polyhedral`` / ``unknown``), from the pool.
     tiers: Dict[str, int] = field(default_factory=dict)
-    failures: Dict[str, int] = field(default_factory=dict)
-    #: Per-candidate failure records ((rule, location) pairs); the
-    #: ``failures`` tallies above are kept in sync and derivable from
-    #: these.
-    failure_records: List[ScFailure] = field(default_factory=list)
-    #: Re-failures of an already-tallied site (fixpoint rounds re-attempt
-    #: every candidate), suppressed from the per-rule tallies.
-    repeat_failures: int = 0
+    #: Abandoned candidates, one record per ``root -> destination block``.
+    declined: DecisionLog = field(default_factory=DecisionLog)
     committed_roots: List[str] = field(default_factory=list)
 
-    def fail(self, reason: str, location: str = "", witness: str = "") -> None:
-        # One site, one tally: a candidate rejected again on a later
-        # fixpoint round (possibly by a different rule, the program
-        # having changed around it) counts only under the rule that
-        # first decided it.
-        if location and any(
-            r.location == location for r in self.failure_records
-        ):
-            self.repeat_failures += 1
-            return
-        self.failures[reason] = self.failures.get(reason, 0) + 1
-        self.failure_records.append(ScFailure(reason, location, witness))
+    @property
+    def failures(self) -> Dict[str, int]:
+        """Per-rule tallies of the abandoned candidates."""
+        return self.declined.tallies
 
 
 @dataclass
@@ -141,12 +108,9 @@ class _Scope:
 class _Candidate:
     """State of one in-flight short-circuiting attempt."""
 
-    def __init__(
-        self, root: str, root_ixfn: IndexFn, dst_mem: str, dst_space: str = "hbm"
-    ):
+    def __init__(self, root: str, root_ixfn: IndexFn, dst_mem: str):
         self.root = root
         self.dst_mem = dst_mem
-        self.dst_space = dst_space
         self.pending: Dict[str, IndexFn] = {root: root_ixfn}
         self.names: Set[str] = {root}
         #: Binders (pattern elements and loop parameters) to re-home.
@@ -165,13 +129,6 @@ class _Candidate:
         self.extra_sets: List = []
         #: Count of writes classified as provable no-ops.
         self.noops: int = 0
-
-
-class _Failure(Exception):
-    def __init__(self, reason: str, witness: str = ""):
-        super().__init__(reason)
-        self.reason = reason
-        self.witness = witness
 
 
 _CREATORS = (A.Copy, A.Iota, A.Replicate, A.Scratch, A.Concat, A.Map)
@@ -332,7 +289,7 @@ class _ShortCircuiter:
             return False
         if src.mem == dst.mem and src.ixfn == dst.ixfn:
             return False  # already a no-op
-        cand = _Candidate(exp.src, dst.ixfn, dst.mem, dst.space)
+        cand = _Candidate(exp.src, dst.ixfn, dst.mem)
         return self._attempt(block, scope, idx, cand)
 
     def _circuit_copy_reuse(self, scope: _Scope, stmt: A.Let, exp: A.Copy) -> bool:
@@ -360,7 +317,7 @@ class _ShortCircuiter:
         prover, _ = self._prover_for(scope.ctx)
         if not sb.ixfn.is_direct(prover):
             return False
-        pe.mem = MemBinding(sb.mem, sb.ixfn, sb.space)
+        pe.mem = sb
         scope.bindings[pe.name] = pe.mem
         self.stats.reused_copies += 1
         return True
@@ -404,7 +361,7 @@ class _ShortCircuiter:
         region = _ixfn_region_of_update(src_binding, exp.spec)
         if val_binding.mem == src_binding.mem and val_binding.ixfn == region:
             return False  # already short-circuited
-        cand = _Candidate(value, region, src_binding.mem, src_binding.space)
+        cand = _Candidate(value, region, src_binding.mem)
         return self._attempt(block, scope, idx, cand)
 
     def _circuit_concat(self, block, scope, idx, stmt, exp: A.Concat) -> bool:
@@ -429,7 +386,7 @@ class _ShortCircuiter:
                     + [(sym(0), d, sym(1)) for d in rest_dims]
                 )
                 if not (ob.mem == dst_binding.mem and ob.ixfn == region):
-                    cand = _Candidate(o, region, dst_binding.mem, dst_binding.space)
+                    cand = _Candidate(o, region, dst_binding.mem)
                     changed |= self._attempt(block, scope, idx, cand)
             offset = offset + rows
         return changed
@@ -455,7 +412,7 @@ class _ShortCircuiter:
             rb = child.bindings.get(r)
             if rb is None or (rb.mem == dstb.mem and rb.ixfn == region):
                 continue
-            cand = _Candidate(r, region, dstb.mem, dstb.space)
+            cand = _Candidate(r, region, dstb.mem)
             ok = self._attempt(
                 body,
                 child,
@@ -482,15 +439,15 @@ class _ShortCircuiter:
         try:
             self._walk(block, scope, circuit_idx, cand, prover, checker)
             if cand.pending:
-                raise _Failure("creation-not-found")
+                raise Declined("creation-not-found")
             if cross_iteration is not None:
                 var, count, both = cross_iteration
                 self._check_cross_iteration(
                     cand.writes, cand.uses, var, count, both, scope
                 )
-        except _Failure as f:
-            self.stats.fail(
-                f.reason, f"root={cand.root} dst={cand.dst_mem}", f.witness
+        except Declined as why:
+            self.stats.declined.add(
+                "sc", why.rule, f"{cand.root} -> {cand.dst_mem}", why.detail
             )
             return False
         if all(pe.mem == b for pe, b in cand.planned):
@@ -559,11 +516,11 @@ class _ShortCircuiter:
         w = AccessSet()
         w.add_ixfn(region)
         if w.unknown:
-            raise _Failure(f"{what}:composed-write-region")
+            raise Declined(f"{what}:composed-write-region")
         if not w.disjoint_from(cand.uses, checker):
-            raise _Failure(f"{what}:write-overlaps-uses")
+            raise Declined(f"{what}:write-overlaps-uses")
         if extra_uses is not None and not w.disjoint_from(extra_uses, checker):
-            raise _Failure(f"{what}:write-overlaps-kernel-reads")
+            raise Declined(f"{what}:write-overlaps-kernel-reads")
         if cand.extra_sets:
             self._check_extra_obligation(w, cand, checker, what)
         cand.writes.add_all(w)
@@ -580,14 +537,14 @@ class _ShortCircuiter:
         (a relation-emptiness query -- there is no structural form)."""
         engine = getattr(checker, "engine", None)
         if engine is None:
-            raise _Failure(f"{what}:widened-extra-unverifiable")
+            raise Declined(f"{what}:widened-extra-unverifiable")
         from repro.isl.emptiness import Verdict
 
         for extra in cand.extra_sets:
             for l in w.lmads:
                 if engine.disjoint_from_extra(l, extra) is not Verdict.EMPTY:
                     self._pool.record_tier("unknown")
-                    raise _Failure(f"{what}:widened-extra-clobbered")
+                    raise Declined(f"{what}:widened-extra-clobbered")
                 self._pool.record_tier("polyhedral")
 
     def _is_noop_write(
@@ -659,13 +616,13 @@ class _ShortCircuiter:
     ) -> IndexFn:
         out = translate_ixfn(F, scope.available_at(j), scope.symtab)
         if out is None:
-            raise _Failure("untranslatable-ixfn")
+            raise Declined("untranslatable-ixfn")
         return out
 
     def _require_dst_in_scope(self, scope: _Scope, j: int, dst_mem: str) -> None:
         pos = scope.allocs_here.get(dst_mem)
         if pos is not None and pos > j:
-            raise _Failure("dst-memory-not-in-scope")
+            raise Declined("dst-memory-not-in-scope")
 
     # ------------------------------------------------------------------
     def _handle_definition(
@@ -691,7 +648,7 @@ class _ShortCircuiter:
                     self._validate_creating_map(stmt, j, exp, Ft, scope, cand, prover, checker)
                 elif not isinstance(exp, A.Scratch):
                     self._check_write(Ft, cand, checker, type(exp).__name__.lower())
-                cand.planned.append((pe, MemBinding(cand.dst_mem, Ft, cand.dst_space)))
+                cand.planned.append((pe, MemBinding(cand.dst_mem, Ft)))
                 if isinstance(exp, A.Concat):
                     self._chain_concat_operands(stmt, exp, Ft, scope, cand)
                 continue
@@ -700,7 +657,7 @@ class _ShortCircuiter:
                 src = exp.src if not isinstance(exp, A.VarRef) else exp.name
                 src_b = scope.bindings.get(src)
                 if src_b is None:
-                    raise _Failure("layout-src-unbound")
+                    raise Declined("layout-src-unbound")
                 inv = inverse_rebase(exp, Ft, src_b.ixfn.shape, prover)
                 if inv is None:
                     # Polyhedral tier: a unit-step triplet slice has a
@@ -713,21 +670,21 @@ class _ShortCircuiter:
                         exp, Ft, src_b.ixfn.shape, prover
                     )
                     if wide is None:
-                        raise _Failure("non-invertible-layout")
+                        raise Declined("non-invertible-layout")
                     from repro.isl.bridge import slice_box_difference
 
                     inv, starts, counts = wide
                     cand.extra_sets.append(
                         slice_box_difference(inv.as_single(), starts, counts)
                     )
-                cand.planned.append((pe, MemBinding(cand.dst_mem, Ft, cand.dst_space)))
+                cand.planned.append((pe, MemBinding(cand.dst_mem, Ft)))
                 cand.pending[src] = inv
                 cand.names.add(src)
                 continue
 
             if isinstance(exp, A.Update):
                 region = _ixfn_region_of_update(
-                    MemBinding(cand.dst_mem, Ft, cand.dst_space), exp.spec
+                    MemBinding(cand.dst_mem, Ft), exp.spec
                 )
                 if cand.extra_sets and self._is_noop_write(
                     j, block, scope, exp, region, prover, cand
@@ -752,7 +709,7 @@ class _ShortCircuiter:
                             extra = AccessSet()
                             extra.add_ixfn(vb.ixfn)
                     self._check_write(region, cand, checker, "update", extra)
-                cand.planned.append((pe, MemBinding(cand.dst_mem, Ft, cand.dst_space)))
+                cand.planned.append((pe, MemBinding(cand.dst_mem, Ft)))
                 cand.pending[exp.src] = Ft
                 cand.names.add(exp.src)
                 continue
@@ -765,7 +722,7 @@ class _ShortCircuiter:
                 self._handle_loop_definition(stmt, j, exp, pe, Ft, scope, cand, prover, checker)
                 continue
 
-            raise _Failure(f"unsupported-definition:{type(exp).__name__}")
+            raise Declined(f"unsupported-definition:{type(exp).__name__}")
 
     # ------------------------------------------------------------------
     def _validate_creating_map(
@@ -800,11 +757,11 @@ class _ShortCircuiter:
         if body_uses.is_empty():
             return
         if body_uses.unknown:
-            raise _Failure("map-body-uses-unknown")
+            raise Declined("map-body-uses-unknown")
         w_thread = AccessSet()
         single = Ft.fix_dim(0, SymExpr.var(tvar)).as_single()
         if single is None:
-            raise _Failure("map:composed-write-region")
+            raise Declined("map:composed-write-region")
         w_thread.add_lmad(single)
         self._check_cross_iteration(
             w_thread, body_uses, tvar, exp.width, True, child
@@ -839,18 +796,18 @@ class _ShortCircuiter:
     ) -> None:
         """Fig. 5a: recurse into both branches."""
         k = stmt.names.index(pe.name)
-        cand.planned.append((pe, MemBinding(cand.dst_mem, Ft, cand.dst_space)))
+        cand.planned.append((pe, MemBinding(cand.dst_mem, Ft)))
         for blk in (exp.then_block, exp.else_block):
             res = blk.result[k]
             child = self._child_scope(blk, scope, j, set(), {}, [])
             self._populate_scope(child)
-            sub = _Candidate(res, Ft, cand.dst_mem, cand.dst_space)
+            sub = _Candidate(res, Ft, cand.dst_mem)
             sub.names |= cand.names
             sub.extra_sets = cand.extra_sets
             sub.uses.add_all(cand.uses)
             self._walk(blk, child, len(blk.stmts), sub, prover, checker)
             if sub.pending:
-                raise _Failure("if-branch-creation-not-found")
+                raise Declined("if-branch-creation-not-found")
             cand.planned.extend(sub.planned)
             cand.writes.add_all(sub.writes)
             cand.uses.add_all(sub.uses)
@@ -863,18 +820,18 @@ class _ShortCircuiter:
     ) -> None:
         """Fig. 5b: rebase loop result, body result, param and initializer."""
         if exp.index in Ft.free_vars():
-            raise _Failure("loop-variant-target-ixfn")
+            raise Declined("loop-variant-target-ixfn")
         k = stmt.names.index(pe.name)
         prm, init = exp.carried[k]
         body_res = exp.body.result[k]
         if prm.mem is None:
-            raise _Failure("loop-without-param-bindings")
+            raise Declined("loop-without-param-bindings")
 
         child = self._loop_body_scope(stmt, exp, scope, j)
         self._populate_scope(child)
 
         body_prover, body_checker = self._prover_for(child.ctx)
-        sub = _Candidate(body_res, Ft, cand.dst_mem, cand.dst_space)
+        sub = _Candidate(body_res, Ft, cand.dst_mem)
         sub.names |= cand.names
         sub.extra_sets = cand.extra_sets
         self._walk(
@@ -887,7 +844,7 @@ class _ShortCircuiter:
             boundary_ok={prm.name: Ft},
         )
         if sub.pending:
-            raise _Failure("loop-body-creation-not-found")
+            raise Declined("loop-body-creation-not-found")
 
         # Fig. 5b condition (3).  The iteration input `as` is an alias of
         # the candidate (its rebased memory is the same region), so its
@@ -904,7 +861,7 @@ class _ShortCircuiter:
                 sub.first_write_pos is None
                 or sub.first_write_pos <= last_read
             ):
-                raise _Failure("loop-input-live-past-first-write")
+                raise Declined("loop-input-live-past-first-write")
 
         # Cross-iteration safety (paper fig. 7b): writes of iteration i must
         # not overlap uses of any later iteration, and the loop's total
@@ -915,11 +872,11 @@ class _ShortCircuiter:
         w_loop = sub.writes.aggregated(exp.index, exp.count, prover)
         u_loop = sub.uses.aggregated(exp.index, exp.count, prover)
         if not w_loop.disjoint_from(cand.uses, checker):
-            raise _Failure("loop-writes-overlap-later-uses")
+            raise Declined("loop-writes-overlap-later-uses")
 
-        cand.planned.append((pe, MemBinding(cand.dst_mem, Ft, cand.dst_space)))
+        cand.planned.append((pe, MemBinding(cand.dst_mem, Ft)))
         cand.planned.extend(sub.planned)
-        cand.planned.append((prm, MemBinding(cand.dst_mem, Ft, cand.dst_space)))
+        cand.planned.append((prm, MemBinding(cand.dst_mem, Ft)))
         cand.writes.add_all(w_loop)
         cand.uses.add_all(u_loop)
         cand.names |= sub.names
@@ -943,7 +900,7 @@ class _ShortCircuiter:
         if uses.is_empty() or writes.is_empty():
             return
         if uses.unknown or writes.unknown:
-            raise _Failure("cross-iteration-unknown-sets")
+            raise Declined("cross-iteration-unknown-sets")
         jvar = f"{var}_other"
         directions = [(SymExpr.var(var) + 1, count - 1)]
         if both_directions:
@@ -954,7 +911,7 @@ class _ShortCircuiter:
             checker = self._pool.checker_for(ctx, self.enable_splitting)
             shifted = uses.substitute({var: SymExpr.var(jvar)})
             if not writes.disjoint_from(shifted, checker):
-                raise _Failure("cross-iteration-overlap", checker.witness)
+                raise Declined("cross-iteration-overlap", checker.witness)
 
 
 def _last_use_position(block: A.Block, name: str) -> Optional[int]:

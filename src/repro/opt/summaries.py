@@ -93,13 +93,6 @@ class AccessSet:
         return " u ".join(str(l) for l in self.lmads) if self.lmads else "{}"
 
 
-@dataclass
-class StmtAccess:
-    """Destination-memory locations one statement may touch."""
-
-    uses: AccessSet = field(default_factory=AccessSet)
-
-
 def _ixfn_region_of_update(
     binding: MemBinding, spec: A.IndexSpec
 ) -> IndexFn:

@@ -10,8 +10,8 @@ information than the scheduled one recompute it themselves, every round
 of their fixpoint loops.
 
 ``run(ctx, fun)`` returns a :class:`PassStats` (changed flag, structured
-detail counters, per-rule rejection tallies); the manager fills in the
-unique stage key, wall-clock time and IR deltas.
+detail counters, the pass's log of declined candidates); the manager
+fills in the unique stage key, wall-clock time and IR deltas.
 
 The stage *callables* (``introduce_memory``, ``hoist_allocations``, ...)
 are resolved through :mod:`repro.compiler`'s module namespace at run
@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Callable, Dict, Optional, Tuple
 
+from repro.decisions import DecisionLog
 from repro.pipeline.context import CompileContext
 from repro.pipeline.trace import KIND_ANALYSIS, KIND_PASS, PassRecord
 
@@ -95,10 +96,13 @@ class Pass:
         #: round that committed nothing).
         self.condition = condition
 
-    def stats(self, changed: bool, **detail) -> PassStats:
+    def stats(
+        self, changed: bool, declined: Optional[DecisionLog] = None, **detail
+    ) -> PassStats:
         return PassRecord(
             kind=self.kind, name=self.name, key="", changed=changed,
             detail=detail,
+            declined=DecisionLog() if declined is None else declined,
         )
 
     def run(self, ctx: CompileContext, fun: "A.Fun") -> PassStats:
@@ -175,16 +179,15 @@ class ShortCircuitPass(Pass):
 
         st = short_circuit_fun(fun, ctx, ctx.enable_splitting)
         ctx.results[self.name] = st
-        rec = self.stats(
+        return self.stats(
             changed=st.committed > 0 or st.reused_copies > 0,
+            declined=st.declined,
             attempted=st.attempted,
             committed=st.committed,
             reused_copies=st.reused_copies,
             rounds=st.rounds,
             **_pool_detail(ctx, st.tiers),
         )
-        rec.rejections = dict(st.failures)
-        return rec
 
 
 class DeadAllocsPass(Pass):
@@ -207,8 +210,9 @@ class FusePass(Pass):
 
         st = fuse_fun(fun, ctx)
         ctx.results[self.name] = st
-        rec = self.stats(
+        return self.stats(
             changed=st.committed > 0,
+            declined=st.declined,
             attempted=st.attempted,
             committed=st.committed,
             rounds=st.rounds,
@@ -216,8 +220,6 @@ class FusePass(Pass):
             chained=st.chained,
             **_pool_detail(ctx, st.tiers),
         )
-        rec.rejections = dict(st.failures)
-        return rec
 
 
 class ReusePass(Pass):
@@ -230,11 +232,10 @@ class ReusePass(Pass):
 
         st = reuse_allocations(fun, ctx)
         ctx.results[self.name] = st
-        rec = self.stats(
+        return self.stats(
             changed=bool(st.mapping),
+            declined=st.declined,
             merged=st.merged,
             widened=st.widened,
             **_pool_detail(ctx, st.tiers),
         )
-        rec.rejections = dict(st.rejected)
-        return rec

@@ -4,8 +4,9 @@ The :class:`~repro.pipeline.PassManager` appends one :class:`PassRecord`
 per event it runs -- optimization passes, auto-scheduled analysis
 (re-)runs, and verifier checkpoints -- carrying wall-clock time and the
 IR size / allocation-count deltas the pass produced, plus the pass's own
-structured rejection diagnostics (the per-rule tallies of
-``ShortCircuitStats`` / ``FuseStats`` / ``ReuseStats``).
+log of declined candidates (:class:`repro.decisions.DecisionLog`, the
+very object its ``ShortCircuitStats`` / ``FuseStats`` / ``ReuseStats``
+holds).
 
 The whole trace is JSON-serializable (:meth:`PipelineTrace.to_dict` /
 :meth:`from_dict` round-trip losslessly) and is surfaced by
@@ -19,6 +20,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
+
+from repro.decisions import DecisionLog
 
 
 #: Record kinds, in the order they typically appear.
@@ -55,8 +58,13 @@ class PassRecord:
     allocs_after: int = -1
     #: Pass-specific counters (committed, merged, checks, errors, ...).
     detail: Dict[str, object] = field(default_factory=dict)
-    #: Per-rule rejection tallies aggregated from the pass's stats object.
-    rejections: Dict[str, int] = field(default_factory=dict)
+    #: What the pass declined to do, site by site, and why.
+    declined: DecisionLog = field(default_factory=DecisionLog)
+
+    @property
+    def rejections(self) -> Dict[str, int]:
+        """Per-rule tallies of ``declined``."""
+        return self.declined.tallies
 
     @property
     def stmts_delta(self) -> int:
@@ -83,11 +91,14 @@ class PassRecord:
             "allocs_before": self.allocs_before,
             "allocs_after": self.allocs_after,
             "detail": dict(self.detail),
-            "rejections": dict(self.rejections),
+            "rejections": self.rejections,
+            "declined": self.declined.to_dict(),
         }
 
     @classmethod
     def from_dict(cls, d: Dict[str, object]) -> "PassRecord":
+        d = dict(d, declined=DecisionLog.from_dict(d["declined"]))
+        del d["rejections"]  # derived from the log
         return cls(**d)  # type: ignore[arg-type]
 
 

@@ -28,6 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
+from repro.decisions import DecisionLog
 from repro.ir import ast as A
 from repro.lmad import ProverPool
 from repro.mem.hoist import rewrite_mem_bindings
@@ -45,15 +46,19 @@ class ReuseStats:
     #: Deciding-tier tallies for this pass's size proofs (``structural``
     #: / ``polyhedral`` / ``unknown``), from the pool.
     tiers: Dict[str, int] = field(default_factory=dict)
-    #: reason -> count for candidates that found no donor
-    rejected: Dict[str, int] = field(default_factory=dict)
+    #: Blocks passed over: one record per ``block -> donor`` a size,
+    #: dtype or space relation ruled out, one per block (``interference``)
+    #: that found every earlier block still live.
+    declined: DecisionLog = field(default_factory=DecisionLog)
     #: (survivor, candidate, "equal" | "fits" | "widened")
     records: List[Tuple[str, str, str]] = field(default_factory=list)
     #: candidate -> survivor, after chain resolution
     mapping: Dict[str, str] = field(default_factory=dict)
 
-    def reject(self, reason: str) -> None:
-        self.rejected[reason] = self.rejected.get(reason, 0) + 1
+    @property
+    def failures(self) -> Dict[str, int]:
+        """Per-rule tallies of the blocks passed over."""
+        return self.declined.tallies
 
 
 def _operand_expr(op) -> SymExpr:
@@ -158,20 +163,19 @@ class _Coalescer:
         for donor in sorted(pool, key=lambda n: n.pos):
             if InterferenceGraph.interferes(donor, node):
                 continue
+            saw_free = True
+            pair = f"{node.mem} -> {donor.mem}"
             if donor.dtype != node.dtype:
-                saw_free = True
-                self.stats.reject("dtype")
+                self.stats.declined.add("reuse", "dtype", pair)
                 continue
             if donor.stmt.exp.space != node.stmt.exp.space:
                 # Coalescing across memory spaces would silently migrate
-                # data between devices-within-the-device (MS02).
-                saw_free = True
-                self.stats.reject("space")
+                # data between devices-within-the-device.
+                self.stats.declined.add("reuse", "space", pair)
                 continue
             mode = self._size_mode(donor, node, prover, prefix)
             if mode is None:
-                saw_free = True
-                self.stats.reject("size")
+                self.stats.declined.add("reuse", "size", pair)
                 continue
             if mode == "widened":
                 donor.stmt.exp = A.Alloc(
@@ -182,7 +186,7 @@ class _Coalescer:
             self.stats.records.append((donor.mem, node.mem, mode))
             return donor
         if pool and not saw_free:
-            self.stats.reject("interference")
+            self.stats.declined.add("reuse", "interference", node.mem)
         return None
 
     def _size_mode(

@@ -52,7 +52,7 @@ if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
     from repro.ir import ast as A
 
 #: Bump to invalidate every on-disk entry (IR/pickle format changes).
-CACHE_VERSION = 4
+CACHE_VERSION = 5
 
 #: Package version baked into disk entries (a version bump invalidates).
 REPRO_VERSION = "0.1.0"

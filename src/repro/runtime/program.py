@@ -57,6 +57,8 @@ from typing import Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
+from repro.backend.engine import REJECTED
+from repro.decisions import Decision, DecisionLog
 from repro.ir import ast as A
 from repro.mem.exec import MemExecutor, RuntimeArray
 from repro.mem.stats import ExecStats
@@ -105,12 +107,13 @@ class _ShapeClass:
     """What a Program retains per shape class beside the pool's
     allocation plan: the launch tape, or why there is none."""
 
-    __slots__ = ("tape", "off", "replays")
+    __slots__ = ("tape", "declined", "replays")
 
     def __init__(self) -> None:
         self.tape: Optional[Tape] = None
-        #: Why this class is not taped (None: not yet tried, or taped).
-        self.off: Optional[str] = None
+        #: The record that turned taping off for this class (None: not
+        #: yet tried, or taped).
+        self.declined: Optional[Decision] = None
         self.replays = 0
 
 
@@ -131,8 +134,9 @@ class Program:
         #: MemExecutor._offsets).  Cleared when a shape class is
         #: evicted: retained classes re-enumerate once.
         self._offs_cache: Dict = {}
-        #: Shared vectorization plans (id(stmt) -> expressible?).
-        self._vec_plans: Dict[int, bool] = {}
+        #: Shared vectorization plans (id(stmt) -> True, or the
+        #: Decision saying why the body is not expressible).
+        self._vec_plans: Dict[int, object] = {}
         #: Shared native-tier dispatch plans (id(stmt) -> KernelSpec or
         #: the rejection sentinel) and the lazily-built engine that owns
         #: the compiled kernels.  One emission + cc invocation per map
@@ -145,10 +149,11 @@ class Program:
         #: class also drops its allocation plan (and the idle buffers
         #: only it could reuse) from the pool.
         self._classes: "OrderedDict[str, _ShapeClass]" = OrderedDict()
-        #: Why no shape class of this program can be taped (a host-level
-        #: data-dependent scalar, a map the native emitter rejects);
-        #: once set, no later request pays for a recorder.
-        self._untapeable: Optional[str] = None
+        #: Why requests were not taped: one record per statement that
+        #: refused a capture (a host-level data-dependent scalar, a map
+        #: the native tier declined, a launch that fell back), however
+        #: many shape classes ran into it (``repeats``).
+        self.declined = DecisionLog()
         #: Serve repeated identical requests from prior responses
         #: (sound: the language is pure).  Overridable per call.
         self.memoize = memoize
@@ -197,23 +202,52 @@ class Program:
                 self._classes.move_to_end(skey)
             return cls
 
-    def tape_report(self) -> Dict[str, Dict[str, object]]:
-        """Per retained shape class: ``state`` (``"captured"``,
-        ``"off"``, or ``"new"`` before the first native request),
-        ``launches`` on the tape, ``replays`` served, ``reason``."""
+    def coverage(self) -> Dict[str, Dict[str, Dict[str, object]]]:
+        """Which tier serves what, and why no better one does.
+
+        ``"maps"``: per outermost ``map`` (under its first binding name)
+        the ``tier`` its launches run on -- ``"native"``,
+        ``"vectorized"``, ``"interpreted"``, ``None`` before its first
+        dispatch -- and ``declined``, the record of every tier above
+        that one which said no (and of launches that fell back).
+        ``"classes"``: per retained shape class the tape's ``state``
+        (``"captured"``, ``"off"``, or ``"new"`` before the first native
+        request), the ``launches`` on it, the ``replays`` served, and
+        ``declined``, the record that turned it off."""
+        engine = self._native_engine
+        maps = {}
+        for stmt in _outermost_maps(self.fun.body):
+            site = stmt.names[0]
+            declined = [
+                d for d in (engine.declined.records if engine else ())
+                if d.site == site
+            ]
+            plan = self._native_plans.get(id(stmt))
+            vec = self._vec_plans.get(id(stmt))
+            if plan is not None and plan is not REJECTED:
+                tier = "native"
+            elif vec is True:
+                tier = "vectorized"
+            elif vec is None:
+                tier = None
+            else:
+                tier = "interpreted"
+                declined.append(vec)
+            maps[site] = {"tier": tier, "declined": declined}
         with self._lock:
-            classes = list(self._classes.items())
-        report = {}
-        for skey, cls in classes:
-            reason = self._untapeable or cls.off
-            tape = None if reason else cls.tape
-            report[skey] = {
-                "state": "captured" if tape else "off" if reason else "new",
-                "launches": tape.launches if tape else 0,
-                "replays": cls.replays,
-                "reason": reason,
+            classes = {
+                skey: {
+                    "state": (
+                        "captured" if cls.tape
+                        else "off" if cls.declined else "new"
+                    ),
+                    "launches": cls.tape.launches if cls.tape else 0,
+                    "replays": cls.replays,
+                    "declined": cls.declined,
+                }
+                for skey, cls in self._classes.items()
             }
-        return report
+        return {"maps": maps, "classes": classes}
 
     def _native(self, want: Optional[bool]):
         """Resolve the per-call native preference to an engine (or None).
@@ -340,7 +374,7 @@ class Program:
         elif replay is False:
             off = "replay=False"
         else:
-            off = self._untapeable or cls.off
+            off = cls.declined
         tape = cls.tape if off is None else None
         with self.pool.lease() as lease:
             if tape is not None:
@@ -369,11 +403,12 @@ class Program:
                 outs = [materialize(ex, v) for v in vals]
                 if rec is not None:
                     cls.tape = rec.finish(ex, lease, vals)
-                    off = rec.reason
-                    if rec.permanent:
-                        self._untapeable = off
-                    else:
-                        cls.off = off
+                    why = rec.declined
+                    if why is not None:
+                        with self._lock:
+                            off = cls.declined = self.declined.add(
+                                why.layer, why.rule, why.site, why.detail
+                            )
                 stats.tape = "captured" if off is None else f"off: {off}"
             if engine is not None:
                 stats.codegen_seconds = engine.codegen_seconds
@@ -403,6 +438,16 @@ class Program:
         if need:
             self.run(inputs)
         return self.pool.reserve(skey, workers)
+
+
+def _outermost_maps(block: A.Block):
+    """The ``map`` statements the host program launches as kernels."""
+    for stmt in block.stmts:
+        if isinstance(stmt.exp, A.Map):
+            yield stmt
+        else:
+            for blk in A.sub_blocks(stmt.exp):
+                yield from _outermost_maps(blk)
 
 
 def materialize(ex: MemExecutor, val):

@@ -7,7 +7,7 @@ statements.  All of that is a function of the request's **shape class**
 (:meth:`repro.runtime.Program.shape_key`: array shapes plus the values
 and types of every scalar input) -- unless a host-level statement turns
 buffer *contents* into a scalar (``index``/``reduce``/``argmin`` outside
-a kernel), which the executor reports and which makes the program
+a kernel), which the executor reports and which makes the request
 untapeable.
 
 So the first native request at a shape runs the ordinary
@@ -48,6 +48,7 @@ import numpy as np
 
 from repro.backend.cemit import SLOTS
 from repro.backend.engine import Launch, distribute, fire
+from repro.decisions import Decision
 from repro.ir.interp import InterpError
 from repro.ir.types import DTYPE_INFO
 from repro.mem.exec import RuntimeArray
@@ -170,60 +171,50 @@ class TapeRecorder:
     ``recorder`` and ``NativeEngine._launch``)."""
 
     def __init__(self) -> None:
-        #: Why no tape can be frozen from this run (first reason wins),
-        #: and whether that holds for every shape class of the program.
-        self.reason: Optional[str] = None
-        self.permanent = False
+        #: Why no tape can be frozen from this run (the first refusal).
+        self.declined: Optional[Decision] = None
         self.launches = 0
-        self.mismatches = 0
         self._inputs: List[tuple] = []
-        self._ops: List[tuple] = []
+        #: The schedule so far; ``None`` once the run was refused.
+        self._ops: Optional[List[tuple]] = []
         #: ``(sites, counters)`` of every native launch, folded into the
         #: run's statistics by :meth:`finish`.
         self._pending: List[tuple] = []
 
     # -- told by the executor and the engine -----------------------------
-    def refuse(self, reason: str, permanent: bool = False) -> None:
-        if self.reason is None:
-            self.reason, self.permanent = reason, permanent
-            self._ops.clear()
-
-    def rejected(self, stmt) -> None:
-        self.refuse(
-            f"map {stmt.names[0]} rejected by native emitter", permanent=True
-        )
-
-    def mismatched(self) -> None:
-        self.mismatches += 1
+    def refuse(self, why: Decision) -> None:
+        """A host-level value depends on buffer contents (layer
+        ``tape``), or an outermost map did not run natively (the
+        engine's own ``native`` / ``launch`` record)."""
+        if self._ops is not None:
+            self.declined, self._ops = why, None
 
     def input(self, name: str, buf: np.ndarray) -> None:
         self._inputs.append((name, buf))
 
     def copy(self, dst, dst_offs, src, src_offs) -> None:
-        if self.reason is None:
+        if self._ops is not None:
             self._ops.append((_COPY, dst, dst_offs, src, src_offs))
 
     def fill(self, buf, offs, data) -> None:
-        if self.reason is None:
+        if self._ops is not None:
             self._ops.append((_FILL, buf, offs, data))
 
     def launch(self, launch: Launch, bufs, counters) -> None:
         self.launches += 1
         self._pending.append((launch.spec.sites, counters))
-        if self.reason is None:
+        if self._ops is not None:
             self._ops.append((_LAUNCH, launch, bufs))
 
     # -- end of run ------------------------------------------------------
     def finish(self, ex, lease, values) -> Optional[Tape]:
-        """Freeze the tape (``None`` when refused; see ``reason``), then
-        fold the launches' counters into ``ex.stats``.  Call once, after
-        ``ex.run`` returned ``values`` and before the lease closes."""
-        if self.mismatches and self.reason is None:
-            self.refuse(
-                f"{self.mismatches} of {self.launches + self.mismatches} "
-                "launches fell back (launch-time mismatch)"
-            )
-        tape = self._freeze(ex, lease, values) if self.reason is None else None
+        """Freeze the tape (``None`` when refused; see ``declined``),
+        then fold the launches' counters into ``ex.stats``.  Call once,
+        after ``ex.run`` returned ``values`` and before the lease
+        closes."""
+        tape = (
+            self._freeze(ex, lease, values) if self._ops is not None else None
+        )
         for sites, counters in self._pending:
             distribute(ex.stats, sites, counters)
         return tape

@@ -1,4 +1,4 @@
-"""Negative corpus for the memory-space rules (MS01/MS02).
+"""Negative corpus for the memory-space rule (MS01).
 
 Same method as ``test_verifier.py``: compile a correct program, break
 exactly one space invariant the way a buggy pass would, and assert the
@@ -10,11 +10,11 @@ from repro.analysis import verify_fun
 from repro.analysis.diagnostics import Severity
 from repro.compiler import compile_fun
 from repro.ir import ast as A
-from repro.mem.memir import binding_of
+from repro.mem.memir import array_bindings
 from repro.mem.spaces import SPACES, assign_space
 from repro.symbolic import SymExpr
 
-from tests.analysis.conftest import array_pat, find_stmt, map_stmt, simple_fun
+from tests.analysis.conftest import find_stmt, simple_fun
 
 
 def _alloc_stmt(fun):
@@ -28,11 +28,13 @@ def test_pristine_spaces_are_clean(compiled_simple):
 
 
 def test_legal_rehoming_is_clean():
-    """assign_space moves the Alloc *and* every binding, which is the
-    coherent way to re-home a block: no rule may fire."""
+    """assign_space replaces the Alloc, the one place a block's space is
+    declared: no rule may fire, and no binding changes."""
     fun = compile_fun(simple_fun(), pipeline="nosc").fun
     stmt = _alloc_stmt(fun)
-    assert assign_space(fun, stmt.pattern[0].name, "scratch") >= 1
+    before = array_bindings(fun)
+    assert assign_space(fun, stmt.pattern[0].name, "scratch") == 1
+    assert stmt.exp.space == "scratch" and array_bindings(fun) == before
     report = verify_fun(fun)
     assert report.ok(), report.diagnostics
 
@@ -71,12 +73,3 @@ def test_ms01_unknown_space_name():
     assert "MS01" in report.rules_fired()
     assert report.errors
 
-
-def test_ms02_binding_space_mismatch(compiled_simple):
-    """Re-tagging a binding without moving the Alloc (what a careless
-    merge would do) is a space-coherence error."""
-    pe = array_pat(map_stmt(compiled_simple))
-    pe.mem = binding_of(pe).with_space("regs")
-    report = verify_fun(compiled_simple)
-    assert "MS02" in report.rules_fired()
-    assert report.errors

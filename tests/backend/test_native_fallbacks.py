@@ -1,9 +1,10 @@
 """Degradation paths: the native tier must never be load-bearing.
 
-Switching it off (``REPRO_NATIVE=off``), losing the C compiler,
-corrupting the on-disk kernel cache, or a launch whose structure
-diverges from the cached plan must all leave every program running
-bit-identically on the remaining tiers -- and the tier bookkeeping
+Switching it off (``REPRO_NATIVE=off``), losing the C compiler, a C
+compiler that fails or writes an object that does not load, corrupting
+the on-disk kernel cache, or a launch whose structure diverges from the
+cached plan must all leave every program running bit-identically on the
+remaining tiers -- and the tier bookkeeping
 (``native_launches``, ``codegen_seconds``) must stay out of the stats
 signature so tiers remain interchangeable.
 """
@@ -67,6 +68,60 @@ class TestGating:
         assert maybe_engine() is None
         err = capsys.readouterr().err
         assert err.count("no C compiler") == 1
+
+
+# -- a toolchain that fails --------------------------------------------
+#: What the fake ``cc`` does once ``--version`` is answered, and the
+#: rule the engine must file it under.
+FAULTS = {
+    "cc-failed": 'echo "internal compiler error: fake" >&2; exit 1',
+    "so-unloadable": (
+        'while [ $# -gt 1 ]; do'
+        ' [ "$1" = -o ] && printf garbage > "$2"; shift; done; exit 0'
+    ),
+}
+
+
+@pytest.mark.parametrize("rule", sorted(FAULTS))
+def test_failing_cc_degrades_and_says_so(rule, tmp_path, monkeypatch):
+    """``REPRO_CC`` points at a script: the real path, no mock."""
+    calls = tmp_path / "calls"
+    cc = tmp_path / "fakecc"
+    cc.write_text(
+        "#!/bin/sh\n"
+        f'echo "$@" >> {calls}\n'
+        'if [ "$1" = --version ]; then echo "fakecc 1.0"; exit 0; fi\n'
+        f"{FAULTS[rule]}\n"
+    )
+    cc.chmod(0o755)
+    monkeypatch.delenv("REPRO_NATIVE", raising=False)
+    monkeypatch.setenv("REPRO_CC", str(cc))
+    monkeypatch.setenv("REPRO_NATIVE_CACHE", str(tmp_path / "cache"))
+    monkeypatch.setattr(build, "_cc_info", None)
+
+    mod, inputs = _nn()
+    program = rt.compile(mod.build(), pipeline="full", memoize=False)
+    want, want_stats = program.run(inputs, native=False)
+    builds = []
+    for _ in range(2):  # the second request must not crash, nor ask cc again
+        outs, stats = program.run(inputs)
+        assert stats.native_launches == 0 and stats.vec_launches > 0
+        for a, b in zip(outs, want):
+            assert np.array_equal(np.asarray(a), np.asarray(b))
+        assert stats.signature() == want_stats.signature()
+        builds.append(calls.read_text().count(" -o "))
+    assert builds == [1, 1]
+
+    (served,) = program.coverage()["maps"].values()
+    (why,) = served["declined"]
+    assert served["tier"] == "vectorized"
+    assert (why.layer, why.rule) == ("native", rule)
+    if rule == "cc-failed":
+        assert why.detail == "exit status 1: internal compiler error: fake"
+    else:
+        assert ".so" in why.detail  # the loader's message names the object
+        assert not list((tmp_path / "cache").glob("*.so"))  # unlinked
+    assert stats.tape == f"off: {why}"
 
 
 # -- kernel cache -------------------------------------------------------

@@ -139,13 +139,16 @@ def test_lud_rejection_carries_its_witness_and_the_pool_its_counters():
     from repro.compiler import compile_fun
 
     c = compile_fun(BENCH["lud"].build(), cache=False)
-    (rej,) = c.sc_stats.failure_records
-    assert rej.rule == "cross-iteration-overlap"
-    assert rej.location.startswith("root=t_19 ")
-    assert rej.witness == "first points coincide at b*k*n + b*k"
-    assert rej.witness in rej.render()
+    (rej,) = c.sc_stats.declined.records
+    assert (rej.layer, rej.rule) == ("sc", "cross-iteration-overlap")
+    assert rej.site.startswith("t_19 -> ")
+    assert rej.detail == "first points coincide at b*k*n + b*k"
+    assert rej.detail in str(rej)
+    assert c.sc_stats.failures == {rej.rule: 1}
+    assert c.sc_stats.declined.repeats == 3  # rounds 2-4 re-attempt it
 
     (sc,) = [r for r in c.trace.records if r.name == "short_circuit"]
+    assert sc.declined is c.sc_stats.declined  # one log, not a copy
     asked = sc.detail["verdict_hits"] + sc.detail["verdict_misses"]
     # lud has no widened-slice obligations, so every tier tally is one
     # TieredChecker.check; the four fixpoint rounds repeat about a third.

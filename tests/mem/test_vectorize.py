@@ -3,7 +3,7 @@
 The engine's contract is *tier equivalence*: for any program it accepts,
 it must produce bit-identical outputs and a bit-identical
 ``ExecStats.signature()`` relative to the interpreted per-thread path.
-Programs it cannot express must fall back, silently and correctly.
+Programs it cannot express must fall back, correctly, and say why.
 """
 
 import importlib
@@ -191,6 +191,18 @@ def lane_varying_loop_fun():
     return b.build()
 
 
+def declined_plan(ex, fun):
+    """The one record the vectorizer's planner left: for which map
+    (site), under which rule, at which statement of its body."""
+    (why,) = ex._vec_engine._plans.values()
+    (top,) = [s for s in fun.body.stmts if s.names[0] == why.site]
+    (inner,) = [
+        s for s in top.exp.lam.body.stmts if why.detail == f"at {s.names[0]}"
+    ]
+    assert why.layer == "vectorize"
+    return why.rule, type(top.exp).__name__, type(inner.exp).__name__
+
+
 class TestFallback:
     def test_reduce_body_falls_back(self):
         fun = introduce_memory(rowsum_fun())
@@ -199,6 +211,9 @@ class TestFallback:
         assert ex_v.stats.vec_launches == 0
         assert ex_v.stats.interp_launches > 0
         assert_tier_equivalent(ex_i, vals_i, ex_v, vals_v)
+        assert declined_plan(ex_v, fun) == (
+            "reduction-in-body", "Map", "Reduce",
+        )
 
     def test_lane_varying_loop_count_falls_back(self):
         fun = introduce_memory(lane_varying_loop_fun())
@@ -207,6 +222,9 @@ class TestFallback:
         assert ex_v.stats.vec_launches == 0
         assert ex_v.stats.interp_launches > 0
         assert_tier_equivalent(ex_i, vals_i, ex_v, vals_v)
+        assert declined_plan(ex_v, fun) == (
+            "lane-varying-trip-count", "Map", "Loop",
+        )
 
     def test_debug_mode_forces_interpreted(self):
         mod = importlib.import_module("repro.bench.programs.nw")
@@ -284,6 +302,14 @@ class TestBenchJson:
         assert entry["validated"] is True
         # The report carries no stopwatch sections (perfbench is the clock).
         assert not {"engine", "serve", "table_wall_s"} & set(entry)
+        # One list for every layer's "no" (nn: a dead-copy candidate
+        # whose creation the walk never reaches, an aliased producer).
+        assert not {"sc_rejected", "fuse_rejections"} & set(entry)
+        declined = {(d["layer"], d["rule"]) for d in entry["rejections"]}
+        assert {("sc", "creation-not-found"), ("fuse", "alias-escapes")} <= (
+            declined
+        )
+        assert all(d["site"] for d in entry["rejections"])
         native = entry["native"]  # None without a C compiler
         if native is not None:
             assert native["outputs_equal"] and native["stats_equal"]

@@ -60,13 +60,24 @@ def test_preset_runs_advertised_pass_list(preset):
 
 @pytest.mark.parametrize("preset", list(PRESETS))
 def test_trace_json_round_trip(preset):
-    c = compiled("nw", preset)
-    trace = c.trace
-    back = PipelineTrace.from_json(trace.to_json())
-    assert back.to_dict() == trace.to_dict()
-    assert back.pipeline == preset
-    assert back.stage_seconds() == trace.stage_seconds()
-    assert back.compile_seconds == trace.compile_seconds
+    # nw declines nothing; lud (sc, with a witness) and hotspot (fuse,
+    # with repeats) exercise the records' round trip.
+    for name in ("nw", "lud", "hotspot"):
+        trace = compiled(name, preset).trace
+        back = PipelineTrace.from_json(trace.to_json())
+        assert back.to_dict() == trace.to_dict()
+        assert back.pipeline == preset
+        assert back.stage_seconds() == trace.stage_seconds()
+        assert back.compile_seconds == trace.compile_seconds
+        assert [r.declined for r in back.records] == [
+            r.declined for r in trace.records
+        ]
+        assert back.rejections() == trace.rejections()
+        if name == "lud" and "short_circuit" in preset_pass_names(preset):
+            log = back.record("short_circuit").declined
+            (why,) = log.records
+            assert why.detail.startswith("first points coincide")
+            assert log.repeats == 3
 
 
 #: preset -> the optional passes it schedules after ``last_use``.

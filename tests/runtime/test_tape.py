@@ -16,7 +16,8 @@ import pytest
 
 import repro.runtime as rt
 from repro.backend import native_enabled
-from repro.backend.engine import NativeEngine, _Mismatch
+from repro.backend.engine import NativeEngine
+from repro.decisions import Decision, Declined
 from repro.ir.builder import FunBuilder
 from repro.ir.types import ArrayType
 from repro.lmad import IndexFn
@@ -33,10 +34,25 @@ TAPED = {
     "hotspot": [(16, 3), (48, 4)],
     "lbm": [(8, 3), (16, 4)],
 }
+EXP = "exp is not bit-stable across libm/NumPy"
+#: name -> (dataset, the record that turns the tape off, every record
+#: ``coverage()["maps"]`` holds: which maps run below the native tier).
 UNTAPED = {
-    "nn": ((200,), "host-level argmin at "),
-    "locvolcalib": ((3, 8, 3), "rejected by native emitter"),
-    "optionpricing": ((16, 8), "rejected by native emitter"),
+    "nn": (
+        (200,),
+        Decision("tape", "host-data-dependent", "t_14", "host-level argmin"),
+        [],
+    ),
+    "locvolcalib": (
+        (3, 8, 3),
+        Decision("native", "not-bit-exact", "t_63", "mixed-type min/max"),
+        ["t_63"],
+    ),
+    "optionpricing": (
+        (16, 8),
+        Decision("native", "not-bit-exact", "t_38", EXP),
+        ["t_38", "t_48"],
+    ),
 }
 
 
@@ -123,7 +139,7 @@ def branchy_input(seed, n=64):
 
 
 def state(program):
-    (entry,) = program.tape_report().values()
+    (entry,) = program.coverage()["classes"].values()
     return entry
 
 
@@ -151,7 +167,11 @@ def test_replay_matches_executor(name, args):
     entry = state(program)
     assert entry["state"] == "captured" and entry["replays"] == 3
     assert entry["launches"] == reference[1].native_launches > 0
-    assert entry["reason"] is None
+    assert entry["declined"] is None and not program.declined.records
+    maps = program.coverage()["maps"]
+    assert maps and all(
+        m == {"tier": "native", "declined": []} for m in maps.values()
+    )
 
 
 @needs_native
@@ -195,17 +215,33 @@ def test_host_fills_point_writes_and_scalar_results_replay():
 @pytest.mark.parametrize("name", sorted(UNTAPED))
 def test_untapeable_programs_say_why(name):
     mod = module(name)
-    args, reason = UNTAPED[name]
+    args, why, fallen = UNTAPED[name]
     program = rt.compile(mod.build(), pipeline="full", memoize=False)
     x = mod.inputs_for(*args)
     reference = program.run(x, replay=False)
     for _ in range(2):
         run = program.run(x)
-        assert run[1].tape.startswith("off: ") and reason in run[1].tape
+        assert run[1].tape == f"off: {why}"
         same_run(reference, run)
     entry = state(program)
-    assert entry["state"] == "off" and reason in entry["reason"]
+    assert entry["state"] == "off" and entry["declined"] == why
     assert entry["replays"] == 0
+    # Which maps run below the native tier, and the emitter's sentence
+    # for each -- not only for the first one a capture ran into.
+    below = {
+        site: m for site, m in program.coverage()["maps"].items()
+        if m["tier"] != "native"
+    }
+    assert sorted(below) == fallen
+    for site, m in below.items():
+        (d,) = m["declined"]
+        assert m["tier"] == "vectorized"
+        assert (d.layer, d.site, d.detail) == ("native", site, why.detail)
+    # Another shape class runs into the same statement: one record.
+    smaller = mod.inputs_for(*[max(1, a - 1) for a in args])
+    assert program.run(smaller)[1].tape == f"off: {why}"
+    assert program.declined.records == [why]
+    assert program.declined.repeats == 1
 
 
 @needs_native
@@ -229,11 +265,15 @@ def test_host_reduce_feeding_a_launch_is_refused():
     for seed in range(3):
         x = branchy_input(seed)
         outs, stats = program.run(x)
-        assert stats.tape == "off: host-level reduce at t_1"
+        assert stats.tape == (
+            "off: tape host-data-dependent @ t_1 (host-level reduce)"
+        )
         assert stats.native_launches == 1
         want = x["x"] * x["x"].sum(dtype=np.float32)
         assert np.array_equal(outs[0], want)
-    assert program._untapeable == "host-level reduce at t_1"
+    why = Decision("tape", "host-data-dependent", "t_1", "host-level reduce")
+    assert state(program)["declined"] == why
+    assert program.declined.records == [why]
 
 
 @needs_native
@@ -245,17 +285,27 @@ def test_launch_time_mismatch_turns_one_class_off(monkeypatch):
 
     def flaky(self, *args):
         calls.append(1)
-        if len(calls) in (2, 5):
-            raise _Mismatch("injected")
+        if len(calls) in (2, 3, 6):
+            raise Declined("structure-changed", f"injected {len(calls)}")
         return marshal(self, *args)
 
     monkeypatch.setattr(NativeEngine, "marshal", flaky)
     run = program.run(x)
     monkeypatch.undo()
-    n = reference[1].native_launches
-    assert run[1].tape == (
-        f"off: 2 of {n} launches fell back (launch-time mismatch)"
-    )
+    assert run[1].native_launches == reference[1].native_launches - 3
+    # Launches 2 and 3 are of the first wavefront's map, 6 of the
+    # second's: one record per statement (its first fallback), one
+    # repeat -- and the first record is what turned the tape off.
+    log = program._native_engine.declined
+    why, other = log.records
+    assert (why.layer, why.rule) == ("launch", "structure-changed")
+    assert (why.detail, other.detail) == ("injected 2", "injected 6")
+    assert why.site != other.site and log.repeats == 1
+    assert run[1].tape == f"off: {why}"
+    assert state(program)["declined"] == why
+    served = program.coverage()["maps"]
+    assert served[why.site] == {"tier": "native", "declined": [why]}
+    assert served[other.site] == {"tier": "native", "declined": [other]}
     assert np.array_equal(reference[0][0], run[0][0])
     assert run[1].signature() == reference[1].signature()
     assert program.run(x)[1].tape == run[1].tape  # not retried
@@ -290,8 +340,13 @@ def test_never_captures_without_the_native_tier(how, monkeypatch):
         assert stats.native_launches == 0
     entry = state(program)
     assert entry == {
-        "state": "new", "launches": 0, "replays": 0, "reason": None,
+        "state": "new", "launches": 0, "replays": 0, "declined": None,
     }
+    # Nobody declined anything: the tier was not asked.
+    assert all(
+        m["tier"] != "native" and not m["declined"]
+        for m in program.coverage()["maps"].values()
+    )
 
 
 # ----------------------------------------------------------------------
@@ -398,7 +453,7 @@ def test_evicted_tape_is_recaptured_not_resurrected():
     assert program.run(first)[1].tape == "replayed"
     for n in range(9, 9 + Program.SHAPE_CLASSES):
         program.run(branchy_input(0, n=n))
-    assert len(program.tape_report()) == Program.SHAPE_CLASSES
+    assert len(program.coverage()["classes"]) == Program.SHAPE_CLASSES
     run = program.run(first)
     assert run[1].tape == "captured"
     same_run(program.run(first, replay=False), run)
@@ -418,7 +473,7 @@ def test_never_seen_shapes_leave_the_pool_bounded(build):
     assert len(program._offs_cache) <= Program.SHAPE_CLASSES * per_class
     pool = program.pool
     assert len(pool._plans) <= Program.SHAPE_CLASSES
-    assert len(program.tape_report()) <= Program.SHAPE_CLASSES
+    assert len(program.coverage()["classes"]) <= Program.SHAPE_CLASSES
     # x and y of the retained classes, nothing of the 484 evicted ones
     assert pool.free_bytes() <= Program.SHAPE_CLASSES * 2 * 4 * 500
     retained = {
