@@ -3,8 +3,9 @@
 The cache key is the SHA-256 of the *generated C source* (which is
 itself a pure function of the post-pipeline memory IR, the launch
 structure, and the element dtypes), the C compiler's version banner,
-and the ABI version -- so a toolchain upgrade or an ABI change cold-
-rebuilds instead of loading stale objects.  Artifacts live next to the
+the flags it is run with (:data:`CC_FLAGS`) and the ABI version -- so a
+toolchain upgrade, a flag change or an ABI change cold-rebuilds instead
+of loading stale objects.  Artifacts live next to the
 program cache under ``benchmarks/results/.nativecache/`` (override with
 ``REPRO_NATIVE_CACHE``); writes are atomic (temp file + ``os.replace``)
 so concurrent builders never observe a torn ``.so``, and a cache entry
@@ -17,6 +18,7 @@ no retry.
 
 from __future__ import annotations
 
+import _ctypes
 import ctypes
 import hashlib
 import os
@@ -30,8 +32,14 @@ from repro.backend.cemit import ABI_VERSION
 
 #: Flags chosen for bit-identity with NumPy: no fast-math, and FP
 #: contraction off -- a fused multiply-add changes f32 rounding versus
-#: the interpreter's separate multiply and add.
-CC_FLAGS = ["-O2", "-shared", "-fPIC", "-ffp-contract=off"]
+#: the interpreter's separate multiply and add.  The dynamic cost model
+#: (GCC's -O3 default; clang warns and ignores it) lets the vectoriser
+#: test at run time whether bufs[i] and bufs[j] overlap; it reorders no
+#: arithmetic.  No -march: machines may share the cache directory.
+CC_FLAGS = [
+    "-O2", "-shared", "-fPIC", "-ffp-contract=off",
+    "-fvect-cost-model=dynamic",
+]
 
 _CACHE_ENV = "REPRO_NATIVE_CACHE"
 _DEFAULT_DIR = Path("benchmarks") / "results" / ".nativecache"
@@ -106,7 +114,9 @@ def cache_dir() -> Path:
 def source_digest(source: str) -> str:
     _, fingerprint = find_cc()
     h = hashlib.sha256()
-    h.update(f"abi={ABI_VERSION}\ncc={fingerprint}\n".encode())
+    h.update(
+        f"abi={ABI_VERSION}\ncc={fingerprint}\nflags={CC_FLAGS}\n".encode()
+    )
     h.update(source.encode())
     return h.hexdigest()
 
@@ -130,7 +140,13 @@ def _atomic_write(path: Path, data: str) -> None:
 
 def _load(so: Path):
     lib = ctypes.CDLL(str(so), mode=ctypes.RTLD_LOCAL)
-    fn = lib.repro_kernel
+    try:
+        fn = lib.repro_kernel
+    except AttributeError:
+        # Unmap it, or the loader answers the next open of this path --
+        # the rebuilt file -- with this same symbol-less object.
+        _ctypes.dlclose(lib._handle)
+        raise
     fn.argtypes = [
         ctypes.c_longlong,
         ctypes.POINTER(ctypes.c_longlong),
@@ -144,7 +160,7 @@ def _load(so: Path):
 
 def compile_kernel(source: str):
     """Return the native entry point for ``source``, building at most
-    once per (source, toolchain, ABI) across processes."""
+    once per (source, toolchain, flags, ABI) across processes."""
     cc, _ = find_cc()
     if cc is None:
         raise BuildError("no-cc", "no C compiler available")
@@ -160,8 +176,9 @@ def compile_kernel(source: str):
     if so.exists():
         try:
             lib_fn = _load(so)
-        except OSError:
-            # Corrupt/stale entry: degrade to a cold rebuild.
+        except (OSError, AttributeError):
+            # Corrupt/stale entry (unloadable, or loadable without the
+            # entry point): degrade to a cold rebuild.
             try:
                 so.unlink()
             except OSError:

@@ -16,15 +16,25 @@ executor statement by statement, in both value semantics and accounting:
   can drift from NumPy's (``exp``/``log``/``pow``) are rejected.
 * **accounting** -- every simulated counter the interpreter would bump
   (per-kernel bytes/flops, copy elisions, allocation counts) accumulates
-  in a flat ``C`` array of per-site counter slots that the engine folds
-  back into :class:`~repro.mem.stats.ExecStats` after the call, so the
-  native tier is ``signature()``-identical to the other tiers.
+  in a local ``c<k>`` per used counter slot, flushed once at exit into
+  the flat ``C`` array of per-site slots that the engine folds back into
+  :class:`~repro.mem.stats.ExecStats`, so the native tier is
+  ``signature()``-identical to the other tiers and no loop stores to
+  memory on the counters' account.
+
+The entry point (ABI v3) declares ``ia``, ``fa``, ``bufs`` and ``C``
+``restrict``: four distinct allocations on every call path.  Nothing is
+claimed about ``bufs[i]`` against ``bufs[j]``, which do alias in
+short-circuited kernels.
 
 Emission is *launch-specialized but shape-generic*: it happens on the
 first launch of a statement (when the runtime environment reveals each
 free array's index-function structure and each free scalar's kind) and
 the resulting function is reused for every later launch, receiving
-widths, scalars and LMAD components as arguments.  Any construct outside
+widths, scalars and LMAD components as arguments -- except components
+that are integers in the array's declared binding (a row-major unit
+stride), which are printed as literals and checked per launch by the
+engine.  Any construct outside
 the supported set raises :class:`~repro.decisions.Declined` -- rule
 ``unsupported``, or ``not-bit-exact`` where C has the operation but not
 NumPy's bits -- with the construct named in its detail, and the
@@ -34,8 +44,10 @@ dispatch stays per-statement, exactly like the vectorized planner.
 
 from __future__ import annotations
 
+import math
+import re
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -45,7 +57,7 @@ from repro.symbolic import SymExpr
 from repro.ir import ast as A
 from repro.ir.ast import Fun  # noqa: F401  (re-exported for annotations)
 from repro.ir.types import ArrayType, DTYPE_INFO
-from repro.mem.memir import binding_of
+from repro.mem.memir import array_bindings, binding_of
 
 #: Counter slots per site: [entered, bytes_read, bytes_written, flops,
 #: elided_copies, elided_bytes, scratch_read, scratch_written,
@@ -59,7 +71,7 @@ SPACE_SLOTS = {"scratch": (6, 7), "regs": (8, 9)}
 
 #: Bump when the emitted ABI or counter layout changes (part of the
 #: on-disk cache key).
-ABI_VERSION = 2
+ABI_VERSION = 3
 
 _CTYPE = {"i64": "long long", "f32": "float", "f64": "double", "bool": "char"}
 
@@ -186,6 +198,48 @@ def _c_lit(value, dtype: str) -> str:
     return f"({d!r})"
 
 
+# Index arithmetic: integer literals are folded here (so C never does
+# literal-by-literal ``int`` arithmetic: every operation left has a
+# ``long long`` operand) and parentheses go only where precedence needs.
+_ATOM = re.compile(r"\w+(\[\d+\])?|-\d+")
+_INT = re.compile(r"-?\d+")
+
+
+def _p(e: str) -> str:
+    """``e`` as an operand of ``*`` or ``%``."""
+    return e if _ATOM.fullmatch(e) else f"({e})"
+
+
+def _mul(*factors: str) -> str:
+    const = math.prod(int(f) for f in factors if _INT.fullmatch(f))
+    rest = [f for f in factors if not _INT.fullmatch(f)]
+    if const == 0 or not rest:
+        return str(const)
+    if const == -1:
+        return "-" + "*".join(map(_p, rest))
+    if const != 1:
+        rest.insert(0, str(const))
+    return rest[0] if len(rest) == 1 else "*".join(map(_p, rest))
+
+
+def _add(*terms: str) -> str:
+    const = sum(int(t) for t in terms if _INT.fullmatch(t))
+    rest = [t for t in terms if not _INT.fullmatch(t)]
+    if const or not rest:
+        rest.append(str(const))
+    return " + ".join(rest).replace("+ -", "- ")
+
+
+def components(ixfn) -> Iterator[SymExpr]:
+    """An index function's components in ``"arrcomp"`` order: per LMAD
+    the offset, then ``shape, stride`` per dimension."""
+    for l in ixfn.lmads:
+        yield l.offset
+        for d in l.dims:
+            yield d.shape
+            yield d.stride
+
+
 def _is_weak_int(v) -> bool:
     return isinstance(v, (bool, int)) and not isinstance(v, np.generic)
 
@@ -207,6 +261,10 @@ class _Emitter:
         self.alloc_sites: List[tuple] = []
         #: ``(kind, label)`` of every counter site -> its row index.
         self.sites: Dict[Tuple[str, str], int] = {}
+        #: Every array's declared binding (see ``_arg_array``).
+        self.bindings = array_bindings(ex.fun)
+        #: Counter slots the body bumps, each through a local ``c<k>``.
+        self.counters: set = set()
         self._int_slots: Dict[tuple, object] = {}
         #: Expanded width of ``ia`` so far (an "arrcomp" directive
         #: expands to 1 + 2*rank integers per LMAD).
@@ -250,14 +308,16 @@ class _Emitter:
         pend = self._pending.pop()
         for (site, slot), n in sorted(pend.items()):
             if n:
-                self.emit(f"C[{site * SLOTS + slot}] += {_c_int(n)};")
+                self.charge(site, slot, str(n))
 
     def pend(self, site: int, slot: int, n: int = 1) -> None:
         key = (site, slot)
         self._pending[-1][key] = self._pending[-1].get(key, 0) + n
 
     def charge(self, site: int, slot: int, expr: str) -> None:
-        self.emit(f"C[{site * SLOTS + slot}] += {expr};")
+        k = site * SLOTS + slot
+        self.counters.add(k)
+        self.emit(f"c{k} += {expr};")
 
     def _space_slot(self, mem: MemObj, write: bool) -> Optional[int]:
         """Extra counter slot when ``mem`` lives in a non-HBM space."""
@@ -329,8 +389,13 @@ class _Emitter:
             c = f"((float)fa[{slot}])" if dtype == "f32" else f"fa[{slot}]"
         return SVal(c, dtype, weak=weak, scope=0)
 
-    def _arg_array(self, source: tuple, ra) -> CArr:
-        """A launch-concrete array (free array or dest) as arguments."""
+    def _arg_array(self, source: tuple, ra, static) -> CArr:
+        """A launch-concrete array (free array or dest) as arguments.
+
+        A component that is a constant of the memory IR -- of ``static``,
+        the array's declared binding, not merely of this launch -- is
+        printed as a literal; the directive records it and the engine
+        declines any launch whose value differs."""
         ranks = tuple(len(l.dims) for l in ra.ixfn.lmads)
         key = ("arr", source)
         ent = self._int_slots.get(key)
@@ -340,24 +405,27 @@ class _Emitter:
             self.buf_space.append(self.ex._space_of(ra.mem))
             base = self._int_width
             self._int_width += sum(1 + 2 * r for r in ranks)
-            self.int_dirs.append(("arrcomp", source, ranks, ra.dtype))
-            ent = (bslot, base, ranks, ra.dtype)
+            lits = (None,) * (self._int_width - base)
+            if static is not None and ranks == tuple(
+                len(l.dims) for l in static.ixfn.lmads
+            ):
+                lits = tuple(c.as_int() for c in components(static.ixfn))
+            self.int_dirs.append(("arrcomp", source, ranks, ra.dtype, lits))
+            ent = (bslot, base, ranks, ra.dtype, lits)
             self._int_slots[key] = ent
-        bslot, base, eranks, edtype = ent
+        bslot, base, eranks, edtype, lits = ent
         if eranks != ranks or edtype != ra.dtype:
             raise Declined("unsupported", "inconsistent array structure at emission")
-        lmads = []
-        k = base
-        # One "arrcomp" directive expands to 1 + 2*rank ints per LMAD:
-        # offset, then (shape, stride) per dimension, appended in order.
-        for r in ranks:
-            off = f"ia[{k}]"
-            k += 1
-            dims = []
-            for _ in range(r):
-                dims.append((f"ia[{k}]", f"ia[{k + 1}]"))
-                k += 2
-            lmads.append(CLmad(off, dims))
+        # One "arrcomp" directive expands to 1 + 2*rank ints per LMAD, in
+        # ``components`` order; literal positions keep their (unread) slot.
+        comps = iter(
+            f"ia[{base + k}]" if lit is None else str(lit)
+            for k, lit in enumerate(lits)
+        )
+        lmads = [
+            CLmad(next(comps), [(next(comps), next(comps)) for _ in range(r)])
+            for r in ranks
+        ]
         return CArr(MemObj(bslot, "0", 0), ra.dtype, lmads, scope=0)
 
     def _mem_buf(self, name: str) -> int:
@@ -393,7 +461,7 @@ class _Emitter:
         time, not at use time.
         """
         if not isinstance(expr, SymExpr):
-            return _c_int(int(expr))
+            return str(int(expr))
 
         def var_ref(v: str) -> str:
             sv = scope.get(v)
@@ -405,28 +473,23 @@ class _Emitter:
                 )
             self.check_scope(sv.scope)
             c = sv.c if sv.dtype == "i64" else f"((long long)({sv.c}))"
-            if sv.mutable:
-                if capture is None:
-                    return f"({c})"
+            if sv.mutable and capture is not None:
                 cap = capture.get(v)
                 if cap is None:
                     cap = self.fresh("cap")
                     self.emit(f"long long {cap} = {c};")
                     capture[v] = cap
                 return cap
-            return f"({c})"
+            return c
 
         parts = []
         for mono, coeff in sorted(
             expr.terms.items(), key=lambda kv: str(kv[0])
         ):
-            factors = [_c_int(coeff)]
-            for v, p in mono:
-                factors.extend([var_ref(v)] * p)
-            parts.append("*".join(factors))
-        if not parts:
-            return _c_int(0)
-        return "(" + " + ".join(parts) + ")"
+            parts.append(_mul(
+                str(coeff), *(var_ref(v) for v, p in mono for _ in range(p))
+            ))
+        return _add(*parts)
 
     # -- views ----------------------------------------------------------
     def view_from_binding(self, pe, scope, memenv) -> CArr:
@@ -474,7 +537,7 @@ class _Emitter:
     # -- addressing -----------------------------------------------------
     def size_c(self, arr: CArr) -> str:
         """Element count of the visible (inner) region, as a C local."""
-        expr = "*".join(f"({s})" for s, _ in arr.inner.dims) or "1LL"
+        expr = _mul(*(s for s, _ in arr.inner.dims))
         n = self.fresh("sz")
         self.emit(f"long long {n} = {expr};")
         return n
@@ -484,56 +547,42 @@ class _Emitter:
         mirroring ``IndexFn.apply_concrete``."""
         off = flat
         for l in reversed(arr.lmads[:-1]):
-            r = self.fresh("r")
-            self.emit(f"long long {r} = {off};")
-            coords = []
-            for shp, _ in reversed(l.dims):
-                c = self.fresh("c")
-                self.emit(f"long long {c} = {r} % ({shp}); {r} /= ({shp});")
-                coords.append(c)
-            coords.reverse()
-            terms = [f"({l.offset})"] + [
-                f"{c}*({st})" for c, (_, st) in zip(coords, l.dims)
-            ]
-            o = self.fresh("o")
-            self.emit(f"long long {o} = " + " + ".join(terms) + ";")
-            off = o
+            off = self._unrank(l, off)
         return off
 
-    def point_offset(self, arr: CArr, idx: List[str]) -> str:
-        inner = arr.inner
-        if len(idx) != inner.rank:
-            raise Declined("unsupported", "index rank mismatch")
-        terms = [f"({inner.offset})"] + [
-            f"({i})*({st})" for i, (_, st) in zip(idx, inner.dims)
-        ]
+    def _unrank(self, l: CLmad, flat: str) -> str:
+        """Offset ``l`` gives flat element ``flat`` (C order of its shape)."""
+        if l.rank == 1:  # one coordinate: the flat index itself
+            return self._bind_offset(l, [flat])
+        r = self.fresh("r")
+        self.emit(f"long long {r} = {flat};")
+        coords = []
+        for shp, _ in reversed(l.dims):
+            c = self.fresh("x")
+            self.emit(f"long long {c} = {r} % {_p(shp)}; {r} /= {_p(shp)};")
+            coords.append(c)
+        coords.reverse()
+        return self._bind_offset(l, coords)
+
+    def _bind_offset(self, l: CLmad, idx: List[str]) -> str:
         o = self.fresh("o")
-        self.emit(f"long long {o} = " + " + ".join(terms) + ";")
-        return self._through_outers(arr, o)
+        terms = [_mul(i, st) for i, (_, st) in zip(idx, l.dims)]
+        self.emit(f"long long {o} = {_add(l.offset, *terms)};")
+        return o
+
+    def point_offset(self, arr: CArr, idx: List[str]) -> str:
+        if len(idx) != arr.inner.rank:
+            raise Declined("unsupported", "index rank mismatch")
+        return self._through_outers(arr, self._bind_offset(arr.inner, idx))
 
     def elem_offset(self, arr: CArr, e: str) -> str:
         """Offset of flat element ``e`` in C order of the visible shape."""
-        inner = arr.inner
-        r = self.fresh("r")
-        self.emit(f"long long {r} = {e};")
-        coords = []
-        for shp, _ in reversed(inner.dims):
-            c = self.fresh("c")
-            self.emit(f"long long {c} = {r} % ({shp}); {r} /= ({shp});")
-            coords.append(c)
-        coords.reverse()
-        terms = [f"({inner.offset})"] + [
-            f"{c}*({st})" for c, (_, st) in zip(coords, inner.dims)
-        ]
-        o = self.fresh("o")
-        self.emit(f"long long {o} = " + " + ".join(terms) + ";")
-        return self._through_outers(arr, o)
+        return self._through_outers(arr, self._unrank(arr.inner, e))
 
     def addr(self, arr: CArr, off: str) -> str:
-        ct = _CTYPE[arr.dtype]
         return (
-            f"*({ct}*)(bufs[{arr.mem.buf}] + "
-            f"{arr.itemsize}*(({arr.mem.base}) + ({off})))"
+            f"*({_CTYPE[arr.dtype]}*)(bufs[{arr.mem.buf}] + "
+            f"{_mul(str(arr.itemsize), _add(arr.mem.base, off))})"
         )
 
     # -- scalar semantics ----------------------------------------------
@@ -645,7 +694,9 @@ class _Emitter:
             self.check_scope(sv.scope)
             return sv
         if isinstance(op, SymExpr):
-            return SVal(self.sym_c(op, scope), "i64", weak=True)
+            k = op.as_int()  # a bare literal would do ``int`` arithmetic
+            c = _p(self.sym_c(op, scope)) if k is None else _c_int(k)
+            return SVal(c, "i64", weak=True)
         if isinstance(op, bool):
             return SVal("1" if op else "0", "bool", weak=True)
         if isinstance(op, int):
@@ -666,7 +717,9 @@ class _Emitter:
         from repro.mem.exec import RuntimeArray
 
         if isinstance(hv, RuntimeArray):
-            return self._arg_array(("env", name), hv)
+            return self._arg_array(
+                ("env", name), hv, self.bindings.get(name)
+            )
         if hv is None:
             raise Declined("unsupported", f"unbound variable {name!r}")
         return self._host_scalar(name)
@@ -682,7 +735,7 @@ class _Emitter:
         if inner.rank < 1:
             raise Declined("unsupported", "fixing a dimension of a rank-0 view")
         fixed = CLmad(
-            f"({inner.offset}) + ({idx})*({inner.dims[0][1]})",
+            _add(inner.offset, _mul(idx, inner.dims[0][1])),
             list(inner.dims[1:]),
         )
         return CArr(
@@ -771,7 +824,7 @@ class _Emitter:
                 rows = self.fresh("rw")
                 self.emit(f"long long {rows} = {src.inner.dims[0][0]};")
                 region = CLmad(
-                    f"({inner.offset}) + ({co})*({inner.dims[0][1]})",
+                    _add(inner.offset, _mul(co, inner.dims[0][1])),
                     [(rows, inner.dims[0][1])] + list(inner.dims[1:]),
                 )
                 rarr = CArr(
@@ -843,19 +896,20 @@ class _Emitter:
         if structural:
             # The interpreter elides when (block, index fn) coincide;
             # concrete index functions compare componentwise numerically.
-            conds = [
-                f"bufs[{src.mem.buf}] == bufs[{dst.mem.buf}]",
-                f"({src.mem.base}) == ({dst.mem.base})",
+            pairs = [
+                (f"bufs[{src.mem.buf}]", f"bufs[{dst.mem.buf}]"),
+                (src.mem.base, dst.mem.base),
             ]
             for a, b in zip(src.lmads, dst.lmads):
-                conds.append(f"({a.offset}) == ({b.offset})")
-                for (sh1, st1), (sh2, st2) in zip(a.dims, b.dims):
-                    conds.append(f"({sh1}) == ({sh2})")
-                    conds.append(f"({st1}) == ({st2})")
+                pairs.append((a.offset, b.offset))
+                for dim_a, dim_b in zip(a.dims, b.dims):
+                    pairs.extend(zip(dim_a, dim_b))
+            # Textually equal sides are equal values: nothing to test.
+            conds = [f"{a} == {b}" for a, b in pairs if a != b]
             el = self.fresh("el")
-            self.emit(f"char {el} = {' && '.join(conds)};")
+            self.emit(f"char {el} = {' && '.join(conds) or '1'};")
             self.open_block(f"if ({el})")
-            self.charge(site, 4, "1LL")
+            self.charge(site, 4, "1")
             self.charge(site, 5, f"{snb} + {dnb}")
             self.close_block()
             self.open_block("else")
@@ -902,12 +956,13 @@ class _Emitter:
         # Linearized slot: thread index, then enclosing iteration indices
         # (one disjoint slot per dynamic execution, emulating the
         # interpreter's fresh block per alloc execution).
-        slot = None
+        slot = "0"
         for cnt_c, idx, _, _ in counts:
-            slot = idx if slot is None else f"(({slot})*({cnt_c}) + ({idx}))"
-        size_c = self.sym_c(exp.size, scope)
+            slot = _add(_mul(slot, cnt_c), idx)
         base = self.fresh("ab")
-        self.emit(f"long long {base} = ({slot})*({size_c});")
+        self.emit(
+            f"long long {base} = {_mul(slot, self.sym_c(exp.size, scope))};"
+        )
         memenv[name] = MemObj(bslot, base, self.cur_scope)
 
     # -- compound statements --------------------------------------------
@@ -929,17 +984,16 @@ class _Emitter:
             inner = result.inner
             if len(spec.triplets) != inner.rank:
                 raise Declined("unsupported", "triplet rank mismatch")
-            off_terms = [f"({inner.offset})"]
+            off_terms = [inner.offset]
             dims = []
             for (a, b, c), (_, st) in zip(spec.triplets, inner.dims):
-                off_terms.append(f"({self.sym_c(a, scope)})*({st})")
+                off_terms.append(_mul(self.sym_c(a, scope), st))
                 dims.append(
-                    (self.sym_c(b, scope), f"({self.sym_c(c, scope)})*({st})")
+                    (self.sym_c(b, scope), _mul(self.sym_c(c, scope), st))
                 )
             region = CArr(
                 result.mem, result.dtype,
-                list(result.lmads[:-1])
-                + [CLmad(" + ".join(off_terms), dims)],
+                list(result.lmads[:-1]) + [CLmad(_add(*off_terms), dims)],
                 scope=self.cur_scope,
             )
             if not isinstance(exp.value, str):
@@ -994,9 +1048,7 @@ class _Emitter:
                 self.emit_copy(val, region, site)
             elif isinstance(val, SVal):
                 self.pend_rw(site, dest.mem, True, dest.itemsize)
-                off = self.point_offset(
-                    region, ["0LL"] * region.inner.rank
-                )
+                off = self.point_offset(region, ["0"] * region.inner.rank)
                 self.emit(
                     f"{self.addr(region, off)} = "
                     f"({_CTYPE[dest.dtype]})({val.c});"
@@ -1180,18 +1232,28 @@ class _Emitter:
 
 
 # ----------------------------------------------------------------------
-_HELPERS = """\
+#: What a body may call, by the call's text: each goes only into the
+#: translation units that contain it (parsing <math.h> costs ``cc``
+#: more than a small kernel does).
+_PRELUDE = {
+    "sqrt": "#include <math.h>\n",
+    "fabs": "#include <math.h>\n",
+    "llabs(": "#include <stdlib.h>\n",
+    "repro_fdiv(": """\
 static long long repro_fdiv(long long a, long long b) {
     long long q = a / b;
     if ((a % b != 0) && ((a < 0) != (b < 0))) q--;
     return q;
 }
+""",
+    "repro_fmod(": """\
 static long long repro_fmod(long long a, long long b) {
     long long r = a % b;
     if (r != 0 && ((r < 0) != (b < 0))) r += b;
     return r;
 }
-"""
+""",
+}
 
 
 def emit_kernel(ex, stmt: A.Let, exp: A.Map, env, dests) -> KernelSpec:
@@ -1207,11 +1269,11 @@ def emit_kernel(ex, stmt: A.Let, exp: A.Map, env, dests) -> KernelSpec:
         raise Declined("unsupported", "multi-parameter map lambda")
     em = _Emitter(ex, env)
     em.site_of(stmt)  # site 0
-    dest_arrs = []
-    for k, d in enumerate(dests):
-        dest_arrs.append(
-            em._arg_array(("dest", k), d) if d is not None else None
-        )
+    dest_arrs = [
+        em._arg_array(("dest", k), d, binding_of(stmt.pattern[k]))
+        if d is not None else None
+        for k, d in enumerate(dests)
+    ]
     ok = all(fv in env for fv in exp.width.free_vars())
     em._alloc_path.append(("W", "t", exp.width, ok))
     em.open_block("for (long long t = 0; t < W; t++)")
@@ -1223,17 +1285,21 @@ def emit_kernel(ex, stmt: A.Let, exp: A.Map, env, dests) -> KernelSpec:
     em._write_map_results(dest_arrs, vals, "t", 0)
     em.close_block()
     body = "\n".join(em.lines)
+    prelude = dict.fromkeys(
+        text for call, text in _PRELUDE.items() if call in body
+    )
+    used = sorted(em.counters)
     source = (
         f"/* repro native kernel (ABI v{ABI_VERSION}) -- "
         f"generated from memory IR; do not edit. */\n"
-        "#include <math.h>\n"
-        "#include <stdlib.h>\n\n"
-        f"{_HELPERS}\n"
-        "void repro_kernel(long long W, const long long* ia, "
-        "const double* fa, char** bufs, long long* C) {\n"
-        "    (void)ia; (void)fa; (void)bufs; (void)C;\n"
-        f"{body}\n"
-        "}\n"
+        f"{''.join(prelude)}"
+        "void repro_kernel(long long W, const long long* restrict ia, "
+        "const double* restrict fa, char** restrict bufs, "
+        "long long* restrict C) {\n"
+        + "".join(f"    long long c{k} = 0;\n" for k in used)
+        + f"{body}\n"
+        + "".join(f"    C[{k}] += c{k};\n" for k in used)
+        + "}\n"
     )
     return KernelSpec(
         source=source,

@@ -39,7 +39,7 @@ from typing import Dict, Optional
 import numpy as np
 
 from repro.backend import build
-from repro.backend.cemit import SLOTS, KernelSpec, emit_kernel
+from repro.backend.cemit import SLOTS, KernelSpec, components, emit_kernel
 from repro.decisions import DecisionLog, Declined
 from repro.ir.interp import InterpError, eval_sym
 from repro.ir.types import DTYPE_INFO
@@ -234,8 +234,8 @@ class NativeEngine:
             tag = d[0]
             if tag == "env":
                 ia.append(self._scalar(env, d[1], d[2], want_int=True))
-            else:  # ("arrcomp", source, ranks, dtype)
-                _, source, ranks, dtype = d
+            else:  # ("arrcomp", source, ranks, dtype, literals)
+                _, source, ranks, dtype, lits = d
                 ra = self._source_array(source, env, dests)
                 if ra.dtype != dtype:
                     raise Declined("structure-changed", "array dtype changed")
@@ -243,11 +243,15 @@ class NativeEngine:
                     raise Declined(
                         "structure-changed", "index-function structure changed"
                     )
-                for lmad in ra.ixfn.lmads:
-                    ia.append(self._concrete(lmad.offset))
-                    for dim in lmad.dims:
-                        ia.append(self._concrete(dim.shape))
-                        ia.append(self._concrete(dim.stride))
+                for comp, lit in zip(components(ra.ixfn), lits):
+                    v = self._concrete(comp)
+                    if lit is not None and v != lit:
+                        # The C text holds ``lit`` where this launch has v.
+                        raise Declined(
+                            "structure-changed",
+                            f"literal index component {lit} is now {v}",
+                        )
+                    ia.append(v)
         fa = [
             self._scalar(env, d[1], d[2], want_int=False)
             for d in spec.flt_dirs

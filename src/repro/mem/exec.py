@@ -710,7 +710,13 @@ class MemExecutor:
                         src.mem, self._offsets(src),
                         f"{type(exp).__name__.lower()} of {exp.src!r}",
                     )
-                data = self._read(src)
+                    data = self._read(src)
+                else:
+                    # A contiguous region is read in place: no gather,
+                    # and no offset array left behind in the cache.
+                    data = view_region(self.mem[src.mem], region_plan(
+                        src.ixfn, lambda: self._offsets(src)
+                    ))
                 if isinstance(exp, A.ArgMin):
                     i = int(np.argmin(data))
                     env[stmt.names[0]] = data.reshape(-1)[i]
@@ -1108,6 +1114,43 @@ def _dummy(dtype: str):
     if dtype == "i64":
         return 0
     return np.dtype(DTYPE_INFO[dtype][0]).type(1)
+
+
+def region_plan(ixfn, offsets) -> tuple:
+    """How to read the region ``ixfn`` out of its flat buffer.
+
+    ``("slice", start, count, shape)`` when the region is one row-major
+    unit-stride LMAD (a contiguous run, no offset array needed), else
+    ``("gather", offsets())``."""
+    lmad = ixfn.as_single()
+    if lmad is not None and lmad.dims:
+        start = lmad.offset.as_int()
+        count, shape = 1, []
+        for d in reversed(lmad.dims):
+            n, s = d.shape.as_int(), d.stride.as_int()
+            if n is None or n <= 0 or (n != 1 and s != count):
+                break
+            count *= n
+            shape.append(n)
+        else:
+            if start is not None and start >= 0:
+                return ("slice", start, count, tuple(reversed(shape)))
+    return ("gather", offsets())
+
+
+def view_region(buf: np.ndarray, plan: tuple) -> np.ndarray:
+    """The region ``plan`` describes, for a reader that is done with it
+    before ``buf`` changes: a view of ``buf`` when it is a slice."""
+    if plan[0] == "slice":
+        _, start, count, shape = plan
+        return buf[start:start + count].reshape(shape)
+    return buf[plan[1]]
+
+
+def read_region(buf: np.ndarray, plan: tuple) -> np.ndarray:
+    """A caller-owned copy of the region ``plan`` describes."""
+    data = view_region(buf, plan)
+    return data.copy() if plan[0] == "slice" else data
 
 
 def _region_bounds(ixfn: IndexFn) -> Optional[Tuple[int, int]]:

@@ -51,43 +51,13 @@ from repro.backend.engine import Launch, distribute, fire
 from repro.decisions import Decision
 from repro.ir.interp import InterpError
 from repro.ir.types import DTYPE_INFO
-from repro.mem.exec import RuntimeArray
+from repro.mem.exec import RuntimeArray, read_region, region_plan
 from repro.mem.stats import ExecStats
 
 #: numpy dtype string -> IR dtype name (what ``PoolLease.acquire`` takes).
 _IR_DTYPE = {np.dtype(v[0]).str: k for k, v in DTYPE_INFO.items()}
 
 _LAUNCH, _COPY, _FILL = range(3)
-
-
-def region_plan(ixfn, offsets) -> tuple:
-    """How to read the region ``ixfn`` out of its flat buffer.
-
-    ``("slice", start, count, shape)`` when the region is one row-major
-    unit-stride LMAD (a contiguous run, no offset array needed), else
-    ``("gather", offsets())``."""
-    lmad = ixfn.as_single()
-    if lmad is not None and lmad.dims:
-        start = lmad.offset.as_int()
-        count, shape = 1, []
-        for d in reversed(lmad.dims):
-            n, s = d.shape.as_int(), d.stride.as_int()
-            if n is None or n <= 0 or (n != 1 and s != count):
-                break
-            count *= n
-            shape.append(n)
-        else:
-            if start is not None and start >= 0:
-                return ("slice", start, count, tuple(reversed(shape)))
-    return ("gather", offsets())
-
-
-def read_region(buf: np.ndarray, plan: tuple) -> np.ndarray:
-    """A caller-owned copy of the region ``plan`` describes."""
-    if plan[0] == "slice":
-        _, start, count, shape = plan
-        return buf[start:start + count].reshape(shape).copy()
-    return buf[plan[1]]
 
 
 @dataclass(frozen=True, eq=False)

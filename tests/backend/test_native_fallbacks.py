@@ -10,6 +10,7 @@ signature so tiers remain interchangeable.
 """
 
 import ctypes
+import subprocess
 
 import numpy as np
 import pytest
@@ -175,6 +176,37 @@ class TestKernelCache:
         csrc = build.cache_dir() / f"{digest}.c"
         assert csrc.read_text() == TRIVIAL
 
+    def test_flags_are_part_of_the_key(self, monkeypatch):
+        """An object built under other flags is not a cache hit."""
+        _, production = build.compile_kernel(TRIVIAL)
+        monkeypatch.setattr(build, "CC_FLAGS", ["-O0"] + build.CC_FLAGS[1:])
+        fn, unoptimised = build.compile_kernel(TRIVIAL)
+        assert unoptimised != production
+        assert _call(fn, 5) == 5
+        for digest in (production, unoptimised):
+            assert (build.cache_dir() / f"{digest}.so").exists()
+
+    def test_object_without_entry_point_rebuilds_cold(
+        self, tmp_path, monkeypatch
+    ):
+        """A cached ``.so`` that loads but lacks ``repro_kernel`` is a
+        corrupt entry like any other.  The path is one this process has
+        never loaded: the loader answers a path it has mapped from its
+        own table, whatever the file now holds."""
+        monkeypatch.setenv("REPRO_NATIVE_CACHE", str(tmp_path))
+        build.clear_memo()
+        hollow = tmp_path / "hollow.c"
+        hollow.write_text("int nothing_here;\n")
+        so = tmp_path / f"{build.source_digest(TRIVIAL)}.so"
+        subprocess.run(
+            [build.find_cc()[0], "-shared", "-fPIC", "-o", str(so), str(hollow)],
+            check=True,
+        )
+        for _ in range(2):  # the rebuilt entry is then an ordinary hit
+            fn, _ = build.compile_kernel(TRIVIAL)
+            assert _call(fn, 9) == 9
+            build.clear_memo()
+
 
 # -- per-launch fallback ------------------------------------------------
 @needs_cc
@@ -189,30 +221,49 @@ def test_structure_mismatch_falls_back_per_launch():
                          for k, v in inputs.items()})
     assert st.native_launches > 0
 
-    # Poison every cached plan with a directive for a host scalar that
-    # does not exist: the next launch's structure check fails and must
-    # fall back -- per launch, without unplanning the statement or
-    # corrupting the run.
-    poisoned = 0
-    for spec in eng.plans.values():
-        if isinstance(spec, KernelSpec):
-            spec.int_dirs = list(spec.int_dirs) + [
-                ("env", "__poison__", "pyint")
-            ]
-            poisoned += 1
-    assert poisoned > 0
+    def stale_literal(dirs):
+        """The C text holds a stride the launch no longer has."""
+        (k, d), *_ = [
+            (k, d) for k, d in enumerate(dirs)
+            if d[0] == "arrcomp" and 1 in d[4]
+        ]
+        lits = list(d[4])
+        lits[lits.index(1)] = 2
+        return dirs[:k] + [d[:4] + (tuple(lits),)] + dirs[k + 1:]
 
-    ex2 = MemExecutor(fun, native=eng)
-    vals2, st2 = ex2.run(**{k: (v.copy() if hasattr(v, "copy") else v)
-                            for k, v in inputs.items()})
-    assert st2.native_launches == 0
-    assert st2.vec_launches + st2.interp_launches > 0
-    assert st2.signature() == st.signature()
-    for a, b in zip(vals, vals2):
-        assert np.array_equal(
-            np.asarray(ex.mem[a.mem][a.ixfn.gather_offsets({})]),
-            np.asarray(ex2.mem[b.mem][b.ixfn.gather_offsets({})]),
-        )
+    # Poison every cached plan -- with a directive for a host scalar
+    # that does not exist, then with a literal index component the
+    # launch contradicts: the next launch's structure check fails and
+    # must fall back -- per launch, with a record naming the statement,
+    # without unplanning the statement or corrupting the run.
+    specs = [s for s in eng.plans.values() if isinstance(s, KernelSpec)]
+    assert specs
+    for poison, detail in (
+        (lambda dirs: dirs + [("env", "__poison__", "pyint")],
+         "free variable '__poison__' vanished"),
+        (stale_literal, "literal index component 2 is now 1"),
+    ):
+        clean = [list(spec.int_dirs) for spec in specs]
+        for spec in specs:
+            spec.int_dirs = poison(list(spec.int_dirs))
+        eng.declined.records.clear()
+        ex2 = MemExecutor(fun, native=eng)
+        vals2, st2 = ex2.run(**{k: (v.copy() if hasattr(v, "copy") else v)
+                                for k, v in inputs.items()})
+        for spec, dirs in zip(specs, clean):
+            spec.int_dirs = dirs
+        assert st2.native_launches == 0
+        assert st2.vec_launches + st2.interp_launches > 0
+        assert st2.signature() == st.signature()
+        for a, b in zip(vals, vals2):
+            assert np.array_equal(
+                np.asarray(ex.mem[a.mem][a.ixfn.gather_offsets({})]),
+                np.asarray(ex2.mem[b.mem][b.ixfn.gather_offsets({})]),
+            )
+        assert [str(r) for r in eng.declined.records] == [
+            f"launch structure-changed @ {spec.sites[0][1][4:]} ({detail})"
+            for spec in specs
+        ]
 
 
 # -- stats bookkeeping --------------------------------------------------

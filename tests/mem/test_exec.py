@@ -2,12 +2,13 @@
 interpreter, traffic accounting, elision rule, and dry-run scaling."""
 
 import numpy as np
+import pytest
 
 from repro.ir import FunBuilder, f32, run_fun
 from repro.ir import ast as A
 from repro.lmad import IndexFn, lmad
 from repro.mem import introduce_memory
-from repro.mem.exec import MemExecutor, RuntimeArray
+from repro.mem.exec import MemExecutor, RuntimeArray, UninitializedReadError
 from repro.mem.memir import MemBinding
 from repro.symbolic import Var
 
@@ -224,3 +225,49 @@ def test_executor_instances_keep_cpython_shared_keys():
     per-map value into a local before adding a 30th."""
     ex = MemExecutor(introduce_memory(diag_fun()), mode="dry")
     assert len(vars(ex)) <= 27
+
+
+class TestHostLevelReads:
+    """A host-level ``reduce``/``argmin`` reads a contiguous region in
+    place; only a region that is not one slice (or a debug run, whose
+    checks are per offset) enumerates offsets."""
+
+    @staticmethod
+    def _argmin_of(view):
+        b = FunBuilder("f")
+        x = b.param("x", f32(n))
+        v, i = b.argmin(view(b, x))
+        s = b.reduce("+", view(b, x))
+        b.returns(v, i, s)
+        return introduce_memory(b.build())
+
+    def test_contiguous_region_leaves_no_offset_array(self):
+        fun = self._argmin_of(lambda b, x: b.slice(x, [(1, n - 1, 1)]))
+        x = np.array([0.5, 7, 3, 2, 9, 2], dtype=np.float32)
+        ex = MemExecutor(fun)
+        vals, stats = ex.run(x=x.copy())
+        assert vals == [2.0, 2, np.float32(23.0)]
+        assert not ex._offs_cache
+        # Same values, same accounting as the offset-by-offset read.
+        dbg = MemExecutor(fun, debug=True)
+        dvals, dstats = dbg.run(x=x.copy())
+        assert dvals == vals and dstats.signature() == stats.signature()
+        assert len(dbg._offs_cache) == 1
+
+    def test_strided_region_still_gathers(self):
+        fun = self._argmin_of(lambda b, x: b.slice(x, [(0, 3, 2)]))
+        ex = MemExecutor(fun)
+        vals, _ = ex.run(x=np.array([4, 0, 3, 0, 9, 0], dtype=np.float32))
+        assert vals == [3.0, 1, np.float32(16.0)]
+        (offs,) = ex._offs_cache.values()
+        assert offs.tolist() == [0, 2, 4]
+
+    def test_debug_still_sees_an_uninitialised_read(self):
+        b = FunBuilder("f")
+        b.param("x", f32(n))
+        b.returns(b.reduce("min", b.scratch("f32", [n])))
+        fun = introduce_memory(b.build())
+        x = np.arange(4, dtype=np.float32)
+        assert MemExecutor(fun).run(x=x.copy())[0] == [0.0]
+        with pytest.raises(UninitializedReadError):
+            MemExecutor(fun, debug=True).run(x=x.copy())

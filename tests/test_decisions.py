@@ -63,6 +63,8 @@ def test_every_layer_names_its_rule_and_site(name, preset):
     mod = importlib.import_module(f"repro.bench.programs.{name}")
     program = rt.compile(mod.build(), pipeline=preset, memoize=False)
     program.run(mod.inputs_for(*mod.TEST_DATASETS["small"]))
+    # A second shape class, served by the kernels the first one built.
+    program.run(mod.inputs_for(*mod.TEST_DATASETS["tiny"]))
 
     trace = program.compiled.trace
     found = [d for r in trace.records for d in r.declined.records]
@@ -88,5 +90,8 @@ def test_every_layer_names_its_rule_and_site(name, preset):
     for d in found:
         assert isinstance(d, Decision) and d.layer in LAYERS
         assert d.rule and d.site, d
+        # A kernel's literal index components are constants of the
+        # memory IR, not of the first request: no size contradicts them.
+        assert d.layer != "launch", d
     sites = {s for d in found for s in d.site.split(" -> ")}
     assert all(" " not in s for s in sites), sites
