@@ -7,13 +7,10 @@ ordinary scalar statements of the consumer's body -- lowers to a
 genuinely single-loop body.  The emitter mirrors the *interpreted*
 executor statement by statement, in both value semantics and accounting:
 
-* **values** -- scalar C types and promotions replicate
-  ``Interpreter._binop``/``_unop`` under NumPy's value-based (NEP 50)
-  promotion, including the weak/strong distinction between per-thread
-  Python ints and typed array elements; ``//``/``%`` use floor-division
-  helpers (C truncates, Python floors); ``sqrt`` maps to the
-  correctly-rounded ``sqrtf``/``sqrt``.  Constructs whose libm result
-  can drift from NumPy's (``exp``/``log``/``pow``) are rejected.
+* **values** -- every scalar operator is its row of
+  :mod:`repro.ir.scalar`: the promotion, the C spelling, what the
+  spelling needs declared, and which operators have no bit-exact C form
+  and are declined (DESIGN.md section 7, "Scalar semantics").
 * **accounting** -- every simulated counter the interpreter would bump
   (per-kernel bytes/flops, copy elisions, allocation counts) accumulates
   in a local ``c<k>`` per used counter slot, flushed once at exit into
@@ -55,6 +52,7 @@ from repro.decisions import Declined
 from repro.symbolic import SymExpr
 
 from repro.ir import ast as A
+from repro.ir import scalar
 from repro.ir.ast import Fun  # noqa: F401  (re-exported for annotations)
 from repro.ir.types import ArrayType, DTYPE_INFO
 from repro.mem.memir import array_bindings, binding_of
@@ -74,20 +72,6 @@ SPACE_SLOTS = {"scratch": (6, 7), "regs": (8, 9)}
 ABI_VERSION = 3
 
 _CTYPE = {"i64": "long long", "f32": "float", "f64": "double", "bool": "char"}
-
-#: NEP-50 promotion over this IR's four dtypes (strong operands).
-_PROMOTE = {
-    ("i64", "i64"): "i64",
-    ("i64", "f32"): "f64",  # int64 cannot promote into float32
-    ("i64", "f64"): "f64",
-    ("f32", "f32"): "f32",
-    ("f32", "f64"): "f64",
-    ("f64", "f64"): "f64",
-    ("bool", "bool"): "bool",
-    ("bool", "i64"): "i64",
-    ("bool", "f32"): "f32",
-    ("bool", "f64"): "f64",
-}
 
 
 @dataclass
@@ -240,10 +224,6 @@ def components(ixfn) -> Iterator[SymExpr]:
             yield d.stride
 
 
-def _is_weak_int(v) -> bool:
-    return isinstance(v, (bool, int)) and not isinstance(v, np.generic)
-
-
 class _Emitter:
     """One kernel emission (first launch of one outermost map)."""
 
@@ -265,6 +245,8 @@ class _Emitter:
         self.bindings = array_bindings(ex.fun)
         #: Counter slots the body bumps, each through a local ``c<k>``.
         self.counters: set = set()
+        #: What the body calls of ``scalar.PRELUDE``.
+        self.calls: set = set()
         self._int_slots: Dict[tuple, object] = {}
         #: Expanded width of ``ia`` so far (an "arrcomp" directive
         #: expands to 1 + 2*rank integers per LMAD).
@@ -356,20 +338,12 @@ class _Emitter:
         """A free host scalar as an argument-backed SVal."""
         if name not in self.env:
             raise Declined("unsupported", f"unbound variable {name!r}")
-        v = self.env[name]
-        if isinstance(v, (bool, np.bool_)):
-            weak = type(v) is bool
-            kind, dtype = ("pybool" if weak else "npbool"), "bool"
-        elif isinstance(v, (int, np.integer)):
-            kind = "pyint" if _is_weak_int(v) else "npint"
-            dtype, weak = "i64", kind == "pyint"
-        elif isinstance(v, np.float32):
-            kind, dtype, weak = "f32", "f32", False
-        elif isinstance(v, (float, np.floating)):
-            kind = "pyfloat" if isinstance(v, float) else "f64"
-            dtype, weak = "f64", isinstance(v, float)
-        else:
-            raise Declined("unsupported", f"unsupported free value for {name!r}")
+        try:
+            dtype, weak = kind = scalar.kind_of(self.env[name])
+        except TypeError:
+            raise Declined(
+                "unsupported", f"unsupported free value for {name!r}"
+            ) from None
         if dtype in ("i64", "bool"):
             key = ("env", name)
             slot = self._int_slots.get(key)
@@ -586,27 +560,6 @@ class _Emitter:
         )
 
     # -- scalar semantics ----------------------------------------------
-    @staticmethod
-    def promote(x: SVal, y: SVal) -> Tuple[str, bool]:
-        if x.weak and y.weak:
-            dx = "i64" if x.dtype == "bool" else x.dtype
-            dy = "i64" if y.dtype == "bool" else y.dtype
-            if "f64" in (dx, dy) or "f32" in (dx, dy):
-                return "f64", True
-            return "i64", True
-        if x.weak or y.weak:
-            w, s = (x, y) if x.weak else (y, x)
-            # NEP 50: a weak Python scalar adopts the strong operand's
-            # dtype, except weak float forcing ints up to f64.
-            if w.dtype in ("f64", "f32") and s.dtype in ("i64", "bool"):
-                return "f64", False
-            if s.dtype == "bool":
-                return ("i64" if w.dtype in ("i64", "bool") else w.dtype,
-                        False)
-            return s.dtype, False
-        a, b = sorted((x.dtype, y.dtype))
-        return _PROMOTE[(a, b)], False
-
     def cast(self, v: SVal, dtype: str) -> str:
         if v.dtype == dtype:
             return v.c
@@ -617,70 +570,20 @@ class _Emitter:
         self.emit(f"{_CTYPE[dtype]} {n} = {expr};")
         return SVal(n, dtype, weak=weak, scope=self.cur_scope)
 
-    def binop(self, op: str, x: SVal, y: SVal) -> SVal:
-        dt, weak = self.promote(x, y)
-        xc, yc = self.cast(x, dt), self.cast(y, dt)
-        if op in ("+", "-", "*"):
-            if dt == "bool":
-                raise Declined("unsupported", "boolean arithmetic")
-            return self._bind_local(f"{xc} {op} {yc}", dt, weak)
-        if op == "/":
-            if dt in ("i64", "bool"):
-                return self._bind_local(
-                    f"((double)({xc})) / ((double)({yc}))", "f64", weak
-                )
-            return self._bind_local(f"{xc} / {yc}", dt, weak)
-        if op in ("//", "%"):
-            if dt not in ("i64",):
-                raise Declined("not-bit-exact", f"float {op} has no exact C form")
-            fn = "repro_fdiv" if op == "//" else "repro_fmod"
-            return self._bind_local(f"{fn}({xc}, {yc})", dt, weak)
-        if op in ("min", "max"):
-            # Python min/max return an *operand* (no conversion), so the
-            # result dtype would be value-dependent under mixed operand
-            # types; only the homogeneous case is exactly expressible.
-            if x.dtype != y.dtype or x.weak != y.weak:
-                raise Declined("not-bit-exact", "mixed-type min/max")
-            cmp = "<" if op == "min" else ">"
-            return self._bind_local(
-                f"({yc} {cmp} {xc}) ? {yc} : {xc}", dt, weak
-            )
-        if op in ("<", "<=", "==", "!=", ">", ">="):
-            return self._bind_local(f"({xc} {op} {yc})", "bool", False)
-        if op in ("&&", "||"):
-            return self._bind_local(
-                f"(({x.c}) {op} ({y.c}))", "bool", False
-            )
-        if op == "pow":
-            raise Declined("not-bit-exact", "pow has no bit-exact C form")
-        raise Declined("unsupported", f"unknown binop {op!r}")
-
-    def unop(self, op: str, x: SVal) -> SVal:
-        if op == "neg":
-            if x.dtype == "bool":
-                raise Declined("unsupported", "negating a boolean")
-            return self._bind_local(f"-({x.c})", x.dtype, x.weak)
-        if op == "sqrt":
-            if x.dtype == "f32" and not x.weak:
-                return self._bind_local(f"sqrtf({x.c})", "f32", False)
-            return self._bind_local(f"sqrt((double)({x.c}))", "f64", False)
-        if op == "abs":
-            if x.dtype == "i64":
-                return self._bind_local(f"llabs({x.c})", "i64", x.weak)
-            if x.dtype == "f32":
-                return self._bind_local(f"fabsf({x.c})", "f32", x.weak)
-            if x.dtype == "f64":
-                return self._bind_local(f"fabs({x.c})", "f64", x.weak)
-            raise Declined("unsupported", "abs of a boolean")
-        if op == "i64":
-            return self._bind_local(f"((long long)({x.c}))", "i64", True)
-        if op == "f32":
-            return self._bind_local(f"((float)({x.c}))", "f32", False)
-        if op == "f64":
-            return self._bind_local(f"((double)({x.c}))", "f64", False)
-        if op in ("exp", "log"):
-            raise Declined("not-bit-exact", f"{op} is not bit-stable across libm/NumPy")
-        raise Declined("unsupported", f"unknown unop {op!r}")
+    def apply(self, op: str, *args: SVal) -> SVal:
+        """One row of the operator table, as C."""
+        row = scalar.OPS[op]
+        kinds = [(a.dtype, a.weak) for a in args]
+        dtype, kind = scalar.op_typing(op, *kinds)
+        if kind is None:
+            raise Declined("unsupported", f"{op} of a boolean")
+        binary = len(args) == 2
+        template = row.c_form(dtype if binary else kind[0], len(set(kinds)) > 1)
+        if template is None:
+            raise Declined("not-bit-exact", row.no_c)
+        self.calls.update(c for c in scalar.PRELUDE if c in template)
+        cs = [self.cast(a, dtype) if binary and dtype else a.c for a in args]
+        return self._bind_local(template.format(**dict(zip("xy", cs))), *kind)
 
     def operand(self, op, scope) -> SVal:
         if isinstance(op, str):
@@ -873,14 +776,12 @@ class _Emitter:
             n = self.fresh()
             self.emit(f"long long {n} = {self.sym_c(exp.expr, scope)};")
             return SVal(n, "i64", weak=True, scope=self.cur_scope)
+        self.pend(site, 3, scalar.OPS[exp.op].flops)
         if isinstance(exp, A.BinOp):
-            self.pend(site, 3, 1)
-            return self.binop(
+            return self.apply(
                 exp.op, self.operand(exp.x, scope), self.operand(exp.y, scope)
             )
-        assert isinstance(exp, A.UnOp)
-        self.pend(site, 3, 1)
-        return self.unop(exp.op, self.operand(exp.x, scope))
+        return self.apply(exp.op, self.operand(exp.x, scope))
 
     # -- copies ---------------------------------------------------------
     def emit_copy(self, src: CArr, dst: CArr, site: int) -> None:
@@ -1232,30 +1133,6 @@ class _Emitter:
 
 
 # ----------------------------------------------------------------------
-#: What a body may call, by the call's text: each goes only into the
-#: translation units that contain it (parsing <math.h> costs ``cc``
-#: more than a small kernel does).
-_PRELUDE = {
-    "sqrt": "#include <math.h>\n",
-    "fabs": "#include <math.h>\n",
-    "llabs(": "#include <stdlib.h>\n",
-    "repro_fdiv(": """\
-static long long repro_fdiv(long long a, long long b) {
-    long long q = a / b;
-    if ((a % b != 0) && ((a < 0) != (b < 0))) q--;
-    return q;
-}
-""",
-    "repro_fmod(": """\
-static long long repro_fmod(long long a, long long b) {
-    long long r = a % b;
-    if (r != 0 && ((r < 0) != (b < 0))) r += b;
-    return r;
-}
-""",
-}
-
-
 def emit_kernel(ex, stmt: A.Let, exp: A.Map, env, dests) -> KernelSpec:
     """Emit one outermost map statement as a complete C translation unit.
 
@@ -1286,7 +1163,7 @@ def emit_kernel(ex, stmt: A.Let, exp: A.Map, env, dests) -> KernelSpec:
     em.close_block()
     body = "\n".join(em.lines)
     prelude = dict.fromkeys(
-        text for call, text in _PRELUDE.items() if call in body
+        text for call, text in scalar.PRELUDE.items() if call in em.calls
     )
     used = sorted(em.counters)
     source = (

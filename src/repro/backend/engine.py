@@ -15,8 +15,8 @@ per launch).  The compiled entry point is cached by source digest
 (:mod:`repro.backend.build`); the per-statement plan is shared across
 all executors of a :class:`repro.runtime.Program`, exactly like the
 vectorized dispatch plans.  A statement whose subtree the emitter
-declines -- or whose C the toolchain fails to build -- is marked and
-never attempted again; a launch whose concrete structure no longer
+declines -- or crashes on (``internal-error``) -- or whose C the
+toolchain fails to build is marked and never attempted again; a launch whose concrete structure no longer
 matches the plan (a rank or scalar-kind change) falls back for that
 launch only.  Either way :attr:`NativeEngine.declined` says why.
 
@@ -41,6 +41,7 @@ import numpy as np
 from repro.backend import build
 from repro.backend.cemit import SLOTS, KernelSpec, components, emit_kernel
 from repro.decisions import DecisionLog, Declined
+from repro.ir import scalar
 from repro.ir.interp import InterpError, eval_sym
 from repro.ir.types import DTYPE_INFO
 
@@ -186,6 +187,14 @@ class NativeEngine:
                     "native", why.rule, stmt.names[0], why.detail
                 )
                 plan = REJECTED
+            except Exception as bug:
+                # An emitter bug is not this request's problem, nor the
+                # next one's: the vectorized tier serves the statement,
+                # and the record is one no test run may contain.
+                self.declined.add(
+                    "native", "internal-error", stmt.names[0], repr(bug)
+                )
+                plan = REJECTED
             self.codegen_seconds += time.perf_counter() - t0
             self.plans[id(stmt)] = plan
             return plan
@@ -290,17 +299,10 @@ class NativeEngine:
         v = env.get(name)
         if v is None and name not in env:
             raise Declined("structure-changed", f"free variable {name!r} vanished")
-        ok = (
-            kind == "pyint" and type(v) is int
-            or kind == "npint" and isinstance(v, np.integer)
-            or kind == "pybool" and type(v) is bool
-            or kind == "npbool" and isinstance(v, np.bool_)
-            or kind == "f32" and isinstance(v, np.float32)
-            or kind == "pyfloat" and type(v) is float
-            or kind == "f64"
-            and isinstance(v, np.floating)
-            and not isinstance(v, np.float32)
-        )
+        try:
+            ok = scalar.kind_of(v) == kind
+        except TypeError:
+            ok = False
         if not ok:
             raise Declined("structure-changed", f"scalar kind of {name!r} changed")
         return int(v) if want_int else float(v)

@@ -17,9 +17,11 @@ memory information can be seen as an add-on to the IR").
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
-from typing import Any, List, Optional, Tuple, Union
+from typing import Any, List, Mapping, Optional, Tuple, Union
 
+from repro.decisions import Declined
 from repro.lmad.lmad import Lmad
 from repro.symbolic import SymExpr, sym
 
@@ -142,7 +144,7 @@ class ScalarE(Exp):
 
 @dataclass(frozen=True)
 class BinOp(Exp):
-    """Scalar binary operation; ``op`` in +,-,*,/,//,%,min,max,pow,<,<=,==,&&,||."""
+    """Scalar binary operation; ``op`` in :data:`repro.ir.scalar.BINARY`."""
 
     op: str
     x: Operand
@@ -151,7 +153,7 @@ class BinOp(Exp):
 
 @dataclass(frozen=True)
 class UnOp(Exp):
-    """Scalar unary operation; ``op`` in neg,sqrt,exp,log,abs,i64,f32,f64."""
+    """Scalar unary operation; ``op`` in :data:`repro.ir.scalar.UNARY`."""
 
     op: str
     x: Operand
@@ -458,6 +460,14 @@ class Let:
         return tuple(p.name for p in self.pattern)
 
 
+#: Assumption kind -> how it prints, and what it asks of (var, value).
+_PREMISES = {
+    "define": ("=", operator.eq),
+    "lower": (">=", operator.ge),
+    "upper": ("<=", operator.le),
+}
+
+
 @dataclass
 class Fun:
     """A top-level function: the unit of compilation.
@@ -495,6 +505,20 @@ class Fun:
                     if len(fv) == 1 and s == SymExpr.var(fv[0]):
                         ctx.assume_lower(fv[0], 1)
         return ctx
+
+    def check_premises(self, env: Mapping[str, object]) -> None:
+        """Refuse inputs the ``assumptions`` do not hold for -- every
+        non-overlap and fusion proof of the compilation started from
+        them -- by the variables ``env`` binds (entries about others are
+        not decidable here)."""
+        for kind, var, expr in self.assumptions:
+            names = sorted({var} | expr.free_vars())
+            if all(n in env for n in names):
+                vals = {n: int(env[n]) for n in names}
+                rel, test = _PREMISES[kind]
+                if not test(vals[var], expr.evaluate(vals)):
+                    at = ", ".join(f"{n} = {v}" for n, v in vals.items())
+                    raise Declined("premise-violated", f"{var} {rel} {expr} at {at}")
 
 
 # ----------------------------------------------------------------------

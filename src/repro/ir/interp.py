@@ -22,7 +22,8 @@ from repro.lmad.lmad import Lmad
 from repro.symbolic import SymExpr
 
 from repro.ir import ast as A
-from repro.ir.types import DTYPE_INFO
+from repro.ir.scalar import OPS, REDUCTIONS
+from repro.ir.types import ArrayType, DTYPE_INFO
 
 
 class InterpError(Exception):
@@ -57,6 +58,22 @@ def lmad_offsets_np(lmad: Lmad, env: Mapping[str, object]) -> np.ndarray:
     return offs
 
 
+def bind_shape_vars(params, inputs: Mapping[str, object], env: Dict[str, object]) -> None:
+    """Unify symbolic shape variables with the concrete input shapes: a
+    dimension that is a bare variable ``env`` does not bind yet gets the
+    array's extent."""
+    for p in params:
+        if isinstance(p.type, ArrayType):
+            for dim_expr, extent in zip(p.type.shape, np.shape(inputs.get(p.name))):
+                fv = sorted(dim_expr.free_vars())
+                if (
+                    len(fv) == 1
+                    and fv[0] not in env
+                    and dim_expr == SymExpr.var(fv[0])
+                ):
+                    env[fv[0]] = int(extent)
+
+
 class Interpreter:
     """Evaluate a function on concrete inputs."""
 
@@ -77,23 +94,7 @@ class Interpreter:
         for k, v in inputs.items():
             if k not in declared:
                 env[k] = v
-        # Unify symbolic shape variables with the concrete input shapes.
-        from repro.ir.types import ArrayType
-        from repro.symbolic import SymExpr
-
-        for p in self.fun.params:
-            t = p.type
-            if not isinstance(t, ArrayType):
-                continue
-            arr = env[p.name]
-            for dim_expr, extent in zip(t.shape, np.shape(arr)):
-                fv = sorted(dim_expr.free_vars())
-                if (
-                    len(fv) == 1
-                    and fv[0] not in env
-                    and dim_expr == SymExpr.var(fv[0])
-                ):
-                    env[fv[0]] = int(extent)
+        bind_shape_vars(self.fun.params, inputs, env)
         return self.run_block(self.fun.body, env)
 
     def run_block(self, block: A.Block, env: Dict[str, object]) -> List[object]:
@@ -123,9 +124,9 @@ class Interpreter:
         if isinstance(exp, A.ScalarE):
             return [eval_sym(exp.expr, env)]
         if isinstance(exp, A.BinOp):
-            return [self._binop(exp.op, self._operand(exp.x, env), self._operand(exp.y, env))]
+            return [OPS[exp.op].scalar(self._operand(exp.x, env), self._operand(exp.y, env))]
         if isinstance(exp, A.UnOp):
-            return [self._unop(exp.op, self._operand(exp.x, env))]
+            return [OPS[exp.op].scalar(self._operand(exp.x, env))]
         if isinstance(exp, A.Iota):
             n = eval_sym(exp.n, env)
             return [np.arange(n, dtype=DTYPE_INFO[exp.dtype][0])]
@@ -174,14 +175,7 @@ class Interpreter:
             block = exp.then_block if cond else exp.else_block
             return self.run_block(block, dict(env))
         if isinstance(exp, A.Reduce):
-            arr = env[exp.src]
-            if exp.op == "+":
-                return [arr.sum(dtype=arr.dtype)]
-            if exp.op == "min":
-                return [arr.min()]
-            if exp.op == "max":
-                return [arr.max()]
-            raise InterpError(f"unknown reduce op {exp.op}")
+            return [REDUCTIONS[exp.op](env[exp.src])]
         if isinstance(exp, A.ArgMin):
             arr = env[exp.src]
             i = int(np.argmin(arr))
@@ -192,65 +186,6 @@ class Interpreter:
                 "programs with repro.mem.exec instead"
             )
         raise InterpError(f"unknown expression {type(exp).__name__}")
-
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _binop(op: str, x, y):
-        if op == "+":
-            return x + y
-        if op == "-":
-            return x - y
-        if op == "*":
-            return x * y
-        if op == "/":
-            return x / y
-        if op == "//":
-            return x // y
-        if op == "%":
-            return x % y
-        if op == "min":
-            return min(x, y) if np.isscalar(x) or x.ndim == 0 else np.minimum(x, y)
-        if op == "max":
-            return max(x, y) if np.isscalar(x) or x.ndim == 0 else np.maximum(x, y)
-        if op == "pow":
-            return x**y
-        if op == "<":
-            return bool(x < y)
-        if op == "<=":
-            return bool(x <= y)
-        if op == "==":
-            return bool(x == y)
-        if op == "!=":
-            return bool(x != y)
-        if op == ">":
-            return bool(x > y)
-        if op == ">=":
-            return bool(x >= y)
-        if op == "&&":
-            return bool(x) and bool(y)
-        if op == "||":
-            return bool(x) or bool(y)
-        raise InterpError(f"unknown binop {op!r}")
-
-    @staticmethod
-    def _unop(op: str, x):
-        if op == "neg":
-            return -x
-        if op == "sqrt":
-            return np.sqrt(x)
-        if op == "exp":
-            return np.exp(x)
-        if op == "log":
-            return np.log(x)
-        if op == "abs":
-            return abs(x)
-        if op == "i64":
-            return int(x)
-        if op == "f32":
-            return np.float32(x)
-        if op == "f64":
-            return np.float64(x)
-        raise InterpError(f"unknown unop {op!r}")
 
     def _slice_triplet(self, arr: np.ndarray, triplets, env) -> np.ndarray:
         index_arrays = []

@@ -43,6 +43,7 @@ from repro.lmad.lmad import Lmad, LmadDim
 from repro.symbolic import SymExpr, sym
 
 from repro.ir import ast as A
+from repro.ir.scalar import BINARY, UNARY
 from repro.ir.types import ArrayType, DTYPES, ScalarType, Type
 
 
@@ -61,19 +62,6 @@ _TOKEN_RE = re.compile(
 )
 
 _COMMENT_RE = re.compile(r"--.*$", re.MULTILINE)
-
-_KEYWORDS = {
-    "fun", "let", "in", "map", "loop", "for", "do", "if", "then", "else",
-    "with", "iota", "scratch", "replicate", "copy", "concat", "rearrange",
-    "reshape", "reverse", "reduce", "argmin", "alloc", "min", "max", "pow",
-    "true", "false",
-}
-
-_BINOPS = {
-    "+", "-", "*", "/", "//", "%", "min", "max", "pow",
-    "<", "<=", "==", "!=", ">", ">=", "&&", "||",
-}
-_UNOPS = {"neg", "sqrt", "exp", "log", "abs", "i64", "f32", "f64"}
 
 
 class _Lexer:
@@ -291,7 +279,7 @@ class _Parser:
                 space = self.lx.next()[1]
             self.lx.expect(")")
             return A.Alloc(size, dtype, space)
-        if kind == "name" and tok in _UNOPS and self.lx.peek(1)[1] != "with":
+        if kind == "name" and tok in UNARY and self.lx.peek(1)[1] != "with":
             # Unary op applied to one operand.
             self.lx.next()
             return A.UnOp(tok, self._parse_operand())
@@ -444,10 +432,16 @@ class _Parser:
         # Infix scalar expression or plain rebinding.
         left = self._parse_operand()
         op = self.lx.peek()[1]
-        if op in _BINOPS:
+        if op in BINARY:
             self.lx.next()
             right = self._parse_operand()
             return A.BinOp(op, left, right)
+        if op not in ("let", "in"):  # all that may follow a whole statement
+            unknown = left if isinstance(left, str) and left not in self.types else op
+            raise ParseError(
+                f"unknown operator {unknown!r} (binary: {' '.join(sorted(BINARY))}; "
+                f"unary: {' '.join(sorted(UNARY))})"
+            )
         if isinstance(left, str):
             t = self.types.get(left)
             if isinstance(t, ArrayType):

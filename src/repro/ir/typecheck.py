@@ -23,6 +23,7 @@ from typing import Dict, List, Mapping
 from repro.symbolic import SymExpr, sym
 
 from repro.ir import ast as A
+from repro.ir.scalar import BINARY, OPS, REDUCTIONS, UNARY
 from repro.ir.types import ArrayType, ScalarType, Type
 
 
@@ -33,11 +34,11 @@ class TypeError_(Exception):
 #: Type given to memory-block bindings (they are opaque to the language).
 MEM = ScalarType("i64")
 
-_COMPARISONS = {"<", "<=", "==", "!=", ">", ">="}
-_LOGICAL = {"&&", "||"}
-_ARITH = {"+", "-", "*", "/", "//", "%", "min", "max", "pow"}
-_CONVERSIONS = {"i64", "f32", "f64"}
-_FLOAT_UNOPS = {"neg", "sqrt", "exp", "log", "abs"}
+
+def _op_class(op: str, known, what: str) -> str:
+    if op not in known:
+        raise TypeError_(f"unknown {what} op {op!r} (known: {' '.join(sorted(known))})")
+    return OPS[op].cls
 
 
 def _operand_type(op: A.Operand, env: Mapping[str, Type]) -> Type:
@@ -80,10 +81,8 @@ def infer_pattern_types(
         ty = _operand_type(exp.y, env)
         if not isinstance(tx, ScalarType) or not isinstance(ty, ScalarType):
             raise TypeError_(f"BinOp {exp.op} on non-scalars: {tx}, {ty}")
-        if exp.op in _COMPARISONS or exp.op in _LOGICAL:
+        if _op_class(exp.op, BINARY, "binary") in ("comparison", "logical"):
             return [ScalarType("bool")]
-        if exp.op not in _ARITH:
-            raise TypeError_(f"unknown binary op {exp.op!r}")
         # Literals adapt to the other operand's dtype.
         if isinstance(exp.x, str):
             return [tx]
@@ -94,11 +93,9 @@ def infer_pattern_types(
         tx = _operand_type(exp.x, env)
         if not isinstance(tx, ScalarType):
             raise TypeError_(f"UnOp {exp.op} on non-scalar {tx}")
-        if exp.op in _CONVERSIONS:
+        if _op_class(exp.op, UNARY, "unary") == "conversion":
             return [ScalarType(exp.op)]
-        if exp.op in _FLOAT_UNOPS:
-            return [tx]
-        raise TypeError_(f"unknown unary op {exp.op!r}")
+        return [tx]
     if isinstance(exp, A.Iota):
         return [ArrayType(exp.dtype, (exp.n,))]
     if isinstance(exp, A.Scratch):
@@ -207,8 +204,10 @@ def infer_pattern_types(
         return then_ts
     if isinstance(exp, A.Reduce):
         t = _array_type(exp.src, env)
-        if exp.op not in ("+", "min", "max"):
-            raise TypeError_(f"unknown reduction op {exp.op!r}")
+        if exp.op not in REDUCTIONS:
+            raise TypeError_(
+                f"unknown reduction op {exp.op!r} (known: {' '.join(REDUCTIONS)})"
+            )
         return [ScalarType(t.dtype)]
     if isinstance(exp, A.ArgMin):
         t = _array_type(exp.src, env)

@@ -38,7 +38,8 @@ from repro.lmad import IndexFn
 from repro.symbolic import SymExpr
 
 from repro.ir import ast as A
-from repro.ir.interp import Interpreter, InterpError, eval_sym
+from repro.ir.interp import InterpError, bind_shape_vars, eval_sym
+from repro.ir.scalar import OPS, REDUCTIONS
 from repro.ir.types import ArrayType, DTYPE_INFO
 from repro.mem.memir import MemBinding, binding_of
 from repro.mem.stats import ExecStats, KernelStat
@@ -211,13 +212,18 @@ class MemExecutor:
         for k, v in inputs.items():
             if k not in declared:
                 env[k] = v
+        # Both modes: a dry run may be handed arrays, whose contents it
+        # never reads, or nothing but the shape variables themselves.
+        bind_shape_vars(self.fun.params, inputs, env)
         for p in self.fun.params:
-            if isinstance(p.type, ArrayType):
-                self._bind_input_array(p, inputs, env)
-            else:
+            if not isinstance(p.type, ArrayType):
                 if p.name not in inputs:
                     raise InterpError(f"missing input {p.name!r}")
                 env[p.name] = inputs[p.name]
+        self.fun.check_premises(env)
+        for p in self.fun.params:
+            if isinstance(p.type, ArrayType):
+                self._bind_input_array(p, inputs, env)
         values = self.run_block(self.fun.body, env)
         self.stats.peak_bytes = self._peak_bytes
         self.stats.space_peak_bytes = dict(self._peak_by_space)
@@ -228,17 +234,6 @@ class MemExecutor:
         assert isinstance(t, ArrayType)
         binding = binding_of(p)
         mem = binding.mem
-        # Unify symbolic shape vars with the concrete input shape (both
-        # modes: a dry run may be handed arrays, whose contents it never
-        # reads, or nothing but the shape variables themselves).
-        for dim_expr, extent in zip(t.shape, np.shape(inputs.get(p.name))):
-            fv = sorted(dim_expr.free_vars())
-            if (
-                len(fv) == 1
-                and fv[0] not in env
-                and dim_expr == SymExpr.var(fv[0])
-            ):
-                env[fv[0]] = int(extent)
         if self.mode == "real":
             if p.name not in inputs:
                 raise InterpError(f"missing input {p.name!r}")
@@ -721,12 +716,8 @@ class MemExecutor:
                     i = int(np.argmin(data))
                     env[stmt.names[0]] = data.reshape(-1)[i]
                     env[stmt.names[1]] = i
-                elif exp.op == "+":
-                    env[stmt.names[0]] = data.sum(dtype=data.dtype)
-                elif exp.op == "min":
-                    env[stmt.names[0]] = data.min()
                 else:
-                    env[stmt.names[0]] = data.max()
+                    env[stmt.names[0]] = REDUCTIONS[exp.op](data)
             else:
                 if self.debug:
                     self._check_region(src)
@@ -1091,16 +1082,13 @@ class MemExecutor:
             return np.dtype(DTYPE_INFO[exp.dtype][0]).type(exp.value)
         if isinstance(exp, A.ScalarE):
             return eval_sym(exp.expr, env)
+        row = OPS[exp.op]
+        self._count_flop(row.flops)
         if isinstance(exp, A.BinOp):
-            self._count_flop()
-            return Interpreter._binop(
-                exp.op,
-                self._scalar_operand(exp.x, env),
-                self._scalar_operand(exp.y, env),
+            return row.scalar(
+                self._scalar_operand(exp.x, env), self._scalar_operand(exp.y, env)
             )
-        assert isinstance(exp, A.UnOp)
-        self._count_flop()
-        return Interpreter._unop(exp.op, self._scalar_operand(exp.x, env))
+        return row.scalar(self._scalar_operand(exp.x, env))
 
 
 def _dummy(dtype: str):

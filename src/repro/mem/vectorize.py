@@ -18,10 +18,9 @@ from the interpreter's sequential thread order.
 
 Two invariants tie the engine to the interpreter:
 
-* **bit-identical results** -- scalar semantics mirror
-  ``Interpreter._binop``/``_unop`` including NumPy's value-based (weak)
-  promotion of per-thread Python scalars, so validation outputs are
-  unchanged;
+* **bit-identical results** -- scalar operators are the rows of
+  :mod:`repro.ir.scalar`, applied to lane vectors converted as its
+  promotion rule says (DESIGN.md section 7, "Scalar semantics");
 * **bit-identical accounting** -- every simulated quantity
   (``bytes_read``/``bytes_written``/``flops`` per kernel, elisions,
   allocations) is counted exactly as the interpreted path would: an
@@ -50,7 +49,8 @@ from repro.symbolic import SymExpr
 
 from repro.ir import ast as A
 from repro.ir.ast import operand_vars
-from repro.ir.interp import Interpreter, InterpError, eval_sym
+from repro.ir import scalar
+from repro.ir.interp import InterpError, eval_sym
 from repro.ir.types import ArrayType, DTYPE_INFO
 from repro.mem.exec import MemExecutor, MemRef, RuntimeArray
 from repro.mem.memir import MemBinding, binding_of
@@ -176,6 +176,10 @@ class VecEngine:
             return
 
         if isinstance(exp, (A.BinOp, A.UnOp)):
+            if scalar.OPS[exp.op].lanes is None:
+                raise Declined(
+                    "not-bit-exact", f"{exp.op} has no bit-exact lane form"
+                )
             if A.exp_uses(exp) & tainted:
                 tainted.add(name)
             return
@@ -352,9 +356,14 @@ class _VecRun:
     whose inner maps vectorize per-thread) never share lane state.
     """
 
-    def __init__(self, ex: MemExecutor, width: int):
+    def __init__(self, ex: MemExecutor, width: int, weak: Optional[set] = None):
         self.ex = ex
         self.width = width
+        #: Names now bound to a *weak* lane vector: a thread index, or
+        #: what Python-scalar arithmetic made of one.  A uniform value
+        #: says which it is by its type; an ndarray cannot.  (Binding
+        #: names are unique, so nested runs share the set.)
+        self.weak: set = set() if weak is None else weak
         #: Lane-expanded blocks for in-body allocs: one buffer of
         #: ``width * size`` elements; block name -> (per-lane size,
         #: divisor).  Lane ``c``'s block starts at ``(c // divisor) *
@@ -371,6 +380,7 @@ class _VecRun:
         lanes = np.arange(W, dtype=np.int64)
         venv: Dict[str, object] = dict(env)
         venv[exp.lam.params[0]] = lanes
+        self.weak.add(exp.lam.params[0])
         vals = self.exec_block(exp.lam.body, venv, lanes)
         lane_expr = SymExpr.var(LANE_VAR)
         for dest, val in zip(dests, vals):
@@ -437,7 +447,9 @@ class _VecRun:
             return
 
         if isinstance(exp, (A.Lit, A.ScalarE, A.BinOp, A.UnOp)):
-            venv[stmt.names[0]] = self._scalar_exp(exp, venv, lanes)
+            name = stmt.pattern[0].name
+            venv[name], weak = self._scalar_exp(exp, venv, lanes)
+            self._mark(name, weak)
             return
 
         if isinstance(exp, A.VarRef):
@@ -446,6 +458,7 @@ class _VecRun:
                 venv[pe.name] = self._binding_value(pe, venv, lanes)
             else:
                 venv[pe.name] = venv[exp.name]
+                self._mark(pe.name, exp.name in self.weak)
             return
 
         if isinstance(exp, (A.SliceT, A.LmadSlice, A.Rearrange, A.Reshape, A.Reverse)):
@@ -589,7 +602,7 @@ class _VecRun:
         ]
         ks = ex.stats.kernel("map", f"map:{'/'.join(stmt.names)}")
         big = W * wi
-        sub = _VecRun(ex, big)
+        sub = _VecRun(ex, big, self.weak)
         sub.lane_blocks = {
             m: (sz, div * max(wi, 1)) for m, (sz, div) in self.lane_blocks.items()
         }
@@ -610,6 +623,7 @@ class _VecRun:
         clanes = np.arange(big, dtype=np.int64)
         inner_ids = np.tile(np.arange(wi, dtype=np.int64), W)
         senv[exp.lam.params[0]] = inner_ids
+        self.weak.add(exp.lam.params[0])
         ex._kernel_stack.append(ks)
         try:
             if wi > 0:
@@ -653,10 +667,11 @@ class _VecRun:
         ex = self.ex
         count = int(self._eval_scalar(exp.count, venv, lanes))
         state = [venv[init] for _, init in exp.carried]
+        names = [init for _, init in exp.carried]
         for it in range(count):
             child = dict(venv)
             child[exp.index] = it
-            for (prm, _), val in zip(exp.carried, state):
+            for (prm, _), val, src in zip(exp.carried, state, names):
                 if isinstance(prm.type, ArrayType):
                     v = self._as_varr(val)
                     b = binding_of(prm)
@@ -670,8 +685,10 @@ class _VecRun:
                         child[prm.name] = v
                 else:
                     child[prm.name] = val
+                    self._mark(prm.name, src in self.weak)
             state[:] = self.exec_block(exp.body, child, lanes)
-        self._bind_compound_results(stmt, state, venv, lanes)
+            names = exp.body.result
+        self._bind_compound_results(stmt, state, names, venv, lanes)
 
     # ------------------------------------------------------------------
     def _exec_if(self, stmt, exp: A.If, venv, lanes) -> None:
@@ -679,29 +696,26 @@ class _VecRun:
         if not isinstance(cond, np.ndarray):
             block = exp.then_block if cond else exp.else_block
             vals = self.exec_block(block, dict(venv), lanes)
-            self._bind_compound_results(stmt, vals, venv, lanes)
+            self._bind_compound_results(stmt, vals, block.result, venv, lanes)
             return
         mask = cond
-        tvals = evals = None
-        if mask.any():
-            tvals = self.exec_block(
-                exp.then_block, self._mask_env(venv, mask, len(lanes)), lanes[mask]
+        # (values, result names) of each branch some lane takes.
+        sides = [
+            (
+                self.exec_block(blk, self._mask_env(venv, m, len(lanes)), lanes[m]),
+                blk.result,
             )
-        inv = ~mask
-        if inv.any():
-            evals = self.exec_block(
-                exp.else_block, self._mask_env(venv, inv, len(lanes)), lanes[inv]
+            for m, blk in ((mask, exp.then_block), (~mask, exp.else_block))
+            if m.any()
+        ]
+        for k, pe in enumerate(stmt.pattern):
+            vals = [side[k] for side, _ in sides]
+            venv[pe.name] = (
+                vals[0] if len(vals) == 1 else self._merge_masked(mask, *vals)
             )
-        if tvals is None:
-            merged = evals
-        elif evals is None:
-            merged = tvals
-        else:
-            merged = [
-                self._merge_masked(mask, tv, ev) for tv, ev in zip(tvals, evals)
-            ]
-        for pe, val in zip(stmt.pattern, merged):
-            venv[pe.name] = val
+            self._mark(pe.name, all(
+                self._kind(names[k], side[k])[1] for side, names in sides
+            ))
 
     @staticmethod
     def _mask_env(venv, mask, L):
@@ -720,11 +734,14 @@ class _VecRun:
         return out
 
     # ------------------------------------------------------------------
-    def _bind_compound_results(self, stmt, vals, venv, lanes) -> None:
+    def _bind_compound_results(self, stmt, vals, names, venv, lanes) -> None:
+        """Bind a loop's or a uniform ``if``'s results: ``vals``, which
+        the body bound to ``names``."""
         ex = self.ex
-        for pe, val in zip(stmt.pattern, vals):
+        for pe, val, src in zip(stmt.pattern, vals, names):
             if not pe.is_array():
                 venv[pe.name] = val
+                self._mark(pe.name, src in self.weak)
         for pe, val in zip(stmt.pattern, vals):
             if pe.is_array():
                 if pe.mem is not None:
@@ -963,108 +980,50 @@ class _VecRun:
             return self._eval_scalar(op, venv, lanes)
         return op
 
+    def _mark(self, name: str, weak: bool) -> None:
+        (self.weak.add if weak else self.weak.discard)(name)
+
+    def _kind(self, op: A.Operand, val) -> scalar.Kind:
+        if not isinstance(val, np.ndarray):
+            return scalar.kind_of(val)
+        # A lane vector: an index expression's is weak, a name's as marked.
+        return _IR_DTYPE[val.dtype.char], not isinstance(op, str) or op in self.weak
+
     def _scalar_exp(self, exp: A.Exp, venv, lanes):
+        """``(value, is it a weak lane vector)`` of a scalar expression."""
         if isinstance(exp, A.Lit):
-            return np.dtype(DTYPE_INFO[exp.dtype][0]).type(exp.value)
+            return _NP_TYPE[exp.dtype].type(exp.value), False
         if isinstance(exp, A.ScalarE):
-            return self._eval_scalar(exp.expr, venv, lanes)
-        if isinstance(exp, A.BinOp):
-            self.ex._count_flop(len(lanes))
-            return self._vec_binop(
-                exp.op,
-                self._operand(exp.x, venv, lanes),
-                self._operand(exp.y, venv, lanes),
-            )
-        assert isinstance(exp, A.UnOp)
-        self.ex._count_flop(len(lanes))
-        return self._vec_unop(exp.op, self._operand(exp.x, venv, lanes))
+            return self._eval_scalar(exp.expr, venv, lanes), True
+        row = scalar.OPS[exp.op]
+        self.ex._count_flop(len(lanes) * row.flops)
+        x = self._operand(exp.x, venv, lanes)
+        if isinstance(exp, A.UnOp):
+            if not isinstance(x, np.ndarray):
+                return row.scalar(x), False  # uniform: its type says its kind
+            dtype, kind = scalar.op_typing(exp.op, self._kind(exp.x, x))
+            if dtype is not None and x.dtype.char != _NP_TYPE[dtype].char:
+                x = x.astype(_NP_TYPE[dtype])
+            return row.lanes(x), kind is not None and kind[1]
+        y = self._operand(exp.y, venv, lanes)
+        x_lanes, y_lanes = isinstance(x, np.ndarray), isinstance(y, np.ndarray)
+        if not (x_lanes or y_lanes):
+            return row.scalar(x, y), False
+        dtype, kind = scalar.op_typing(
+            exp.op, self._kind(exp.x, x), self._kind(exp.y, y)
+        )
+        if dtype is not None:
+            to = _NP_TYPE[dtype]
+            if not x_lanes:
+                x = to.type(x)
+            elif x.dtype.char != to.char:
+                x = x.astype(to)
+            if not y_lanes:
+                y = to.type(y)
+            elif y.dtype.char != to.char:
+                y = y.astype(to)
+        return row.lanes(x, y), kind is not None and kind[1]
 
-    @staticmethod
-    def _weak_promote(x, y):
-        """Mimic per-thread weak scalar promotion for int lane vectors.
 
-        In the interpreter, integer scalars are *Python* ints, so mixing
-        one into float32 arithmetic stays float32 (NEP 50 weak promotion).
-        The batched equivalent is an int64 lane vector, which NumPy would
-        promote to float64 -- so cast int vectors to the float operand's
-        dtype before the op.
-        """
-
-        def float_dtype(v):
-            if isinstance(v, np.ndarray) and v.dtype.kind == "f":
-                return v.dtype
-            if isinstance(v, np.floating):
-                return v.dtype
-            if isinstance(v, float):
-                return np.dtype(np.float64)
-            return None
-
-        fx, fy = float_dtype(x), float_dtype(y)
-        if isinstance(x, np.ndarray) and x.dtype.kind in "iub" and fy is not None:
-            x = x.astype(fy)
-        if isinstance(y, np.ndarray) and y.dtype.kind in "iub" and fx is not None:
-            y = y.astype(fx)
-        return x, y
-
-    @classmethod
-    def _vec_binop(cls, op: str, x, y):
-        if not isinstance(x, np.ndarray) and not isinstance(y, np.ndarray):
-            return Interpreter._binop(op, x, y)
-        if op in ("+", "-", "*", "/", "//", "%", "pow"):
-            x, y = cls._weak_promote(x, y)
-            if op == "+":
-                return x + y
-            if op == "-":
-                return x - y
-            if op == "*":
-                return x * y
-            if op == "/":
-                return x / y
-            if op == "//":
-                return x // y
-            if op == "%":
-                return x % y
-            return x**y
-        if op == "min":
-            return np.minimum(x, y)
-        if op == "max":
-            return np.maximum(x, y)
-        if op == "<":
-            return x < y
-        if op == "<=":
-            return x <= y
-        if op == "==":
-            return x == y
-        if op == "!=":
-            return x != y
-        if op == ">":
-            return x > y
-        if op == ">=":
-            return x >= y
-        if op == "&&":
-            return np.logical_and(x, y)
-        if op == "||":
-            return np.logical_or(x, y)
-        raise InterpError(f"unknown binop {op!r}")
-
-    @staticmethod
-    def _vec_unop(op: str, x):
-        if not isinstance(x, np.ndarray):
-            return Interpreter._unop(op, x)
-        if op == "neg":
-            return -x
-        if op == "sqrt":
-            return np.sqrt(x)
-        if op == "exp":
-            return np.exp(x)
-        if op == "log":
-            return np.log(x)
-        if op == "abs":
-            return np.abs(x)
-        if op == "i64":
-            return x.astype(np.int64)
-        if op == "f32":
-            return x.astype(np.float32)
-        if op == "f64":
-            return x.astype(np.float64)
-        raise InterpError(f"unknown unop {op!r}")
+_NP_TYPE = {d: np.dtype(np_name) for d, (np_name, _) in DTYPE_INFO.items()}
+_IR_DTYPE = {t.char: d for d, t in _NP_TYPE.items()}

@@ -58,7 +58,7 @@ from typing import Dict, List, Mapping, Optional, Tuple
 import numpy as np
 
 from repro.backend.engine import REJECTED
-from repro.decisions import Decision, DecisionLog
+from repro.decisions import Decision, DecisionLog, Declined
 from repro.ir import ast as A
 from repro.mem.exec import MemExecutor, RuntimeArray
 from repro.mem.stats import ExecStats
@@ -112,7 +112,8 @@ class _ShapeClass:
     def __init__(self) -> None:
         self.tape: Optional[Tape] = None
         #: The record that turned taping off for this class (None: not
-        #: yet tried, or taped).
+        #: yet tried, or taped) -- or, under rule ``premise-violated``,
+        #: that refuses every request of it.
         self.declined: Optional[Decision] = None
         self.replays = 0
 
@@ -152,7 +153,8 @@ class Program:
         #: Why requests were not taped: one record per statement that
         #: refused a capture (a host-level data-dependent scalar, a map
         #: the native tier declined, a launch that fell back), however
-        #: many shape classes ran into it (``repeats``).
+        #: many shape classes ran into it (``repeats``) -- and one per
+        #: shape class the function's assumptions do not hold for.
         self.declined = DecisionLog()
         #: Serve repeated identical requests from prior responses
         #: (sound: the language is pure).  Overridable per call.
@@ -213,7 +215,8 @@ class Program:
         ``"classes"``: per retained shape class the tape's ``state``
         (``"captured"``, ``"off"``, or ``"new"`` before the first native
         request), the ``launches`` on it, the ``replays`` served, and
-        ``declined``, the record that turned it off."""
+        ``declined``, the record that turned it off (or, under
+        ``premise-violated``, that refuses the class's requests)."""
         engine = self._native_engine
         maps = {}
         for stmt in _outermost_maps(self.fun.body):
@@ -369,6 +372,9 @@ class Program:
         else the executor -- recording, if a tape may come of it."""
         skey = self.shape_key(inputs)
         cls = self._shape_class(skey)
+        refused = cls.declined
+        if refused is not None and refused.rule == "premise-violated":
+            raise Declined(refused.rule, refused.detail)
         if engine is None:
             off = "native tier not in use"
         elif replay is False:
@@ -399,7 +405,17 @@ class Program:
                     native=engine,
                     recorder=rec,
                 )
-                vals, stats = ex.run(**dict(inputs))
+                try:
+                    vals, stats = ex.run(**dict(inputs))
+                except Declined as why:
+                    # The function's assumptions do not hold at this
+                    # shape: the class remembers, so the next such
+                    # request is refused without evaluating anything.
+                    with self._lock:
+                        cls.declined = self.declined.add(
+                            "admit", why.rule, skey, why.detail
+                        )
+                    raise
                 outs = [materialize(ex, v) for v in vals]
                 if rec is not None:
                     cls.tape = rec.finish(ex, lease, vals)

@@ -5,8 +5,8 @@ emitter over a much wider space of scalar expressions and LMAD read
 patterns (reflected indices, double read sites) than the hand-written
 benchmarks.  Every seed must be bit-identical between the native tier
 and the interpreter; the seeds whose scalar code avoids
-``min``/``max`` over mixed scalar kinds (Python semantics make those
-data-dependently *typed*, so the emitter refuses them and the
+``min``/``max`` over two scalar kinds (``repro.ir.scalar``'s C column
+does not cover those yet, so the emitter declines them and the
 vectorized tier serves the launch) must actually lower to C.
 
 So must the hand-built cases of ``tests/mem/test_vectorize.py`` that

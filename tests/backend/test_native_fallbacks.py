@@ -239,7 +239,7 @@ def test_structure_mismatch_falls_back_per_launch():
     specs = [s for s in eng.plans.values() if isinstance(s, KernelSpec)]
     assert specs
     for poison, detail in (
-        (lambda dirs: dirs + [("env", "__poison__", "pyint")],
+        (lambda dirs: dirs + [("env", "__poison__", ("i64", True))],
          "free variable '__poison__' vanished"),
         (stale_literal, "literal index component 2 is now 1"),
     ):
@@ -264,6 +264,39 @@ def test_structure_mismatch_falls_back_per_launch():
             f"launch structure-changed @ {spec.sites[0][1][4:]} ({detail})"
             for spec in specs
         ]
+
+
+# -- an emitter bug -----------------------------------------------------
+def test_emitter_crash_is_one_record_not_an_exception_per_request(monkeypatch):
+    import repro.backend.engine as engine
+
+    calls = []
+
+    def crash(*args):
+        calls.append(args)
+        raise KeyError(("f32", "i64"))
+
+    monkeypatch.setattr(engine, "emit_kernel", crash)
+    mod, inputs = _nn()
+    program = rt.compile(mod.build(), pipeline="full")
+    ref, ref_stats = program.run(inputs, native=False, memoize=False)
+    eng = NativeEngine(program._native_plans)
+    program._native_engine, program._native_probed = eng, True
+    for _ in range(2):  # the second request does not re-emit
+        outs, stats = program.run(inputs, memoize=False)
+        assert stats.native_launches == 0 and stats.vec_launches > 0
+        assert stats.signature() == ref_stats.signature()
+        for a, b in zip(outs, ref):
+            assert np.array_equal(np.asarray(a), np.asarray(b))
+    sites = list(program.coverage()["maps"])
+    assert len(calls) == len(sites) > 0
+    assert [(d.layer, d.rule, d.detail) for d in eng.declined.records] == [
+        ("native", "internal-error", "KeyError(('f32', 'i64'))")
+    ] * len(sites)
+    assert all(
+        m["tier"] == "vectorized" and m["declined"][0].rule == "internal-error"
+        for m in program.coverage()["maps"].values()
+    )
 
 
 # -- stats bookkeeping --------------------------------------------------

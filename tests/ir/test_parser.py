@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 from repro.bench.programs import all_benchmarks
-from repro.ir import run_fun
+from repro.ir import FunBuilder, run_fun, scalar
 from repro.ir import ast as A
 from repro.ir.parser import ParseError, parse_fun
 from repro.ir.pretty import pretty_fun
 from repro.ir.typecheck import typecheck_fun
+from repro.ir.types import ScalarType
 from repro.symbolic import Var
 
 
@@ -66,6 +67,31 @@ class TestBasics:
     def test_parse_error_reports(self):
         with pytest.raises(ParseError):
             parse_fun("fun f( = let")
+
+
+class TestOperatorTable:
+    """The parser's operator names are ``repro.ir.scalar``'s."""
+
+    @staticmethod
+    def _fun(op):
+        b = FunBuilder("f")
+        x, y = b.param("x", ScalarType("f32")), b.param("y", ScalarType("f32"))
+        b.returns(b.binop(op, x, y) if op in scalar.BINARY else b.unop(op, x))
+        return b.build()
+
+    @pytest.mark.parametrize("op", sorted(scalar.OPS))
+    def test_every_operator_round_trips(self, op):
+        text = pretty_fun(self._fun(op))
+        parsed = parse_fun(text)
+        assert pretty_fun(parsed) == text
+        assert parsed.body.stmts[0].exp == self._fun(op).body.stmts[0].exp
+        typecheck_fun(parsed)
+
+    @pytest.mark.parametrize("exp,unknown", [("x mod y", "mod"), ("cbrt x", "cbrt")])
+    def test_unknown_operator_is_rejected_with_the_tables_list(self, exp, unknown):
+        with pytest.raises(ParseError, match=f"unknown operator '{unknown}'") as e:
+            parse_fun(f"fun f(x : f32, y : f32) = let (z : f32) = {exp} in (z)")
+        assert all(f" {op}" in str(e.value) for op in scalar.OPS)
 
 
 class TestArrays:

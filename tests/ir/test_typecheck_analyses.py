@@ -10,7 +10,9 @@ from repro.ir import (
     TypeError_,
 )
 from repro.ir import ast as A
+from repro.ir import scalar
 from repro.ir.typecheck import typecheck_fun
+from repro.ir.types import ScalarType
 from repro.lmad import lmad
 from repro.symbolic import Var
 
@@ -111,6 +113,36 @@ class TestTypecheck:
         ih.else_builder.returns(y1, y2)
         with pytest.raises(TypeError_):
             ih.end()
+
+
+class TestOperatorTable:
+    """The typechecker's operator classes are ``repro.ir.scalar``'s."""
+
+    @pytest.mark.parametrize("op", sorted(scalar.OPS))
+    def test_every_operator_is_accepted(self, op):
+        b = FunBuilder("f")
+        x = b.param("x", ScalarType("f32"))
+        r = b.binop(op, x, 2.0) if op in scalar.BINARY else b.unop(op, x)
+        b.returns(r)
+        (t,) = typecheck_fun(b.build())
+        cls = scalar.OPS[op].cls
+        assert t.dtype == (
+            "bool" if cls in ("comparison", "logical")
+            else op if cls == "conversion" else "f32"
+        )
+
+    def test_unknown_operators_are_rejected_with_the_tables_list(self):
+        b = FunBuilder("f")
+        x = b.param("x", ScalarType("f32"))
+        xs = b.param("xs", f32(n))
+        for build, known in (
+            (lambda: b.binop("mod", x, x), scalar.BINARY),
+            (lambda: b.unop("cbrt", x), scalar.UNARY),
+            (lambda: b.reduce("*", xs), scalar.REDUCTIONS),
+        ):
+            with pytest.raises(TypeError_, match="unknown .* op") as e:
+                build()
+            assert all(f" {op}" in str(e.value) for op in known)
 
 
 class TestAliases:

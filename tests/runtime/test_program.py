@@ -179,3 +179,43 @@ class TestProgramHandle:
         ex = MemExecutor(program.fun)
         vals, stats = ex.run(**dict(inputs))
         assert vals and stats.pool_hits == 0 and stats.pool_misses == 0
+
+
+class TestPremises:
+    """``Fun.assumptions`` seed every proof the passes made; a request
+    they do not hold for is refused at the door, not served."""
+
+    @pytest.mark.parametrize("name,bad,detail", [
+        ("hotspot", (2, 1), "n >= 4 at n = 2"),
+        ("nw", (1, 4), "q >= 2 at q = 1"),
+        ("lud", (3, 1), "b >= 2 at b = 1"),
+    ])
+    def test_violating_request_is_refused_and_leaves_nothing(
+        self, name, bad, detail
+    ):
+        from repro.decisions import Declined
+
+        mod, good = bench(name)
+        program = rt.compile(mod.build(), memoize=False)
+        inputs = mod.inputs_for(*bad)
+        skey = program.shape_key(inputs)
+        for _ in range(2):  # the class remembers
+            with pytest.raises(Declined, match="premise-violated") as why:
+                program.run(inputs)
+            assert why.value.detail == detail
+        (cls,) = program.coverage()["classes"].values()
+        assert cls["state"] == "off" and cls["launches"] == 0
+        assert str(cls["declined"]) == f"admit premise-violated @ {skey} ({detail})"
+        assert program.declined.records == [cls["declined"]]
+        assert program.declined.repeats == 0  # decided once, not per request
+        assert program._classes[skey].tape is None
+        assert program.pool.plan(skey) is None
+        # Another class is served as if nothing had happened.
+        ref_outs, ref_stats = _run_uncached(program.fun, good)
+        outs, stats = program.run(good)
+        for a, b in zip(ref_outs, outs):
+            assert np.array_equal(np.asarray(a), np.asarray(b))
+        assert stats.signature() == ref_stats.signature()
+        assert program.pool.plan(program.shape_key(good)) is not None
+        with pytest.raises(Declined, match=detail):
+            MemExecutor(program.fun).run(**inputs)
