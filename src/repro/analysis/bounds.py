@@ -30,6 +30,7 @@ from repro.analysis.diagnostics import Report, Severity
 from repro.analysis.facts import (
     ScopeWalker,
     alloc_sizes,
+    enter_scope,
     index_var_ranges,
     param_block_sizes,
     sample_env,
@@ -55,14 +56,12 @@ class _BoundsWalker(ScopeWalker):
         for pe in stmt.pattern:
             if pe.is_array() and isinstance(pe.mem, MemBinding):
                 self._check(pe.name, pe.mem, ctx, loc)
-        if isinstance(stmt.exp, A.Loop):
-            lctx = ctx.extended()
-            count = stmt.exp.count
-            cexpr = SymExpr.var(count) if isinstance(count, str) else count
-            lctx.assume_range(stmt.exp.index, 0, cexpr - 1)
-            for prm, _init in stmt.exp.carried:
-                if prm.mem is not None:
-                    self._check(prm.name, prm.mem, lctx, loc)
+        for _, binder in A.sub_scopes(stmt.exp):
+            if binder is not None and binder.params:
+                lctx = enter_scope(ctx, binder)
+                for prm in binder.params:
+                    if prm.mem is not None:
+                        self._check(prm.name, prm.mem, lctx, loc)
 
     # ------------------------------------------------------------------
     def _check(

@@ -4,9 +4,15 @@ Everything here is derived from the annotated function alone -- none of it
 consults the passes' own analyses, which is the point: the verifier must
 disagree with a broken pass, not inherit its bug.
 
-* :class:`ScopeWalker` -- a scoped traversal carrying the symbolic context
-  (function assumptions, scalar definitions, loop/map index ranges), the
-  array-binding environment, and the set of memory blocks bound so far.
+* :func:`enter_scope` / :func:`learn_scalar` -- the verifier's own reading
+  of which range a ``map``/``loop`` opens and which scalar ``let``s are
+  equalities.  :func:`repro.ir.ast.scope_context` is the passes' reading
+  of the same two questions; the two are written apart so that a pass-side
+  mistake about a range is contradicted here, not inherited
+  (``tests/mem/test_scopes.py`` holds them to each other).
+* :class:`ScopeWalker` -- a scoped traversal carrying that context (on top
+  of the function's assumptions), the array-binding environment, and the
+  set of memory blocks bound so far.
 * :func:`dataflow_edges` / :class:`Downstream` -- the directed value-flow
   relation over names: ``y in downstream(x)`` means a read through ``y``
   may legitimately observe data written through ``x`` (so the race checker
@@ -36,7 +42,7 @@ from repro.mem.memir import (
     iter_stmts,
     param_mem_name,
 )
-from repro.symbolic import Context, SymExpr, sym
+from repro.symbolic import Context, SymExpr
 
 
 # ----------------------------------------------------------------------
@@ -57,11 +63,25 @@ def stmt_location(path: str, stmt: A.Let) -> str:
     return f"{path}: let ({pat}) = {head}"
 
 
-def _operand_expr(op: A.Operand) -> SymExpr:
-    """A width/count operand as a symbolic expression."""
-    if isinstance(op, str):
-        return SymExpr.var(op)
-    return sym(op)
+def enter_scope(ctx: Context, binder: Optional[A.Binder]) -> Context:
+    """The context inside a ``map`` or ``loop`` body: a child of ``ctx``
+    in which the index runs over ``[0, extent)``.  An ``if`` branch
+    (``binder`` None) opens no range and gets ``ctx`` itself."""
+    if binder is None:
+        return ctx
+    return ctx.extended().assume_range(binder.var, 0, binder.extent - 1)
+
+
+def learn_scalar(ctx: Context, stmt: A.Let) -> None:
+    """Once ``stmt`` has run, an integer scalar it binds to a known value
+    (a ``ScalarE`` or an ``i64`` literal) is an equality.  Not when the
+    value mentions the name itself: that is an outer variable rebound."""
+    exp = stmt.exp
+    if isinstance(exp, A.ScalarE):
+        if stmt.names[0] not in exp.expr.free_vars():
+            ctx.define(stmt.names[0], exp.expr)
+    elif isinstance(exp, A.Lit) and exp.dtype == "i64":
+        ctx.define(stmt.names[0], int(exp.value))
 
 
 # ----------------------------------------------------------------------
@@ -156,36 +176,21 @@ class ScopeWalker:
             spath = f"{path}[{i}]"
             self.on_stmt(stmt, ctx, bindings, avail, spath, block, i)
             exp = stmt.exp
-            if isinstance(exp, A.ScalarE):
-                ctx.define(stmt.names[0], exp.expr)
-            elif isinstance(exp, A.Lit) and exp.dtype == "i64":
-                ctx.define(stmt.names[0], int(exp.value))
-            elif isinstance(exp, A.Alloc):
+            learn_scalar(ctx, stmt)
+            if isinstance(exp, A.Alloc):
                 avail.add(stmt.names[0])
-            elif isinstance(exp, A.Map):
-                mctx = ctx.extended()
-                width = _operand_expr(exp.width)
-                mctx.assume_range(exp.lam.params[0], 0, width - 1)
+            for k, (blk, binder) in enumerate(A.sub_scopes(exp)):
+                tag = ("then", "else")[k] if binder is None else binder.kind
+                inner_b, inner_av = bindings, avail
+                if binder is not None and binder.params:
+                    inner_b, inner_av = dict(bindings), set(avail)
+                    for prm in binder.params:
+                        if prm.mem is not None:
+                            inner_b[prm.name] = prm.mem
+                            inner_av.add(prm.mem.mem)
                 self._block(
-                    exp.lam.body, mctx, bindings, avail, spath + ".map"
-                )
-            elif isinstance(exp, A.Loop):
-                lctx = ctx.extended()
-                count = _operand_expr(exp.count)
-                lctx.assume_range(exp.index, 0, count - 1)
-                lb = dict(bindings)
-                lav = set(avail)
-                for prm, _init in exp.carried:
-                    if prm.mem is not None:
-                        lb[prm.name] = prm.mem
-                        lav.add(prm.mem.mem)
-                self._block(exp.body, lctx, lb, lav, spath + ".loop")
-            elif isinstance(exp, A.If):
-                self._block(
-                    exp.then_block, ctx, bindings, avail, spath + ".then"
-                )
-                self._block(
-                    exp.else_block, ctx, bindings, avail, spath + ".else"
+                    blk, enter_scope(ctx, binder), inner_b, inner_av,
+                    f"{spath}.{tag}",
                 )
             for pe in stmt.pattern:
                 if pe.is_array() and pe.mem is not None:

@@ -53,8 +53,9 @@ from typing import Dict, List, Optional, Set, Tuple
 from repro.analysis.diagnostics import Report, Severity
 from repro.analysis.facts import (
     Downstream,
-    _operand_expr,
     concrete_blocks,
+    enter_scope,
+    learn_scalar,
     stmt_location,
 )
 from repro.ir import ast as A
@@ -203,11 +204,8 @@ class RaceChecker:
             self._seq_check(evs, events, ctx)
             events.extend(evs)
             exp = stmt.exp
-            if isinstance(exp, A.ScalarE):
-                ctx.define(stmt.names[0], exp.expr)
-            elif isinstance(exp, A.Lit) and exp.dtype == "i64":
-                ctx.define(stmt.names[0], int(exp.value))
-            elif isinstance(exp, A.Alloc):
+            learn_scalar(ctx, stmt)
+            if isinstance(exp, A.Alloc):
                 local.add(stmt.names[0])
             elif isinstance(exp, A.Index):
                 b = bindings.get(exp.src)
@@ -497,12 +495,11 @@ class RaceChecker:
     def _map_events(
         self, stmt, exp: A.Map, ctx, bindings, spath, loc
     ) -> Tuple[List[Event], Set[str]]:
-        t = exp.lam.params[0]
-        width = _operand_expr(exp.width)
-        mctx = ctx.extended()
-        mctx.assume_range(t, 0, width - 1)
+        ((body, binder),) = A.sub_scopes(exp)
+        t, width = binder.var, binder.extent
+        mctx = enter_scope(ctx, binder)
         child, local, child_bindings = self._block(
-            exp.lam.body, mctx, bindings, spath + ".map"
+            body, mctx, bindings, spath + ".map"
         )
         # The implicit per-thread result write xss[t] = r (and its read of
         # r's region, unless short-circuiting made it the same region).
@@ -545,15 +542,13 @@ class RaceChecker:
     def _loop_events(
         self, stmt, exp: A.Loop, ctx, bindings, spath, loc
     ) -> Tuple[List[Event], Set[str]]:
-        count = _operand_expr(exp.count)
-        lctx = ctx.extended()
-        lctx.assume_range(exp.index, 0, count - 1)
+        ((body, binder),) = A.sub_scopes(exp)
+        count = binder.extent
+        lctx = enter_scope(ctx, binder)
         lb = dict(bindings)
-        for prm, _init in exp.carried:
-            if prm.mem is not None:
-                lb[prm.name] = prm.mem
+        lb.update((p.name, p.mem) for p in binder.params if p.mem is not None)
         child, local, child_bindings = self._block(
-            exp.body, lctx, lb, spath + ".loop"
+            body, lctx, lb, spath + ".loop"
         )
         self._register_loop_indirect(stmt, exp, bindings, child_bindings)
         # Re-expand: events on the loop's own existentials were collected

@@ -7,8 +7,9 @@ the flags it is run with (:data:`CC_FLAGS`) and the ABI version -- so a
 toolchain upgrade, a flag change or an ABI change cold-rebuilds instead
 of loading stale objects.  Artifacts live next to the
 program cache under ``benchmarks/results/.nativecache/`` (override with
-``REPRO_NATIVE_CACHE``); writes are atomic (temp file + ``os.replace``)
-so concurrent builders never observe a torn ``.so``, and a cache entry
+``REPRO_NATIVE_CACHE``); writes are atomic (a temp file no other
+thread or process writes, then ``os.replace``) so concurrent builders --
+of one source, too -- never observe a torn ``.so``, and a cache entry
 that fails to load (truncated, wrong architecture, hand-edited) is
 unlinked and rebuilt cold -- mirroring the program cache's corruption
 semantics.  An object that fails to load *right after* ``cc`` wrote it
@@ -25,6 +26,7 @@ import os
 import shutil
 import subprocess
 import sys
+import threading
 from pathlib import Path
 from typing import Dict, Optional, Tuple
 
@@ -132,10 +134,24 @@ def clear_memo() -> None:
     _memo.clear()
 
 
-def _atomic_write(path: Path, data: str) -> None:
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    tmp.write_text(data)
-    os.replace(tmp, path)
+def _writer_tmp(path: Path) -> Path:
+    """A sibling of ``path`` only the calling thread writes: processes
+    that share the directory differ in pid, the threads of one (two
+    ``Program``s of one function, each with its own engine lock) in
+    thread id."""
+    who = f"{os.getpid()}.{threading.get_ident()}"
+    return path.with_name(f".{path.name}.{who}.tmp")
+
+
+def atomic_write(path: Path, data: bytes) -> None:
+    """``path`` holds ``data`` or what it held before, whoever else is
+    writing it; no temp file outlives the call."""
+    tmp = _writer_tmp(path)
+    try:
+        tmp.write_bytes(data)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def _load(so: Path):
@@ -184,27 +200,27 @@ def compile_kernel(source: str):
             except OSError:
                 pass
     if lib_fn is None:
-        _atomic_write(csrc, source)
-        tmp = d / f".{digest}.{os.getpid()}.so"
-        cmd = [cc, *CC_FLAGS, "-o", str(tmp), str(csrc), "-lm"]
-        proc = subprocess.run(cmd, capture_output=True, text=True)
-        if proc.returncode != 0:
-            try:
-                tmp.unlink()
-            except OSError:
-                pass
-            said = proc.stderr.strip().splitlines()
-            raise BuildError(
-                "cc-failed",
-                f"exit status {proc.returncode}: {said[0] if said else ''}",
-            )
+        atomic_write(csrc, source.encode())
+        tmp = _writer_tmp(so)
         try:
-            os.replace(tmp, so)
-            lib_fn = _load(so)
-        except (OSError, AttributeError) as e:
-            # What cc just wrote does not load.  Building it again would
-            # give the same object: unlink it and let the caller degrade.
-            so.unlink(missing_ok=True)
-            raise BuildError("so-unloadable", str(e)) from None
+            cmd = [cc, *CC_FLAGS, "-o", str(tmp), str(csrc), "-lm"]
+            proc = subprocess.run(cmd, capture_output=True, text=True)
+            if proc.returncode != 0:
+                said = proc.stderr.strip().splitlines()
+                raise BuildError(
+                    "cc-failed",
+                    f"exit status {proc.returncode}: {said[0] if said else ''}",
+                )
+            try:
+                os.replace(tmp, so)
+                lib_fn = _load(so)
+            except (OSError, AttributeError) as e:
+                # What cc just wrote does not load.  Building it again
+                # would give the same object: unlink it and let the
+                # caller degrade.
+                so.unlink(missing_ok=True)
+                raise BuildError("so-unloadable", str(e)) from None
+        finally:
+            tmp.unlink(missing_ok=True)
     _memo[digest] = lib_fn
     return lib_fn[1], digest

@@ -42,29 +42,26 @@ WEIGHTS = np.array(
 n = Var("n")
 
 
-def build() -> Fun:
-    bld = FunBuilder("lbm")
-    bld.param("n", ScalarType("i64"))
-    bld.param("steps", ScalarType("i64"))
-    f0 = bld.param("f", f32(n * n, 9))
-    dirs = bld.param("dirs", i64(9, 2))
-    w = bld.param("w", f32(9))
-    bld.assume_lower("n", 2)
-    bld.assume_lower("steps", 1)
+def _step(parent, cells, f, dirs, w, ghost_rows: bool):
+    """One stream + collide step over ``cells`` cells reading the grid
+    ``f``, built under ``parent``; returns the new distributions.
 
-    lp = bld.loop(count=Var("steps"), carried=[("fc", f0)], index="t")
-    fcur = lp["fc"]
-
+    With ``ghost_rows`` the cells are slab rows ``1..h`` of a grid that
+    carries one halo row above and below: the upwind row is then
+    ``(r + 1) - dr`` with no modulo (ghosts supply the wrap).  Everything
+    else -- the column wrap, the moments, the collision -- is the same
+    text, so the sharded arithmetic is the unsharded one.
+    """
     # --- stream, staged as Parboil's separate kernel: gather every
     # (cell, direction) upwind distribution into a streamed grid copy,
-    # shaped as the rank-2 mapnest it really is ([n*n][9], cell rows).
+    # shaped as the rank-2 mapnest it really is ([cells][9], cell rows).
     # Mapnest fusion inlines the gather at its single read site inside
     # the per-cell kernel below, restoring the classic one-kernel
     # stream+collide step (the row/column decomposition it recomputes
     # per read is arithmetic, not traffic); ``nofuse`` materializes the
-    # full [n*n][9] streamed grid and pays its write+read round trip
+    # full [cells][9] streamed grid and pays its write+read round trip
     # every time step.
-    st = lp.map_(n * n, index="cl")
+    st = parent.map_(cells, index="cl")
     cell2 = st.idx
     r2 = st.binop("//", cell2, SymExpr.var("n"))
     c2 = st.binop("%", cell2, SymExpr.var("n"))
@@ -72,22 +69,27 @@ def build() -> Fun:
     d2 = sd.idx
     dr = sd.index(dirs, [d2, 0])
     dc = sd.index(dirs, [d2, 1])
-    # (r - dr + n) % n, (c - dc + n) % n  -- periodic upwind neighbour
-    rsub = sd.binop("-", SymExpr.var(r2), dr)
-    radd = sd.binop("+", rsub, SymExpr.var("n"))
-    rn = sd.binop("%", radd, SymExpr.var("n"))
+    if ghost_rows:
+        # slab row (r2 + 1) - dr: in [0, h+1], no wrap needed.
+        rn = sd.binop("-", SymExpr.var(r2) + 1, dr)
+    else:
+        # (r - dr + n) % n  -- periodic upwind neighbour
+        rsub = sd.binop("-", SymExpr.var(r2), dr)
+        radd = sd.binop("+", rsub, SymExpr.var("n"))
+        rn = sd.binop("%", radd, SymExpr.var("n"))
+    # (c - dc + n) % n: the column wrap is local either way
     csub = sd.binop("-", SymExpr.var(c2), dc)
     cadd = sd.binop("+", csub, SymExpr.var("n"))
     cn = sd.binop("%", cadd, SymExpr.var("n"))
     src = sd.binop("*", rn, SymExpr.var("n"))
     srcc = sd.binop("+", src, cn)
-    sv = sd.index(fcur, [SymExpr.var(srcc), d2])
+    sv = sd.index(f, [SymExpr.var(srcc), d2])
     sd.returns(sv)
     (srow,) = sd.end()
     st.returns(srow)
     (fstr,) = st.end()
 
-    mp = lp.map_(n * n, index="cell")
+    mp = parent.map_(cells, index="cell")
     cell = mp.idx
 
     # --- pull the 9 streamed distributions into a local array ---
@@ -137,7 +139,21 @@ def build() -> Fun:
 
     mp.returns(fout)
     (fnew,) = mp.end()
-    lp.returns(fnew)
+    return fnew
+
+
+def build() -> Fun:
+    bld = FunBuilder("lbm")
+    bld.param("n", ScalarType("i64"))
+    bld.param("steps", ScalarType("i64"))
+    f0 = bld.param("f", f32(n * n, 9))
+    dirs = bld.param("dirs", i64(9, 2))
+    w = bld.param("w", f32(9))
+    bld.assume_lower("n", 2)
+    bld.assume_lower("steps", 1)
+
+    lp = bld.loop(count=Var("steps"), carried=[("fc", f0)], index="t")
+    lp.returns(_step(lp, n * n, lp["fc"], dirs, w, ghost_rows=False))
     (res,) = lp.end()
     bld.returns(res)
     return bld.build()
@@ -149,9 +165,7 @@ def build_rect() -> Fun:
     The slab is ``[(h+2)*n][9]`` cell-major: the first and last ``n``
     cells are ghost rows the shard runner fills before every step with
     the periodic neighbours (from the adjacent device, or wrapping
-    within the device when there is only one).  The stream gather then
-    reads ``row - dr`` *without* the row modulo -- ghosts supply the
-    wrap -- while the column wrap stays local.  Streamed values are
+    within the device when there is only one).  Streamed values are
     exact copies, so with ghosts equal to the periodic neighbours the
     collide arithmetic is bit-identical to :func:`build`'s.  Ghost cells
     pass through unchanged.
@@ -166,77 +180,8 @@ def build_rect() -> Fun:
     bld.assume_lower("h", 1)
     bld.assume_lower("n", 2)
 
-    # Stream for the h*n interior cells (slab rows 1..h).
-    st = bld.map_(h * n, index="cl")
-    cell2 = st.idx
-    r2 = st.binop("//", cell2, SymExpr.var("n"))
-    c2 = st.binop("%", cell2, SymExpr.var("n"))
-    sd = st.map_(9, index="sdir")
-    d2 = sd.idx
-    dr = sd.index(dirs, [d2, 0])
-    dc = sd.index(dirs, [d2, 1])
-    # slab row (r2 + 1) - dr: in [0, h+1], no wrap needed.
-    rn = sd.binop("-", SymExpr.var(r2) + 1, dr)
-    csub = sd.binop("-", SymExpr.var(c2), dc)
-    cadd = sd.binop("+", csub, SymExpr.var("n"))
-    cn = sd.binop("%", cadd, SymExpr.var("n"))
-    src = sd.binop("*", rn, SymExpr.var("n"))
-    srcc = sd.binop("+", src, cn)
-    sv = sd.index(f0, [SymExpr.var(srcc), d2])
-    sd.returns(sv)
-    (srow,) = sd.end()
-    st.returns(srow)
-    (fstr,) = st.end()
-
-    mp = bld.map_(h * n, index="cell")
-    cell = mp.idx
-
-    fin0 = mp.scratch("f32", [9])
-    s1 = mp.loop(count=9, carried=[("fin", fin0)], index="d")
-    d = s1.idx
-    v = s1.index(fstr, [cell, d])
-    fin1 = s1.update_point(s1["fin"], [d], v)
-    s1.returns(fin1)
-    (fin,) = s1.end()
-
-    zero = mp.lit(0.0, "f32")
-    m1 = mp.loop(
-        count=9, carried=[("rho", zero), ("mx", zero), ("my", zero)], index="d"
-    )
-    d = m1.idx
-    fv = m1.index(fin, [d])
-    drf = m1.unop("f32", m1.index(dirs, [d, 0]))
-    dcf = m1.unop("f32", m1.index(dirs, [d, 1]))
-    rho2 = m1.binop("+", m1["rho"], fv)
-    mx2 = m1.binop("+", m1["mx"], m1.binop("*", drf, fv))
-    my2 = m1.binop("+", m1["my"], m1.binop("*", dcf, fv))
-    m1.returns(rho2, mx2, my2)
-    rho, mx, my = m1.end()
-
-    ux = mp.binop("/", mx, rho)
-    uy = mp.binop("/", my, rho)
-    usq = mp.binop("+", mp.binop("*", ux, ux), mp.binop("*", uy, uy))
-
-    c1 = mp.loop(count=9, carried=[("fout", fin)], index="d")
-    d = c1.idx
-    fv = c1.index(c1["fout"], [d])
-    wv = c1.index(w, [d])
-    drf = c1.unop("f32", c1.index(dirs, [d, 0]))
-    dcf = c1.unop("f32", c1.index(dirs, [d, 1]))
-    cu = c1.binop("+", c1.binop("*", drf, ux), c1.binop("*", dcf, uy))
-    cu3 = c1.binop("*", cu, 3.0)
-    cu45 = c1.binop("*", c1.binop("*", cu, cu), 4.5)
-    us15 = c1.binop("*", usq, 1.5)
-    inner = c1.binop("-", c1.binop("+", c1.binop("+", 1.0, cu3), cu45), us15)
-    feq = c1.binop("*", c1.binop("*", wv, rho), inner)
-    delta = c1.binop("*", c1.binop("-", feq, fv), OMEGA)
-    nv = c1.binop("+", fv, delta)
-    fo2 = c1.update_point(c1["fout"], [d], nv)
-    c1.returns(fo2)
-    (fout,) = c1.end()
-
-    mp.returns(fout)
-    (fnew,) = mp.end()
+    # The h*n interior cells (slab rows 1..h).
+    fnew = _step(bld, h * n, f0, dirs, w, ghost_rows=True)
 
     top = bld.slice(f0, [(0, n, 1), (0, 9, 1)])
     bot = bld.slice(f0, [((h + 1) * n, n, 1), (0, 9, 1)])

@@ -19,7 +19,9 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, field
-from typing import Any, List, Mapping, Optional, Tuple, Union
+from typing import (
+    Any, Iterator, List, Mapping, NamedTuple, Optional, Tuple, Union,
+)
 
 from repro.decisions import Declined
 from repro.lmad.lmad import Lmad
@@ -522,19 +524,98 @@ class Fun:
 
 
 # ----------------------------------------------------------------------
-# Traversal helpers
+# Scopes: what a nested block binds, and what the passes know inside it
 # ----------------------------------------------------------------------
+class Binder(NamedTuple):
+    """What entering a ``map`` or ``loop`` body binds: the index ``var``,
+    which ranges over ``0 <= var <= extent - 1``, and -- for a loop -- the
+    carried parameters (pattern elements: each says where it lives)."""
+
+    kind: str  # "map" | "loop"
+    var: str
+    extent: SymExpr
+    params: Tuple[PatElem, ...] = ()
+
+
 def sub_blocks(exp: Exp) -> List[Block]:
-    """The nested blocks of a compound expression (for generic walks)."""
-    if isinstance(exp, Map):
+    """The nested blocks of a compound expression (for generic walks,
+    which is why it tests the exact class: most statements are leaves)."""
+    kind = type(exp)
+    if kind is Map:
         return [exp.lam.body]
-    if isinstance(exp, Loop):
+    if kind is Loop:
         return [exp.body]
-    if isinstance(exp, If):
+    if kind is If:
         return [exp.then_block, exp.else_block]
     return []
 
 
+def sub_scopes(exp: Exp) -> List[Tuple[Block, Optional[Binder]]]:
+    """:func:`sub_blocks`, each block with the :class:`Binder` that
+    enters it (``None``: an ``if`` branch binds nothing).  Pure
+    structure -- every walker, the verifier included, asks here what
+    encloses a block; what a pass may *assume* inside it is
+    :func:`scope_context`."""
+    blocks = sub_blocks(exp)
+    if not blocks:
+        return blocks
+    binder = None
+    if type(exp) is Map:
+        binder = Binder("map", exp.lam.params[0], exp.width)
+    elif type(exp) is Loop:
+        params = tuple([p for p, _ in exp.carried])
+        binder = Binder("loop", exp.index, exp.count, params)
+    return [(block, binder) for block in blocks]
+
+
+def bound_names(binder: Optional[Binder]) -> frozenset:
+    """The names a sub-block sees beyond its parent's."""
+    if binder is None:
+        return frozenset()
+    return frozenset({binder.var, *(p.name for p in binder.params)})
+
+
+def block_facts(block: Block) -> Iterator[Tuple[str, SymExpr]]:
+    """The equalities a block's own scalar ``let``s establish: every
+    ``ScalarE`` and every ``i64`` literal.  Names are bound once, so each
+    holds throughout the block.  A definition that mentions its own name
+    (``let m = m + 1`` rebinding an outer ``m``: the typechecker allows
+    shadowing) relates two different variables and is no rewrite rule."""
+    for stmt in block.stmts:
+        exp = stmt.exp
+        kind = type(exp)
+        if kind is ScalarE:
+            name = stmt.pattern[0].name
+            if name not in exp.expr.free_vars():
+                yield name, exp.expr
+        elif kind is Lit and exp.dtype == "i64":
+            yield stmt.pattern[0].name, sym(int(exp.value))
+
+
+def add_block_facts(ctx, block: Block) -> None:
+    """Define ``block``'s :func:`block_facts` on ``ctx`` itself."""
+    for name, value in block_facts(block):
+        ctx.define(name, value)
+
+
+def scope_context(ctx, block: Block, binder: Optional[Binder] = None):
+    """What the passes know inside ``block``, entered from a point where
+    they know ``ctx``: one child context holding the binder's range
+    ``0 <= var <= extent - 1`` and the block's :func:`block_facts`.
+    (The function body is not entered from anywhere: its facts go on the
+    compilation's root context itself, see ``CompileContext.
+    root_context``.)  The verifier derives the same independently, in
+    :mod:`repro.analysis.facts`."""
+    ctx = ctx.extended()
+    if binder is not None:
+        ctx.assume_range(binder.var, 0, binder.extent - 1)
+    add_block_facts(ctx, block)
+    return ctx
+
+
+# ----------------------------------------------------------------------
+# Traversal helpers
+# ----------------------------------------------------------------------
 def operand_vars(op: Operand) -> frozenset:
     """Variable names referenced by a scalar operand."""
     if isinstance(op, str):
@@ -555,6 +636,16 @@ def spec_vars(spec: IndexSpec) -> frozenset:
     elif isinstance(spec, LmadSpec):
         out |= spec.lmad.free_vars()
     return out
+
+
+def head_uses(exp: Exp) -> frozenset:
+    """The names a compound expression references outside its blocks."""
+    if isinstance(exp, Map):
+        return exp.width.free_vars()
+    if isinstance(exp, Loop):
+        return exp.count.free_vars() | frozenset(i for _, i in exp.carried)
+    assert isinstance(exp, If)
+    return operand_vars(exp.cond)
 
 
 def exp_uses(exp: Exp) -> frozenset:
@@ -613,24 +704,11 @@ def exp_uses(exp: Exp) -> frozenset:
         return frozenset({exp.src}) | spec_vars(exp.spec) | operand_vars(exp.value)
     if isinstance(exp, (Reduce, ArgMin)):
         return frozenset({exp.src})
-    if isinstance(exp, Map):
-        return exp.width.free_vars() | (
-            block_free_vars(exp.lam.body) - frozenset(exp.lam.params)
-        )
-    if isinstance(exp, Loop):
-        out = exp.count.free_vars()
-        out |= frozenset(init for _, init in exp.carried)
-        bound = frozenset([exp.index]) | frozenset(
-            p.name for p, _ in exp.carried
-        )
-        out |= block_free_vars(exp.body) - bound
+    if isinstance(exp, (Map, Loop, If)):
+        out = head_uses(exp)
+        for block, binder in sub_scopes(exp):
+            out |= block_free_vars(block) - bound_names(binder)
         return out
-    if isinstance(exp, If):
-        return (
-            operand_vars(exp.cond)
-            | block_free_vars(exp.then_block)
-            | block_free_vars(exp.else_block)
-        )
     raise TypeError(f"unknown expression {type(exp).__name__}")
 
 

@@ -309,15 +309,8 @@ def _check_uniqueness(fun: A.Fun) -> None:
                     f"use of consumed array(s) {sorted(bad)} in binding of "
                     f"{stmt.names}"
                 )
-            if isinstance(stmt.exp, A.Loop):
-                inner_defined = defined | {p.name for p, _ in stmt.exp.carried}
-                inner_defined.add(stmt.exp.index)
-                walk(stmt.exp.body, consumed, inner_defined)
-            elif isinstance(stmt.exp, A.Map):
-                walk(stmt.exp.lam.body, consumed, defined | set(stmt.exp.lam.params))
-            elif isinstance(stmt.exp, A.If):
-                walk(stmt.exp.then_block, consumed, set(defined))
-                walk(stmt.exp.else_block, consumed, set(defined))
+            for blk, binder in A.sub_scopes(stmt.exp):
+                walk(blk, consumed, defined | A.bound_names(binder))
             if isinstance(stmt.exp, A.Update):
                 # Consumption is flow-sensitive: only names that already
                 # exist alias the *old* value; the update's fresh result

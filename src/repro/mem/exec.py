@@ -794,17 +794,12 @@ class MemExecutor:
             def walk(s: A.Let, factors: Tuple[SymExpr, ...]) -> None:
                 for rec in s.fused:
                     plan.append((rec, factors))
-                exp = s.exp
-                if isinstance(exp, A.Map):
-                    for sub in exp.lam.body.stmts:
-                        walk(sub, factors + (exp.width,))
-                elif isinstance(exp, A.Loop):
-                    for sub in exp.body.stmts:
-                        walk(sub, factors + (exp.count,))
-                elif isinstance(exp, A.If):
-                    for blk in (exp.then_block, exp.else_block):
-                        for sub in blk.stmts:
-                            walk(sub, factors)
+                for blk, binder in A.sub_scopes(s.exp):
+                    inner = factors
+                    if binder is not None:
+                        inner += (binder.extent,)
+                    for sub in blk.stmts:
+                        walk(sub, inner)
 
             walk(stmt, ())
             self._fused_cache[stmt.pattern[0].name] = plan

@@ -36,14 +36,8 @@ def hoist_allocations(fun: A.Fun) -> int:
         for stmt in block.stmts:
             defined_at.append(set(defined))
             defined |= set(stmt.names)
-            for blk in A.sub_blocks(stmt.exp):
-                bound = set(stmt.names)
-                if isinstance(stmt.exp, A.Loop):
-                    bound |= {p.name for p, _ in stmt.exp.carried}
-                    bound.add(stmt.exp.index)
-                if isinstance(stmt.exp, A.Map):
-                    bound |= set(stmt.exp.lam.params)
-                process(blk, defined | bound)
+            for blk, binder in A.sub_scopes(stmt.exp):
+                process(blk, defined | A.bound_names(binder))
 
         new_order: List[A.Let] = []
         for idx, stmt in enumerate(block.stmts):

@@ -168,27 +168,21 @@ def _pure_scalar_stmt(stmt: A.Let) -> bool:
     return False
 
 
-def _bound_names(stmts: Iterable[A.Let]) -> Set[str]:
-    """All names bound by ``stmts``, including inside compound bodies."""
-    out: Set[str] = set()
-    for s in stmts:
-        out |= set(s.names)
-        exp = s.exp
-        if isinstance(exp, A.Loop):
-            out.add(exp.index)
-            out |= {p.name for p, _ in exp.carried}
-        elif isinstance(exp, A.Map):
-            out.update(exp.lam.params)
-        for blk in A.sub_blocks(exp):
-            out |= _bound_names(blk.stmts)
-    return out
-
-
 def _stmts_recursive(stmts: Iterable[A.Let]):
     for s in stmts:
         yield s
         for blk in A.sub_blocks(s.exp):
             yield from _stmts_recursive(blk.stmts)
+
+
+def _bound_names(stmts: Iterable[A.Let]) -> Set[str]:
+    """All names bound by ``stmts``, including inside compound bodies."""
+    out: Set[str] = set()
+    for s in _stmts_recursive(stmts):
+        out.update(s.names)
+        for _, binder in A.sub_scopes(s.exp):
+            out |= A.bound_names(binder)
+    return out
 
 
 def _stmt_cost(stmts: Iterable[A.Let]) -> int:
@@ -338,9 +332,7 @@ class _ReadSite:
     index: int  # position of the Index statement in block.stmts
     stmt: A.Let
     idxs: Tuple[SymExpr, ...]  # full-rank read indices
-    #: Index ranges of compound statements between the consumer's lambda
-    #: and this site, innermost last: (var, lo, hi) with inclusive hi.
-    ranges: List[Tuple[str, SymExpr, SymExpr]]
+    prover: Prover  # under what is known in ``block``
 
 
 # ======================================================================
@@ -393,7 +385,6 @@ class _Fuser:
     # ------------------------------------------------------------------
     def _block(self, block: A.Block, ctx: Context) -> bool:
         """Try to commit one fusion in this block or below; True if mutated."""
-        self._add_defines(block, ctx)
         for pi, pstmt in enumerate(block.stmts):
             nest = self._decompose_producer(pstmt)
             if nest is None:
@@ -401,38 +392,10 @@ class _Fuser:
             if self._try_fuse(block, pi, pstmt, nest, ctx):
                 return True
         for stmt in block.stmts:
-            exp = stmt.exp
-            if isinstance(exp, A.Map):
-                child = ctx.extended()
-                self._assume(child, exp.lam.params[0], exp.width)
-                if self._block(exp.lam.body, child):
+            for blk, binder in A.sub_scopes(stmt.exp):
+                if self._block(blk, A.scope_context(ctx, blk, binder)):
                     return True
-            elif isinstance(exp, A.Loop):
-                child = ctx.extended()
-                self._assume(child, exp.index, exp.count)
-                if self._block(exp.body, child):
-                    return True
-            elif isinstance(exp, A.If):
-                for blk in (exp.then_block, exp.else_block):
-                    if self._block(blk, ctx.extended()):
-                        return True
         return False
-
-    @staticmethod
-    def _assume(ctx: Context, var: str, count: SymExpr) -> None:
-        ctx.assume_range(var, sym(0), count - 1)
-
-    @staticmethod
-    def _add_defines(block: A.Block, ctx: Context) -> None:
-        for stmt in block.stmts:
-            if isinstance(stmt.exp, A.ScalarE):
-                name = stmt.names[0]
-                expr = stmt.exp.expr
-                if name not in expr.free_vars():
-                    try:
-                        ctx.define(name, expr)
-                    except ValueError:
-                        pass
 
     # ------------------------------------------------------------------
     # Candidate recognition: perfect mapnests of pure scalar code
@@ -767,8 +730,8 @@ class _Fuser:
             wl = w.ixfn.as_single()
             if wl is None:
                 return False
-            for b, idxs, ranges in reads:
-                rl = self._read_footprint(b, idxs, ranges)
+            for b, idxs, enclosing in reads:
+                rl = self._read_footprint(b, idxs, enclosing)
                 if rl is None:
                     rl = b.ixfn.as_single()
                 if rl is None or not checker.check(wl, rl):
@@ -777,41 +740,37 @@ class _Fuser:
 
     def _colliding_reads(
         self, nest: _Nest, collisions: Set[str]
-    ) -> List[Tuple[MemBinding, Tuple[SymExpr, ...], List[Tuple[str, SymExpr]]]]:
-        """Producer-body reads of colliding blocks, each with the
-        iteration variables in scope at the read and their trip counts
-        (outermost first)."""
+    ) -> List[Tuple[MemBinding, Tuple[SymExpr, ...], List[A.Binder]]]:
+        """Producer-body reads of colliding blocks, each with the binders
+        enclosing the read (outermost first)."""
         out: List[
-            Tuple[MemBinding, Tuple[SymExpr, ...], List[Tuple[str, SymExpr]]]
+            Tuple[MemBinding, Tuple[SymExpr, ...], List[A.Binder]]
         ] = []
 
-        def walk(stmts: Iterable[A.Let], ranges) -> None:
+        def walk(stmts: Iterable[A.Let], enclosing: List[A.Binder]) -> None:
             for s in stmts:
                 exp = s.exp
                 if isinstance(exp, A.Index):
                     b = self.bindings.get(exp.src)
                     if b is not None and b.mem in collisions:
-                        out.append((b, tuple(exp.indices), list(ranges)))
-                    continue
-                extra = list(ranges)
-                if isinstance(exp, A.Loop):
-                    extra.append((exp.index, exp.count))
-                elif isinstance(exp, A.Map):
-                    extra.append((exp.lam.params[0], exp.width))
-                for blk in A.sub_blocks(exp):
-                    walk(blk.stmts, extra)
+                        out.append((b, tuple(exp.indices), enclosing))
+                for blk, binder in A.sub_scopes(exp):
+                    walk(
+                        blk.stmts,
+                        enclosing if binder is None else enclosing + [binder],
+                    )
 
-        prefix: List[Tuple[str, SymExpr]] = []
+        prefix: List[A.Binder] = []
         for lvl in nest.levels:
-            prefix.append((lvl.index, lvl.width))
-            walk(lvl.stmts, list(prefix))
+            prefix = prefix + [A.Binder("map", lvl.index, lvl.width)]
+            walk(lvl.stmts, prefix)
         return out
 
     def _read_footprint(
         self,
         b: MemBinding,
         idxs: Tuple[SymExpr, ...],
-        ranges: List[Tuple[str, SymExpr]],
+        enclosing: List[A.Binder],
     ) -> Optional[Lmad]:
         """The set of offsets one read touches over its iteration space,
         as an LMAD -- or ``None`` when it is not affine in the iteration
@@ -822,9 +781,10 @@ class _Fuser:
         off = rl.offset
         for e, dim in zip(idxs, rl.dims):
             off = off + sym(e) * dim.stride
-        ranged = {v for v, _ in ranges}
+        ranged = {binder.var for binder in enclosing}
         dims: List[Tuple[SymExpr, SymExpr]] = []
-        for var, count in ranges:
+        for binder in enclosing:
+            var = binder.var
             if off.degree_in(var) > 1:
                 return None
             coef = off.coefficients_in(var).get(1)
@@ -832,7 +792,7 @@ class _Fuser:
                 continue
             if coef.free_vars() & ranged:
                 return None  # iteration-dependent stride: not an LMAD
-            dims.append((count, coef))
+            dims.append((binder.extent, coef))
             off = off - SymExpr.var(var) * coef
         if off.free_vars() & ranged:
             return None
@@ -846,52 +806,29 @@ class _Fuser:
     ) -> List[_ReadSite]:
         """Find every read of ``inter`` in the consumer; prove coverage."""
         sites: List[_ReadSite] = []
-        width = cexp.width
-        base: List[Tuple[str, SymExpr, SymExpr]] = [
-            (cexp.lam.params[0], sym(0), width - 1)
-        ]
 
-        def walk(block: A.Block, ranges) -> None:
+        def walk(block: A.Block, bctx: Context) -> None:
             if inter in block.result:
                 raise Declined("non-index-use")
+            prover = Prover(bctx)
             for i, stmt in enumerate(block.stmts):
                 exp = stmt.exp
                 if isinstance(exp, A.Index) and exp.src == inter:
                     if len(exp.indices) != nest.rank:
                         raise Declined("non-scalar-read")
                     sites.append(
-                        _ReadSite(
-                            block, i, stmt, tuple(exp.indices), list(ranges)
-                        )
+                        _ReadSite(block, i, stmt, tuple(exp.indices), prover)
                     )
                     continue
-                sub = A.sub_blocks(exp)
-                if not sub:
-                    if inter in A.exp_uses(exp):
-                        raise Declined("non-index-use")
-                    continue
-                # Direct (non-body) operands of compound statements.
-                direct: Set[str] = set()
-                if isinstance(exp, A.Loop):
-                    direct |= {init for _, init in exp.carried}
-                    direct |= exp.count.free_vars()
-                elif isinstance(exp, A.Map):
-                    direct |= exp.width.free_vars()
-                elif isinstance(exp, A.If):
-                    direct |= A.operand_vars(exp.cond)
-                if inter in direct:
+                scopes = A.sub_scopes(exp)
+                # A leaf's operands, or a compound's outside its blocks.
+                if inter in (A.head_uses(exp) if scopes else A.exp_uses(exp)):
                     raise Declined("non-index-use")
-                extra = list(ranges)
-                if isinstance(exp, A.Loop):
-                    extra.append((exp.index, sym(0), exp.count - 1))
-                elif isinstance(exp, A.Map):
-                    extra.append(
-                        (exp.lam.params[0], sym(0), exp.width - 1)
-                    )
-                for blk in sub:
-                    walk(blk, extra)
+                for blk, binder in scopes:
+                    walk(blk, A.scope_context(bctx, blk, binder))
 
-        walk(cexp.lam.body, base)
+        ((body, binder),) = A.sub_scopes(cexp)
+        walk(body, A.scope_context(ctx, body, binder))
         if not sites:
             raise Declined("non-index-use")
 
@@ -903,12 +840,9 @@ class _Fuser:
         # producer's value for iteration (e_1, .., e_R).
         shape = [lvl.width for lvl in nest.levels]
         for site in sites:
-            sctx = ctx.extended()
-            for var, lo, hi in site.ranges:
-                sctx.assume_range(var, lo, hi)
-            prover = Prover(sctx)
+            nonneg = site.prover.nonneg
             for e, dim in zip(site.idxs, shape):
-                if not (prover.nonneg(e) and prover.nonneg(dim - 1 - e)):
+                if not (nonneg(e) and nonneg(dim - 1 - e)):
                     raise Declined("read-out-of-range")
         return sites
 

@@ -84,13 +84,18 @@ class _Scope:
     """Static per-block information for the analysis."""
 
     ctx: Context
-    symtab: Dict[str, SymExpr]
     bindings: Dict[str, MemBinding]
     outer_names: Set[str]
     block: A.Block
     # names defined by stmts[0..i-1], per index i (filled lazily)
     defs_prefix: List[Set[str]] = field(default_factory=list)
     allocs_here: Dict[str, int] = field(default_factory=dict)
+
+    @property
+    def symtab(self) -> Dict[str, SymExpr]:
+        """The scalar symbol table for index-function translation (paper
+        V-A-b): the equalities this block's context holds."""
+        return self.ctx.all_equalities()
 
     def build_prefixes(self) -> None:
         self.defs_prefix = []
@@ -198,7 +203,7 @@ class _ShortCircuiter:
         for _, var, expr in self.fun.assumptions:
             outer.add(var)
             outer |= expr.free_vars()
-        return _Scope(ctx, {}, bindings, outer, self.fun.body)
+        return _Scope(ctx, bindings, outer, self.fun.body)
 
     # ==================================================================
     # Scope construction
@@ -208,33 +213,29 @@ class _ShortCircuiter:
         block: A.Block,
         parent: _Scope,
         parent_idx: int,
-        extra_names: Set[str],
-        extra_bindings: Dict[str, MemBinding],
-        ranges: List[Tuple[str, SymExpr, SymExpr]],
+        binder: Optional[A.Binder] = None,
     ) -> _Scope:
-        ctx = parent.ctx.extended()
-        for var, lo, hi in ranges:
-            ctx.assume_range(var, lo, hi)
         bindings = dict(parent.bindings)
-        bindings.update(extra_bindings)
-        outer = parent.available_at(parent_idx) | set(parent.symtab) | extra_names
-        outer |= set(parent.outer_names)
-        scope = _Scope(ctx, dict(parent.symtab), bindings, outer, block)
-        return scope
+        if binder is not None:
+            bindings.update(
+                (p.name, p.mem) for p in binder.params if p.mem is not None
+            )
+        # A scalar the parent's context defines can be substituted away,
+        # so it counts as available wherever it is bound.
+        outer = parent.available_at(parent_idx) | set(parent.symtab)
+        outer |= parent.outer_names | A.bound_names(binder)
+        ctx = A.scope_context(parent.ctx, block, binder)
+        return _Scope(ctx, bindings, outer, block)
+
+    def _body_scope(self, exp: A.Exp, parent: _Scope, parent_idx: int) -> _Scope:
+        """The scope of a ``map``'s or ``loop``'s one body."""
+        ((body, binder),) = A.sub_scopes(exp)
+        return self._child_scope(body, parent, parent_idx, binder)
 
     def _populate_scope(self, scope: _Scope) -> None:
-        """Record scalar defs / bindings walking the block downward."""
+        """Record the block's bindings as they stand now."""
         scope.build_prefixes()
         for stmt in scope.block.stmts:
-            if isinstance(stmt.exp, A.ScalarE):
-                name = stmt.names[0]
-                expr = stmt.exp.expr
-                if name not in expr.free_vars():
-                    scope.symtab[name] = expr
-                    try:
-                        scope.ctx.define(name, expr)
-                    except ValueError:
-                        pass
             for pe in stmt.pattern:
                 if pe.is_array() and pe.mem is not None:
                     scope.bindings[pe.name] = binding_of(pe)
@@ -249,17 +250,9 @@ class _ShortCircuiter:
         # Recurse into nested blocks first (inner circuit points commit
         # before outer ones look at their statements this round).
         for idx, stmt in enumerate(block.stmts):
-            exp = stmt.exp
-            if isinstance(exp, A.Map):
-                child = self._map_body_scope(stmt, exp, scope, idx)
-                changed |= self._process_block(exp.lam.body, child)
-            elif isinstance(exp, A.Loop):
-                child = self._loop_body_scope(stmt, exp, scope, idx)
-                changed |= self._process_block(exp.body, child)
-            elif isinstance(exp, A.If):
-                for blk in (exp.then_block, exp.else_block):
-                    child = self._child_scope(blk, scope, idx, set(), {}, [])
-                    changed |= self._process_block(blk, child)
+            for blk, binder in A.sub_scopes(stmt.exp):
+                child = self._child_scope(blk, scope, idx, binder)
+                changed |= self._process_block(blk, child)
 
         # This block's circuit points, bottom-up.
         self._populate_scope(scope)  # refresh after child commits
@@ -322,31 +315,6 @@ class _ShortCircuiter:
         self.stats.reused_copies += 1
         return True
 
-    def _map_body_scope(self, stmt, exp: A.Map, scope: _Scope, idx: int) -> _Scope:
-        tvar = exp.lam.params[0]
-        return self._child_scope(
-            exp.lam.body,
-            scope,
-            idx,
-            {tvar},
-            {},
-            [(tvar, sym(0), exp.width - 1)],
-        )
-
-    def _loop_body_scope(self, stmt, exp: A.Loop, scope: _Scope, idx: int) -> _Scope:
-        extra_bindings = {
-            p.name: p.mem for p, _ in exp.carried if p.mem is not None
-        }
-        names = {exp.index} | {p.name for p, _ in exp.carried}
-        return self._child_scope(
-            exp.body,
-            scope,
-            idx,
-            names,
-            extra_bindings,
-            [(exp.index, sym(0), exp.count - 1)],
-        )
-
     # ==================================================================
     # Circuit-point detection
     # ==================================================================
@@ -407,7 +375,7 @@ class _ShortCircuiter:
             if dstb is None:
                 continue
             region = dstb.ixfn.fix_dim(0, SymExpr.var(tvar))
-            child = self._map_body_scope(stmt, exp, scope, idx)
+            child = self._body_scope(exp, scope, idx)
             self._populate_scope(child)
             rb = child.bindings.get(r)
             if rb is None or (rb.mem == dstb.mem and rb.ixfn == region):
@@ -749,7 +717,7 @@ class _ShortCircuiter:
         # Total write vs. everything used after the map.
         self._check_write(Ft, cand, checker, "map")
         # Per-thread body uses (kept parametric in the thread index).
-        child = self._map_body_scope(stmt, exp, scope, j)
+        child = self._body_scope(exp, scope, j)
         self._populate_scope(child)
         body_uses = collect_block_dst_uses(
             exp.lam.body, cand.dst_mem, child.bindings, prover, frozenset(cand.names)
@@ -799,7 +767,7 @@ class _ShortCircuiter:
         cand.planned.append((pe, MemBinding(cand.dst_mem, Ft)))
         for blk in (exp.then_block, exp.else_block):
             res = blk.result[k]
-            child = self._child_scope(blk, scope, j, set(), {}, [])
+            child = self._child_scope(blk, scope, j)
             self._populate_scope(child)
             sub = _Candidate(res, Ft, cand.dst_mem)
             sub.names |= cand.names
@@ -827,7 +795,7 @@ class _ShortCircuiter:
         if prm.mem is None:
             raise Declined("loop-without-param-bindings")
 
-        child = self._loop_body_scope(stmt, exp, scope, j)
+        child = self._body_scope(exp, scope, j)
         self._populate_scope(child)
 
         body_prover, body_checker = self._prover_for(child.ctx)

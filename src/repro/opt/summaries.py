@@ -209,33 +209,26 @@ def collect_dst_uses(
         return out
 
     # Nested blocks: aggregate over the index variable.
-    if isinstance(exp, A.Map):
-        inner = collect_block_dst_uses(
-            exp.lam.body, dst_mem, bindings, prover, skip_vars
+    for blk, binder in A.sub_scopes(exp):
+        if binder is None:
+            out.add_all(
+                collect_block_dst_uses(blk, dst_mem, bindings, prover, skip_vars)
+            )
+            continue
+        body_bindings = dict(bindings)
+        body_bindings.update(
+            (p.name, p.mem) for p in binder.params if p.mem is not None
         )
-        out.add_all(inner.aggregated(exp.lam.params[0], exp.width, prover))
+        inner = collect_block_dst_uses(
+            blk, dst_mem, body_bindings, prover, skip_vars
+        )
+        out.add_all(inner.aggregated(binder.var, binder.extent, prover))
+    if isinstance(exp, A.Map):
         for pe in stmt.pattern:
             if pe.is_array() and pe.mem is not None and pe.name not in skip_vars:
                 b = binding_of(pe)
                 if b.mem == dst_mem:
                     out.add_ixfn(b.ixfn)
-        return out
-    if isinstance(exp, A.Loop):
-        body_bindings = dict(bindings)
-        body_bindings.update(
-            (p.name, p.mem) for p, _ in exp.carried if p.mem is not None
-        )
-        inner = collect_block_dst_uses(
-            exp.body, dst_mem, body_bindings, prover, skip_vars
-        )
-        out.add_all(inner.aggregated(exp.index, exp.count, prover))
-        return out
-    if isinstance(exp, A.If):
-        for blk in (exp.then_block, exp.else_block):
-            out.add_all(
-                collect_block_dst_uses(blk, dst_mem, bindings, prover, skip_vars)
-            )
-        return out
     return out
 
 

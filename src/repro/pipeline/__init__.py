@@ -1,8 +1,4 @@
-"""repro.pipeline: the first-class compilation pipeline.
-
-The historical ``compile_fun`` grew one boolean flag and one inline
-``timed()`` thunk per optimization; this package replaces that with an
-explicit architecture (DESIGN.md section 10):
+"""repro.pipeline: the compilation pipeline (DESIGN.md section 10):
 
 * :class:`Pass` -- the pass protocol: a name, a kind and ``run(ctx,
   fun) -> PassStats``; the derived analyses (``last_use``,

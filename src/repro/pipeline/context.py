@@ -63,18 +63,22 @@ class CompileContext:
     def root_context(self) -> "Context":
         """The compilation's shared root assumption context.
 
-        Built once from the function's declared assumptions and shapes;
-        every pass that previously called ``fun.build_context()`` uses
-        this object instead, so the pooled root prover's memo table
-        survives from short-circuiting through fusion into reuse.  The
-        only mutations passes apply to it are ``define``s of top-level
-        scalar SSA equalities -- globally true facts, re-derived
-        identically by every pass, so sharing is sound (see
-        :class:`repro.lmad.ProverPool`).
+        Built once from the function's declared assumptions and shapes,
+        so the pooled root prover's memo table survives from
+        short-circuiting through fusion into reuse.  The function body's
+        scalar equalities (:func:`repro.ir.ast.block_facts` -- true
+        everywhere, names being bound once) are defined on this object
+        itself, here and on every call, so a pass that asks after an
+        earlier one rewrote the body sees the body as it is now; nothing
+        else ever mutates it.  Every nested block gets a child of it
+        from :func:`repro.ir.ast.scope_context`.
         """
+        from repro.ir.ast import add_block_facts
+
+        fun = self.mfun if self.mfun is not None else self.source
         if self._root_ctx is None:
-            fun = self.mfun if self.mfun is not None else self.source
             self._root_ctx = fun.build_context()
+        add_block_facts(self._root_ctx, fun.body)
         return self._root_ctx
 
     # ------------------------------------------------------------------

@@ -14,9 +14,8 @@ detail counters, the pass's log of declined candidates); the manager
 fills in the unique stage key, wall-clock time and IR deltas.
 
 The stage *callables* (``introduce_memory``, ``hoist_allocations``, ...)
-are resolved through :mod:`repro.compiler`'s module namespace at run
-time, which keeps the long-standing test seam working: monkeypatching
-``repro.compiler.introduce_memory`` still sabotages the pipeline.
+are looked up in :mod:`repro.compiler`'s namespace at run time: that is
+the seam a test patches to sabotage one stage.
 """
 
 from __future__ import annotations

@@ -60,11 +60,11 @@ def _reuse_merged(ctx: CompileContext) -> bool:
 def preset_pipeline(name: str) -> List[Pass]:
     """Instantiate the ordered pass list of a named preset.
 
-    Verify checkpoints carry the labels ``compile_fun(verify=True)`` has
-    always produced (``introduce_memory``, ``hoist+last_use``,
+    Verify checkpoints carry the labels ``compile_fun(verify=True)``
+    reports under (``introduce_memory``, ``hoist+last_use``,
     ``short_circuit``, ``fuse``, ``reuse``); the dead-allocation sweeps
     after fusion and reuse are gated on those passes having changed
-    anything, exactly like the historical inline pipeline.
+    anything.
     """
     try:
         stages = PRESETS[name]

@@ -34,7 +34,7 @@ from repro.lmad import ProverPool
 from repro.mem.hoist import rewrite_mem_bindings
 from repro.reuse.interference import AllocNode, InterferenceGraph
 from repro.reuse.liveranges import LiveRanges
-from repro.symbolic import Context, Prover, SymExpr, sym
+from repro.symbolic import Context, Prover, sym
 
 
 @dataclass
@@ -59,10 +59,6 @@ class ReuseStats:
     def failures(self) -> Dict[str, int]:
         """Per-rule tallies of the blocks passed over."""
         return self.declined.tallies
-
-
-def _operand_expr(op) -> SymExpr:
-    return SymExpr.var(op) if isinstance(op, str) else sym(op)
 
 
 class _Coalescer:
@@ -91,36 +87,15 @@ class _Coalescer:
 
     # ------------------------------------------------------------------
     def _block(self, block: A.Block, ctx: Context, outer: Set[str]) -> None:
-        ctx = ctx.extended()
-        # Scalar equalities anywhere in the block are facts for the whole
-        # block (SSA names), so collect them before scanning for merges.
-        for stmt in block.stmts:
-            exp = stmt.exp
-            if isinstance(exp, A.ScalarE):
-                ctx.define(stmt.names[0], exp.expr)
-            elif isinstance(exp, A.Lit) and exp.dtype == "i64":
-                ctx.define(stmt.names[0], int(exp.value))
         self._coalesce_block(block, ctx, outer)
-
         defined = set(outer)
         for stmt in block.stmts:
-            exp = stmt.exp
-            if isinstance(exp, A.Map):
-                mctx = ctx.extended()
-                width = _operand_expr(exp.width)
-                mctx.assume_range(exp.lam.params[0], 0, width - 1)
+            for blk, binder in A.sub_scopes(stmt.exp):
                 self._block(
-                    exp.lam.body, mctx, defined | set(exp.lam.params)
+                    blk,
+                    A.scope_context(ctx, blk, binder),
+                    defined | A.bound_names(binder),
                 )
-            elif isinstance(exp, A.Loop):
-                lctx = ctx.extended()
-                count = _operand_expr(exp.count)
-                lctx.assume_range(exp.index, 0, count - 1)
-                bound = {exp.index} | {p.name for p, _ in exp.carried}
-                self._block(exp.body, lctx, defined | bound)
-            elif isinstance(exp, A.If):
-                self._block(exp.then_block, ctx, set(defined))
-                self._block(exp.else_block, ctx, set(defined))
             defined |= set(stmt.names)
 
     # ------------------------------------------------------------------

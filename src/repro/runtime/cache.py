@@ -254,9 +254,9 @@ class ProgramCache:
             }
             blob = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
             path.parent.mkdir(parents=True, exist_ok=True)
-            tmp = path.with_suffix(f".tmp.{os.getpid()}")
-            tmp.write_bytes(blob)
-            os.replace(tmp, path)
+            from repro.backend.build import atomic_write
+
+            atomic_write(path, blob)
             self.disk_stores += 1
         except Exception:
             # A compiled payload that cannot be pickled (or a read-only

@@ -11,6 +11,7 @@ signature so tiers remain interchangeable.
 
 import ctypes
 import subprocess
+import threading
 
 import numpy as np
 import pytest
@@ -206,6 +207,66 @@ class TestKernelCache:
             fn, _ = build.compile_kernel(TRIVIAL)
             assert _call(fn, 9) == 9
             build.clear_memo()
+
+    def test_concurrent_builds_of_one_source(self, tmp_path, monkeypatch):
+        """Eight threads, one fresh source, an empty cache directory:
+        a writer's temp files are its own, so every thread gets a
+        callable and the directory ends with the one ``.c``/``.so``."""
+        monkeypatch.setenv("REPRO_NATIVE_CACHE", str(tmp_path))
+        build.clear_memo()
+        results = _on_threads(8, lambda _: build.compile_kernel(TRIVIAL)[0])
+        assert [_call(fn, 4) for fn in results] == [4] * 8
+        digest = build.source_digest(TRIVIAL)
+        assert sorted(f.name for f in tmp_path.iterdir()) == [
+            f"{digest}.c", f"{digest}.so",
+        ]
+
+    def test_two_programs_of_one_function_build_concurrently(
+        self, tmp_path, monkeypatch
+    ):
+        """Each ``Program`` has its own engine (and engine lock); the
+        kernels of the one function they share are one set of paths."""
+        from repro.bench.programs import nw
+
+        monkeypatch.setenv("REPRO_NATIVE_CACHE", str(tmp_path))
+        build.clear_memo()
+        inputs = nw.inputs_for(*nw.TEST_DATASETS["small"])
+        programs = [
+            rt.compile(nw.build(), pipeline="full", memoize=False)
+            for _ in range(2)
+        ]
+        _on_threads(2, lambda i: programs[i].run(inputs))
+        for program in programs:
+            served = program.coverage()["maps"]
+            assert served and all(
+                m["tier"] == "native" and not m["declined"]
+                for m in served.values()
+            ), served
+        assert not [f for f in tmp_path.iterdir() if f.name.startswith(".")]
+
+
+def _on_threads(n, work):
+    """``work(i)`` on ``n`` threads released together; the results, or
+    the first exception."""
+    barrier = threading.Barrier(n)
+    out = [None] * n
+
+    def run(i):
+        barrier.wait()
+        try:
+            out[i] = work(i)
+        except BaseException as e:  # noqa: BLE001 - re-raised below
+            out[i] = e
+
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(n)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    for r in out:
+        if isinstance(r, BaseException):
+            raise r
+    return out
 
 
 # -- per-launch fallback ------------------------------------------------
