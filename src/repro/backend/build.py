@@ -163,13 +163,10 @@ def _load(so: Path):
         # the rebuilt file -- with this same symbol-less object.
         _ctypes.dlclose(lib._handle)
         raise
-    fn.argtypes = [
-        ctypes.c_longlong,
-        ctypes.POINTER(ctypes.c_longlong),
-        ctypes.POINTER(ctypes.c_double),
-        ctypes.POINTER(ctypes.c_void_p),
-        ctypes.POINTER(ctypes.c_longlong),
-    ]
+    # (T0, W, ia, fa, bufs, C): the pointers are integer addresses, so
+    # a caller passes an offset into a larger block without a ctypes
+    # object per launch.
+    fn.argtypes = [ctypes.c_longlong] * 2 + [ctypes.c_void_p] * 4
     fn.restype = None
     return lib, fn
 

@@ -19,10 +19,12 @@ executor statement by statement, in both value semantics and accounting:
   ``signature()``-identical to the other tiers and no loop stores to
   memory on the counters' account.
 
-The entry point (ABI v3) declares ``ia``, ``fa``, ``bufs`` and ``C``
-``restrict``: four distinct allocations on every call path.  Nothing is
-claimed about ``bufs[i]`` against ``bufs[j]``, which do alias in
-short-circuited kernels.
+The entry point (ABI v4) runs the thread range ``[T0, W)``, so a launch
+can be cut into contiguous parts (:func:`repro.backend.engine.fire`);
+``W`` bounds the thread loop and is read nowhere else.  It declares
+``ia``, ``fa``, ``bufs`` and ``C`` ``restrict``: four distinct
+allocations on every call path.  Nothing is claimed about ``bufs[i]``
+against ``bufs[j]``, which do alias in short-circuited kernels.
 
 Emission is *launch-specialized but shape-generic*: it happens on the
 first launch of a statement (when the runtime environment reveals each
@@ -69,7 +71,7 @@ SPACE_SLOTS = {"scratch": (6, 7), "regs": (8, 9)}
 
 #: Bump when the emitted ABI or counter layout changes (part of the
 #: on-disk cache key).
-ABI_VERSION = 3
+ABI_VERSION = 4
 
 _CTYPE = {"i64": "long long", "f32": "float", "f64": "double", "bool": "char"}
 
@@ -159,6 +161,11 @@ class KernelSpec:
     sites: Tuple[Tuple[str, str], ...]
     fn: object = None  # ctypes function, attached by the builder
     digest: str = ""
+    #: Counted bytes (slots 1 and 2, every site) per thread of the
+    #: first launch; ``None`` until that launch has run.
+    per_thread: Optional[float] = None
+    #: The most parts any launch ran in (1: never split).
+    parts: int = 1
 
 
 # ----------------------------------------------------------------------
@@ -1153,7 +1160,7 @@ def emit_kernel(ex, stmt: A.Let, exp: A.Map, env, dests) -> KernelSpec:
     ]
     ok = all(fv in env for fv in exp.width.free_vars())
     em._alloc_path.append(("W", "t", exp.width, ok))
-    em.open_block("for (long long t = 0; t < W; t++)")
+    em.open_block("for (long long t = T0; t < W; t++)")
     scope = {
         exp.lam.params[0]: SVal("t", "i64", weak=True, scope=em.cur_scope)
     }
@@ -1162,15 +1169,19 @@ def emit_kernel(ex, stmt: A.Let, exp: A.Map, env, dests) -> KernelSpec:
     em._write_map_results(dest_arrs, vals, "t", 0)
     em.close_block()
     body = "\n".join(em.lines)
+    # A part of the thread range sees the whole launch's allocation
+    # slots only if nothing but the loop bound reads W (``_emit_alloc``
+    # folds the thread level's ``0*W`` away: slots are indexed by t).
+    assert len(re.findall(r"\bW\b", body)) == 1, body
     prelude = dict.fromkeys(
         text for call, text in scalar.PRELUDE.items() if call in em.calls
     )
     used = sorted(em.counters)
     source = (
-        f"/* repro native kernel (ABI v{ABI_VERSION}) -- "
-        f"generated from memory IR; do not edit. */\n"
+        f"/* repro kernel, ABI v{ABI_VERSION} */\n"
         f"{''.join(prelude)}"
-        "void repro_kernel(long long W, const long long* restrict ia, "
+        "void repro_kernel(long long T0, long long W, "
+        "const long long* restrict ia, "
         "const double* restrict fa, char** restrict bufs, "
         "long long* restrict C) {\n"
         + "".join(f"    long long c{k} = 0;\n" for k in used)

@@ -57,7 +57,7 @@ from typing import Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
-from repro.backend.engine import REJECTED
+from repro.backend.engine import REJECTED, executing
 from repro.decisions import Decision, DecisionLog, Declined
 from repro.ir import ast as A
 from repro.mem.exec import MemExecutor, RuntimeArray
@@ -210,8 +210,10 @@ class Program:
         ``"maps"``: per outermost ``map`` (under its first binding name)
         the ``tier`` its launches run on -- ``"native"``,
         ``"vectorized"``, ``"interpreted"``, ``None`` before its first
-        dispatch -- and ``declined``, the record of every tier above
-        that one which said no (and of launches that fell back).
+        dispatch -- ``declined``, the record of every tier above that
+        one which said no (and of launches that fell back), and
+        ``parts``, the most parts any native launch of it ran in (1:
+        never split across threads).
         ``"classes"``: per retained shape class the tape's ``state``
         (``"captured"``, ``"off"``, or ``"new"`` before the first native
         request), the ``launches`` on it, the ``replays`` served, and
@@ -227,8 +229,9 @@ class Program:
             ]
             plan = self._native_plans.get(id(stmt))
             vec = self._vec_plans.get(id(stmt))
+            parts = 1
             if plan is not None and plan is not REJECTED:
-                tier = "native"
+                tier, parts = "native", plan.parts
             elif vec is True:
                 tier = "vectorized"
             elif vec is None:
@@ -236,7 +239,7 @@ class Program:
             else:
                 tier = "interpreted"
                 declined.append(vec)
-            maps[site] = {"tier": tier, "declined": declined}
+            maps[site] = {"tier": tier, "declined": declined, "parts": parts}
         with self._lock:
             classes = {
                 skey: {
@@ -382,7 +385,7 @@ class Program:
         else:
             off = cls.declined
         tape = cls.tape if off is None else None
-        with self.pool.lease() as lease:
+        with self.pool.lease() as lease, executing():
             if tape is not None:
                 try:
                     outs, stats = tape.replay(inputs, lease)

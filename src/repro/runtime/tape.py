@@ -31,7 +31,9 @@ depended on data, the recorder freezes a :class:`Tape`:
   folded in.
 
 A replay walks the tape: one :func:`~repro.backend.engine.fire` per
-launch, no symbolic expression, no statement dispatch.  Bytes and flops
+launch -- with addresses into one pointer array and one counter array
+of the whole request -- no symbolic expression, no statement dispatch.
+Bytes and flops
 counted inside the kernels are **re-counted** by every replay and folded
 into a copy of the host-only statistics through the same
 :func:`~repro.backend.engine.distribute` the executor uses, so they
@@ -40,7 +42,6 @@ follow each request's data, never the captured run's.
 
 from __future__ import annotations
 
-import ctypes
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
@@ -101,6 +102,7 @@ class Tape:
         addrs[:-1] = [b.ctypes.data for b in bufs]
         ptrs = addrs[self.ptr_slots]  # every launch's char*[], end to end
         counters = np.zeros(len(self.row_sink) * SLOTS, dtype=np.int64)
+        ptr_base, row_base = ptrs.ctypes.data, counters.ctypes.data
         for op in self.ops:
             code = op[0]
             if code == _LAUNCH:
@@ -113,10 +115,8 @@ class Tape:
                     ptrs[ptr_off + pos] = blocks[-1].ctypes.data
                 fire(
                     launch,
-                    ctypes.c_void_p.from_buffer(ptrs, ptrs.itemsize * ptr_off),
-                    ctypes.c_longlong.from_buffer(
-                        counters, 8 * SLOTS * row_off
-                    ),
+                    ptr_base + ptrs.itemsize * ptr_off,
+                    row_base + counters.itemsize * SLOTS * row_off,
                 )
             elif code == _COPY:
                 _, dslot, doffs, sslot, soffs = op

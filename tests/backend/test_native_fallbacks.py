@@ -9,7 +9,6 @@ remaining tiers -- and the tier bookkeeping
 signature so tiers remain interchangeable.
 """
 
-import ctypes
 import subprocess
 import threading
 
@@ -128,21 +127,15 @@ def test_failing_cc_degrades_and_says_so(rule, tmp_path, monkeypatch):
 
 # -- kernel cache -------------------------------------------------------
 TRIVIAL = (
-    "void repro_kernel(long long W, const long long* ia,"
+    "void repro_kernel(long long T0, long long W, const long long* ia,"
     " const double* fa, char** bufs, long long* C)"
-    " { (void)ia; (void)fa; (void)bufs; C[0] += W; }\n"
+    " { (void)ia; (void)fa; (void)bufs; C[0] += W - T0; }\n"
 )
 
 
 def _call(fn, w):
     counters = np.zeros(6, dtype=np.int64)
-    fn(
-        ctypes.c_longlong(w),
-        None,
-        None,
-        None,
-        counters.ctypes.data_as(ctypes.POINTER(ctypes.c_longlong)),
-    )
+    fn(0, w, None, None, None, counters.ctypes.data)
     return int(counters[0])
 
 

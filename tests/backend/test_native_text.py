@@ -1,9 +1,11 @@
-"""What the emitter hands to ``cc`` (ABI v3), as text.
+"""What the emitter hands to ``cc`` (ABI v4), as text.
 
 The kernels are fast because of what the C compiler can see: counters
 that live in registers, index components the memory IR knows printed as
 literals, and nothing in the translation unit the body does not use.
-Each property is asserted on the emitted source of real kernels.
+And a launch can be cut into parts because the thread loop runs
+``[T0, W)`` and nothing else reads ``W``.  Each property is asserted on
+the emitted source of real kernels.
 """
 
 import re
@@ -72,6 +74,22 @@ def test_prelude_is_present_iff_called(benchmark_specs):
     # Not vacuous: every piece is somewhere included and somewhere left
     # out (<stdlib.h> has no caller in either corpus).
     assert len(seen) == 7 and ("#include <stdlib.h>\n", True) not in seen
+
+
+def test_thread_loop_starts_at_t0_and_w_is_only_its_bound(benchmark_specs):
+    """A part ``[T0, W)`` of a launch indexes in-kernel allocation
+    slots by ``t`` like the whole launch does: nothing but the thread
+    loop's bound may read the launch width."""
+    head = "void repro_kernel(long long T0, long long W, const long long*"
+    loop = "for (long long t = T0; t < W; t++)"
+    allocating = 0
+    for spec in benchmark_specs:
+        assert spec.source.startswith("/* repro kernel, ABI v4 */\n")
+        assert spec.source.count(head) == spec.source.count(loop) == 1
+        assert len(re.findall(r"\bW\b", spec.source)) == 2, spec.source
+        assert len(re.findall(r"\bT0\b", spec.source)) == 2, spec.source
+        allocating += bool(spec.alloc_sites)
+    assert allocating  # slots indexed by t exist to be checked
 
 
 def test_counters_live_in_locals_and_flush_at_exit(benchmark_specs):

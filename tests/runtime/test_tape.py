@@ -170,7 +170,8 @@ def test_replay_matches_executor(name, args):
     assert entry["declined"] is None and not program.declined.records
     maps = program.coverage()["maps"]
     assert maps and all(
-        m == {"tier": "native", "declined": []} for m in maps.values()
+        m == {"tier": "native", "declined": [], "parts": 1}
+        for m in maps.values()
     )
 
 
@@ -304,8 +305,10 @@ def test_launch_time_mismatch_turns_one_class_off(monkeypatch):
     assert run[1].tape == f"off: {why}"
     assert state(program)["declined"] == why
     served = program.coverage()["maps"]
-    assert served[why.site] == {"tier": "native", "declined": [why]}
-    assert served[other.site] == {"tier": "native", "declined": [other]}
+    for d in (why, other):
+        assert served[d.site] == {
+            "tier": "native", "declined": [d], "parts": 1,
+        }
     assert np.array_equal(reference[0][0], run[0][0])
     assert run[1].signature() == reference[1].signature()
     assert program.run(x)[1].tape == run[1].tape  # not retried
