@@ -291,6 +291,9 @@ class NativeEngine:
         #: id(stmt) -> KernelSpec | REJECTED (shared per Program, like
         #: the vectorized dispatch plans).
         self.plans: Dict[int, object] = plans if plans is not None else {}
+        #: Every statement this engine put in ``plans``: an id is unique
+        #: only while its object lives, so the engine keeps them alive.
+        self._planned: List[object] = []
         #: Why a statement has no kernel (layer ``native``) or a launch
         #: of it fell back (``launch``), under the statement's binding
         #: name: ``plans`` is keyed by addresses, which mean nothing to a
@@ -355,6 +358,7 @@ class NativeEngine:
                 plan = REJECTED
             self.codegen_seconds += time.perf_counter() - t0
             self.plans[id(stmt)] = plan
+            self._planned.append(stmt)
             return plan
 
     # ------------------------------------------------------------------

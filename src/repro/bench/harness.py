@@ -180,7 +180,7 @@ def measure_engine(
         "stats_equal": st_v.signature() == st_n.signature(),
         "footprint_equal": st_v.peak_bytes == st_n.peak_bytes,
         "declined": eng.declined.records
-        + [d for d in vec_plans.values() if d is not True],
+        + [p.declined for p in vec_plans.values() if p.declined],
     }
 
 

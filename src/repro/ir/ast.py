@@ -579,8 +579,8 @@ def block_facts(block: Block) -> Iterator[Tuple[str, SymExpr]]:
     """The equalities a block's own scalar ``let``s establish: every
     ``ScalarE`` and every ``i64`` literal.  Names are bound once, so each
     holds throughout the block.  A definition that mentions its own name
-    (``let m = m + 1`` rebinding an outer ``m``: the typechecker allows
-    shadowing) relates two different variables and is no rewrite rule."""
+    (``let m = m + 1``, in IR that skipped the typechecker, which rejects
+    rebinding) relates two different variables and is no rewrite rule."""
     for stmt in block.stmts:
         exp = stmt.exp
         kind = type(exp)

@@ -32,10 +32,15 @@ Scalar expressions are type-directed: an arithmetic expression whose
 operands are all ``i64`` parses to a :class:`repro.ir.ast.ScalarE`
 polynomial (semantically identical to the chain of BinOps it came from);
 anything involving floats parses to a single BinOp/UnOp as printed.
+
+A text that rebinds a name in scope (the IR binds a name once) is renamed
+as it is read: the new binder gets a fresh name (``i`` -> ``i_1``) that
+the rest of its scope reads.
 """
 
 from __future__ import annotations
 
+import contextlib
 import re
 from typing import Dict, List, Optional, Tuple
 
@@ -81,15 +86,27 @@ class _Lexer:
             self.tokens.append((kind, m.group()))
             pos = m.end()
         self.i = 0
+        #: Every name the text spells (fresh names avoid them all).
+        self.names = {tok for kind, tok in self.tokens if kind == "name"}
+        #: Name in the text -> the name it reads in the current scope.
+        self.rename: Dict[str, str] = {}
 
     def peek(self, ahead: int = 0) -> Tuple[str, str]:
         j = self.i + ahead
-        return self.tokens[j] if j < len(self.tokens) else ("eof", "")
+        if j >= len(self.tokens):
+            return ("eof", "")
+        kind, tok = self.tokens[j]
+        return kind, (self.rename.get(tok, tok) if kind == "name" else tok)
 
     def next(self) -> Tuple[str, str]:
         tok = self.peek()
         self.i += 1
         return tok
+
+    def binder(self) -> str:
+        """The next token as the text spells it: a name being bound."""
+        j, self.i = self.i, self.i + 1
+        return self.tokens[j][1] if j < len(self.tokens) else ""
 
     def expect(self, value: str) -> str:
         kind, tok = self.next()
@@ -107,7 +124,30 @@ class _Lexer:
 class _Parser:
     def __init__(self, text: str):
         self.lx = _Lexer(text)
+        #: The names in scope and their types.
         self.types: Dict[str, Type] = {}
+
+    @contextlib.contextmanager
+    def _scope(self):
+        """A nested block: what it binds and renames ends with it."""
+        saved = dict(self.types), dict(self.lx.rename)
+        try:
+            yield
+        finally:
+            self.types, self.lx.rename = saved
+
+    def _bind(self, name: str, t: Type) -> str:
+        """Bind ``name`` in the current scope; returns the name the IR
+        gets -- a fresh one where ``name`` is already in scope."""
+        fresh, k = name, 0
+        while fresh in self.types or (k and fresh in self.lx.names):
+            k += 1
+            fresh = f"{name}_{k}"
+        if k:
+            self.lx.names.add(fresh)
+            self.lx.rename[name] = fresh
+        self.types[fresh] = t
+        return fresh
 
     # ------------------------------------------------------------------
     def parse_fun(self) -> A.Fun:
@@ -117,7 +157,7 @@ class _Parser:
         params: List[A.Param] = []
         if not self.lx.accept(")"):
             while True:
-                _, pname = self.lx.next()
+                pname = self.lx.binder()
                 self.lx.expect(":")
                 t = self.parse_type()
                 params.append(A.Param(pname, t))
@@ -173,20 +213,19 @@ class _Parser:
     def parse_stmt(self) -> A.Let:
         self.lx.expect("let")
         self.lx.expect("(")
-        pattern: List[A.PatElem] = []
+        spelled: List[Tuple[str, Type]] = []
         while True:
-            _, pname = self.lx.next()
+            pname = self.lx.binder()
             self.lx.expect(":")
             t = self.parse_type()
             self._skip_annotation()
-            pattern.append(A.PatElem(pname, t))
-            self.types[pname] = t
+            spelled.append((pname, t))
             if self.lx.accept(")"):
                 break
             self.lx.expect(",")
         self.lx.expect("=")
-        exp = self.parse_exp()
-        return A.Let(pattern, exp)
+        exp = self.parse_exp()  # reads the names bound before this let
+        return A.Let([A.PatElem(self._bind(p, t), t) for p, t in spelled], exp)
 
     def _skip_annotation(self) -> None:
         """Discard a ``@ mem -> ixfn`` memory annotation, if present (it
@@ -311,13 +350,14 @@ class _Parser:
     def parse_map(self) -> A.Map:
         self.lx.expect("map")
         self.lx.expect("(")
-        _, ivar = self.lx.next()
-        self.types[ivar] = ScalarType("i64")
+        ivar = self.lx.binder()
         self.lx.expect("<")
         width = self.parse_poly(stop={")"})
         self.lx.expect(")")
         self.lx.expect("{")
-        body = self.parse_block("}")
+        with self._scope():
+            ivar = self._bind(ivar, ScalarType("i64"))
+            body = self.parse_block("}")
         return A.Map(width, A.Lambda((ivar,), body))
 
     def parse_loop(self) -> A.Loop:
@@ -325,7 +365,7 @@ class _Parser:
         self.lx.expect("(")
         carried: List[Tuple[str, str]] = []
         while True:
-            _, pname = self.lx.next()
+            pname = self.lx.binder()
             self._skip_annotation()
             self.lx.expect("=")
             _, init = self.lx.next()
@@ -334,32 +374,31 @@ class _Parser:
                 break
             self.lx.expect(",")
         self.lx.expect("for")
-        _, ivar = self.lx.next()
-        self.types[ivar] = ScalarType("i64")
+        ivar = self.lx.binder()
         self.lx.expect("<")
         count = self.parse_poly(stop={"do"})
         self.lx.expect("do")
         self.lx.expect("{")
-        for pname, init in carried:
-            init_t = self.types.get(init)
-            if init_t is not None:
-                self.types[pname] = init_t
-        body = self.parse_block("}")
-        params = tuple(
-            (A.PatElem(p, self.types.get(p, ScalarType("f32"))), init)
-            for p, init in carried
-        )
-        return A.Loop(params, ivar, count, body)
+        with self._scope():
+            params = []
+            for pname, init in carried:
+                t = self.types.get(init, ScalarType("f32"))
+                params.append((A.PatElem(self._bind(pname, t), t), init))
+            ivar = self._bind(ivar, ScalarType("i64"))
+            body = self.parse_block("}")
+        return A.Loop(tuple(params), ivar, count, body)
 
     def parse_if(self) -> A.If:
         self.lx.expect("if")
         cond = self._parse_operand()
         self.lx.expect("then")
         self.lx.expect("{")
-        then_block = self.parse_block("}")
+        with self._scope():
+            then_block = self.parse_block("}")
         self.lx.expect("else")
         self.lx.expect("{")
-        else_block = self.parse_block("}")
+        with self._scope():
+            else_block = self.parse_block("}")
         return A.If(cond, then_block, else_block)
 
     # ------------------------------------------------------------------

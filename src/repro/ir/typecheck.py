@@ -164,7 +164,7 @@ def infer_pattern_types(
         return [ArrayType(t.dtype, t.shape, unique=True)]
     if isinstance(exp, A.Map):
         body_env = dict(env)
-        body_env[exp.lam.params[0]] = ScalarType("i64")
+        _bind(body_env, exp.lam.params[0], ScalarType("i64"))
         result_types = _block_types(exp.lam.body, body_env)
         out: List[Type] = []
         for t in result_types:
@@ -180,8 +180,8 @@ def infer_pattern_types(
         for p, init in exp.carried:
             init_t = _operand_type(init, env)
             _require_same_shape(p.type, init_t, f"loop init of {p.name}")
-            body_env[p.name] = p.type
-        body_env[exp.index] = ScalarType("i64")
+            _bind(body_env, p.name, p.type)
+        _bind(body_env, exp.index, ScalarType("i64"))
         result_types = _block_types(exp.body, body_env)
         if len(result_types) != len(exp.carried):
             raise TypeError_(
@@ -255,6 +255,15 @@ def _check_spec(spec: A.IndexSpec, t: ArrayType) -> None:
             raise TypeError_("LMAD update requires a rank-1 array")
 
 
+def _bind(env: Dict[str, Type], name: str, t: Type) -> None:
+    """Names are bound once: no ``let`` or binder shadows one in scope
+    (flow-insensitive facts and the vectorized tier's one environment
+    per launch rely on it)."""
+    if name in env:
+        raise TypeError_(f"{name!r} is already bound in this scope")
+    env[name] = t
+
+
 def _block_types(block: A.Block, env: Dict[str, Type]) -> List[Type]:
     for stmt in block.stmts:
         types = infer_pattern_types(stmt.exp, env)
@@ -265,7 +274,7 @@ def _block_types(block: A.Block, env: Dict[str, Type]) -> List[Type]:
             )
         for pe, t in zip(stmt.pattern, types):
             _require_same_shape(pe.type, t, f"binding of {pe.name}")
-            env[pe.name] = pe.type
+            _bind(env, pe.name, pe.type)
     out = []
     for r in block.result:
         if r not in env:

@@ -193,8 +193,9 @@ class MemExecutor:
         #: caller's concern -- buffers may be recycled once it closes, so
         #: outputs must be materialized first.
         self._pool = pool if mode == "real" else None
-        #: Shared vectorization-plan dict (id(stmt) -> expressible?),
-        #: again for cross-run amortization; None keeps a private one.
+        #: Shared vectorization-plan dict (id(stmt) -> staged body or
+        #: why not), again for cross-run amortization; None keeps a
+        #: private one.
         self._vec_plans = vec_plans
         self._vec_engine = None  # lazily built repro.mem.vectorize.VecEngine
         # Static fused-producer plans per outermost map statement (see

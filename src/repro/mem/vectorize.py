@@ -1,20 +1,26 @@
 """Vectorized kernel engine: batched NumPy execution of ``map`` bodies.
 
 The interpreted executor (:mod:`repro.mem.exec`) runs a ``map`` by
-evaluating the lambda body once per thread index -- one Python dict copy
-and one tree-walk per element.  This module executes the *same* body once
-with the thread dimension batched: the thread variable becomes an
-``np.arange(width)`` lane vector, scalar operations become broadcast
-ufuncs, and every array access evaluates its LMAD index function for all
-lanes at once (strided ``np.arange`` outer sums -- never a per-element
-``apply_concrete``).
+evaluating the lambda body once per thread index.  This module executes
+the *same* body once with the thread dimension batched: the thread
+variable becomes an ``np.arange(width)`` lane vector, scalar operations
+become broadcast ufuncs, and every array access evaluates its LMAD index
+function for all lanes at once.  It is SIMT-lockstep: lane-varying
+conditionals run both branches under complementary masks, sequential
+loops with uniform trip counts iterate on the host.  Race-free programs
+(the :mod:`repro.analysis` checkers gate every benchmark) observe no
+difference from the interpreter's sequential thread order.
 
-The engine is SIMT-lockstep: statements execute in program order with all
-lanes advancing together, lane-varying conditionals run both branches
-under complementary masks, and sequential loops with uniform trip counts
-iterate on the host with a vectorized body.  Race-free programs (the
-:mod:`repro.analysis` checkers gate every benchmark) observe no difference
-from the interpreter's sequential thread order.
+A body is *staged*, not interpreted: the walk that decides whether a map
+is expressible (:meth:`VecEngine._plan_map`) lowers each statement it
+accepts into a closure with everything a request cannot change fixed --
+the statement kind, the operator row, every index-function component as
+a compiled evaluator, a block's flop charge.  A launch only runs the
+closures, in one environment (names are bound once, so loop iterations
+and ``if`` branches share it).  No width, size or host-scalar value is
+baked in, so one staged body serves every shape class; what a request
+decides -- whether an operand is a lane vector, the kind of a host scalar,
+which block a view lands in -- is read per run.
 
 Two invariants tie the engine to the interpreter:
 
@@ -26,115 +32,140 @@ Two invariants tie the engine to the interpreter:
   allocations) is counted exactly as the interpreted path would: an
   operation over ``L`` active lanes counts ``L`` times.
 
-Dispatch is decided *statically* per map statement by a taint analysis
-(:meth:`VecEngine._plan_map`): the thread variable seeds the taint set,
-and any construct whose batched execution could diverge from per-thread
-interpretation (nested ``map``, lane-varying trip counts or shapes,
-reductions, array-valued lane-varying branches) rejects the whole map,
-which then falls back to the interpreted path.  There is deliberately no
-dynamic try/except fallback: a plan either runs vectorized to completion
-or was never attempted, so statistics cannot be double-counted.
+The walk is a taint analysis seeded with the thread variable: any
+construct whose batched execution could diverge from per-thread
+interpretation (lane-varying trip counts or shapes, reductions,
+array-valued lane-varying branches) rejects the whole map, which then
+falls back to the interpreted path.  There is deliberately no dynamic
+try/except fallback: a plan either runs vectorized to completion or was
+never attempted, so statistics cannot be double-counted.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+import functools
+import operator
+from typing import Callable, Dict, List, Optional
 
 import numpy as np
 
 from repro.decisions import Decision, Declined
-from repro.lmad import IndexFn
+from repro.ir import ast as A
+from repro.ir import scalar
+from repro.ir.interp import InterpError
+from repro.ir.types import DTYPE_INFO
+from repro.mem.exec import MemExecutor, MemRef, RuntimeArray
+from repro.mem.memir import binders, binding_of, iter_stmts
 from repro.symbolic import SymExpr
 
-from repro.ir import ast as A
-from repro.ir.ast import operand_vars
-from repro.ir import scalar
-from repro.ir.interp import InterpError, eval_sym
-from repro.ir.types import ArrayType, DTYPE_INFO
-from repro.mem.exec import MemExecutor, MemRef, RuntimeArray
-from repro.mem.memir import MemBinding, binding_of
-
-#: Synthetic variable standing for the thread index in destination index
-#: functions (``dest.ixfn.fix_dim(0, LANE_VAR)``).
-LANE_VAR = "__lane__"
+_nd = np.ndarray
 
 
-@dataclass
-class VArr:
-    """An array value inside a vectorized body.
+class MapPlan:
+    """What the planner made of one map statement: its staged ``body``,
+    or the ``declined`` record of why there is none.  It holds the
+    statement itself: plan tables are keyed by ``id(stmt)``, which is
+    unique only while the statement lives."""
 
-    Unlike :class:`RuntimeArray` the index function stays *symbolic*; the
-    values of its free variables are captured in ``vals`` at creation time
-    (uniform ints, or full-width ``(W,)`` int64 lane vectors indexed by
-    global lane id).  Capturing eagerly pins loop-scope variables to their
-    creation-time values, exactly like the interpreter's per-thread
-    ``_instantiate``.
-    """
+    __slots__ = ("stmt", "declined", "body", "free")
 
-    mem: str
-    ixfn: IndexFn
-    dtype: str
-    vals: Dict[str, object]
+    def __init__(self, stmt: A.Let, declined=None, body=None, free=()):
+        self.stmt, self.declined, self.body = stmt, declined, body
+        #: Names the body reads from the launching environment.
+        self.free = free
 
-    @property
-    def itemsize(self) -> int:
-        return DTYPE_INFO[self.dtype][1]
+    def run(self, ex: MemExecutor, env, width: int, dests) -> None:
+        r = _Run(ex, width, ex._current_kernel(), {}, set(), env)
+        venv = dict(env)
+        for name in self.free:
+            v = venv.get(name)
+            if v.__class__ is RuntimeArray:
+                venv[name] = _view_of(v, ex)
+        param = self.stmt.exp.lam.params[0]
+        venv[param] = r.lanes
+        r.weak.add(param)
+        vals = self.body.run(r, venv)
+        for dest, val in zip(dests, vals):
+            if dest is not None:
+                _write_result(r, _fix0(_view_of(dest, ex), r.lanes), val)
 
 
 class VecEngine:
-    """Per-executor vectorization planner and runner."""
+    """Per-executor dispatch into the (possibly shared) plan table."""
 
     def __init__(self, ex: MemExecutor, plans: Optional[Dict[int, object]] = None):
         self.ex = ex
-        #: id(map stmt) -> ``True`` (the body is expressible) or the
-        #: :class:`~repro.decisions.Decision` that says why not.
-        #: (Static, so cached; a Program passes a shared dict so the
-        #: taint analysis runs once per compiled function, not once per
-        #: serving call.)
+        #: id(map stmt) -> :class:`MapPlan`, made at the statement's first
+        #: dispatch.  A Program passes a shared dict, so a body is staged
+        #: once per compiled function, not once per request.
         self._plans: Dict[int, object] = plans if plans is not None else {}
 
     # ------------------------------------------------------------------
     # Entry point (called from MemExecutor._exec_map, real mode only)
     # ------------------------------------------------------------------
-    def try_run_map(
-        self,
-        stmt: A.Let,
-        exp: A.Map,
-        env: Dict[str, object],
-        width: int,
-        dests: List[Optional[RuntimeArray]],
-    ) -> bool:
+    def try_run_map(self, stmt: A.Let, exp: A.Map, env, width: int, dests) -> bool:
         plan = self._plans.get(id(stmt))
         if plan is None:
             plan = self._plans[id(stmt)] = self._plan_map(stmt, exp)
-        if plan is not True:
+        if plan.body is None:
             return False
-        _VecRun(self.ex, width).run_map(stmt, exp, env, dests)
+        plan.run(self.ex, env, width, dests)
         return True
 
-    # ------------------------------------------------------------------
-    # Planning: taint analysis seeded with the thread variable
-    # ------------------------------------------------------------------
-    def _plan_map(self, stmt: A.Let, exp: A.Map):
+    @staticmethod
+    def _plan_map(stmt: A.Let, exp: A.Map) -> MapPlan:
+        param = exp.lam.params[0]
         try:
-            tainted = {exp.lam.params[0]}
-            self._plan_block(exp.lam.body, tainted, set(), set(), False)
+            body = _Stager(param).block(exp.lam.body, False, (param,))
         except Declined as why:
-            return Decision("vectorize", why.rule, stmt.names[0], why.detail)
-        return True
+            return MapPlan(
+                stmt, Decision("vectorize", why.rule, stmt.names[0], why.detail)
+            )
+        return MapPlan(stmt, body=body, free=A.exp_uses(exp))
 
-    def _plan_block(self, block, tainted, lane_arrays, local_mems, masked):
+
+# ----------------------------------------------------------------------
+# Planning and lowering: one walk
+# ----------------------------------------------------------------------
+class _Stager:
+    """The taint analysis, lowering each statement it accepts.
+
+    ``tainted``: scalars that may differ between lanes; ``lane_arrays``:
+    arrays that may; ``local_mems``: blocks allocated in the body;
+    ``visible``: names bound at this point of every launch (an
+    existential block of a compound result that is not among them is
+    bound from the result's value, as the interpreter binds it);
+    ``bindings``: the annotation each array of the body was made from."""
+
+    def __init__(self, param: str):
+        self.tainted = {param}
+        self.lane_arrays: set = set()
+        self.local_mems: set = set()
+        self.visible: set = set()
+        self.bindings: Dict[str, object] = {}
+
+    def block(self, block: A.Block, masked: bool, bound=()) -> "_Block":
+        outer = self.visible
+        self.visible = outer | set(bound)
+        steps, flops = [], 0
         for stmt in block.stmts:
             try:
-                self._plan_stmt(stmt, tainted, lane_arrays, local_mems, masked)
+                steps.append(self.stmt(stmt, masked))
             except Declined as why:
                 # Name the innermost statement the analysis stopped at.
                 raise Declined(
                     why.rule, why.detail or f"at {stmt.names[0]}"
                 ) from None
+            if type(stmt.exp) in (A.BinOp, A.UnOp):
+                flops += scalar.OPS[stmt.exp.op].flops
+            self.visible.update(stmt.names)
+            for pe in stmt.pattern:
+                if pe.is_array() and pe.mem is not None:
+                    self.bindings[pe.name] = pe.mem
+        self.visible = outer
+        return _Block(steps, block.result, flops)
 
-    def _check_bindings(self, stmt: A.Let, tainted) -> None:
+    def _check_bindings(self, stmt: A.Let) -> None:
         """Array bindings must have lane-uniform extents.
 
         Offsets and strides may depend on the thread variable (that is the
@@ -146,883 +177,930 @@ class VecEngine:
                 b = binding_of(pe)
                 if b is None:
                     raise Declined("array-without-binding")
-                for l in b.ixfn.lmads:
-                    for d in l.dims:
-                        if d.shape.free_vars() & tainted:
-                            raise Declined("lane-varying-shape")
+                self._uniform_shape(b)
 
-    def _lane_binding(self, pe, tainted, local_mems) -> bool:
+    def _uniform_shape(self, b) -> None:
+        for l in b.ixfn.lmads:
+            for d in l.dims:
+                if d.shape.free_vars() & self.tainted:
+                    raise Declined("lane-varying-shape")
+
+    def _lane_binding(self, pe) -> bool:
         b = binding_of(pe)
-        return bool(b.ixfn.free_vars() & tainted) or b.mem in local_mems
+        return bool(b.ixfn.free_vars() & self.tainted) or b.mem in self.local_mems
 
-    def _plan_stmt(self, stmt, tainted, lane_arrays, local_mems, masked):
+    def stmt(self, stmt: A.Let, masked: bool) -> "Step":
         exp = stmt.exp
+        kind = type(exp)
         name = stmt.names[0]
+        pe = stmt.pattern[0]
+        tainted, lane_arrays = self.tainted, self.lane_arrays
 
-        if isinstance(exp, A.Alloc):
-            if masked:
-                raise Declined("masked-array-stmt")
-            if exp.size.free_vars() & tainted:
-                raise Declined("lane-varying-shape")
-            local_mems.add(name)
-            return
-
-        if isinstance(exp, A.Lit):
-            return
-
-        if isinstance(exp, A.ScalarE):
+        if kind is A.Lit:
+            return _scalar(name, _constant(_NP_TYPE[exp.dtype].type(exp.value)))
+        if kind is A.ScalarE:
             if exp.expr.free_vars() & tainted:
                 tainted.add(name)
-            return
-
-        if isinstance(exp, (A.BinOp, A.UnOp)):
+            return _scalar(name, _evaluator(exp.expr))
+        if kind is A.BinOp or kind is A.UnOp:
             if scalar.OPS[exp.op].lanes is None:
                 raise Declined(
                     "not-bit-exact", f"{exp.op} has no bit-exact lane form"
                 )
             if A.exp_uses(exp) & tainted:
                 tainted.add(name)
-            return
-
-        if isinstance(exp, A.VarRef):
-            pe = stmt.pattern[0]
-            if pe.is_array():
-                if masked:
-                    raise Declined("masked-array-stmt")
-                self._check_bindings(stmt, tainted)
-                if (
-                    self._lane_binding(pe, tainted, local_mems)
-                    or exp.name in lane_arrays
-                ):
-                    lane_arrays.add(pe.name)
-            elif exp.name in tainted:
-                tainted.add(pe.name)
-            return
-
-        if isinstance(exp, (A.SliceT, A.LmadSlice, A.Rearrange, A.Reshape, A.Reverse)):
-            if masked:
-                raise Declined("masked-array-stmt")
-            self._check_bindings(stmt, tainted)
-            if (
-                self._lane_binding(stmt.pattern[0], tainted, local_mems)
-                or exp.src in lane_arrays
-            ):
-                lane_arrays.add(name)
-            return
-
-        if isinstance(exp, (A.Iota, A.Replicate, A.Scratch)):
-            if masked:
-                raise Declined("masked-array-stmt")
-            self._check_bindings(stmt, tainted)
-            if isinstance(exp, A.Iota) and (exp.n.free_vars() & tainted):
-                raise Declined("lane-varying-shape")
-            if isinstance(exp, A.Replicate):
-                for s in exp.shape:
-                    if s.free_vars() & tainted:
-                        raise Declined("lane-varying-shape")
-            # Scratch contents get written per-lane later; replicate of a
-            # tainted value differs per lane; all are conservatively
-            # lane-varying unless provably uniform, which we never need.
-            lane_arrays.add(name)
-            return
-
-        if isinstance(exp, A.Copy):
-            if masked:
-                raise Declined("masked-array-stmt")
-            self._check_bindings(stmt, tainted)
-            if (
-                self._lane_binding(stmt.pattern[0], tainted, local_mems)
-                or exp.src in lane_arrays
-            ):
-                lane_arrays.add(name)
-            return
-
-        if isinstance(exp, A.Index):
-            idx_vars = frozenset()
-            for i in exp.indices:
-                idx_vars |= i.free_vars()
+            return (_binop if kind is A.BinOp else _unop)(name, exp)
+        if kind is A.VarRef and not pe.is_array():
+            if exp.name in tainted:
+                tainted.add(name)
+            return _alias(name, exp.name)
+        if kind is A.Index:
+            idx_vars = frozenset().union(*(i.free_vars() for i in exp.indices))
             if (idx_vars & tainted) or exp.src in lane_arrays:
                 tainted.add(name)
-            return
-
-        if isinstance(exp, A.Update):
-            if masked:
-                raise Declined("masked-array-stmt")
-            self._check_bindings(stmt, tainted)
-            spec = exp.spec
-            if isinstance(spec, A.TripletSpec):
-                for _, count, _ in spec.triplets:
-                    if count.free_vars() & tainted:
-                        raise Declined("lane-varying-shape")
-            elif isinstance(spec, A.LmadSpec):
-                for d in spec.lmad.dims:
-                    if d.shape.free_vars() & tainted:
-                        raise Declined("lane-varying-shape")
-            lane_arrays.add(name)
-            return
-
-        if isinstance(exp, (A.Reduce, A.ArgMin)):
+            return _index(name, exp)
+        if kind is A.Reduce or kind is A.ArgMin:
             raise Declined("reduction-in-body")
+        if kind is A.If:
+            return self._if(stmt, exp, masked)
+        if kind not in _ARRAY_STEPS and kind not in (A.Alloc, A.Map, A.Loop):
+            raise Declined("unsupported-expression")
 
-        if isinstance(exp, A.Concat):
-            if masked:
-                raise Declined("masked-array-stmt")
-            self._check_bindings(stmt, tainted)
+        # What is left makes arrays or blocks: every lane must run it.
+        if masked:
+            raise Declined("masked-loop" if kind is A.Loop else "masked-array-stmt")
+        if kind is A.Alloc:
+            if exp.size.free_vars() & tainted:
+                raise Declined("lane-varying-shape")
+            self.local_mems.add(name)
+            return _alloc(name, exp)
+        if kind is A.Map:
+            return self._map(stmt, exp)
+        if kind is A.Loop:
+            return self._loop(stmt, exp)
+        self._check_bindings(stmt)
+        spec = getattr(exp, "spec", None)
+        extents = (
+            [exp.n] if kind is A.Iota else exp.shape if kind is A.Replicate
+            else [c for _, c, _ in spec.triplets] if isinstance(spec, A.TripletSpec)
+            else [d.shape for d in spec.lmad.dims] if isinstance(spec, A.LmadSpec)
+            else ()
+        )
+        if any(e.free_vars() & tainted for e in extents):
+            raise Declined("lane-varying-shape")
+        # A view or copy varies where its binding or its source does.
+        # Scratch contents get written per-lane later; replicate of a
+        # tainted value differs per lane; all are conservatively
+        # lane-varying unless provably uniform, which we never need.
+        src = exp.name if kind is A.VarRef else getattr(exp, "src", None)
+        if (
+            kind not in _VIEWS
+            or self._lane_binding(pe)
+            or src in lane_arrays
+        ):
             lane_arrays.add(name)
-            return
+        if kind is A.Update:
+            # An update in place is made from its source's annotation: the
+            # source's view is the result's.
+            in_place = self.bindings.get(exp.src) == binding_of(pe)
+            return _update(name, pe, exp, in_place)
+        return _ARRAY_STEPS[kind](name, pe, exp)
 
-        if isinstance(exp, A.Map):
-            # A nested map extends the lane space: width_outer x width_inner
-            # composite lanes, provided the inner width is lane-uniform.
-            if masked:
-                raise Declined("masked-array-stmt")
-            if exp.width.free_vars() & tainted:
-                raise Declined("lane-varying-map-width")
-            self._check_bindings(stmt, tainted)
-            tainted.add(exp.lam.params[0])
-            self._plan_block(exp.lam.body, tainted, lane_arrays, local_mems, False)
-            for pe in stmt.pattern:
-                if pe.is_array():
-                    lane_arrays.add(pe.name)
-                else:
-                    tainted.add(pe.name)
-            return
+    def _map(self, stmt: A.Let, exp: A.Map) -> "Step":
+        # A nested map extends the lane space: width_outer x width_inner
+        # composite lanes, provided the inner width is lane-uniform.
+        if exp.width.free_vars() & self.tainted:
+            raise Declined("lane-varying-map-width")
+        self._check_bindings(stmt)
+        param = exp.lam.params[0]
+        self.tainted.add(param)
+        body = self.block(exp.lam.body, False, (param,))
+        for pe in stmt.pattern:
+            (self.lane_arrays if pe.is_array() else self.tainted).add(pe.name)
+        return _nested_map(stmt, exp, body)
 
-        if isinstance(exp, A.Loop):
-            if masked:
-                raise Declined("masked-loop")
-            if exp.count.free_vars() & tainted:
-                raise Declined("lane-varying-trip-count")
-            for prm, _init in exp.carried:
-                if isinstance(prm.type, ArrayType):
-                    b = binding_of(prm)
-                    if b is not None:
-                        for l in b.ixfn.lmads:
-                            for d in l.dims:
-                                if d.shape.free_vars() & tainted:
-                                    raise Declined("lane-varying-shape")
-                    lane_arrays.add(prm.name)
-                else:
-                    # Even a uniform initializer can become lane-varying
-                    # through the body; taint conservatively.
-                    tainted.add(prm.name)
-            self._plan_block(exp.body, tainted, lane_arrays, local_mems, False)
-            self._check_bindings(stmt, tainted)
-            for pe in stmt.pattern:
-                if pe.is_array():
-                    lane_arrays.add(pe.name)
-                else:
-                    tainted.add(pe.name)
-            return
-
-        if isinstance(exp, A.If):
-            if masked and any(pe.is_array() for pe in stmt.pattern):
-                raise Declined("masked-array-stmt")
-            if operand_vars(exp.cond) & tainted:
-                # Lane-varying condition: masked execution of both
-                # branches.  Array-producing statements are forbidden
-                # inside (they would need per-lane shapes), and all
-                # results become lane vectors.
-                if any(pe.is_array() for pe in stmt.pattern):
-                    raise Declined("lane-varying-array-branch")
-                self._plan_block(exp.then_block, tainted, lane_arrays, local_mems, True)
-                self._plan_block(exp.else_block, tainted, lane_arrays, local_mems, True)
-                for pe in stmt.pattern:
-                    tainted.add(pe.name)
-            else:
-                self._plan_block(
-                    exp.then_block, tainted, lane_arrays, local_mems, masked
-                )
-                self._plan_block(
-                    exp.else_block, tainted, lane_arrays, local_mems, masked
-                )
-                self._check_bindings(stmt, tainted)
-                for pe, tr, er in zip(
-                    stmt.pattern, exp.then_block.result, exp.else_block.result
-                ):
-                    if pe.is_array():
-                        lane_arrays.add(pe.name)
-                    elif tr in tainted or er in tainted:
-                        tainted.add(pe.name)
-            return
-
-        raise Declined("unsupported-expression")
-
-
-class _VecRun:
-    """One vectorized execution of one map statement.
-
-    Run-scoped so that re-entrant dispatches (an interpreted outer map
-    whose inner maps vectorize per-thread) never share lane state.
-    """
-
-    def __init__(self, ex: MemExecutor, width: int, weak: Optional[set] = None):
-        self.ex = ex
-        self.width = width
-        #: Names now bound to a *weak* lane vector: a thread index, or
-        #: what Python-scalar arithmetic made of one.  A uniform value
-        #: says which it is by its type; an ndarray cannot.  (Binding
-        #: names are unique, so nested runs share the set.)
-        self.weak: set = set() if weak is None else weak
-        #: Lane-expanded blocks for in-body allocs: one buffer of
-        #: ``width * size`` elements; block name -> (per-lane size,
-        #: divisor).  Lane ``c``'s block starts at ``(c // divisor) *
-        #: size`` -- divisor 1 for blocks allocated at this lane depth;
-        #: composite sub-runs of a nested map see outer blocks with the
-        #: divisor multiplied by the inner width, since ``wi`` composite
-        #: lanes share each outer lane's block.
-        self.lane_blocks: Dict[str, Tuple[int, int]] = {}
-
-    # ------------------------------------------------------------------
-    def run_map(self, stmt, exp: A.Map, env, dests) -> None:
-        ex = self.ex
-        W = self.width
-        lanes = np.arange(W, dtype=np.int64)
-        venv: Dict[str, object] = dict(env)
-        venv[exp.lam.params[0]] = lanes
-        self.weak.add(exp.lam.params[0])
-        vals = self.exec_block(exp.lam.body, venv, lanes)
-        lane_expr = SymExpr.var(LANE_VAR)
-        for dest, val in zip(dests, vals):
-            if dest is None:
+    def _loop(self, stmt: A.Let, exp: A.Loop) -> "Step":
+        if exp.count.free_vars() & self.tainted:
+            raise Declined("lane-varying-trip-count")
+        bound = [exp.index]
+        for prm, _init in exp.carried:
+            bound.append(prm.name)
+            b = binding_of(prm)
+            if not prm.is_array():
+                # Even a uniform initializer can become lane-varying
+                # through the body; taint conservatively.
+                self.tainted.add(prm.name)
                 continue
-            region = VArr(
-                dest.mem,
-                dest.ixfn.fix_dim(0, lane_expr),
-                dest.dtype,
-                {LANE_VAR: lanes},
+            if b is not None:
+                self._uniform_shape(b)
+                bound.append(b.mem)
+                self.bindings[prm.name] = b
+            self.lane_arrays.add(prm.name)
+        body = self.block(exp.body, False, bound)
+        # A carried array's view is its parameter's annotation, re-derived
+        # each iteration -- unless the body's result was made from the
+        # same annotation under the same variables: then it is the view.
+        per_iteration = {exp.index, *(p.name for p, _ in exp.carried)} | {
+            n for s in iter_stmts(exp.body) for n in s.names
+        }
+        params = []
+        for (prm, _init), res in zip(exp.carried, exp.body.result):
+            b = binding_of(prm)
+            if not prm.is_array() or b is None:
+                params.append((prm.name, None, None, False))
+                continue
+            kept = self.bindings.get(res) == b and not (
+                (b.ixfn.free_vars() | {b.mem}) & per_iteration
             )
-            if isinstance(val, (VArr, RuntimeArray)):
-                self.copy_region(self._as_varr(val), region, lanes)
-            else:
-                ex._count_write(dest.itemsize * W, ex._space_of(dest.mem))
-                offs = self.point_offsets(region, [0] * region.ixfn.rank, lanes)
-                buf = ex.mem[dest.mem]
-                if isinstance(offs, np.ndarray):
-                    buf[offs] = val
-                else:
-                    # All lanes write one cell: the interpreter's last
-                    # thread wins.
-                    buf[offs] = val[-1] if isinstance(val, np.ndarray) else val
+            params.append((prm.name, _view_maker(b, prm.type.dtype), b.mem, kept))
+        self._check_bindings(stmt)
+        results = self._results(stmt)
+        for pe in stmt.pattern:
+            (self.lane_arrays if pe.is_array() else self.tainted).add(pe.name)
+        return _loop(exp, params, body, results)
 
-    # ------------------------------------------------------------------
-    # Block / statement execution
-    # ------------------------------------------------------------------
-    def exec_block(self, block: A.Block, venv, lanes) -> List[object]:
-        for stmt in block.stmts:
-            self.exec_stmt(stmt, venv, lanes)
-        out = []
-        for r in block.result:
-            if r in venv:
-                out.append(venv[r])
-            elif r in self.ex.mem:
-                out.append(MemRef(r))
+    def _if(self, stmt: A.Let, exp: A.If, masked: bool) -> "Step":
+        arrays = any(pe.is_array() for pe in stmt.pattern)
+        if masked and arrays:
+            raise Declined("masked-array-stmt")
+        if A.operand_vars(exp.cond) & self.tainted:
+            # Lane-varying condition: masked execution of both
+            # branches.  Array-producing statements are forbidden
+            # inside (they would need per-lane shapes), and all
+            # results become lane vectors.
+            if arrays:
+                raise Declined("lane-varying-array-branch")
+            then = self.block(exp.then_block, True)
+            other = self.block(exp.else_block, True)
+            for pe in stmt.pattern:
+                self.tainted.add(pe.name)
+        else:
+            then = self.block(exp.then_block, masked)
+            other = self.block(exp.else_block, masked)
+            self._check_bindings(stmt)
+            for pe, tr, er in zip(
+                stmt.pattern, exp.then_block.result, exp.else_block.result
+            ):
+                if pe.is_array():
+                    self.lane_arrays.add(pe.name)
+                elif tr in self.tainted or er in self.tainted:
+                    self.tainted.add(pe.name)
+        return _if(stmt, exp, then, other, self._results(stmt))
+
+    def _results(self, stmt: A.Let) -> Callable:
+        """Binds a loop's or an ``if``'s results (see :func:`_bind_results`)."""
+        scalars, arrays = [], []
+        for k, pe in enumerate(stmt.pattern):
+            b = binding_of(pe)
+            if not pe.is_array():
+                scalars.append((k, pe.name))
+            elif b is None:
+                arrays.append((k, pe.name, None, None))
             else:
-                raise InterpError(f"unbound result {r!r}")
+                exist = None if b.mem in self.visible else b.mem
+                arrays.append((k, pe.name, _view_maker(b, pe.type.dtype), exist))
+                self.visible.add(b.mem)
+        return functools.partial(_bind_results, scalars=scalars, arrays=arrays)
+
+
+# ----------------------------------------------------------------------
+# Run-time state
+# ----------------------------------------------------------------------
+class _Run:
+    """One launch's lane state; a nested map's sub-run has its own, over
+    composite lanes.  ``lanes``: the active lanes' ids; ``sel``: the same,
+    or None while all ``W`` are; ``L``: how many.  ``blocks``: each
+    lane-expanded in-body block (one ``W * size`` buffer) -> its lanes'
+    base offsets.  ``weak``: the names bound to a *weak* lane vector (a
+    thread index, or what Python-scalar arithmetic made of one; a uniform
+    value says which it is by its type, an ndarray cannot).  ``host``:
+    the launching environment."""
+
+    __slots__ = ("ex", "W", "lanes", "sel", "L", "ks", "blocks", "weak", "host")
+
+    def __init__(self, ex, W, ks, blocks, weak, host):
+        self.ex, self.ks = ex, ks
+        self.W = self.L = W
+        self.lanes, self.sel = np.arange(W, dtype=np.int64), None
+        self.blocks, self.weak, self.host = blocks, weak, host
+
+
+#: ``step(run, env)``: one lowered statement; it binds what its
+#: statement binds in ``env``.
+Step = Callable[[_Run, dict], None]
+
+
+class _Block:
+    """A block's statements lowered to steps, and its flop charge: every
+    scalar operator of the block counts its flops once per active lane."""
+
+    __slots__ = ("steps", "result", "flops")
+
+    def __init__(self, steps: List[Step], result, flops: int):
+        self.steps, self.result, self.flops = steps, result, flops
+
+    def run(self, r: _Run, env) -> List[object]:
+        if self.flops:
+            r.ks.flops += r.L * self.flops
+        for step in self.steps:
+            step(r, env)
+        out = []
+        for n in self.result:
+            if n in env:
+                out.append(env[n])
+            elif n in r.ex.mem:
+                out.append(MemRef(n))
+            else:
+                raise InterpError(f"unbound result {n!r}")
         return out
 
-    def exec_stmt(self, stmt: A.Let, venv, lanes) -> None:
-        ex = self.ex
-        exp = stmt.exp
-        L = len(lanes)
 
-        if isinstance(exp, A.Alloc):
-            size = int(self._eval_scalar(exp.size, venv, lanes))
-            W = self.width
-            ex._alloc_counter += 1
-            unique = f"{stmt.names[0]}@{ex._alloc_counter}"
-            ex.mem[unique] = np.zeros(W * size, dtype=DTYPE_INFO[exp.dtype][0])
-            self.lane_blocks[unique] = (size, 1)
-            venv[stmt.names[0]] = MemRef(unique)
-            ex.stats.alloc_count += W
-            ex.stats.alloc_bytes += W * size * DTYPE_INFO[exp.dtype][1]
-            # One W-lane buffer stands for W per-thread blocks: same live
-            # bytes as the interpreted tier's per-thread allocations.
-            ex._note_alloc(
-                stmt.names[0],
-                unique,
-                W * size * DTYPE_INFO[exp.dtype][1],
-                exp.space,
-            )
-            return
+class _View:
+    """An array inside a launch: its block, and its index function with
+    every LMAD component evaluated -- an int, or (offsets and strides
+    only: the planner keeps shapes uniform) a full-width int64 lane
+    vector.  ``off``/``dims`` are the index-side LMAD, ``outer`` the
+    others, memory side first; a lane-expanded block's lane bases are
+    part of the memory-side offset."""
 
-        if isinstance(exp, (A.Lit, A.ScalarE, A.BinOp, A.UnOp)):
-            name = stmt.pattern[0].name
-            venv[name], weak = self._scalar_exp(exp, venv, lanes)
-            self._mark(name, weak)
-            return
+    __slots__ = ("mem", "space", "dtype", "item", "off", "dims", "outer")
 
-        if isinstance(exp, A.VarRef):
-            pe = stmt.pattern[0]
-            if pe.is_array():
-                venv[pe.name] = self._binding_value(pe, venv, lanes)
-            else:
-                venv[pe.name] = venv[exp.name]
-                self._mark(pe.name, exp.name in self.weak)
-            return
+    def __init__(self, mem, space, dtype, off, dims, outer=()):
+        self.mem, self.space, self.dtype = mem, space, dtype
+        self.item = DTYPE_INFO[dtype][1]
+        self.off, self.dims, self.outer = off, dims, outer
 
-        if isinstance(exp, (A.SliceT, A.LmadSlice, A.Rearrange, A.Reshape, A.Reverse)):
-            venv[stmt.names[0]] = self._binding_value(stmt.pattern[0], venv, lanes)
-            return
-
-        if isinstance(exp, (A.Iota, A.Replicate, A.Scratch)):
-            dest = self._binding_value(stmt.pattern[0], venv, lanes)
-            if not isinstance(exp, A.Scratch):
-                ex._count_write(
-                    self._varr_nbytes(dest, lanes) * L,
-                    ex._space_of(dest.mem),
-                )
-                offs = self.region_offsets(dest, lanes)
-                buf = ex.mem[dest.mem]
-                if offs.size:
-                    if isinstance(exp, A.Iota):
-                        n = int(self._eval_scalar(exp.n, venv, lanes))
-                        buf[offs] = np.arange(n, dtype=DTYPE_INFO[exp.dtype][0])
-                    else:
-                        val = self._operand(exp.value, venv, lanes)
-                        if isinstance(val, np.ndarray):
-                            buf[offs] = val[:, None]
-                        else:
-                            buf[offs] = val
-            venv[stmt.names[0]] = dest
-            return
-
-        if isinstance(exp, A.Copy):
-            src = self._as_varr(venv[exp.src])
-            dest = self._binding_value(stmt.pattern[0], venv, lanes)
-            self.copy_region(src, dest, lanes)
-            venv[stmt.names[0]] = dest
-            return
-
-        if isinstance(exp, A.Index):
-            src = self._as_varr(venv[exp.src])
-            idx = [self._eval_scalar(i, venv, lanes) for i in exp.indices]
-            ex._count_read(src.itemsize * L, ex._space_of(src.mem))
-            off = self.point_offsets(src, idx, lanes)
-            buf = ex.mem[src.mem]
-            venv[stmt.names[0]] = buf[off]
-            return
-
-        if isinstance(exp, A.Concat):
-            dest = self._binding_value(stmt.pattern[0], venv, lanes)
-            offset = 0
-            dshape = [
-                int(self._eval_vals(d.shape, dest.vals, lanes))
-                for d in dest.ixfn.lmads[-1].dims
-            ]
-            for s in exp.srcs:
-                src = self._as_varr(venv[s])
-                rows = int(
-                    self._eval_vals(src.ixfn.lmads[-1].dims[0].shape, src.vals, lanes)
-                )
-                region_ixfn = dest.ixfn.slice_triplets(
-                    [(offset, rows, 1)] + [(0, d, 1) for d in dshape[1:]]
-                )
-                region = VArr(dest.mem, region_ixfn, dest.dtype, dest.vals)
-                self.copy_region(src, region, lanes)
-                offset += rows
-            venv[stmt.names[0]] = dest
-            return
-
-        if isinstance(exp, A.Update):
-            self._exec_update(stmt, exp, venv, lanes)
-            return
-
-        if isinstance(exp, A.Map):
-            self._exec_nested_map(stmt, exp, venv, lanes)
-            return
-
-        if isinstance(exp, A.Loop):
-            self._exec_loop(stmt, exp, venv, lanes)
-            return
-
-        if isinstance(exp, A.If):
-            self._exec_if(stmt, exp, venv, lanes)
-            return
-
-        raise InterpError(
-            f"vectorized engine cannot execute {type(exp).__name__} "
-            "(planner should have rejected this map)"
+    def relaid(self, off, dims, outer=None) -> "_View":
+        """The same block under another layout."""
+        return _View(
+            self.mem, self.space, self.dtype, off, dims,
+            self.outer if outer is None else outer,
         )
 
-    # ------------------------------------------------------------------
-    def _exec_update(self, stmt, exp: A.Update, venv, lanes) -> None:
-        ex = self.ex
-        L = len(lanes)
-        result = self._binding_value(stmt.pattern[0], venv, lanes)
-        spec = exp.spec
-        if isinstance(spec, A.PointSpec):
-            ex._count_write(result.itemsize * L, ex._space_of(result.mem))
-            idx = [self._eval_scalar(i, venv, lanes) for i in spec.indices]
-            off = self.point_offsets(result, idx, lanes)
-            val = self._operand(exp.value, venv, lanes)
-            buf = ex.mem[result.mem]
-            if isinstance(off, np.ndarray):
-                buf[off] = val
+    def lmads(self):
+        return [*self.outer, (self.off, self.dims)]
+
+    def size(self) -> int:
+        n = 1
+        for d, _ in self.dims:
+            n *= d
+        return n
+
+
+# ----------------------------------------------------------------------
+# Compiled evaluators
+# ----------------------------------------------------------------------
+def _int(v):
+    """A scalar as ``eval_sym`` reads it: NumPy integers as Python ints."""
+    return v.item() if isinstance(v, np.generic) else v
+
+
+def _evaluator(expr: SymExpr) -> Callable[[dict], object]:
+    """``expr`` as a function of an environment: a Python int where every
+    variable is uniform, else an int64 lane vector.  (Integer arithmetic,
+    so the order of the terms does not matter.)"""
+    b = expr.constant_term()
+    terms = [(c, mono) for mono, c in expr.terms.items() if mono]
+    if not terms:
+        return _constant(b)
+    if len(terms) == 1 and len(terms[0][1]) == 1 and terms[0][1][0][1] == 1:
+        a, ((var, _),) = terms[0]
+        if a == 1 and not b:  # a copy of a name: no arithmetic on lanes
+            return lambda env: _int(env[var])
+        return lambda env: a * _int(env[var]) + b
+
+    def poly(env):
+        out = b
+        for c, mono in terms:
+            val = c
+            for v, p in mono:
+                val = val * _int(env[v]) ** p
+            out = out + val
+        return out
+
+    return poly
+
+
+def _operand(op: A.Operand):
+    """``(value of the operand in an environment, its name or None)``."""
+    if isinstance(op, str):
+        return operator.itemgetter(op), op
+    if isinstance(op, SymExpr):
+        return _evaluator(op), None
+    return _constant(op), None
+
+
+def _constant(c):
+    return lambda _: c
+
+
+def _view_maker(b, dtype: str) -> Callable[[_Run, dict], _View]:
+    """The view a binder's memory annotation ``b`` describes, made at run
+    time from compiled component evaluators."""
+    mem_name = b.mem
+    *outer, (off_of, dims_of) = [
+        (_evaluator(l.offset), [(_evaluator(d.shape), _evaluator(d.stride))
+                                for d in l.dims])
+        for l in b.ixfn.lmads
+    ]
+
+    def make(r, env):
+        mem = r.ex._resolve_mem(mem_name, env)
+        off = off_of(env)
+        dims = tuple([(n(env), s(env)) for n, s in dims_of])
+        lm = tuple([
+            (o(env), tuple([(n(env), s(env)) for n, s in d])) for o, d in outer
+        ])
+        base = r.blocks.get(mem)
+        if base is not None:
+            if lm:
+                lm = ((lm[0][0] + base, lm[0][1]),) + lm[1:]
             else:
-                buf[off] = val[-1] if isinstance(val, np.ndarray) else val
-            venv[stmt.names[0]] = result
+                off = base if off.__class__ is int and not off else off + base
+        return _View(mem, r.ex._space_of(mem), dtype, off, dims, lm)
+
+    return make
+
+
+def _view_of(ra: RuntimeArray, ex: MemExecutor) -> _View:
+    """A host array's view (its index function is concrete)."""
+    *outer, (off, dims) = [
+        (l.offset.as_int(),
+         tuple([(d.shape.as_int(), d.stride.as_int()) for d in l.dims]))
+        for l in ra.ixfn.lmads
+    ]
+    return _View(ra.mem, ex._space_of(ra.mem), ra.dtype, off, dims, tuple(outer))
+
+
+# ----------------------------------------------------------------------
+# Offsets: batched index-function application
+# ----------------------------------------------------------------------
+def _pick(c, sel):
+    return c[sel] if sel is not None and c.__class__ is _nd else c
+
+
+def _offsets(v: _View, idx, lane):
+    """Flat offsets of ``v`` at the indices ``idx``, ``lane`` fitting each
+    lane-vector component to them.  Composed index functions unrank
+    through the outer LMADs exactly like ``IndexFn.apply_concrete``."""
+    off = lane(v.off)
+    for i, (_, s) in zip(idx, v.dims):
+        off = off + i * lane(s)
+    for loff, dims in reversed(v.outer):
+        coords = np.unravel_index(off, tuple([n for n, _ in dims]))
+        off = lane(loff)
+        for c, (_, s) in zip(coords, dims):
+            off = off + c * lane(s)
+    return off
+
+
+def _point(v: _View, idx_of, env, sel):
+    """Offsets of ``v`` at the indices ``idx_of`` evaluate to in ``env``
+    for the active lanes (``sel``: their ids, None for all): a uniform
+    int or an int64 lane vector."""
+    if sel is None and not v.outer:
+        off = v.off
+        for i_of, (_, s) in zip(idx_of, v.dims):
+            off = off + i_of(env) * s
+        return off
+    return _offsets(v, [f(env) for f in idx_of], lambda c: _pick(c, sel))
+
+
+def _region(v: _View, rows, W: int) -> np.ndarray:
+    """All flat offsets of ``v``, shape ``(L, size)``, for the lanes
+    ``rows`` (None: all ``W``).  Row ``k`` holds its lane's offsets in C
+    order of the visible shape -- matching both ``gather_offsets`` and
+    the interpreter's ``data.reshape`` convention."""
+    size = v.size()
+    idx = np.indices(tuple([n for n, _ in v.dims])).reshape(len(v.dims), size)
+
+    def lane(c):  # a lane vector as a column against the region's row
+        return _pick(c, rows)[:, None] if c.__class__ is _nd else c
+
+    return np.broadcast_to(
+        _offsets(v, idx, lane), (W if rows is None else len(rows), size)
+    )
+
+
+def _fix0(v: _View, ids) -> _View:
+    """``v`` with its first dimension fixed at ``ids``."""
+    (_, s), *rest = v.dims
+    return v.relaid(v.off + ids * s, tuple(rest))
+
+
+def _slice(v: _View, triplets) -> _View:
+    """``v`` sliced by evaluated ``(start, count, step)`` triplets."""
+    off, dims = v.off, []
+    for (start, count, step), (_, s) in zip(triplets, v.dims):
+        off = off + start * s
+        dims.append((count, step * s))
+    return v.relaid(off, tuple(dims))
+
+
+def _expand(v: _View, wi: int) -> _View:
+    """``v`` for the composite lanes of a nested map of width ``wi``."""
+
+    def rep(c):
+        return np.repeat(c, wi) if c.__class__ is _nd else c
+
+    def lmad(off, dims):
+        return rep(off), tuple([(n, rep(s)) for n, s in dims])
+
+    return v.relaid(*lmad(v.off, v.dims), tuple([lmad(*l) for l in v.outer]))
+
+
+# ----------------------------------------------------------------------
+# The one copy rule, per lane
+# ----------------------------------------------------------------------
+def _coincide(src: _View, dst: _View):
+    """Which lanes' source and destination coincide: None (none), True
+    (all) or a bool lane vector."""
+    if src.mem != dst.mem or len(src.outer) != len(dst.outer):
+        return None
+    same = True
+    for (os_, ds), (od, dd) in zip(src.lmads(), dst.lmads()):
+        if len(ds) != len(dd):
+            return None
+        pairs = [(os_, od)]
+        for (ns, ss), (nd, sd) in zip(ds, dd):
+            pairs += [(ns, nd), (ss, sd)]
+        for a, b in pairs:
+            eq = a == b
+            if eq.__class__ is _nd:
+                same = eq if same is True else same & eq
+                if not same.any():
+                    return None
+            elif not eq:
+                return None
+    return same
+
+
+def _copy(r: _Run, src: _View, dst: _View) -> None:
+    """Per-lane mirror of ``MemExecutor._copy_region`` (every lane is
+    active: no array statement runs masked).  A lane's copy is elided iff
+    its source and destination coincide -- decided numerically, which is
+    equivalent to the interpreter's structural comparison of instantiated
+    (constant) index functions."""
+    ex, W = r.ex, r.W
+    same = _coincide(src, dst)
+    n_el = 0 if same is None else W if same is True else int(np.count_nonzero(same))
+    src_nb = src.size() * src.item
+    dst_nb = dst.size() * dst.item
+    if n_el:
+        ex.stats.elided_copies += n_el
+        ex.stats.elided_bytes += (src_nb + dst_nb) * n_el
+    n_rem = W - n_el
+    if n_rem == 0:
+        return
+    r.ks.note_read(src_nb * n_rem, src.space)
+    r.ks.note_written(dst_nb * n_rem, dst.space)
+    rows = None if n_el == 0 else np.flatnonzero(~same)
+    doffs = _region(dst, rows, W)
+    if doffs.size:
+        soffs = _region(src, rows, W)
+        ex.mem[dst.mem][doffs] = ex.mem[src.mem][soffs].reshape(doffs.shape)
+
+
+def _write_result(r: _Run, region: _View, val) -> None:
+    """Each lane's map result into its row of the destination: the copy
+    of an array result, the write of a scalar one."""
+    if val.__class__ is _View:
+        _copy(r, val, region)
+        return
+    r.ks.note_written(region.item * r.W, region.space)
+    off = _point(region, (), None, None)  # every index 0
+    _store(r.ex.mem[region.mem], off, val)
+
+
+def _store(buf, off, val) -> None:
+    if off.__class__ is _nd:
+        buf[off] = val
+    else:
+        # All lanes write one cell: the interpreter's last thread wins.
+        buf[off] = val[-1] if val.__class__ is _nd else val
+
+
+# ----------------------------------------------------------------------
+# Steps: scalars
+# ----------------------------------------------------------------------
+def _mark(weak: set, name: str, is_weak: bool) -> None:
+    (weak.add if is_weak else weak.discard)(name)
+
+
+def _scalar(name: str, value_of) -> Step:
+    """A literal or an index expression (its lane vectors are weak)."""
+
+    def step(r, env):
+        v = env[name] = value_of(env)
+        if v.__class__ is _nd:
+            r.weak.add(name)
+
+    return step
+
+
+def _alias(name: str, src: str) -> Step:
+    def step(r, env):
+        v = env[name] = env[src]
+        if v.__class__ is _nd:
+            _mark(r.weak, name, src in r.weak)
+
+    return step
+
+
+def _form(op: str, key, vals, literal):
+    """How ``op`` applies to operands of the kinds ``key`` spells (a lane
+    vector's ``(dtype char, weak)``, a uniform value's type): the
+    conversion of each operand (None: as it is; a literal's is its
+    converted value), and whether the result is weak -- the operator
+    table's promotion, decided once per key."""
+    dtype, kind = scalar.op_typing(op, *[
+        (_IR_DTYPE[k[0]], k[1]) if v.__class__ is _nd else scalar.kind_of(v)
+        for k, v in zip(key, vals)
+    ])
+    to = None if dtype is None else _NP_TYPE[dtype]
+    convs = [
+        None if to is None or (v.__class__ is _nd and k[0] == to.char)
+        else (lambda a: a.astype(to)) if v.__class__ is _nd
+        else _constant(to.type(v)) if lit
+        else to.type
+        for k, v, lit in zip(key, vals, literal)
+    ]
+    return convs, kind is not None and kind[1]
+
+
+def _binop(name: str, exp: A.BinOp) -> Step:
+    op, row = exp.op, scalar.OPS[exp.op]
+    on_scalars, on_lanes = row.scalar, row.lanes
+    x_of, xn = _operand(exp.x)
+    y_of, yn = _operand(exp.y)
+    literal = [not isinstance(o, (str, SymExpr)) for o in (exp.x, exp.y)]
+    forms: dict = {}
+
+    def step(r, env):
+        x, y = x_of(env), y_of(env)
+        x_lanes, y_lanes = x.__class__ is _nd, y.__class__ is _nd
+        if not (x_lanes or y_lanes):
+            env[name] = on_scalars(x, y)  # uniform: its type says its kind
             return
-        if isinstance(spec, A.TripletSpec):
-            region_ixfn = result.ixfn.slice_triplets(spec.triplets)
+        # A lane vector: an index expression's is weak, a name's as marked.
+        weak = r.weak
+        key = (
+            (x.dtype.char, xn is None or xn in weak) if x_lanes else x.__class__,
+            (y.dtype.char, yn is None or yn in weak) if y_lanes else y.__class__,
+        )
+        form = forms.get(key)
+        if form is None:
+            form = forms[key] = _form(op, key, (x, y), literal)
+        (cx, cy), is_weak = form
+        env[name] = on_lanes(
+            x if cx is None else cx(x), y if cy is None else cy(y)
+        )
+        if is_weak:
+            weak.add(name)
         else:
-            assert isinstance(spec, A.LmadSpec)
-            region_ixfn = result.ixfn.lmad_slice(spec.lmad)
-        region_vals = dict(result.vals)
-        for v in region_ixfn.free_vars():
-            if v not in region_vals:
-                region_vals[v] = self._capture(venv[v])
-        region = VArr(result.mem, region_ixfn, result.dtype, region_vals)
-        value = venv[exp.value] if isinstance(exp.value, str) else None
-        if not isinstance(value, (VArr, RuntimeArray)):
+            weak.discard(name)
+
+    return step
+
+
+def _unop(name: str, exp: A.UnOp) -> Step:
+    op, row = exp.op, scalar.OPS[exp.op]
+    on_scalars, on_lanes = row.scalar, row.lanes
+    x_of, xn = _operand(exp.x)
+    forms: dict = {}
+
+    def step(r, env):
+        x = x_of(env)
+        if x.__class__ is not _nd:
+            env[name] = on_scalars(x)
+            return
+        key = ((x.dtype.char, xn is None or xn in r.weak),)
+        form = forms.get(key)
+        if form is None:
+            form = forms[key] = _form(op, key, (x,), (False,))
+        (cx,), is_weak = form
+        env[name] = on_lanes(x if cx is None else cx(x))
+        _mark(r.weak, name, is_weak)
+
+    return step
+
+
+def _index(name: str, exp: A.Index) -> Step:
+    src, idx_of = exp.src, [_evaluator(i) for i in exp.indices]
+
+    def step(r, env):
+        v = env[src]
+        r.ks.note_read(v.item * r.L, v.space)
+        env[name] = r.ex.mem[v.mem][_point(v, idx_of, env, r.sel)]
+
+    return step
+
+
+# ----------------------------------------------------------------------
+# Steps: arrays
+# ----------------------------------------------------------------------
+def _alloc(name: str, exp: A.Alloc) -> Step:
+    size_of = _evaluator(exp.size)
+    np_dtype, item = DTYPE_INFO[exp.dtype]
+
+    def step(r, env):
+        ex, W = r.ex, r.W
+        size = int(size_of(env))
+        ex._alloc_counter += 1
+        unique = f"{name}@{ex._alloc_counter}"
+        ex.mem[unique] = np.zeros(W * size, dtype=np_dtype)
+        r.blocks[unique] = r.lanes * size
+        env[name] = MemRef(unique)
+        ex.stats.alloc_count += W
+        ex.stats.alloc_bytes += W * size * item
+        # One W-lane buffer stands for W per-thread blocks: same live
+        # bytes as the interpreted tier's per-thread allocations.
+        ex._note_alloc(name, unique, W * size * item, exp.space)
+
+    return step
+
+
+def _view_step(name: str, pe: A.PatElem, exp) -> Step:
+    """A change of layout (or an alias): the annotation is the value."""
+    make = _view_maker(binding_of(pe), pe.type.dtype)
+
+    def step(r, env):
+        env[name] = make(r, env)
+
+    return step
+
+
+def _fill(name: str, pe: A.PatElem, exp) -> Step:
+    if type(exp) is A.Scratch:  # uninitialized: nothing is written
+        return _view_step(name, pe, exp)
+    make = _view_maker(binding_of(pe), pe.type.dtype)
+    if type(exp) is A.Iota:
+        n_of, np_dtype = _evaluator(exp.n), DTYPE_INFO[exp.dtype][0]
+    else:
+        value_of = _operand(exp.value)[0]
+
+    def step(r, env):
+        dest = env[name] = make(r, env)
+        r.ks.note_written(dest.size() * dest.item * r.L, dest.space)
+        offs = _region(dest, None, r.W)
+        if offs.size:
+            buf = r.ex.mem[dest.mem]
+            if type(exp) is A.Iota:
+                buf[offs] = np.arange(int(n_of(env)), dtype=np_dtype)
+            else:
+                val = value_of(env)
+                buf[offs] = val[:, None] if val.__class__ is _nd else val
+
+    return step
+
+
+def _copy_step(name: str, pe: A.PatElem, exp: A.Copy) -> Step:
+    make = _view_maker(binding_of(pe), pe.type.dtype)
+
+    def step(r, env):
+        dest = make(r, env)
+        _copy(r, env[exp.src], dest)
+        env[name] = dest
+
+    return step
+
+
+def _concat(name: str, pe: A.PatElem, exp: A.Concat) -> Step:
+    make = _view_maker(binding_of(pe), pe.type.dtype)
+
+    def step(r, env):
+        dest = env[name] = make(r, env)
+        rest = [(0, n, 1) for n, _ in dest.dims[1:]]
+        offset = 0
+        for s in exp.srcs:
+            src = env[s]
+            rows = src.dims[0][0]
+            _copy(r, src, _slice(dest, [(offset, rows, 1)] + rest))
+            offset += rows
+
+    return step
+
+
+def _update(name: str, pe: A.PatElem, exp: A.Update, in_place=False) -> Step:
+    make = (
+        (lambda r, env: env[exp.src]) if in_place
+        else _view_maker(binding_of(pe), pe.type.dtype)
+    )
+    spec = exp.spec
+    if isinstance(spec, A.PointSpec):
+        idx_of = [_evaluator(i) for i in spec.indices]
+        value_of = _operand(exp.value)[0]
+
+        def point(r, env):
+            res = env[name] = make(r, env)
+            r.ks.note_written(res.item * r.L, res.space)
+            off = _point(res, idx_of, env, r.sel)
+            _store(r.ex.mem[res.mem], off, value_of(env))
+
+        return point
+    if isinstance(spec, A.TripletSpec):
+        trips = [tuple(map(_evaluator, t)) for t in spec.triplets]
+
+        def region(res, env):
+            return _slice(res, [(a(env), n(env), s(env)) for a, n, s in trips])
+    else:
+        # A generalized LMAD slice of a rank-1 view (Lmad.compose_slice).
+        off_of = _evaluator(spec.lmad.offset)
+        dims_of = [(_evaluator(d.shape), _evaluator(d.stride)) for d in spec.lmad.dims]
+
+        def region(res, env):
+            s = res.dims[0][1]
+            dims = tuple([(n(env), st(env) * s) for n, st in dims_of])
+            return res.relaid(res.off + off_of(env) * s, dims)
+
+    def sliced(r, env):
+        res = make(r, env)
+        value = env[exp.value] if isinstance(exp.value, str) else None
+        if value.__class__ is not _View:
             raise InterpError("slice update value must be an array variable")
-        self.copy_region(self._as_varr(value), region, lanes)
-        venv[stmt.names[0]] = result
+        _copy(r, value, region(res, env))
+        env[name] = res
 
-    # ------------------------------------------------------------------
-    def _exec_nested_map(self, stmt, exp: A.Map, venv, lanes) -> None:
-        """Execute a nested map by expanding to a composite lane space.
+    return sliced
 
-        With outer width ``W`` and (lane-uniform) inner width ``wi``, the
-        body runs in a fresh ``_VecRun`` of ``W * wi`` composite lanes,
-        outer-major: composite lane ``c`` is outer lane ``c // wi``,
-        inner thread ``c % wi``.  Outer lane vectors are ``np.repeat``-ed;
-        outer lane-block bases are baked into a synthetic offset variable
-        so the sub-run needs no knowledge of the outer lane geometry.
-        Mirrors the interpreter exactly: the nested map charges its own
-        kernel entry and adds no launch (a multi-dimensional grid, not a
-        separate kernel).
-        """
-        ex = self.ex
-        W = len(lanes)
-        wi = int(self._eval_scalar(exp.width, venv, lanes))
-        dests = [
-            self._binding_value(pe, venv, lanes) if pe.is_array() else None
-            for pe in stmt.pattern
-        ]
-        ks = ex.stats.kernel("map", f"map:{'/'.join(stmt.names)}")
-        big = W * wi
-        sub = _VecRun(ex, big, self.weak)
-        sub.lane_blocks = {
-            m: (sz, div * max(wi, 1)) for m, (sz, div) in self.lane_blocks.items()
-        }
 
-        def expand(val):
-            if isinstance(val, np.ndarray) and val.ndim == 1 and val.shape[0] == W:
-                return np.repeat(val, wi)
-            if isinstance(val, VArr):
-                vals = {
-                    k: np.repeat(v, wi) if isinstance(v, np.ndarray) else v
-                    for k, v in val.vals.items()
-                }
-                return VArr(val.mem, val.ixfn, val.dtype, vals)
-            return val
+#: Statements whose value is their source's array, relaid out or copied.
+_VIEWS = (A.VarRef, A.SliceT, A.LmadSlice, A.Rearrange, A.Reshape, A.Reverse, A.Copy)
+#: ``kind -> factory(name, pattern element, exp)`` of the array steps.
+_ARRAY_STEPS = {
+    **dict.fromkeys(_VIEWS[:-1], _view_step),
+    A.Copy: _copy_step,
+    A.Iota: _fill, A.Replicate: _fill, A.Scratch: _fill,
+    A.Update: _update,
+    A.Concat: _concat,
+}
 
-        used = A.exp_uses(exp)
-        senv = {k: (expand(v) if k in used else v) for k, v in venv.items()}
-        clanes = np.arange(big, dtype=np.int64)
+
+# ----------------------------------------------------------------------
+# Steps: compound statements
+# ----------------------------------------------------------------------
+def _bind_results(r, env, vals, srcs, scalars, arrays) -> None:
+    """Bind a loop's or an ``if``'s results: ``vals``, which its block
+    bound to ``srcs``.  Scalars (existential blocks among them) first,
+    then arrays, through what those bound."""
+    weak = r.weak
+    for k, name in scalars:
+        v = env[name] = vals[k]
+        if v.__class__ is _nd:
+            _mark(weak, name, srcs[k] in weak)
+    for k, name, make, exist in arrays:
+        if make is None:
+            env[name] = vals[k]
+            continue
+        if exist is not None and exist not in r.ex.mem and exist not in r.host:
+            # An existential block binds to wherever the value is.
+            env[exist] = MemRef(vals[k].mem)
+        env[name] = make(r, env)
+
+
+def _nested_map(stmt: A.Let, exp: A.Map, body: _Block) -> Step:
+    """Execute a nested map by expanding to a composite lane space.
+
+    With outer width ``W`` and (lane-uniform) inner width ``wi``, the
+    body runs in a sub-run of ``W * wi`` composite lanes, outer-major:
+    composite lane ``c`` is outer lane ``c // wi``, inner thread ``c %
+    wi``.  Outer lane vectors and views are ``np.repeat``-ed.  Mirrors
+    the interpreter exactly: the nested map charges its own kernel entry
+    and adds no launch (a multi-dimensional grid, not a separate kernel).
+    """
+    param = exp.lam.params[0]
+    width_of = _evaluator(exp.width)
+    makers = [
+        _view_maker(binding_of(pe), pe.type.dtype) if pe.is_array() else None
+        for pe in stmt.pattern
+    ]
+    label = f"map:{'/'.join(stmt.names)}"
+    # What the body reads of the enclosing lanes: operands, and the
+    # variables of its binders' index functions.
+    used = set(A.exp_uses(exp))
+    for s in iter_stmts(exp.lam.body):
+        for pe in binders(s):
+            if pe.mem is not None:
+                used |= pe.mem.ixfn.free_vars()
+
+    def step(r, env):
+        ex, W = r.ex, r.W
+        wi = int(width_of(env))
+        dests = [m(r, env) if m is not None else None for m in makers]
+        ks = ex.stats.kernel("map", label)
+        blocks = {m: np.repeat(base, wi) for m, base in r.blocks.items()}
+        sub = _Run(ex, W * wi, ks, blocks, r.weak, r.host)
+        senv = dict(env)
+        for k in used:
+            v = senv.get(k)
+            if v.__class__ is _nd and v.ndim == 1 and v.shape[0] == W:
+                senv[k] = np.repeat(v, wi)
+            elif v.__class__ is _View:
+                senv[k] = _expand(v, wi)
         inner_ids = np.tile(np.arange(wi, dtype=np.int64), W)
-        senv[exp.lam.params[0]] = inner_ids
-        self.weak.add(exp.lam.params[0])
+        senv[param] = inner_ids
+        r.weak.add(param)
         ex._kernel_stack.append(ks)
         try:
             if wi > 0:
-                vals = sub.exec_block(exp.lam.body, senv, clanes)
-                lane_expr = SymExpr.var(LANE_VAR)
+                vals = body.run(sub, senv)
                 for dest, val in zip(dests, vals):
-                    if dest is None:
-                        continue
-                    dexp = expand(dest)
-                    rvals = dict(dexp.vals)
-                    rvals[LANE_VAR] = inner_ids
-                    region = VArr(
-                        dexp.mem,
-                        dexp.ixfn.fix_dim(0, lane_expr),
-                        dexp.dtype,
-                        rvals,
-                    )
-                    if isinstance(val, (VArr, RuntimeArray)):
-                        sub.copy_region(sub._as_varr(val), region, clanes)
-                    else:
-                        ex._count_write(
-                            dexp.itemsize * big, ex._space_of(dexp.mem)
-                        )
-                        offs = sub.point_offsets(
-                            region, [0] * region.ixfn.rank, clanes
-                        )
-                        buf = ex.mem[dexp.mem]
-                        if isinstance(offs, np.ndarray):
-                            buf[offs] = val
-                        else:
-                            buf[offs] = (
-                                val[-1] if isinstance(val, np.ndarray) else val
-                            )
+                    if dest is not None:
+                        _write_result(sub, _fix0(_expand(dest, wi), inner_ids), val)
         finally:
             ex._kernel_stack.pop()
         for pe, dest in zip(stmt.pattern, dests):
-            venv[pe.name] = dest
+            env[pe.name] = dest
 
-    # ------------------------------------------------------------------
-    def _exec_loop(self, stmt, exp: A.Loop, venv, lanes) -> None:
-        ex = self.ex
-        count = int(self._eval_scalar(exp.count, venv, lanes))
-        state = [venv[init] for _, init in exp.carried]
-        names = [init for _, init in exp.carried]
+    return step
+
+
+def _loop(exp: A.Loop, params, body: _Block, results) -> Step:
+    """A sequential loop, iterated on the host in the launch's one
+    environment (``params``: see :meth:`_Stager._loop`)."""
+    count_of = _evaluator(exp.count)
+    index = exp.index
+    inits = [init for _, init in exp.carried]
+
+    def step(r, env):
+        count = int(count_of(env))
+        weak, mem = r.weak, r.ex.mem
+        state, srcs = [env[i] for i in inits], inits
         for it in range(count):
-            child = dict(venv)
-            child[exp.index] = it
-            for (prm, _), val, src in zip(exp.carried, state, names):
-                if isinstance(prm.type, ArrayType):
-                    v = self._as_varr(val)
-                    b = binding_of(prm)
-                    if b is not None and b.mem not in ex.mem:
-                        child[b.mem] = MemRef(v.mem)
-                    if b is not None:
-                        child[prm.name] = self._binding_to_varr(
-                            b, prm.type.dtype, child, lanes
-                        )
-                    else:
-                        child[prm.name] = v
-                else:
-                    child[prm.name] = val
-                    self._mark(prm.name, src in self.weak)
-            state[:] = self.exec_block(exp.body, child, lanes)
-            names = exp.body.result
-        self._bind_compound_results(stmt, state, names, venv, lanes)
+            env[index] = it
+            for (prm, make, pmem, kept), val, src in zip(params, state, srcs):
+                if make is None:
+                    env[prm] = val
+                    if val.__class__ is _nd:
+                        _mark(weak, prm, src in weak)
+                    continue
+                if pmem not in mem:
+                    env[pmem] = MemRef(val.mem)
+                env[prm] = val if it and kept else make(r, env)
+            state, srcs = body.run(r, env), body.result
+        results(r, env, state, srcs)
 
-    # ------------------------------------------------------------------
-    def _exec_if(self, stmt, exp: A.If, venv, lanes) -> None:
-        cond = self._operand(exp.cond, venv, lanes)
-        if not isinstance(cond, np.ndarray):
-            block = exp.then_block if cond else exp.else_block
-            vals = self.exec_block(block, dict(venv), lanes)
-            self._bind_compound_results(stmt, vals, block.result, venv, lanes)
+    return step
+
+
+def _if(stmt: A.Let, exp: A.If, then: _Block, other: _Block, results) -> Step:
+    cond_of = _operand(exp.cond)[0]
+    branches = [
+        (then, sorted(A.block_free_vars(exp.then_block))),
+        (other, sorted(A.block_free_vars(exp.else_block))),
+    ]
+    names = stmt.names
+
+    def step(r, env):
+        cond = cond_of(env)
+        if cond.__class__ is not _nd:
+            blk = then if cond else other
+            results(r, env, blk.run(r, env), blk.result)
             return
-        mask = cond
         # (values, result names) of each branch some lane takes.
         sides = [
-            (
-                self.exec_block(blk, self._mask_env(venv, m, len(lanes)), lanes[m]),
-                blk.result,
-            )
-            for m, blk in ((mask, exp.then_block), (~mask, exp.else_block))
+            (_run_masked(r, blk, env, m, free), blk.result)
+            for m, (blk, free) in zip((cond, ~cond), branches)
             if m.any()
         ]
-        for k, pe in enumerate(stmt.pattern):
+        weak = r.weak
+        for k, name in enumerate(names):
             vals = [side[k] for side, _ in sides]
-            venv[pe.name] = (
-                vals[0] if len(vals) == 1 else self._merge_masked(mask, *vals)
-            )
-            self._mark(pe.name, all(
-                self._kind(names[k], side[k])[1] for side, names in sides
+            env[name] = vals[0] if len(vals) == 1 else _merge_masked(cond, *vals)
+            _mark(weak, name, all(
+                srcs[k] in weak if side[k].__class__ is _nd
+                else scalar.kind_of(side[k])[1]
+                for side, srcs in sides
             ))
 
-    @staticmethod
-    def _mask_env(venv, mask, L):
-        return {
-            k: v[mask]
-            if isinstance(v, np.ndarray) and v.ndim == 1 and v.shape[0] == L
-            else v
-            for k, v in venv.items()
-        }
+    return step
 
-    @staticmethod
-    def _merge_masked(mask, tv, ev):
-        out = np.empty(mask.shape[0], dtype=np.result_type(tv, ev))
-        out[mask] = tv
-        out[~mask] = ev
-        return out
 
-    # ------------------------------------------------------------------
-    def _bind_compound_results(self, stmt, vals, names, venv, lanes) -> None:
-        """Bind a loop's or a uniform ``if``'s results: ``vals``, which
-        the body bound to ``names``."""
-        ex = self.ex
-        for pe, val, src in zip(stmt.pattern, vals, names):
-            if not pe.is_array():
-                venv[pe.name] = val
-                self._mark(pe.name, src in self.weak)
-        for pe, val in zip(stmt.pattern, vals):
-            if pe.is_array():
-                if pe.mem is not None:
-                    b = binding_of(pe)
-                    if b.mem not in ex.mem and b.mem not in venv:
-                        venv[b.mem] = MemRef(self._as_varr(val).mem)
-                    venv[pe.name] = self._binding_value(pe, venv, lanes)
-                else:
-                    venv[pe.name] = val
+def _run_masked(r: _Run, blk: _Block, env, mask, free) -> List[object]:
+    """Run ``blk`` on the lanes of ``mask``, in an environment of what it
+    reads from ``env`` (lane vectors narrowed to those lanes)."""
+    L = r.L
+    menv = {}
+    for k in free:
+        if k in env:
+            v = env[k]
+            if v.__class__ is _nd and v.ndim == 1 and v.shape[0] == L:
+                v = v[mask]
+            menv[k] = v
+    saved = r.lanes, r.sel, r.L
+    r.lanes = r.sel = r.lanes[mask]
+    r.L = len(r.lanes)
+    try:
+        return blk.run(r, menv)
+    finally:
+        r.lanes, r.sel, r.L = saved
 
-    # ------------------------------------------------------------------
-    # Values
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _capture(val):
-        if isinstance(val, np.generic):
-            return val.item()
-        return val
 
-    def _as_varr(self, val) -> VArr:
-        if isinstance(val, VArr):
-            return val
-        if isinstance(val, RuntimeArray):
-            return VArr(val.mem, val.ixfn, val.dtype, {})
-        raise InterpError(f"expected an array value, got {type(val).__name__}")
-
-    def _binding_value(self, pe, venv, lanes) -> VArr:
-        b = binding_of(pe)
-        if b is None:
-            raise InterpError(f"array {pe.name} lacks a memory binding")
-        assert isinstance(pe.type, ArrayType)
-        return self._binding_to_varr(b, pe.type.dtype, venv, lanes)
-
-    def _binding_to_varr(self, b: MemBinding, dtype, venv, lanes) -> VArr:
-        mem = self.ex._resolve_mem(b.mem, venv)
-        vals: Dict[str, object] = {}
-        for v in b.ixfn.free_vars():
-            if v not in venv:
-                raise InterpError(f"unbound variable {v!r} in index function")
-            vals[v] = self._capture(venv[v])
-        return VArr(mem, b.ixfn, dtype, vals)
-
-    # ------------------------------------------------------------------
-    # Offset evaluation: batched index-function application
-    # ------------------------------------------------------------------
-    def _eval_vals(self, expr: SymExpr, vals, lanes):
-        """Evaluate an ixfn component under creation-time captures.
-
-        Captured lane vectors are full-width and indexed by global lane
-        id, so slicing by ``lanes`` yields the active lanes' values.
-        Returns a Python int (uniform) or an ``(L,)`` int64 vector.
-        """
-        out = 0
-        for m, c in expr.terms.items():
-            val = c
-            for var, p in m:
-                v = vals[var]
-                if isinstance(v, np.ndarray):
-                    v = v[lanes]
-                val = val * v**p
-            out = out + val
-        return out
-
-    def point_offsets(self, varr: VArr, idx, lanes):
-        """Flat offsets of ``varr[idx]`` for all active lanes.
-
-        ``idx`` entries are uniform ints or ``(L,)`` vectors; the result
-        is a uniform int or an ``(L,)`` int64 vector.  Composed index
-        functions unrank through the outer LMADs exactly like
-        ``IndexFn.apply_concrete``, but for all lanes at once.
-        """
-        ixfn = varr.ixfn
-        inner = ixfn.lmads[-1]
-        off = self._eval_vals(inner.offset, varr.vals, lanes)
-        for i, d in zip(idx, inner.dims):
-            off = off + i * self._eval_vals(d.stride, varr.vals, lanes)
-        for l in reversed(ixfn.lmads[:-1]):
-            shape = tuple(
-                int(self._eval_vals(d.shape, varr.vals, lanes)) for d in l.dims
-            )
-            coords = np.unravel_index(off, shape)
-            off = self._eval_vals(l.offset, varr.vals, lanes)
-            for coord, d in zip(coords, l.dims):
-                off = off + coord * self._eval_vals(d.stride, varr.vals, lanes)
-        ent = self.lane_blocks.get(varr.mem)
-        if ent is not None:
-            size, div = ent
-            off = off + (lanes // div if div != 1 else lanes) * size
-        return off
-
-    def region_offsets(self, varr: VArr, lanes) -> np.ndarray:
-        """All flat offsets of the region, shape ``(L, region_size)``.
-
-        Row ``k`` holds lane ``lanes[k]``'s offsets in C order of the
-        region's visible shape -- matching both ``gather_offsets`` and the
-        interpreter's ``data.reshape`` convention.
-        """
-        L = len(lanes)
-        ixfn = varr.ixfn
-        inner = ixfn.lmads[-1]
-        shape = tuple(
-            int(self._eval_vals(d.shape, varr.vals, lanes)) for d in inner.dims
-        )
-        q = len(shape)
-        off0 = self._eval_vals(inner.offset, varr.vals, lanes)
-        offs = np.zeros((L,) + shape, dtype=np.int64)
-        offs += np.asarray(off0, dtype=np.int64).reshape((-1,) + (1,) * q)
-        for axis, d in enumerate(inner.dims):
-            n = shape[axis]
-            s = self._eval_vals(d.stride, varr.vals, lanes)
-            cshape = [1] * (q + 1)
-            cshape[axis + 1] = n
-            if isinstance(s, np.ndarray):
-                cshape[0] = L
-                offs += (np.arange(n, dtype=np.int64)[None, :] * s[:, None]).reshape(
-                    cshape
-                )
-            else:
-                offs += (np.arange(n, dtype=np.int64) * s).reshape(cshape)
-        offs = offs.reshape(L, -1)
-        for l in reversed(ixfn.lmads[:-1]):
-            oshape = tuple(
-                int(self._eval_vals(d.shape, varr.vals, lanes)) for d in l.dims
-            )
-            coords = np.unravel_index(offs, oshape)
-            acc = np.zeros_like(offs)
-            acc += np.asarray(
-                self._eval_vals(l.offset, varr.vals, lanes), dtype=np.int64
-            ).reshape(-1, 1)
-            for coord, d in zip(coords, l.dims):
-                s = self._eval_vals(d.stride, varr.vals, lanes)
-                if isinstance(s, np.ndarray):
-                    s = s[:, None]
-                acc += coord * s
-            offs = acc
-        ent = self.lane_blocks.get(varr.mem)
-        if ent is not None:
-            size, div = ent
-            base = (lanes // div if div != 1 else lanes) * size
-            offs = offs + base[:, None]
-        return offs
-
-    def _varr_size(self, varr: VArr, lanes) -> int:
-        n = 1
-        for d in varr.ixfn.lmads[-1].dims:
-            n *= int(self._eval_vals(d.shape, varr.vals, lanes))
-        return n
-
-    def _varr_nbytes(self, varr: VArr, lanes) -> int:
-        return self._varr_size(varr, lanes) * varr.itemsize
-
-    # ------------------------------------------------------------------
-    # The one copy rule, per lane
-    # ------------------------------------------------------------------
-    def copy_region(self, src: VArr, dst: VArr, lanes) -> None:
-        """Per-lane mirror of ``MemExecutor._copy_region``.
-
-        A lane's copy is elided iff its instantiated source and
-        destination index functions coincide -- decided numerically here,
-        which is equivalent to the interpreter's structural comparison of
-        instantiated (constant) index functions.
-        """
-        ex = self.ex
-        L = len(lanes)
-        elide = None
-        if src.mem == dst.mem and len(src.ixfn.lmads) == len(dst.ixfn.lmads):
-            elide = np.ones(L, dtype=bool)
-            for ls, ld in zip(src.ixfn.lmads, dst.ixfn.lmads):
-                if ls.rank != ld.rank:
-                    elide = None
-                    break
-                pairs = [(ls.offset, ld.offset)]
-                for ds, dd in zip(ls.dims, ld.dims):
-                    pairs.append((ds.shape, dd.shape))
-                    pairs.append((ds.stride, dd.stride))
-                for es, ed in pairs:
-                    vs = self._eval_vals(es, src.vals, lanes)
-                    vd = self._eval_vals(ed, dst.vals, lanes)
-                    elide = elide & np.asarray(vs == vd)
-                    if not elide.any():
-                        break
-                else:
-                    continue
-                break
-        if elide is None:
-            elide = np.zeros(L, dtype=bool)
-        n_el = int(np.count_nonzero(elide))
-        src_nb = self._varr_nbytes(src, lanes)
-        dst_nb = self._varr_nbytes(dst, lanes)
-        if n_el:
-            ex.stats.elided_copies += n_el
-            ex.stats.elided_bytes += (src_nb + dst_nb) * n_el
-        n_rem = L - n_el
-        if n_rem == 0:
-            return
-        ks = ex._current_kernel()
-        assert ks is not None
-        ks.note_read(src_nb * n_rem, ex._space_of(src.mem))
-        ks.note_written(dst_nb * n_rem, ex._space_of(dst.mem))
-        rlanes = lanes[~elide]
-        doffs = self.region_offsets(dst, rlanes)
-        if doffs.size:
-            soffs = self.region_offsets(src, rlanes)
-            sbuf = ex.mem[src.mem]
-            dbuf = ex.mem[dst.mem]
-            dbuf[doffs] = sbuf[soffs].reshape(doffs.shape)
-
-    # ------------------------------------------------------------------
-    # Scalars
-    # ------------------------------------------------------------------
-    def _eval_scalar(self, expr, venv, lanes):
-        """Evaluate an index/scalar SymExpr in the current environment."""
-        if not isinstance(expr, SymExpr):
-            return expr
-        for v in expr.free_vars():
-            if isinstance(venv.get(v), np.ndarray):
-                break
-        else:
-            # All-uniform: the interpreter's exact integer path.
-            return eval_sym(expr, venv)
-        out = 0
-        for m, c in expr.terms.items():
-            val = c
-            for var, p in m:
-                v = venv[var]
-                if isinstance(v, np.generic):
-                    v = v.item()
-                val = val * v**p
-            out = out + val
-        return out
-
-    def _operand(self, op: A.Operand, venv, lanes):
-        if isinstance(op, str):
-            return venv[op]
-        if isinstance(op, SymExpr):
-            return self._eval_scalar(op, venv, lanes)
-        return op
-
-    def _mark(self, name: str, weak: bool) -> None:
-        (self.weak.add if weak else self.weak.discard)(name)
-
-    def _kind(self, op: A.Operand, val) -> scalar.Kind:
-        if not isinstance(val, np.ndarray):
-            return scalar.kind_of(val)
-        # A lane vector: an index expression's is weak, a name's as marked.
-        return _IR_DTYPE[val.dtype.char], not isinstance(op, str) or op in self.weak
-
-    def _scalar_exp(self, exp: A.Exp, venv, lanes):
-        """``(value, is it a weak lane vector)`` of a scalar expression."""
-        if isinstance(exp, A.Lit):
-            return _NP_TYPE[exp.dtype].type(exp.value), False
-        if isinstance(exp, A.ScalarE):
-            return self._eval_scalar(exp.expr, venv, lanes), True
-        row = scalar.OPS[exp.op]
-        self.ex._count_flop(len(lanes) * row.flops)
-        x = self._operand(exp.x, venv, lanes)
-        if isinstance(exp, A.UnOp):
-            if not isinstance(x, np.ndarray):
-                return row.scalar(x), False  # uniform: its type says its kind
-            dtype, kind = scalar.op_typing(exp.op, self._kind(exp.x, x))
-            if dtype is not None and x.dtype.char != _NP_TYPE[dtype].char:
-                x = x.astype(_NP_TYPE[dtype])
-            return row.lanes(x), kind is not None and kind[1]
-        y = self._operand(exp.y, venv, lanes)
-        x_lanes, y_lanes = isinstance(x, np.ndarray), isinstance(y, np.ndarray)
-        if not (x_lanes or y_lanes):
-            return row.scalar(x, y), False
-        dtype, kind = scalar.op_typing(
-            exp.op, self._kind(exp.x, x), self._kind(exp.y, y)
-        )
-        if dtype is not None:
-            to = _NP_TYPE[dtype]
-            if not x_lanes:
-                x = to.type(x)
-            elif x.dtype.char != to.char:
-                x = x.astype(to)
-            if not y_lanes:
-                y = to.type(y)
-            elif y.dtype.char != to.char:
-                y = y.astype(to)
-        return row.lanes(x, y), kind is not None and kind[1]
+def _merge_masked(mask, tv, ev):
+    out = np.empty(mask.shape[0], dtype=np.result_type(tv, ev))
+    out[mask] = tv
+    out[~mask] = ev
+    return out
 
 
 _NP_TYPE = {d: np.dtype(np_name) for d, (np_name, _) in DTYPE_INFO.items()}

@@ -4,9 +4,9 @@ A :class:`Program` freezes everything a compilation produced that is
 reusable across executions:
 
 * the **post-pipeline memory IR** (the ``CompiledFun``);
-* the **vectorized dispatch plan** -- the per-statement taint-analysis
-  verdicts of :class:`repro.mem.vectorize.VecEngine`, computed once and
-  shared by every subsequent run's engine;
+* the **vectorized plans** -- per map statement the body
+  :class:`repro.mem.vectorize.VecEngine` staged (or why it declined),
+  made once and shared by every subsequent run's engine;
 * the **offset cache** -- enumerated LMAD offsets per concrete index
   function, the dominant warm-run cost after buffer allocation
   (cleared whenever a shape class is evicted, so it holds entries of
@@ -135,8 +135,8 @@ class Program:
         #: MemExecutor._offsets).  Cleared when a shape class is
         #: evicted: retained classes re-enumerate once.
         self._offs_cache: Dict = {}
-        #: Shared vectorization plans (id(stmt) -> True, or the
-        #: Decision saying why the body is not expressible).
+        #: Shared vectorization plans (id(stmt) -> MapPlan: the staged
+        #: body, or the Decision saying why the body is not expressible).
         self._vec_plans: Dict[int, object] = {}
         #: Shared native-tier dispatch plans (id(stmt) -> KernelSpec or
         #: the rejection sentinel) and the lazily-built engine that owns
@@ -232,13 +232,13 @@ class Program:
             parts = 1
             if plan is not None and plan is not REJECTED:
                 tier, parts = "native", plan.parts
-            elif vec is True:
-                tier = "vectorized"
             elif vec is None:
                 tier = None
+            elif vec.declined is None:
+                tier = "vectorized"
             else:
                 tier = "interpreted"
-                declined.append(vec)
+                declined.append(vec.declined)
             maps[site] = {"tier": tier, "declined": declined, "parts": parts}
         with self._lock:
             classes = {

@@ -11,6 +11,7 @@ from repro.ir import (
 )
 from repro.ir import ast as A
 from repro.ir import scalar
+from repro.ir.parser import parse_fun
 from repro.ir.typecheck import typecheck_fun
 from repro.ir.types import ScalarType
 from repro.lmad import lmad
@@ -113,6 +114,51 @@ class TestTypecheck:
         ih.else_builder.returns(y1, y2)
         with pytest.raises(TypeError_):
             ih.end()
+
+    def test_a_let_may_not_rebind_a_name_in_scope(self):
+        b = FunBuilder("f")
+        b.size_param("n")
+        mp = b.map_(n, index="i")
+        mp.lit(1.0, name="x")
+        mp.lit(2.0, name="x")  # rebinds x in the map body
+        mp.returns("x")
+        with pytest.raises(TypeError_, match="'x' is already bound"):
+            mp.end()
+        b.lit(1.0, name="y")
+        b.lit(2.0, name="y")
+        b.returns("y")
+        with pytest.raises(TypeError_, match="'y' is already bound"):
+            b.build()
+
+    def test_a_parsed_rebinding_is_renamed_not_rejected(self):
+        fun = parse_fun(SHADOWS)
+        typecheck_fun(fun)
+        top = fun.body.stmts
+        mp = top[1].exp
+        assert [s.names for s in top] == [("k",), ("ys",), ("k_2",)]
+        assert mp.lam.params == ("k_1",)  # the thread index, renamed
+        assert [s.names for s in mp.lam.body.stmts] == [("x",), ("x_1",)]
+        assert mp.lam.body.stmts[1].exp.x == "x"  # reads the first x
+        assert mp.lam.body.result == ("x_1",)
+        assert top[2].exp.expr == Var("k") * 2
+        assert fun.body.result == ("ys", "k_2")
+        # A binder that shadows is rejected like a let that does.
+        top[1].exp = A.Map(n, A.Lambda(("k",), mp.lam.body))
+        with pytest.raises(TypeError_, match="'k' is already bound"):
+            typecheck_fun(fun)
+
+
+SHADOWS = """
+fun f(n : i64) =
+  let (k : i64) = n + 1
+  let (ys : *[n]f32) = map (k < n) {
+    let (x : f32) = 1.0f32
+    let (x : f32) = x * 2.0
+    in (x)
+  }
+  let (k : i64) = k * 2
+  in (ys, k)
+"""
 
 
 class TestOperatorTable:

@@ -17,7 +17,7 @@ import repro
 from repro.analysis.facts import ScopeWalker
 from repro.bench.programs import all_benchmarks
 from repro.compiler import compile_fun
-from repro.ir import FunBuilder, f32
+from repro.ir import FunBuilder, f32, i64
 from repro.ir import ast as A
 from repro.ir.parser import parse_fun
 from repro.mem.exec import MemExecutor
@@ -33,7 +33,7 @@ from tests.opt.conftest import (
 n = Var("n")
 
 #: ``let (i : i64) = i + 1`` rebinds the thread index: the typechecker
-#: allows shadowing, so a definition can mention its own name.
+#: rejects that, so the parser renames the new ``i`` (to ``i_1``).
 SHADOWING = """
 fun shadow(n : i64, xs : [n]f32) =
   let (ys : *[n]f32) = map (i < n) {
@@ -165,9 +165,14 @@ def test_pass_rule_and_verifier_agree_on_every_block(programs):
 
 
 def test_a_definition_that_mentions_its_own_name_is_no_fact():
+    # Only IR that skipped the typechecker can hold one ...
+    i = Var("i")
+    selfish = A.Let([A.PatElem("i", i64())], A.ScalarE(i + 1))
+    assert dict(A.block_facts(A.Block([selfish], ("i",)))) == {}
+    # ... a parsed text's rebinding is renamed into an ordinary fact.
     fun = parse_fun(SHADOWING)
     (body,) = A.sub_blocks(fun.body.stmts[0].exp)
-    assert dict(A.block_facts(body)) == {"m": n - 1 - Var("i")}
+    assert dict(A.block_facts(body)) == {"m": n - 1 - i, "i_1": i + 1}
     xs = np.arange(5, dtype=np.float32)
     compiled = compile_fun(fun, verify=True)
     ex = MemExecutor(compiled.fun)

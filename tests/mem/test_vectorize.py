@@ -14,6 +14,7 @@ import pytest
 from repro.bench.harness import compile_both
 from repro.compiler import compile_fun
 from repro.ir import FunBuilder, f32, i64
+from repro.lmad import lmad
 from repro.mem import introduce_memory
 from repro.mem.exec import MemExecutor
 from repro.runtime import materialize
@@ -146,7 +147,47 @@ LOWERING_CASES = [
 ]
 
 
-@pytest.mark.parametrize("case", LOWERING_CASES)
+def concat_update_case():
+    """Per-thread arrays built by concat, iota, and LMAD and triplet
+    slice updates."""
+    b = FunBuilder("assemble")
+    b.size_param("n")
+    x = b.param("x", f32(n))
+    mp = b.map_(n, index="i")
+    xi = mp.index(x, [mp.idx])
+    row = mp.concat(mp.replicate([2], xi), mp.replicate([4], 0.0))
+    row = mp.update_lmad(row, lmad(1, [(2, 2)]), mp.replicate([2], -1.0))
+    row = mp.update_slice(row, [(5, 1, 1)], mp.replicate([1], xi))
+    mp.returns(row, mp.index(mp.iota(4), [2]))
+    b.returns(*mp.end())
+    return b.build(), dict(n=5, x=np.arange(1, 6, dtype=np.float32))
+
+
+def masked_branch_case():
+    """A lane-varying ``if`` holding a uniform one, its value carried by a
+    loop; the host scalar decides both a mask and a branch."""
+    b = FunBuilder("masked")
+    b.size_param("n")
+    k = b.param("k", i64())
+    x = b.param("x", f32(n))
+    mp = b.map_(n, index="i")
+    xi = mp.index(x, [mp.idx])
+    br = mp.if_(mp.binop("<", mp.idx, k))
+    inner = br.then_builder.if_(br.then_builder.binop(">", k, 2))
+    inner.then_builder.returns(inner.then_builder.binop("*", xi, 3.0))
+    inner.else_builder.returns(inner.else_builder.binop("+", xi, 1))
+    br.then_builder.returns(*inner.end())
+    br.else_builder.returns(br.else_builder.binop("-", xi, k))
+    lp = mp.loop(3, [("acc", br.end()[0])], index="j")
+    lp.returns(lp.binop("+", lp["acc"], lp.idx))
+    mp.returns(*lp.end())
+    b.returns(*mp.end())
+    return b.build(), dict(n=6, k=3, x=np.linspace(-1, 1, 6, dtype=np.float32))
+
+
+@pytest.mark.parametrize(
+    "case", LOWERING_CASES + [concat_update_case, masked_branch_case]
+)
 def test_lowering_case_tiers_agree(case):
     fun, inputs = case()
     for preset in ("unopt", "full"):
@@ -194,7 +235,9 @@ def lane_varying_loop_fun():
 def declined_plan(ex, fun):
     """The one record the vectorizer's planner left: for which map
     (site), under which rule, at which statement of its body."""
-    (why,) = ex._vec_engine._plans.values()
+    (plan,) = ex._vec_engine._plans.values()
+    assert plan.body is None
+    why = plan.declined
     (top,) = [s for s in fun.body.stmts if s.names[0] == why.site]
     (inner,) = [
         s for s in top.exp.lam.body.stmts if why.detail == f"at {s.names[0]}"
@@ -280,6 +323,86 @@ class TestNestedMap:
         assert_tier_equivalent(ex_i, vals_i, ex_v, vals_v)
         got = np.asarray(materialize(ex_v, vals_v[0]))
         assert np.array_equal(got, np.outer(x, y).reshape(got.shape))
+
+
+# ----------------------------------------------------------------------
+# Staged once, run for every shape class and every kind a request brings
+# ----------------------------------------------------------------------
+@pytest.fixture
+def stagings(monkeypatch):
+    """Every map statement the engine lowers, in order."""
+    from repro.mem.vectorize import VecEngine
+
+    seen = []
+    plan_map = VecEngine._plan_map
+
+    def counting(stmt, exp):
+        seen.append(stmt.names[0])
+        return plan_map(stmt, exp)
+
+    monkeypatch.setattr(VecEngine, "_plan_map", staticmethod(counting))
+    return seen
+
+
+def scaled_case():
+    """Host scalars of two kinds meet a lane vector: ``x[i] + k`` and
+    ``* s`` take their dtype from the kinds the request passes."""
+    b = FunBuilder("scaled")
+    b.size_param("n")
+    k = b.param("k", i64())
+    s = b.param("s", f32())
+    x = b.param("x", f32(n))
+    mp = b.map_(n, index="i")
+    shifted = mp.binop("+", mp.index(x, [mp.idx]), k)
+    mp.returns(mp.binop("*", shifted, s), mp.binop("<", mp.idx, k))
+    b.returns(*mp.end())
+    return b.build()
+
+
+class TestStaged:
+    @pytest.mark.parametrize("name, shapes", [
+        ("locvolcalib", [(4, 32 + 4 * i, 8) for i in range(8)]),
+        ("optionpricing", [(3072 + 256 * i, 64) for i in range(8)]),
+    ])
+    def test_one_body_serves_every_ring_shape(self, stagings, name, shapes):
+        """The fallback workload's rings: a map is staged once, however
+        many shape classes follow."""
+        import repro.runtime as rt
+
+        mod = importlib.import_module(f"repro.bench.programs.{name}")
+        program = rt.compile(mod.build(), memoize=False)
+        for shape in shapes:
+            _, stats = program.run(mod.inputs_for(*shape), native=False)
+            assert stats.interp_launches == 0
+        maps = program.coverage()["maps"]
+        assert sorted(stagings) == sorted(maps)
+        assert {m["tier"] for m in maps.values()} == {"vectorized"}
+        assert len(program.pool._plans) == len(shapes)  # eight classes
+
+    def test_request_kinds_are_read_per_run(self, stagings):
+        """One staged body, host scalars of every kind: each run gives the
+        interpreter's bits and dtypes."""
+        import repro.runtime as rt
+
+        fun = compile_fun(scaled_case()).fun
+        program = rt.compile(scaled_case(), memoize=False)
+        x = np.linspace(-2, 2, 7, dtype=np.float32)
+        kinds = [
+            (3, np.float32(0.1)), (np.int64(3), np.float32(0.1)),
+            (3, np.float64(0.1)), (3, 0.1), (np.int64(-2), np.float64(0.3)),
+            (True, np.float32(2)),
+        ]
+        for k, s in kinds:
+            inputs = dict(n=7, k=k, s=s, x=x)
+            got, stats = program.run(inputs, native=False)
+            ex = MemExecutor(fun, vectorize=False)
+            vals, ref = ex.run(**inputs)
+            want = [materialize(ex, v) for v in vals]
+            assert stats.vec_launches == 1
+            for a, b in zip(got, want):
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (k, s)
+            assert stats.signature() == ref.signature()
+        assert len(stagings) == 1
 
 
 # ----------------------------------------------------------------------

@@ -15,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.compiler import compile_fun
 from repro.ir import FunBuilder, f32, run_fun
+from repro.ir import ast as A
 from repro.mem.exec import MemExecutor
 from repro.symbolic import Var
 
@@ -87,6 +88,26 @@ def test_optimized_pipeline_preserves_semantics(fun, seed):
             f"miscompile (sc={sc}) on program:\n"
             + __import__("repro.ir.pretty", fromlist=["pretty_fun"]).pretty_fun(fun)
         )
+
+
+@settings(max_examples=40, deadline=None)
+@given(programs(), st.integers(0, 1000))
+def test_vectorized_tier_is_the_interpreted_one(fun, seed):
+    """The staged vectorized engine against the interpreted tier: the
+    same bits out, the same simulated statistics."""
+    x = np.random.RandomState(seed).randn(N).astype(np.float32)
+    compiled = compile_fun(fun)
+    runs = []
+    for vectorize in (True, False):
+        ex = MemExecutor(compiled.fun, vectorize=vectorize)
+        vals, stats = ex.run(n=N, x=x.copy())
+        got = ex.mem[vals[0].mem][vals[0].ixfn.gather_offsets({})]
+        runs.append((got.tobytes(), stats.signature(), stats.vec_launches))
+    (vec, vsig, launches), (ref, rsig, none) = runs
+    assert (vec, vsig) == (ref, rsig)
+    assert none == 0 and launches == sum(
+        isinstance(s.exp, A.Map) for s in compiled.fun.body.stmts
+    )
 
 
 @settings(max_examples=30, deadline=None)

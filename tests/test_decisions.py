@@ -85,7 +85,7 @@ def test_every_layer_names_its_rule_and_site(name, preset):
         found += m["declined"]
     found += [c["declined"] for c in cov["classes"].values() if c["declined"]]
     found += program.declined.records
-    found += [d for d in program._vec_plans.values() if d is not True]
+    found += [p.declined for p in program._vec_plans.values() if p.declined]
 
     for d in found:
         assert isinstance(d, Decision) and d.layer in LAYERS
