@@ -12,8 +12,8 @@
                                           # per-space peaks) and the
                                           # decisions table: what every
                                           # layer declined, and why
-    python -m repro.bench --devices 2     # shard hotspot/lbm/nw across
-                                          # two simulated devices: halo
+    python -m repro.bench --devices 2     # shard hotspot across two
+                                          # simulated devices: halo
                                           # traffic + scaling efficiency
     python -m repro.bench --json --out p  # write the JSON report to p
     python -m repro.bench --quick --write-baseline footprint traffic
@@ -48,11 +48,11 @@ from repro.bench.programs import all_benchmarks
 # Tests locate the committed baseline through this.
 PROVER_BASELINE = GATES["prover"].path
 
-#: Datasets for the sharding simulation.  Chosen so the per-device slabs
-#: stay interesting (nonzero halo traffic, efficiency well away from
-#: both 0 and 1) while the wavefront benchmarks finish in under a
-#: second -- NW's diagonal sweep at the PERF size takes half a minute.
-SHARD_DATASETS = {"hotspot": (256, 3), "lbm": (128, 4), "nw": (8, 16)}
+#: Datasets for the sharding simulation (hotspot is the one benchmark
+#: with a decomposition).  Chosen so the per-device bands stay
+#: interesting: nonzero halo traffic, efficiency well away from both 0
+#: and 1.
+SHARD_DATASETS = {"hotspot": (256, 3)}
 
 
 def _prover_tiers(opt) -> dict:
@@ -96,9 +96,9 @@ def main(argv=None) -> int:
                         help="write the --json report to PATH instead of "
                              "benchmarks/results/BENCH_<ts>.json")
     parser.add_argument("--devices", type=int, default=1, metavar="N",
-                        help="simulate the sharded benchmarks (hotspot, "
-                             "lbm, nw) split across N devices and report "
-                             "halo traffic and scaling efficiency")
+                        help="simulate hotspot split across N devices "
+                             "and report halo traffic and scaling "
+                             "efficiency")
     parser.add_argument("--explain", action="store_true",
                         help="print each benchmark's optimized-pipeline "
                              "trace (per-pass timings, IR size/alloc "

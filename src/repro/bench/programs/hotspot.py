@@ -65,12 +65,11 @@ def _cell(bb, T: str, P: str, r, c, up, down, left, right) -> str:
     return out
 
 
-def _edge_row(parent, T: str, P: str, r, is_top: bool) -> str:
-    """A full boundary row (row 0 or n-1) as a width-n map."""
+def _edge_row(parent, T: str, P: str, r, up, down) -> str:
+    """Row ``r`` as a width-n map whose vertical neighbours are rows
+    ``up`` and ``down`` (row ``r`` itself at a replicated edge)."""
     mp = parent.map_(n, index="c")
     c = mp.idx
-    up = [r, c] if is_top else [r - 1, c]
-    down = [r + 1, c] if is_top else [r, c]
 
     # Left/right neighbours need clamping at the row ends.
     cond_l = mp.binop("==", c, 0)
@@ -90,8 +89,8 @@ def _edge_row(parent, T: str, P: str, r, is_top: bool) -> str:
     (right,) = ih2.end()
 
     t = mp.index(T, [r, c])
-    u = mp.index(T, up)
-    d = mp.index(T, down)
+    u = mp.index(T, [up, c])
+    d = mp.index(T, [down, c])
     p = mp.index(P, [r, c])
     s3 = mp.binop("+", mp.binop("+", u, d), mp.binop("+", left, right))
     diff = mp.binop("-", s3, mp.binop("*", t, 4.0))
@@ -114,8 +113,9 @@ def build(iters: int | None = None) -> Fun:
     lp = bld.loop(count=Var("iters"), carried=[("Tc", T0)], index="t")
     T = lp["Tc"]
 
-    top = _edge_row(lp, T, P, SymExpr.const(0), is_top=True)
-    bottom = _edge_row(lp, T, P, n - 1, is_top=False)
+    r0, rn = SymExpr.const(0), n - 1
+    top = _edge_row(lp, T, P, r0, r0, r0 + 1)
+    bottom = _edge_row(lp, T, P, rn, rn - 1, rn)
 
     # Interior neighbour sums, staged as the separate whole-grid kernel a
     # naive stencil compiler emits: a rank-2 [n-2][n-2] mapnest producer
@@ -183,7 +183,7 @@ def build_rect() -> Fun:
     """One time step on a row slab with explicit halo rows (sharding).
 
     The slab is ``[h+2][n]``: rows ``1..h`` are the device's own grid
-    rows, rows ``0`` and ``h+1`` are ghost rows the shard runner fills
+    rows, rows ``0`` and ``h+1`` are ghost rows :mod:`repro.shard` fills
     before every step (neighbour exchange, or edge replication at the
     global boundary).  Every interior cell then uses the *uniform*
     5-point formula -- with ghost rows equal to the clamped neighbours,
@@ -204,36 +204,7 @@ def build_rect() -> Fun:
 
     mid = bld.map_(h, index="ri")
     r = mid.idx + 1  # slab row of the cell being updated
-    row = mid.map_(n, index="c")
-    c = row.idx
-
-    cond_l = row.binop("==", c, 0)
-    ih = row.if_(cond_l)
-    lv = ih.then_builder.index(T, [r, c])
-    ih.then_builder.returns(lv)
-    lv2 = ih.else_builder.index(T, [r, c - 1])
-    ih.else_builder.returns(lv2)
-    (left,) = ih.end()
-
-    cond_r = row.binop("==", c, n - 1)
-    ih2 = row.if_(cond_r)
-    rv = ih2.then_builder.index(T, [r, c])
-    ih2.then_builder.returns(rv)
-    rv2 = ih2.else_builder.index(T, [r, c + 1])
-    ih2.else_builder.returns(rv2)
-    (right,) = ih2.end()
-
-    t = row.index(T, [r, c])
-    u = row.index(T, [r - 1, c])
-    d = row.index(T, [r + 1, c])
-    p = row.index(P, [r, c])
-    s3 = row.binop("+", row.binop("+", u, d), row.binop("+", left, right))
-    diff = row.binop("-", s3, row.binop("*", t, 4.0))
-    out = row.binop(
-        "+", t, row.binop("+", row.binop("*", diff, K), row.binop("*", p, C))
-    )
-    row.returns(out)
-    (rowv,) = row.end()
+    rowv = _edge_row(mid, T, P, r, r - 1, r + 1)
     mid.returns(rowv)
     (interior,) = mid.end()
 

@@ -42,26 +42,29 @@ WEIGHTS = np.array(
 n = Var("n")
 
 
-def _step(parent, cells, f, dirs, w, ghost_rows: bool):
-    """One stream + collide step over ``cells`` cells reading the grid
-    ``f``, built under ``parent``; returns the new distributions.
+def build() -> Fun:
+    bld = FunBuilder("lbm")
+    bld.param("n", ScalarType("i64"))
+    bld.param("steps", ScalarType("i64"))
+    f0 = bld.param("f", f32(n * n, 9))
+    dirs = bld.param("dirs", i64(9, 2))
+    w = bld.param("w", f32(9))
+    bld.assume_lower("n", 2)
+    bld.assume_lower("steps", 1)
 
-    With ``ghost_rows`` the cells are slab rows ``1..h`` of a grid that
-    carries one halo row above and below: the upwind row is then
-    ``(r + 1) - dr`` with no modulo (ghosts supply the wrap).  Everything
-    else -- the column wrap, the moments, the collision -- is the same
-    text, so the sharded arithmetic is the unsharded one.
-    """
+    lp = bld.loop(count=Var("steps"), carried=[("fc", f0)], index="t")
+    fcur = lp["fc"]
+
     # --- stream, staged as Parboil's separate kernel: gather every
     # (cell, direction) upwind distribution into a streamed grid copy,
-    # shaped as the rank-2 mapnest it really is ([cells][9], cell rows).
+    # shaped as the rank-2 mapnest it really is ([n*n][9], cell rows).
     # Mapnest fusion inlines the gather at its single read site inside
     # the per-cell kernel below, restoring the classic one-kernel
     # stream+collide step (the row/column decomposition it recomputes
     # per read is arithmetic, not traffic); ``nofuse`` materializes the
-    # full [cells][9] streamed grid and pays its write+read round trip
+    # full [n*n][9] streamed grid and pays its write+read round trip
     # every time step.
-    st = parent.map_(cells, index="cl")
+    st = lp.map_(n * n, index="cl")
     cell2 = st.idx
     r2 = st.binop("//", cell2, SymExpr.var("n"))
     c2 = st.binop("%", cell2, SymExpr.var("n"))
@@ -69,27 +72,22 @@ def _step(parent, cells, f, dirs, w, ghost_rows: bool):
     d2 = sd.idx
     dr = sd.index(dirs, [d2, 0])
     dc = sd.index(dirs, [d2, 1])
-    if ghost_rows:
-        # slab row (r2 + 1) - dr: in [0, h+1], no wrap needed.
-        rn = sd.binop("-", SymExpr.var(r2) + 1, dr)
-    else:
-        # (r - dr + n) % n  -- periodic upwind neighbour
-        rsub = sd.binop("-", SymExpr.var(r2), dr)
-        radd = sd.binop("+", rsub, SymExpr.var("n"))
-        rn = sd.binop("%", radd, SymExpr.var("n"))
-    # (c - dc + n) % n: the column wrap is local either way
+    # (r - dr + n) % n, (c - dc + n) % n  -- periodic upwind neighbour
+    rsub = sd.binop("-", SymExpr.var(r2), dr)
+    radd = sd.binop("+", rsub, SymExpr.var("n"))
+    rn = sd.binop("%", radd, SymExpr.var("n"))
     csub = sd.binop("-", SymExpr.var(c2), dc)
     cadd = sd.binop("+", csub, SymExpr.var("n"))
     cn = sd.binop("%", cadd, SymExpr.var("n"))
     src = sd.binop("*", rn, SymExpr.var("n"))
     srcc = sd.binop("+", src, cn)
-    sv = sd.index(f, [SymExpr.var(srcc), d2])
+    sv = sd.index(fcur, [SymExpr.var(srcc), d2])
     sd.returns(sv)
     (srow,) = sd.end()
     st.returns(srow)
     (fstr,) = st.end()
 
-    mp = parent.map_(cells, index="cell")
+    mp = lp.map_(n * n, index="cell")
     cell = mp.idx
 
     # --- pull the 9 streamed distributions into a local array ---
@@ -139,54 +137,9 @@ def _step(parent, cells, f, dirs, w, ghost_rows: bool):
 
     mp.returns(fout)
     (fnew,) = mp.end()
-    return fnew
-
-
-def build() -> Fun:
-    bld = FunBuilder("lbm")
-    bld.param("n", ScalarType("i64"))
-    bld.param("steps", ScalarType("i64"))
-    f0 = bld.param("f", f32(n * n, 9))
-    dirs = bld.param("dirs", i64(9, 2))
-    w = bld.param("w", f32(9))
-    bld.assume_lower("n", 2)
-    bld.assume_lower("steps", 1)
-
-    lp = bld.loop(count=Var("steps"), carried=[("fc", f0)], index="t")
-    lp.returns(_step(lp, n * n, lp["fc"], dirs, w, ghost_rows=False))
+    lp.returns(fnew)
     (res,) = lp.end()
     bld.returns(res)
-    return bld.build()
-
-
-def build_rect() -> Fun:
-    """One LBM step on a row slab with explicit halo rows (sharding).
-
-    The slab is ``[(h+2)*n][9]`` cell-major: the first and last ``n``
-    cells are ghost rows the shard runner fills before every step with
-    the periodic neighbours (from the adjacent device, or wrapping
-    within the device when there is only one).  Streamed values are
-    exact copies, so with ghosts equal to the periodic neighbours the
-    collide arithmetic is bit-identical to :func:`build`'s.  Ghost cells
-    pass through unchanged.
-    """
-    bld = FunBuilder("lbm_rect")
-    bld.param("h", ScalarType("i64"))
-    bld.param("n", ScalarType("i64"))
-    h = Var("h")
-    f0 = bld.param("f", f32((h + 2) * n, 9))
-    dirs = bld.param("dirs", i64(9, 2))
-    w = bld.param("w", f32(9))
-    bld.assume_lower("h", 1)
-    bld.assume_lower("n", 2)
-
-    # The h*n interior cells (slab rows 1..h).
-    fnew = _step(bld, h * n, f0, dirs, w, ghost_rows=True)
-
-    top = bld.slice(f0, [(0, n, 1), (0, 9, 1)])
-    bot = bld.slice(f0, [((h + 1) * n, n, 1), (0, 9, 1)])
-    nxt = bld.concat(top, fnew, bot)
-    bld.returns(nxt)
     return bld.build()
 
 

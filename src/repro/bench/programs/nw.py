@@ -37,64 +37,6 @@ PENALTY = 1.0
 n, q, b = Var("n"), Var("q"), Var("b")
 
 
-def _sweep(parent, cnt, diag, rv, rh):
-    """The ``cnt`` independent ``b x b`` blocks of block anti-diagonal
-    ``diag``, from their vertical bars ``rv`` and horizontal bars ``rh``:
-    the ``[cnt][b][b]`` block interiors."""
-    # Per-diagonal similarity table, staged as Rodinia stages its
-    # BLOSUM ``reference`` matrix: a separate kernel materializes the
-    # per-block similarity rows ([cnt][2b-1], one entry per interior
-    # anti-diagonal of a block) that the DP sweep then reads per
-    # cell.  Mapnest fusion inlines the (data-independent) lookup
-    # back into the block kernel; ``nofuse`` pays the table's
-    # write+read round trip per anti-diagonal sweep.
-    sims = parent.map_(cnt, index="sj")
-    srow = sims.map_(b + b - 1, index="sk")
-    sg = srow.scalar(diag * b + srow.idx + 2)  # global r + global c
-    sgm = srow.binop("%", sg, 3)
-    sv = srow.unop("f32", srow.binop("-", sgm, 1))
-    srow.returns(sv)
-    (simrow,) = srow.end()
-    sims.returns(simrow)
-    (simtab,) = sims.end()
-
-    mp = parent.map_(cnt, index="j")
-    jj = mp.idx
-    blk = mp.scratch("f32", [b + 1, b + 1])
-    # Fill the left column from the vertical bar.
-    f1 = mp.loop(count=b + 1, carried=[("bkv", blk)], index="r")
-    v = f1.index(rv, [jj, f1.idx])
-    bk1 = f1.update_point(f1["bkv"], [f1.idx, 0], v)
-    f1.returns(bk1)
-    (blk1,) = f1.end()
-    # Fill the top row from the horizontal bar.
-    f2 = mp.loop(count=b, carried=[("bkh", blk1)], index="c")
-    h = f2.index(rh, [jj, f2.idx])
-    bk2 = f2.update_point(f2["bkh"], [0, f2.idx + 1], h)
-    f2.returns(bk2)
-    (blk2,) = f2.end()
-    # The DP recurrence over the block interior.
-    f3 = mp.loop(count=b, carried=[("bkr", blk2)], index="r")
-    f4 = f3.loop(count=b, carried=[("bki", f3["bkr"])], index="c")
-    r_, c_ = f3.idx, f4.idx
-    nw_ = f4.index(f4["bki"], [r_, c_])
-    up = f4.index(f4["bki"], [r_, c_ + 1])
-    lf = f4.index(f4["bki"], [r_ + 1, c_])
-    sim = f4.index(simtab, [jj, r_ + c_])
-    t1 = f4.binop("+", nw_, sim)
-    t2 = f4.binop("max", f4.binop("-", up, PENALTY), f4.binop("-", lf, PENALTY))
-    val = f4.binop("max", t1, t2)
-    bk3 = f4.update_point(f4["bki"], [r_ + 1, c_ + 1], val)
-    f4.returns(bk3)
-    (blk3,) = f4.end()
-    f3.returns(blk3)
-    (blk4,) = f3.end()
-    out = mp.slice(blk4, [(1, b, 1), (1, b, 1)])
-    mp.returns(out)
-    (X,) = mp.end()
-    return X
-
-
 def build() -> Fun:
     """The NW IR program: two skewed loops over anti-diagonals."""
     bld = FunBuilder("nw")
@@ -125,7 +67,58 @@ def build() -> Fun:
             lp[pname], lmad(rv_off, [(cnt, n * b - b), (b + 1, n)])
         )
         rh = lp.lmad_slice(lp[pname], lmad(rh_off, [(cnt, n * b - b), (b, 1)]))
-        X = _sweep(lp, cnt, diag, rv, rh)
+
+        # Per-diagonal similarity table, staged as Rodinia stages its
+        # BLOSUM ``reference`` matrix: a separate kernel materializes the
+        # per-block similarity rows ([cnt][2b-1], one entry per interior
+        # anti-diagonal of a block) that the DP sweep then reads per
+        # cell.  Mapnest fusion inlines the (data-independent) lookup
+        # back into the block kernel; ``nofuse`` pays the table's
+        # write+read round trip per anti-diagonal sweep.
+        sims = lp.map_(cnt, index="sj")
+        srow = sims.map_(b + b - 1, index="sk")
+        sg = srow.scalar(diag * b + srow.idx + 2)  # global r + global c
+        sgm = srow.binop("%", sg, 3)
+        sv = srow.unop("f32", srow.binop("-", sgm, 1))
+        srow.returns(sv)
+        (simrow,) = srow.end()
+        sims.returns(simrow)
+        (simtab,) = sims.end()
+
+        mp = lp.map_(cnt, index="j")
+        jj = mp.idx
+        blk = mp.scratch("f32", [b + 1, b + 1])
+        # Fill the left column from the vertical bar.
+        f1 = mp.loop(count=b + 1, carried=[("bkv", blk)], index="r")
+        v = f1.index(rv, [jj, f1.idx])
+        bk1 = f1.update_point(f1["bkv"], [f1.idx, 0], v)
+        f1.returns(bk1)
+        (blk1,) = f1.end()
+        # Fill the top row from the horizontal bar.
+        f2 = mp.loop(count=b, carried=[("bkh", blk1)], index="c")
+        h = f2.index(rh, [jj, f2.idx])
+        bk2 = f2.update_point(f2["bkh"], [0, f2.idx + 1], h)
+        f2.returns(bk2)
+        (blk2,) = f2.end()
+        # The DP recurrence over the block interior.
+        f3 = mp.loop(count=b, carried=[("bkr", blk2)], index="r")
+        f4 = f3.loop(count=b, carried=[("bki", f3["bkr"])], index="c")
+        r_, c_ = f3.idx, f4.idx
+        nw_ = f4.index(f4["bki"], [r_, c_])
+        up = f4.index(f4["bki"], [r_, c_ + 1])
+        lf = f4.index(f4["bki"], [r_ + 1, c_])
+        sim = f4.index(simtab, [jj, r_ + c_])
+        t1 = f4.binop("+", nw_, sim)
+        t2 = f4.binop("max", f4.binop("-", up, PENALTY), f4.binop("-", lf, PENALTY))
+        val = f4.binop("max", t1, t2)
+        bk3 = f4.update_point(f4["bki"], [r_ + 1, c_ + 1], val)
+        f4.returns(bk3)
+        (blk3,) = f4.end()
+        f3.returns(blk3)
+        (blk4,) = f3.end()
+        out = mp.slice(blk4, [(1, b, 1), (1, b, 1)])
+        mp.returns(out)
+        (X,) = mp.end()
 
         W = lmad(w_off, [(cnt, n * b - b), (b, n), (b, 1)])
         A2 = lp.update_lmad(lp[pname], W, X)
@@ -135,47 +128,6 @@ def build() -> Fun:
 
     A1 = half(bld, A, first=True)
     A2 = half(bld, A1, first=False)
-    bld.returns(A2)
-    return bld.build()
-
-
-def build_rect() -> Fun:
-    """One anti-diagonal sweep over a column band of the matrix (sharding).
-
-    The shard runner partitions the ``q`` block-columns into per-device
-    bands; a device's slab is ``[nr][w]`` (flat ``nr*w``) holding its
-    ``w-1`` matrix columns plus one *ghost* column on the left -- the
-    band boundary column the left neighbour owns and re-sends after
-    every sweep.  One invocation processes ``cnt`` consecutive blocks of
-    one global anti-diagonal ``gdiag``, starting at flat write offset
-    ``woff`` (topmost-rightmost block first, stepping down-left by
-    ``b*w - b``).  The generalized-LMAD bars are the same shapes as
-    :func:`build` with the row stride ``n`` replaced by the slab width
-    ``w``, and the block kernel is the same :func:`_sweep`, so a sharded
-    run is bit-identical to the unsharded one.
-    """
-    bld = FunBuilder("nw_rect")
-    bld.param("b", ScalarType("i64"))
-    bld.param("nr", ScalarType("i64"))
-    bld.param("w", ScalarType("i64"))
-    bld.param("cnt", ScalarType("i64"))
-    bld.param("woff", ScalarType("i64"))
-    bld.param("gdiag", ScalarType("i64"))
-    wv, cnt, woff, gdiag = Var("w"), Var("cnt"), Var("woff"), Var("gdiag")
-    A = bld.param("A", f32(Var("nr") * wv))
-    bld.assume_lower("b", 2)
-    bld.assume_lower("cnt", 1)
-    bld.assume_lower("w", 3)
-    bld.assume_lower("nr", 3)
-    bld.assume_lower("woff", 0)
-    bld.assume_lower("gdiag", 0)
-
-    rv = bld.lmad_slice(A, lmad(woff - wv - 1, [(cnt, b * wv - b), (b + 1, wv)]))
-    rh = bld.lmad_slice(A, lmad(woff - wv, [(cnt, b * wv - b), (b, 1)]))
-    X = _sweep(bld, cnt, gdiag, rv, rh)
-
-    W = lmad(woff, [(cnt, b * wv - b), (b, wv), (b, 1)])
-    A2 = bld.update_lmad(A, W, X)
     bld.returns(A2)
     return bld.build()
 

@@ -132,12 +132,6 @@ class ExecStats:
     #: ``peak_bytes`` they are stamped once at run end and excluded from
     #: :meth:`signature` and :meth:`merge_scaled`.
     space_peak_bytes: Dict[str, int] = field(default_factory=dict)
-    #: Bytes moved by inter-device halo-exchange copies when a program
-    #: runs sharded (:mod:`repro.shard`).  Describes the *distribution*
-    #: of the run, not the program's own semantics, so it is excluded
-    #: from :meth:`signature` (satellite of the pool_hits precedent) and
-    #: surfaced in ``--explain`` instead.
-    halo_bytes: int = 0
     #: How :class:`repro.runtime.Program` produced this run with respect
     #: to its launch tapes (:mod:`repro.runtime.tape`): ``"captured"``
     #: (ordinary executor, schedule frozen for later requests of this
@@ -320,6 +314,4 @@ class ExecStats:
                     f"{self.written_in(sp):,} written / "
                     f"peak {self.space_peak_bytes.get(sp, 0):,}"
                 )
-        if self.halo_bytes:
-            lines.append(f"halo exchange   : {self.halo_bytes:,} bytes")
         return "\n".join(lines)

@@ -4,7 +4,6 @@ from repro.shard.halo import build_halo_copy
 from repro.shard.runner import (
     LINK_BANDWIDTH,
     LINK_LATENCY,
-    SHARDED,
     ShardResult,
     run_sharded,
     scaling_report,
@@ -13,7 +12,6 @@ from repro.shard.runner import (
 __all__ = [
     "LINK_BANDWIDTH",
     "LINK_LATENCY",
-    "SHARDED",
     "ShardResult",
     "build_halo_copy",
     "run_sharded",

@@ -1,7 +1,12 @@
 """The persistent program cache: keys, layers, invalidation."""
 
+import multiprocessing
+
+import numpy as np
 import pytest
 
+import repro.backend.build as build
+from repro.backend import native_enabled
 from repro.compiler import compile_fun
 from repro.ir import FunBuilder, f32
 from repro.ir.pretty import pretty_fun
@@ -173,6 +178,22 @@ class TestDiskLayer:
         assert state == COLD
         assert pc2.disk_errors == 1
 
+    def test_truncated_entry_degrades_to_cold(self, tmp_path):
+        """An entry cut short (a writer killed mid-write without the
+        atomic rename) is an error, not a hit."""
+        fun = simple_fun()
+        key = _key(fun)
+        pc1 = ProgramCache(disk_dir=tmp_path)
+        pc1.get_or_compile(key, lambda: compile_fun(fun, cache=False), disk=True)
+        (entry,) = tmp_path.glob("*.pkl")
+        entry.write_bytes(entry.read_bytes()[: entry.stat().st_size // 2])
+        pc2 = ProgramCache(disk_dir=tmp_path)
+        _, state = pc2.get_or_compile(
+            key, lambda: compile_fun(fun, cache=False), disk=True
+        )
+        assert state == COLD
+        assert pc2.disk_errors == 1
+
     def test_clear_disk_removes_entries(self, tmp_path):
         fun = simple_fun()
         pc = ProgramCache(disk_dir=tmp_path)
@@ -183,3 +204,71 @@ class TestDiskLayer:
         pc.clear(disk=True)
         assert not list(tmp_path.glob("*.pkl"))
         assert len(pc) == 0
+
+
+# -- two processes, one pair of cache directories ------------------------
+#: A kernel of this test alone: its cache directory starts empty.
+KERNEL = (
+    "void repro_kernel(long long T0, long long W, const long long* ia,"
+    " const double* fa, char** bufs, long long* C)"
+    " { (void)ia; (void)fa; (void)bufs; C[0] += 2 * (W - T0); }\n"
+)
+
+
+def _share_caches(barrier, results, disk_dir):
+    """One of two processes: build :data:`KERNEL` into
+    ``REPRO_NATIVE_CACHE``, then store one key into ``disk_dir``.  Each
+    write starts as the other process's does: everything slower (asking
+    ``cc`` its version, compiling the program) happens before."""
+    build.find_cc()
+    fun = simple_fun()
+    compiled = compile_fun(fun, cache=False)
+    barrier.wait(timeout=60)
+    fn, _ = build.compile_kernel(KERNEL)
+    counters = np.zeros(6, dtype=np.int64)
+    fn(0, 5, None, None, None, counters.ctypes.data)
+    pc = ProgramCache(disk_dir=disk_dir)
+    barrier.wait(timeout=60)
+    pc.get_or_compile(_key(fun), lambda: compiled, disk=True)
+    results.put((int(counters[0]), pc.disk_errors))
+
+
+@pytest.mark.skipif(not native_enabled(), reason="no C compiler available")
+def test_two_processes_share_both_cache_directories(tmp_path, monkeypatch):
+    """Each writer's temp files carry its pid: two processes building one
+    kernel and storing one program leave one ``.c``/``.so`` and one
+    loadable ``.pkl``, and no temp file."""
+    native, progs = tmp_path / "native", tmp_path / "progs"
+    monkeypatch.setenv("REPRO_NATIVE_CACHE", str(native))
+    ctx = multiprocessing.get_context("spawn")
+    barrier, results = ctx.Barrier(2), ctx.Queue()
+    procs = [
+        ctx.Process(target=_share_caches, args=(barrier, results, progs))
+        for _ in range(2)
+    ]
+    try:
+        for p in procs:
+            p.start()
+        got = [results.get(timeout=120) for _ in procs]
+        for p in procs:
+            p.join(30)
+    finally:
+        for p in procs:
+            if p.is_alive():
+                p.kill()
+    assert [p.exitcode for p in procs] == [0, 0]
+    assert got == [(10, 0)] * 2
+
+    digest = build.source_digest(KERNEL)
+    assert sorted(f.name for f in native.iterdir()) == [
+        f"{digest}.c", f"{digest}.so",
+    ]
+    fun = simple_fun()
+    (entry,) = progs.iterdir()
+    assert entry.name == f"{_key(fun).digest()}.pkl"
+    pc = ProgramCache(disk_dir=progs)
+    _, state = pc.get_or_compile(
+        _key(fun), lambda: pytest.fail("the stored entry must load"),
+        disk=True,
+    )
+    assert state == DISK_HIT
