@@ -34,27 +34,33 @@ __all__ = [
     "clear_memo",
     "find_cc",
     "native_enabled",
+    "native_unavailable",
     "maybe_engine",
 ]
 
 
-def native_enabled() -> bool:
-    """True when the native tier may be used: not switched off via
-    ``REPRO_NATIVE`` and a C compiler is present."""
+def native_unavailable() -> Optional[str]:
+    """Why the native tier may not be used -- ``"REPRO_NATIVE=off"``
+    (the switch is ``off``, ``0`` or ``false``) or ``"no C compiler"``
+    -- or None when it may."""
     if os.environ.get("REPRO_NATIVE", "").lower() in ("off", "0", "false"):
-        return False
-    return find_cc()[0] is not None
+        return "REPRO_NATIVE=off"
+    return "no C compiler" if find_cc()[0] is None else None
+
+
+def native_enabled() -> bool:
+    """True when the native tier may be used."""
+    return native_unavailable() is None
 
 
 def maybe_engine(plans: Optional[Dict[int, object]] = None,
                  warn: bool = True) -> Optional[NativeEngine]:
     """A :class:`NativeEngine` when the tier is available, else None."""
-    if os.environ.get("REPRO_NATIVE", "").lower() in ("off", "0", "false"):
-        return None
-    if find_cc()[0] is None:
-        if warn:
-            from repro.backend.build import warn_unavailable_once
+    why = native_unavailable()
+    if why is None:
+        return NativeEngine(plans)
+    if warn and why == "no C compiler":
+        from repro.backend.build import warn_unavailable_once
 
-            warn_unavailable_once()
-        return None
-    return NativeEngine(plans)
+        warn_unavailable_once()
+    return None

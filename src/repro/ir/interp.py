@@ -7,9 +7,10 @@ aliasing is observable.  The memory-IR executor
 checks optimized programs against this interpreter, which is how we know
 short-circuiting is semantics-preserving.
 
-Dynamic safety checks for LMAD slices/updates (paper section III-B: strides
-non-zero and no overlapping dimensions, so updates have no output
-dependences) are performed here with ``check_lmad_updates=True``.
+The dynamic safety checks of paper section III-B are performed here on
+every LMAD slice and update: its points must lie in bounds, and an
+update's points must be pairwise distinct (no zero stride, no
+overlapping dimensions), so it has no output dependences.
 """
 
 from __future__ import annotations
@@ -77,9 +78,8 @@ def bind_shape_vars(params, inputs: Mapping[str, object], env: Dict[str, object]
 class Interpreter:
     """Evaluate a function on concrete inputs."""
 
-    def __init__(self, fun: A.Fun, check_lmad_updates: bool = True):
+    def __init__(self, fun: A.Fun):
         self.fun = fun
-        self.check_lmad_updates = check_lmad_updates
 
     # ------------------------------------------------------------------
     def run(self, **inputs) -> List[object]:
@@ -231,14 +231,10 @@ class Interpreter:
         if offs.size == 0:
             return out
         self._bounds_check(offs, out.size, exp.src)
-        if self.check_lmad_updates:
-            # Paper section III-B dynamic checks: the LMAD's points must be
-            # pairwise distinct (no output dependences in the parallel update).
-            flat = offs.reshape(-1)
-            if np.unique(flat).size != flat.size:
-                raise InterpError(
-                    f"LMAD update on {exp.src} has overlapping points"
-                )
+        # The points must be pairwise distinct (paper section III-B).
+        flat = offs.reshape(-1)
+        if np.unique(flat).size != flat.size:
+            raise InterpError(f"LMAD update on {exp.src} has overlapping points")
         out.reshape(-1)[offs] = value
         return out
 
@@ -271,9 +267,9 @@ class Interpreter:
         return state
 
 
-def run_fun(fun: A.Fun, check_lmad_updates: bool = True, **inputs) -> List[object]:
+def run_fun(fun: A.Fun, **inputs) -> List[object]:
     """One-shot convenience: interpret ``fun`` on the given inputs."""
-    return Interpreter(fun, check_lmad_updates=check_lmad_updates).run(**inputs)
+    return Interpreter(fun).run(**inputs)
 
 
 def _np_scalar(value, dtype: str):

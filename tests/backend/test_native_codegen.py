@@ -10,15 +10,13 @@ not a materialized intermediate.
 import numpy as np
 import pytest
 
-from repro.backend import NativeEngine, native_enabled
+from repro.backend import NativeEngine
 from repro.backend.cemit import KernelSpec
 from repro.compiler import compile_fun
 from repro.mem.exec import MemExecutor
 from tests.opt.conftest import random_two_stage_pipeline
 
-pytestmark = pytest.mark.skipif(
-    not native_enabled(), reason="no C compiler available"
-)
+pytestmark = pytest.mark.native
 
 
 def _fused_specs(fun, engine):

@@ -18,15 +18,13 @@ comparison and logical operators).
 import numpy as np
 import pytest
 
-from repro.backend import NativeEngine, native_enabled
+from repro.backend import NativeEngine
 from repro.compiler import compile_fun
 from repro.mem.exec import MemExecutor
 from tests.mem.test_vectorize import LOWERING_CASES, uniform_if_array_case
 from tests.opt.conftest import random_two_stage_pipeline
 
-pytestmark = pytest.mark.skipif(
-    not native_enabled(), reason="no C compiler available"
-)
+pytestmark = pytest.mark.native
 
 N = 33
 SEEDS = range(30)

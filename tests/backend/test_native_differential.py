@@ -12,15 +12,13 @@ changes) but must never change it.
 import numpy as np
 import pytest
 
-from repro.backend import NativeEngine, native_enabled
+from repro.backend import NativeEngine
 from repro.bench.programs import all_benchmarks
 from repro.compiler import compile_fun
 from repro.mem.exec import MemExecutor
 from repro.runtime import materialize
 
-pytestmark = pytest.mark.skipif(
-    not native_enabled(), reason="no C compiler available"
-)
+pytestmark = pytest.mark.native
 
 BENCHMARKS = all_benchmarks()
 

@@ -22,10 +22,6 @@ from repro.backend.cemit import KernelSpec
 from repro.mem.exec import MemExecutor
 from repro.mem.stats import ExecStats
 
-needs_cc = pytest.mark.skipif(
-    not native_enabled(), reason="no C compiler available"
-)
-
 
 def _nn():
     from repro.bench.programs import nn
@@ -51,7 +47,7 @@ class TestGating:
             assert np.array_equal(np.asarray(a), np.asarray(b))
         assert stats.signature() == ref_stats.signature()
 
-    @needs_cc
+    @pytest.mark.native
     def test_run_native_kwarg(self):
         mod, inputs = _nn()
         program = rt.compile(mod.build(), pipeline="full")
@@ -139,7 +135,7 @@ def _call(fn, w):
     return int(counters[0])
 
 
-@needs_cc
+@pytest.mark.native
 class TestKernelCache:
     def test_disk_hit_across_memo_clear(self):
         fn, digest = build.compile_kernel(TRIVIAL)
@@ -201,6 +197,7 @@ class TestKernelCache:
             assert _call(fn, 9) == 9
             build.clear_memo()
 
+    @pytest.mark.gate
     def test_concurrent_builds_of_one_source(self, tmp_path, monkeypatch):
         """Eight threads, one fresh source, an empty cache directory:
         a writer's temp files are its own, so every thread gets a
@@ -214,6 +211,7 @@ class TestKernelCache:
             f"{digest}.c", f"{digest}.so",
         ]
 
+    @pytest.mark.gate
     def test_two_programs_of_one_function_build_concurrently(
         self, tmp_path, monkeypatch
     ):
@@ -263,7 +261,7 @@ def _on_threads(n, work):
 
 
 # -- per-launch fallback ------------------------------------------------
-@needs_cc
+@pytest.mark.native
 def test_structure_mismatch_falls_back_per_launch():
     mod, inputs = _nn()
     from repro.compiler import compile_fun

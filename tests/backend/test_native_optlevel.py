@@ -17,7 +17,7 @@ import pytest
 import repro.backend.build as build
 import repro.backend.engine as engine
 from repro import FunBuilder, f32
-from repro.backend import NativeEngine, native_enabled
+from repro.backend import NativeEngine
 from repro.backend.cemit import KernelSpec
 from repro.bench.programs import all_benchmarks
 from repro.compiler import compile_fun
@@ -29,9 +29,7 @@ from tests.backend.test_native_corpus import SEEDS, _inputs
 from tests.mem.test_vectorize import LOWERING_CASES
 from tests.opt.conftest import random_two_stage_pipeline
 
-pytestmark = pytest.mark.skipif(
-    not native_enabled(), reason="no C compiler available"
-)
+pytestmark = [pytest.mark.gate, pytest.mark.native]
 
 BENCHMARKS = all_benchmarks()
 

@@ -21,7 +21,7 @@ import pytest
 
 import repro.backend.engine as engine
 import repro.runtime as rt
-from repro.backend import NativeEngine, native_enabled
+from repro.backend import NativeEngine
 from repro.backend.cemit import KernelSpec
 from repro.bench.programs import all_benchmarks
 from repro.compiler import compile_fun
@@ -35,9 +35,7 @@ from tests.opt.conftest import (
 )
 from tests.runtime.test_tape import Boom, same_run, seeded
 
-pytestmark = pytest.mark.skipif(
-    not native_enabled(), reason="no C compiler available"
-)
+pytestmark = [pytest.mark.gate, pytest.mark.native]
 
 BENCHMARKS = all_benchmarks()
 #: Helper threads of the forced pool: at most four parts a launch.

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from repro import FunBuilder, compile_fun, f32
-from repro.backend import NativeEngine, native_enabled
+from repro.backend import NativeEngine
 from repro.backend.cemit import KernelSpec
 from repro.bench.programs import all_benchmarks
 from repro.ir import scalar
@@ -24,9 +24,7 @@ from repro.symbolic import Var
 from tests.backend.test_native_corpus import SEEDS, _inputs
 from tests.opt.conftest import random_two_stage_pipeline
 
-pytestmark = pytest.mark.skipif(
-    not native_enabled(), reason="no C compiler available"
-)
+pytestmark = pytest.mark.native
 
 
 def _specs(fun, inputs):

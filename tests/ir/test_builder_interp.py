@@ -6,6 +6,7 @@ import pytest
 from repro.ir import FunBuilder, f32, run_fun
 from repro.ir.interp import InterpError
 from repro.lmad import lmad
+from repro.lmad.overlap import lmad_injective
 from repro.symbolic import Var
 
 n = Var("n")
@@ -145,12 +146,16 @@ class TestChangeOfLayout:
         assert (out == arr.reshape(-1)).all()
 
     def test_out_of_bounds_slice_raises(self):
-        b = FunBuilder("f")
-        A = b.param("A", f32(4))
-        s = b.slice(A, [(2, 4, 1)])
-        b.returns(s)
-        with pytest.raises(InterpError):
-            run_fun(b.build(), A=np.zeros(4, dtype=np.float32))
+        for lmad_slice in (False, True):
+            b = FunBuilder("f")
+            A = b.param("A", f32(4))
+            if lmad_slice:
+                s = b.lmad_slice(A, lmad(2, [(4, 1)]))  # offsets 2..5 of 4
+            else:
+                s = b.slice(A, [(2, 4, 1)])
+            b.returns(s)
+            with pytest.raises(InterpError, match="out of bounds"):
+                run_fun(b.build(), A=np.zeros(4, dtype=np.float32))
 
 
 class TestUpdates:
@@ -190,13 +195,43 @@ class TestUpdates:
 
     def test_lmad_update_overlap_dynamic_check(self):
         """Paper section III-B: overlapping update points are rejected."""
-        b = FunBuilder("f")
-        A = b.param("A", f32(8))
-        X = b.param("X", f32(4))
-        A2 = b.update_lmad(A, lmad(0, [(4, 0)]), X)  # stride 0: all collide
-        b.returns(A2)
-        with pytest.raises(InterpError):
-            run_fun(b.build(), A=np.zeros(8, np.float32), X=np.ones(4, np.float32))
+        for dims in (
+            [(4, 0)],  # stride 0: all points collide
+            [(3, 2), (4, 1)],  # stride 2 under an inner span of 4
+        ):
+            shape = [d for d, _ in dims]
+            b = FunBuilder("f")
+            A = b.param("A", f32(16))
+            X = b.param("X", f32(*shape))
+            b.returns(b.update_lmad(A, lmad(0, dims), X))
+            with pytest.raises(InterpError, match="overlapping points"):
+                run_fun(b.build(), A=np.zeros(16, np.float32),
+                        X=np.ones(shape, np.float32))
+
+    def test_injective_update_is_accepted(self):
+        """The static check implies the dynamic one: every in-bounds LMAD
+        ``lmad_injective`` proves distinct is an update ``run_fun``
+        performs, writing each value to its own point."""
+        rng = np.random.RandomState(0)
+        for _ in range(50):
+            dims = [
+                (int(rng.randint(1, 5)), int(rng.randint(-6, 7)))
+                for _ in range(rng.randint(1, 3))
+            ]
+            l = lmad(int(rng.randint(0, 10)), dims)
+            offsets = l.enumerate_offsets({})
+            if min(offsets) < 0 or not lmad_injective(l):
+                continue  # injectivity says distinct, not in-bounds
+            shape = [d for d, _ in dims]
+            b = FunBuilder("f")
+            A = b.param("A", f32(max(offsets) + 1))
+            X = b.param("X", f32(*shape))
+            b.returns(b.update_lmad(A, l, X))
+            x = rng.rand(*shape).astype(np.float32)
+            (out,) = run_fun(
+                b.build(), A=np.zeros(max(offsets) + 1, np.float32), X=x
+            )
+            assert (out[offsets] == x.reshape(-1)).all()
 
 
 class TestCompound:

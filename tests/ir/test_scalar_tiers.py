@@ -32,6 +32,8 @@ from repro.mem.exec import MemExecutor
 from repro.runtime import materialize
 from repro.symbolic import Var
 
+pytestmark = pytest.mark.gate
+
 N = 12
 INPUTS = {
     "n": N,

@@ -185,3 +185,17 @@ class TestInjectivity:
         # blocks of b at stride n*b needs n*b > (b-1)*1, i.e. always true
         p = Prover(ctx)
         assert lmad_injective(lmad(0, [(n, n * b), (b, 1)]), p)
+
+    def test_nw_write_set_injective(self):
+        # nw's blocked anti-diagonal write set: i + 1 blocks of b x b
+        q, b, i = Var("q"), Var("b"), Var("i")
+        n = q * b + 1
+        ctx = (
+            Context()
+            .define("n", n)
+            .assume_lower("q", 2)
+            .assume_lower("b", 2)
+            .assume_range("i", 0, q - 1)
+        )
+        w = lmad(i * b + n + 1, [(i + 1, n * b - b), (b, n), (b, 1)])
+        assert lmad_injective(w, Prover(ctx))

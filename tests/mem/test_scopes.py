@@ -30,6 +30,8 @@ from tests.opt.conftest import (
     random_two_stage_pipeline,
 )
 
+pytestmark = pytest.mark.gate
+
 n = Var("n")
 
 #: ``let (i : i64) = i + 1`` rebinds the thread index: the typechecker

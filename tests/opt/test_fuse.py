@@ -54,6 +54,7 @@ def _simple_pipeline():
 # ----------------------------------------------------------------------
 # Property-style corpus: fusion is output-preserving
 # ----------------------------------------------------------------------
+@pytest.mark.gate
 @pytest.mark.parametrize("seed", range(30))
 def test_fusion_preserves_outputs_on_random_pipelines(seed, gen_pipeline):
     rng = np.random.RandomState(seed)
@@ -79,6 +80,7 @@ def test_fusion_preserves_outputs_on_random_pipelines(seed, gen_pipeline):
     assert dry_f.bytes_total < dry_u.bytes_total
 
 
+@pytest.mark.gate
 @pytest.mark.parametrize("seed", range(30))
 def test_mapnest_fusion_preserves_outputs_on_random_dags(
     seed, gen_mapnest_pipeline

@@ -13,6 +13,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
+pytestmark = pytest.mark.gate
+
 SRC = Path(__file__).resolve().parents[2] / "src"
 
 DUMP = """

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 import repro.backend.build as build
-from repro.backend import native_enabled
 from repro.compiler import compile_fun
 from repro.ir import FunBuilder, f32
 from repro.ir.pretty import pretty_fun
@@ -233,7 +232,7 @@ def _share_caches(barrier, results, disk_dir):
     results.put((int(counters[0]), pc.disk_errors))
 
 
-@pytest.mark.skipif(not native_enabled(), reason="no C compiler available")
+@pytest.mark.native
 def test_two_processes_share_both_cache_directories(tmp_path, monkeypatch):
     """Each writer's temp files carry its pid: two processes building one
     kernel and storing one program leave one ``.c``/``.so`` and one

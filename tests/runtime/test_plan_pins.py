@@ -9,7 +9,7 @@ import weakref
 import numpy as np
 import pytest
 
-from repro.backend import NativeEngine, native_enabled
+from repro.backend import NativeEngine
 from repro.backend.engine import REJECTED
 from repro.compiler import compile_fun
 from repro.ir import FunBuilder, f32
@@ -41,10 +41,10 @@ def maps_of(fun):
     return [s for s in fun.body.stmts if isinstance(s.exp, A.Map)]
 
 
-@pytest.mark.parametrize("tier", ["vectorized", "native"])
+@pytest.mark.parametrize(
+    "tier", ["vectorized", pytest.param("native", marks=pytest.mark.native)]
+)
 def test_no_plan_is_served_across_functions(tier):
-    if tier == "native" and not native_enabled():
-        pytest.skip("no C compiler")
     shared_vec = {}
     native = NativeEngine({}) if tier == "native" else None
     table = native.plans if native else shared_vec

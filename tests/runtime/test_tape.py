@@ -15,7 +15,6 @@ import numpy as np
 import pytest
 
 import repro.runtime as rt
-from repro.backend import native_enabled
 from repro.backend.engine import NativeEngine
 from repro.decisions import Decision, Declined
 from repro.ir.builder import FunBuilder
@@ -23,10 +22,6 @@ from repro.ir.types import ArrayType
 from repro.lmad import IndexFn
 from repro.runtime import Program
 from repro.runtime.tape import _COPY, _LAUNCH, read_region, region_plan
-
-needs_native = pytest.mark.skipif(
-    not native_enabled(), reason="native tier unavailable"
-)
 
 TAPED = {
     "nw": [(4, 8), (6, 16)],
@@ -146,7 +141,7 @@ def state(program):
 # ----------------------------------------------------------------------
 # The differential
 # ----------------------------------------------------------------------
-@needs_native
+@pytest.mark.native
 @pytest.mark.parametrize(
     "name,args", [(n, a) for n, sizes in TAPED.items() for a in sizes]
 )
@@ -175,7 +170,7 @@ def test_replay_matches_executor(name, args):
     )
 
 
-@needs_native
+@pytest.mark.native
 @pytest.mark.parametrize("name", ["nw", "hotspot", "lbm"])
 def test_unopt_replays_host_copies_and_kernel_scratch(name):
     """Without short-circuiting the host program copies between
@@ -197,7 +192,7 @@ def test_unopt_replays_host_copies_and_kernel_scratch(name):
         same_run(program.run(x, replay=False), replayed)
 
 
-@needs_native
+@pytest.mark.native
 def test_host_fills_point_writes_and_scalar_results_replay():
     program = rt.compile(host_fills(), memoize=False)
     for seed in range(3):
@@ -212,7 +207,7 @@ def test_host_fills_point_writes_and_scalar_results_replay():
         assert np.array_equal(io, np.arange(10)) and k == 20
 
 
-@needs_native
+@pytest.mark.native
 @pytest.mark.parametrize("name", sorted(UNTAPED))
 def test_untapeable_programs_say_why(name):
     mod = module(name)
@@ -245,7 +240,7 @@ def test_untapeable_programs_say_why(name):
     assert program.declined.repeats == 1
 
 
-@needs_native
+@pytest.mark.native
 def test_counters_follow_each_requests_data():
     program = rt.compile(branchy(), memoize=False)
     flops = set()
@@ -260,7 +255,7 @@ def test_counters_follow_each_requests_data():
     assert len(flops) > 1, "the inputs should disagree on the branch count"
 
 
-@needs_native
+@pytest.mark.native
 def test_host_reduce_feeding_a_launch_is_refused():
     program = rt.compile(host_reduce(), memoize=False)
     for seed in range(3):
@@ -277,7 +272,7 @@ def test_host_reduce_feeding_a_launch_is_refused():
     assert program.declined.records == [why]
 
 
-@needs_native
+@pytest.mark.native
 def test_launch_time_mismatch_turns_one_class_off(monkeypatch):
     program = rt.compile(module("nw").build(), memoize=False)
     x = module("nw").inputs_for(4, 8)
@@ -355,7 +350,7 @@ def test_never_captures_without_the_native_tier(how, monkeypatch):
 # ----------------------------------------------------------------------
 # Concurrency
 # ----------------------------------------------------------------------
-@needs_native
+@pytest.mark.native
 def test_two_threads_replay_one_tape():
     mod = module("lud")
     program = rt.compile(mod.build(), memoize=False)
@@ -411,7 +406,7 @@ def fail_on_call(monkeypatch, program, k):
         monkeypatch.setattr(spec, "fn", fn)
 
 
-@needs_native
+@pytest.mark.native
 @pytest.mark.parametrize("phase", ["capture", "replay"])
 def test_kernel_exception_keeps_pool_and_drops_tape(phase, monkeypatch):
     mod = module("lud")
@@ -434,7 +429,7 @@ def test_kernel_exception_keeps_pool_and_drops_tape(phase, monkeypatch):
     assert program.pool.free_buffers() == clean
 
 
-@needs_native
+@pytest.mark.native
 @pytest.mark.parametrize("name", sorted(TAPED))
 def test_poisoned_pool_replays_bit_identically(name):
     mod = module(name)
@@ -448,7 +443,7 @@ def test_poisoned_pool_replays_bit_identically(name):
     same_run(reference, run)
 
 
-@needs_native
+@pytest.mark.native
 def test_evicted_tape_is_recaptured_not_resurrected():
     program = rt.compile(branchy(), memoize=False)
     first = branchy_input(0, n=8)
