@@ -10,6 +10,7 @@ EXPERIMENTS.md can cite them.
 from __future__ import annotations
 
 import pathlib
+import sys
 import warnings
 
 import pytest
@@ -17,6 +18,9 @@ import pytest
 warnings.filterwarnings("ignore")
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
+
+# A table whose program tier-1 already checks imports the test's builder.
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent))
 
 
 def save_result(name: str, text: str) -> None:

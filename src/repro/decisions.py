@@ -90,10 +90,6 @@ class DecisionLog:
             "repeats": self.repeats,
         }
 
-    @classmethod
-    def from_dict(cls, d: Dict[str, object]) -> "DecisionLog":
-        return cls([Decision(**r) for r in d["records"]], d["repeats"])
-
 
 def render_table(decisions: Iterable[Decision]) -> str:
     """The ``decisions`` table of ``python -m repro.bench --explain``."""

@@ -16,6 +16,6 @@ no occupancy effects), which EXPERIMENTS.md documents.
 """
 
 from repro.gpu.device import A100, MI100, Device
-from repro.gpu.costmodel import CostModel, simulate_time
+from repro.gpu.costmodel import CostModel
 
-__all__ = ["A100", "MI100", "Device", "CostModel", "simulate_time"]
+__all__ = ["A100", "MI100", "Device", "CostModel"]

@@ -76,8 +76,3 @@ class CostModel:
         flop_t = flops / self.device.effective_flops
         seq_t = sequential_elems * 1.2e-8  # ~12ns dependent-op latency
         return max(mem_t, flop_t) + seq_t + launches * self.device.launch_overhead
-
-
-def simulate_time(stats: ExecStats, device: Device) -> float:
-    """Convenience: total simulated seconds of a run on ``device``."""
-    return CostModel(device).total_time(stats)

@@ -23,7 +23,7 @@ from repro.lmad.lmad import Lmad, LmadDim, dim, lmad
 from repro.lmad.ixfun import IndexFn
 from repro.lmad.interval import StridedInterval, SumOfIntervals
 from repro.lmad.overlap import NonOverlapChecker, ProverPool, lmads_nonoverlapping
-from repro.lmad.aggregate import aggregate_over_loop, union_lmads
+from repro.lmad.aggregate import aggregate_over_loop
 from repro.lmad.antiunify import antiunify_ixfns, AntiUnifyResult
 
 __all__ = [
@@ -38,7 +38,6 @@ __all__ = [
     "ProverPool",
     "lmads_nonoverlapping",
     "aggregate_over_loop",
-    "union_lmads",
     "antiunify_ixfns",
     "AntiUnifyResult",
 ]

@@ -20,7 +20,7 @@ intersection operators are required.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List, Optional
 
 from repro.lmad.lmad import Lmad, LmadDim
 from repro.symbolic import Prover, SymExpr, sym
@@ -71,30 +71,3 @@ def aggregate_over_loop(
         # (with over-approximated cardinalities).
         return Lmad(offset0, tuple(dims))
     return Lmad(offset0, (LmadDim(count, stride_new),) + tuple(dims))
-
-
-def union_lmads(
-    accesses: Sequence[Lmad], prover: Prover
-) -> Optional[List[Lmad]]:
-    """Union of several LMADs, merging syntactically-equal duplicates.
-
-    The summaries of section V-B are *lists* of LMADs (a union is kept in
-    disjunctive form; the non-overlap test is applied pairwise), so this
-    only deduplicates -- it never loses precision.
-    """
-    out: List[Lmad] = []
-    for a in accesses:
-        if not any(_same_lmad(a, b, prover) for b in out):
-            out.append(a)
-    return out
-
-
-def _same_lmad(a: Lmad, b: Lmad, prover: Prover) -> bool:
-    if a.rank != b.rank:
-        return False
-    if not prover.eq(a.offset, b.offset):
-        return False
-    return all(
-        prover.eq(da.shape, db.shape) and prover.eq(da.stride, db.stride)
-        for da, db in zip(a.dims, b.dims)
-    )

@@ -22,8 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional
 
-from repro.ir import ast as A
-from repro.mem.memir import iter_stmts
 
 
 @dataclass(frozen=True)
@@ -59,19 +57,3 @@ def space_of(name: str) -> MemSpace:
         raise KeyError(
             f"unknown memory space {name!r} (known: {sorted(SPACES)})"
         ) from None
-
-
-def assign_space(fun: A.Fun, mem: str, space: str) -> int:
-    """Re-home one alloc'd block into ``space``: replace its ``Alloc``.
-    Returns the number of rewritten sites (1, or 0 when no ``alloc``
-    binds ``mem``).  Used by the fuzz corpus to generate cross-space
-    programs and by tests; real placement happens in
-    :mod:`repro.mem.introduce`.
-    """
-    space_of(space)  # validate
-    changed = 0
-    for stmt in iter_stmts(fun.body):
-        if isinstance(stmt.exp, A.Alloc) and stmt.names[0] == mem:
-            stmt.exp = A.Alloc(stmt.exp.size, stmt.exp.dtype, space)
-            changed += 1
-    return changed

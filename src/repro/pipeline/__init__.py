@@ -32,11 +32,7 @@ from repro.pipeline.passes import (
     ShortCircuitPass,
     TypecheckPass,
 )
-from repro.pipeline.presets import (
-    PRESETS,
-    preset_pass_names,
-    preset_pipeline,
-)
+from repro.pipeline.presets import PRESETS, preset_pipeline
 from repro.pipeline.trace import PassRecord, PipelineTrace
 
 __all__ = [
@@ -57,5 +53,4 @@ __all__ = [
     "TypecheckPass",
     "PRESETS",
     "preset_pipeline",
-    "preset_pass_names",
 ]

@@ -13,10 +13,10 @@ pipeline.
 ``nofuse``  ``full`` without fusion: the unfused leg of the traffic gate
 =========== ============================================================
 
-:func:`preset_pipeline` is the one constructor of a pass list;
-:func:`preset_pass_names` exposes the expected schedule for tests and
-``--explain``.  A combination no preset names is built from the pass
-classes and handed to :class:`~repro.pipeline.PassManager` directly.
+:func:`preset_pipeline` is the one constructor of a pass list, and
+its pass names are a preset's expected schedule.  A combination no
+preset names is built from the pass classes and handed to
+:class:`~repro.pipeline.PassManager` directly.
 """
 
 from __future__ import annotations
@@ -92,8 +92,3 @@ def preset_pipeline(name: str) -> List[Pass]:
         pipe.append(DeadAllocsPass(condition=_reuse_merged))
         pipe.append(AnalysisPass("mem_frees", verify_label="reuse"))
     return pipe
-
-
-def preset_pass_names(name: str) -> List[str]:
-    """The ordered pass/analysis names a preset schedules."""
-    return [p.name for p in preset_pipeline(name)]

@@ -8,8 +8,8 @@ log of declined candidates (:class:`repro.decisions.DecisionLog`, the
 very object its ``ShortCircuitStats`` / ``FuseStats`` / ``ReuseStats``
 holds).
 
-The whole trace is JSON-serializable (:meth:`PipelineTrace.to_dict` /
-:meth:`from_dict` round-trip losslessly) and is surfaced by
+The whole trace is JSON-serializable (:meth:`PipelineTrace.to_dict`,
+:meth:`~PipelineTrace.to_json`) and is surfaced by
 ``python -m repro.bench --json`` for the perf trajectory and by
 ``python -m repro.bench --explain`` as a human-readable table
 (:meth:`PipelineTrace.render`).
@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.decisions import DecisionLog
 
@@ -95,12 +95,6 @@ class PassRecord:
             "declined": self.declined.to_dict(),
         }
 
-    @classmethod
-    def from_dict(cls, d: Dict[str, object]) -> "PassRecord":
-        d = dict(d, declined=DecisionLog.from_dict(d["declined"]))
-        del d["rejections"]  # derived from the log
-        return cls(**d)  # type: ignore[arg-type]
-
 
 @dataclass
 class PipelineTrace:
@@ -122,11 +116,6 @@ class PipelineTrace:
         """Unique stage key -> seconds (insertion-ordered)."""
         return {r.key: r.seconds for r in self.records}
 
-    def pass_names(self, kinds=(KIND_PASS,)) -> List[str]:
-        """Ordered names of the records of the given kinds (occurrences
-        included, skipped ones too -- the *scheduled* pipeline)."""
-        return [r.name for r in self.records if r.kind in kinds]
-
     def executed_pass_names(self) -> List[str]:
         """Ordered names of pass records that actually ran."""
         return [
@@ -134,12 +123,6 @@ class PipelineTrace:
             for r in self.records
             if r.kind == KIND_PASS and not r.skipped
         ]
-
-    def record(self, key: str) -> Optional[PassRecord]:
-        for r in self.records:
-            if r.key == key:
-                return r
-        return None
 
     def rejections(self) -> Dict[str, Dict[str, int]]:
         """Pass name -> per-rule rejection tallies, aggregated over
@@ -164,22 +147,8 @@ class PipelineTrace:
             "records": [r.to_dict() for r in self.records],
         }
 
-    @classmethod
-    def from_dict(cls, d: Dict[str, object]) -> "PipelineTrace":
-        return cls(
-            pipeline=str(d["pipeline"]),
-            fun_name=str(d.get("fun_name", "")),
-            records=[
-                PassRecord.from_dict(r) for r in d.get("records", [])
-            ],  # type: ignore[union-attr]
-        )
-
     def to_json(self, **kw) -> str:
         return json.dumps(self.to_dict(), **kw)
-
-    @classmethod
-    def from_json(cls, s: str) -> "PipelineTrace":
-        return cls.from_dict(json.loads(s))
 
     # ------------------------------------------------------------------
     # Pretty-printing (--explain)

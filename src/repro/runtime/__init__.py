@@ -15,10 +15,10 @@ immutable artifact; this package makes producing it *rare* and running it
   hash, pipeline, symbolic-shape class, and assumptions;
 * :class:`BufferPool` / :class:`PoolLease` (:mod:`~repro.runtime.pool`)
   -- pooled, zero-filled-on-demand buffers handed to the executor
-  instead of per-call ``np.zeros``, with thread-safe per-run leases;
-* :mod:`~repro.runtime.serve` -- the worker-pool concurrency driver and
-  the pooled-vs-fresh identity check (no timings: serving speed is
-  perfbench's ``serve-mix`` workload).
+  instead of per-call ``np.zeros``, with thread-safe per-run leases.
+
+Serving speed is perfbench's ``serve-mix`` workload; the thread-safety
+tests serve one program from many threads in ``tests/runtime/test_serve.py``.
 
 ``repro.compiler.compile_fun`` delegates here (:func:`compile_cached`),
 so every existing call site is cache-hitting without change.

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -45,20 +45,12 @@ def _pool_key(dtype: str, size: int) -> PoolKey:
     return (np.dtype(DTYPE_INFO[dtype][0]).str, size)
 
 
-@dataclass
-class PlanEntry:
-    """The materialized allocation plan of one shape class.
-
-    Recorded from the first execution at that shape: the exact multiset
-    of buffers the run drew (as ``(numpy dtype str, size)`` pairs, i.e.
-    :class:`PoolLease.manifest` output).  ``BufferPool.reserve`` can
-    pre-allocate ``copies`` leases' worth so a worker fleet starts with
-    a warm pool instead of missing once per worker.
-    """
-
-    manifest: Tuple[Tuple[str, int], ...]
-    #: How many concurrent leases the pool has been provisioned for.
-    reserved_copies: int = 0
+#: The materialized allocation plan of one shape class: the exact
+#: multiset of buffers its first execution drew, as
+#: :meth:`PoolLease.manifest` returns it.  Eviction
+#: (:meth:`BufferPool.drop_plan`) keeps the free lists the retained
+#: plans draw.
+Manifest = Tuple[PoolKey, ...]
 
 
 class BufferPool:
@@ -71,7 +63,7 @@ class BufferPool:
         self.hits = 0
         self.misses = 0
         #: shape-class key -> materialized allocation plan.
-        self._plans: Dict[str, PlanEntry] = {}
+        self._plans: Dict[str, Manifest] = {}
 
     # ------------------------------------------------------------------
     # Acquisition / release
@@ -114,9 +106,9 @@ class BufferPool:
         """Record a shape class's allocation plan (first run only)."""
         with self._lock:
             if shape_key not in self._plans:
-                self._plans[shape_key] = PlanEntry(tuple(manifest))
+                self._plans[shape_key] = tuple(manifest)
 
-    def plan(self, shape_key: str):
+    def plan(self, shape_key: str) -> Optional[Manifest]:
         return self._plans.get(shape_key)
 
     def drop_plan(self, shape_key: str) -> None:
@@ -127,62 +119,14 @@ class BufferPool:
             if self._plans.pop(shape_key, None) is None:
                 return
             keep = {
-                key for entry in self._plans.values() for key in entry.manifest
+                key for manifest in self._plans.values() for key in manifest
             }
             for key in [k for k in self._free if k not in keep]:
                 del self._free[key]
 
-    def reserve(self, shape_key: str, copies: int) -> int:
-        """Pre-allocate up to ``copies`` leases' worth of the plan.
-
-        Returns the number of buffers newly allocated.  Idempotent per
-        ``copies`` level: reserving for 4 workers after reserving for 2
-        only adds the difference.
-        """
-        entry = self._plans.get(shape_key)
-        if entry is None or copies <= entry.reserved_copies:
-            return 0
-        need: Dict[PoolKey, int] = {}
-        for dt_str, size in entry.manifest:
-            key = (np.dtype(dt_str).str, size)
-            need[key] = need.get(key, 0) + 1
-        created = 0
-        with self._lock:
-            for key, per_lease in need.items():
-                lst = self._free.setdefault(key, [])
-                target = per_lease * copies
-                np_dtype, size = np.dtype(key[0]), key[1]
-                while len(lst) < target:
-                    lst.append(np.zeros(size, dtype=np_dtype))
-                    created += 1
-            entry.reserved_copies = copies
-        return created
-
     # ------------------------------------------------------------------
     def lease(self) -> "PoolLease":
         return PoolLease(self)
-
-    def free_buffers(self) -> int:
-        with self._lock:
-            return sum(len(v) for v in self._free.values())
-
-    def free_bytes(self) -> int:
-        with self._lock:
-            return sum(b.nbytes for v in self._free.values() for b in v)
-
-    def poison(self) -> None:
-        """Overwrite every *idle* buffer with NaN / all-ones (test hook: a
-        dirty pool must still serve bit-identical results, because
-        acquisition zeros)."""
-        with self._lock:
-            for lst in self._free.values():
-                for buf in lst:
-                    if buf.dtype.kind == "f":
-                        buf.fill(np.nan)
-                    elif buf.dtype.kind == "b":
-                        buf.fill(True)
-                    else:
-                        buf.fill(np.iinfo(buf.dtype).max)
 
 
 @dataclass

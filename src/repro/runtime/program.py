@@ -433,30 +433,13 @@ class Program:
                 stats.codegen_seconds = engine.codegen_seconds
             if self.pool.plan(skey) is None:
                 # First execution at this shape class: freeze the
-                # allocation plan so the pool can be provisioned for a
-                # worker fleet (reserve) and hits become deterministic.
-                # (Not for a class evicted while this request ran.)
+                # allocation plan, so that evicting another class keeps
+                # the free lists this one draws.  (Not for a class
+                # evicted while this request ran.)
                 with self._lock:
                     if self._classes.get(skey) is cls:
                         self.pool.note_plan(skey, lease.manifest())
         return outs, stats
-
-    def reserve(self, inputs: Mapping[str, object], workers: int) -> int:
-        """Provision the pool for ``workers`` concurrent leases of the
-        allocation plan at this input shape class (runs one request to
-        materialize the plan -- and warm the response memo -- if
-        needed)."""
-        skey = self.shape_key(inputs)
-        need = self.pool.plan(skey) is None
-        if not need and self.memoize:
-            key = self._request_key(inputs, True) + (
-                self._native(None) is not None,
-            )
-            with self._lock:
-                need = key not in self._memo
-        if need:
-            self.run(inputs)
-        return self.pool.reserve(skey, workers)
 
 
 def _outermost_maps(block: A.Block):

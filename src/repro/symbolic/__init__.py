@@ -18,7 +18,7 @@ The core objects are:
   questions (``e >= 0``?, ``e > 0``?, ``e == 0``?) under a context, built
   from equality saturation + bound substitution + interval evaluation.
 
-Soundness contract: every ``prove_*`` function may answer ``False`` ("could
+Soundness contract: every :class:`Prover` query may answer ``False`` ("could
 not prove") for a true fact, but never ``True`` for a false one.  The
 short-circuiting pass treats "could not prove" as "keep the copy", so an
 incomplete prover costs performance, never correctness -- exactly the
@@ -27,15 +27,7 @@ trade-off the paper describes in section III-D.
 
 from repro.symbolic.expr import SymExpr, Var, Const, sym
 from repro.symbolic.assumptions import Context, Bound
-from repro.symbolic.prove import (
-    Prover,
-    Sign,
-    prove_nonneg,
-    prove_pos,
-    prove_eq,
-    prove_le,
-    prove_lt,
-)
+from repro.symbolic.prove import Prover, Sign
 
 __all__ = [
     "SymExpr",
@@ -46,9 +38,4 @@ __all__ = [
     "Bound",
     "Prover",
     "Sign",
-    "prove_nonneg",
-    "prove_pos",
-    "prove_eq",
-    "prove_le",
-    "prove_lt",
 ]

@@ -279,32 +279,3 @@ class Prover:
                     ):
                         return True
         return False
-
-
-# ----------------------------------------------------------------------
-# Module-level conveniences (fresh prover per call; fine for small queries)
-# ----------------------------------------------------------------------
-def prove_nonneg(expr: ExprLike, ctx: Optional[Context] = None) -> bool:
-    """Prove ``expr >= 0`` under ``ctx``."""
-    return Prover(ctx).nonneg(expr)
-
-
-def prove_pos(expr: ExprLike, ctx: Optional[Context] = None) -> bool:
-    """Prove ``expr > 0`` under ``ctx``."""
-    return Prover(ctx).pos(expr)
-
-
-def prove_eq(a: ExprLike, b: ExprLike, ctx: Optional[Context] = None) -> bool:
-    """Prove ``a == b`` under ``ctx``."""
-    return Prover(ctx).eq(a, b)
-
-
-def prove_le(a: ExprLike, b: ExprLike, ctx: Optional[Context] = None) -> bool:
-    """Prove ``a <= b`` under ``ctx``."""
-    return Prover(ctx).le(a, b)
-
-
-def prove_lt(a: ExprLike, b: ExprLike, ctx: Optional[Context] = None) -> bool:
-    """Prove ``a < b`` under ``ctx``."""
-    return Prover(ctx).lt(a, b)
-

@@ -15,6 +15,7 @@ from repro.compiler import compile_fun
 from repro.ir import FunBuilder, f32
 from repro.ir import ast as A
 from repro.mem.memir import iter_stmts
+from repro.mem.spaces import space_of
 from repro.symbolic import Var
 
 n = Var("n")
@@ -55,3 +56,16 @@ def array_pat(stmt: A.Let) -> A.PatElem:
         if pe.is_array():
             return pe
     raise AssertionError("statement has no array result")
+
+
+def assign_space(fun: A.Fun, mem: str, space: str) -> int:
+    """Re-home one alloc'd block into ``space``: replace its ``Alloc``,
+    the one place a block's space is declared.  Returns the number of
+    rewritten sites (1, or 0 when no ``alloc`` binds ``mem``)."""
+    space_of(space)  # validate
+    changed = 0
+    for stmt in iter_stmts(fun.body):
+        if isinstance(stmt.exp, A.Alloc) and stmt.names[0] == mem:
+            stmt.exp = A.Alloc(stmt.exp.size, stmt.exp.dtype, space)
+            changed += 1
+    return changed

@@ -11,10 +11,10 @@ from repro.analysis.diagnostics import Severity
 from repro.compiler import compile_fun
 from repro.ir import ast as A
 from repro.mem.memir import array_bindings
-from repro.mem.spaces import SPACES, assign_space
+from repro.mem.spaces import SPACES
 from repro.symbolic import SymExpr
 
-from tests.analysis.conftest import find_stmt, simple_fun
+from tests.analysis.conftest import assign_space, find_stmt, simple_fun
 
 
 def _alloc_stmt(fun):

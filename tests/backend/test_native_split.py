@@ -13,8 +13,11 @@ raises, two programs on two threads, a box with one core.
 
 import importlib
 import os
+import signal
 import sys
 import threading
+import time
+import warnings
 
 import numpy as np
 import pytest
@@ -28,6 +31,7 @@ from repro.compiler import compile_fun
 from repro.mem.exec import MemExecutor
 from repro.pipeline.presets import PRESETS
 from tests.backend.test_native_corpus import SEEDS, _inputs
+from tests.runtime import idle_buffers
 from tests.mem.test_vectorize import LOWERING_CASES, strided_fill_case
 from tests.opt.conftest import (
     random_mapnest_pipeline,
@@ -227,7 +231,7 @@ def test_a_raising_part_surfaces_after_every_part_returned(
     reference = program.run(x, replay=False)
     if phase == "replay":
         assert program.run(x)[1].tape == "captured"
-    clean = program.pool.free_buffers()
+    clean = len(idle_buffers(program.pool))
     helpers = _part_threads()
     raised = []
     with monkeypatch.context() as mp:
@@ -250,7 +254,7 @@ def test_a_raising_part_surfaces_after_every_part_returned(
     assert helpers <= _part_threads()
     assert all(t.is_alive() for t in helpers)
     assert len(split._idle) == HELPERS  # every helper back in the pool
-    assert program.pool.free_buffers() == clean
+    assert len(idle_buffers(program.pool)) == clean
     run = program.run(x)
     assert run[1].tape == "captured"
     same_run(reference, run)
@@ -311,6 +315,43 @@ def test_one_core_starts_no_thread(monkeypatch):
     assert parts == 1
     assert set(threading.enumerate()) == before and pool._idle == []
     _same((outs, st), _run(fun, inputs))
+
+
+def test_a_forked_child_starts_its_own_helpers(split, monkeypatch):
+    """A child forked after the helpers started has their objects but
+    none of their threads: the at-fork handler gives it a fresh pool, so
+    its split launches start helpers of their own instead of waiting
+    forever on threads that do not exist."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3},
+                        raising=False)
+    mod = module("hotspot")
+    fun = compile_fun(mod.build()).fun
+    inputs = mod.inputs_for(*mod.TEST_DATASETS["small"])
+    want = _run(fun, inputs)
+    assert _native_run(fun, inputs, FORCED, monkeypatch)[3] >= 2
+    with warnings.catch_warnings():
+        # 3.12+: forking a process that has threads
+        warnings.simplefilter("ignore", DeprecationWarning)
+        pid = os.fork()
+    if pid == 0:
+        code = 1
+        try:
+            outs, st, _, parts = _native_run(fun, inputs, FORCED, monkeypatch)
+            _same((outs, st), want)
+            code = 0 if parts >= 2 else 2
+        finally:
+            os._exit(code)
+    deadline = time.monotonic() + 60
+    while time.monotonic() < deadline:
+        done, status = os.waitpid(pid, os.WNOHANG)
+        if done:
+            break
+        time.sleep(0.05)
+    else:
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+        pytest.fail("the forked child hung in a split launch")
+    assert os.waitstatus_to_exitcode(status) == 0
 
 
 # ----------------------------------------------------------------------

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.gpu import A100, MI100, CostModel, simulate_time
+from repro.gpu import A100, MI100, CostModel
 from repro.mem.stats import ExecStats, KernelStat
 
 
@@ -60,7 +60,7 @@ class TestCostModel:
         assert t100 == pytest.approx(100 * t1, rel=1e-6)
 
     def test_empty_stats_cost_zero(self):
-        assert simulate_time(ExecStats(), A100) == 0.0
+        assert CostModel(A100).total_time(ExecStats()) == 0.0
 
     def test_sequential_reference_model(self):
         """NN's Rodinia model: per-element latency dominates large inputs."""
@@ -71,4 +71,4 @@ class TestCostModel:
 
     def test_same_stats_slower_on_mi100(self):
         st = stats_with(br=10**9, bw=10**9, flops=10**6)
-        assert simulate_time(st, MI100) > simulate_time(st, A100)
+        assert CostModel(MI100).total_time(st) > CostModel(A100).total_time(st)

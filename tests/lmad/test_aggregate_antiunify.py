@@ -7,7 +7,6 @@ from repro.lmad import (
     aggregate_over_loop,
     antiunify_ixfns,
     lmad,
-    union_lmads,
 )
 from repro.symbolic import Const, Context, Prover, Var, sym
 
@@ -74,14 +73,6 @@ class TestAggregation:
         for iv in range(4):
             union |= set(acc.substitute({"i": iv}).enumerate_offsets(env))
         assert union <= set(w.enumerate_offsets(env))
-
-    def test_union_lmads_dedup(self):
-        p = Prover()
-        a = lmad(0, [(4, 1)])
-        b = lmad(0, [(4, 1)])
-        c = lmad(4, [(4, 1)])
-        out = union_lmads([a, b, c], p)
-        assert len(out) == 2
 
 
 class TestAntiUnification:

@@ -14,6 +14,7 @@ import pytest
 from repro.bench.harness import compile_both
 from repro.compiler import compile_fun
 from repro.ir import FunBuilder, f32, i64
+from repro.ir import ast as A
 from repro.lmad import lmad
 from repro.mem import introduce_memory
 from repro.mem.exec import MemExecutor
@@ -141,9 +142,25 @@ def comparisons_case():
     )
 
 
+def scalar_alias_case():
+    """Scalar re-bindings in a map body: a uniform alias of a host scalar
+    and a lane-varying alias of the thread index, used as an index."""
+    b = FunBuilder("aliases")
+    b.size_param("n")
+    c = b.param("c", f32())
+    x = b.param("x", f32(n))
+    mp = b.map_(n, index="i")
+    (w,) = mp.emit(A.VarRef(c))
+    (j,) = mp.emit(A.VarRef("i"))
+    xj = mp.index(x, [n - 1 - Var(j)])
+    mp.returns(mp.binop("*", xj, w))
+    b.returns(*mp.end())
+    return b.build(), dict(n=5, c=np.float32(1.5), x=np.arange(5, dtype=np.float32))
+
+
 LOWERING_CASES = [
     strided_fill_case, composed_operand_case, uniform_if_array_case,
-    comparisons_case,
+    comparisons_case, scalar_alias_case,
 ]
 
 

@@ -7,6 +7,7 @@ that the optimized executor still agrees with the reference interpreter.
 
 import numpy as np
 
+from repro.analysis import verify_fun
 from repro.compiler import compile_fun
 from repro.ir import FunBuilder, f32, i64, run_fun
 from repro.ir import ast as A
@@ -466,26 +467,46 @@ class TestCopyReuse:
 # ----------------------------------------------------------------------
 # If-crossing (fig. 5a)
 # ----------------------------------------------------------------------
+def if_crossing_fun(else_at_n=False):
+    """Fig. 5a: an if's result is written into the upper half of ``big``.
+
+    Each branch maps ``x`` into a fresh ``[n]`` array.  With
+    ``else_at_n`` the else branch instead fills the upper half of a
+    ``[2n]`` scratch buffer and returns that half, so the branches'
+    index functions differ in offset (0 and n) and memory introduction
+    anti-unifies them (section IV-C)."""
+    b = FunBuilder("f")
+    x = b.param("x", f32(n))
+    big = b.param("big", f32(n * 2))
+    c = b.param("c", f32())
+    cb = b.binop("<", c, 0.5)
+    ih = b.if_(cb)
+    t_mp = ih.then_builder.map_(n, index="i")
+    t_mp.returns(t_mp.binop("*", t_mp.index(x, [t_mp.idx]), 2.0))
+    (tv,) = t_mp.end()
+    ih.then_builder.returns(tv)
+    els = ih.else_builder
+    e_mp = els.map_(n, index="i")
+    e_mp.returns(e_mp.binop("+", e_mp.index(x, [e_mp.idx]), 5.0))
+    (ev,) = e_mp.end()
+    if else_at_n:
+        upper = els.update_slice(els.scratch("f32", [n * 2]), [(n, n, 1)], ev)
+        ev = els.slice(upper, [(n, n, 1)])
+    els.returns(ev)
+    (X,) = ih.end()
+    out = b.update_slice(big, [(n, n, 1)], X)
+    b.returns(out)
+    return b.build()
+
+
+def if_pattern(fun):
+    (stmt,) = [s for s in fun.body.stmts if isinstance(s.exp, A.If)]
+    return stmt.pattern
+
+
 class TestIfCrossing:
     def test_branch_results_rebased(self):
-        b = FunBuilder("f")
-        x = b.param("x", f32(n))
-        big = b.param("big", f32(n * 2))
-        c = b.param("c", f32())
-        cb = b.binop("<", c, 0.5)
-        ih = b.if_(cb)
-        t_mp = ih.then_builder.map_(n, index="i")
-        t_mp.returns(t_mp.binop("*", t_mp.index(x, [t_mp.idx]), 2.0))
-        (tv,) = t_mp.end()
-        ih.then_builder.returns(tv)
-        e_mp = ih.else_builder.map_(n, index="i")
-        e_mp.returns(e_mp.binop("+", e_mp.index(x, [e_mp.idx]), 5.0))
-        (ev,) = e_mp.end()
-        ih.else_builder.returns(ev)
-        (X,) = ih.end()
-        out = b.update_slice(big, [(n, n, 1)], X)
-        b.returns(out)
-        fun = b.build()
+        fun = if_crossing_fun()
         for cval in (0.0, 1.0):
             opt, stats = exec_and_compare(
                 fun,
@@ -495,3 +516,27 @@ class TestIfCrossing:
             )
         assert opt.sc_stats.committed == 1
         assert stats.copy_traffic() == 0
+
+    def test_branch_offsets_antiunified(self):
+        """The branches return slices at offsets 0 and n: the if returns
+        an existential block and offset, and the circuit point still
+        crosses into both branches (section V, fig. 5a)."""
+        fun = if_crossing_fun(else_at_n=True)
+        for cval in (0.0, 1.0):
+            opt, stats = exec_and_compare(
+                fun,
+                x=np.arange(4, dtype=np.float32),
+                big=np.zeros(8, dtype=np.float32),
+                c=np.float32(cval),
+            )
+            assert stats.copy_traffic() == 0
+        nosc = compile_fun(fun, pipeline="nosc", verify=True)
+        full = compile_fun(fun, verify=True)
+        for c in (nosc, full):
+            assert all(r.ok() for r in c.verify_reports.values())
+            assert verify_fun(c.fun).ok()
+        # Beside the result: one existential block, one i64 offset.
+        kinds = [str(pe.type) for pe in if_pattern(nosc.fun)]
+        assert kinds[1:] == ["i64", "i64"], kinds
+        result = if_pattern(full.fun)[0].name
+        assert full.sc_stats.committed_roots.count(result) == 1

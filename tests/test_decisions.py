@@ -5,6 +5,7 @@ path, the vectorizer and the tape recorder at run time -- says so with a
 rule and a site, on every benchmark under every preset."""
 
 import importlib
+import json
 
 import pytest
 
@@ -36,7 +37,7 @@ def test_one_site_one_tally():
     assert log.repeats == 1
     assert log.at("native", "t_9").detail == "Reduce inside a kernel"
     assert log.at("native", "t_12") is None
-    assert DecisionLog.from_dict(log.to_dict()) == log
+    assert json.loads(json.dumps(log.to_dict())) == log.to_dict()
 
 
 def test_a_decision_renders_as_one_line_and_as_a_table_row():
