@@ -171,9 +171,6 @@ class Report:
         """No errors or warnings (notes are tolerated)."""
         return not self.errors and not self.warnings
 
-    def rules_fired(self) -> List[str]:
-        return sorted({d.rule for d in self.diagnostics})
-
     def render(self, show_notes: bool = False) -> str:
         label = self.fun_name + (f" [{self.stage}]" if self.stage else "")
         shown = [
@@ -200,7 +197,7 @@ class VerificationError(Exception):
     def __init__(self, stage: str, report: Report):
         self.stage = stage
         self.report = report
-        rules = ", ".join(report.rules_fired())
+        rules = ", ".join(sorted({d.rule for d in report.diagnostics}))
         super().__init__(
             f"verification failed after {stage}: {rules}\n"
             + report.render(show_notes=True)

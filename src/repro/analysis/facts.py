@@ -17,6 +17,11 @@ disagree with a broken pass, not inherit its bug.
   relation over names: ``y in downstream(x)`` means a read through ``y``
   may legitimately observe data written through ``x`` (so the race checker
   must not flag that pair).
+* :func:`existential_targets` / :func:`expand_block` -- which blocks an
+  existential (an ``if`` or loop result's block, a loop parameter's)
+  may stand for at run time: the race and free checkers' one model of
+  the indirection, re-derived here rather than taken from
+  :mod:`repro.reuse`.
 * :func:`alias_closure` -- the symmetric buffer-sharing relation used to
   validate last-use annotations (views, update src/result, if/loop result
   plumbing -- deliberately *not* the rebased same-block relation, which is
@@ -120,6 +125,87 @@ def referenced_mems(fun: A.Fun) -> Set[str]:
     for stmt in iter_stmts(fun.body):
         out.update(pe.mem.mem for pe in binders(stmt) if pe.mem is not None)
     return out
+
+
+def existential_targets(fun: A.Fun) -> Dict[str, Tuple[str, ...]]:
+    """Existential block -> the blocks it may stand for at run time.
+
+    An ``if`` result's block stands for its branches' result blocks; a
+    loop parameter's, for the initial value's and the body result's; a
+    loop result's, for the body result's and -- after zero trips -- the
+    initial value's.  Concrete blocks (:func:`concrete_blocks`) stand
+    for themselves and get no entry."""
+    concrete = concrete_blocks(fun)
+    raw: Dict[str, Set[str]] = {}
+
+    def register(mem: str, under: Set[str]) -> None:
+        under.discard(mem)
+        if under and mem not in concrete:
+            raw.setdefault(mem, set()).update(under)
+
+    def mem_of(bindings: Dict[str, MemBinding], name: str) -> Set[str]:
+        b = bindings.get(name)
+        return set() if b is None else {b.mem}
+
+    def walk(blk: A.Block, parent: Dict[str, MemBinding]):
+        bindings = dict(parent)
+        for stmt in blk.stmts:
+            exp = stmt.exp
+            if isinstance(exp, A.Loop):
+                lb = dict(bindings)
+                lb.update((p.name, p.mem) for p, _ in exp.carried if p.mem)
+                child = walk(exp.body, lb)
+                result = exp.body.result
+                for k, (prm, init) in enumerate(exp.carried):
+                    if prm.mem is not None:
+                        register(
+                            prm.mem.mem,
+                            mem_of(bindings, init) | mem_of(child, result[k]),
+                        )
+                for k, pe in enumerate(stmt.pattern):
+                    if pe.is_array() and pe.mem is not None:
+                        under = set()
+                        if k < len(result):
+                            under |= mem_of(child, result[k])
+                        if k < len(exp.carried):
+                            under |= mem_of(bindings, exp.carried[k][1])
+                        register(binding_of(pe).mem, under)
+            elif isinstance(exp, A.Map):
+                walk(exp.lam.body, bindings)
+            elif isinstance(exp, A.If):
+                subs = (exp.then_block, exp.else_block)
+                branches = [walk(sub, bindings) for sub in subs]
+                for k, pe in enumerate(stmt.pattern):
+                    if pe.is_array() and pe.mem is not None:
+                        under = set()
+                        for bb, sub in zip(branches, subs):
+                            if k < len(sub.result):
+                                under |= mem_of(bb, sub.result[k])
+                        register(binding_of(pe).mem, under)
+            for pe in stmt.pattern:
+                if pe.is_array() and pe.mem is not None:
+                    bindings[pe.name] = binding_of(pe)
+        return bindings
+
+    walk(fun.body, entry_bindings(fun))
+    return {m: tuple(sorted(t)) for m, t in raw.items()}
+
+
+def expand_block(
+    targets: Dict[str, Tuple[str, ...]], mem: str, _seen: Tuple[str, ...] = ()
+) -> Tuple[str, ...]:
+    """The ground blocks ``mem`` may stand for under ``targets`` (from
+    :func:`existential_targets`); ``(mem,)`` for a ground block.  A
+    cyclic resolution (a loop carrying its own result) names no new
+    ground block: the acyclic paths already name them all."""
+    if mem in _seen:
+        return ()
+    if mem not in targets:
+        return (mem,)
+    out: Dict[str, None] = {}
+    for t in targets[mem]:
+        out.update(dict.fromkeys(expand_block(targets, t, _seen + (mem,))))
+    return tuple(out)
 
 
 # ----------------------------------------------------------------------

@@ -5,8 +5,8 @@ treats a ``mem_frees`` entry as "this block's lifetime ends here" and
 retires it from the live set.  The annotations are produced by
 :mod:`repro.reuse.liveranges`; this checker re-derives the obligations
 from the program alone (it never imports :mod:`repro.reuse` -- same
-translation-validation stance as the rest of the package, including its
-own existential-indirection expansion):
+translation-validation stance as the rest of the package; the
+existential indirection is :func:`repro.analysis.facts.existential_targets`):
 
 * F01 -- a block freed at a statement must not be touched by any later
   statement of the same IR block, nor be reachable from the block's
@@ -22,19 +22,12 @@ own existential-indirection expansion):
 
 from __future__ import annotations
 
-from typing import Dict, Set, Tuple
+from typing import Set
 
 from repro.analysis.diagnostics import Report, Severity
-from repro.analysis.facts import stmt_location
+from repro.analysis.facts import existential_targets, expand_block, stmt_location
 from repro.ir import ast as A
-from repro.mem.memir import (
-    MemBinding,
-    array_bindings,
-    binders,
-    binding_of,
-    entry_bindings,
-    iter_stmts,
-)
+from repro.mem.memir import array_bindings, binders, iter_stmts
 
 
 class FreeChecker:
@@ -47,92 +40,13 @@ class FreeChecker:
             for s in iter_stmts(fun.body)
             if isinstance(s.exp, A.Alloc)
         }
-        self._indirect: Dict[str, Tuple[str, ...]] = {}
-        self._build_indirection()
+        self._indirect = existential_targets(fun)
 
-    # ------------------------------------------------------------------
-    # Existential indirection (independent re-derivation)
-    # ------------------------------------------------------------------
-    def _build_indirection(self) -> None:
-        raw: Dict[str, Set[str]] = {}
-
-        def register(mem: str, under: Set[str]) -> None:
-            under.discard(mem)
-            if under and mem not in self.allocated:
-                raw.setdefault(mem, set()).update(under)
-
-        def walk(blk: A.Block, parent: Dict[str, MemBinding]):
-            bindings = dict(parent)
-            for stmt in blk.stmts:
-                exp = stmt.exp
-                if isinstance(exp, A.Loop):
-                    lb = dict(bindings)
-                    for prm, _init in exp.carried:
-                        if prm.mem is not None:
-                            lb[prm.name] = prm.mem
-                    child = walk(exp.body, lb)
-                    for k, (prm, init) in enumerate(exp.carried):
-                        if prm.mem is None:
-                            continue
-                        under: Set[str] = set()
-                        ib = bindings.get(init)
-                        if ib is not None:
-                            under.add(ib.mem)
-                        rb = child.get(exp.body.result[k])
-                        if rb is not None:
-                            under.add(rb.mem)
-                        register(prm.mem.mem, under)
-                    for k, pe in enumerate(stmt.pattern):
-                        if not pe.is_array() or pe.mem is None:
-                            continue
-                        under = set()
-                        if k < len(exp.body.result):
-                            rb = child.get(exp.body.result[k])
-                            if rb is not None:
-                                under.add(rb.mem)
-                        if k < len(exp.carried):
-                            ib = bindings.get(exp.carried[k][1])
-                            if ib is not None:
-                                under.add(ib.mem)
-                        register(binding_of(pe).mem, under)
-                elif isinstance(exp, A.Map):
-                    walk(exp.lam.body, bindings)
-                elif isinstance(exp, A.If):
-                    branches = [
-                        walk(sub, bindings)
-                        for sub in (exp.then_block, exp.else_block)
-                    ]
-                    for k, pe in enumerate(stmt.pattern):
-                        if not pe.is_array() or pe.mem is None:
-                            continue
-                        under = set()
-                        for bb, sub in zip(
-                            branches, (exp.then_block, exp.else_block)
-                        ):
-                            if k < len(sub.result):
-                                rb = bb.get(sub.result[k])
-                                if rb is not None:
-                                    under.add(rb.mem)
-                        register(binding_of(pe).mem, under)
-                for pe in stmt.pattern:
-                    if pe.is_array() and pe.mem is not None:
-                        bindings[pe.name] = binding_of(pe)
-            return bindings
-
-        walk(self.fun.body, entry_bindings(self.fun))
-        self._indirect = {m: tuple(sorted(t)) for m, t in raw.items()}
-
-    def _expand(self, mem: str, _seen: Tuple[str, ...] = ()) -> Tuple[str, ...]:
-        if mem in _seen:
-            return ()
-        targets = self._indirect.get(mem)
-        if targets is None:
-            return (mem,)
-        out: Dict[str, None] = {}
-        for t in targets:
-            for m in self._expand(t, _seen + (mem,)):
-                out[m] = None
-        return tuple(out)
+    def _ground(self, mem: str) -> Set[str]:
+        """The allocated blocks ``mem`` may stand for."""
+        return {
+            g for g in expand_block(self._indirect, mem) if g in self.allocated
+        }
 
     # ------------------------------------------------------------------
     # Touch collection
@@ -154,10 +68,7 @@ class FreeChecker:
                 b = self.bindings.get(used)
                 if b is not None:
                     mems.add(b.mem)
-        out: Set[str] = set()
-        for m in mems:
-            out.update(g for g in self._expand(m) if g in self.allocated)
-        return out
+        return set().union(*map(self._ground, mems))
 
     # ------------------------------------------------------------------
     # Walk
@@ -178,9 +89,7 @@ class FreeChecker:
         result_mems: Set[str] = set()
         for r in block.result:
             b = self.bindings.get(r)
-            for g in self._expand(b.mem if b is not None else r):
-                if g in self.allocated:
-                    result_mems.add(g)
+            result_mems |= self._ground(b.mem if b is not None else r)
         for i, stmt in enumerate(block.stmts):
             loc = stmt_location(f"{path}[{i}]", stmt)
             for m in stmt.mem_frees:

@@ -53,8 +53,9 @@ from typing import Dict, List, Optional, Set, Tuple
 from repro.analysis.diagnostics import Report, Severity
 from repro.analysis.facts import (
     Downstream,
-    concrete_blocks,
     enter_scope,
+    existential_targets,
+    expand_block,
     learn_scalar,
     stmt_location,
 )
@@ -125,12 +126,15 @@ class RaceChecker:
         self.fun = fun
         self.report = report
         self.down = Downstream(fun)
-        self.concrete = concrete_blocks(fun)
         #: Prover/checker/engine pool: every disjointness obligation goes
         #: through a tiered checker (structural test, then relation
         #: emptiness), and the deciding tiers tally under "races".
         self.pool = pool if pool is not None else ProverPool()
         #: existential block -> blocks it may stand for at run time
+        self._targets = existential_targets(fun)
+        #: the entries of ``_targets`` whose defining ``if``/loop the
+        #: walk has left: an event collected inside a loop body keeps
+        #: the loop's own existentials until the loop aggregates it
         self._indirect: Dict[str, Tuple[str, ...]] = {}
         self._unknown_flagged: Set[Tuple[str, str]] = set()
 
@@ -145,26 +149,16 @@ class RaceChecker:
     # ==================================================================
     # Existential indirection
     # ==================================================================
-    def _expand_mem(
-        self, mem: str, _seen: Tuple[str, ...] = ()
-    ) -> Tuple[str, ...]:
-        if mem in _seen:
-            # A cyclic resolution (loop carrying its own result) names no
-            # new ground block; the acyclic paths already name them all.
-            return ()
-        targets = self._indirect.get(mem)
-        if targets is None:
-            return (mem,)
-        out: Dict[str, None] = {}
-        for t in targets:
-            for m in self._expand_mem(t, _seen + (mem,)):
-                out[m] = None
-        return tuple(out)
+    def _reveal(self, mems) -> None:
+        """Resolve the existentials a statement just walked defines."""
+        for m in mems:
+            if m in self._targets:
+                self._indirect.setdefault(m, self._targets[m])
 
     def _expand_events(self, events: List[Event]) -> List[Event]:
         out: List[Event] = []
         for e in events:
-            expanded = self._expand_mem(e.mem)
+            expanded = expand_block(self._indirect, e.mem)
             if expanded == (e.mem,):
                 out.append(e)
             else:
@@ -245,7 +239,7 @@ class RaceChecker:
         if info is None:
             return evs
         dpos, dmem, daddr = info
-        dset = set(self._expand_mem(dmem))
+        dset = set(expand_block(self._indirect, dmem))
         if any(
             e.kind == "w" and not e.noop and e.pos > dpos and e.mem in dset
             for e in prior
@@ -452,44 +446,23 @@ class RaceChecker:
         if isinstance(exp, A.If):
             out = []
             locals_: Set[str] = set()
-            branch_bindings = []
             for sub, tag in (
                 (exp.then_block, ".then"),
                 (exp.else_block, ".else"),
             ):
-                evs, sub_local, bb = self._block(
+                evs, sub_local, _ = self._block(
                     sub, ctx, bindings, spath + tag
                 )
                 out.extend(evs)
                 locals_ |= sub_local
-                branch_bindings.append(bb)
-            self._register_if_indirect(stmt, exp, branch_bindings)
+            self._reveal(
+                pe.mem.mem for pe in stmt.pattern
+                if pe.mem is not None and pe.mem.mem in stmt.names
+            )
             return out, locals_
 
         # Views, scalars, allocs, scratch: no memory traffic.
         return [], none
-
-    def _register_if_indirect(
-        self, stmt, exp: A.If, branch_bindings
-    ) -> None:
-        own = set(stmt.names)
-        for k, pe in enumerate(stmt.pattern):
-            if not pe.is_array() or pe.mem is None:
-                continue
-            m = binding_of(pe).mem
-            if m not in own or m in self._indirect:
-                continue
-            under: Set[str] = set()
-            for bb, sub in zip(
-                branch_bindings, (exp.then_block, exp.else_block)
-            ):
-                if k < len(sub.result):
-                    rb = bb.get(sub.result[k])
-                    if rb is not None:
-                        under.add(rb.mem)
-            under.discard(m)
-            if under:
-                self._indirect[m] = tuple(sorted(under))
 
     # ------------------------------------------------------------------
     def _map_events(
@@ -547,14 +520,12 @@ class RaceChecker:
         lctx = enter_scope(ctx, binder)
         lb = dict(bindings)
         lb.update((p.name, p.mem) for p in binder.params if p.mem is not None)
-        child, local, child_bindings = self._block(
-            body, lctx, lb, spath + ".loop"
-        )
-        self._register_loop_indirect(stmt, exp, bindings, child_bindings)
-        # Re-expand: events on the loop's own existentials were collected
-        # before the entries above existed.  Expansions landing on a
-        # body-local block are per-iteration private -- drop them (the
-        # documented double-buffering blind spot).
+        child, local, _ = self._block(body, lctx, lb, spath + ".loop")
+        self._reveal(p.mem.mem for p in binder.params if p.mem is not None)
+        self._reveal(pe.mem.mem for pe in stmt.pattern if pe.mem is not None)
+        # Expand the body's events: expansions landing on a body-local
+        # block are per-iteration private -- drop them (the documented
+        # double-buffering blind spot).
         child = [
             e for e in self._expand_events(child) if e.mem not in local
         ]
@@ -562,44 +533,6 @@ class RaceChecker:
             child, exp.index, count, lctx, parallel=False, loc=loc
         )
         return self._aggregate(child, exp.index, count, lctx), local
-
-    def _register_loop_indirect(
-        self, stmt, exp: A.Loop, bindings, child_bindings
-    ) -> None:
-        for k, (prm, init) in enumerate(exp.carried):
-            if prm.mem is None:
-                continue
-            pmem = prm.mem.mem
-            if pmem in self.concrete or pmem in self._indirect:
-                continue
-            under: Set[str] = set()
-            ib = bindings.get(init)
-            if ib is not None:
-                under.add(ib.mem)
-            rb = child_bindings.get(exp.body.result[k])
-            if rb is not None:
-                under.add(rb.mem)
-            under.discard(pmem)
-            if under:
-                self._indirect[pmem] = tuple(sorted(under))
-        for k, pe in enumerate(stmt.pattern):
-            if not pe.is_array() or pe.mem is None:
-                continue
-            rmem = binding_of(pe).mem
-            if rmem in self.concrete or rmem in self._indirect:
-                continue
-            under = set()
-            if k < len(exp.body.result):
-                rb = child_bindings.get(exp.body.result[k])
-                if rb is not None:
-                    under.add(rb.mem)
-            if k < len(exp.carried):
-                ib = bindings.get(exp.carried[k][1])
-                if ib is not None:
-                    under.add(ib.mem)  # zero-trip: result is the init
-            under.discard(rmem)
-            if under:
-                self._indirect[rmem] = tuple(sorted(under))
 
     # ==================================================================
     # Cross-thread / cross-iteration conditions

@@ -42,9 +42,6 @@ class AliasInfo:
                     frontier.append(nxt)
         return frozenset(seen)
 
-    def may_alias(self, a: str, b: str) -> bool:
-        return b in self.closure(a)
-
 
 _LAYOUT_OPS = (A.SliceT, A.LmadSlice, A.Rearrange, A.Reshape, A.Reverse)
 

@@ -286,14 +286,6 @@ class MapBuilder(BlockBuilder):
         self.results = self._emit_into.emit(exp, self._names)
         return self.results
 
-    def __enter__(self):
-        return self
-
-    def __exit__(self, exc_type, exc, tb):
-        if exc_type is None:
-            self.end()
-        return False
-
 
 class IfBuilder:
     """Builders for the two branches of an ``if``; emits on ``end()``."""

@@ -18,7 +18,7 @@ from repro.isl.bridge import (
     slice_box_difference,
     unrank_relation,
 )
-from repro.isl.emptiness import Verdict, basic_empty, set_empty
+from repro.isl.emptiness import Verdict, basic_empty
 from repro.isl.engine import PolyEngine
 from repro.isl.terms import (
     BasicRel,
@@ -44,7 +44,6 @@ __all__ = [
     "lmad_to_relation",
     "lmad_to_set",
     "overlap_set",
-    "set_empty",
     "slice_box_difference",
     "stride_constraint",
     "unrank_relation",

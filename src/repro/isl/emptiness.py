@@ -70,18 +70,6 @@ BRANCH_BUDGET = 2
 MAX_PIVOTS = 6
 
 
-def set_empty(s, prover: Prover) -> Verdict:
-    """Emptiness of a :class:`BasicSet` or :class:`IntSet`."""
-    if isinstance(s, BasicSet):
-        return basic_empty(s, prover)
-    verdicts = [basic_empty(p, prover) for p in s.pieces]
-    if any(v is Verdict.NONEMPTY for v in verdicts):
-        return Verdict.NONEMPTY
-    if all(v is Verdict.EMPTY for v in verdicts):
-        return Verdict.EMPTY
-    return Verdict.UNKNOWN
-
-
 def basic_empty(bs: BasicSet, prover: Prover) -> Verdict:
     if not bs.is_affine():
         return Verdict.UNKNOWN

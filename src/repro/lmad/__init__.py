@@ -19,7 +19,7 @@ branches of an ``if`` return arrays with different layouts) lives in
 :mod:`~repro.lmad.antiunify`.
 """
 
-from repro.lmad.lmad import Lmad, LmadDim, dim, lmad
+from repro.lmad.lmad import Lmad, LmadDim, lmad
 from repro.lmad.ixfun import IndexFn
 from repro.lmad.interval import StridedInterval, SumOfIntervals
 from repro.lmad.overlap import NonOverlapChecker, ProverPool, lmads_nonoverlapping
@@ -29,7 +29,6 @@ from repro.lmad.antiunify import antiunify_ixfns, AntiUnifyResult
 __all__ = [
     "Lmad",
     "LmadDim",
-    "dim",
     "lmad",
     "IndexFn",
     "StridedInterval",

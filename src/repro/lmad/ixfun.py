@@ -55,10 +55,6 @@ class IndexFn:
         """R(d1..dq): the default layout given to fresh arrays."""
         return IndexFn((Lmad.row_major(shape, offset),))
 
-    @staticmethod
-    def col_major(shape: Sequence[ExprLike], offset: ExprLike = 0) -> "IndexFn":
-        return IndexFn((Lmad.col_major(shape, offset),))
-
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
@@ -149,15 +145,6 @@ class IndexFn:
     # ------------------------------------------------------------------
     # Application
     # ------------------------------------------------------------------
-    def apply_symbolic(self, indices: Sequence[ExprLike]) -> SymExpr:
-        """Flat offset for symbolic indices; single-LMAD functions only."""
-        single = self.as_single()
-        if single is None:
-            raise ValueError(
-                "composed index functions need concrete indices (unranking)"
-            )
-        return single.apply(indices)
-
     def apply_concrete(
         self, indices: Sequence[int], env: Mapping[str, int]
     ) -> int:

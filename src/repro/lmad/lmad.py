@@ -47,11 +47,6 @@ class LmadDim:
         return f"({self.shape} : {self.stride})"
 
 
-def dim(shape: ExprLike, stride: ExprLike) -> LmadDim:
-    """Convenience constructor for a dimension."""
-    return LmadDim(sym(shape), sym(stride))
-
-
 #: A triplet slice entry: (start, count, step) in *index space* of one
 #: dimension, mirroring the paper's ``A[start : count : step]`` notation.
 Triplet = Tuple[ExprLike, ExprLike, ExprLike]
@@ -81,17 +76,6 @@ class Lmad:
             dims.append(LmadDim(extent, stride))
             stride = stride * extent
         return Lmad(sym(offset), tuple(reversed(dims)))
-
-    @staticmethod
-    def col_major(shape: Sequence[ExprLike], offset: ExprLike = 0) -> "Lmad":
-        """C(d1..dq): column-major layout, outermost dimension stride 1."""
-        shape = [sym(s) for s in shape]
-        dims: List[LmadDim] = []
-        stride: SymExpr = sym(1)
-        for extent in shape:
-            dims.append(LmadDim(extent, stride))
-            stride = stride * extent
-        return Lmad(sym(offset), tuple(dims))
 
     # ------------------------------------------------------------------
     # Basic queries
@@ -285,11 +269,6 @@ class Lmad:
             total = total + (d.shape - 1) * d.stride
         return total
 
-    def is_contiguous(self, prover: Prover) -> bool:
-        """Does this LMAD cover a dense range ``[offset, offset+size)``?"""
-        flat = self.coalesce_all(prover)
-        return flat is not None and prover.eq(flat.dims[0].stride, sym(1))
-
     # ------------------------------------------------------------------
     # Substitution / evaluation
     # ------------------------------------------------------------------
@@ -312,19 +291,6 @@ class Lmad:
                 raise ValueError(f"shape {d.shape} not concrete under {env}")
             out.append(val)
         return tuple(out)
-
-    def enumerate_offsets(self, env: Mapping[str, int]) -> List[int]:
-        """All flat offsets, concretely (testing / dynamic checks only)."""
-        inst = self.evaluate(dict(env))
-        offsets = [inst.offset.as_int()]
-        if any(o is None for o in offsets):
-            raise ValueError("LMAD not concrete")
-        for d in inst.dims:
-            n, s = d.shape.as_int(), d.stride.as_int()
-            if n is None or s is None:
-                raise ValueError("LMAD not concrete")
-            offsets = [o + i * s for o in offsets for i in range(n)]
-        return offsets
 
     def __str__(self) -> str:
         dims = ", ".join(str(d) for d in self.dims)

@@ -45,8 +45,10 @@ from repro.symbolic import Prover, sym
 class NonOverlapChecker:
     """Reusable checker bound to a prover; records a proof trace for demos."""
 
+    #: How many times a proof may split a dimension.
+    MAX_SPLIT_DEPTH = 3
+
     prover: Prover
-    max_split_depth: int = 3
     #: When False, reproduces the baseline test of Hoeflinger et al. [9]
     #: (no dimension splitting) -- used by the ablation benchmark.
     enable_splitting: bool = True
@@ -69,7 +71,7 @@ class NonOverlapChecker:
         i1, i2 = pair
         self.trace.append(f"I1 = {i1}")
         self.trace.append(f"I2 = {i2}")
-        return self._check(i1, i2, self.max_split_depth)
+        return self._check(i1, i2, self.MAX_SPLIT_DEPTH)
 
     def _trivially_empty(self, l: Lmad) -> bool:
         return any(
@@ -320,7 +322,7 @@ class ProverPool:
     and lives and dies with the pool -- one compilation; nothing is kept
     per process or on disk.
 
-    The prover tables are LRU-bounded (``max_entries`` contexts):
+    The prover tables are LRU-bounded (``MAX_ENTRIES`` contexts):
     analyses that walk many short-lived extended contexts (races,
     per-loop sc bodies) no longer grow the pool without bound.
     ``hits``/``misses`` count pooled-object lookups, ``verdict_hits``/
@@ -333,15 +335,17 @@ class ProverPool:
     flavors).  Checkers are :class:`TieredChecker` instances wired to a
     pooled polyhedral engine, so every pool client transparently gets the
     fallback tier; per-client deciding-tier tallies accumulate in
-    ``tiers`` and the last ``log_cap`` queries in ``query_log``.
+    ``tiers`` and the last ``LOG_CAP`` queries in ``query_log``.
     """
 
     #: Verdicts the table holds before it stops taking new ones.
     VERDICT_CAP = 4096
+    #: Contexts whose prover, checkers and engine are retained.
+    MAX_ENTRIES = 64
+    #: Queries ``query_log`` holds before it counts drops instead.
+    LOG_CAP = 4096
 
-    def __init__(self, max_entries: int = 64, log_cap: int = 4096) -> None:
-        self.max_entries = max_entries
-        self.log_cap = log_cap
+    def __init__(self) -> None:
         self._provers: "OrderedDict" = OrderedDict()
         self._checkers: Dict[tuple, TieredChecker] = {}
         self._engines: Dict[object, object] = {}
@@ -356,9 +360,6 @@ class ProverPool:
         self.tiers: Dict[str, Dict[str, int]] = {}
         self.query_log: List[QueryRecord] = []
         self.log_dropped = 0
-
-    def __len__(self) -> int:
-        return len(self._provers)
 
     # -- client bookkeeping --------------------------------------------
     def set_client(self, name: str) -> None:
@@ -383,7 +384,7 @@ class ProverPool:
         result: bool,
     ) -> None:
         self.record_tier(tier)
-        if len(self.query_log) < self.log_cap:
+        if len(self.query_log) < self.LOG_CAP:
             self.query_log.append(
                 QueryRecord(self._client, ctx, l1, l2, structural, tier, result)
             )
@@ -410,7 +411,7 @@ class ProverPool:
 
     # -- pooled objects ------------------------------------------------
     def _evict(self) -> None:
-        while len(self._provers) > self.max_entries:
+        while len(self._provers) > self.MAX_ENTRIES:
             evicted, _ = self._provers.popitem(last=False)
             for key in [k for k in self._checkers if k[0] is evicted]:
                 del self._checkers[key]

@@ -204,12 +204,6 @@ class ExecStats:
     def launches(self) -> int:
         return sum(k.launches for k in self.kernels.values())
 
-    def read_in(self, space: str) -> int:
-        return sum(k.read_in(space) for k in self.kernels.values())
-
-    def written_in(self, space: str) -> int:
-        return sum(k.written_in(space) for k in self.kernels.values())
-
     def spaces_touched(self) -> tuple:
         """Space names with any traffic or peak recorded, hbm first."""
         seen = {"hbm"}
@@ -217,20 +211,6 @@ class ExecStats:
             seen |= set(k.space_read) | set(k.space_written)
         seen |= set(self.space_peak_bytes)
         return tuple(sorted(seen, key=lambda s: (s != "hbm", s)))
-
-    @property
-    def pool_hit_rate(self) -> float:
-        """Fraction of buffer acquisitions served by the pool's free
-        lists.  0.0 when nothing was pooled (no lease, or dry mode)."""
-        total = self.pool_hits + self.pool_misses
-        return self.pool_hits / total if total else 0.0
-
-    @property
-    def vec_hit_rate(self) -> float:
-        """Fraction of real-mode map dispatches served by the vectorized
-        engine.  0.0 when nothing dispatched (dry mode)."""
-        total = self.vec_launches + self.interp_launches
-        return self.vec_launches / total if total else 0.0
 
     @property
     def native_hit_rate(self) -> float:
@@ -263,16 +243,6 @@ class ExecStats:
             self.alloc_count,
         )
 
-    def traffic_signature(self) -> tuple:
-        """:meth:`signature` minus the allocation counters.
-
-        Memory reuse (:mod:`repro.reuse`) merges allocations, so runs
-        with and without it agree on traffic, flops and launches but not
-        on ``alloc_bytes``/``alloc_count``; the differential tests pin
-        exactly that.
-        """
-        return self.signature()[:3]
-
     def copy_traffic(self) -> int:
         """Bytes moved by pure data-movement kernels (copy/update/concat)."""
         return sum(
@@ -303,15 +273,16 @@ class ExecStats:
         if self.pool_hits or self.pool_misses:
             lines.append(
                 f"pooled buffers  : {self.pool_hits} reused / "
-                f"{self.pool_misses} fresh "
-                f"(hit rate {self.pool_hit_rate:.2f})"
+                f"{self.pool_misses} fresh (hit rate "
+                f"{self.pool_hits / (self.pool_hits + self.pool_misses):.2f})"
             )
         spaces = self.spaces_touched()
         if len(spaces) > 1:
             for sp in spaces:
+                read = sum(k.read_in(sp) for k in self.kernels.values())
+                written = sum(k.written_in(sp) for k in self.kernels.values())
                 lines.append(
-                    f"space {sp:<9} : {self.read_in(sp):,} read / "
-                    f"{self.written_in(sp):,} written / "
+                    f"space {sp:<9} : {read:,} read / {written:,} written / "
                     f"peak {self.space_peak_bytes.get(sp, 0):,}"
                 )
         return "\n".join(lines)

@@ -55,11 +55,6 @@ class ReuseStats:
     #: candidate -> survivor, after chain resolution
     mapping: Dict[str, str] = field(default_factory=dict)
 
-    @property
-    def failures(self) -> Dict[str, int]:
-        """Per-rule tallies of the blocks passed over."""
-        return self.declined.tallies
-
 
 class _Coalescer:
     def __init__(self, fun: A.Fun, shared):

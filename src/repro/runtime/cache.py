@@ -159,12 +159,10 @@ def cache_mode(requested=None) -> str:
 class ProgramCache:
     """In-process LRU + optional on-disk layer of compiled programs."""
 
-    def __init__(
-        self,
-        max_entries: int = 128,
-        disk_dir: Optional[Path] = None,
-    ) -> None:
-        self.max_entries = max_entries
+    #: Compiled programs the in-process layer retains.
+    MAX_ENTRIES = 128
+
+    def __init__(self, disk_dir: Optional[Path] = None) -> None:
         self.disk_dir = Path(disk_dir) if disk_dir is not None else None
         self._lock = threading.RLock()
         self._mem: "OrderedDict[str, CompiledFun]" = OrderedDict()
@@ -207,7 +205,7 @@ class ProgramCache:
     def _remember(self, digest, compiled) -> None:
         self._mem[digest] = compiled
         self._mem.move_to_end(digest)
-        while len(self._mem) > self.max_entries:
+        while len(self._mem) > self.MAX_ENTRIES:
             self._mem.popitem(last=False)
 
     # ------------------------------------------------------------------
@@ -279,10 +277,6 @@ class ProgramCache:
                         p.unlink()
                     except OSError:
                         pass
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._mem)
 
 
 def _rebuild_compiled(payload, digest: str, load_seconds: float):

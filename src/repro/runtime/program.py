@@ -162,19 +162,10 @@ class Program:
         self._memo: "OrderedDict[tuple, Tuple[List[object], ExecStats]]" = (
             OrderedDict()
         )
-        #: Single-flight request coalescing: request key -> the Event
-        #: concurrent duplicate requests wait on while one worker
-        #: produces the response (prevents a thundering herd of
-        #: identical production runs on a cold memo).
-        self._inflight: Dict[tuple, threading.Event] = {}
         self.memo_hits = 0
         self._lock = threading.Lock()
 
     # ------------------------------------------------------------------
-    @property
-    def fun(self) -> A.Fun:
-        return self.compiled.fun
-
     def shape_key(self, inputs: Mapping[str, object]) -> str:
         """The concrete shape class of one request's inputs: the shape
         of every array, the type and value of everything else (0-d
@@ -221,7 +212,7 @@ class Program:
         ``premise-violated``, that refuses the class's requests)."""
         engine = self._native_engine
         maps = {}
-        for stmt in _outermost_maps(self.fun.body):
+        for stmt in _outermost_maps(self.compiled.fun.body):
             site = stmt.names[0]
             declined = [
                 d for d in (engine.declined.records if engine else ())
@@ -272,9 +263,7 @@ class Program:
                 self._native_engine = maybe_engine(self._native_plans)
         return self._native_engine
 
-    def _request_key(
-        self, inputs: Mapping[str, object], vectorize: bool
-    ) -> tuple:
+    def _request_key(self, inputs: Mapping[str, object]) -> str:
         """Content identity of one request (exact: hashes array bytes)."""
         h = hashlib.sha256()
         for name in sorted(inputs):
@@ -286,7 +275,7 @@ class Program:
                 h.update(np.ascontiguousarray(v).tobytes())
             else:
                 h.update(repr(v).encode())
-        return (h.hexdigest(), vectorize)
+        return h.hexdigest()
 
     @staticmethod
     def _fresh_response(
@@ -302,10 +291,8 @@ class Program:
     def run(
         self,
         inputs: Mapping[str, object],
-        vectorize: bool = True,
         memoize: Optional[bool] = None,
         native: Optional[bool] = None,
-        replay: Optional[bool] = None,
     ) -> Tuple[List[object], ExecStats]:
         """Execute (or recall) one request against pooled buffers.
 
@@ -316,20 +303,14 @@ class Program:
         response-memo hit it is a copy of the producing run's stats
         (signature-identical by construction).
 
-        ``replay=False`` forces the ordinary executor: no launch tape is
-        replayed or captured (the differential tests compare against
-        it); ``None``/``True`` replay the shape class's tape when there
-        is one and try to capture it when there is not.
+        A memo miss executes and then stores its response unless a
+        concurrent duplicate stored one first: the language is pure, so
+        either response is the answer.
         """
-        engine = self._native(native) if vectorize else None
+        engine = self._native(native)
         use_memo = self.memoize if memoize is None else memoize
-        key = (
-            self._request_key(inputs, vectorize) + (engine is not None,)
-            if use_memo
-            else None
-        )
-        leader = False
-        while key is not None:
+        key = (self._request_key(inputs), engine is not None) if use_memo else None
+        if key is not None:
             with self._lock:
                 entry = self._memo.get(key)
                 if entry is not None:
@@ -339,25 +320,7 @@ class Program:
                     # A recalled response acquired no buffers.
                     stats.pool_hits = stats.pool_misses = 0
                     return outs, stats
-                ev = self._inflight.get(key)
-                if ev is None:
-                    # This call produces the response; duplicates wait.
-                    self._inflight[key] = threading.Event()
-                    leader = True
-            if leader:
-                break
-            ev.wait()
-            # The leader finished (or failed): re-check the memo; on a
-            # store the loop returns the recalled response, otherwise
-            # this call becomes the next leader and executes itself.
-        try:
-            outs, stats = self._execute(inputs, vectorize, engine, replay)
-        finally:
-            if leader:
-                with self._lock:
-                    ev = self._inflight.pop(key, None)
-                if ev is not None:
-                    ev.set()
+        outs, stats = self._execute(inputs, engine)
         if key is not None:
             with self._lock:
                 if key not in self._memo:
@@ -367,8 +330,7 @@ class Program:
         return outs, stats
 
     def _execute(
-        self, inputs: Mapping[str, object], vectorize: bool, engine=None,
-        replay: Optional[bool] = None,
+        self, inputs: Mapping[str, object], engine=None
     ) -> Tuple[List[object], ExecStats]:
         """One real pooled execution (the memo's production path):
         a replay of the shape class's launch tape when there is one,
@@ -378,12 +340,7 @@ class Program:
         refused = cls.declined
         if refused is not None and refused.rule == "premise-violated":
             raise Declined(refused.rule, refused.detail)
-        if engine is None:
-            off = "native tier not in use"
-        elif replay is False:
-            off = "replay=False"
-        else:
-            off = cls.declined
+        off = "native tier not in use" if engine is None else cls.declined
         tape = cls.tape if off is None else None
         with self.pool.lease() as lease, executing():
             if tape is not None:
@@ -404,7 +361,6 @@ class Program:
                     pool=lease,
                     offs_cache=self._offs_cache,
                     vec_plans=self._vec_plans,
-                    vectorize=vectorize,
                     native=engine,
                     recorder=rec,
                 )

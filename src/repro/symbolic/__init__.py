@@ -25,14 +25,13 @@ incomplete prover costs performance, never correctness -- exactly the
 trade-off the paper describes in section III-D.
 """
 
-from repro.symbolic.expr import SymExpr, Var, Const, sym
+from repro.symbolic.expr import SymExpr, Var, sym
 from repro.symbolic.assumptions import Context, Bound
 from repro.symbolic.prove import Prover, Sign
 
 __all__ = [
     "SymExpr",
     "Var",
-    "Const",
     "sym",
     "Context",
     "Bound",

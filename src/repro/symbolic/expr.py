@@ -17,8 +17,8 @@ Design notes
 ------------
 * Instances are immutable and hashable; they are used as dict keys in the
   short-circuiting pass's symbol tables.
-* Construction goes through :func:`sym` / :func:`Var` / :func:`Const`;
-  arithmetic never mutates.
+* Construction goes through :func:`sym` / :func:`Var`; arithmetic never
+  mutates.
 * We deliberately do not simplify with *semantic* information here (e.g.
   assumptions like ``n == q*b+1``); that lives in
   :mod:`repro.symbolic.assumptions` so the same expression can be interpreted
@@ -204,9 +204,6 @@ class SymExpr:
 
     def __sub__(self, other: ExprLike) -> "SymExpr":
         return self + (-SymExpr.coerce(other))
-
-    def __rsub__(self, other: ExprLike) -> "SymExpr":
-        return SymExpr.coerce(other) - self
 
     def __mul__(self, other: ExprLike) -> "SymExpr":
         other = SymExpr.coerce(other)
@@ -400,11 +397,6 @@ class SymExpr:
 def Var(name: str) -> SymExpr:
     """Convenience constructor for a variable expression."""
     return SymExpr.var(name)
-
-
-def Const(value: int) -> SymExpr:
-    """Convenience constructor for a constant expression."""
-    return SymExpr.const(value)
 
 
 def sym(value: ExprLike) -> SymExpr:

@@ -36,8 +36,9 @@ def test_audit_flags_result_flips():
     assert "replay gives" in res.render()
 
 
-def test_audit_counts_log_drops():
-    pool = ProverPool(log_cap=1)
+def test_audit_counts_log_drops(monkeypatch):
+    monkeypatch.setattr(ProverPool, "LOG_CAP", 1)
+    pool = ProverPool()
     ctx = Context()
     chk = pool.checker_for(ctx)
     chk.check(L(0, (2, 1)), L(5, (2, 1)))

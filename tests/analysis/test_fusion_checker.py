@@ -59,7 +59,7 @@ def test_fu01_surviving_elided_block():
         ),
     )
     report = verify_fun(fun)
-    assert "FU01" in report.rules_fired()
+    assert "FU01" in [d.rule for d in report.diagnostics]
     assert report.errors
 
 
@@ -74,7 +74,7 @@ def test_fu02_write_set_drift():
         ),
     )
     report = verify_fun(fun)
-    assert "FU02" in report.rules_fired()
+    assert "FU02" in [d.rule for d in report.diagnostics]
     assert report.errors
 
 
@@ -86,4 +86,4 @@ def test_fu02_unrecorded_rehoming():
     rec = stmt.fused[0]
     stmt.fused = (dataclasses.replace(rec, write_mems=("stale_mem",)),)
     report = verify_fun(fun)
-    assert "FU02" in report.rules_fired()
+    assert "FU02" in [d.rule for d in report.diagnostics]

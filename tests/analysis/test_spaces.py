@@ -48,7 +48,7 @@ def test_ms01_scratch_overflow_is_rejected():
     too_big = SPACES["scratch"].capacity // 4 + 1  # f32 elements
     stmt.exp = A.Alloc(SymExpr.const(too_big), stmt.exp.dtype, "scratch")
     report = verify_fun(fun)
-    assert "MS01" in report.rules_fired()
+    assert "MS01" in [d.rule for d in report.diagnostics]
     assert any(
         d.rule == "MS01" and d.severity is Severity.ERROR
         for d in report.diagnostics
@@ -62,7 +62,7 @@ def test_ms01_symbolic_sizes_are_skipped():
     stmt = _alloc_stmt(fun)
     assign_space(fun, stmt.pattern[0].name, "scratch")
     report = verify_fun(fun)
-    assert "MS01" not in report.rules_fired()
+    assert "MS01" not in [d.rule for d in report.diagnostics]
 
 
 def test_ms01_unknown_space_name():
@@ -70,6 +70,6 @@ def test_ms01_unknown_space_name():
     stmt = _alloc_stmt(fun)
     stmt.exp = A.Alloc(stmt.exp.size, stmt.exp.dtype, "l2")
     report = verify_fun(fun)
-    assert "MS01" in report.rules_fired()
+    assert "MS01" in [d.rule for d in report.diagnostics]
     assert report.errors
 

@@ -31,7 +31,7 @@ def test_pristine_program_is_clean(compiled_simple):
 def test_wf01_missing_binding(compiled_simple):
     array_pat(map_stmt(compiled_simple)).mem = None
     report = verify_fun(compiled_simple)
-    assert "WF01" in report.rules_fired()
+    assert "WF01" in [d.rule for d in report.diagnostics]
     assert report.errors
 
 
@@ -39,14 +39,14 @@ def test_wf02_unknown_block(compiled_simple):
     pe = array_pat(map_stmt(compiled_simple))
     pe.mem = MemBinding("no_such_block", binding_of(pe).ixfn)
     report = verify_fun(compiled_simple)
-    assert "WF02" in report.rules_fired()
+    assert "WF02" in [d.rule for d in report.diagnostics]
 
 
 def test_wf03_negative_alloc(compiled_simple):
     stmt = find_stmt(compiled_simple, lambda s: isinstance(s.exp, A.Alloc))
     stmt.exp = A.Alloc(SymExpr.const(-4), stmt.exp.dtype)
     report = verify_fun(compiled_simple)
-    assert "WF03" in report.rules_fired()
+    assert "WF03" in [d.rule for d in report.diagnostics]
 
 
 def test_wf05_rank_mismatch(compiled_simple):
@@ -55,7 +55,7 @@ def test_wf05_rank_mismatch(compiled_simple):
     wrong = IndexFn.row_major((SymExpr.var("n"), SymExpr.var("n")))
     pe.mem = MemBinding(b.mem, wrong)
     report = verify_fun(compiled_simple)
-    assert "WF05" in report.rules_fired()
+    assert "WF05" in [d.rule for d in report.diagnostics]
 
 
 # ----------------------------------------------------------------------
@@ -69,7 +69,7 @@ def test_b01_offset_past_allocation(compiled_simple):
     shifted = IndexFn((lmad(1, [(SymExpr.var("n"), 1)]),))
     pe.mem = MemBinding(b.mem, shifted)
     report = verify_fun(compiled_simple)
-    assert "B01" in report.rules_fired()
+    assert "B01" in [d.rule for d in report.diagnostics]
 
 
 # ----------------------------------------------------------------------
@@ -81,7 +81,7 @@ def test_l01_stale_last_use(compiled_simple):
     stmt = map_stmt(compiled_simple)
     stmt.last_uses = frozenset(stmt.last_uses) | {"x"}
     report = verify_fun(compiled_simple)
-    assert "L01" in report.rules_fired()
+    assert "L01" in [d.rule for d in report.diagnostics]
 
 
 def test_l01_through_the_enclosing_block_chain(compiled_simple):
@@ -120,7 +120,7 @@ def test_l02_alloc_after_use(compiled_simple):
     block.stmts.remove(alloc)
     block.stmts.append(alloc)
     report = verify_fun(compiled_simple)
-    assert "L02" in report.rules_fired()
+    assert "L02" in [d.rule for d in report.diagnostics]
 
 
 # ----------------------------------------------------------------------
@@ -134,7 +134,7 @@ def test_r01_rebase_clobbers_live_input(compiled_simple):
     b = binding_of(pe)
     pe.mem = MemBinding(param_mem_name("x"), b.ixfn)
     report = verify_fun(compiled_simple)
-    assert "R01" in report.rules_fired()
+    assert "R01" in [d.rule for d in report.diagnostics]
     # The annotation bug is observable: the executor (which trusts the
     # annotations) now disagrees with the source semantics.
     ex = MemExecutor(compiled_simple)
@@ -151,7 +151,7 @@ def test_r02_threads_share_an_element(compiled_simple):
     squashed = IndexFn((lmad(0, [(SymExpr.var("n"), 0)]),))
     pe.mem = MemBinding(b.mem, squashed)
     report = verify_fun(compiled_simple)
-    assert "R02" in report.rules_fired()
+    assert "R02" in [d.rule for d in report.diagnostics]
 
 
 def _composed_read_fun() -> A.Fun:
@@ -208,7 +208,7 @@ def test_wf06_loop_parameter_without_binding():
     prm.mem = None
     report = verify_fun(fun)
     # (WF02 fires too: the body's views still name the now-unbound lmem)
-    assert "WF06" in report.rules_fired()
+    assert "WF06" in [d.rule for d in report.diagnostics]
     assert any(
         d.rule == "WF06" and "'Xc' has no memory binding" in d.message
         for d in report.errors
@@ -252,7 +252,7 @@ def test_r03_drifting_dependent_write_flagged():
     # dataflow alone no longer licenses the overlap.
     fun = compile_fun(_carried_update_loop(drift=True), verify=False).fun
     report = verify_fun(fun)
-    assert "R03" in report.rules_fired()
+    assert "R03" in [d.rule for d in report.diagnostics]
 
 
 def test_slides_together_distance_vectors():
@@ -297,7 +297,7 @@ def test_f01_free_before_later_touch():
     freeing.mem_frees = ()
     map_stmt(fun).mem_frees = (mem,)  # freed while the reduce still reads
     report = verify_fun(fun)
-    assert "F01" in report.rules_fired()
+    assert "F01" in [d.rule for d in report.diagnostics]
 
 
 def test_f01_free_of_result_reachable_block(compiled_simple):
@@ -305,14 +305,14 @@ def test_f01_free_of_result_reachable_block(compiled_simple):
     pe = array_pat(map_stmt(compiled_simple))
     map_stmt(compiled_simple).mem_frees = (binding_of(pe).mem,)
     report = verify_fun(compiled_simple)
-    assert "F01" in report.rules_fired()
+    assert "F01" in [d.rule for d in report.diagnostics]
 
 
 def test_f02_free_of_unallocated_param_block(compiled_simple):
     stmt = compiled_simple.body.stmts[-1]
     stmt.mem_frees = (param_mem_name("x"),)
     report = verify_fun(compiled_simple)
-    assert "F02" in report.rules_fired()
+    assert "F02" in [d.rule for d in report.diagnostics]
 
 
 def test_f02_free_of_outer_block_inside_kernel(compiled_simple):
@@ -320,7 +320,7 @@ def test_f02_free_of_outer_block_inside_kernel(compiled_simple):
     body = map_stmt(compiled_simple).exp.lam.body
     body.stmts[-1].mem_frees = (binding_of(pe).mem,)
     report = verify_fun(compiled_simple)
-    assert "F02" in report.rules_fired()
+    assert "F02" in [d.rule for d in report.diagnostics]
 
 
 def test_verify_option_raises_on_broken_pass(monkeypatch):
@@ -340,7 +340,7 @@ def test_verify_option_raises_on_broken_pass(monkeypatch):
         compile_fun(simple_fun(), pipeline="nosc", verify=True)
     except VerificationError as e:
         assert e.stage == "introduce_memory"
-        assert "WF01" in e.report.rules_fired()
+        assert "WF01" in [d.rule for d in e.report.diagnostics]
     else:
         raise AssertionError("verify=True did not flag the broken stage")
 

@@ -17,6 +17,7 @@ from repro.bench.programs import all_benchmarks
 from repro.compiler import compile_fun
 from repro.mem.exec import MemExecutor
 from repro.runtime import materialize
+from tests.mem import traffic_signature
 
 pytestmark = pytest.mark.native
 
@@ -51,7 +52,7 @@ def test_native_matches_other_tiers(name, preset):
     for a, b in zip(outs_n, outs_v):
         assert np.array_equal(a, b)
     assert st_n.signature() == st_v.signature()
-    assert st_n.traffic_signature() == st_v.traffic_signature()
+    assert traffic_signature(st_n) == traffic_signature(st_v)
     assert st_n.peak_bytes == st_v.peak_bytes
     if name in FULLY_NATIVE:
         assert st_n.native_launches > 0

@@ -21,6 +21,7 @@ from repro.backend import NativeEngine, maybe_engine, native_enabled
 from repro.backend.cemit import KernelSpec
 from repro.mem.exec import MemExecutor
 from repro.mem.stats import ExecStats
+from tests.runtime.test_serve import _run_uncached
 
 
 def _nn():
@@ -42,7 +43,9 @@ class TestGating:
         program = rt.compile(mod.build(), pipeline="full")
         outs, stats = program.run(inputs, memoize=False)
         assert stats.native_launches == 0
-        ref, ref_stats = program.run(inputs, vectorize=False, memoize=False)
+        ref, ref_stats = _run_uncached(
+            program.compiled.fun, inputs, vectorize=False
+        )
         for a, b in zip(outs, ref):
             assert np.array_equal(np.asarray(a), np.asarray(b))
         assert stats.signature() == ref_stats.signature()

@@ -9,7 +9,20 @@ as exactly one thing: the optimised build and an ``-O0`` build of the
 same source disagree.  So every kernel of the seven benchmarks and of
 the native corpus is built both ways, and every launch's counter block
 and every buffer of the run must be byte-equal.
+
+A third build adds UndefinedBehaviorSanitizer (``-fsanitize=undefined
+-fno-sanitize-recover=all``): the first undefined operation a kernel
+performs -- an out-of-bounds shift, a signed overflow, a misaligned
+load -- aborts the process with a report.  Those builds run in a child
+process per benchmark (``python -m tests.backend.test_native_optlevel
+<name>``), so a finding fails one test, not the session; the child
+holds them to the production build byte for byte as well.
 """
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -35,6 +48,8 @@ BENCHMARKS = all_benchmarks()
 
 PRODUCTION = list(build.CC_FLAGS)
 O0 = ["-O0"] + PRODUCTION[1:]
+UBSAN = PRODUCTION + ["-fsanitize=undefined", "-fno-sanitize-recover=all"]
+ROOT = Path(__file__).resolve().parents[2]
 
 
 def _native_run(fun, inputs, flags, monkeypatch):
@@ -67,14 +82,40 @@ def _native_run(fun, inputs, flags, monkeypatch):
     return blocks, bufs, digests
 
 
-def _assert_levels_agree(fun, inputs, monkeypatch):
+def _assert_levels_agree(fun, inputs, monkeypatch, flags=O0):
     blocks, bufs, digests = _native_run(fun, inputs, PRODUCTION, monkeypatch)
-    blocks0, bufs0, digests0 = _native_run(fun, inputs, O0, monkeypatch)
+    blocks0, bufs0, digests0 = _native_run(fun, inputs, flags, monkeypatch)
     assert blocks == blocks0
     assert bufs == bufs0
-    # Same sources, two cache entries each: -O0 really was a second build.
+    # Same sources, two cache entries each: ``flags`` really was a
+    # second build.
     assert len(digests) == len(digests0) and not digests & digests0
     return bufs, len(blocks)
+
+
+def _corpus():
+    """The native corpus: (compiled function, inputs) pairs."""
+    for seed in SEEDS:
+        fun = compile_fun(
+            random_two_stage_pipeline(np.random.RandomState(seed)),
+            pipeline="full",
+        ).fun
+        yield fun, _inputs(seed)
+    for case in LOWERING_CASES:
+        fun, inputs = case()
+        for preset in ("unopt", "full"):
+            yield compile_fun(fun, pipeline=preset).fun, inputs
+
+
+def _programs(case):
+    """A benchmark under both presets, or (``corpus``) the corpus."""
+    if case == "corpus":
+        yield from _corpus()
+        return
+    module = BENCHMARKS[case]
+    inputs = module.inputs_for(*module.TEST_DATASETS["small"])
+    for preset in ("full", "nosc"):
+        yield compile_fun(module.build(), pipeline=preset).fun, inputs
 
 
 @pytest.mark.parametrize("preset", ["full", "nosc"])
@@ -90,20 +131,25 @@ def test_benchmark_kernels_agree_across_optimisation_levels(
 
 
 def test_corpus_kernels_agree_across_optimisation_levels(monkeypatch):
-    launches = 0
-    for seed in SEEDS:
-        fun = compile_fun(
-            random_two_stage_pipeline(np.random.RandomState(seed)),
-            pipeline="full",
-        ).fun
-        launches += _assert_levels_agree(fun, _inputs(seed), monkeypatch)[1]
-    for case in LOWERING_CASES:
-        fun, inputs = case()
-        for preset in ("unopt", "full"):
-            launches += _assert_levels_agree(
-                compile_fun(fun, pipeline=preset).fun, inputs, monkeypatch
-            )[1]
+    launches = sum(
+        _assert_levels_agree(fun, inputs, monkeypatch)[1]
+        for fun, inputs in _corpus()
+    )
     assert launches >= 10
+
+
+@pytest.mark.parametrize("case", sorted(BENCHMARKS) + ["corpus"])
+def test_ubsan_build_finds_nothing_and_agrees(case):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src"), str(ROOT)]
+        + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    proc = subprocess.run(
+        [sys.executable, "-m", "tests.backend.test_native_optlevel", case],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=900,
+    )
+    assert proc.returncode == 0, (proc.stdout + proc.stderr)[-4000:]
 
 
 @pytest.mark.parametrize("shift", [0, 1])
@@ -139,3 +185,15 @@ def test_aliasing_buffer_slots_keep_sequential_semantics(shift, monkeypatch):
     want = np.zeros(65, dtype=np.float32)
     want[shift:shift + 64] = 1 if shift == 0 else np.arange(1, 65)
     assert np.array_equal(ex.mem["A_mem"], want)
+
+
+if __name__ == "__main__":
+    # The child of test_ubsan_build_finds_nothing_and_agrees: a UBSan
+    # finding aborts this process, a disagreement fails an assertion.
+    case = sys.argv[1]
+    with pytest.MonkeyPatch.context() as mp:
+        launches = sum(
+            _assert_levels_agree(fun, inputs, mp, flags=UBSAN)[1]
+            for fun, inputs in _programs(case)
+        )
+    assert launches or case == "locvolcalib"  # its one map is not lowered

@@ -31,13 +31,14 @@ from repro.compiler import compile_fun
 from repro.mem.exec import MemExecutor
 from repro.pipeline.presets import PRESETS
 from tests.backend.test_native_corpus import SEEDS, _inputs
-from tests.runtime import idle_buffers
+from tests.mem import traffic_signature
 from tests.mem.test_vectorize import LOWERING_CASES, strided_fill_case
 from tests.opt.conftest import (
     random_mapnest_pipeline,
     random_two_stage_pipeline,
 )
-from tests.runtime.test_tape import Boom, same_run, seeded
+from tests.runtime import executor_run, idle_buffers
+from tests.runtime.test_tape import Boom, same_run, seeded, warm
 
 pytestmark = [pytest.mark.gate, pytest.mark.native]
 
@@ -112,7 +113,7 @@ def _same(a, b):
         assert np.array_equal(x, y)
         assert np.asarray(x).dtype == np.asarray(y).dtype
     assert st_a.signature() == st_b.signature()
-    assert st_a.traffic_signature() == st_b.traffic_signature()
+    assert traffic_signature(st_a) == traffic_signature(st_b)
     assert st_a.peak_bytes == st_b.peak_bytes
 
 
@@ -145,7 +146,7 @@ def test_benchmark_launches_agree_split_and_unsplit(
 
     # A tape captured and replayed with every launch in parts.
     program = rt.compile(mod.build(), pipeline=preset, memoize=False)
-    reference = program.run(inputs, replay=False)
+    reference = executor_run(program, inputs)
     captured = program.run(inputs)
     same_run(reference, captured)
     other = seeded(inputs, 1)
@@ -153,7 +154,7 @@ def test_benchmark_launches_agree_split_and_unsplit(
     assert replayed[1].tape == (
         "replayed" if captured[1].tape == "captured" else captured[1].tape
     )
-    same_run(program.run(other, replay=False), replayed)
+    same_run(executor_run(program, other), replayed)
 
 
 def test_corpus_launches_agree_split_and_unsplit(split, monkeypatch):
@@ -228,9 +229,8 @@ def test_a_raising_part_surfaces_after_every_part_returned(
     mod = module("lud")
     program = rt.compile(mod.build(), memoize=False)
     x = mod.inputs_for(6, 8)
-    reference = program.run(x, replay=False)
-    if phase == "replay":
-        assert program.run(x)[1].tape == "captured"
+    reference = executor_run(program, x)
+    warm(program, x, phase)
     clean = len(idle_buffers(program.pool))
     helpers = _part_threads()
     raised = []
@@ -265,7 +265,7 @@ def test_two_programs_on_two_threads(split):
     mod = module("hotspot")
     x = mod.inputs_for(48, 4)
     programs = [rt.compile(mod.build(), memoize=False) for _ in range(2)]
-    want = programs[0].run(x, replay=False)
+    want = executor_run(programs[0], x)
     failures = []
 
     def client(program):

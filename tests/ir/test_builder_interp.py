@@ -8,6 +8,7 @@ from repro.ir.interp import InterpError
 from repro.lmad import lmad
 from repro.lmad.overlap import lmad_injective
 from repro.symbolic import Var
+from tests.lmad import enumerate_offsets
 
 n = Var("n")
 
@@ -219,7 +220,7 @@ class TestUpdates:
                 for _ in range(rng.randint(1, 3))
             ]
             l = lmad(int(rng.randint(0, 10)), dims)
-            offsets = l.enumerate_offsets({})
+            offsets = enumerate_offsets(l, {})
             if min(offsets) < 0 or not lmad_injective(l):
                 continue  # injectivity says distinct, not in-bounds
             shape = [d for d, _ in dims]

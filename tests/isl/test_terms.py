@@ -15,7 +15,7 @@ y = SymExpr.var("y")
 
 def box(lo, hi, var=x, name="x"):
     return BasicSet(
-        (name,), (Constraint.ge(var - lo), Constraint.ge(hi - var))
+        (name,), (Constraint.ge(var - lo), Constraint.ge(-var + hi))
     )
 
 
@@ -93,7 +93,7 @@ class TestBasicSet:
     def test_project_onto_exists(self):
         s = BasicSet(
             ("x", "y"),
-            (Constraint.eq(y - 2 * x), Constraint.ge(x), Constraint.ge(2 - x)),
+            (Constraint.eq(y - 2 * x), Constraint.ge(x), Constraint.ge(-x + 2)),
         )
         img = s.project_onto_exists(["x"])
         assert img.dims == ("y",)
@@ -133,7 +133,7 @@ class TestBasicRel:
             (
                 Constraint.eq(y - factor * x),
                 Constraint.ge(x - lo),
-                Constraint.ge(hi - x),
+                Constraint.ge(-x + hi),
             ),
         )
 

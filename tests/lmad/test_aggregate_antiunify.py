@@ -8,7 +8,8 @@ from repro.lmad import (
     antiunify_ixfns,
     lmad,
 )
-from repro.symbolic import Const, Context, Prover, Var, sym
+from repro.symbolic import Context, Prover, Var, sym
+from tests.lmad import col_major, enumerate_offsets
 
 t, m, n, k, i, j = (Var(v) for v in ["t", "m", "n", "k", "i", "j"])
 
@@ -39,9 +40,9 @@ class TestAggregation:
         expected = set()
         for iv in range(env["m"]):
             expected |= set(
-                wi.substitute({"i": iv}).enumerate_offsets(env)
+                enumerate_offsets(wi.substitute({"i": iv}), env)
             )
-        assert set(w.enumerate_offsets(env)) == expected
+        assert set(enumerate_offsets(w, env)) == expected
 
     def test_loop_invariant_access(self):
         p = Prover()
@@ -71,19 +72,19 @@ class TestAggregation:
         env = {"m": 4}
         union = set()
         for iv in range(4):
-            union |= set(acc.substitute({"i": iv}).enumerate_offsets(env))
-        assert union <= set(w.enumerate_offsets(env))
+            union |= set(enumerate_offsets(acc.substitute({"i": iv}), env))
+        assert union <= set(enumerate_offsets(w, env))
 
 
 class TestAntiUnification:
     def test_paper_iv_c_example(self):
         """lgg of R(n,m) and C(n,m) is 0 + {(n:a)(m:b)} (paper section IV-C)."""
         f1 = IndexFn.row_major([n, m])
-        f2 = IndexFn.col_major([n, m])
+        f2 = IndexFn((col_major([n, m]),))
         res = antiunify_ixfns(f1, f2)
         assert res is not None
         g = res.ixfn.as_single()
-        assert g.offset == Const(0)
+        assert g.offset == sym(0)
         assert g.dims[0].shape == n
         assert g.dims[1].shape == m
         # Strides generalized to two fresh variables:
@@ -123,14 +124,14 @@ class TestAntiUnification:
 
     def test_lmad_count_mismatch_fails(self):
         p = Prover()
-        composed = IndexFn.col_major([4, 5]).flatten(p)
+        composed = IndexFn((col_major([4, 5]),)).flatten(p)
         single = IndexFn.row_major([20])
         assert antiunify_ixfns(single, composed) is None
 
     def test_instantiation_recovers_branches(self):
         """Substituting a branch's bindings into the lgg yields its ixfn."""
         f1 = IndexFn.row_major([n, m])
-        f2 = IndexFn.col_major([n, m])
+        f2 = IndexFn((col_major([n, m]),))
         res = antiunify_ixfns(f1, f2)
         then_env = {name: a for name, a, _ in res.bindings}
         else_env = {name: b for name, _, b in res.bindings}

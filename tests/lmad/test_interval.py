@@ -7,7 +7,7 @@ from repro.lmad.interval import (
     pair_to_sums_of_intervals,
     stride_sort_key,
 )
-from repro.symbolic import Const, Context, Prover, Var, sym
+from repro.symbolic import Context, Prover, Var, sym
 
 n, b, q, i = Var("n"), Var("b"), Var("q"), Var("i")
 
@@ -25,7 +25,7 @@ class TestStridedInterval:
     def test_shift(self):
         iv = StridedInterval(sym(0), b, n)
         s = iv.shifted(1)
-        assert s.lo == Const(1)
+        assert s.lo == sym(1)
         assert s.hi == b + 1
 
     def test_span(self):
@@ -104,12 +104,12 @@ class TestPairConversion:
         rvert = lmad(i * b, [(i + 1, n * b - b), (b + 1, n)])
         i1, i2 = pair_to_sums_of_intervals(w, rvert, p)
         # ascending stride order: 1, n, n*b-b
-        assert i1.intervals[0].lo == Const(1) and i1.intervals[0].hi == b
-        assert i1.intervals[1].lo == Const(1) and i1.intervals[1].hi == b
-        assert i1.intervals[2].lo == Const(0) and i1.intervals[2].hi == i
-        assert i2.intervals[0].lo == Const(0) and i2.intervals[0].hi == Const(0)
-        assert i2.intervals[1].lo == Const(0) and i2.intervals[1].hi == b
-        assert i2.intervals[2].lo == Const(0) and i2.intervals[2].hi == i
+        assert i1.intervals[0].lo == sym(1) and i1.intervals[0].hi == b
+        assert i1.intervals[1].lo == sym(1) and i1.intervals[1].hi == b
+        assert i1.intervals[2].lo == sym(0) and i1.intervals[2].hi == i
+        assert i2.intervals[0].lo == sym(0) and i2.intervals[0].hi == sym(0)
+        assert i2.intervals[1].lo == sym(0) and i2.intervals[1].hi == b
+        assert i2.intervals[2].lo == sym(0) and i2.intervals[2].hi == i
 
     def test_unit_dims_dropped(self):
         p = Prover()
@@ -125,7 +125,7 @@ class TestPairConversion:
         pair = pair_to_sums_of_intervals(a, bb, p)
         assert pair is not None
         i1, i2 = pair
-        assert i1.intervals[0].lo == Const(0)
+        assert i1.intervals[0].lo == sym(0)
 
     def test_unknown_stride_sign_fails(self):
         p = Prover()

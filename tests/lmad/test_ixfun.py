@@ -5,6 +5,7 @@ import pytest
 
 from repro.lmad import IndexFn, Lmad, lmad
 from repro.symbolic import Prover, Var, sym
+from tests.lmad import col_major
 
 n, m = Var("n"), Var("m")
 
@@ -24,19 +25,18 @@ class TestBasics:
     def test_is_direct(self, prover):
         assert IndexFn.row_major([4, 5]).is_direct(prover)
         assert not IndexFn.row_major([4, 5], offset=3).is_direct(prover)
-        assert not IndexFn.col_major([4, 5]).is_direct(prover)
+        assert not IndexFn((col_major([4, 5]),)).is_direct(prover)
         assert not IndexFn.row_major([4, 5]).transpose().is_direct(prover)
 
     def test_apply_symbolic_single(self):
         f = IndexFn.row_major([n, m])
         i, j = Var("i"), Var("j")
-        assert f.apply_symbolic([i, j]) == i * m + j
+        assert f.as_single().apply([i, j]) == i * m + j
 
     def test_apply_symbolic_composed_raises(self, prover):
-        f = IndexFn.col_major([4, 5]).reshape([20], prover)
+        f = IndexFn((col_major([4, 5]),)).reshape([20], prover)
         assert not f.is_single()
-        with pytest.raises(ValueError):
-            f.apply_symbolic([sym(3)])
+        assert f.as_single() is None
 
     def test_needs_at_least_one_lmad(self):
         with pytest.raises(ValueError):
@@ -87,7 +87,7 @@ class TestAgainstNumPy:
         """Flattening a column-major matrix needs a composition (paper IV-B)."""
         p = Prover()
         arr = np.arange(20)
-        f = IndexFn.col_major([4, 5]).flatten(p)
+        f = IndexFn((col_major([4, 5]),)).flatten(p)
         assert not f.is_single()
         ref = arr.reshape(5, 4).T.flatten()  # col-major 4x5 of flat data
         assert (arr[f.gather_offsets({})] == ref).all()

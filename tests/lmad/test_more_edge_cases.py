@@ -6,6 +6,7 @@ from repro.lmad import IndexFn, lmad, lmads_nonoverlapping
 from repro.lmad.aggregate import aggregate_over_loop
 from repro.lmad.interval import synthesize_strides, stride_sort_key
 from repro.symbolic import Context, Prover, Var, sym
+from tests.lmad import col_major, enumerate_offsets
 
 n, m, i, j = Var("n"), Var("m"), Var("i"), Var("j")
 
@@ -58,14 +59,14 @@ class TestAggregationEdge:
         assert agg is not None
         concrete = set()
         for iv in range(4):
-            concrete |= set(acc.substitute({"i": iv}).enumerate_offsets({}))
-        assert set(agg.enumerate_offsets({})) == concrete
+            concrete |= set(enumerate_offsets(acc.substitute({"i": iv}), {}))
+        assert set(enumerate_offsets(agg, {})) == concrete
 
     def test_count_zero_loop(self):
         p = Prover()
         agg = aggregate_over_loop(lmad(i * 4, [(2, 1)]), "i", 0, p)
         assert agg is not None
-        assert agg.enumerate_offsets({}) == []
+        assert enumerate_offsets(agg, {}) == []
 
 
 class TestIndexFnEdge:
@@ -85,7 +86,7 @@ class TestIndexFnEdge:
 
     def test_double_reshape_composition_depth(self):
         p = Prover()
-        f = IndexFn.col_major([3, 4]).flatten(p)  # composed
+        f = IndexFn((col_major([3, 4]),)).flatten(p)  # composed
         g = f.reshape([4, 3], p)  # reshape of a composition
         arr = np.arange(12)
         ref = arr.reshape(4, 3).T.reshape(-1).reshape(4, 3)

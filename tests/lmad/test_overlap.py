@@ -7,6 +7,7 @@ import pytest
 from repro.lmad import Lmad, NonOverlapChecker, lmad, lmads_nonoverlapping
 from repro.lmad.overlap import lmad_injective
 from repro.symbolic import Context, Prover, Var
+from tests.lmad import enumerate_offsets
 
 
 class TestConcreteCases:
@@ -158,9 +159,9 @@ class TestNWFig9:
             nv = qv * bv + 1
             for iv in range(qv):
                 env = {"q": qv, "b": bv, "n": nv, "i": iv}
-                ws = set(w.enumerate_offsets(env))
-                assert ws.isdisjoint(rvert.enumerate_offsets(env))
-                assert ws.isdisjoint(rhoriz.enumerate_offsets(env))
+                ws = set(enumerate_offsets(w, env))
+                assert ws.isdisjoint(enumerate_offsets(rvert, env))
+                assert ws.isdisjoint(enumerate_offsets(rhoriz, env))
 
 
 class TestInjectivity:

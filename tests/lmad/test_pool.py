@@ -47,12 +47,13 @@ class TestPooling:
         assert strong.prover is weak.prover
         assert pool.checker_for(ctx) is strong
 
-    def test_lru_bound_evicts_oldest(self):
-        pool = ProverPool(max_entries=3)
+    def test_lru_bound_evicts_oldest(self, monkeypatch):
+        monkeypatch.setattr(ProverPool, "MAX_ENTRIES", 3)
+        pool = ProverPool()
         ctxs = [Context() for _ in range(5)]
         for ctx in ctxs:
             pool.checker_for(ctx)
-        assert len(pool) == 3
+        assert len(pool._provers) == 3
         misses = pool.misses
         # The oldest contexts were evicted: asking again is a miss...
         pool.prover_for(ctxs[0])
@@ -62,8 +63,9 @@ class TestPooling:
         pool.prover_for(ctxs[-1])
         assert pool.hits == hits + 1
 
-    def test_eviction_drops_dependent_checkers(self):
-        pool = ProverPool(max_entries=1)
+    def test_eviction_drops_dependent_checkers(self, monkeypatch):
+        monkeypatch.setattr(ProverPool, "MAX_ENTRIES", 1)
+        pool = ProverPool()
         a, b = Context(), Context()
         chk_a = pool.checker_for(a)
         pool.checker_for(b)  # evicts a's prover and checker
@@ -101,8 +103,9 @@ class TestTieredChecker:
         (rec,) = pool.query_log
         assert rec.client == "fuse" and not rec.result
 
-    def test_query_log_cap_counts_drops(self):
-        pool = ProverPool(log_cap=2)
+    def test_query_log_cap_counts_drops(self, monkeypatch):
+        monkeypatch.setattr(ProverPool, "LOG_CAP", 2)
+        pool = ProverPool()
         chk = pool.checker_for(Context())
         for off in range(4):
             chk.check(L(off * 10, (2, 1)), L(off * 10 + 5, (2, 1)))
@@ -252,7 +255,8 @@ class TestVerdictTable:
             TieredChecker, "_decide",
             lambda self, l1, l2: (True, "structural", True, ""),
         )
-        pool = ProverPool(log_cap=8)
+        monkeypatch.setattr(ProverPool, "LOG_CAP", 8)
+        pool = ProverPool()
         chk = pool.checker_for(Context())
         for off in range(10_000):
             assert chk.check(L(0, (2, 1)), L(off + 2, (2, 1)))

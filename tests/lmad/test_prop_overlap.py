@@ -11,6 +11,7 @@ from hypothesis import assume, given, settings, strategies as st
 from repro.lmad import IndexFn, lmad, lmads_nonoverlapping
 from repro.lmad.overlap import lmad_injective
 from repro.symbolic import Prover
+from tests.lmad import enumerate_offsets
 
 
 @st.composite
@@ -31,8 +32,8 @@ def concrete_lmads(draw, max_rank=3, max_extent=5, max_stride=8, max_offset=30):
 def test_nonoverlap_soundness(l1, l2):
     """Prover says disjoint => concretely disjoint."""
     if lmads_nonoverlapping(l1, l2):
-        s1 = set(l1.enumerate_offsets({}))
-        s2 = set(l2.enumerate_offsets({}))
+        s1 = set(enumerate_offsets(l1, {}))
+        s2 = set(enumerate_offsets(l2, {}))
         assert s1.isdisjoint(s2), f"unsound: {l1} vs {l2}"
 
 
@@ -41,7 +42,7 @@ def test_nonoverlap_soundness(l1, l2):
 def test_injectivity_soundness(l):
     """Prover says injective => all enumerated offsets distinct."""
     if lmad_injective(l):
-        offsets = l.enumerate_offsets({})
+        offsets = enumerate_offsets(l, {})
         assert len(offsets) == len(set(offsets)), f"unsound: {l}"
 
 
@@ -51,7 +52,7 @@ def test_normalize_positive_preserves_set(l):
     p = Prover()
     norm = l.normalize_positive(p)
     assert norm is not None  # concrete strides always have provable signs
-    assert sorted(norm.enumerate_offsets({})) == sorted(l.enumerate_offsets({}))
+    assert sorted(enumerate_offsets(norm, {})) == sorted(enumerate_offsets(l, {}))
 
 
 @given(concrete_lmads())
@@ -89,7 +90,7 @@ def test_shared_point_refutation_soundness(pair):
     l1, l2 = pair
     engine = PolyEngine(Prover())
     verdict = engine.accesses_disjoint(l1, l2)
-    common = set(l1.enumerate_offsets({})) & set(l2.enumerate_offsets({}))
+    common = set(enumerate_offsets(l1, {})) & set(enumerate_offsets(l2, {}))
     if engine.shared_point is not None:
         assert verdict is Verdict.NONEMPTY
         assert engine.shared_point.as_int() in common, f"{l1} vs {l2}"

@@ -19,6 +19,7 @@ from repro.bench.programs import all_benchmarks
 from repro.compiler import compile_fun
 from repro.mem.exec import MemExecutor
 from repro.runtime import materialize
+from tests.mem import traffic_signature
 
 BENCH = all_benchmarks()
 PRESETS = ("unopt", "sc", "sc+fuse", "full")
@@ -61,7 +62,7 @@ def test_nw_recovery_preserves_outputs_and_traffic():
     interp_out, interp_stats = _outputs(opt.fun, inputs, vectorize=False)
     for a, b in zip(vec_out, interp_out):
         assert np.array_equal(a, b)
-    assert vec_stats.traffic_signature() == interp_stats.traffic_signature()
+    assert traffic_signature(vec_stats) == traffic_signature(interp_stats)
 
 
 @pytest.mark.parametrize("preset", PRESETS)

@@ -14,6 +14,7 @@ from repro.opt.summaries import (
     collect_dst_uses,
 )
 from repro.symbolic import Context, Prover, Var, sym
+from tests.lmad import col_major
 
 n = Var("n")
 
@@ -43,7 +44,7 @@ class TestAccessSet:
         assert not a.disjoint_from(c, chk)
 
     def test_composed_ixfn_is_unknown(self, prover):
-        f = IndexFn.col_major([4, 5]).flatten(prover)
+        f = IndexFn((col_major([4, 5]),)).flatten(prover)
         s = AccessSet()
         s.add_ixfn(f)
         assert s.unknown

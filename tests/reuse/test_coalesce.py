@@ -94,7 +94,7 @@ def test_unrelated_sizes_rejected():
     # even though the lifetimes are disjoint.
     c = compile_fun(two_stage(n, m), pipeline="nosc")
     assert not c.reuse_stats.mapping
-    assert c.reuse_stats.failures.get("size", 0) >= 1
+    assert c.reuse_stats.declined.tallies.get("size", 0) >= 1
     (rej,) = c.reuse_stats.declined.records
     assert (rej.layer, rej.rule) == ("reuse", "size")
     assert set(rej.site.split(" -> ")) == set(_allocs(c.fun))  # block -> donor

@@ -13,6 +13,7 @@ import pytest
 from repro.bench.programs import all_benchmarks
 from repro.compiler import compile_fun
 from repro.mem.exec import MemExecutor
+from tests.mem import traffic_signature
 
 BENCHMARKS = all_benchmarks()
 
@@ -48,7 +49,7 @@ def test_reuse_preserves_outputs_and_traffic(name):
         (out_on, st_on), (out_off, st_off) = runs
         for a, b in zip(out_on, out_off):
             assert np.array_equal(a, b), (name, vectorize)
-        assert st_on.traffic_signature() == st_off.traffic_signature(), (
+        assert traffic_signature(st_on) == traffic_signature(st_off), (
             name,
             vectorize,
         )

@@ -69,12 +69,13 @@ class TestMemoryLayer:
         with pytest.raises(KeyError, match="bogus"):
             compile_cached(simple_fun(), pipeline="bogus")
 
-    def test_lru_eviction(self):
-        pc = ProgramCache(max_entries=2)
+    def test_lru_eviction(self, monkeypatch):
+        monkeypatch.setattr(ProgramCache, "MAX_ENTRIES", 2)
+        pc = ProgramCache()
         funs = [simple_fun(), simple_fun(8), simple_fun(9)]
         for f in funs:
             pc.get_or_compile(_key(f), lambda f=f: compile_fun(f, cache=False))
-        assert len(pc) == 2
+        assert len(pc._mem) == 2
         # The oldest entry (no assumption) was evicted.
         _, state = pc.get_or_compile(
             _key(funs[0]), lambda: compile_fun(funs[0], cache=False)
@@ -202,7 +203,7 @@ class TestDiskLayer:
         assert list(tmp_path.glob("*.pkl"))
         pc.clear(disk=True)
         assert not list(tmp_path.glob("*.pkl"))
-        assert len(pc) == 0
+        assert not pc._mem
 
 
 # -- two processes, one pair of cache directories ------------------------

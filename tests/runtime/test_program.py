@@ -1,6 +1,6 @@
 """Program differentials: pooled serving must be invisible to the cost
 model -- bit-identical outputs, signatures, and footprints versus a
-fresh per-call executor, on every benchmark, under both executor tiers.
+fresh per-call executor of either Python tier, on every benchmark.
 """
 
 import importlib
@@ -10,6 +10,7 @@ import pytest
 
 import repro.runtime as rt
 from repro.mem.exec import MemExecutor
+from tests.mem import traffic_signature
 from tests.runtime import poison
 from tests.runtime.test_serve import _run_uncached
 
@@ -29,23 +30,21 @@ class TestPooledDifferential:
         mod, inputs = bench(name)
         program = rt.compile(mod.build(), pipeline="full")
         ref_outs, ref_stats = _run_uncached(
-            program.fun, inputs, vectorize=vectorize
+            program.compiled.fun, inputs, vectorize=vectorize
         )
         for _ in range(2):  # second round runs against a warm pool
-            outs, stats = program.run(
-                inputs, vectorize=vectorize, memoize=False
-            )
+            outs, stats = program.run(inputs, memoize=False)
             for a, b in zip(ref_outs, outs):
                 assert np.array_equal(np.asarray(a), np.asarray(b))
             assert stats.signature() == ref_stats.signature()
-            assert stats.traffic_signature() == ref_stats.traffic_signature()
+            assert traffic_signature(stats) == traffic_signature(ref_stats)
             assert stats.peak_bytes == ref_stats.peak_bytes
 
     @pytest.mark.parametrize("name", ["nw", "lud"])
     def test_unopt_pipeline_also_agrees(self, name):
         mod, inputs = bench(name)
         program = rt.compile(mod.build(), pipeline="unopt")
-        ref_outs, ref_stats = _run_uncached(program.fun, inputs)
+        ref_outs, ref_stats = _run_uncached(program.compiled.fun, inputs)
         outs, stats = program.run(inputs, memoize=False)
         for a, b in zip(ref_outs, outs):
             assert np.array_equal(np.asarray(a), np.asarray(b))
@@ -72,7 +71,6 @@ class TestPoolIntegration:
         assert st1.pool_misses > 0 and st1.pool_hits == 0
         _, st2 = program.run(inputs, memoize=False)
         assert st2.pool_hits > 0 and st2.pool_misses == 0
-        assert st2.pool_hit_rate == 1.0
 
     def test_outputs_do_not_alias_pool_memory(self):
         mod, inputs = bench("hotspot")
@@ -128,7 +126,7 @@ class TestResponseMemo:
         }
         outs_b, _ = program.run(b)
         assert program.memo_hits == 0
-        ref_b, _ = _run_uncached(program.fun, b)
+        ref_b, _ = _run_uncached(program.compiled.fun, b)
         for x, y in zip(ref_b, outs_b):
             assert np.array_equal(np.asarray(x), np.asarray(y))
 
@@ -153,22 +151,22 @@ class TestProgramHandle:
             rt.Program(seeded, cache_state="memory")
 
     def test_executor_reuses_shared_offset_cache(self):
-        mod, inputs = bench("hotspot")
+        mod, inputs = bench("lud")
         program = rt.compile(mod.build())
-        # The interpreted tier: compiled and batched launches address
-        # buffers through LMADs and contiguous outputs are sliced, so
-        # such a hotspot run enumerates no offsets at all.
-        program.run(inputs, memoize=False, vectorize=False)
+        # The vectorized tier enumerates some of lud's offsets (hotspot's
+        # launches address buffers through LMADs and its contiguous
+        # outputs are sliced, so a hotspot run enumerates none).
+        program.run(inputs, memoize=False, native=False)
         assert len(program._offs_cache) > 0
         before = len(program._offs_cache)
-        program.run(inputs, memoize=False, vectorize=False)
+        program.run(inputs, memoize=False, native=False)
         assert len(program._offs_cache) == before
 
     def test_fresh_executor_still_works_without_pool(self):
         """compile() must not change plain MemExecutor usage."""
         mod, inputs = bench("hotspot")
         program = rt.compile(mod.build())
-        ex = MemExecutor(program.fun)
+        ex = MemExecutor(program.compiled.fun)
         vals, stats = ex.run(**dict(inputs))
         assert vals and stats.pool_hits == 0 and stats.pool_misses == 0
 
@@ -203,11 +201,11 @@ class TestPremises:
         assert program._classes[skey].tape is None
         assert program.pool.plan(skey) is None
         # Another class is served as if nothing had happened.
-        ref_outs, ref_stats = _run_uncached(program.fun, good)
+        ref_outs, ref_stats = _run_uncached(program.compiled.fun, good)
         outs, stats = program.run(good)
         for a, b in zip(ref_outs, outs):
             assert np.array_equal(np.asarray(a), np.asarray(b))
         assert stats.signature() == ref_stats.signature()
         assert program.pool.plan(program.shape_key(good)) is not None
         with pytest.raises(Declined, match=detail):
-            MemExecutor(program.fun).run(**inputs)
+            MemExecutor(program.compiled.fun).run(**inputs)

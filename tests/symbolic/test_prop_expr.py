@@ -9,7 +9,7 @@ integer environments and cross-checks every operation against plain ints.
 
 from hypothesis import given, settings, strategies as st
 
-from repro.symbolic import Const, Context, Prover, SymExpr, Var
+from repro.symbolic import Context, Prover, SymExpr, Var, sym
 
 VARS = ["a", "b", "c", "d"]
 
@@ -21,7 +21,7 @@ def exprs(draw, max_depth: int = 4):
     if depth == 0:
         if draw(st.booleans()):
             return Var(draw(st.sampled_from(VARS)))
-        return Const(draw(st.integers(-20, 20)))
+        return sym(draw(st.integers(-20, 20)))
     op = draw(st.sampled_from(["add", "sub", "mul", "neg", "pow"]))
     left = draw(exprs(max_depth=depth - 1))
     if op == "neg":
@@ -68,7 +68,7 @@ def test_pow_matches_int_eval(e, p, env):
 def test_normal_form_is_canonical(e1, e2):
     """Structurally different constructions of equal polynomials compare equal."""
     assert (e1 + e2) - e2 == e1
-    assert e1 - e1 == Const(0)
+    assert e1 - e1 == sym(0)
 
 
 @given(exprs(max_depth=3), exprs(max_depth=3), envs)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.symbolic import Const, Context, Prover, Sign, Var
+from repro.symbolic import Context, Prover, Sign, Var, sym
 
 a, b, q, n, i = Var("a"), Var("b"), Var("q"), Var("n"), Var("i")
 
@@ -36,7 +36,7 @@ class TestContext:
         assert parent.normalize(n) == n
 
     def test_numeric_range_const(self):
-        assert Context().numeric_range(Const(5)) == (5, 5)
+        assert Context().numeric_range(sym(5)) == (5, 5)
 
     def test_numeric_range_bounded_var(self):
         ctx = Context().assume_range("a", 2, 10)
@@ -92,11 +92,11 @@ class TestContextMemos:
         root.define("a", b + 1)
         leaf = root.extended().extended()
         assert leaf.normalize(a) == b + 1
-        root.define("b", Const(3))
-        assert leaf.normalize(a) == Const(4)
-        leaf.define("b", Const(5))  # innermost definition wins
-        assert leaf.normalize(a) == Const(6)
-        assert root.normalize(a) == Const(4)
+        root.define("b", sym(3))
+        assert leaf.normalize(a) == sym(4)
+        leaf.define("b", sym(5))  # innermost definition wins
+        assert leaf.normalize(a) == sym(6)
+        assert root.normalize(a) == sym(4)
 
     def test_bounds_do_not_disturb_the_equality_memo(self):
         ctx = Context()
@@ -108,7 +108,7 @@ class TestContextMemos:
     def test_all_equalities_is_a_private_copy(self):
         ctx = Context()
         ctx.define("n", q * b)
-        ctx.all_equalities()["n"] = Const(0)
+        ctx.all_equalities()["n"] = sym(0)
         assert ctx.normalize(n) == q * b
 
     def test_memo_restarts_at_its_cap(self, monkeypatch):
@@ -123,11 +123,11 @@ class TestContextMemos:
 class TestProverBasics:
     def test_constant_signs(self):
         p = Prover()
-        assert p.nonneg(Const(0))
-        assert p.nonneg(Const(3))
-        assert not p.nonneg(Const(-1))
-        assert p.pos(Const(1))
-        assert not p.pos(Const(0))
+        assert p.nonneg(sym(0))
+        assert p.nonneg(sym(3))
+        assert not p.nonneg(sym(-1))
+        assert p.pos(sym(1))
+        assert not p.pos(sym(0))
 
     def test_unknown_var_unprovable(self):
         p = Prover()
@@ -142,7 +142,7 @@ class TestProverBasics:
         ctx = Context().assume_range("a", 1, 5)
         p = Prover(ctx)
         assert p.pos(a)
-        assert p.nonneg(5 - a)
+        assert p.nonneg(-a + 5)
         assert p.sign(a - 6) is Sign.NEGATIVE
 
     def test_eq_via_normalization(self):
@@ -236,7 +236,7 @@ class TestModuleConveniences:
     """One-off queries: a fresh ``Prover(ctx)`` per question."""
 
     def test_prove_nonneg(self):
-        assert Prover().nonneg(Const(2))
+        assert Prover().nonneg(sym(2))
         assert not Prover().nonneg(a)
 
     def test_prove_pos(self):

@@ -73,7 +73,8 @@ def test_every_layer_names_its_rule_and_site(name, preset):
         st = getattr(program.compiled, stats)
         if st is not None:
             assert all(d in found for d in st.declined.records)
-            assert st.failures == st.declined.tallies
+            if hasattr(st, "failures"):  # the sc and fuse views
+                assert st.failures == st.declined.tallies
     cov = program.coverage()
     for m in cov["maps"].values():
         # Served by a lower tier exactly when a higher one said why.
