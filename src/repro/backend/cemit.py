@@ -50,13 +50,14 @@ from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
-from repro.decisions import Declined
 from repro.symbolic import SymExpr
 
 from repro.ir import ast as A
 from repro.ir import scalar
 from repro.ir.ast import Fun  # noqa: F401  (re-exported for annotations)
-from repro.ir.types import ArrayType, DTYPE_INFO
+from repro.ir.interp import InterpError
+from repro.ir.types import DTYPE_INFO
+from repro.mem.kernel import Block, Plan, declined, label
 from repro.mem.memir import array_bindings, binding_of
 
 #: Counter slots per site: [entered, bytes_read, bytes_written, flops,
@@ -181,11 +182,11 @@ def _c_lit(value, dtype: str) -> str:
     if dtype == "f32":
         d = float(np.float32(value))
         if not np.isfinite(d):
-            raise Declined("unsupported", "non-finite literal")
+            raise declined("unsupported", "non-finite literal")
         return f"((float){d!r})"
     d = float(value)
     if not np.isfinite(d):
-        raise Declined("unsupported", "non-finite literal")
+        raise declined("unsupported", "non-finite literal")
     return f"({d!r})"
 
 
@@ -267,10 +268,10 @@ class _Emitter:
         #: Per-open-block pending constant counter increments,
         #: (site, slot) -> int, flushed when the block closes.
         self._pending: List[Dict[Tuple[int, int], int]] = [{}]
-        #: Enclosing (count expr C string, index var) pairs for in-kernel
-        #: allocations (thread loop, sequential loops, nested maps);
-        #: None marks a level (If) under which allocation is rejected.
-        self._alloc_path: List[Optional[Tuple[str, str, SymExpr]]] = []
+        #: Enclosing (count C expression, index var, count) triples for
+        #: in-kernel allocations (thread loop, sequential loops, nested
+        #: maps).
+        self._alloc_path: List[Tuple[str, str, SymExpr]] = []
 
     # -- C text helpers -------------------------------------------------
     def emit(self, line: str) -> None:
@@ -334,7 +335,7 @@ class _Emitter:
     def check_scope(self, *ids: int) -> None:
         for s in ids:
             if s not in self._scopes:
-                raise Declined("unsupported", "value escapes its C scope")
+                raise declined("unsupported", "value escapes its C scope")
 
     @property
     def cur_scope(self) -> int:
@@ -344,11 +345,11 @@ class _Emitter:
     def _host_scalar(self, name: str) -> SVal:
         """A free host scalar as an argument-backed SVal."""
         if name not in self.env:
-            raise Declined("unsupported", f"unbound variable {name!r}")
+            raise declined("unsupported", f"unbound variable {name!r}")
         try:
             dtype, weak = kind = scalar.kind_of(self.env[name])
         except TypeError:
-            raise Declined(
+            raise declined(
                 "unsupported", f"unsupported free value for {name!r}"
             ) from None
         if dtype in ("i64", "bool"):
@@ -396,7 +397,7 @@ class _Emitter:
             self._int_slots[key] = ent
         bslot, base, eranks, edtype, lits = ent
         if eranks != ranks or edtype != ra.dtype:
-            raise Declined("unsupported", "inconsistent array structure at emission")
+            raise declined("unsupported", "inconsistent array structure at emission")
         # One "arrcomp" directive expands to 1 + 2*rank ints per LMAD, in
         # ``components`` order; literal positions keep their (unread) slot.
         comps = iter(
@@ -409,26 +410,27 @@ class _Emitter:
         ]
         return CArr(MemObj(bslot, "0", 0), ra.dtype, lmads, scope=0)
 
-    def _mem_buf(self, name: str) -> int:
+    def _host_mem(self, name: str) -> Optional[str]:
+        """The host-level block ``name`` resolves to at this launch."""
+        try:
+            return self.ex._resolve_mem(name, self.env)
+        except InterpError:
+            return None
+
+    def _mem_buf(self, name: str, resolved: str) -> int:
         key = ("mem", name)
         slot = self._buf_slots.get(key)
         if slot is None:
             slot = len(self.buf_dirs)
             self.buf_dirs.append(("mem", name))
-            try:
-                resolved = self.ex._resolve_mem(name, self.env)
-                space = self.ex._space_of(resolved)
-            except Exception:
-                space = "hbm"
-            self.buf_space.append(space)
+            self.buf_space.append(self.ex._space_of(resolved))
             self._buf_slots[key] = slot
         return slot
 
     def site_of(self, stmt: A.Let) -> int:
         """Counter row of a ``map`` statement, keyed as the executor keys
         its :class:`~repro.mem.stats.KernelStat`."""
-        key = ("map", f"map:{'/'.join(stmt.names)}")
-        return self.sites.setdefault(key, len(self.sites))
+        return self.sites.setdefault(("map", label(stmt)), len(self.sites))
 
     # -- symbolic expressions ------------------------------------------
     def sym_c(self, expr: SymExpr, scope: Dict[str, object],
@@ -449,7 +451,7 @@ class _Emitter:
             if sv is None:
                 sv = self._host_scalar(v)
             if not isinstance(sv, SVal) or sv.dtype not in ("i64", "bool"):
-                raise Declined(
+                raise declined(
                     "unsupported", f"non-integer variable {v!r} in index expression"
                 )
             self.check_scope(sv.scope)
@@ -475,9 +477,6 @@ class _Emitter:
     # -- views ----------------------------------------------------------
     def view_from_binding(self, pe, scope, memenv) -> CArr:
         b = binding_of(pe)
-        if b is None:
-            raise Declined("unsupported", f"array {pe.name} lacks a memory binding")
-        assert isinstance(pe.type, ArrayType)
         return self.view_of(b.mem, b.ixfn, pe.type.dtype, scope, memenv)
 
     def resolve_memobj(self, mem: str, scope, memenv) -> MemObj:
@@ -489,11 +488,10 @@ class _Emitter:
         if obj is None:
             # A host-level block: resolvable through the launch env at
             # every launch (the resolved name may differ per launch).
-            try:
-                self.ex._resolve_mem(mem, self.env)
-            except Exception:
-                raise Declined("unsupported", f"unresolvable memory {mem!r}") from None
-            obj = MemObj(self._mem_buf(mem), "0", 0)
+            resolved = self._host_mem(mem)
+            if resolved is None:
+                raise declined("unsupported", f"unresolvable memory {mem!r}")
+            obj = MemObj(self._mem_buf(mem, resolved), "0", 0)
         self.check_scope(obj.scope)
         return obj
 
@@ -553,7 +551,7 @@ class _Emitter:
 
     def point_offset(self, arr: CArr, idx: List[str]) -> str:
         if len(idx) != arr.inner.rank:
-            raise Declined("unsupported", "index rank mismatch")
+            raise declined("unsupported", "index rank mismatch")
         return self._through_outers(arr, self._bind_offset(arr.inner, idx))
 
     def elem_offset(self, arr: CArr, e: str) -> str:
@@ -583,11 +581,11 @@ class _Emitter:
         kinds = [(a.dtype, a.weak) for a in args]
         dtype, kind = scalar.op_typing(op, *kinds)
         if kind is None:
-            raise Declined("unsupported", f"{op} of a boolean")
+            raise declined("unsupported", f"{op} of a boolean")
         binary = len(args) == 2
         template = row.c_form(dtype if binary else kind[0], len(set(kinds)) > 1)
         if template is None:
-            raise Declined("not-bit-exact", row.no_c)
+            raise declined("not-bit-exact", row.no_c)
         self.calls.update(c for c in scalar.PRELUDE if c in template)
         cs = [self.cast(a, dtype) if binary and dtype else a.c for a in args]
         return self._bind_local(template.format(**dict(zip("xy", cs))), *kind)
@@ -598,7 +596,7 @@ class _Emitter:
             if sv is None:
                 return self._host_scalar(op)
             if not isinstance(sv, SVal):
-                raise Declined(
+                raise declined(
                     "unsupported", f"array operand {op!r} in scalar position"
                 )
             self.check_scope(sv.scope)
@@ -613,7 +611,7 @@ class _Emitter:
             return SVal(_c_int(op), "i64", weak=True)
         if isinstance(op, float):
             return SVal(_c_lit(op, "f64"), "f64", weak=True)
-        raise Declined("unsupported", f"unsupported operand {op!r}")
+        raise declined("unsupported", f"unsupported operand {op!r}")
 
     # -- statements -----------------------------------------------------
     def value_of(self, name: str, scope, memenv):
@@ -631,19 +629,16 @@ class _Emitter:
                 ("env", name), hv, self.bindings.get(name)
             )
         if hv is None:
-            raise Declined("unsupported", f"unbound variable {name!r}")
+            raise declined("unsupported", f"unbound variable {name!r}")
         return self._host_scalar(name)
 
     def array_value(self, name: str, scope, memenv) -> CArr:
-        v = self.value_of(name, scope, memenv)
-        if not isinstance(v, CArr):
-            raise Declined("unsupported", f"{name!r} is not an array value")
-        return self.use(v)
+        return self.use(self.value_of(name, scope, memenv))
 
     def fix0(self, arr: CArr, idx: str) -> CArr:
         inner = arr.inner
         if inner.rank < 1:
-            raise Declined("unsupported", "fixing a dimension of a rank-0 view")
+            raise declined("unsupported", "fixing a dimension of a rank-0 view")
         fixed = CLmad(
             _add(inner.offset, _mul(idx, inner.dims[0][1])),
             list(inner.dims[1:]),
@@ -653,148 +648,106 @@ class _Emitter:
             scope=self.cur_scope,
         )
 
-    def emit_block(self, block: A.Block, scope, memenv, site: int):
-        for stmt in block.stmts:
-            self.emit_stmt(stmt, scope, memenv, site)
+    def emit_block(self, block: Block, scope, memenv, site: int):
+        if block.flops:
+            self.pend(site, 3, block.flops)
+        for node in block.nodes:
+            getattr(self, "_" + node.kind)(node, scope, memenv, site)
         return [self.value_of(r, scope, memenv) for r in block.result]
 
-    def emit_stmt(self, stmt: A.Let, scope, memenv, site: int) -> None:
-        exp = stmt.exp
+    def _lit(self, node, scope, memenv, site) -> None:
+        exp = node.exp
+        scope[node.stmt.names[0]] = SVal(
+            _c_lit(exp.value, exp.dtype), exp.dtype, weak=False
+        )
 
-        if isinstance(exp, A.Alloc):
-            self._emit_alloc(stmt, exp, scope, memenv)
-            return
+    def _sym(self, node, scope, memenv, site) -> None:
+        n = self.fresh()
+        self.emit(f"long long {n} = {self.sym_c(node.exp.expr, scope)};")
+        scope[node.stmt.names[0]] = SVal(n, "i64", weak=True, scope=self.cur_scope)
 
-        if isinstance(exp, (A.Lit, A.ScalarE, A.BinOp, A.UnOp)):
-            scope[stmt.names[0]] = self._scalar_exp(exp, scope, site)
-            return
+    def _op(self, node, scope, memenv, site) -> None:
+        exp = node.exp
+        args = (exp.x, exp.y) if isinstance(exp, A.BinOp) else (exp.x,)
+        scope[node.stmt.names[0]] = self.apply(
+            exp.op, *(self.operand(a, scope) for a in args)
+        )
 
-        if isinstance(exp, A.VarRef):
-            pe = stmt.pattern[0]
-            if pe.is_array():
-                scope[pe.name] = self.view_from_binding(pe, scope, memenv)
-            else:
-                scope[pe.name] = self.value_of(exp.name, scope, memenv)
-            return
+    def _alias(self, node, scope, memenv, site) -> None:
+        scope[node.stmt.names[0]] = self.value_of(node.exp.name, scope, memenv)
 
-        if isinstance(
-            exp, (A.SliceT, A.LmadSlice, A.Rearrange, A.Reshape, A.Reverse)
-        ):
-            # Pure change of layout: the (possibly rebased) annotation is
-            # authoritative; no data moves.
-            scope[stmt.names[0]] = self.view_from_binding(
-                stmt.pattern[0], scope, memenv
+    def _view(self, node, scope, memenv, site) -> None:
+        # A change of layout or uninitialized scratch: the (possibly
+        # rebased) annotation is authoritative; no data moves (the fresh
+        # zeroed alloc buffer already matches the interpreter's
+        # deterministic "uninitialized" contents).
+        pe = node.stmt.pattern[0]
+        scope[pe.name] = self.view_from_binding(pe, scope, memenv)
+
+    def _fill(self, node, scope, memenv, site) -> None:
+        exp, pe = node.exp, node.stmt.pattern[0]
+        dest = self.view_from_binding(pe, scope, memenv)
+        sz = self.size_c(dest)
+        self.charge_rw(site, dest.mem, True, f"{sz}*{dest.itemsize}")
+        val = None if isinstance(exp, A.Iota) else self.operand(exp.value, scope)
+        ev = self.fresh("e")
+        self.open_block(f"for (long long {ev} = 0; {ev} < {sz}; {ev}++)")
+        off = self.elem_offset(dest, ev)
+        src = ev if val is None else val.c
+        self.emit(f"{self.addr(dest, off)} = ({_CTYPE[dest.dtype]})({src});")
+        self.close_block()
+        scope[pe.name] = dest
+
+    def _copy(self, node, scope, memenv, site) -> None:
+        src = self.array_value(node.exp.src, scope, memenv)
+        pe = node.stmt.pattern[0]
+        dest = self.view_from_binding(pe, scope, memenv)
+        self.emit_copy(src, dest, site)
+        scope[pe.name] = dest
+
+    def _concat(self, node, scope, memenv, site) -> None:
+        pe = node.stmt.pattern[0]
+        dest = self.view_from_binding(pe, scope, memenv)
+        inner = dest.inner
+        if inner.rank < 1:
+            raise declined("unsupported", "concat into a rank-0 view")
+        co = self.fresh("co")
+        self.emit(f"long long {co} = 0;")
+        for s in node.exp.srcs:
+            src = self.array_value(s, scope, memenv)
+            if src.inner.rank < 1:
+                raise declined("unsupported", "concat of a rank-0 view")
+            rows = self.fresh("rw")
+            self.emit(f"long long {rows} = {src.inner.dims[0][0]};")
+            region = CLmad(
+                _add(inner.offset, _mul(co, inner.dims[0][1])),
+                [(rows, inner.dims[0][1])] + list(inner.dims[1:]),
             )
-            return
-
-        if isinstance(exp, (A.Iota, A.Replicate, A.Scratch)):
-            dest = self.view_from_binding(stmt.pattern[0], scope, memenv)
-            if not isinstance(exp, A.Scratch):
-                sz = self.size_c(dest)
-                self.charge_rw(site, dest.mem, True, f"{sz}*{dest.itemsize}")
-                if isinstance(exp, A.Iota):
-                    val = None
-                else:
-                    val = self.operand(exp.value, scope)
-                ev = self.fresh("e")
-                self.open_block(
-                    f"for (long long {ev} = 0; {ev} < {sz}; {ev}++)"
-                )
-                off = self.elem_offset(dest, ev)
-                src = ev if val is None else val.c
-                self.emit(
-                    f"{self.addr(dest, off)} = "
-                    f"({_CTYPE[dest.dtype]})({src});"
-                )
-                self.close_block()
-            # Scratch is uninitialized memory: writes nothing (the fresh
-            # zeroed alloc buffer already matches the interpreter's
-            # deterministic "uninitialized" contents).
-            scope[stmt.names[0]] = dest
-            return
-
-        if isinstance(exp, A.Copy):
-            src = self.array_value(exp.src, scope, memenv)
-            dest = self.view_from_binding(stmt.pattern[0], scope, memenv)
-            self.emit_copy(src, dest, site)
-            scope[stmt.names[0]] = dest
-            return
-
-        if isinstance(exp, A.Concat):
-            dest = self.view_from_binding(stmt.pattern[0], scope, memenv)
-            inner = dest.inner
-            if inner.rank < 1:
-                raise Declined("unsupported", "concat into a rank-0 view")
-            co = self.fresh("co")
-            self.emit(f"long long {co} = 0;")
-            for s in exp.srcs:
-                src = self.array_value(s, scope, memenv)
-                if src.inner.rank < 1:
-                    raise Declined("unsupported", "concat of a rank-0 view")
-                rows = self.fresh("rw")
-                self.emit(f"long long {rows} = {src.inner.dims[0][0]};")
-                region = CLmad(
-                    _add(inner.offset, _mul(co, inner.dims[0][1])),
-                    [(rows, inner.dims[0][1])] + list(inner.dims[1:]),
-                )
-                rarr = CArr(
-                    dest.mem, dest.dtype,
-                    list(dest.lmads[:-1]) + [region], scope=self.cur_scope,
-                )
-                self.emit_copy(src, rarr, site)
-                self.emit(f"{co} += {rows};")
-            scope[stmt.names[0]] = dest
-            return
-
-        if isinstance(exp, A.Index):
-            src = self.array_value(exp.src, scope, memenv)
-            idx = [self.sym_c(i, scope) for i in exp.indices]
-            self.pend_rw(site, src.mem, False, src.itemsize)
-            off = self.point_offset(src, idx)
-            n = self.fresh()
-            self.emit(f"{_CTYPE[src.dtype]} {n} = {self.addr(src, off)};")
-            scope[stmt.names[0]] = SVal(
-                n, src.dtype, weak=False, scope=self.cur_scope
+            rarr = CArr(
+                dest.mem, dest.dtype,
+                list(dest.lmads[:-1]) + [region], scope=self.cur_scope,
             )
-            return
+            self.emit_copy(src, rarr, site)
+            self.emit(f"{co} += {rows};")
+        scope[pe.name] = dest
 
-        if isinstance(exp, A.Update):
-            self._emit_update(stmt, exp, scope, memenv, site)
-            return
-
-        if isinstance(exp, A.Map):
-            self._emit_nested_map(stmt, exp, scope, memenv)
-            return
-
-        if isinstance(exp, A.Loop):
-            self._emit_loop(stmt, exp, scope, memenv, site)
-            return
-
-        if isinstance(exp, A.If):
-            self._emit_if(stmt, exp, scope, memenv, site)
-            return
-
-        raise Declined("unsupported", f"{type(exp).__name__} inside a kernel")
-
-    def _scalar_exp(self, exp: A.Exp, scope, site: int) -> SVal:
-        if isinstance(exp, A.Lit):
-            return SVal(_c_lit(exp.value, exp.dtype), exp.dtype, weak=False)
-        if isinstance(exp, A.ScalarE):
-            n = self.fresh()
-            self.emit(f"long long {n} = {self.sym_c(exp.expr, scope)};")
-            return SVal(n, "i64", weak=True, scope=self.cur_scope)
-        self.pend(site, 3, scalar.OPS[exp.op].flops)
-        if isinstance(exp, A.BinOp):
-            return self.apply(
-                exp.op, self.operand(exp.x, scope), self.operand(exp.y, scope)
-            )
-        return self.apply(exp.op, self.operand(exp.x, scope))
+    def _read(self, node, scope, memenv, site) -> None:
+        exp = node.exp
+        src = self.array_value(exp.src, scope, memenv)
+        idx = [self.sym_c(i, scope) for i in exp.indices]
+        self.pend_rw(site, src.mem, False, src.itemsize)
+        off = self.point_offset(src, idx)
+        n = self.fresh()
+        self.emit(f"{_CTYPE[src.dtype]} {n} = {self.addr(src, off)};")
+        scope[node.stmt.names[0]] = SVal(
+            n, src.dtype, weak=False, scope=self.cur_scope
+        )
 
     # -- copies ---------------------------------------------------------
     def emit_copy(self, src: CArr, dst: CArr, site: int) -> None:
+        """The interpreter's copy rule: elided when (block, index fn)
+        coincide -- concrete index functions compare componentwise."""
         src, dst = self.use(src), self.use(dst)
-        if src.dtype != dst.dtype:
-            raise Declined("unsupported", "copy between differing element types")
         ssz, dsz = self.size_c(src), self.size_c(dst)
         snb = f"{ssz}*{src.itemsize}"
         dnb = f"{dsz}*{dst.itemsize}"
@@ -802,8 +755,6 @@ class _Emitter:
             a.rank == b.rank for a, b in zip(src.lmads, dst.lmads)
         )
         if structural:
-            # The interpreter elides when (block, index fn) coincide;
-            # concrete index functions compare componentwise numerically.
             pairs = [
                 (f"bufs[{src.mem.buf}]", f"bufs[{dst.mem.buf}]"),
                 (src.mem.base, dst.mem.base),
@@ -821,12 +772,6 @@ class _Emitter:
             self.charge(site, 5, f"{snb} + {dnb}")
             self.close_block()
             self.open_block("else")
-            self._copy_body(src, dst, dsz, snb, dnb, site)
-            self.close_block()
-        else:
-            self._copy_body(src, dst, dsz, snb, dnb, site)
-
-    def _copy_body(self, src, dst, dsz, snb, dnb, site) -> None:
         self.charge_rw(site, src.mem, False, snb)
         self.charge_rw(site, dst.mem, True, dnb)
         ev = self.fresh("e")
@@ -835,37 +780,26 @@ class _Emitter:
         doff = self.elem_offset(dst, ev)
         self.emit(f"{self.addr(dst, doff)} = {self.addr(src, soff)};")
         self.close_block()
+        if structural:
+            self.close_block()
 
     # -- allocation -----------------------------------------------------
-    def _emit_alloc(self, stmt: A.Let, exp: A.Alloc, scope, memenv) -> None:
-        name = stmt.names[0]
-        counts = []
-        for entry in self._alloc_path:
-            if entry is None:
-                raise Declined(
-                    "unsupported", "allocation under a data-dependent branch"
-                )
-            if not entry[3]:
-                raise Declined(
-                    "unsupported", "allocation under a non-launch-evaluable loop"
-                )
-            counts.append(entry)
-        for fv in exp.size.free_vars():
-            if fv not in self.env or fv in scope:
-                raise Declined("unsupported", "allocation size not launch-evaluable")
+    def _alloc(self, node, scope, memenv, site) -> None:
+        """One disjoint slot of a per-launch buffer per dynamic execution
+        (thread index, then enclosing iteration indices), emulating the
+        interpreter's fresh block per execution; ``native_rule`` has
+        made sure every count is launch-evaluable."""
+        exp, name = node.exp, node.stmt.names[0]
         site_idx = len(self.alloc_sites)
         bslot = len(self.buf_dirs)
         self.buf_dirs.append(("alloc", site_idx))
         self.buf_space.append(exp.space)
-        self.alloc_sites.append(
-            (name, exp.size, tuple(e[2] for e in counts), exp.dtype,
-             exp.space)
-        )
-        # Linearized slot: thread index, then enclosing iteration indices
-        # (one disjoint slot per dynamic execution, emulating the
-        # interpreter's fresh block per alloc execution).
+        self.alloc_sites.append((
+            name, exp.size, tuple(e[2] for e in self._alloc_path), exp.dtype,
+            exp.space,
+        ))
         slot = "0"
-        for cnt_c, idx, _, _ in counts:
+        for cnt_c, idx, _ in self._alloc_path:
             slot = _add(_mul(slot, cnt_c), idx)
         base = self.fresh("ab")
         self.emit(
@@ -874,8 +808,9 @@ class _Emitter:
         memenv[name] = MemObj(bslot, base, self.cur_scope)
 
     # -- compound statements --------------------------------------------
-    def _emit_update(self, stmt, exp: A.Update, scope, memenv, site) -> None:
-        result = self.view_from_binding(stmt.pattern[0], scope, memenv)
+    def _update(self, node, scope, memenv, site) -> None:
+        exp, pe = node.exp, node.stmt.pattern[0]
+        result = self.view_from_binding(pe, scope, memenv)
         spec = exp.spec
         if isinstance(spec, A.PointSpec):
             idx = [self.sym_c(i, scope) for i in spec.indices]
@@ -886,12 +821,10 @@ class _Emitter:
                 f"{self.addr(result, off)} = "
                 f"({_CTYPE[result.dtype]})({val.c});"
             )
-            scope[stmt.names[0]] = result
-            return
-        if isinstance(spec, A.TripletSpec):
+        else:  # a triplet slice (native_rule declines LMAD specs)
             inner = result.inner
             if len(spec.triplets) != inner.rank:
-                raise Declined("unsupported", "triplet rank mismatch")
+                raise declined("unsupported", "triplet rank mismatch")
             off_terms = [inner.offset]
             dims = []
             for (a, b, c), (_, st) in zip(spec.triplets, inner.dims):
@@ -904,19 +837,12 @@ class _Emitter:
                 list(result.lmads[:-1]) + [CLmad(_add(*off_terms), dims)],
                 scope=self.cur_scope,
             )
-            if not isinstance(exp.value, str):
-                raise Declined(
-                    "unsupported", "slice update value must be an array variable"
-                )
             value = self.array_value(exp.value, scope, memenv)
             self.emit_copy(value, region, site)
-            scope[stmt.names[0]] = result
-            return
-        raise Declined("unsupported", "LMAD-spec update inside a kernel")
+        scope[pe.name] = result
 
-    def _emit_nested_map(self, stmt, exp: A.Map, scope, memenv) -> None:
-        if len(exp.lam.params) != 1:
-            raise Declined("unsupported", "multi-parameter map lambda")
+    def _map(self, node, scope, memenv, site) -> None:
+        stmt, exp = node.stmt, node.exp
         nsite = self.site_of(stmt)
         # The statement's execution (not its threads) creates the kernel
         # stat, width 0 included -- counted in the *enclosing* block.
@@ -928,18 +854,14 @@ class _Emitter:
         ]
         wvar = self.fresh("w")
         self.emit(f"long long {wvar} = {self.sym_c(exp.width, scope)};")
-        ok = all(
-            fv in self.env and fv not in scope
-            for fv in exp.width.free_vars()
-        )
         ivar = self.fresh("i")
-        self._alloc_path.append((wvar, ivar, exp.width, ok))
+        self._alloc_path.append((wvar, ivar, exp.width))
         self.open_block(f"for (long long {ivar} = 0; {ivar} < {wvar}; {ivar}++)")
         child = dict(scope)
         child[exp.lam.params[0]] = SVal(
             ivar, "i64", weak=True, scope=self.cur_scope
         )
-        vals = self.emit_block(exp.lam.body, child, memenv, nsite)
+        vals = self.emit_block(node.blocks[0], child, memenv, nsite)
         self._write_map_results(dests, vals, ivar, nsite)
         self.close_block()
         self._alloc_path.pop()
@@ -954,203 +876,129 @@ class _Emitter:
             region = self.fix0(dest, ivar)
             if isinstance(val, CArr):
                 self.emit_copy(val, region, site)
-            elif isinstance(val, SVal):
-                self.pend_rw(site, dest.mem, True, dest.itemsize)
-                off = self.point_offset(region, ["0"] * region.inner.rank)
-                self.emit(
-                    f"{self.addr(region, off)} = "
-                    f"({_CTYPE[dest.dtype]})({val.c});"
-                )
-            else:
-                raise Declined("unsupported", "unsupported map result value")
+                continue
+            self.pend_rw(site, dest.mem, True, dest.itemsize)
+            off = self.point_offset(region, ["0"] * region.inner.rank)
+            self.emit(
+                f"{self.addr(region, off)} = "
+                f"({_CTYPE[dest.dtype]})({val.c});"
+            )
 
-    def _emit_loop(self, stmt, exp: A.Loop, scope, memenv, site) -> None:
+    def _loop(self, node, scope, memenv, site) -> None:
+        exp, (_, params, results) = node.exp, node.facts
         cnt = self.fresh("n")
         self.emit(f"long long {cnt} = {self.sym_c(exp.count, scope)};")
         carried = []
-        for prm, initname in exp.carried:
+        for (prm, b, _), (_, initname) in zip(params, exp.carried):
             val = self.value_of(initname, scope, memenv)
-            if isinstance(prm.type, ArrayType):
-                if not isinstance(val, CArr):
-                    raise Declined(
-                        "unsupported", "array loop param initialized by non-array"
-                    )
+            if prm.is_array():
                 self.check_scope(val.scope, val.mem.scope)
-                b = binding_of(prm)
                 # Mirrors the interpreter: the param binding's memory
                 # rebinds to the carried value's block unless it already
                 # names a host-level block.
-                rebind = b is None or b.mem not in self.ex.mem
-                carried.append(("arr", prm, val, b, rebind))
-            else:
-                if not isinstance(val, SVal):
-                    raise Declined(
-                        "unsupported", "scalar loop param initialized by non-scalar"
-                    )
-                cvar = self.fresh("s")
-                self.emit(f"{_CTYPE[val.dtype]} {cvar} = {val.c};")
-                sv = SVal(
-                    cvar, val.dtype, val.weak, mutable=True,
-                    scope=self.cur_scope,
-                )
-                carried.append(("scal", prm, sv, None, False))
-        ok = all(
-            fv in self.env and fv not in scope
-            for fv in exp.count.free_vars()
-        )
+                carried.append((prm, val, b, b is None or b.mem not in self.ex.mem))
+                continue
+            cvar = self.fresh("s")
+            self.emit(f"{_CTYPE[val.dtype]} {cvar} = {val.c};")
+            sv = SVal(cvar, val.dtype, val.weak, mutable=True, scope=self.cur_scope)
+            carried.append((prm, sv, None, False))
         idxv = self.fresh("q")
-        self._alloc_path.append((cnt, idxv, exp.count, ok))
+        self._alloc_path.append((cnt, idxv, exp.count))
         self.open_block(f"for (long long {idxv} = 0; {idxv} < {cnt}; {idxv}++)")
         child = dict(scope)
         child[exp.index] = SVal(idxv, "i64", weak=True, scope=self.cur_scope)
-        for kind, prm, v, b, rebind in carried:
-            if kind == "scal":
+        for prm, v, b, rebind in carried:
+            if b is None:
                 child[prm.name] = v
-            elif b is not None and not rebind:
-                child[prm.name] = self.view_of(
-                    b.mem, b.ixfn, prm.type.dtype, child, memenv
-                )
-            elif b is not None:
+                continue
+            if rebind:
                 child[b.mem] = v.mem
-                capture: Dict[str, str] = {}
-                lmads = [
-                    CLmad(
-                        self.sym_c(l.offset, child, capture),
-                        [
-                            (self.sym_c(d.shape, child, capture),
-                             self.sym_c(d.stride, child, capture))
-                            for d in l.dims
-                        ],
-                    )
-                    for l in b.ixfn.lmads
-                ]
-                child[prm.name] = CArr(
-                    v.mem, prm.type.dtype, lmads, scope=self.cur_scope
-                )
-            else:
-                child[prm.name] = v
-        vals = self.emit_block(exp.body, child, memenv, site)
+            child[prm.name] = self.view_of(b.mem, b.ixfn, prm.type.dtype, child, memenv)
+        vals = self.emit_block(node.blocks[0], child, memenv, site)
         upds = []
-        for (kind, prm, v, b, rebind), nv in zip(carried, vals):
-            if kind == "scal":
-                if not isinstance(nv, SVal):
-                    raise Declined("unsupported", "scalar loop result is not a scalar")
+        for (prm, v, b, rebind), nv in zip(carried, vals):
+            if isinstance(v, SVal):
                 if nv.dtype != v.dtype or nv.weak != v.weak:
-                    raise Declined("unsupported", "loop-carried scalar changes type")
+                    raise declined("unsupported", "loop-carried scalar changes type")
                 t = self.fresh("t")
                 self.emit(f"{_CTYPE[v.dtype]} {t} = {nv.c};")
                 upds.append((v.c, t))
-            else:
-                if not isinstance(nv, CArr):
-                    raise Declined("unsupported", "array loop result is not an array")
+            elif rebind and not nv.mem.same(v.mem):
                 # Fixpoint requirement: the carried block must not rotate
                 # across iterations (in-place update chains satisfy this;
                 # in-kernel double-buffering falls back to vectorized).
-                if rebind or b is None:
-                    if not nv.mem.same(v.mem):
-                        raise Declined(
-                            "unsupported", "loop-carried array changes blocks"
-                        )
+                raise declined("unsupported", "loop-carried array changes blocks")
         for cvar, t in upds:
             self.emit(f"{cvar} = {t};")
         self.close_block()
         self._alloc_path.pop()
         # Final state: scalars live in their C locals; arrays re-derive
         # from the pattern bindings (or carry just their block identity).
-        finals: List[object] = []
-        for (kind, prm, v, b, rebind), nv in zip(carried, vals):
-            if kind == "scal":
-                finals.append(v)
-            else:
-                finals.append(
-                    CArr(nv.mem, nv.dtype, nv.lmads, scope=nv.scope)
-                )
+        finals = [
+            v if isinstance(v, SVal) else nv
+            for (_, v, _, _), nv in zip(carried, vals)
+        ]
         finals.extend(vals[len(carried):])
-        self._bind_compound(stmt, finals, scope, memenv)
+        self._bind_results(results, finals, scope, memenv)
 
-    def _bind_compound(self, stmt, vals, scope, memenv) -> None:
-        for pe, val in zip(stmt.pattern, vals):
+    def _bind_results(self, results, vals, scope, memenv) -> None:
+        """Scalars (existential blocks among them) first, then arrays,
+        through what those bound."""
+        for (_, pe, _), val in zip(results, vals):
             if not pe.is_array():
-                if not isinstance(val, (SVal, MemObj)):
-                    raise Declined("unsupported", "unsupported compound result")
                 scope[pe.name] = val
-        for pe, val in zip(stmt.pattern, vals):
-            if pe.is_array():
-                if pe.mem is not None:
-                    b = binding_of(pe)
-                    if not self._mem_resolvable(b.mem, scope, memenv):
-                        if not isinstance(val, CArr):
-                            raise Declined(
-                                "unsupported", "existential result is not an array"
-                            )
-                        self.check_scope(val.mem.scope)
-                        memenv[b.mem] = val.mem
-                    scope[pe.name] = self.view_from_binding(
-                        pe, scope, memenv
-                    )
-                else:
-                    scope[pe.name] = val
+        for (_, pe, exist), val in zip(results, vals):
+            if pe.is_array() and pe.mem is None:
+                scope[pe.name] = val
+            elif pe.is_array():
+                if exist is not None and not self._host_mem(exist):
+                    # An existential block binds to wherever the value is.
+                    self.check_scope(val.mem.scope)
+                    memenv[exist] = val.mem
+                scope[pe.name] = self.view_from_binding(pe, scope, memenv)
 
-    def _mem_resolvable(self, mem: str, scope, memenv) -> bool:
-        if mem in memenv or isinstance(scope.get(mem), MemObj):
-            return True
-        try:
-            self.ex._resolve_mem(mem, self.env)
-            return True
-        except Exception:
-            return False
-
-    def _emit_if(self, stmt, exp: A.If, scope, memenv, site) -> None:
+    def _if(self, node, scope, memenv, site) -> None:
+        exp = node.exp
         cond = self.operand(exp.cond, scope)
         mark = len(self.lines)
         decl_indent = "    " * self.indent
-        self._alloc_path.append(None)
         self.open_block(f"if ({cond.c})")
-        tvals = self.emit_block(exp.then_block, dict(scope), memenv, site)
-        for v in tvals:
-            if not isinstance(v, SVal):
-                raise Declined("unsupported", "non-scalar if result inside a kernel")
+        tvals = self.emit_block(node.blocks[0], dict(scope), memenv, site)
         temps = [self.fresh("r") for _ in tvals]
         for t, v in zip(temps, tvals):
             self.emit(f"{t} = {v.c};")
         self.close_block()
         self.open_block("else")
-        evals = self.emit_block(exp.else_block, dict(scope), memenv, site)
-        if len(evals) != len(tvals):
-            raise Declined("unsupported", "if branches disagree on result arity")
+        evals = self.emit_block(node.blocks[1], dict(scope), memenv, site)
         for v, tv in zip(evals, tvals):
-            if not isinstance(v, SVal):
-                raise Declined("unsupported", "non-scalar if result inside a kernel")
             if v.dtype != tv.dtype or v.weak != tv.weak:
-                raise Declined("unsupported", "if branches disagree on result type")
+                raise declined("unsupported", "if branches disagree on result type")
         for t, v in zip(temps, evals):
             self.emit(f"{t} = {v.c};")
         self.close_block()
-        self._alloc_path.pop()
-        decls = [
+        self.lines[mark:mark] = [
             f"{decl_indent}{_CTYPE[v.dtype]} {t};"
             for t, v in zip(temps, tvals)
         ]
-        self.lines[mark:mark] = decls
         results = [
             SVal(t, v.dtype, v.weak, mutable=True, scope=self.cur_scope)
             for t, v in zip(temps, tvals)
         ]
-        self._bind_compound(stmt, results, scope, memenv)
+        self._bind_results(node.facts, results, scope, memenv)
 
 
 # ----------------------------------------------------------------------
-def emit_kernel(ex, stmt: A.Let, exp: A.Map, env, dests) -> KernelSpec:
-    """Emit one outermost map statement as a complete C translation unit.
+def emit_kernel(ex, plan: Plan, env, dests) -> KernelSpec:
+    """Print one outermost map's plan as a complete C translation unit.
 
     ``env``/``dests`` come from the statement's *first* launch; structure
     derived from them (index-function ranks, scalar kinds) is validated
     against every later launch by the engine.  Raises
-    :class:`~repro.decisions.Declined` when any construct in the subtree
-    is outside the native set.
+    :class:`~repro.decisions.Declined` where the launch gives a construct
+    no C form (:func:`~repro.mem.kernel.native_rule` has declined what no
+    launch could).
     """
-    if len(exp.lam.params) != 1:
-        raise Declined("unsupported", "multi-parameter map lambda")
+    stmt, exp = plan.stmt, plan.stmt.exp
     em = _Emitter(ex, env)
     em.site_of(stmt)  # site 0
     dest_arrs = [
@@ -1158,20 +1006,19 @@ def emit_kernel(ex, stmt: A.Let, exp: A.Map, env, dests) -> KernelSpec:
         if d is not None else None
         for k, d in enumerate(dests)
     ]
-    ok = all(fv in env for fv in exp.width.free_vars())
-    em._alloc_path.append(("W", "t", exp.width, ok))
+    em._alloc_path.append(("W", "t", exp.width))
     em.open_block("for (long long t = T0; t < W; t++)")
     scope = {
         exp.lam.params[0]: SVal("t", "i64", weak=True, scope=em.cur_scope)
     }
     memenv: Dict[str, MemObj] = {}
-    vals = em.emit_block(exp.lam.body, scope, memenv, 0)
+    vals = em.emit_block(plan.root, scope, memenv, 0)
     em._write_map_results(dest_arrs, vals, "t", 0)
     em.close_block()
     body = "\n".join(em.lines)
     # A part of the thread range sees the whole launch's allocation
-    # slots only if nothing but the loop bound reads W (``_emit_alloc``
-    # folds the thread level's ``0*W`` away: slots are indexed by t).
+    # slots only if nothing but the loop bound reads W (``_alloc`` folds
+    # the thread level's ``0*W`` away: slots are indexed by t).
     assert len(re.findall(r"\bW\b", body)) == 1, body
     prelude = dict.fromkeys(
         text for call, text in scalar.PRELUDE.items() if call in em.calls

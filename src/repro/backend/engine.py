@@ -52,6 +52,7 @@ from repro.decisions import DecisionLog, Declined
 from repro.ir import scalar
 from repro.ir.interp import InterpError, eval_sym
 from repro.ir.types import DTYPE_INFO
+from repro.mem.kernel import native_rule
 
 #: Plan sentinel: no kernel for this statement (``NativeEngine.declined``
 #: holds the reason under the statement's binding name).
@@ -338,7 +339,11 @@ class NativeEngine:
                 return plan
             t0 = time.perf_counter()
             try:
-                spec = emit_kernel(ex, stmt, exp, env, dests)
+                kplan = ex._vec().plan(stmt, exp)
+                why = native_rule(kplan)
+                if why is not None:
+                    raise why
+                spec = emit_kernel(ex, kplan, env, dests)
                 fn, digest = build.compile_kernel(spec.source)
                 spec.fn = fn
                 spec.digest = digest

@@ -193,9 +193,8 @@ class MemExecutor:
         #: caller's concern -- buffers may be recycled once it closes, so
         #: outputs must be materialized first.
         self._pool = pool if mode == "real" else None
-        #: Shared vectorization-plan dict (id(stmt) -> staged body or
-        #: why not), again for cross-run amortization; None keeps a
-        #: private one.
+        #: Shared kernel-plan dict (id(stmt) -> repro.mem.kernel.Plan),
+        #: again for cross-run amortization; None keeps a private one.
         self._vec_plans = vec_plans
         self._vec_engine = None  # lazily built repro.mem.vectorize.VecEngine
         # Static fused-producer plans per outermost map statement (see
@@ -806,6 +805,15 @@ class MemExecutor:
             self._fused_cache[stmt.pattern[0].name] = plan
         return plan
 
+    def _vec(self):
+        """The vectorized tier, which holds the table of kernel plans
+        (:mod:`repro.mem.kernel`) both fast tiers read."""
+        if self._vec_engine is None:
+            from repro.mem.vectorize import VecEngine
+
+            self._vec_engine = VecEngine(self, plans=self._vec_plans)
+        return self._vec_engine
+
     def _exec_map(self, stmt: A.Let, exp: A.Map, env) -> None:
         width = eval_sym(exp.width, env)
         dests = [
@@ -883,13 +891,7 @@ class MemExecutor:
                 if ran_native:
                     self.stats.native_launches += 1
                 elif self.vectorize and width > 0:
-                    if self._vec_engine is None:
-                        from repro.mem.vectorize import VecEngine
-
-                        self._vec_engine = VecEngine(
-                            self, plans=self._vec_plans
-                        )
-                    ran_vec = self._vec_engine.try_run_map(
+                    ran_vec = self._vec().try_run_map(
                         stmt, exp, env, width, dests
                     )
                 if ran_vec:

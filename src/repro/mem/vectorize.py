@@ -1,44 +1,30 @@
 """Vectorized kernel engine: batched NumPy execution of ``map`` bodies.
 
 The interpreted executor (:mod:`repro.mem.exec`) runs a ``map`` by
-evaluating the lambda body once per thread index.  This module executes
-the *same* body once with the thread dimension batched: the thread
-variable becomes an ``np.arange(width)`` lane vector, scalar operations
-become broadcast ufuncs, and every array access evaluates its LMAD index
+evaluating the lambda body once per thread index.  This tier runs the
+*same* body once with the thread dimension batched: the thread variable
+becomes an ``np.arange(width)`` lane vector, scalar operations become
+broadcast ufuncs, and every array access evaluates its LMAD index
 function for all lanes at once.  It is SIMT-lockstep: lane-varying
 conditionals run both branches under complementary masks, sequential
 loops with uniform trip counts iterate on the host.  Race-free programs
 (the :mod:`repro.analysis` checkers gate every benchmark) observe no
 difference from the interpreter's sequential thread order.
 
-A body is *staged*, not interpreted: the walk that decides whether a map
-is expressible (:meth:`VecEngine._plan_map`) lowers each statement it
-accepts into a closure with everything a request cannot change fixed --
-the statement kind, the operator row, every index-function component as
-a compiled evaluator, a block's flop charge.  A launch only runs the
-closures, in one environment (names are bound once, so loop iterations
-and ``if`` branches share it).  No width, size or host-scalar value is
-baked in, so one staged body serves every shape class; what a request
-decides -- whether an operand is a lane vector, the kind of a host scalar,
-which block a view lands in -- is read per run.
-
-Two invariants tie the engine to the interpreter:
-
-* **bit-identical results** -- scalar operators are the rows of
-  :mod:`repro.ir.scalar`, applied to lane vectors converted as its
-  promotion rule says (DESIGN.md section 7, "Scalar semantics");
-* **bit-identical accounting** -- every simulated quantity
-  (``bytes_read``/``bytes_written``/``flops`` per kernel, elisions,
-  allocations) is counted exactly as the interpreted path would: an
-  operation over ``L`` active lanes counts ``L`` times.
-
-The walk is a taint analysis seeded with the thread variable: any
-construct whose batched execution could diverge from per-thread
-interpretation (lane-varying trip counts or shapes, reductions,
-array-valued lane-varying branches) rejects the whole map, which then
-falls back to the interpreted path.  There is deliberately no dynamic
-try/except fallback: a plan either runs vectorized to completion or was
-never attempted, so statistics cannot be double-counted.
+It is one of the two printers of a :class:`~repro.mem.kernel.Plan`:
+where :func:`~repro.mem.kernel.vector_rule` accepts the plan, each node
+is *staged* into a closure with everything a request cannot change
+fixed -- the operator row, every index-function component as a compiled
+evaluator, a block's flop charge.  A launch only runs the closures, in
+one environment (names are bound once, so loop iterations and ``if``
+branches share it).  No width, size or host-scalar value is baked in,
+so one staged body serves every shape class; what a request decides --
+whether an operand is a lane vector, the kind of a host scalar, which
+block a view lands in -- is read per run.  Results and every simulated
+quantity are bit-identical to the interpreter's: operators are the
+rows of :mod:`repro.ir.scalar`, and an operation over ``L`` active lanes
+counts ``L`` times.  There is no dynamic fallback: a plan either runs
+vectorized to completion or was never attempted.
 """
 
 from __future__ import annotations
@@ -49,318 +35,79 @@ from typing import Callable, Dict, List, Optional
 
 import numpy as np
 
-from repro.decisions import Decision, Declined
+from repro.decisions import Decision
 from repro.ir import ast as A
 from repro.ir import scalar
 from repro.ir.interp import InterpError
 from repro.ir.types import DTYPE_INFO
 from repro.mem.exec import MemExecutor, MemRef, RuntimeArray
+from repro.mem.kernel import Block, Node, Plan, label, lower, vector_rule
 from repro.mem.memir import binders, binding_of, iter_stmts
 from repro.symbolic import SymExpr
 
 _nd = np.ndarray
 
 
-class MapPlan:
-    """What the planner made of one map statement: its staged ``body``,
-    or the ``declined`` record of why there is none.  It holds the
-    statement itself: plan tables are keyed by ``id(stmt)``, which is
-    unique only while the statement lives."""
+class VecEngine:
+    """Per-executor dispatch into the (possibly shared) plan table."""
 
-    __slots__ = ("stmt", "declined", "body", "free")
+    def __init__(self, ex: MemExecutor, plans: Optional[Dict[int, Plan]] = None):
+        self.ex = ex
+        #: id(outermost map stmt) -> its :class:`~repro.mem.kernel.Plan`,
+        #: lowered at the statement's first dispatch by either fast tier.
+        #: A Program passes a shared dict, so a body is lowered and staged
+        #: once per compiled function, not once per request.
+        self._plans: Dict[int, Plan] = plans if plans is not None else {}
 
-    def __init__(self, stmt: A.Let, declined=None, body=None, free=()):
-        self.stmt, self.declined, self.body = stmt, declined, body
-        #: Names the body reads from the launching environment.
-        self.free = free
+    _plan_map = staticmethod(lower)
 
-    def run(self, ex: MemExecutor, env, width: int, dests) -> None:
+    def plan(self, stmt: A.Let, exp: A.Map) -> Plan:
+        plan = self._plans.get(id(stmt))
+        if plan is None:
+            plan = self._plans[id(stmt)] = self._plan_map(stmt, exp)
+        return plan
+
+    def try_run_map(self, stmt: A.Let, exp: A.Map, env, width: int, dests) -> bool:
+        plan = self.plan(stmt, exp)
+        if plan.body is None:
+            if plan.declined is not None:
+                return False
+            why = vector_rule(plan)
+            if why is not None:
+                plan.declined = Decision(
+                    "vectorize", why.rule, stmt.names[0], why.detail
+                )
+                return False
+            plan.body = _launcher(stmt, exp, _stage(plan.root))
+        plan.body(self.ex, env, width, dests)
+        return True
+
+
+def _launcher(stmt: A.Let, exp: A.Map, body: "_Block") -> Callable:
+    """One launch of a staged outermost map."""
+    param, free = exp.lam.params[0], A.exp_uses(exp)
+
+    def run(ex: MemExecutor, env, width: int, dests) -> None:
         r = _Run(ex, width, ex._current_kernel(), {}, set(), env)
         venv = dict(env)
-        for name in self.free:
+        for name in free:
             v = venv.get(name)
             if v.__class__ is RuntimeArray:
                 venv[name] = _view_of(v, ex)
-        param = self.stmt.exp.lam.params[0]
         venv[param] = r.lanes
         r.weak.add(param)
-        vals = self.body.run(r, venv)
+        vals = body.run(r, venv)
         for dest, val in zip(dests, vals):
             if dest is not None:
                 _write_result(r, _fix0(_view_of(dest, ex), r.lanes), val)
 
-
-class VecEngine:
-    """Per-executor dispatch into the (possibly shared) plan table."""
-
-    def __init__(self, ex: MemExecutor, plans: Optional[Dict[int, object]] = None):
-        self.ex = ex
-        #: id(map stmt) -> :class:`MapPlan`, made at the statement's first
-        #: dispatch.  A Program passes a shared dict, so a body is staged
-        #: once per compiled function, not once per request.
-        self._plans: Dict[int, object] = plans if plans is not None else {}
-
-    # ------------------------------------------------------------------
-    # Entry point (called from MemExecutor._exec_map, real mode only)
-    # ------------------------------------------------------------------
-    def try_run_map(self, stmt: A.Let, exp: A.Map, env, width: int, dests) -> bool:
-        plan = self._plans.get(id(stmt))
-        if plan is None:
-            plan = self._plans[id(stmt)] = self._plan_map(stmt, exp)
-        if plan.body is None:
-            return False
-        plan.run(self.ex, env, width, dests)
-        return True
-
-    @staticmethod
-    def _plan_map(stmt: A.Let, exp: A.Map) -> MapPlan:
-        param = exp.lam.params[0]
-        try:
-            body = _Stager(param).block(exp.lam.body, False, (param,))
-        except Declined as why:
-            return MapPlan(
-                stmt, Decision("vectorize", why.rule, stmt.names[0], why.detail)
-            )
-        return MapPlan(stmt, body=body, free=A.exp_uses(exp))
+    return run
 
 
-# ----------------------------------------------------------------------
-# Planning and lowering: one walk
-# ----------------------------------------------------------------------
-class _Stager:
-    """The taint analysis, lowering each statement it accepts.
-
-    ``tainted``: scalars that may differ between lanes; ``lane_arrays``:
-    arrays that may; ``local_mems``: blocks allocated in the body;
-    ``visible``: names bound at this point of every launch (an
-    existential block of a compound result that is not among them is
-    bound from the result's value, as the interpreter binds it);
-    ``bindings``: the annotation each array of the body was made from."""
-
-    def __init__(self, param: str):
-        self.tainted = {param}
-        self.lane_arrays: set = set()
-        self.local_mems: set = set()
-        self.visible: set = set()
-        self.bindings: Dict[str, object] = {}
-
-    def block(self, block: A.Block, masked: bool, bound=()) -> "_Block":
-        outer = self.visible
-        self.visible = outer | set(bound)
-        steps, flops = [], 0
-        for stmt in block.stmts:
-            try:
-                steps.append(self.stmt(stmt, masked))
-            except Declined as why:
-                # Name the innermost statement the analysis stopped at.
-                raise Declined(
-                    why.rule, why.detail or f"at {stmt.names[0]}"
-                ) from None
-            if type(stmt.exp) in (A.BinOp, A.UnOp):
-                flops += scalar.OPS[stmt.exp.op].flops
-            self.visible.update(stmt.names)
-            for pe in stmt.pattern:
-                if pe.is_array() and pe.mem is not None:
-                    self.bindings[pe.name] = pe.mem
-        self.visible = outer
-        return _Block(steps, block.result, flops)
-
-    def _check_bindings(self, stmt: A.Let) -> None:
-        """Array bindings must have lane-uniform extents.
-
-        Offsets and strides may depend on the thread variable (that is the
-        whole point of short-circuited scratch buffers); the *shape* of a
-        region must not, or lanes would transfer different amounts.
-        """
-        for pe in stmt.pattern:
-            if pe.is_array():
-                b = binding_of(pe)
-                if b is None:
-                    raise Declined("array-without-binding")
-                self._uniform_shape(b)
-
-    def _uniform_shape(self, b) -> None:
-        for l in b.ixfn.lmads:
-            for d in l.dims:
-                if d.shape.free_vars() & self.tainted:
-                    raise Declined("lane-varying-shape")
-
-    def _lane_binding(self, pe) -> bool:
-        b = binding_of(pe)
-        return bool(b.ixfn.free_vars() & self.tainted) or b.mem in self.local_mems
-
-    def stmt(self, stmt: A.Let, masked: bool) -> "Step":
-        exp = stmt.exp
-        kind = type(exp)
-        name = stmt.names[0]
-        pe = stmt.pattern[0]
-        tainted, lane_arrays = self.tainted, self.lane_arrays
-
-        if kind is A.Lit:
-            return _scalar(name, _constant(_NP_TYPE[exp.dtype].type(exp.value)))
-        if kind is A.ScalarE:
-            if exp.expr.free_vars() & tainted:
-                tainted.add(name)
-            return _scalar(name, _evaluator(exp.expr))
-        if kind is A.BinOp or kind is A.UnOp:
-            if scalar.OPS[exp.op].lanes is None:
-                raise Declined(
-                    "not-bit-exact", f"{exp.op} has no bit-exact lane form"
-                )
-            if A.exp_uses(exp) & tainted:
-                tainted.add(name)
-            return (_binop if kind is A.BinOp else _unop)(name, exp)
-        if kind is A.VarRef and not pe.is_array():
-            if exp.name in tainted:
-                tainted.add(name)
-            return _alias(name, exp.name)
-        if kind is A.Index:
-            idx_vars = frozenset().union(*(i.free_vars() for i in exp.indices))
-            if (idx_vars & tainted) or exp.src in lane_arrays:
-                tainted.add(name)
-            return _index(name, exp)
-        if kind is A.Reduce or kind is A.ArgMin:
-            raise Declined("reduction-in-body")
-        if kind is A.If:
-            return self._if(stmt, exp, masked)
-        if kind not in _ARRAY_STEPS and kind not in (A.Alloc, A.Map, A.Loop):
-            raise Declined("unsupported-expression")
-
-        # What is left makes arrays or blocks: every lane must run it.
-        if masked:
-            raise Declined("masked-loop" if kind is A.Loop else "masked-array-stmt")
-        if kind is A.Alloc:
-            if exp.size.free_vars() & tainted:
-                raise Declined("lane-varying-shape")
-            self.local_mems.add(name)
-            return _alloc(name, exp)
-        if kind is A.Map:
-            return self._map(stmt, exp)
-        if kind is A.Loop:
-            return self._loop(stmt, exp)
-        self._check_bindings(stmt)
-        spec = getattr(exp, "spec", None)
-        extents = (
-            [exp.n] if kind is A.Iota else exp.shape if kind is A.Replicate
-            else [c for _, c, _ in spec.triplets] if isinstance(spec, A.TripletSpec)
-            else [d.shape for d in spec.lmad.dims] if isinstance(spec, A.LmadSpec)
-            else ()
-        )
-        if any(e.free_vars() & tainted for e in extents):
-            raise Declined("lane-varying-shape")
-        # A view or copy varies where its binding or its source does.
-        # Scratch contents get written per-lane later; replicate of a
-        # tainted value differs per lane; all are conservatively
-        # lane-varying unless provably uniform, which we never need.
-        src = exp.name if kind is A.VarRef else getattr(exp, "src", None)
-        if (
-            kind not in _VIEWS
-            or self._lane_binding(pe)
-            or src in lane_arrays
-        ):
-            lane_arrays.add(name)
-        if kind is A.Update:
-            # An update in place is made from its source's annotation: the
-            # source's view is the result's.
-            in_place = self.bindings.get(exp.src) == binding_of(pe)
-            return _update(name, pe, exp, in_place)
-        return _ARRAY_STEPS[kind](name, pe, exp)
-
-    def _map(self, stmt: A.Let, exp: A.Map) -> "Step":
-        # A nested map extends the lane space: width_outer x width_inner
-        # composite lanes, provided the inner width is lane-uniform.
-        if exp.width.free_vars() & self.tainted:
-            raise Declined("lane-varying-map-width")
-        self._check_bindings(stmt)
-        param = exp.lam.params[0]
-        self.tainted.add(param)
-        body = self.block(exp.lam.body, False, (param,))
-        for pe in stmt.pattern:
-            (self.lane_arrays if pe.is_array() else self.tainted).add(pe.name)
-        return _nested_map(stmt, exp, body)
-
-    def _loop(self, stmt: A.Let, exp: A.Loop) -> "Step":
-        if exp.count.free_vars() & self.tainted:
-            raise Declined("lane-varying-trip-count")
-        bound = [exp.index]
-        for prm, _init in exp.carried:
-            bound.append(prm.name)
-            b = binding_of(prm)
-            if not prm.is_array():
-                # Even a uniform initializer can become lane-varying
-                # through the body; taint conservatively.
-                self.tainted.add(prm.name)
-                continue
-            if b is not None:
-                self._uniform_shape(b)
-                bound.append(b.mem)
-                self.bindings[prm.name] = b
-            self.lane_arrays.add(prm.name)
-        body = self.block(exp.body, False, bound)
-        # A carried array's view is its parameter's annotation, re-derived
-        # each iteration -- unless the body's result was made from the
-        # same annotation under the same variables: then it is the view.
-        per_iteration = {exp.index, *(p.name for p, _ in exp.carried)} | {
-            n for s in iter_stmts(exp.body) for n in s.names
-        }
-        params = []
-        for (prm, _init), res in zip(exp.carried, exp.body.result):
-            b = binding_of(prm)
-            if not prm.is_array() or b is None:
-                params.append((prm.name, None, None, False))
-                continue
-            kept = self.bindings.get(res) == b and not (
-                (b.ixfn.free_vars() | {b.mem}) & per_iteration
-            )
-            params.append((prm.name, _view_maker(b, prm.type.dtype), b.mem, kept))
-        self._check_bindings(stmt)
-        results = self._results(stmt)
-        for pe in stmt.pattern:
-            (self.lane_arrays if pe.is_array() else self.tainted).add(pe.name)
-        return _loop(exp, params, body, results)
-
-    def _if(self, stmt: A.Let, exp: A.If, masked: bool) -> "Step":
-        arrays = any(pe.is_array() for pe in stmt.pattern)
-        if masked and arrays:
-            raise Declined("masked-array-stmt")
-        if A.operand_vars(exp.cond) & self.tainted:
-            # Lane-varying condition: masked execution of both
-            # branches.  Array-producing statements are forbidden
-            # inside (they would need per-lane shapes), and all
-            # results become lane vectors.
-            if arrays:
-                raise Declined("lane-varying-array-branch")
-            then = self.block(exp.then_block, True)
-            other = self.block(exp.else_block, True)
-            for pe in stmt.pattern:
-                self.tainted.add(pe.name)
-        else:
-            then = self.block(exp.then_block, masked)
-            other = self.block(exp.else_block, masked)
-            self._check_bindings(stmt)
-            for pe, tr, er in zip(
-                stmt.pattern, exp.then_block.result, exp.else_block.result
-            ):
-                if pe.is_array():
-                    self.lane_arrays.add(pe.name)
-                elif tr in self.tainted or er in self.tainted:
-                    self.tainted.add(pe.name)
-        return _if(stmt, exp, then, other, self._results(stmt))
-
-    def _results(self, stmt: A.Let) -> Callable:
-        """Binds a loop's or an ``if``'s results (see :func:`_bind_results`)."""
-        scalars, arrays = [], []
-        for k, pe in enumerate(stmt.pattern):
-            b = binding_of(pe)
-            if not pe.is_array():
-                scalars.append((k, pe.name))
-            elif b is None:
-                arrays.append((k, pe.name, None, None))
-            else:
-                exist = None if b.mem in self.visible else b.mem
-                arrays.append((k, pe.name, _view_maker(b, pe.type.dtype), exist))
-                self.visible.add(b.mem)
-        return functools.partial(_bind_results, scalars=scalars, arrays=arrays)
+def _stage(block: Block) -> "_Block":
+    return _Block(
+        [_STEPS[n.kind](n) for n in block.nodes], block.result, block.flops
+    )
 
 
 # ----------------------------------------------------------------------
@@ -698,7 +445,18 @@ def _scalar(name: str, value_of) -> Step:
     return step
 
 
-def _alias(name: str, src: str) -> Step:
+def _lit(node: Node) -> Step:
+    exp = node.exp
+    return _scalar(node.stmt.names[0], _constant(_NP_TYPE[exp.dtype].type(exp.value)))
+
+
+def _sym(node: Node) -> Step:
+    return _scalar(node.stmt.names[0], _evaluator(node.exp.expr))
+
+
+def _alias(node: Node) -> Step:
+    name, src = node.stmt.names[0], node.exp.name
+
     def step(r, env):
         v = env[name] = env[src]
         if v.__class__ is _nd:
@@ -728,64 +486,42 @@ def _form(op: str, key, vals, literal):
     return convs, kind is not None and kind[1]
 
 
-def _binop(name: str, exp: A.BinOp) -> Step:
+def _op(node: Node) -> Step:
+    """A row of the operator table, on uniform values or lane vectors."""
+    name, exp = node.stmt.names[0], node.exp
     op, row = exp.op, scalar.OPS[exp.op]
     on_scalars, on_lanes = row.scalar, row.lanes
-    x_of, xn = _operand(exp.x)
-    y_of, yn = _operand(exp.y)
-    literal = [not isinstance(o, (str, SymExpr)) for o in (exp.x, exp.y)]
+    args = (exp.x, exp.y) if type(exp) is A.BinOp else (exp.x,)
+    of = [_operand(a) for a in args]
+    literal = [not isinstance(a, (str, SymExpr)) for a in args]
     forms: dict = {}
 
     def step(r, env):
-        x, y = x_of(env), y_of(env)
-        x_lanes, y_lanes = x.__class__ is _nd, y.__class__ is _nd
-        if not (x_lanes or y_lanes):
-            env[name] = on_scalars(x, y)  # uniform: its type says its kind
+        vals = [f(env) for f, _ in of]
+        if not any(v.__class__ is _nd for v in vals):
+            env[name] = on_scalars(*vals)  # uniform: its type says its kind
             return
         # A lane vector: an index expression's is weak, a name's as marked.
         weak = r.weak
-        key = (
-            (x.dtype.char, xn is None or xn in weak) if x_lanes else x.__class__,
-            (y.dtype.char, yn is None or yn in weak) if y_lanes else y.__class__,
+        key = tuple(
+            (v.dtype.char, n is None or n in weak) if v.__class__ is _nd
+            else v.__class__
+            for v, (_, n) in zip(vals, of)
         )
         form = forms.get(key)
         if form is None:
-            form = forms[key] = _form(op, key, (x, y), literal)
-        (cx, cy), is_weak = form
-        env[name] = on_lanes(
-            x if cx is None else cx(x), y if cy is None else cy(y)
-        )
-        if is_weak:
-            weak.add(name)
-        else:
-            weak.discard(name)
+            form = forms[key] = _form(op, key, vals, literal)
+        convs, is_weak = form
+        env[name] = on_lanes(*[
+            v if c is None else c(v) for v, c in zip(vals, convs)
+        ])
+        _mark(weak, name, is_weak)
 
     return step
 
 
-def _unop(name: str, exp: A.UnOp) -> Step:
-    op, row = exp.op, scalar.OPS[exp.op]
-    on_scalars, on_lanes = row.scalar, row.lanes
-    x_of, xn = _operand(exp.x)
-    forms: dict = {}
-
-    def step(r, env):
-        x = x_of(env)
-        if x.__class__ is not _nd:
-            env[name] = on_scalars(x)
-            return
-        key = ((x.dtype.char, xn is None or xn in r.weak),)
-        form = forms.get(key)
-        if form is None:
-            form = forms[key] = _form(op, key, (x,), (False,))
-        (cx,), is_weak = form
-        env[name] = on_lanes(x if cx is None else cx(x))
-        _mark(r.weak, name, is_weak)
-
-    return step
-
-
-def _index(name: str, exp: A.Index) -> Step:
+def _index(node: Node) -> Step:
+    name, exp = node.stmt.names[0], node.exp
     src, idx_of = exp.src, [_evaluator(i) for i in exp.indices]
 
     def step(r, env):
@@ -799,7 +535,8 @@ def _index(name: str, exp: A.Index) -> Step:
 # ----------------------------------------------------------------------
 # Steps: arrays
 # ----------------------------------------------------------------------
-def _alloc(name: str, exp: A.Alloc) -> Step:
+def _alloc(node: Node) -> Step:
+    name, exp = node.stmt.names[0], node.exp
     size_of = _evaluator(exp.size)
     np_dtype, item = DTYPE_INFO[exp.dtype]
 
@@ -820,9 +557,15 @@ def _alloc(name: str, exp: A.Alloc) -> Step:
     return step
 
 
-def _view_step(name: str, pe: A.PatElem, exp) -> Step:
-    """A change of layout (or an alias): the annotation is the value."""
-    make = _view_maker(binding_of(pe), pe.type.dtype)
+def _dest(node: Node) -> Callable[[_Run, dict], _View]:
+    pe = node.stmt.pattern[0]
+    return _view_maker(binding_of(pe), pe.type.dtype)
+
+
+def _view_step(node: Node) -> Step:
+    """A change of layout, an alias or uninitialized scratch: the
+    annotation is the value."""
+    name, make = node.stmt.names[0], _dest(node)
 
     def step(r, env):
         env[name] = make(r, env)
@@ -830,11 +573,10 @@ def _view_step(name: str, pe: A.PatElem, exp) -> Step:
     return step
 
 
-def _fill(name: str, pe: A.PatElem, exp) -> Step:
-    if type(exp) is A.Scratch:  # uninitialized: nothing is written
-        return _view_step(name, pe, exp)
-    make = _view_maker(binding_of(pe), pe.type.dtype)
-    if type(exp) is A.Iota:
+def _fill(node: Node) -> Step:
+    name, exp, make = node.stmt.names[0], node.exp, _dest(node)
+    iota = type(exp) is A.Iota
+    if iota:
         n_of, np_dtype = _evaluator(exp.n), DTYPE_INFO[exp.dtype][0]
     else:
         value_of = _operand(exp.value)[0]
@@ -845,7 +587,7 @@ def _fill(name: str, pe: A.PatElem, exp) -> Step:
         offs = _region(dest, None, r.W)
         if offs.size:
             buf = r.ex.mem[dest.mem]
-            if type(exp) is A.Iota:
+            if iota:
                 buf[offs] = np.arange(int(n_of(env)), dtype=np_dtype)
             else:
                 val = value_of(env)
@@ -854,25 +596,25 @@ def _fill(name: str, pe: A.PatElem, exp) -> Step:
     return step
 
 
-def _copy_step(name: str, pe: A.PatElem, exp: A.Copy) -> Step:
-    make = _view_maker(binding_of(pe), pe.type.dtype)
+def _copy_step(node: Node) -> Step:
+    name, src, make = node.stmt.names[0], node.exp.src, _dest(node)
 
     def step(r, env):
         dest = make(r, env)
-        _copy(r, env[exp.src], dest)
+        _copy(r, env[src], dest)
         env[name] = dest
 
     return step
 
 
-def _concat(name: str, pe: A.PatElem, exp: A.Concat) -> Step:
-    make = _view_maker(binding_of(pe), pe.type.dtype)
+def _concat(node: Node) -> Step:
+    name, srcs, make = node.stmt.names[0], node.exp.srcs, _dest(node)
 
     def step(r, env):
         dest = env[name] = make(r, env)
         rest = [(0, n, 1) for n, _ in dest.dims[1:]]
         offset = 0
-        for s in exp.srcs:
+        for s in srcs:
             src = env[s]
             rows = src.dims[0][0]
             _copy(r, src, _slice(dest, [(offset, rows, 1)] + rest))
@@ -881,11 +623,11 @@ def _concat(name: str, pe: A.PatElem, exp: A.Concat) -> Step:
     return step
 
 
-def _update(name: str, pe: A.PatElem, exp: A.Update, in_place=False) -> Step:
-    make = (
-        (lambda r, env: env[exp.src]) if in_place
-        else _view_maker(binding_of(pe), pe.type.dtype)
-    )
+def _update(node: Node) -> Step:
+    name, exp = node.stmt.names[0], node.exp
+    # An update in place is made from its source's annotation: the
+    # source's view is the result's.
+    make = (lambda r, env: env[exp.src]) if node.facts else _dest(node)
     spec = exp.spec
     if isinstance(spec, A.PointSpec):
         idx_of = [_evaluator(i) for i in spec.indices]
@@ -924,21 +666,19 @@ def _update(name: str, pe: A.PatElem, exp: A.Update, in_place=False) -> Step:
     return sliced
 
 
-#: Statements whose value is their source's array, relaid out or copied.
-_VIEWS = (A.VarRef, A.SliceT, A.LmadSlice, A.Rearrange, A.Reshape, A.Reverse, A.Copy)
-#: ``kind -> factory(name, pattern element, exp)`` of the array steps.
-_ARRAY_STEPS = {
-    **dict.fromkeys(_VIEWS[:-1], _view_step),
-    A.Copy: _copy_step,
-    A.Iota: _fill, A.Replicate: _fill, A.Scratch: _fill,
-    A.Update: _update,
-    A.Concat: _concat,
-}
-
-
 # ----------------------------------------------------------------------
 # Steps: compound statements
 # ----------------------------------------------------------------------
+def _results(results) -> Callable:
+    """Binds a loop's or an ``if``'s results (see :func:`_bind_results`)."""
+    scalars = [(k, pe.name) for k, pe, _ in results if not pe.is_array()]
+    arrays = [
+        (k, pe.name, pe.mem and _view_maker(pe.mem, pe.type.dtype), exist)
+        for k, pe, exist in results if pe.is_array()
+    ]
+    return functools.partial(_bind_results, scalars=scalars, arrays=arrays)
+
+
 def _bind_results(r, env, vals, srcs, scalars, arrays) -> None:
     """Bind a loop's or an ``if``'s results: ``vals``, which its block
     bound to ``srcs``.  Scalars (existential blocks among them) first,
@@ -958,7 +698,7 @@ def _bind_results(r, env, vals, srcs, scalars, arrays) -> None:
         env[name] = make(r, env)
 
 
-def _nested_map(stmt: A.Let, exp: A.Map, body: _Block) -> Step:
+def _nested_map(node: Node) -> Step:
     """Execute a nested map by expanding to a composite lane space.
 
     With outer width ``W`` and (lane-uniform) inner width ``wi``, the
@@ -968,13 +708,15 @@ def _nested_map(stmt: A.Let, exp: A.Map, body: _Block) -> Step:
     the interpreter exactly: the nested map charges its own kernel entry
     and adds no launch (a multi-dimensional grid, not a separate kernel).
     """
+    stmt, exp = node.stmt, node.exp
+    site = label(stmt)
+    body = _stage(node.blocks[0])
     param = exp.lam.params[0]
     width_of = _evaluator(exp.width)
     makers = [
         _view_maker(binding_of(pe), pe.type.dtype) if pe.is_array() else None
         for pe in stmt.pattern
     ]
-    label = f"map:{'/'.join(stmt.names)}"
     # What the body reads of the enclosing lanes: operands, and the
     # variables of its binders' index functions.
     used = set(A.exp_uses(exp))
@@ -987,7 +729,7 @@ def _nested_map(stmt: A.Let, exp: A.Map, body: _Block) -> Step:
         ex, W = r.ex, r.W
         wi = int(width_of(env))
         dests = [m(r, env) if m is not None else None for m in makers]
-        ks = ex.stats.kernel("map", label)
+        ks = ex.stats.kernel("map", site)
         blocks = {m: np.repeat(base, wi) for m, base in r.blocks.items()}
         sub = _Run(ex, W * wi, ks, blocks, r.weak, r.host)
         senv = dict(env)
@@ -1015,9 +757,16 @@ def _nested_map(stmt: A.Let, exp: A.Map, body: _Block) -> Step:
     return step
 
 
-def _loop(exp: A.Loop, params, body: _Block, results) -> Step:
+def _loop(node: Node) -> Step:
     """A sequential loop, iterated on the host in the launch's one
-    environment (``params``: see :meth:`_Stager._loop`)."""
+    environment.  A carried array's view is its parameter's annotation,
+    re-derived each iteration -- unless the plan says it is ``kept``."""
+    exp, (_, carried, results) = node.exp, node.facts
+    body, results = _stage(node.blocks[0]), _results(results)
+    params = [
+        (prm.name, b and _view_maker(b, prm.type.dtype), b and b.mem, kept)
+        for prm, b, kept in carried
+    ]
     count_of = _evaluator(exp.count)
     index = exp.index
     inits = [init for _, init in exp.carried]
@@ -1043,13 +792,15 @@ def _loop(exp: A.Loop, params, body: _Block, results) -> Step:
     return step
 
 
-def _if(stmt: A.Let, exp: A.If, then: _Block, other: _Block, results) -> Step:
+def _if(node: Node) -> Step:
+    exp, names = node.exp, node.stmt.names
+    then, other = map(_stage, node.blocks)
+    results = _results(node.facts)
     cond_of = _operand(exp.cond)[0]
     branches = [
         (then, sorted(A.block_free_vars(exp.then_block))),
         (other, sorted(A.block_free_vars(exp.else_block))),
     ]
-    names = stmt.names
 
     def step(r, env):
         cond = cond_of(env)
@@ -1103,5 +854,12 @@ def _merge_masked(mask, tv, ev):
     return out
 
 
+#: Node kind -> the factory of its step.
+_STEPS = {
+    "lit": _lit, "sym": _sym, "op": _op, "alias": _alias, "read": _index,
+    "alloc": _alloc, "view": _view_step, "fill": _fill, "copy": _copy_step,
+    "concat": _concat, "update": _update, "map": _nested_map, "loop": _loop,
+    "if": _if,
+}
 _NP_TYPE = {d: np.dtype(np_name) for d, (np_name, _) in DTYPE_INFO.items()}
 _IR_DTYPE = {t.char: d for d, t in _NP_TYPE.items()}
