@@ -12,16 +12,26 @@ machine's speed falls on both sides alike.  Every run writes a file of
 its own; a run that leaves none (a worker crashed, or the run changed
 ``git status``) stops the script with exit status 1 and no
 ``OUT.json``.  perfbench requires that a run leave ``git status`` as it
-found it, and so does this script: its only output is ``OUT.json``.
+found it, so this script writes nothing until every run has finished.
+Then it writes ``OUT.json`` and appends one line per workload to
+``benchmarks/results/perf_history.jsonl``: the checkout's sha, its
+median of every end-to-end metric, and the line count of ``src/``.
 
 ``OUT.json`` has one schema.  Per workload, the ``[failed, attempted]``
 operations of every run, and per end-to-end metric of
 ``BENCHMARK.json``: every run's value on each side, both medians, the
 parent's quartiles, how many pairs the checkout won, whether every run of
 both sides gave the same value (``byte_equal``: the exact metrics must),
-and the ``verdict`` under the metric's bound -- ``worse`` when the
-checkout's median is worse than the parent's by more than the bound,
-else ``within bound``.
+and the ``verdict`` under the metric's bound, the benchmark's rule:
+
+* ``worse``: the checkout's median is worse than the parent's by more
+  than the bound;
+* ``gain``: the checkout won at least nine of ten pairs (a tie counts
+  for neither side) and its median is better by more than the parent's
+  interquartile spread;
+* ``unresolved``: the parent's interquartile spread is wider than the
+  bound, and not every checkout run beats every parent run;
+* ``within bound`` otherwise.
 
 On a two-core x86 box ten pairs of the four workloads take about 35
 minutes.  The exit status is 1 when any run failed an operation or any
@@ -47,9 +57,10 @@ SIDES = ("parent", "change")
 PAIRS = 10
 
 
-def git(*args: str, cwd: Path = ROOT) -> str:
+def git(*args: str, cwd: Path = None) -> str:
     return subprocess.run(
-        ["git", *args], cwd=cwd, check=True, capture_output=True, text=True
+        ["git", *args], cwd=cwd or ROOT, check=True, capture_output=True,
+        text=True,
     ).stdout.strip()
 
 
@@ -64,10 +75,26 @@ def quartiles(values: Sequence[float]) -> List[float]:
 def summarize(spec: dict, parent: List[float], change: List[float]) -> dict:
     """One metric's runs, medians, parent quartiles, wins and verdict."""
     lower = spec["better"] == "lower"
+
+    def beats(a, b):
+        return a < b if lower else a > b
+
     mp, mc = statistics.median(parent), statistics.median(change)
     worse_by = (mc - mp) if lower else (mp - mc)
     rel = worse_by / abs(mp) if mp else (0.0 if worse_by <= 0 else float("inf"))
-    wins = sum((c < p) if lower else (c > p) for p, c in zip(parent, change))
+    wins = sum(beats(c, p) for p, c in zip(parent, change))
+    q1, q3 = quartiles(parent)
+    spread = q3 - q1
+    if rel > spec["bound"]:
+        verdict = "worse"
+    elif 10 * wins >= 9 * len(parent) and -worse_by > spread:
+        verdict = "gain"
+    elif spread > spec["bound"] * abs(mp) and not all(
+        beats(c, p) for c in change for p in parent
+    ):
+        verdict = "unresolved"
+    else:
+        verdict = "within bound"
     return {
         "unit": spec["unit"],
         "better": spec["better"],
@@ -76,11 +103,32 @@ def summarize(spec: dict, parent: List[float], change: List[float]) -> dict:
         "change": change,
         "parent_median": mp,
         "change_median": mc,
-        "parent_quartiles": quartiles(parent),
+        "parent_quartiles": [q1, q3],
         "change_wins": wins,
         "byte_equal": len(set(map(repr, parent + change))) == 1,
-        "verdict": "worse" if rel > spec["bound"] else "within bound",
+        "verdict": verdict,
     }
+
+
+def src_lines(tree: Path) -> int:
+    return sum(
+        len(p.read_bytes().splitlines()) for p in (tree / "src").rglob("*.py")
+    )
+
+
+def append_history(report: dict, lines: int) -> None:
+    """One line per workload: the change, its medians, ``src/`` lines."""
+    path = ROOT / "benchmarks" / "results" / "perf_history.jsonl"
+    with path.open("a") as f:
+        for w, entry in report["workloads"].items():
+            f.write(json.dumps({
+                "sha": report["change"], "workload": w,
+                "medians": {
+                    name: m["change_median"]
+                    for name, m in entry["metrics"].items()
+                },
+                "src_lines": lines,
+            }) + "\n")
 
 
 def run_perfbench(tree: Path, workload: str, seed: int, out: Path) -> dict:
@@ -170,6 +218,7 @@ def main(argv: Sequence[str] = None) -> int:
         bad |= any(f for side in SIDES for f, _ in failed[side])
         bad |= any(m["verdict"] == "worse" for m in metrics.values())
     args.out.write_text(json.dumps(report, indent=1) + "\n")
+    append_history(report, src_lines(ROOT))
     for w, entry in report["workloads"].items():
         for name, m in entry["metrics"].items():
             print(f"{w:10s} {name:20s} {m['parent_median']:14.6g} "

@@ -10,12 +10,18 @@ same source disagree.  So every kernel of the seven benchmarks and of
 the native corpus is built both ways, and every launch's counter block
 and every buffer of the run must be byte-equal.
 
-A third build adds UndefinedBehaviorSanitizer (``-fsanitize=undefined
--fno-sanitize-recover=all``): the first undefined operation a kernel
-performs -- an out-of-bounds shift, a signed overflow, a misaligned
-load -- aborts the process with a report.  Those builds run in a child
-process per benchmark (``python -m tests.backend.test_native_optlevel
-<name>``), so a finding fails one test, not the session; the child
+Two more builds add a sanitizer.  UndefinedBehaviorSanitizer
+(``-fsanitize=undefined -fno-sanitize-recover=all``) aborts at the first
+undefined operation a kernel performs -- an out-of-bounds shift, a
+signed overflow, a misaligned load.  AddressSanitizer
+(``-fsanitize=address``) aborts at the first access outside a buffer,
+which guards the split launches' ``[T0, W)`` parts writing disjoint
+ranges of one block; its runtime must be the first library loaded, so
+that child starts with ``LD_PRELOAD`` naming the compiler's
+``libasan.so`` (and ``ASAN_OPTIONS=detect_leaks=0``: the interpreter
+itself leaks by design).  Those builds run in a child process per
+benchmark (``python -m tests.backend.test_native_optlevel <name>
+<sanitizer>``), so a finding fails one test, not the session; the child
 holds them to the production build byte for byte as well.
 """
 
@@ -48,7 +54,12 @@ BENCHMARKS = all_benchmarks()
 
 PRODUCTION = list(build.CC_FLAGS)
 O0 = ["-O0"] + PRODUCTION[1:]
-UBSAN = PRODUCTION + ["-fsanitize=undefined", "-fno-sanitize-recover=all"]
+SANITIZED = {
+    "undefined": PRODUCTION + [
+        "-fsanitize=undefined", "-fno-sanitize-recover=all"
+    ],
+    "address": PRODUCTION + ["-fsanitize=address"],
+}
 ROOT = Path(__file__).resolve().parents[2]
 
 
@@ -138,15 +149,24 @@ def test_corpus_kernels_agree_across_optimisation_levels(monkeypatch):
     assert launches >= 10
 
 
+@pytest.mark.parametrize("sanitizer", sorted(SANITIZED))
 @pytest.mark.parametrize("case", sorted(BENCHMARKS) + ["corpus"])
-def test_ubsan_build_finds_nothing_and_agrees(case):
+def test_sanitized_build_finds_nothing_and_agrees(case, sanitizer):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src"), str(ROOT)]
         + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
     )
+    if sanitizer == "address":
+        cc = build.find_cc()[0]
+        env["LD_PRELOAD"] = subprocess.run(
+            [cc, "-print-file-name=libasan.so"],
+            capture_output=True, text=True, check=True,
+        ).stdout.strip()
+        env["ASAN_OPTIONS"] = "detect_leaks=0"
     proc = subprocess.run(
-        [sys.executable, "-m", "tests.backend.test_native_optlevel", case],
+        [sys.executable, "-m", "tests.backend.test_native_optlevel",
+         case, sanitizer],
         cwd=ROOT, env=env, capture_output=True, text=True, timeout=900,
     )
     assert proc.returncode == 0, (proc.stdout + proc.stderr)[-4000:]
@@ -188,12 +208,13 @@ def test_aliasing_buffer_slots_keep_sequential_semantics(shift, monkeypatch):
 
 
 if __name__ == "__main__":
-    # The child of test_ubsan_build_finds_nothing_and_agrees: a UBSan
-    # finding aborts this process, a disagreement fails an assertion.
-    case = sys.argv[1]
+    # The child of test_sanitized_build_finds_nothing_and_agrees: a
+    # sanitizer finding aborts this process, a disagreement fails an
+    # assertion.
+    case, sanitizer = sys.argv[1:]
     with pytest.MonkeyPatch.context() as mp:
         launches = sum(
-            _assert_levels_agree(fun, inputs, mp, flags=UBSAN)[1]
+            _assert_levels_agree(fun, inputs, mp, flags=SANITIZED[sanitizer])[1]
             for fun, inputs in _programs(case)
         )
     assert launches or case == "locvolcalib"  # its one map is not lowered
