@@ -126,7 +126,7 @@ KEPT: Dict[Tuple[str, str], str] = {
     ("lmad/ixfun.py", "IndexFn.permute"): "language",
     ("lmad/lmad.py", "Lmad.permute"): "language",
     ("mem/vectorize.py", "_alias"): "language",
-    ("backend/cemit.py", "_Emitter._emit_alloc"): "item 7",
+    ("backend/cemit.py", "_Emitter._alloc"): "item 7",
     ("isl/terms.py", ""): "item 12",
     ("isl/bridge.py", ""): "item 12",
     ("analysis/races.py", "RaceChecker._composed_disjoint"): "item 12",

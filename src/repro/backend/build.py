@@ -31,6 +31,7 @@ from pathlib import Path
 from typing import Dict, Optional, Tuple
 
 from repro.backend.cemit import ABI_VERSION
+from repro.mem.kernel import RULES
 
 #: Flags chosen for bit-identity with NumPy: no fast-math, and FP
 #: contraction off -- a fused multiply-add changes f32 rounding versus
@@ -53,6 +54,7 @@ class BuildError(RuntimeError):
     ``detail`` what it said."""
 
     def __init__(self, rule: str, detail: str):
+        assert rule in RULES, rule
         super().__init__(f"{rule}: {detail}")
         self.rule = rule
         self.detail = detail

@@ -1,44 +1,31 @@
-"""Flat-loop C emission from post-pipeline memory IR (the native tier).
+"""The native tier's printer: a kernel plan as one flat C function.
 
-One outermost ``map`` statement becomes one C function: the thread space
-is an explicit ``for`` loop, LMAD index functions become inline affine
-address arithmetic, and a fused kernel -- whose producer statements are
-ordinary scalar statements of the consumer's body -- lowers to a
-genuinely single-loop body.  The emitter mirrors the *interpreted*
-executor statement by statement, in both value semantics and accounting:
-
-* **values** -- every scalar operator is its row of
-  :mod:`repro.ir.scalar`: the promotion, the C spelling, what the
-  spelling needs declared, and which operators have no bit-exact C form
-  and are declined (DESIGN.md section 7, "Scalar semantics").
-* **accounting** -- every simulated counter the interpreter would bump
-  (per-kernel bytes/flops, copy elisions, allocation counts) accumulates
-  in a local ``c<k>`` per used counter slot, flushed once at exit into
-  the flat ``C`` array of per-site slots that the engine folds back into
-  :class:`~repro.mem.stats.ExecStats`, so the native tier is
-  ``signature()``-identical to the other tiers and no loop stores to
-  memory on the counters' account.
+One outermost ``map`` statement -- its :class:`~repro.mem.kernel.Plan`
+-- becomes one C function: the thread space is an explicit ``for`` loop,
+LMAD index functions become inline affine address arithmetic, and a
+fused kernel lowers to a genuinely single-loop body.  It mirrors the
+interpreted executor in value semantics (every operator is its row of
+:mod:`repro.ir.scalar`) and in accounting: every simulated counter the
+interpreter would bump accumulates in a local ``c<k>`` per used slot,
+flushed once at exit into the flat ``C`` array of per-site slots the
+engine folds back into :class:`~repro.mem.stats.ExecStats`.
 
 The entry point (ABI v4) runs the thread range ``[T0, W)``, so a launch
 can be cut into contiguous parts (:func:`repro.backend.engine.fire`);
-``W`` bounds the thread loop and is read nowhere else.  It declares
-``ia``, ``fa``, ``bufs`` and ``C`` ``restrict``: four distinct
-allocations on every call path.  Nothing is claimed about ``bufs[i]``
-against ``bufs[j]``, which do alias in short-circuited kernels.
+``W`` bounds the thread loop and is read nowhere else.  ``ia``, ``fa``,
+``bufs`` and ``C`` are ``restrict``: four distinct allocations on every
+call path (nothing is claimed about ``bufs[i]`` against ``bufs[j]``,
+which alias in short-circuited kernels).
 
-Emission is *launch-specialized but shape-generic*: it happens on the
-first launch of a statement (when the runtime environment reveals each
-free array's index-function structure and each free scalar's kind) and
-the resulting function is reused for every later launch, receiving
-widths, scalars and LMAD components as arguments -- except components
-that are integers in the array's declared binding (a row-major unit
-stride), which are printed as literals and checked per launch by the
-engine.  Any construct outside
-the supported set raises :class:`~repro.decisions.Declined` -- rule
-``unsupported``, or ``not-bit-exact`` where C has the operation but not
-NumPy's bits -- with the construct named in its detail, and the
-statement permanently falls back to the vectorized/interpreted tiers --
-dispatch stays per-statement, exactly like the vectorized planner.
+Printing is *launch-specialized but shape-generic*: it happens at the
+first launch (which reveals each free array's index-function structure
+and each free scalar's kind) and the function serves every later launch,
+receiving widths, scalars and LMAD components as arguments -- except
+components that are integers in the array's declared binding, printed
+as literals and checked per launch by the engine.  A construct this
+launch gives no C form raises :class:`~repro.decisions.Declined` under a
+rule of :data:`repro.mem.kernel.RULES`, and the statement falls back to
+the vectorized tier for good.
 """
 
 from __future__ import annotations
@@ -54,10 +41,9 @@ from repro.symbolic import SymExpr
 
 from repro.ir import ast as A
 from repro.ir import scalar
-from repro.ir.ast import Fun  # noqa: F401  (re-exported for annotations)
 from repro.ir.interp import InterpError
 from repro.ir.types import DTYPE_INFO
-from repro.mem.kernel import Block, Plan, declined, label
+from repro.mem.kernel import Block, Plan, declined, elision_guard, label
 from repro.mem.memir import array_bindings, binding_of
 
 #: Counter slots per site: [entered, bytes_read, bytes_written, flops,
@@ -179,15 +165,10 @@ def _c_lit(value, dtype: str) -> str:
         return _c_int(int(value))
     if dtype == "bool":
         return "1" if value else "0"
-    if dtype == "f32":
-        d = float(np.float32(value))
-        if not np.isfinite(d):
-            raise declined("unsupported", "non-finite literal")
-        return f"((float){d!r})"
-    d = float(value)
+    d = float(np.float32(value) if dtype == "f32" else value)
     if not np.isfinite(d):
         raise declined("unsupported", "non-finite literal")
-    return f"({d!r})"
+    return f"((float){d!r})" if dtype == "f32" else f"({d!r})"
 
 
 # Index arithmetic: integer literals are folded here (so C never does
@@ -309,28 +290,18 @@ class _Emitter:
         self.counters.add(k)
         self.emit(f"c{k} += {expr};")
 
-    def _space_slot(self, mem: MemObj, write: bool) -> Optional[int]:
-        """Extra counter slot when ``mem`` lives in a non-HBM space."""
+    def charge_rw(self, site: int, mem: MemObj, write: bool, n) -> None:
+        """A read or write of ``n`` bytes -- pended when a constant --
+        with its attribution to a non-HBM space's slot."""
+        slots = [2 if write else 1]
         pair = SPACE_SLOTS.get(self.buf_space[mem.buf])
-        if pair is None:
-            return None
-        return pair[1] if write else pair[0]
-
-    def pend_rw(self, site: int, mem: MemObj, write: bool, n: int) -> None:
-        """Constant-sized read/write charge with space attribution."""
-        self.pend(site, 2 if write else 1, n)
-        extra = self._space_slot(mem, write)
-        if extra is not None:
-            self.pend(site, extra, n)
-
-    def charge_rw(
-        self, site: int, mem: MemObj, write: bool, expr: str
-    ) -> None:
-        """Expression-sized read/write charge with space attribution."""
-        self.charge(site, 2 if write else 1, expr)
-        extra = self._space_slot(mem, write)
-        if extra is not None:
-            self.charge(site, extra, expr)
+        if pair is not None:
+            slots.append(pair[write])
+        for slot in slots:
+            if isinstance(n, int):
+                self.pend(site, slot, n)
+            else:
+                self.charge(site, slot, n)
 
     def check_scope(self, *ids: int) -> None:
         for s in ids:
@@ -509,10 +480,6 @@ class _Emitter:
             lmads.append(CLmad(off, dims))
         return CArr(obj, dtype, lmads, scope=self.cur_scope)
 
-    def use(self, arr: CArr) -> CArr:
-        self.check_scope(arr.scope, arr.mem.scope)
-        return arr
-
     # -- addressing -----------------------------------------------------
     def size_c(self, arr: CArr) -> str:
         """Element count of the visible (inner) region, as a C local."""
@@ -595,10 +562,6 @@ class _Emitter:
             sv = scope.get(op)
             if sv is None:
                 return self._host_scalar(op)
-            if not isinstance(sv, SVal):
-                raise declined(
-                    "unsupported", f"array operand {op!r} in scalar position"
-                )
             self.check_scope(sv.scope)
             return sv
         if isinstance(op, SymExpr):
@@ -633,19 +596,23 @@ class _Emitter:
         return self._host_scalar(name)
 
     def array_value(self, name: str, scope, memenv) -> CArr:
-        return self.use(self.value_of(name, scope, memenv))
+        arr = self.value_of(name, scope, memenv)
+        self.check_scope(arr.scope, arr.mem.scope)
+        return arr
+
+    def relaid(self, arr: CArr, offset: str, dims) -> CArr:
+        """``arr`` with another inner LMAD."""
+        return CArr(
+            arr.mem, arr.dtype, list(arr.lmads[:-1]) + [CLmad(offset, dims)],
+            scope=self.cur_scope,
+        )
 
     def fix0(self, arr: CArr, idx: str) -> CArr:
         inner = arr.inner
         if inner.rank < 1:
             raise declined("unsupported", "fixing a dimension of a rank-0 view")
-        fixed = CLmad(
-            _add(inner.offset, _mul(idx, inner.dims[0][1])),
-            list(inner.dims[1:]),
-        )
-        return CArr(
-            arr.mem, arr.dtype, list(arr.lmads[:-1]) + [fixed],
-            scope=self.cur_scope,
+        return self.relaid(
+            arr, _add(inner.offset, _mul(idx, inner.dims[0][1])), inner.dims[1:]
         )
 
     def emit_block(self, block: Block, scope, memenv, site: int):
@@ -719,15 +686,11 @@ class _Emitter:
                 raise declined("unsupported", "concat of a rank-0 view")
             rows = self.fresh("rw")
             self.emit(f"long long {rows} = {src.inner.dims[0][0]};")
-            region = CLmad(
-                _add(inner.offset, _mul(co, inner.dims[0][1])),
+            region = self.relaid(
+                dest, _add(inner.offset, _mul(co, inner.dims[0][1])),
                 [(rows, inner.dims[0][1])] + list(inner.dims[1:]),
             )
-            rarr = CArr(
-                dest.mem, dest.dtype,
-                list(dest.lmads[:-1]) + [region], scope=self.cur_scope,
-            )
-            self.emit_copy(src, rarr, site)
+            self.emit_copy(src, region, site)
             self.emit(f"{co} += {rows};")
         scope[pe.name] = dest
 
@@ -735,7 +698,7 @@ class _Emitter:
         exp = node.exp
         src = self.array_value(exp.src, scope, memenv)
         idx = [self.sym_c(i, scope) for i in exp.indices]
-        self.pend_rw(site, src.mem, False, src.itemsize)
+        self.charge_rw(site, src.mem, False, src.itemsize)
         off = self.point_offset(src, idx)
         n = self.fresh()
         self.emit(f"{_CTYPE[src.dtype]} {n} = {self.addr(src, off)};")
@@ -745,24 +708,21 @@ class _Emitter:
 
     # -- copies ---------------------------------------------------------
     def emit_copy(self, src: CArr, dst: CArr, site: int) -> None:
-        """The interpreter's copy rule: elided when (block, index fn)
-        coincide -- concrete index functions compare componentwise."""
-        src, dst = self.use(src), self.use(dst)
+        """A copy behind its elision guard, tested at run time (concrete
+        index functions compare componentwise)."""
+        self.check_scope(src.scope, src.mem.scope, dst.scope, dst.mem.scope)
         ssz, dsz = self.size_c(src), self.size_c(dst)
         snb = f"{ssz}*{src.itemsize}"
         dnb = f"{dsz}*{dst.itemsize}"
-        structural = len(src.lmads) == len(dst.lmads) and all(
-            a.rank == b.rank for a, b in zip(src.lmads, dst.lmads)
+        pairs = elision_guard(
+            [(l.offset, l.dims) for l in src.lmads],
+            [(l.offset, l.dims) for l in dst.lmads],
         )
-        if structural:
-            pairs = [
+        if pairs is not None:
+            pairs[:0] = [
                 (f"bufs[{src.mem.buf}]", f"bufs[{dst.mem.buf}]"),
                 (src.mem.base, dst.mem.base),
             ]
-            for a, b in zip(src.lmads, dst.lmads):
-                pairs.append((a.offset, b.offset))
-                for dim_a, dim_b in zip(a.dims, b.dims):
-                    pairs.extend(zip(dim_a, dim_b))
             # Textually equal sides are equal values: nothing to test.
             conds = [f"{a} == {b}" for a, b in pairs if a != b]
             el = self.fresh("el")
@@ -780,7 +740,7 @@ class _Emitter:
         doff = self.elem_offset(dst, ev)
         self.emit(f"{self.addr(dst, doff)} = {self.addr(src, soff)};")
         self.close_block()
-        if structural:
+        if pairs is not None:
             self.close_block()
 
     # -- allocation -----------------------------------------------------
@@ -814,7 +774,7 @@ class _Emitter:
         spec = exp.spec
         if isinstance(spec, A.PointSpec):
             idx = [self.sym_c(i, scope) for i in spec.indices]
-            self.pend_rw(site, result.mem, True, result.itemsize)
+            self.charge_rw(site, result.mem, True, result.itemsize)
             off = self.point_offset(result, idx)
             val = self.operand(exp.value, scope)
             self.emit(
@@ -832,11 +792,7 @@ class _Emitter:
                 dims.append(
                     (self.sym_c(b, scope), _mul(self.sym_c(c, scope), st))
                 )
-            region = CArr(
-                result.mem, result.dtype,
-                list(result.lmads[:-1]) + [CLmad(_add(*off_terms), dims)],
-                scope=self.cur_scope,
-            )
+            region = self.relaid(result, _add(*off_terms), dims)
             value = self.array_value(exp.value, scope, memenv)
             self.emit_copy(value, region, site)
         scope[pe.name] = result
@@ -877,7 +833,7 @@ class _Emitter:
             if isinstance(val, CArr):
                 self.emit_copy(val, region, site)
                 continue
-            self.pend_rw(site, dest.mem, True, dest.itemsize)
+            self.charge_rw(site, dest.mem, True, dest.itemsize)
             off = self.point_offset(region, ["0"] * region.inner.rank)
             self.emit(
                 f"{self.addr(region, off)} = "

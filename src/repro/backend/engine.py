@@ -52,7 +52,7 @@ from repro.decisions import DecisionLog, Declined
 from repro.ir import scalar
 from repro.ir.interp import InterpError, eval_sym
 from repro.ir.types import DTYPE_INFO
-from repro.mem.kernel import native_rule
+from repro.mem.kernel import declined, native_rule
 
 #: Plan sentinel: no kernel for this statement (``NativeEngine.declined``
 #: holds the reason under the statement's binding name).
@@ -281,7 +281,7 @@ def _eval_int(expr, env) -> int:
     if isinstance(v, (bool, np.bool_)):
         return int(v)
     if not isinstance(v, (int, np.integer)):
-        raise Declined("structure-changed", "non-integer symbolic value")
+        raise declined("structure-changed", "non-integer symbolic value")
     return int(v)
 
 
@@ -414,16 +414,16 @@ class NativeEngine:
                 _, source, ranks, dtype, lits = d
                 ra = self._source_array(source, env, dests)
                 if ra.dtype != dtype:
-                    raise Declined("structure-changed", "array dtype changed")
+                    raise declined("structure-changed", "array dtype changed")
                 if tuple(len(l.dims) for l in ra.ixfn.lmads) != ranks:
-                    raise Declined(
+                    raise declined(
                         "structure-changed", "index-function structure changed"
                     )
                 for comp, lit in zip(components(ra.ixfn), lits):
                     v = self._concrete(comp)
                     if lit is not None and v != lit:
                         # The C text holds ``lit`` where this launch has v.
-                        raise Declined(
+                        raise declined(
                             "structure-changed",
                             f"literal index component {lit} is now {v}",
                         )
@@ -465,13 +465,13 @@ class NativeEngine:
     def _scalar(env, name, kind, want_int):
         v = env.get(name)
         if v is None and name not in env:
-            raise Declined("structure-changed", f"free variable {name!r} vanished")
+            raise declined("structure-changed", f"free variable {name!r} vanished")
         try:
             ok = scalar.kind_of(v) == kind
         except TypeError:
             ok = False
         if not ok:
-            raise Declined("structure-changed", f"scalar kind of {name!r} changed")
+            raise declined("structure-changed", f"scalar kind of {name!r} changed")
         return int(v) if want_int else float(v)
 
     @staticmethod
@@ -481,19 +481,19 @@ class NativeEngine:
         tag, key = source
         ra = env.get(key) if tag == "env" else dests[key]
         if not isinstance(ra, RuntimeArray):
-            raise Declined("structure-changed", "array argument vanished")
+            raise declined("structure-changed", "array argument vanished")
         return ra
 
     @staticmethod
     def _concrete(expr) -> int:
         v = expr.as_int()
         if v is None:
-            raise Declined("structure-changed", "symbolic index-function component")
+            raise declined("structure-changed", "symbolic index-function component")
         return v
 
     @staticmethod
     def _buffer(ex, mem, env) -> np.ndarray:
         buf = ex.mem[ex._resolve_mem(mem, env)]
         if not isinstance(buf, np.ndarray):
-            raise Declined("structure-changed", "memory block is not materialized")
+            raise declined("structure-changed", "memory block is not materialized")
         return buf

@@ -44,6 +44,13 @@ RULES = {
     "lane-varying-array-branch": "an array-valued if on a per-thread condition",
     "masked-loop": "a loop under a per-thread condition",
     "masked-array-stmt": "an array statement under a per-thread condition",
+    # The native tier at a launch, and its toolchain.
+    "structure-changed": "a launch whose structure differs from the first's",
+    "interp-error": "a launch the kernel's arguments cannot be made for",
+    "internal-error": "the C printer crashed (a bug: no test run may show it)",
+    "no-cc": "no C compiler",
+    "cc-failed": "the C compiler exited nonzero",
+    "so-unloadable": "the built shared object does not load",
 }
 
 
@@ -110,6 +117,24 @@ class Plan:
     def __init__(self, stmt: A.Let, root: Block):
         self.stmt, self.root = stmt, root
         self.declined = self.body = None
+
+
+def elision_guard(src, dst) -> Optional[list]:
+    """The copy rule, shared by every tier: a copy is elided when source
+    and destination are one block under one index function.  For two
+    views' LMADs (``(offset, ((shape, stride), ...))`` each, memory side
+    first), the component pairs that must all be equal -- or None where
+    the structures differ, so they never coincide."""
+    if len(src) != len(dst) or any(
+        len(a[1]) != len(b[1]) for a, b in zip(src, dst)
+    ):
+        return None
+    pairs = []
+    for (off_a, dims_a), (off_b, dims_b) in zip(src, dst):
+        pairs.append((off_a, off_b))
+        for dim_a, dim_b in zip(dims_a, dims_b):
+            pairs.extend(zip(dim_a, dim_b))
+    return pairs
 
 
 def lower(stmt: A.Let, exp: A.Map) -> Plan:

@@ -41,7 +41,9 @@ from repro.ir import scalar
 from repro.ir.interp import InterpError
 from repro.ir.types import DTYPE_INFO
 from repro.mem.exec import MemExecutor, MemRef, RuntimeArray
-from repro.mem.kernel import Block, Node, Plan, label, lower, vector_rule
+from repro.mem.kernel import (
+    Block, Node, Plan, elision_guard, label, lower, vector_rule,
+)
 from repro.mem.memir import binders, binding_of, iter_stmts
 from repro.symbolic import SymExpr
 
@@ -362,23 +364,18 @@ def _expand(v: _View, wi: int) -> _View:
 def _coincide(src: _View, dst: _View):
     """Which lanes' source and destination coincide: None (none), True
     (all) or a bool lane vector."""
-    if src.mem != dst.mem or len(src.outer) != len(dst.outer):
+    pairs = src.mem == dst.mem and elision_guard(src.lmads(), dst.lmads())
+    if not pairs:
         return None
     same = True
-    for (os_, ds), (od, dd) in zip(src.lmads(), dst.lmads()):
-        if len(ds) != len(dd):
-            return None
-        pairs = [(os_, od)]
-        for (ns, ss), (nd, sd) in zip(ds, dd):
-            pairs += [(ns, nd), (ss, sd)]
-        for a, b in pairs:
-            eq = a == b
-            if eq.__class__ is _nd:
-                same = eq if same is True else same & eq
-                if not same.any():
-                    return None
-            elif not eq:
+    for a, b in pairs:
+        eq = a == b
+        if eq.__class__ is _nd:
+            same = eq if same is True else same & eq
+            if not same.any():
                 return None
+        elif not eq:
+            return None
     return same
 
 
