@@ -1,14 +1,15 @@
 """Native codegen executor tier: memory IR -> C -> cached shared objects.
 
-The third executor tier.  :mod:`repro.backend.cemit` lowers one
-outermost ``map`` statement -- post-pipeline, memory-annotated, LMAD
-index functions and all -- to a single flat C translation unit whose
-loops mirror the interpreter's thread walk and whose counter stores
-mirror its :class:`~repro.mem.stats.ExecStats` accounting exactly.
+The third executor tier.  :mod:`repro.backend.cemit` prints the kernel
+plan of one outermost ``map`` statement (:mod:`repro.mem.kernel`: the
+one lowering both fast tiers read, post-pipeline, LMAD index functions
+and all) as a single flat C translation unit whose loops mirror the
+interpreter's thread walk and whose counter stores mirror its
+:class:`~repro.mem.stats.ExecStats` accounting exactly.
 :mod:`repro.backend.build` compiles and caches the shared objects;
 :mod:`repro.backend.engine` marshals launches and falls back to the
-vectorized/interpreted tiers per statement (emission declined, or the
-toolchain failed) or per launch (structure changed).
+vectorized/interpreted tiers per statement (``kernel.native_rule`` or
+the printer declined, or the toolchain failed) or per launch (structure changed).
 
 ``REPRO_NATIVE=off`` (or ``0``) disables the tier globally; a missing C
 compiler disables it with a one-line warning.  A C compiler that is

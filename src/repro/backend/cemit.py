@@ -841,11 +841,11 @@ class _Emitter:
             )
 
     def _loop(self, node, scope, memenv, site) -> None:
-        exp, (_, params, results) = node.exp, node.facts
+        exp = node.exp
         cnt = self.fresh("n")
         self.emit(f"long long {cnt} = {self.sym_c(exp.count, scope)};")
         carried = []
-        for (prm, b, _), (_, initname) in zip(params, exp.carried):
+        for (prm, b, _), (_, initname) in zip(node.params, exp.carried):
             val = self.value_of(initname, scope, memenv)
             if prm.is_array():
                 self.check_scope(val.scope, val.mem.scope)
@@ -895,7 +895,7 @@ class _Emitter:
             for (_, v, _, _), nv in zip(carried, vals)
         ]
         finals.extend(vals[len(carried):])
-        self._bind_results(results, finals, scope, memenv)
+        self._bind_results(node.results, finals, scope, memenv)
 
     def _bind_results(self, results, vals, scope, memenv) -> None:
         """Scalars (existential blocks among them) first, then arrays,
@@ -940,7 +940,7 @@ class _Emitter:
             SVal(t, v.dtype, v.weak, mutable=True, scope=self.cur_scope)
             for t, v in zip(temps, tvals)
         ]
-        self._bind_results(node.facts, results, scope, memenv)
+        self._bind_results(node.results, results, scope, memenv)
 
 
 # ----------------------------------------------------------------------

@@ -7,8 +7,9 @@ quantity bit-identical to the interpreted walk -- and returns ``True``,
 or touches nothing and returns ``False`` so the executor falls through
 to the vectorized/interpreted tiers.
 
-The first launch of a statement drives :func:`repro.backend.cemit.
-emit_kernel` over the kernel subtree, producing launch-*structure*-
+The first launch of a statement prints its kernel plan
+(:mod:`repro.mem.kernel`, shared with the vectorized tier) with
+:func:`repro.backend.cemit.emit_kernel`, producing launch-*structure*-
 specialized C plus a list of argument directives (which host scalars,
 symbolic expressions, index-function components, and buffers to marshal
 per launch).  The compiled entry point is cached by source digest

@@ -84,20 +84,25 @@ class Block:
 
 class Node:
     """One statement.  ``blocks``: a map's body, a loop's body, an if's
-    two branches.  ``facts``: per kind -- ``update``: writes in place;
-    ``alloc``/``map``/``loop``: its size or count is launch-evaluable;
-    ``loop``: ``(params, results)``; ``if``: ``results``.  A loop's
-    ``params`` are ``(parameter, annotation, kept)`` per carried one
-    (``kept``: the body's result is made from the parameter's own
-    annotation under no per-iteration variable, so it is the view); a
-    compound statement's ``results`` are ``(position, pattern element,
-    existential block or None)``."""
+    two branches.  ``in_place``: an update is made from its source's own
+    annotation.  ``launch``: an allocation's size, a map's width or a
+    loop's count can be evaluated at launch.  ``params``: per carried
+    loop parameter ``(parameter, annotation, kept)`` (``kept``: the
+    body's result is made from the parameter's own annotation under no
+    per-iteration variable, so it is the view).  ``results``: per
+    pattern element of a loop or an if ``(position, element, the
+    existential block it binds or None)``."""
 
-    __slots__ = ("kind", "stmt", "exp", "blocks", "facts")
+    __slots__ = (
+        "kind", "stmt", "exp", "blocks", "in_place", "launch", "params",
+        "results",
+    )
 
-    def __init__(self, kind, stmt, blocks=(), facts=None):
-        self.kind, self.stmt, self.exp = kind, stmt, stmt.exp
-        self.blocks, self.facts = blocks, facts
+    def __init__(self, kind, stmt, blocks=(), in_place=False, launch=True,
+                 params=(), results=()):
+        self.kind, self.stmt, self.exp, self.blocks = kind, stmt, stmt.exp, blocks
+        self.in_place, self.launch = in_place, launch
+        self.params, self.results = params, results
 
 
 
@@ -173,19 +178,20 @@ class _Lowering:
         if kind == "other" and type(exp) is A.VarRef:
             kind = "view" if stmt.pattern[0].is_array() else "alias"
         if kind == "update":
-            return Node(kind, stmt, facts=(
+            return Node(kind, stmt, in_place=(
                 self.bindings.get(exp.src) == binding_of(stmt.pattern[0])
             ))
         if kind == "alloc":
-            return Node(kind, stmt, facts=self.launch(exp.size))
+            return Node(kind, stmt, launch=self.launch(exp.size))
         if kind == "map":
             launch = self.launch(exp.width)
-            return Node(kind, stmt, (self.block(exp.lam.body, exp.lam.params[:1]),), launch)
+            body = self.block(exp.lam.body, exp.lam.params[:1])
+            return Node(kind, stmt, (body,), launch=launch)
         if kind == "loop":
             return self.loop(stmt, exp)
         if kind == "if":
             blocks = (self.block(exp.then_block), self.block(exp.else_block))
-            return Node(kind, stmt, blocks, self.results(stmt))
+            return Node(kind, stmt, blocks, results=self.results(stmt))
         return Node(kind, stmt)
 
     def loop(self, stmt: A.Let, exp: A.Loop) -> Node:
@@ -208,7 +214,10 @@ class _Lowering:
                 (b.ixfn.free_vars() | {b.mem}) & per_iteration
             )
             params.append((prm, b, kept))
-        return Node("loop", stmt, (body,), (launch, params, self.results(stmt)))
+        return Node(
+            "loop", stmt, (body,), launch=launch, params=params,
+            results=self.results(stmt),
+        )
 
     def results(self, stmt: A.Let) -> list:
         out = []
@@ -421,14 +430,12 @@ def _native_block(block: Block, path: List[Optional[bool]]) -> Optional[Declined
                 why = declined("unsupported", "allocation under a data-dependent branch")
             elif not all(path):
                 why = declined("unsupported", "allocation under a non-launch-evaluable loop")
-            elif not node.facts:
+            elif not node.launch:
                 why = declined("unsupported", "allocation size not launch-evaluable")
         elif kind == "if" and any(pe.is_array() for pe in node.stmt.pattern):
             why = declined("unsupported", "non-scalar if result inside a kernel")
+        level = None if kind == "if" else node.launch
         for sub in node.blocks:
-            level = None if kind == "if" else (
-                node.facts if kind == "map" else node.facts[0]
-            )
             why = why or _native_block(sub, path + [level])
         if why is not None:
             return why

@@ -431,8 +431,13 @@ def _mark(weak: set, name: str, is_weak: bool) -> None:
     (weak.add if is_weak else weak.discard)(name)
 
 
-def _scalar(name: str, value_of) -> Step:
+def _scalar(node: Node) -> Step:
     """A literal or an index expression (its lane vectors are weak)."""
+    name, exp = node.stmt.names[0], node.exp
+    value_of = (
+        _constant(_NP_TYPE[exp.dtype].type(exp.value)) if type(exp) is A.Lit
+        else _evaluator(exp.expr)
+    )
 
     def step(r, env):
         v = env[name] = value_of(env)
@@ -440,15 +445,6 @@ def _scalar(name: str, value_of) -> Step:
             r.weak.add(name)
 
     return step
-
-
-def _lit(node: Node) -> Step:
-    exp = node.exp
-    return _scalar(node.stmt.names[0], _constant(_NP_TYPE[exp.dtype].type(exp.value)))
-
-
-def _sym(node: Node) -> Step:
-    return _scalar(node.stmt.names[0], _evaluator(node.exp.expr))
 
 
 def _alias(node: Node) -> Step:
@@ -624,7 +620,7 @@ def _update(node: Node) -> Step:
     name, exp = node.stmt.names[0], node.exp
     # An update in place is made from its source's annotation: the
     # source's view is the result's.
-    make = (lambda r, env: env[exp.src]) if node.facts else _dest(node)
+    make = (lambda r, env: env[exp.src]) if node.in_place else _dest(node)
     spec = exp.spec
     if isinstance(spec, A.PointSpec):
         idx_of = [_evaluator(i) for i in spec.indices]
@@ -758,11 +754,10 @@ def _loop(node: Node) -> Step:
     """A sequential loop, iterated on the host in the launch's one
     environment.  A carried array's view is its parameter's annotation,
     re-derived each iteration -- unless the plan says it is ``kept``."""
-    exp, (_, carried, results) = node.exp, node.facts
-    body, results = _stage(node.blocks[0]), _results(results)
+    exp, body, results = node.exp, _stage(node.blocks[0]), _results(node.results)
     params = [
         (prm.name, b and _view_maker(b, prm.type.dtype), b and b.mem, kept)
-        for prm, b, kept in carried
+        for prm, b, kept in node.params
     ]
     count_of = _evaluator(exp.count)
     index = exp.index
@@ -792,7 +787,7 @@ def _loop(node: Node) -> Step:
 def _if(node: Node) -> Step:
     exp, names = node.exp, node.stmt.names
     then, other = map(_stage, node.blocks)
-    results = _results(node.facts)
+    results = _results(node.results)
     cond_of = _operand(exp.cond)[0]
     branches = [
         (then, sorted(A.block_free_vars(exp.then_block))),
@@ -853,7 +848,7 @@ def _merge_masked(mask, tv, ev):
 
 #: Node kind -> the factory of its step.
 _STEPS = {
-    "lit": _lit, "sym": _sym, "op": _op, "alias": _alias, "read": _index,
+    "lit": _scalar, "sym": _scalar, "op": _op, "alias": _alias, "read": _index,
     "alloc": _alloc, "view": _view_step, "fill": _fill, "copy": _copy_step,
     "concat": _concat, "update": _update, "map": _nested_map, "loop": _loop,
     "if": _if,
