@@ -9,7 +9,8 @@ interpreter's thread walk and whose counter stores mirror its
 :mod:`repro.backend.build` compiles and caches the shared objects;
 :mod:`repro.backend.engine` marshals launches and falls back to the
 vectorized/interpreted tiers per statement (``kernel.native_rule`` or
-the printer declined, or the toolchain failed) or per launch (structure changed).
+the printer declined, or the toolchain failed) or per launch (structure
+changed).
 
 ``REPRO_NATIVE=off`` (or ``0``) disables the tier globally; a missing C
 compiler disables it with a one-line warning.  A C compiler that is

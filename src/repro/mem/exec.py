@@ -41,6 +41,7 @@ from repro.ir import ast as A
 from repro.ir.interp import InterpError, bind_shape_vars, eval_sym
 from repro.ir.scalar import OPS, REDUCTIONS
 from repro.ir.types import ArrayType, DTYPE_INFO
+from repro.mem.kernel import label
 from repro.mem.memir import MemBinding, binding_of
 from repro.mem.stats import ExecStats, KernelStat
 
@@ -823,7 +824,7 @@ class MemExecutor:
         # A map nested inside another map is part of the same GPU kernel
         # (a multi-dimensional grid), not a separate launch.
         nested = bool(self._kernel_stack)
-        ks = self.stats.kernel("map", f"map:{'/'.join(stmt.names)}")
+        ks = self.stats.kernel("map", label(stmt))
         if not nested:
             ks.launches += 1
             for rec, factors in self._fused_plan(stmt):

@@ -107,7 +107,7 @@ class Node:
 
 
 def label(stmt: A.Let) -> str:
-    """The counter site a map statement's stat is keyed by."""
+    """The counter site every tier keys a map statement's stat by."""
     return f"map:{'/'.join(stmt.names)}"
 
 
@@ -130,12 +130,12 @@ def elision_guard(src, dst) -> Optional[list]:
     views' LMADs (``(offset, ((shape, stride), ...))`` each, memory side
     first), the component pairs that must all be equal -- or None where
     the structures differ, so they never coincide."""
-    if len(src) != len(dst) or any(
-        len(a[1]) != len(b[1]) for a, b in zip(src, dst)
-    ):
+    if len(src) != len(dst):
         return None
     pairs = []
     for (off_a, dims_a), (off_b, dims_b) in zip(src, dst):
+        if len(dims_a) != len(dims_b):
+            return None
         pairs.append((off_a, off_b))
         for dim_a, dim_b in zip(dims_a, dims_b):
             pairs.extend(zip(dim_a, dim_b))

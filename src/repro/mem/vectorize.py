@@ -484,33 +484,52 @@ def _op(node: Node) -> Step:
     name, exp = node.stmt.names[0], node.exp
     op, row = exp.op, scalar.OPS[exp.op]
     on_scalars, on_lanes = row.scalar, row.lanes
-    args = (exp.x, exp.y) if type(exp) is A.BinOp else (exp.x,)
-    of = [_operand(a) for a in args]
-    literal = [not isinstance(a, (str, SymExpr)) for a in args]
+    x_of, xn = _operand(exp.x)
     forms: dict = {}
+    if type(exp) is A.UnOp:
 
-    def step(r, env):
-        vals = [f(env) for f, _ in of]
-        if not any(v.__class__ is _nd for v in vals):
-            env[name] = on_scalars(*vals)  # uniform: its type says its kind
+        def unop(r, env):
+            x = x_of(env)
+            if x.__class__ is not _nd:
+                env[name] = on_scalars(x)
+                return
+            key = ((x.dtype.char, xn is None or xn in r.weak),)
+            form = forms.get(key)
+            if form is None:
+                form = forms[key] = _form(op, key, (x,), (False,))
+            (cx,), is_weak = form
+            env[name] = on_lanes(x if cx is None else cx(x))
+            _mark(r.weak, name, is_weak)
+
+        return unop
+    y_of, yn = _operand(exp.y)
+    literal = [not isinstance(o, (str, SymExpr)) for o in (exp.x, exp.y)]
+
+    def binop(r, env):
+        x, y = x_of(env), y_of(env)
+        x_lanes, y_lanes = x.__class__ is _nd, y.__class__ is _nd
+        if not (x_lanes or y_lanes):
+            env[name] = on_scalars(x, y)  # uniform: its type says its kind
             return
         # A lane vector: an index expression's is weak, a name's as marked.
         weak = r.weak
-        key = tuple(
-            (v.dtype.char, n is None or n in weak) if v.__class__ is _nd
-            else v.__class__
-            for v, (_, n) in zip(vals, of)
+        key = (
+            (x.dtype.char, xn is None or xn in weak) if x_lanes else x.__class__,
+            (y.dtype.char, yn is None or yn in weak) if y_lanes else y.__class__,
         )
         form = forms.get(key)
         if form is None:
-            form = forms[key] = _form(op, key, vals, literal)
-        convs, is_weak = form
-        env[name] = on_lanes(*[
-            v if c is None else c(v) for v, c in zip(vals, convs)
-        ])
-        _mark(weak, name, is_weak)
+            form = forms[key] = _form(op, key, (x, y), literal)
+        (cx, cy), is_weak = form
+        env[name] = on_lanes(
+            x if cx is None else cx(x), y if cy is None else cy(y)
+        )
+        if is_weak:
+            weak.add(name)
+        else:
+            weak.discard(name)
 
-    return step
+    return binop
 
 
 def _index(node: Node) -> Step:
