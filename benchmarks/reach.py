@@ -126,6 +126,8 @@ KEPT: Dict[Tuple[str, str], str] = {
     ("lmad/ixfun.py", "IndexFn.permute"): "language",
     ("lmad/lmad.py", "Lmad.permute"): "language",
     ("mem/vectorize.py", "_alias"): "language",
+    ("backend/cemit.py", "_Emitter._alias"): "language",
+    ("backend/cemit.py", "_Emitter._copy"): "language",
     ("backend/cemit.py", "_Emitter._alloc"): "item 7",
     ("isl/terms.py", ""): "item 12",
     ("isl/bridge.py", ""): "item 12",

@@ -149,9 +149,20 @@ def test_corpus_kernels_agree_across_optimisation_levels(monkeypatch):
     assert launches >= 10
 
 
-@pytest.mark.parametrize("sanitizer", sorted(SANITIZED))
-@pytest.mark.parametrize("case", sorted(BENCHMARKS) + ["corpus"])
-def test_sanitized_build_finds_nothing_and_agrees(case, sanitizer):
+CASES = sorted(BENCHMARKS) + ["corpus"]
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_ubsan_build_finds_nothing_and_agrees(case):
+    _sanitized_child(case, "undefined")
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_asan_build_finds_nothing_and_agrees(case):
+    _sanitized_child(case, "address")
+
+
+def _sanitized_child(case, sanitizer):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src"), str(ROOT)]
@@ -208,9 +219,8 @@ def test_aliasing_buffer_slots_keep_sequential_semantics(shift, monkeypatch):
 
 
 if __name__ == "__main__":
-    # The child of test_sanitized_build_finds_nothing_and_agrees: a
-    # sanitizer finding aborts this process, a disagreement fails an
-    # assertion.
+    # The child of the UBSan and ASan tests: a sanitizer finding
+    # aborts this process, a disagreement fails an assertion.
     case, sanitizer = sys.argv[1:]
     with pytest.MonkeyPatch.context() as mp:
         launches = sum(
