@@ -340,7 +340,7 @@ class NativeEngine:
                 return plan
             t0 = time.perf_counter()
             try:
-                kplan = ex._vec().plan(stmt, exp)
+                kplan = ex._kernel_plan(stmt, exp)
                 why = native_rule(kplan)
                 if why is not None:
                     raise why

@@ -196,7 +196,7 @@ class MemExecutor:
         self._pool = pool if mode == "real" else None
         #: Shared kernel-plan dict (id(stmt) -> repro.mem.kernel.Plan),
         #: again for cross-run amortization; None keeps a private one.
-        self._vec_plans = vec_plans
+        self._vec_plans = {} if vec_plans is None else vec_plans
         self._vec_engine = None  # lazily built repro.mem.vectorize.VecEngine
         # Static fused-producer plans per outermost map statement (see
         # _fused_plan); the subtree never changes after compilation.
@@ -806,14 +806,15 @@ class MemExecutor:
             self._fused_cache[stmt.pattern[0].name] = plan
         return plan
 
-    def _vec(self):
-        """The vectorized tier, which holds the table of kernel plans
-        (:mod:`repro.mem.kernel`) both fast tiers read."""
-        if self._vec_engine is None:
+    def _kernel_plan(self, stmt: A.Let, exp: A.Map):
+        """The plan both fast tiers read (:mod:`repro.mem.kernel`),
+        lowered at the statement's first dispatch by either."""
+        plan = self._vec_plans.get(id(stmt))
+        if plan is None:
             from repro.mem.vectorize import VecEngine
 
-            self._vec_engine = VecEngine(self, plans=self._vec_plans)
-        return self._vec_engine
+            plan = self._vec_plans[id(stmt)] = VecEngine._plan_map(stmt, exp)
+        return plan
 
     def _exec_map(self, stmt: A.Let, exp: A.Map, env) -> None:
         width = eval_sym(exp.width, env)
@@ -892,7 +893,11 @@ class MemExecutor:
                 if ran_native:
                     self.stats.native_launches += 1
                 elif self.vectorize and width > 0:
-                    ran_vec = self._vec().try_run_map(
+                    if self._vec_engine is None:
+                        from repro.mem.vectorize import VecEngine
+
+                        self._vec_engine = VecEngine(self)
+                    ran_vec = self._vec_engine.try_run_map(
                         stmt, exp, env, width, dests
                     )
                 if ran_vec:

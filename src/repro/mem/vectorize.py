@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import functools
 import operator
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List
 
 import numpy as np
 
@@ -53,24 +53,19 @@ _nd = np.ndarray
 class VecEngine:
     """Per-executor dispatch into the (possibly shared) plan table."""
 
-    def __init__(self, ex: MemExecutor, plans: Optional[Dict[int, Plan]] = None):
+    def __init__(self, ex: MemExecutor):
         self.ex = ex
-        #: id(outermost map stmt) -> its :class:`~repro.mem.kernel.Plan`,
-        #: lowered at the statement's first dispatch by either fast tier.
-        #: A Program passes a shared dict, so a body is lowered and staged
-        #: once per compiled function, not once per request.
-        self._plans: Dict[int, Plan] = plans if plans is not None else {}
+        #: id(outermost map stmt) -> its :class:`~repro.mem.kernel.Plan`:
+        #: the executor's table, which a Program shares, so a body is
+        #: lowered and staged once per compiled function, not once per
+        #: request (see ``MemExecutor._kernel_plan``).
+        self._plans: Dict[int, Plan] = ex._vec_plans
 
+    #: How a plan is made (the executor calls it through the class).
     _plan_map = staticmethod(lower)
 
-    def plan(self, stmt: A.Let, exp: A.Map) -> Plan:
-        plan = self._plans.get(id(stmt))
-        if plan is None:
-            plan = self._plans[id(stmt)] = self._plan_map(stmt, exp)
-        return plan
-
     def try_run_map(self, stmt: A.Let, exp: A.Map, env, width: int, dests) -> bool:
-        plan = self.plan(stmt, exp)
+        plan = self.ex._kernel_plan(stmt, exp)
         if plan.body is None:
             if plan.declined is not None:
                 return False
