@@ -25,7 +25,7 @@ In every one of those cases every program still runs -- bit-identically
 from __future__ import annotations
 
 import os
-from typing import Dict, Optional
+from typing import Optional
 
 from repro.backend.build import BuildError, clear_memo, find_cc
 from repro.backend.engine import NativeEngine
@@ -55,12 +55,11 @@ def native_enabled() -> bool:
     return native_unavailable() is None
 
 
-def maybe_engine(plans: Optional[Dict[int, object]] = None,
-                 warn: bool = True) -> Optional[NativeEngine]:
+def maybe_engine(warn: bool = True) -> Optional[NativeEngine]:
     """A :class:`NativeEngine` when the tier is available, else None."""
     why = native_unavailable()
     if why is None:
-        return NativeEngine(plans)
+        return NativeEngine()
     if warn and why == "no C compiler":
         from repro.backend.build import warn_unavailable_once
 

@@ -45,16 +45,15 @@ from repro.ir.interp import InterpError
 from repro.ir.types import DTYPE_INFO
 from repro.mem.kernel import Block, Plan, declined, elision_guard, label
 from repro.mem.memir import array_bindings, binding_of
+from repro.mem.spaces import SPACES
 
 #: Counter slots per site: [entered, bytes_read, bytes_written, flops,
 #: elided_copies, elided_bytes, scratch_read, scratch_written,
 #: regs_read, regs_written].  The space slots (6-9) attribute the part
-#: of slots 1/2 that touched a non-HBM memory space (repro.mem.spaces);
-#: they are duplicates of, not additions to, the totals.
+#: of slots 1/2 that touched a non-HBM memory space (each row of
+#: repro.mem.spaces.SPACES names its pair); they are duplicates of, not
+#: additions to, the totals.
 SLOTS = 10
-
-#: Read/write slot pair per non-HBM space.
-SPACE_SLOTS = {"scratch": (6, 7), "regs": (8, 9)}
 
 #: Bump when the emitted ABI or counter layout changes (part of the
 #: on-disk cache key).
@@ -294,9 +293,9 @@ class _Emitter:
         """A read or write of ``n`` bytes -- pended when a constant --
         with its attribution to a non-HBM space's slot."""
         slots = [2 if write else 1]
-        pair = SPACE_SLOTS.get(self.buf_space[mem.buf])
-        if pair is not None:
-            slots.append(pair[write])
+        space = SPACES.get(self.buf_space[mem.buf])
+        if space is not None and space.slots is not None:
+            slots.append(space.slots[write])
         for slot in slots:
             if isinstance(n, int):
                 self.pend(site, slot, n)

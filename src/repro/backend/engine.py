@@ -1,11 +1,11 @@
 """Launch machinery for the native C executor tier.
 
-:class:`NativeEngine` mirrors :class:`repro.mem.vectorize.VecEngine`'s
-contract: ``try_run_map`` either executes one outermost ``map``
-statement completely -- outputs *and* every simulated ``ExecStats``
-quantity bit-identical to the interpreted walk -- and returns ``True``,
-or touches nothing and returns ``False`` so the executor falls through
-to the vectorized/interpreted tiers.
+:meth:`NativeEngine.try_run_map` has the contract of
+:func:`repro.mem.vectorize.try_run_map`: it either executes one
+outermost ``map`` statement completely -- outputs *and* every simulated
+``ExecStats`` quantity bit-identical to the interpreted walk -- and
+returns ``True``, or touches nothing and returns ``False`` so the
+executor falls through to the vectorized/interpreted tiers.
 
 The first launch of a statement prints its kernel plan
 (:mod:`repro.mem.kernel`, shared with the vectorized tier) with
@@ -15,7 +15,7 @@ symbolic expressions, index-function components, and buffers to marshal
 per launch).  The compiled entry point is cached by source digest
 (:mod:`repro.backend.build`); the per-statement plan is shared across
 all executors of a :class:`repro.runtime.Program`, exactly like the
-vectorized dispatch plans.  A statement whose subtree the emitter
+kernel plans.  A statement whose subtree the emitter
 declines -- or crashes on (``internal-error``) -- or whose C the
 toolchain fails to build is marked and never attempted again; a launch whose concrete structure no longer
 matches the plan (a rank or scalar-kind change) falls back for that
@@ -54,6 +54,7 @@ from repro.ir import scalar
 from repro.ir.interp import InterpError, eval_sym
 from repro.ir.types import DTYPE_INFO
 from repro.mem.kernel import declined, native_rule
+from repro.mem.spaces import SPACES
 
 #: Plan sentinel: no kernel for this statement (``NativeEngine.declined``
 #: holds the reason under the statement's binding name).
@@ -246,6 +247,10 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_forget_helpers)
 
 
+#: ``(space, read slot, written slot)`` of every space with counters.
+_SPACE_SLOTS = [(m.name, *m.slots) for m in SPACES.values() if m.slots]
+
+
 def distribute(stats, sites, counters) -> None:
     """Fold C-accumulated counters into ``stats``: one ``SLOTS``-wide
     row of ``counters`` per ``(kind, label)`` site.
@@ -261,18 +266,18 @@ def distribute(stats, sites, counters) -> None:
     for (kind, label), row in zip(sites, rows):
         if not any(row):
             continue
-        _ent, br, bw, fl, elc, elb, scr, scw, rgr, rgw = row
+        _ent, br, bw, fl, elc, elb = row[:6]
         ks = stats.kernel(kind, label)
         ks.bytes_read += br
         ks.bytes_written += bw
         ks.flops += fl
         # Space slots duplicate the part of br/bw that touched a
-        # non-HBM space (see cemit.SPACE_SLOTS).
-        for sp, rd, wr in (("scratch", scr, scw), ("regs", rgr, rgw)):
-            if rd:
-                ks.space_read[sp] = ks.space_read.get(sp, 0) + rd
-            if wr:
-                ks.space_written[sp] = ks.space_written.get(sp, 0) + wr
+        # non-HBM space (each space's row in mem.spaces.SPACES).
+        for sp, rd, wr in _SPACE_SLOTS:
+            if row[rd]:
+                ks.space_read[sp] = ks.space_read.get(sp, 0) + row[rd]
+            if row[wr]:
+                ks.space_written[sp] = ks.space_written.get(sp, 0) + row[wr]
         stats.elided_copies += elc
         stats.elided_bytes += elb
 
@@ -290,8 +295,8 @@ class NativeEngine:
     """Shared native-tier state: dispatch plans + compiled kernels."""
 
     def __init__(self, plans: Optional[Dict[int, object]] = None):
-        #: id(stmt) -> KernelSpec | REJECTED (shared per Program, like
-        #: the vectorized dispatch plans).
+        #: id(stmt) -> KernelSpec | REJECTED (one per Program, like the
+        #: kernel plans; ``Program.coverage`` reads it).
         self.plans: Dict[int, object] = plans if plans is not None else {}
         #: Every statement this engine put in ``plans``: an id is unique
         #: only while its object lives, so the engine keeps them alive.
@@ -309,7 +314,7 @@ class NativeEngine:
     def try_run_map(self, ex, stmt, exp, env, width, dests) -> bool:
         plan = self.plans.get(id(stmt))
         if plan is None:
-            plan = self._emit(ex, stmt, exp, env, dests)
+            plan = self._emit(ex, stmt, env, dests)
         rec = ex._recorder
         if plan is REJECTED:
             if rec is not None:
@@ -333,14 +338,14 @@ class NativeEngine:
         return True
 
     # ------------------------------------------------------------------
-    def _emit(self, ex, stmt, exp, env, dests):
+    def _emit(self, ex, stmt, env, dests):
         with self._lock:
             plan = self.plans.get(id(stmt))
             if plan is not None:
                 return plan
             t0 = time.perf_counter()
             try:
-                kplan = ex._kernel_plan(stmt, exp)
+                kplan = ex._vec_plans[id(stmt)]
                 why = native_rule(kplan)
                 if why is not None:
                     raise why

@@ -31,13 +31,12 @@ class CostModel:
     """Converts :class:`~repro.mem.stats.ExecStats` into simulated time."""
 
     device: Device
-    coalesced_fraction: float = DEFAULT_COALESCED_FRACTION
 
     def kernel_time(self, k: KernelStat) -> float:
         if k.kind in ("copy", "update", "concat", "fill"):
             bw = self.device.stream_bandwidth
         else:
-            f = self.coalesced_fraction
+            f = DEFAULT_COALESCED_FRACTION
             bw = (
                 f * self.device.stream_bandwidth
                 + (1.0 - f) * self.device.strided_bandwidth

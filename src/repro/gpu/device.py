@@ -14,6 +14,7 @@ for copy-bound benchmarks (e.g. LBM: 1.6x on MI100 vs 1.1x on A100).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Mapping
 
 
 @dataclass(frozen=True)
@@ -33,30 +34,23 @@ class Device:
     flop_efficiency: float
     #: Host-side kernel launch overhead, seconds.
     launch_overhead: float
-    #: On-chip scratch (shared-memory) aggregate bandwidth, as a multiple
-    #: of peak DRAM bandwidth.  Datasheet-order figures: ~19 TB/s shared
-    #: memory on A100 vs 1.55 TB/s HBM2e.
-    scratch_bandwidth_x: float = 12.0
-    #: Register-file aggregate bandwidth multiple (an order of magnitude
-    #: past shared memory; only ever a tie-breaker in the model).
-    regs_bandwidth_x: float = 48.0
+    #: Aggregate bandwidth of each on-chip space (:mod:`repro.mem.spaces`)
+    #: as a multiple of peak DRAM bandwidth.  Datasheet-order figures:
+    #: ~19 TB/s shared memory (``scratch``) on A100 vs 1.55 TB/s HBM2e;
+    #: the register file (``regs``) an order of magnitude past that, only
+    #: ever a tie-breaker in the model.
+    space_bandwidth_x: Mapping[str, float]
 
     @property
     def stream_bandwidth(self) -> float:
         return self.peak_bandwidth * self.stream_efficiency
 
     def space_bandwidth(self, space: str) -> float:
-        """Achievable bandwidth of one memory-space channel.
-
-        ``hbm`` uses the streaming figure; on-chip spaces are modelled as
-        fixed multiples of peak DRAM bandwidth (unknown spaces fall back
-        to the DRAM figure, a conservative choice).
-        """
-        if space == "scratch":
-            return self.peak_bandwidth * self.scratch_bandwidth_x
-        if space == "regs":
-            return self.peak_bandwidth * self.regs_bandwidth_x
-        return self.stream_bandwidth
+        """Achievable bandwidth of one memory-space channel: the
+        streaming figure for ``hbm`` (and, conservatively, for a space
+        the device has no multiple for)."""
+        x = self.space_bandwidth_x.get(space)
+        return self.stream_bandwidth if x is None else self.peak_bandwidth * x
 
     @property
     def strided_bandwidth(self) -> float:
@@ -76,8 +70,7 @@ A100 = Device(
     peak_flops=19.5e12,
     flop_efficiency=0.25,
     launch_overhead=4e-6,
-    scratch_bandwidth_x=12.0,
-    regs_bandwidth_x=48.0,
+    space_bandwidth_x={"scratch": 12.0, "regs": 48.0},
 )
 
 #: AMD MI100: 1228 GB/s HBM2, 23.1 TFLOP/s f32, ~8 us launches (HIP).
@@ -89,6 +82,5 @@ MI100 = Device(
     peak_flops=23.1e12,
     flop_efficiency=0.25,
     launch_overhead=8e-6,
-    scratch_bandwidth_x=9.0,
-    regs_bandwidth_x=40.0,
+    space_bandwidth_x={"scratch": 9.0, "regs": 40.0},
 )

@@ -41,7 +41,7 @@ from repro.ir import ast as A
 from repro.ir.interp import InterpError, bind_shape_vars, eval_sym
 from repro.ir.scalar import OPS, REDUCTIONS
 from repro.ir.types import ArrayType, DTYPE_INFO
-from repro.mem.kernel import label
+from repro.mem.kernel import label, lower
 from repro.mem.memir import MemBinding, binding_of
 from repro.mem.stats import ExecStats, KernelStat
 
@@ -197,12 +197,6 @@ class MemExecutor:
         #: Shared kernel-plan dict (id(stmt) -> repro.mem.kernel.Plan),
         #: again for cross-run amortization; None keeps a private one.
         self._vec_plans = {} if vec_plans is None else vec_plans
-        self._vec_engine = None  # lazily built repro.mem.vectorize.VecEngine
-        # Static fused-producer plans per outermost map statement (see
-        # _fused_plan); the subtree never changes after compilation.
-        self._fused_cache: Dict[
-            str, List[Tuple[A.FusedRecord, Tuple[SymExpr, ...]]]
-        ] = {}
 
     # ------------------------------------------------------------------
     # Entry
@@ -775,47 +769,6 @@ class MemExecutor:
         env[stmt.names[0]] = result
 
     # ------------------------------------------------------------------
-    def _fused_plan(
-        self, stmt: A.Let
-    ) -> List[Tuple[A.FusedRecord, Tuple[SymExpr, ...]]]:
-        """Fused producers in a launch's subtree, with thread multipliers.
-
-        A record on the launched map itself elides one intermediate per
-        launch; a record nested under further maps/loops elides one per
-        enclosing thread/iteration, so each record carries the widths and
-        trip counts on its path (``if`` branches are assumed taken --
-        fusion under data-dependent branches is counted optimistically).
-        Counted once per outermost launch, *before* tier dispatch, so the
-        vectorized, interpreted and dry paths agree exactly.
-        """
-        plan = self._fused_cache.get(stmt.pattern[0].name)
-        if plan is None:
-            plan = []
-
-            def walk(s: A.Let, factors: Tuple[SymExpr, ...]) -> None:
-                for rec in s.fused:
-                    plan.append((rec, factors))
-                for blk, binder in A.sub_scopes(s.exp):
-                    inner = factors
-                    if binder is not None:
-                        inner += (binder.extent,)
-                    for sub in blk.stmts:
-                        walk(sub, inner)
-
-            walk(stmt, ())
-            self._fused_cache[stmt.pattern[0].name] = plan
-        return plan
-
-    def _kernel_plan(self, stmt: A.Let, exp: A.Map):
-        """The plan both fast tiers read (:mod:`repro.mem.kernel`),
-        lowered at the statement's first dispatch by either."""
-        plan = self._vec_plans.get(id(stmt))
-        if plan is None:
-            from repro.mem.vectorize import VecEngine
-
-            plan = self._vec_plans[id(stmt)] = VecEngine._plan_map(stmt, exp)
-        return plan
-
     def _exec_map(self, stmt: A.Let, exp: A.Map, env) -> None:
         width = eval_sym(exp.width, env)
         dests = [
@@ -828,12 +781,17 @@ class MemExecutor:
         ks = self.stats.kernel("map", label(stmt))
         if not nested:
             ks.launches += 1
-            for rec, factors in self._fused_plan(stmt):
+            # The one record of an outermost map (repro.mem.kernel),
+            # lowered at its first launch in any mode.
+            plan = self._vec_plans.get(id(stmt))
+            if plan is None:
+                plan = self._vec_plans[id(stmt)] = lower(stmt)
+            for rec, extents in plan.fused:
                 self.stats.fused_kernels += 1
                 try:
                     n = eval_sym(rec.width, env)
-                    for f in factors:
-                        n *= eval_sym(f, env)
+                    for e in extents:
+                        n *= eval_sym(e, env)
                 except (InterpError, KeyError):
                     continue  # width not host-evaluable: count fusion only
                 # The elided round trip: the producer's write of the
@@ -880,29 +838,19 @@ class MemExecutor:
         self._kernel_stack.append(ks)
         try:
             if self.mode == "real":
-                ran_native = False
-                if (
-                    self._native is not None
-                    and not nested
-                    and width > 0
-                ):
-                    ran_native = self._native.try_run_map(
-                        self, stmt, exp, env, width, dests
-                    )
-                ran_vec = False
-                if ran_native:
-                    self.stats.native_launches += 1
-                elif self.vectorize and width > 0:
-                    if self._vec_engine is None:
-                        from repro.mem.vectorize import VecEngine
+                from repro.mem import vectorize  # it imports this module
 
-                        self._vec_engine = VecEngine(self)
-                    ran_vec = self._vec_engine.try_run_map(
-                        stmt, exp, env, width, dests
-                    )
-                if ran_vec:
+                # A fast tier takes a whole outermost map or none of it.
+                fast = not nested and width > 0
+                if fast and self._native is not None and self._native.try_run_map(
+                    self, stmt, exp, env, width, dests
+                ):
+                    self.stats.native_launches += 1
+                elif fast and self.vectorize and vectorize.try_run_map(
+                    self, plan, env, width, dests
+                ):
                     self.stats.vec_launches += 1
-                elif not ran_native and width > 0:
+                elif width > 0:
                     self.stats.interp_launches += 1
                     for i in range(width):
                         run_thread(i)
@@ -915,28 +863,9 @@ class MemExecutor:
                         if dest is not None:
                             self._check_region(dest)
                 if width > 0:
-                    outer_stats = self.stats
-                    sub = ExecStats()
-                    self.stats = sub
-                    sub_ks = sub.kernel("map", ks.label)
-                    self._kernel_stack.append(sub_ks)
-                    live_before = dict(self._live_by_space)
-                    try:
-                        run_thread(width // 2)
-                    finally:
-                        self._kernel_stack.pop()
-                        self.stats = outer_stats
                     # Every thread's scratch coexists for the kernel's
-                    # duration: scale the representative thread's growth
-                    # (per space, so the partitioned peaks scale exactly
-                    # like the total).
-                    for sp in set(self._live_by_space) | set(live_before):
-                        growth = self._live_by_space.get(
-                            sp, 0
-                        ) - live_before.get(sp, 0)
-                        if growth:
-                            self._bump_live(sp, growth * (width - 1))
-                    self.stats.merge_scaled(sub, width)
+                    # duration, so its allocation growth scales too.
+                    self._sampled(width, lambda: run_thread(width // 2))
         finally:
             self._kernel_stack.pop()
             if not nested:
@@ -957,8 +886,6 @@ class MemExecutor:
     def _exec_loop(self, stmt: A.Let, exp: A.Loop, env) -> None:
         count = eval_sym(exp.count, env)
         state = [env[init] for _, init in exp.carried]
-        iterations = range(count)
-        scale = 1.0
         if (
             self.mode == "dry"
             and self.loop_sample is not None
@@ -969,39 +896,35 @@ class MemExecutor:
             # linearly-varying (triangular) per-iteration work.
             step = count / self.loop_sample
             iterations = [int(step * (k + 0.5)) for k in range(self.loop_sample)]
-            scale = count / len(iterations)
-        if scale != 1.0:
-            # Counters flow through BOTH self.stats and the innermost
-            # kernel object, so the sub-run swaps the stats AND pushes a
-            # proxy kernel (same registry key) for correct attribution.
-            outer_stats = self.stats
-            cur = self._current_kernel()
-            assert cur is not None
-            sub = ExecStats()
-            self.stats = sub
-            proxy = sub.kernel(cur.kind, cur.label)
-            self._kernel_stack.append(proxy)
-            live_before = dict(self._live_by_space)
-            try:
+            self._sampled(count / len(iterations), lambda: (
                 self._run_loop_iterations(iterations, exp, env, state)
-            finally:
-                self._kernel_stack.pop()
-                self.stats = outer_stats
-                self.stats.merge_scaled(sub, scale)
-                # Extrapolate the sampled iterations' allocation growth
-                # the same way merge_scaled extrapolates their traffic
-                # (per space, mirroring the dry-map scaling).
-                for sp in set(self._live_by_space) | set(live_before):
-                    growth = self._live_by_space.get(
-                        sp, 0
-                    ) - live_before.get(sp, 0)
-                    if growth:
-                        self._bump_live(
-                            sp, int(growth * scale) - growth
-                        )
+            ))
         else:
-            self._run_loop_iterations(iterations, exp, env, state)
+            self._run_loop_iterations(range(count), exp, env, state)
         self._bind_compound_results(stmt, state, env)
+
+    def _sampled(self, factor, run) -> None:
+        """Dry mode: ``run`` a sample of the current kernel's work (one
+        representative thread, or some iterations of a loop) and count it
+        ``factor`` times -- its traffic, and its allocation growth per
+        space, so the partitioned peaks scale exactly like the total.
+        Counters flow through both ``self.stats`` and the innermost
+        kernel, so the sample runs against fresh stats and a proxy of
+        that kernel (same registry key)."""
+        outer, cur = self.stats, self._current_kernel()
+        sub = self.stats = ExecStats()
+        self._kernel_stack.append(sub.kernel(cur.kind, cur.label))
+        live_before = dict(self._live_by_space)
+        try:
+            run()
+        finally:
+            self._kernel_stack.pop()
+            self.stats = outer
+        outer.merge_scaled(sub, factor)
+        for sp in set(self._live_by_space) | set(live_before):
+            growth = self._live_by_space.get(sp, 0) - live_before.get(sp, 0)
+            if growth:
+                self._bump_live(sp, int(growth * factor) - growth)
 
     def _run_loop_iterations(self, iterations, exp, env, state) -> None:
         free_mark = len(self._alloc_log)

@@ -1,14 +1,15 @@
-"""Kernel plans: each outermost ``map`` lowered once, for both fast tiers.
+"""Kernel plans: each outermost ``map`` lowered once, for every executor mode.
 
-The first dispatch of an outermost ``map`` lowers its body into a
-:class:`Plan`, a tree of :class:`Node`s, one per statement.  A node has
-one of the kinds below and holds what every tier needs and no request
-can change: the memory annotation each array is made from, an
-operator's ``scalar.OPS`` row, a block's flop charge (every operator of
-it counts its flops once per thread), a nested map's counter site,
-whether an update writes in place, a loop's carried parameters, which
-existential block a compound result binds, and whether a trip count or
-an allocation size can be evaluated at launch.
+The first launch of an outermost ``map``, in any mode, lowers its body
+into a :class:`Plan`: a tree of :class:`Node`s, one per statement, and
+the map's fusion records, from which the executor counts fusion in
+every mode.  A node has one of the kinds below and holds what every
+tier needs and no request can change: the memory annotation each array
+is made from, an operator's ``scalar.OPS`` row, a block's flop charge
+(every operator of it counts its flops once per thread), a nested map's
+counter site, whether an update writes in place, a loop's carried
+parameters, which existential block a compound result binds, and
+whether a trip count or an allocation size can be evaluated at launch.
 
 Two printers read the plan.  The vectorized tier
 (:mod:`repro.mem.vectorize`) stages NumPy closures from it with the
@@ -30,7 +31,7 @@ from typing import List, Optional
 from repro.decisions import Declined
 from repro.ir import ast as A
 from repro.ir import scalar
-from repro.mem.memir import binding_of, iter_stmts
+from repro.mem.memir import binding_of
 
 #: Every rule a fast tier declines a map under, and what it means.
 RULES = {
@@ -112,15 +113,20 @@ def label(stmt: A.Let) -> str:
 
 
 class Plan:
-    """One outermost map, lowered.  ``declined``/``body``: the vectorized
-    tier's answer and staged body, set at its first dispatch.  It holds
-    the statement: plan tables are keyed by ``id(stmt)``, which is
-    unique only while the statement lives."""
+    """One outermost map, lowered.  ``fused``: every fusion record
+    (``Let.fused``) of the map and its subtree, each with the extents of
+    the maps and loops around it -- a record elides one intermediate per
+    enclosing thread and iteration (both branches of an ``if`` count as
+    taken, so fusion under a data-dependent branch counts optimistically).
+    ``declined``/``body``: the vectorized tier's answer and staged body,
+    set at its first dispatch.  It holds the statement: plan tables are
+    keyed by ``id(stmt)``, which is unique only while the statement
+    lives."""
 
-    __slots__ = ("stmt", "root", "declined", "body")
+    __slots__ = ("stmt", "root", "fused", "declined", "body")
 
-    def __init__(self, stmt: A.Let, root: Block):
-        self.stmt, self.root = stmt, root
+    def __init__(self, stmt: A.Let, root: Block, fused: list):
+        self.stmt, self.root, self.fused = stmt, root, fused
         self.declined = self.body = None
 
 
@@ -142,31 +148,43 @@ def elision_guard(src, dst) -> Optional[list]:
     return pairs
 
 
-def lower(stmt: A.Let, exp: A.Map) -> Plan:
-    return Plan(stmt, _Lowering().block(exp.lam.body, exp.lam.params[:1]))
+def lower(stmt: A.Let) -> Plan:
+    """The plan of the outermost map ``stmt``."""
+    low = _Lowering()
+    (root,) = low.node(stmt).blocks
+    return Plan(stmt, root, low.fused)
 
 
 class _Lowering:
     """``visible``: names bound at this point of every launch;
-    ``bindings``: the annotation each array of the body was made from."""
+    ``bindings``: the annotation each array of the body was made from;
+    ``extents``: the widths and trip counts around this point;
+    ``fused``: the fusion records so far, with those extents;
+    ``names``: every name a statement bound so far, in order."""
 
     def __init__(self):
         self.visible: set = set()
         self.bindings: dict = {}
+        self.extents: tuple = ()
+        self.fused: list = []
+        self.names: list = []
 
-    def block(self, block: A.Block, bound=()) -> Block:
-        outer = self.visible
+    def block(self, block: A.Block, bound=(), extent=None) -> Block:
+        outer, extents = self.visible, self.extents
         self.visible = outer | set(bound)
+        if extent is not None:
+            self.extents = extents + (extent,)
         nodes, flops = [], 0
         for stmt in block.stmts:
             nodes.append(self.node(stmt))
             if type(stmt.exp) in (A.BinOp, A.UnOp):
                 flops += scalar.OPS[stmt.exp.op].flops
-            self.visible.update(stmt.names)
             for pe in stmt.pattern:
-                if pe.is_array() and pe.mem is not None:
+                self.visible.add(pe.name)
+                self.names.append(pe.name)
+                if pe.mem is not None and pe.is_array():
                     self.bindings[pe.name] = pe.mem
-        self.visible = outer
+        self.visible, self.extents = outer, extents
         return Block(nodes, block.result, flops)
 
     def launch(self, expr) -> bool:
@@ -174,6 +192,8 @@ class _Lowering:
 
     def node(self, stmt: A.Let) -> Node:
         exp = stmt.exp
+        if stmt.fused:
+            self.fused += [(rec, self.extents) for rec in stmt.fused]
         kind = _KINDS.get(type(exp), "other")
         if kind == "other" and type(exp) is A.VarRef:
             kind = "view" if stmt.pattern[0].is_array() else "alias"
@@ -185,7 +205,7 @@ class _Lowering:
             return Node(kind, stmt, launch=self.launch(exp.size))
         if kind == "map":
             launch = self.launch(exp.width)
-            body = self.block(exp.lam.body, exp.lam.params[:1])
+            body = self.block(exp.lam.body, exp.lam.params[:1], exp.width)
             return Node(kind, stmt, (body,), launch=launch)
         if kind == "loop":
             return self.loop(stmt, exp)
@@ -203,9 +223,10 @@ class _Lowering:
             if prm.is_array() and b is not None:
                 bound.append(b.mem)
                 self.bindings[prm.name] = b
-        body = self.block(exp.body, bound)
-        per_iteration = {exp.index, *(p.name for p, _ in exp.carried)} | {
-            n for s in iter_stmts(exp.body) for n in s.names
+        mark = len(self.names)
+        body = self.block(exp.body, bound, exp.count)
+        per_iteration = {
+            exp.index, *(p.name for p, _ in exp.carried), *self.names[mark:]
         }
         params = []
         for (prm, _), res in zip(exp.carried, exp.body.result):

@@ -13,15 +13,15 @@ Spaces are deliberately *descriptive*, not semantic: erasing them (like
 erasing the bindings themselves) recovers the same functional program.
 They change what the accountants report (per-space traffic and peaks),
 what the coalescer may merge (never across spaces), what the
-capacity rule admits (MS01), and what the cost model charges (tiered
-bandwidths in :mod:`repro.gpu.costmodel`).
+capacity rule admits (MS01), and what the cost model charges (each
+device model's ``space_bandwidth_x``).  A space's row in :data:`SPACES`
+is everything else the system knows about it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
-
+from typing import Dict, Optional, Tuple
 
 
 @dataclass(frozen=True)
@@ -31,6 +31,10 @@ class MemSpace:
     name: str
     #: Capacity in bytes; ``None`` means unbounded (host-sized HBM).
     capacity: Optional[int]
+    #: The (read, written) counter slots of a native kernel's site row
+    #: (:data:`repro.backend.cemit.SLOTS`) that attribute traffic to this
+    #: space; ``None`` for HBM, whose traffic is the remainder.
+    slots: Optional[Tuple[int, int]] = None
 
 
 #: Default space for every block the frontend or a pass does not place
@@ -44,8 +48,8 @@ DEFAULT_SPACE = "hbm"
 #: (256 x 32-bit registers).
 SPACES: Dict[str, MemSpace] = {
     "hbm": MemSpace("hbm", None),  # device-global high-bandwidth memory
-    "scratch": MemSpace("scratch", 192 * 1024),  # per-kernel, on-chip
-    "regs": MemSpace("regs", 1024),  # per-thread register file
+    "scratch": MemSpace("scratch", 192 * 1024, (6, 7)),  # per-kernel, on-chip
+    "regs": MemSpace("regs", 1024, (8, 9)),  # per-thread register file
 }
 
 

@@ -1,4 +1,4 @@
-"""Vectorized kernel engine: batched NumPy execution of ``map`` bodies.
+"""Vectorized tier: batched NumPy execution of outermost ``map`` launches.
 
 The interpreted executor (:mod:`repro.mem.exec`) runs a ``map`` by
 evaluating the lambda body once per thread index.  This tier runs the
@@ -23,15 +23,17 @@ whether an operand is a lane vector, the kind of a host scalar, which
 block a view lands in -- is read per run.  Results and every simulated
 quantity are bit-identical to the interpreter's: operators are the
 rows of :mod:`repro.ir.scalar`, and an operation over ``L`` active lanes
-counts ``L`` times.  There is no dynamic fallback: a plan either runs
-vectorized to completion or was never attempted.
+counts ``L`` times.  There is no dynamic fallback: the executor offers
+each launch of an outermost map to :func:`try_run_map`, which runs the
+whole map, nested maps included, or declines it before touching
+anything -- a map nested in an interpreted launch is interpreted too.
 """
 
 from __future__ import annotations
 
 import functools
 import operator
-from typing import Callable, Dict, List
+from typing import Callable, List
 
 import numpy as np
 
@@ -42,7 +44,7 @@ from repro.ir.interp import InterpError
 from repro.ir.types import DTYPE_INFO
 from repro.mem.exec import MemExecutor, MemRef, RuntimeArray
 from repro.mem.kernel import (
-    Block, Node, Plan, elision_guard, label, lower, vector_rule,
+    Block, Node, Plan, elision_guard, label, vector_rule,
 )
 from repro.mem.memir import binders, binding_of, iter_stmts
 from repro.symbolic import SymExpr
@@ -50,39 +52,29 @@ from repro.symbolic import SymExpr
 _nd = np.ndarray
 
 
-class VecEngine:
-    """Per-executor dispatch into the (possibly shared) plan table."""
-
-    def __init__(self, ex: MemExecutor):
-        self.ex = ex
-        #: id(outermost map stmt) -> its :class:`~repro.mem.kernel.Plan`:
-        #: the executor's table, which a Program shares, so a body is
-        #: lowered and staged once per compiled function, not once per
-        #: request (see ``MemExecutor._kernel_plan``).
-        self._plans: Dict[int, Plan] = ex._vec_plans
-
-    #: How a plan is made (the executor calls it through the class).
-    _plan_map = staticmethod(lower)
-
-    def try_run_map(self, stmt: A.Let, exp: A.Map, env, width: int, dests) -> bool:
-        plan = self.ex._kernel_plan(stmt, exp)
-        if plan.body is None:
-            if plan.declined is not None:
-                return False
-            why = vector_rule(plan)
-            if why is not None:
-                plan.declined = Decision(
-                    "vectorize", why.rule, stmt.names[0], why.detail
-                )
-                return False
-            plan.body = _launcher(stmt, exp, _stage(plan.root))
-        plan.body(self.ex, env, width, dests)
-        return True
+def try_run_map(ex: MemExecutor, plan: Plan, env, width: int, dests) -> bool:
+    """Run one launch of the outermost map ``plan`` and return True, or
+    touch nothing and return False: :func:`~repro.mem.kernel.vector_rule`
+    declined it (the record is ``plan.declined``).  The body is staged at
+    the first launch and kept on the plan, which a Program shares, so a
+    body is staged once per compiled function, not once per request."""
+    if plan.body is None:
+        if plan.declined is not None:
+            return False
+        why = vector_rule(plan)
+        if why is not None:
+            plan.declined = Decision(
+                "vectorize", why.rule, plan.stmt.names[0], why.detail
+            )
+            return False
+        plan.body = _launcher(plan.stmt, _stage(plan.root))
+    plan.body(ex, env, width, dests)
+    return True
 
 
-def _launcher(stmt: A.Let, exp: A.Map, body: "_Block") -> Callable:
+def _launcher(stmt: A.Let, body: "_Block") -> Callable:
     """One launch of a staged outermost map."""
-    param, free = exp.lam.params[0], A.exp_uses(exp)
+    param, free = stmt.exp.lam.params[0], A.exp_uses(stmt.exp)
 
     def run(ex: MemExecutor, env, width: int, dests) -> None:
         r = _Run(ex, width, ex._current_kernel(), {}, set(), env)

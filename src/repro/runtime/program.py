@@ -4,9 +4,10 @@ A :class:`Program` freezes everything a compilation produced that is
 reusable across executions:
 
 * the **post-pipeline memory IR** (the ``CompiledFun``);
-* the **vectorized plans** -- per map statement the body
-  :class:`repro.mem.vectorize.VecEngine` staged (or why it declined),
-  made once and shared by every subsequent run's engine;
+* the **kernel plans** -- per outermost map statement its
+  :class:`repro.mem.kernel.Plan`, with the body the vectorized tier
+  staged from it (or why it declined), made once and shared by every
+  subsequent run's executor;
 * the **offset cache** -- enumerated LMAD offsets per concrete index
   function, the dominant warm-run cost after buffer allocation
   (cleared whenever a shape class is evicted, so it holds entries of
@@ -135,15 +136,15 @@ class Program:
         #: MemExecutor._offsets).  Cleared when a shape class is
         #: evicted: retained classes re-enumerate once.
         self._offs_cache: Dict = {}
-        #: Shared vectorization plans (id(stmt) -> MapPlan: the staged
-        #: body, or the Decision saying why the body is not expressible).
+        #: Shared kernel plans (id(stmt) -> repro.mem.kernel.Plan: the
+        #: staged body, or the Decision saying why the body is not
+        #: expressible).
         self._vec_plans: Dict[int, object] = {}
-        #: Shared native-tier dispatch plans (id(stmt) -> KernelSpec or
-        #: the rejection sentinel) and the lazily-built engine that owns
-        #: the compiled kernels.  One emission + cc invocation per map
-        #: statement per Program; every later run (and every concurrent
-        #: worker) dispatches straight into the cached shared object.
-        self._native_plans: Dict[int, object] = {}
+        #: The lazily-built native engine: its ``plans`` (id(stmt) ->
+        #: KernelSpec or the rejection sentinel) own the compiled
+        #: kernels.  One emission + cc invocation per map statement per
+        #: Program; every later run (and every concurrent worker)
+        #: dispatches straight into the cached shared object.
         self._native_engine = None
         self._native_probed = False
         #: Shape-class LRU: shape key -> launch tape state.  Evicting a
@@ -218,12 +219,12 @@ class Program:
                 d for d in (engine.declined.records if engine else ())
                 if d.site == site
             ]
-            plan = self._native_plans.get(id(stmt))
+            plan = engine.plans.get(id(stmt)) if engine else None
             vec = self._vec_plans.get(id(stmt))
             parts = 1
             if plan is not None and plan is not REJECTED:
                 tier, parts = "native", plan.parts
-            elif vec is None:
+            elif vec is None or vec.body is None and vec.declined is None:
                 tier = None
             elif vec.declined is None:
                 tier = "vectorized"
@@ -260,7 +261,7 @@ class Program:
                 self._native_probed = True
                 from repro.backend import maybe_engine
 
-                self._native_engine = maybe_engine(self._native_plans)
+                self._native_engine = maybe_engine()
         return self._native_engine
 
     def _request_key(self, inputs: Mapping[str, object]) -> str:

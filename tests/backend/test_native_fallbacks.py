@@ -335,7 +335,7 @@ def test_emitter_crash_is_one_record_not_an_exception_per_request(monkeypatch):
     mod, inputs = _nn()
     program = rt.compile(mod.build(), pipeline="full")
     ref, ref_stats = program.run(inputs, native=False, memoize=False)
-    eng = NativeEngine(program._native_plans)
+    eng = NativeEngine()
     program._native_engine, program._native_probed = eng, True
     for _ in range(2):  # the second request does not re-emit
         outs, stats = program.run(inputs, memoize=False)

@@ -235,7 +235,7 @@ def test_a_raising_part_surfaces_after_every_part_returned(
     helpers = _part_threads()
     raised = []
     with monkeypatch.context() as mp:
-        for spec in program._native_plans.values():
+        for spec in program._native_engine.plans.values():
             def fn(t0, w, *args, _fn=spec.fn):
                 # The caller runs the part that starts at 0, while the
                 # helpers are out of the pool.

@@ -29,6 +29,26 @@ class TestDevices:
             assert d.effective_flops < d.peak_flops
 
 
+    def test_every_space_has_counter_slots_and_a_bandwidth(self):
+        """One table row per memory space: an on-chip space names its own
+        (read, written) pair of a native site row's counter slots, past
+        the six totals, and each device prices it; HBM is the remainder
+        and the streaming figure."""
+        from repro.backend.cemit import SLOTS
+        from repro.mem.spaces import SPACES
+
+        on_chip = [sp for sp in SPACES.values() if sp.name != "hbm"]
+        assert SPACES["hbm"].slots is None
+        slots = [k for sp in on_chip for k in sp.slots]
+        assert len(set(slots)) == len(slots) == 2 * len(on_chip)
+        assert set(slots) <= set(range(6, SLOTS))
+        for d in (A100, MI100):
+            assert set(d.space_bandwidth_x) == {sp.name for sp in on_chip}
+            assert d.space_bandwidth("hbm") == d.stream_bandwidth
+            for sp in on_chip:
+                assert d.space_bandwidth(sp.name) > d.stream_bandwidth
+
+
 class TestCostModel:
     def test_memory_bound_kernel(self):
         cm = CostModel(A100)

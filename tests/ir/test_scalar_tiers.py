@@ -106,7 +106,7 @@ def served_or_declined(tier, kw, ex, stats, stmt, op):
     (an emitter crash is a record too -- ``internal-error`` -- and is
     not one of the two rules a tier may decline under)."""
     if tier == "vectorized" and not stats.vec_launches:
-        why = ex._vec_engine._plans[id(stmt)].declined
+        why = ex._vec_plans[id(stmt)].declined
     elif tier == "native" and not stats.native_launches:
         assert kw["native"].plans[id(stmt)] is REJECTED
         (why,) = kw["native"].declined.records

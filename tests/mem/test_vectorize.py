@@ -252,7 +252,7 @@ def lane_varying_loop_fun():
 def declined_plan(ex, fun):
     """The one record the vectorizer's planner left: for which map
     (site), under which rule, at which statement of its body."""
-    (plan,) = ex._vec_engine._plans.values()
+    (plan,) = ex._vec_plans.values()
     assert plan.body is None
     why = plan.declined
     (top,) = [s for s in fun.body.stmts if s.names[0] == why.site]
@@ -328,7 +328,41 @@ def nested_map_fun():
     return b.build()
 
 
+def declined_outer_fun():
+    """A thread-dependent trip count the vectorized tier declines, then
+    a nested map it could run on its own."""
+    b = FunBuilder("tri_then_row")
+    b.size_param("n")
+    x = b.param("x", f32(n))
+    y = b.param("y", f32(n))
+    mo = b.map_(n, index="i")
+    lp = mo.loop(mo.idx, [("acc", mo.index(x, [mo.idx]))], index="k")
+    lp.returns(lp.binop("+", lp["acc"], lp["acc"]))
+    (acc,) = lp.end()
+    mi = mo.map_(n, index="j")
+    mi.returns(mi.binop("*", acc, mi.index(y, [mi.idx])))
+    (row,) = mi.end()
+    mo.returns(row)
+    b.returns(*mo.end())
+    return b.build()
+
+
 class TestNestedMap:
+    def test_declined_outer_map_interprets_its_nested_map(self):
+        """A fast tier takes a whole outermost map or none of it: the
+        nested map runs interpreted in every thread, and the plan table
+        holds the outermost map only."""
+        fun = introduce_memory(declined_outer_fun())
+        x = np.arange(1, 7, dtype=np.float32)
+        inputs = dict(n=6, x=x, y=x[::-1].copy())
+        ex_i, vals_i, ex_v, vals_v = run_tiers(fun, inputs)
+        assert ex_v.stats.vec_launches == 0
+        assert ex_v.stats.interp_launches == 1 + 6
+        assert_tier_equivalent(ex_i, vals_i, ex_v, vals_v)
+        (plan,) = ex_v._vec_plans.values()
+        assert plan.stmt is fun.body.stmts[-1]
+        assert plan.declined.rule == "lane-varying-trip-count"
+
     def test_outer_product_vectorizes(self):
         fun = introduce_memory(nested_map_fun())
         x = np.arange(1, 7, dtype=np.float32)
@@ -347,17 +381,17 @@ class TestNestedMap:
 # ----------------------------------------------------------------------
 @pytest.fixture
 def stagings(monkeypatch):
-    """Every map statement the engine lowers, in order."""
-    from repro.mem.vectorize import VecEngine
+    """Every map statement the vectorized tier stages, in order."""
+    from repro.mem import vectorize
 
     seen = []
-    plan_map = VecEngine._plan_map
+    launcher = vectorize._launcher
 
-    def counting(stmt, exp):
+    def counting(stmt, body):
         seen.append(stmt.names[0])
-        return plan_map(stmt, exp)
+        return launcher(stmt, body)
 
-    monkeypatch.setattr(VecEngine, "_plan_map", staticmethod(counting))
+    monkeypatch.setattr(vectorize, "_launcher", counting)
     return seen
 
 

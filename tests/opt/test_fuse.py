@@ -128,17 +128,75 @@ def test_fused_body_still_vectorizes():
     assert stats.vec_launches == 1 and stats.interp_launches == 0
 
 
+def _pipeline_in(blk, width, xs, scale):
+    """Producer ``xs[i] * scale``, consumer ``+ 1``, in block ``blk``."""
+    mp = blk.map_(width, index="i")
+    v = mp.index(xs, [mp.idx])
+    mp.returns(mp.binop("*", v, scale))
+    (inter,) = mp.end()
+    mc = blk.map_(width, index="j")
+    mc.returns(mc.binop("+", mc.index(inter, [mc.idx]), 1.0))
+    return mc.end()[0]
+
+
+def _nested_pipeline():
+    """The fused record sits under the launched map: once per thread."""
+    b = FunBuilder("nested_pipe")
+    b.size_param("n")
+    xs = b.param("xs", f32(n))
+    mo = b.map_(n, index="r")
+    mo.returns(_pipeline_in(mo, n, xs, mo.index(xs, [mo.idx])))
+    b.returns(*mo.end())
+    return b.build()
+
+
+def _looped_pipeline():
+    """The fused record sits under a loop in the launched map: once per
+    thread and iteration."""
+    b = FunBuilder("looped_pipe")
+    b.size_param("n")
+    xs = b.param("xs", f32(n))
+    mo = b.map_(n, index="r")
+    lp = mo.loop(3, [("acc", mo.index(xs, [mo.idx]))], index="k")
+    lp.returns(lp.index(_pipeline_in(lp, n, xs, lp["acc"]), [0]))
+    mo.returns(*lp.end())
+    b.returns(*mo.end())
+    return b.build()
+
+
+def _kernel_width_pipeline():
+    """The fused record's width is bound inside the kernel, so the host
+    cannot evaluate it: the fusion counts, its traffic does not."""
+    b = FunBuilder("kernel_width_pipe")
+    b.size_param("n")
+    xs = b.param("xs", f32(n))
+    mo = b.map_(n, index="r")
+    row = _pipeline_in(mo, mo.scalar(n - 2), xs, 2.0)
+    mo.returns(mo.index(row, [0]))
+    b.returns(*mo.end())
+    return b.build()
+
+
 def test_fused_accounting_is_tier_and_mode_identical():
-    cf = compile_fun(_simple_pipeline())
     xs = np.arange(8, dtype=np.float32)
-    _, st_i = _run(cf, xs, vectorize=False)
-    _, st_v = _run(cf, xs, vectorize=True)
-    _, st_d = MemExecutor(cf.fun, mode="dry").run(n=8)
-    for st in (st_i, st_v, st_d):
-        assert st.fused_kernels == 1
-        # One [8]f32 intermediate: 32 bytes written + 32 read back elided.
-        assert st.bytes_elided_fusion == 64
-    assert st_i.signature() == st_v.signature() == st_d.signature()
+    # An [8]f32 intermediate elides 32 bytes written + 32 read back, once
+    # per launch, per thread (x 8) and per loop iteration (x 3).
+    for build, elided in (
+        (_simple_pipeline, 64),
+        (_nested_pipeline, 64 * 8),
+        (_looped_pipeline, 64 * 8 * 3),
+        (_kernel_width_pipeline, 0),
+    ):
+        cf = compile_fun(build())
+        assert cf.fuse_stats.committed == 1, build.__name__
+        _, st_i = _run(cf, xs, vectorize=False)
+        _, st_v = _run(cf, xs, vectorize=True)
+        _, st_d = MemExecutor(cf.fun, mode="dry").run(n=8)
+        assert st_v.vec_launches == 1, build.__name__
+        for st in (st_i, st_v, st_d):
+            assert st.fused_kernels == 1, build.__name__
+            assert st.bytes_elided_fusion == elided, build.__name__
+        assert st_i.signature() == st_v.signature() == st_d.signature()
 
 
 def test_fused_memory_ir_is_a_single_kernel():

@@ -411,7 +411,7 @@ def warm(program, x, phase):
 def fail_on_call(monkeypatch, program, k):
     """Make the k-th kernel call of the next request raise."""
     calls = []
-    for spec in program._native_plans.values():
+    for spec in program._native_engine.plans.values():
         def fn(*args, _fn=spec.fn):
             calls.append(1)
             if len(calls) == k:
