@@ -10,7 +10,8 @@ splitting) for every pair that the program's own dataflow does not order:
 * **sequential clobbers** (R01): a read must not overlap any earlier
   write through a value-flow-independent name -- the exact situation an
   unsafe rebase creates, where an array's bytes are silently overwritten
-  while a live unrelated array still points at them;
+  while a live unrelated array still points at them (a write that
+  precedes a definition writing the read's whole array is dead to it);
 * **map cross-thread** (R02): threads execute in unspecified order, so
   every pair of events on a shared (non-thread-private) block, one of
   them a write, must be provably disjoint for distinct thread indices --
@@ -64,6 +65,11 @@ from repro.lmad import IndexFn, ProverPool, aggregate_over_loop
 from repro.lmad.lmad import Lmad, LmadDim
 from repro.mem.memir import MemBinding, binding_of, entry_bindings
 from repro.symbolic import Context, Prover, SymExpr
+
+
+#: Expressions whose results are written whole by their definition
+#: (an update, a scratch array or a view writes part or nothing).
+_WHOLE_WRITES = (A.Map, A.Copy, A.Concat, A.Iota, A.Replicate)
 
 
 @dataclass(frozen=True)
@@ -189,15 +195,20 @@ class RaceChecker:
         #: scalar name -> (def position, block, normalized read address)
         #: for single-element reads, feeding the no-op-write classifier.
         index_defs: Dict[str, Tuple[int, str, SymExpr]] = {}
+        #: array name -> position of a definition that writes its whole
+        #: binding, so no earlier write can reach a read through it
+        whole: Dict[str, int] = {}
         for i, stmt in enumerate(block.stmts):
             spath = f"{path}[{i}]"
             evs, sub_local = self._stmt_events(stmt, ctx, bindings, spath)
             local |= sub_local
             evs = [replace(e, pos=i) for e in self._expand_events(evs)]
             evs = self._classify_noops(stmt, evs, index_defs, events, ctx)
-            self._seq_check(evs, events, ctx)
+            self._seq_check(evs, events, ctx, whole)
             events.extend(evs)
             exp = stmt.exp
+            if isinstance(exp, _WHOLE_WRITES):
+                whole.update((pe.name, i) for pe in stmt.pattern)
             learn_scalar(ctx, stmt)
             if isinstance(exp, A.Alloc):
                 local.add(stmt.names[0])
@@ -260,7 +271,11 @@ class RaceChecker:
         return out
 
     def _seq_check(
-        self, new: List[Event], prior: List[Event], ctx: Context
+        self,
+        new: List[Event],
+        prior: List[Event],
+        ctx: Context,
+        whole: Dict[str, int],
     ) -> None:
         reads = [e for e in new if e.kind == "r"]
         if not reads:
@@ -271,7 +286,7 @@ class RaceChecker:
         checker = self.pool.checker_for(ctx)
         for r in reads:
             for w in writes:
-                if w.mem != r.mem:
+                if w.mem != r.mem or w.pos < whole.get(r.name, -1):
                     continue
                 if self.down.dependent(w.name, r.name):
                     continue

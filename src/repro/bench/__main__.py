@@ -4,7 +4,6 @@
                                           # at the paper's dataset sizes)
     python -m repro.bench nw hotspot      # a subset
     python -m repro.bench nw --quick      # scaled-down datasets (seconds)
-    python -m repro.bench --filter hot    # names containing "hot"
     python -m repro.bench --quick --json  # + native-tier coverage, all
                                           # written to benchmarks/results/
     python -m repro.bench nw --explain    # per-pass pipeline trace
@@ -15,7 +14,6 @@
     python -m repro.bench --devices 2     # shard hotspot across two
                                           # simulated devices: halo
                                           # traffic + scaling efficiency
-    python -m repro.bench --json --out p  # write the JSON report to p
     python -m repro.bench --quick --write-baseline footprint traffic
                                           # re-record regression baselines
                                           # (repro.bench.gates; "all" = all)
@@ -81,8 +79,6 @@ def main(argv=None) -> int:
         prog="python -m repro.bench", description=__doc__
     )
     parser.add_argument("benchmarks", nargs="*", help="subset to run")
-    parser.add_argument("--filter", metavar="NAME",
-                        help="run only benchmarks whose name contains NAME")
     parser.add_argument("--quick", action="store_true",
                         help="scaled-down datasets")
     parser.add_argument("--list", action="store_true",
@@ -92,9 +88,6 @@ def main(argv=None) -> int:
     parser.add_argument("--json", action="store_true",
                         help="measure native-tier coverage and write a "
                              "benchmarks/results/BENCH_<ts>.json report")
-    parser.add_argument("--out", metavar="PATH", default=None,
-                        help="write the --json report to PATH instead of "
-                             "benchmarks/results/BENCH_<ts>.json")
     parser.add_argument("--devices", type=int, default=1, metavar="N",
                         help="simulate hotspot split across N devices "
                              "and report halo traffic and scaling "
@@ -124,12 +117,6 @@ def main(argv=None) -> int:
     if unknown:
         print(f"unknown benchmark(s): {', '.join(unknown)}", file=sys.stderr)
         return 2
-    if args.filter:
-        names = [n for n in names if args.filter in n]
-        if not names:
-            print(f"no benchmark matches --filter {args.filter!r}",
-                  file=sys.stderr)
-            return 2
 
     writes = set(GATES) if "all" in args.write_baseline else set(
         args.write_baseline
@@ -320,13 +307,9 @@ def main(argv=None) -> int:
 
     if args.json:
         ts = time.strftime("%Y%m%d-%H%M%S")
-        if args.out:
-            out_path = Path(args.out)
-            out_path.parent.mkdir(parents=True, exist_ok=True)
-        else:
-            out_dir = Path("benchmarks") / "results"
-            out_dir.mkdir(parents=True, exist_ok=True)
-            out_path = out_dir / f"BENCH_{ts}.json"
+        out_dir = Path("benchmarks") / "results"
+        out_dir.mkdir(parents=True, exist_ok=True)
+        out_path = out_dir / f"BENCH_{ts}.json"
         payload = {
             "timestamp": ts,
             "quick": args.quick,

@@ -6,6 +6,7 @@ program is clean, so the corpus cannot pass vacuously).
 """
 
 import numpy as np
+import pytest
 
 from repro.analysis import verify_fun
 from repro.compiler import compile_fun
@@ -141,6 +142,35 @@ def test_r01_rebase_clobbers_live_input(compiled_simple):
     vals, _ = ex.run(x=np.arange(4, dtype=np.float32))
     got_sum = vals[1]
     assert got_sum != np.arange(4, dtype=np.float32).sum()
+
+
+def _two_sums_fun() -> A.Fun:
+    """``X = map i<n. A[i] + 1;  s = reduce + X;  Y = map j<n. A[j] * 2;
+    r = reduce + Y;  s + r`` -- X is dead before Y exists, so reuse
+    gives Y's block to X's."""
+    b = FunBuilder("two_sums")
+    b.size_param("n")
+    a = b.param("A", f32(n))
+    mp = b.map_(n, index="i")
+    mp.returns(mp.binop("+", mp.index(a, [mp.idx]), 1.0))
+    (X,) = mp.end()
+    s = b.reduce("+", X)
+    mp = b.map_(n, index="j")
+    mp.returns(mp.binop("*", mp.index(a, [mp.idx]), 2.0))
+    (Y,) = mp.end()
+    r = b.reduce("+", Y)
+    b.returns(b.binop("+", s, r))
+    return b.build()
+
+
+@pytest.mark.parametrize("pipeline", ["nosc", "full"])
+def test_r01_write_before_a_whole_redefinition_is_dead(pipeline):
+    # The reads through Y share X's block, but Y's map overwrote all of
+    # Y's binding after X's writes: no read through Y can observe them.
+    c = compile_fun(_two_sums_fun(), pipeline=pipeline, verify=True)
+    assert c.reuse_stats.mapping == {"mem_2": "mem_1"}
+    vals, _ = MemExecutor(c.fun).run(n=8, A=np.arange(8, dtype=np.float32))
+    assert vals == [92.0]
 
 
 def test_r02_threads_share_an_element(compiled_simple):
