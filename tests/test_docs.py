@@ -61,8 +61,8 @@ def design_sections() -> set:
 
 
 def first_components() -> set:
-    """Names that start a repository path: the tracked top-level
-    directories and the package's subpackages."""
+    """Names that start a repository path: the top-level directories
+    and the package's subpackages."""
     tops = {p.name for p in ROOT.iterdir() if p.is_dir() and p.name != ".git"}
     subs = {p.name for p in (ROOT / "src" / "repro").iterdir() if p.is_dir()}
     return tops | subs | {"repro"}
@@ -73,7 +73,7 @@ def named_paths(text: str):
     starts = first_components()
     for span in SPAN.findall(prose(text)):
         for token in span.split():
-            token = token.split("::")[0].rstrip(".,;:)")
+            token = token.split("::")[0]  # a pytest node id names its file
             if (
                 "/" in token
                 and PATHLIKE.fullmatch(token)
@@ -85,10 +85,7 @@ def named_paths(text: str):
 def exists(path: str) -> bool:
     if "*" in path:
         return any(any(base.glob(path)) for base in BASES)
-    return any(
-        (base / path).exists() or (base / f"{path}.py").exists()
-        for base in BASES
-    )
+    return any((base / path).exists() for base in BASES)
 
 
 def resolves(dotted: str) -> bool:
