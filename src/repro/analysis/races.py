@@ -207,8 +207,14 @@ class RaceChecker:
             self._seq_check(evs, events, ctx, whole)
             events.extend(evs)
             exp = stmt.exp
-            if isinstance(exp, _WHOLE_WRITES):
-                whole.update((pe.name, i) for pe in stmt.pattern)
+            if isinstance(exp, _WHOLE_WRITES) and not (
+                isinstance(exp, A.Concat)
+                and not set(exp.srcs) <= {e.name for e in evs if e.kind == "r"}
+            ):
+                # Only an emitted write counts: an elided copy, concat
+                # operand or implicit map copy writes nothing through V.
+                wrote = {e.name for e in evs if e.kind == "w"}
+                whole.update((v, i) for v in stmt.names if v in wrote)
             learn_scalar(ctx, stmt)
             if isinstance(exp, A.Alloc):
                 local.add(stmt.names[0])

@@ -173,6 +173,33 @@ def test_r01_write_before_a_whole_redefinition_is_dead(pipeline):
     assert vals == [92.0]
 
 
+@pytest.mark.parametrize("kind", ["copy", "concat"])
+def test_r01_elided_definition_does_not_hide_a_clobber(kind):
+    # S = map; W = map; V = copy S (or concat S); reduce V.  Re-home W
+    # onto S's block and V onto S's binding: the copy (or the in-place
+    # concat operand) is elided and writes nothing, so the read through V
+    # still observes W's clobber of S.
+    b = FunBuilder("clobbered_source")
+    b.size_param("n")
+    a = b.param("A", f32(n))
+    mp = b.map_(n, index="i")
+    mp.returns(mp.binop("+", mp.index(a, [mp.idx]), 1.0))
+    (S,) = mp.end()
+    mp = b.map_(n, index="j")
+    mp.returns(mp.binop("*", mp.index(a, [mp.idx]), 2.0))
+    (W,) = mp.end()
+    V = b.copy(S) if kind == "copy" else b.concat(S)
+    b.returns(b.reduce("+", V), W)
+    fun = compile_fun(b.build(), pipeline="nosc").fun
+    assert verify_fun(fun).ok()
+    s_map, w_map = (s for s in fun.body.stmts if isinstance(s.exp, A.Map))
+    s_b = binding_of(s_map.pattern[0])
+    w_map.pattern[0].mem = s_b
+    find_stmt(fun, lambda s: s.names == (V,)).pattern[0].mem = s_b
+    r01 = [d.message for d in verify_fun(fun).diagnostics if d.rule == "R01"]
+    assert any(f"read through {V!r}" in m and repr(W) in m for m in r01)
+
+
 def test_r02_threads_share_an_element(compiled_simple):
     # All n threads of the map write through a stride-0 row: every
     # thread stores to offset 0 of the block.

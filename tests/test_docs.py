@@ -14,7 +14,8 @@ document disagrees with that home:
 * a fenced block right after ``<!-- from PATH -->`` is the file PATH
   (a ``benchmarks/results`` table) or a contiguous run of its lines
   (an ``examples/`` script, which CI runs);
-* every ``python`` block of README is such a slice, and every
+* every README block but a ``sh`` or ``console`` one is such a slice,
+  and every
   ``benchmarks/results/*.txt`` table but ``reach.txt`` (the reach
   recorder's report) appears in EXPERIMENTS.md exactly once;
 * each document stays under its byte budget (ROADMAP item 10).
@@ -149,7 +150,7 @@ def test_marked_blocks_match_their_source():
             text = source.read_text()
             if path.startswith("examples/"):
                 lines, have = block.splitlines(), text.splitlines()
-                ok = any(
+                ok = bool(lines) and any(
                     have[i:i + len(lines)] == lines for i in range(len(have))
                 )
             else:
@@ -163,12 +164,14 @@ def test_readme_code_is_examples():
     readme = read("README.md")
     marked = {block for path, block in MARKER.findall(readme)
               if path.startswith("examples/")}
+    # Only shell and console blocks are exempt; an untagged block is code.
     unmarked = [
-        block.splitlines()[0] for lang, block in FENCE.findall(readme)
-        if lang == "python" and block not in marked
+        (block.splitlines() or ["<empty block>"])[0]
+        for lang, block in FENCE.findall(readme)
+        if lang not in ("sh", "console") and block not in marked
     ]
     assert not unmarked, (
-        "README python blocks without an examples/ marker, first lines:\n"
+        "README code blocks without an examples/ marker, first lines:\n"
         + "\n".join(unmarked)
     )
 
