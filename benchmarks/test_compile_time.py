@@ -5,6 +5,8 @@ outliers (17x for NW, attributable to the external SMT solver -- which this
 reproduction replaces with the in-compiler symbolic engine the authors
 said they were building, so our NW overhead is far smaller)."""
 
+import gc
+
 from conftest import save_result
 
 from repro.bench.programs import all_benchmarks
@@ -17,7 +19,13 @@ def test_compile_time_overhead(benchmark):
     def run():
         for name, module in all_benchmarks().items():
             fun = module.build()
+            # A full collection before each timed compile: otherwise a
+            # cyclic-GC pass over the heap the earlier tests left lands
+            # inside one compile (optionpricing's ~10 ms ``nosc`` compile
+            # took 44-91 ms in full runs of this directory).
+            gc.collect()
             unopt = compile_fun(fun, pipeline="nosc", cache=False)
+            gc.collect()
             opt = compile_fun(fun, cache=False)
             rows[name] = (
                 unopt.compile_seconds,

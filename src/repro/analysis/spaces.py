@@ -1,9 +1,9 @@
 """Memory-space validation (the MS rule): capacities.
 
 Memory blocks carry a space tag (:mod:`repro.mem.spaces`): ``hbm`` is
-device DRAM, ``scratch`` and ``regs`` are the bounded on-chip spaces.
-The tag lives on the ``alloc`` alone, so the one thing that can go
-wrong is a block that does not fit where it was put:
+device DRAM and ``scratch`` the bounded on-chip space.  The tag lives
+on the ``alloc`` alone, so the one thing that can go wrong is a block
+that does not fit where it was put:
 
 * MS01 -- a block placed in a bounded space must fit it.  An individual
   allocation whose *concrete* size exceeds the space's capacity is a

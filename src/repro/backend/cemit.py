@@ -10,7 +10,7 @@ interpreter would bump accumulates in a local ``c<k>`` per used slot,
 flushed once at exit into the flat ``C`` array of per-site slots the
 engine folds back into :class:`~repro.mem.stats.ExecStats`.
 
-The entry point (ABI v4) runs the thread range ``[T0, W)``, so a launch
+The entry point (ABI v5) runs the thread range ``[T0, W)``, so a launch
 can be cut into contiguous parts (:func:`repro.backend.engine.fire`);
 ``W`` bounds the thread loop and is read nowhere else.  ``ia``, ``fa``,
 ``bufs`` and ``C`` are ``restrict``: four distinct allocations on every
@@ -48,16 +48,15 @@ from repro.mem.memir import array_bindings, binding_of
 from repro.mem.spaces import SPACES
 
 #: Counter slots per site: [entered, bytes_read, bytes_written, flops,
-#: elided_copies, elided_bytes, scratch_read, scratch_written,
-#: regs_read, regs_written].  The space slots (6-9) attribute the part
-#: of slots 1/2 that touched a non-HBM memory space (each row of
-#: repro.mem.spaces.SPACES names its pair); they are duplicates of, not
-#: additions to, the totals.
-SLOTS = 10
+#: elided_copies, elided_bytes, scratch_read, scratch_written].  The
+#: space slots (6-7) attribute the part of slots 1/2 that touched a
+#: non-HBM memory space (each row of repro.mem.spaces.SPACES names its
+#: pair); they are duplicates of, not additions to, the totals.
+SLOTS = 8
 
 #: Bump when the emitted ABI or counter layout changes (part of the
 #: on-disk cache key).
-ABI_VERSION = 4
+ABI_VERSION = 5
 
 _CTYPE = {"i64": "long long", "f32": "float", "f64": "double", "bool": "char"}
 

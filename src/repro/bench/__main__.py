@@ -7,8 +7,7 @@
     python -m repro.bench --quick --json  # + native-tier coverage, all
                                           # written to benchmarks/results/
     python -m repro.bench nw --explain    # per-pass pipeline trace
-                                          # (timings, IR deltas,
-                                          # per-space peaks) and the
+                                          # (timings, IR deltas) and the
                                           # decisions table: what every
                                           # layer declined, and why
     python -m repro.bench --devices 2     # shard hotspot across two
@@ -193,13 +192,6 @@ def main(argv=None) -> int:
         print(f"footprint (opt): peak {opt_fp['peak_bytes']:,} / "
               f"naive {opt_fp['naive_bytes']:,} bytes "
               f"({opt_fp['saving']:.0%} saved)")
-        if args.explain:
-            for label in ("unopt", "opt"):
-                peaks = footprint[label].get("space_peaks") or {}
-                per_space = "  ".join(
-                    f"{sp} {peaks[sp]:,}" for sp in sorted(peaks)
-                )
-                print(f"  space peaks ({label}): {per_space or 'hbm 0'}")
         gate("footprint", name, footprint)
 
         fusion = measure_fusion(module, PERF_DATASETS[name], compiled[1])

@@ -265,7 +265,6 @@ def measure_footprint(module, args: Sequence, compiled=None) -> Dict[str, object
             "alloc_bytes": est.alloc_bytes,
             "alloc_count": est.alloc_count,
             "saving": est.saving,
-            "space_peaks": dict(est.space_peaks),
         }
     return out
 

@@ -44,8 +44,7 @@ class CostModel:
         # Memory spaces are parallel channels: DRAM and on-chip traffic
         # overlap, so the memory time is the *max* over per-space times,
         # not their sum.  All-HBM kernels reduce to the old bytes/bw.
-        hbm_bytes = k.read_in("hbm") + k.written_in("hbm")
-        mem_t = hbm_bytes / bw
+        mem_t = k.hbm_bytes / bw
         for sp in set(k.space_read) | set(k.space_written):
             sp_bytes = k.space_read.get(sp, 0) + k.space_written.get(sp, 0)
             if sp_bytes:

@@ -35,10 +35,8 @@ class Device:
     #: Host-side kernel launch overhead, seconds.
     launch_overhead: float
     #: Aggregate bandwidth of each on-chip space (:mod:`repro.mem.spaces`)
-    #: as a multiple of peak DRAM bandwidth.  Datasheet-order figures:
-    #: ~19 TB/s shared memory (``scratch``) on A100 vs 1.55 TB/s HBM2e;
-    #: the register file (``regs``) an order of magnitude past that, only
-    #: ever a tie-breaker in the model.
+    #: as a multiple of peak DRAM bandwidth.  Datasheet-order figure:
+    #: ~19 TB/s shared memory (``scratch``) on A100 vs 1.55 TB/s HBM2e.
     space_bandwidth_x: Mapping[str, float]
 
     @property
@@ -70,7 +68,7 @@ A100 = Device(
     peak_flops=19.5e12,
     flop_efficiency=0.25,
     launch_overhead=4e-6,
-    space_bandwidth_x={"scratch": 12.0, "regs": 48.0},
+    space_bandwidth_x={"scratch": 12.0},
 )
 
 #: AMD MI100: 1228 GB/s HBM2, 23.1 TFLOP/s f32, ~8 us launches (HIP).
@@ -82,5 +80,5 @@ MI100 = Device(
     peak_flops=23.1e12,
     flop_efficiency=0.25,
     launch_overhead=8e-6,
-    space_bandwidth_x={"scratch": 9.0, "regs": 40.0},
+    space_bandwidth_x={"scratch": 9.0},
 )

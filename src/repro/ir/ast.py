@@ -376,8 +376,8 @@ class Alloc(Exp):
     """Allocate a memory block of ``size`` elements of ``dtype``.
 
     Only introduced by the memory pipeline; never written by frontends.
-    ``space`` names the memory tier the block lives in (``hbm`` /
-    ``scratch`` / ``regs``, see :mod:`repro.mem.spaces`); the alloc is
+    ``space`` names the memory tier the block lives in (``hbm`` or
+    ``scratch``, see :mod:`repro.mem.spaces`); the alloc is
     the one place that says so -- bindings view the block, they do not
     re-declare where it lives.
     """

@@ -168,14 +168,10 @@ class MemExecutor:
         # unless the carried state still reaches them.
         self._live_bytes = 0
         self._peak_bytes = 0
-        # Per-space shadow of the live/peak counters (repro.mem.spaces):
-        # the totals above stay authoritative; these partition them.
-        self._live_by_space: Dict[str, int] = {}
-        self._peak_by_space: Dict[str, int] = {}
         # unique (run-time) block name -> memory space; parameter blocks
         # and anything absent default to "hbm".
         self._mem_space: Dict[str, str] = {}
-        self._live_insts: Dict[str, Tuple[int, str]] = {}  # unique -> (nbytes, space)
+        self._live_insts: Dict[str, int] = {}  # unique -> nbytes
         self._static_live: Dict[str, List[str]] = {}  # static -> uniques
         self._alloc_log: List[Tuple[str, str]] = []  # (static, unique)
         self._kernel_allocs: List[Tuple[str, str]] = []
@@ -221,7 +217,6 @@ class MemExecutor:
                 self._bind_input_array(p, inputs, env)
         values = self.run_block(self.fun.body, env)
         self.stats.peak_bytes = self._peak_bytes
-        self.stats.space_peak_bytes = dict(self._peak_by_space)
         return values, self.stats
 
     def _bind_input_array(self, p: A.Param, inputs, env) -> None:
@@ -256,7 +251,7 @@ class MemExecutor:
             size = eval_sym(t.size(), env)
             self.mem[mem] = size
         # Input blocks are live for the whole run (never freed).
-        self._bump_live("hbm", size * DTYPE_INFO[t.dtype][1])
+        self._bump_live(size * DTYPE_INFO[t.dtype][1])
         ixfn = self._instantiate(binding.ixfn, env)
         env[p.name] = RuntimeArray(mem, ixfn, t.dtype)
 
@@ -304,14 +299,10 @@ class MemExecutor:
     # ------------------------------------------------------------------
     # Footprint accounting
     # ------------------------------------------------------------------
-    def _bump_live(self, space: str, delta: int) -> None:
+    def _bump_live(self, delta: int) -> None:
         self._live_bytes += delta
         if self._live_bytes > self._peak_bytes:
             self._peak_bytes = self._live_bytes
-        live = self._live_by_space.get(space, 0) + delta
-        self._live_by_space[space] = live
-        if live > self._peak_by_space.get(space, 0):
-            self._peak_by_space[space] = live
 
     def _space_of(self, mem: str) -> str:
         return self._mem_space.get(mem, "hbm")
@@ -319,20 +310,19 @@ class MemExecutor:
     def _note_alloc(
         self, static: str, unique: str, nbytes: int, space: str = "hbm"
     ) -> None:
-        self._bump_live(space, nbytes)
+        self._bump_live(nbytes)
         self._mem_space[unique] = space
-        self._live_insts[unique] = (nbytes, space)
+        self._live_insts[unique] = nbytes
         self._static_live.setdefault(static, []).append(unique)
         self._alloc_log.append((static, unique))
         if self._kernel_stack:
             self._kernel_allocs.append((static, unique))
 
     def _note_free_unique(self, static: str, unique: str) -> None:
-        inst = self._live_insts.pop(unique, None)
-        if inst is None:
+        nbytes = self._live_insts.pop(unique, None)
+        if nbytes is None:
             return
-        nbytes, space = inst
-        self._bump_live(space, -nbytes)
+        self._bump_live(-nbytes)
         lst = self._static_live.get(static)
         if lst and unique in lst:
             lst.remove(unique)
@@ -802,12 +792,11 @@ class MemExecutor:
                 # mem) group is (1 write + k reads) * n, never more.
                 per_elem = (1 if rec.duplicated else 2) * rec.elem_bytes
                 self.stats.bytes_elided_fusion += per_elem * n
-            # Live bytes (total, per space) to return to when the
-            # kernel's scratch dies.  Locals, not attributes: CPython
-            # stops sharing instance-dict keys (and specializing
-            # attribute loads) past 29 attributes, which costs every
-            # executor mode ~6 %.
-            baseline = (self._live_bytes, dict(self._live_by_space))
+            # Live bytes to return to when the kernel's scratch dies.
+            # A local, not an attribute: CPython stops sharing
+            # instance-dict keys (and specializing attribute loads) past
+            # 29 attributes, which costs every executor mode ~6 %.
+            baseline = self._live_bytes
             self._kernel_allocs = []
 
         def run_thread(i: int) -> None:
@@ -877,7 +866,7 @@ class MemExecutor:
                     if lst and unique in lst:
                         lst.remove(unique)
                 self._kernel_allocs = []
-                self._live_bytes, self._live_by_space = baseline
+                self._live_bytes = baseline
 
         for pe, dest in zip(stmt.pattern, dests):
             env[pe.name] = dest
@@ -906,25 +895,22 @@ class MemExecutor:
     def _sampled(self, factor, run) -> None:
         """Dry mode: ``run`` a sample of the current kernel's work (one
         representative thread, or some iterations of a loop) and count it
-        ``factor`` times -- its traffic, and its allocation growth per
-        space, so the partitioned peaks scale exactly like the total.
+        ``factor`` times -- its traffic and its allocation growth.
         Counters flow through both ``self.stats`` and the innermost
         kernel, so the sample runs against fresh stats and a proxy of
         that kernel (same registry key)."""
         outer, cur = self.stats, self._current_kernel()
         sub = self.stats = ExecStats()
         self._kernel_stack.append(sub.kernel(cur.kind, cur.label))
-        live_before = dict(self._live_by_space)
+        live_before = self._live_bytes
         try:
             run()
         finally:
             self._kernel_stack.pop()
             self.stats = outer
         outer.merge_scaled(sub, factor)
-        for sp in set(self._live_by_space) | set(live_before):
-            growth = self._live_by_space.get(sp, 0) - live_before.get(sp, 0)
-            if growth:
-                self._bump_live(sp, int(growth * factor) - growth)
+        growth = self._live_bytes - live_before
+        self._bump_live(int(growth * factor) - growth)
 
     def _run_loop_iterations(self, iterations, exp, env, state) -> None:
         free_mark = len(self._alloc_log)

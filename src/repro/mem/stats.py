@@ -44,15 +44,14 @@ class KernelStat:
     def bytes_total(self) -> int:
         return self.bytes_read + self.bytes_written
 
-    def read_in(self, space: str) -> int:
-        if space == "hbm":
-            return self.bytes_read - sum(self.space_read.values())
-        return self.space_read.get(space, 0)
-
-    def written_in(self, space: str) -> int:
-        if space == "hbm":
-            return self.bytes_written - sum(self.space_written.values())
-        return self.space_written.get(space, 0)
+    @property
+    def hbm_bytes(self) -> int:
+        """Bytes read or written in HBM: the remainder of the totals."""
+        return (
+            self.bytes_total
+            - sum(self.space_read.values())
+            - sum(self.space_written.values())
+        )
 
     def note_read(self, nbytes: int, space: str = "hbm") -> None:
         self.bytes_read += nbytes
@@ -127,11 +126,6 @@ class ExecStats:
     #: :meth:`merge_scaled`.
     pool_hits: int = 0
     pool_misses: int = 0
-    #: Per-space high-water marks, same lifetime model as ``peak_bytes``
-    #: (which remains the all-spaces total).  Keyed by space name; like
-    #: ``peak_bytes`` they are stamped once at run end and excluded from
-    #: :meth:`signature` and :meth:`merge_scaled`.
-    space_peak_bytes: Dict[str, int] = field(default_factory=dict)
     #: How :class:`repro.runtime.Program` produced this run with respect
     #: to its launch tapes (:mod:`repro.runtime.tape`): ``"captured"``
     #: (ordinary executor, schedule frozen for later requests of this
@@ -151,7 +145,6 @@ class ExecStats:
             )
             for key, ks in self.kernels.items()
         }
-        out.space_peak_bytes = dict(self.space_peak_bytes)
         return out
 
     def kernel(self, kind: str, label: str) -> KernelStat:
@@ -203,14 +196,6 @@ class ExecStats:
     @property
     def launches(self) -> int:
         return sum(k.launches for k in self.kernels.values())
-
-    def spaces_touched(self) -> tuple:
-        """Space names with any traffic or peak recorded, hbm first."""
-        seen = {"hbm"}
-        for k in self.kernels.values():
-            seen |= set(k.space_read) | set(k.space_written)
-        seen |= set(self.space_peak_bytes)
-        return tuple(sorted(seen, key=lambda s: (s != "hbm", s)))
 
     @property
     def native_hit_rate(self) -> float:
@@ -276,13 +261,4 @@ class ExecStats:
                 f"{self.pool_misses} fresh (hit rate "
                 f"{self.pool_hits / (self.pool_hits + self.pool_misses):.2f})"
             )
-        spaces = self.spaces_touched()
-        if len(spaces) > 1:
-            for sp in spaces:
-                read = sum(k.read_in(sp) for k in self.kernels.values())
-                written = sum(k.written_in(sp) for k in self.kernels.values())
-                lines.append(
-                    f"space {sp:<9} : {read:,} read / {written:,} written / "
-                    f"peak {self.space_peak_bytes.get(sp, 0):,}"
-                )
         return "\n".join(lines)

@@ -20,8 +20,8 @@ evaluated from placeholders, not rejected with an error.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Mapping
+from dataclasses import dataclass
+from typing import Mapping
 
 from repro.ir import ast as A
 from repro.ir.types import ArrayType, DTYPE_INFO
@@ -41,9 +41,6 @@ class FootprintEstimate:
     alloc_bytes: int
     #: Total allocation count (matches ``ExecStats.alloc_count``).
     alloc_count: int
-    #: Per-space high-water marks (matches ``ExecStats.space_peak_bytes``
-    #: of a real-mode run, with the same caveats as ``peak_bytes``).
-    space_peaks: Dict[str, int] = field(default_factory=dict)
 
     @property
     def naive_bytes(self) -> int:
@@ -78,5 +75,4 @@ def estimate_peak(
         ),
         alloc_bytes=stats.alloc_bytes,
         alloc_count=stats.alloc_count,
-        space_peaks=dict(stats.space_peak_bytes),
     )

@@ -66,10 +66,11 @@ def test_ms01_symbolic_sizes_are_skipped():
 
 
 def test_ms01_unknown_space_name():
-    fun = compile_fun(simple_fun(), pipeline="nosc").fun
-    stmt = _alloc_stmt(fun)
-    stmt.exp = A.Alloc(stmt.exp.size, stmt.exp.dtype, "l2")
-    report = verify_fun(fun)
-    assert "MS01" in [d.rule for d in report.diagnostics]
-    assert report.errors
+    for name in ("l2", "regs"):
+        fun = compile_fun(simple_fun(), pipeline="nosc").fun
+        stmt = _alloc_stmt(fun)
+        stmt.exp = A.Alloc(stmt.exp.size, stmt.exp.dtype, name)
+        report = verify_fun(fun)
+        assert "MS01" in [d.rule for d in report.diagnostics], name
+        assert report.errors, name
 

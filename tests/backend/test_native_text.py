@@ -1,4 +1,4 @@
-"""What the emitter hands to ``cc`` (ABI v4), as text.
+"""What the emitter hands to ``cc`` (ABI v5), as text.
 
 The kernels are fast because of what the C compiler can see: counters
 that live in registers, index components the memory IR knows printed as
@@ -82,7 +82,7 @@ def test_thread_loop_starts_at_t0_and_w_is_only_its_bound(benchmark_specs):
     loop = "for (long long t = T0; t < W; t++)"
     allocating = 0
     for spec in benchmark_specs:
-        assert spec.source.startswith("/* repro kernel, ABI v4 */\n")
+        assert spec.source.startswith("/* repro kernel, ABI v5 */\n")
         assert spec.source.count(head) == spec.source.count(loop) == 1
         assert len(re.findall(r"\bW\b", spec.source)) == 2, spec.source
         assert len(re.findall(r"\bT0\b", spec.source)) == 2, spec.source

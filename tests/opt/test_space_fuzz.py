@@ -3,16 +3,19 @@
 Spaces are descriptive (see :mod:`repro.mem.spaces`): re-homing any
 alloc'd block into any space must leave the verifier clean (the
 assignment moves Alloc and bindings together), compute the same values,
-and keep the per-space peaks of all three executor modes (and of
-``estimate_peak``, a dry run) in exact agreement.  The corpus is the
-fusion generator's random pipelines with every block's space drawn at
-random, under both compile presets.
+and keep every accountant in exact agreement on what the cost model
+prices: each kernel's per-space traffic across the interpreted,
+vectorized, native and unsampled dry runs, and the total peak of those
+runs and of ``estimate_peak``.  The corpus is the fusion generator's
+random pipelines with every block's space drawn at random, under both
+compile presets.
 """
 
 import numpy as np
 import pytest
 
 from repro.analysis import verify_fun
+from repro.backend import NativeEngine
 from repro.compiler import compile_fun
 from repro.ir import ast as A
 from repro.mem.exec import MemExecutor
@@ -20,6 +23,7 @@ from repro.mem.memir import iter_stmts
 from repro.mem.spaces import SPACES
 from repro.reuse import estimate_peak
 from tests.analysis.conftest import assign_space
+from tests.mem import space_traffic
 
 N = 16
 
@@ -32,10 +36,6 @@ def _alloc_names(fun):
     ]
 
 
-def _nonzero(d):
-    return {k: v for k, v in d.items() if v}
-
-
 def _scatter_spaces(fun, rng) -> int:
     spaces = sorted(SPACES)
     moved = 0
@@ -44,57 +44,68 @@ def _scatter_spaces(fun, rng) -> int:
     return moved
 
 
-def _check(fun, inputs, dry_inputs, expected):
+def _check(fun, inputs, dry_inputs, expected, native=False):
     report = verify_fun(fun)
     assert report.ok(), [str(d) for d in report.diagnostics]
 
-    ex_i = MemExecutor(fun, vectorize=False)
-    ex_i.run(**{k: np.copy(v) if hasattr(v, "copy") else v
-                for k, v in inputs.items()})
-    ex_v = MemExecutor(fun)
-    vals, _ = ex_v.run(**{k: np.copy(v) if hasattr(v, "copy") else v
-                          for k, v in inputs.items()})
+    tiers = {"interp": dict(vectorize=False), "vec": {}}
+    if native:
+        tiers["native"] = dict(native=NativeEngine())
+    runs = {}
+    for tier, kw in tiers.items():
+        ex = MemExecutor(fun, **kw)
+        vals, st = ex.run(**{k: np.copy(v) if hasattr(v, "copy") else v
+                             for k, v in inputs.items()})
+        got = ex.mem[vals[0].mem][vals[0].ixfn.gather_offsets({})]
+        assert np.allclose(got, expected), tier
+        runs[tier] = (space_traffic(st), st.peak_bytes)
     _, dry = MemExecutor(fun, mode="dry").run(**dry_inputs)
-    est = estimate_peak(fun, inputs)
-
-    got = ex_v.mem[vals[0].mem][vals[0].ixfn.gather_offsets({})]
-    assert np.allclose(got, expected)
-    four = [
-        _nonzero(ex_i.stats.space_peak_bytes),
-        _nonzero(ex_v.stats.space_peak_bytes),
-        _nonzero(dry.space_peak_bytes),
-        _nonzero(est.space_peaks),
-    ]
-    assert four[0] == four[1] == four[2] == four[3], four
+    runs["dry"] = (space_traffic(dry), dry.peak_bytes)
+    assert len(set(runs.values())) == 1, runs
+    assert dry.peak_bytes == estimate_peak(fun, inputs).peak_bytes
 
 
-@pytest.mark.parametrize("seed", range(10))
-def test_random_spaces_two_stage(seed, gen_pipeline):
-    rng = np.random.RandomState(seed)
-    fun = gen_pipeline(rng)
+#: corpus -> (generator fixture, first seed, non-``full`` preset, len(xs))
+CORPORA = {
+    "two_stage": ("gen_pipeline", 0, "nosc", N),
+    "mapnest": ("gen_mapnest_pipeline", 100, "nofuse", N * N),
+}
+SEEDS = {"two_stage": range(10), "mapnest": range(6)}
+
+
+def _scattered(request, corpus, seed, native=False):
+    """Compile one generated program under ``full`` (odd seeds) or the
+    corpus's other preset, run it for the expected values, scatter its
+    blocks' spaces, and check."""
+    fixture, first, other, size = CORPORA[corpus]
+    rng = np.random.RandomState(first + seed)
+    fun = request.getfixturevalue(fixture)(rng)
     compiled = compile_fun(
-        fun, pipeline="full" if seed % 2 else "nosc", cache=False
+        fun, pipeline="full" if seed % 2 else other, cache=False
     )
-    x = rng.randn(N).astype(np.float32)
+    x = rng.randn(size).astype(np.float32)
     ex = MemExecutor(compiled.fun)
     vals, _ = ex.run(n=N, xs=x.copy())
     expected = np.copy(ex.mem[vals[0].mem][vals[0].ixfn.gather_offsets({})])
 
     _scatter_spaces(compiled.fun, rng)
-    _check(compiled.fun, {"n": N, "xs": x}, {"n": N}, expected)
+    _check(compiled.fun, {"n": N, "xs": x}, {"n": N}, expected, native)
 
 
-@pytest.mark.parametrize("seed", range(6))
-def test_random_spaces_mapnest(seed, gen_mapnest_pipeline):
-    rng = np.random.RandomState(100 + seed)
-    fun = gen_mapnest_pipeline(rng)
-    compiled = compile_fun(
-        fun, pipeline="full" if seed % 2 else "nofuse", cache=False
-    )
-    x = rng.randn(N * N).astype(np.float32)
-    ex = MemExecutor(compiled.fun)
-    vals, _ = ex.run(n=N, xs=x.copy())
-    expected = np.copy(ex.mem[vals[0].mem][vals[0].ixfn.gather_offsets({})])
+@pytest.mark.parametrize("seed", SEEDS["two_stage"])
+def test_random_spaces_two_stage(seed, request):
+    _scattered(request, "two_stage", seed)
 
-    _scatter_spaces(compiled.fun, rng)
-    _check(compiled.fun, {"n": N, "xs": x}, {"n": N}, expected)
+
+@pytest.mark.parametrize("seed", SEEDS["mapnest"])
+def test_random_spaces_mapnest(seed, request):
+    _scattered(request, "mapnest", seed)
+
+
+@pytest.mark.native
+@pytest.mark.parametrize(
+    "corpus,seed", [(c, s) for c, seeds in SEEDS.items() for s in seeds]
+)
+def test_random_spaces_native(corpus, seed, request):
+    """Both corpora again with the C tier's space counter slots."""
+    _scattered(request, corpus, seed, native=True)
