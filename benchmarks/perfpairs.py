@@ -7,22 +7,29 @@ Run it from the checkout root.  The parent (default ``HEAD~1``; pass
 temporary directory.  For each of :data:`PAIRS` pairs and every workload
 of ``BENCHMARK.json``, ``python3 -m perfbench --workload W --seed i
 --json F`` runs once in each tree, one after the other: odd pairs run
-the parent first, even pairs the checkout first, so a drift of the
-machine's speed falls on both sides alike.  Every run writes a file of
-its own; a run that leaves none (a worker crashed, or the run changed
-``git status``) stops the script with exit status 1 and no
-``OUT.json``.  perfbench requires that a run leave ``git status`` as it
-found it, so this script writes nothing until every run has finished.
-Then it writes ``OUT.json`` and appends one line per workload to
-``benchmarks/results/perf_history.jsonl``: the checkout's sha, its
-median of every end-to-end metric, and the line count of ``src/``.
+the parent first, even pairs the checkout first (ABBA), so a drift of
+the machine's speed falls on both sides alike.  Then all of that runs a
+second time, in fresh processes: one *interleaving* is every pair of
+every workload once.  Every run writes a file of its own; a run that
+leaves none (a worker crashed, or the run changed ``git status``) stops
+the script with exit status 1 and no ``OUT.json``.  perfbench requires
+that a run leave ``git status`` as it found it, so this script writes
+nothing until every run has finished.  Then it writes ``OUT.json`` and
+appends one line per workload to
+``benchmarks/results/perf_history.jsonl``: the session (``OUT``'s file
+name), the checkout's sha and the parent's, both sides' medians of
+every end-to-end metric and the change/parent ratio of each -- medians
+of different sessions are not comparable, ratios are -- and the line
+count of ``src/``.
 
 ``OUT.json`` has one schema.  Per workload, the ``[failed, attempted]``
 operations of every run, and per end-to-end metric of
 ``BENCHMARK.json``: every run's value on each side, both medians, the
 parent's quartiles, how many pairs the checkout won, whether every run of
 both sides gave the same value (``byte_equal``: the exact metrics must),
-and the ``verdict`` under the metric's bound, the benchmark's rule:
+and the ``verdict`` under the metric's bound, the benchmark's rule,
+applied to each interleaving on its own (the first interleaving's
+figures stand at the top level, the second's under ``"second"``):
 
 * ``worse``: the checkout's median is worse than the parent's by more
   than the bound;
@@ -33,9 +40,14 @@ and the ``verdict`` under the metric's bound, the benchmark's rule:
   bound, and not every checkout run beats every parent run;
 * ``within bound`` otherwise.
 
-On a two-core x86 box ten pairs of the four workloads take about 35
-minutes.  The exit status is 1 when any run failed an operation or any
-metric is ``worse``.
+A ``gain`` or ``worse`` stands only when the second interleaving gives
+it too; where the two disagree on one, the verdict is ``unresolved``
+(:func:`agree`).  One interleaving alone has given ``worse`` on a metric
+whose reruns right after were equal.
+
+On a two-core x86 box the two interleavings of ten pairs of the four
+workloads take 50 to 70 minutes.  The exit status is 1 when any run
+failed an operation or any metric is ``worse``.
 """
 
 from __future__ import annotations
@@ -110,22 +122,36 @@ def summarize(spec: dict, parent: List[float], change: List[float]) -> dict:
     }
 
 
+def agree(first: str, second: str) -> str:
+    """The verdict of two interleavings: a ``gain`` or ``worse`` that
+    the other does not repeat is ``unresolved``."""
+    if first == second or {first, second} <= {"within bound", "unresolved"}:
+        return first
+    return "unresolved"
+
+
 def src_lines(tree: Path) -> int:
     return sum(
         len(p.read_bytes().splitlines()) for p in (tree / "src").rglob("*.py")
     )
 
 
-def append_history(report: dict, lines: int) -> None:
-    """One line per workload: the change, its medians, ``src/`` lines."""
+def append_history(report: dict, session: str, lines: int) -> None:
+    """One line per workload: the session, the change and its parent,
+    both sides' medians and their ratios, ``src/`` lines."""
     path = ROOT / "benchmarks" / "results" / "perf_history.jsonl"
     with path.open("a") as f:
         for w, entry in report["workloads"].items():
+            metrics = entry["metrics"].items()
             f.write(json.dumps({
-                "sha": report["change"], "workload": w,
-                "medians": {
-                    name: m["change_median"]
-                    for name, m in entry["metrics"].items()
+                "session": session, "sha": report["change"],
+                "parent": report["parent"], "workload": w,
+                "medians": {n: m["change_median"] for n, m in metrics},
+                "parent_medians": {n: m["parent_median"] for n, m in metrics},
+                "ratios": {
+                    n: m["change_median"] / m["parent_median"]
+                    if m["parent_median"] else None
+                    for n, m in metrics
                 },
                 "src_lines": lines,
             }) + "\n")
@@ -163,36 +189,40 @@ def main(argv: Sequence[str] = None) -> int:
     head = git("rev-parse", "HEAD")
     dirty = bool(git("status", "--porcelain", "--untracked-files=no"))
 
-    runs: Dict[str, Dict[str, List[dict]]] = {
-        w: {side: [] for side in SIDES} for w in workloads
-    }
+    #: runs[k][w][side]: interleaving k's runs of workload w.
+    runs: List[Dict[str, Dict[str, List[dict]]]] = [
+        {w: {side: [] for side in SIDES} for w in workloads} for _ in range(2)
+    ]
     with tempfile.TemporaryDirectory(prefix="perfpairs-") as tmp:
         tmp = Path(tmp)
         parent_tree = tmp / "parent"
         git("clone", "--quiet", "--no-checkout", str(ROOT), str(parent_tree))
         git("checkout", "--quiet", "--detach", parent, cwd=parent_tree)
         trees = {"parent": parent_tree, "change": ROOT}
-        for i in range(1, PAIRS + 1):
-            order = SIDES if i % 2 else SIDES[::-1]
-            for w in workloads:
-                for side in order:
-                    try:
-                        res = run_perfbench(
-                            trees[side], w, i, tmp / f"{side}-{w}-{i}.json"
-                        )
-                    except RuntimeError as e:
-                        print(f"perfpairs: {e}", file=sys.stderr)
-                        return 1
-                    runs[w][side].append(res)
-                    print(f"pair {i} {w} {side}: {res['ops_failed']} of "
-                          f"{res['ops_attempted']} ops failed",
-                          file=sys.stderr, flush=True)
+        for k, interleaving in enumerate(runs, 1):
+            for i in range(1, PAIRS + 1):
+                order = SIDES if i % 2 else SIDES[::-1]
+                for w in workloads:
+                    for side in order:
+                        try:
+                            res = run_perfbench(
+                                trees[side], w, i,
+                                tmp / f"{side}-{w}-{i}-{k}.json",
+                            )
+                        except RuntimeError as e:
+                            print(f"perfpairs: {e}", file=sys.stderr)
+                            return 1
+                        interleaving[w][side].append(res)
+                        print(f"interleaving {k} pair {i} {w} {side}: "
+                              f"{res['ops_failed']} of "
+                              f"{res['ops_attempted']} ops failed",
+                              file=sys.stderr, flush=True)
 
     report = {
-        "schema": 1,
+        "schema": 2,
         "what": "python3 -m perfbench --workload W --seed i, alternating "
-        "parent/change per pair (odd pairs parent first); values as "
-        "perfbench reports them",
+        "parent/change per pair (odd pairs parent first), all pairs twice "
+        "(two interleavings); values as perfbench reports them",
         "parent": parent,
         "change": head + (" + uncommitted changes" if dirty else ""),
         "pairs": PAIRS,
@@ -203,22 +233,32 @@ def main(argv: Sequence[str] = None) -> int:
     bad = False
     for w in workloads:
         failed = {
-            side: [[r["ops_failed"], r["ops_attempted"]] for r in runs[w][side]]
+            side: [
+                [r["ops_failed"], r["ops_attempted"]]
+                for interleaving in runs for r in interleaving[w][side]
+            ]
             for side in SIDES
         }
-        metrics = {
-            name: summarize(
-                spec,
-                [r["metrics"][name] for r in runs[w]["parent"]],
-                [r["metrics"][name] for r in runs[w]["change"]],
+        metrics = {}
+        for name, spec in specs.items():
+            first, second = (
+                summarize(spec, *(
+                    [r["metrics"][name] for r in interleaving[w][side]]
+                    for side in SIDES
+                ))
+                for interleaving in runs
             )
-            for name, spec in specs.items()
-        }
+            first["second"] = second
+            first["byte_equal"] &= second["byte_equal"] and (
+                second["parent"][0] == first["parent"][0]
+            )
+            first["verdict"] = agree(first["verdict"], second["verdict"])
+            metrics[name] = first
         report["workloads"][w] = {"failed": failed, "metrics": metrics}
         bad |= any(f for side in SIDES for f, _ in failed[side])
         bad |= any(m["verdict"] == "worse" for m in metrics.values())
     args.out.write_text(json.dumps(report, indent=1) + "\n")
-    append_history(report, src_lines(ROOT))
+    append_history(report, args.out.name, src_lines(ROOT))
     for w, entry in report["workloads"].items():
         for name, m in entry["metrics"].items():
             print(f"{w:10s} {name:20s} {m['parent_median']:14.6g} "

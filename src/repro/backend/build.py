@@ -14,16 +14,19 @@ that fails to load (truncated, wrong architecture, hand-edited) is
 unlinked and rebuilt cold -- mirroring the program cache's corruption
 semantics.  An object that fails to load *right after* ``cc`` wrote it
 is a toolchain fault like a nonzero exit status: :class:`BuildError`,
-no retry.
+no retry.  :func:`compile_kernels` builds many sources at once, one
+``cc`` per source, and a fault is the faulty source's alone.
 """
 
 from __future__ import annotations
 
 import _ctypes
+import contextlib
 import ctypes
 import hashlib
 import os
 import shutil
+import signal
 import subprocess
 import sys
 import threading
@@ -173,53 +176,96 @@ def _load(so: Path):
     return lib, fn
 
 
-def compile_kernel(source: str):
-    """Return the native entry point for ``source``, building at most
-    once per (source, toolchain, flags, ABI) across processes."""
+def compile_kernels(sources, jobs: int = 1):
+    """Per source its ``(entry point, digest)``, or the
+    :class:`BuildError` that says why it has none.  A source not loaded
+    yet nor on disk gets a ``cc`` of its own, at most ``jobs`` at once;
+    every child is reaped before this returns, also when it raises."""
     cc, _ = find_cc()
     if cc is None:
-        raise BuildError("no-cc", "no C compiler available")
-    digest = source_digest(source)
-    hit = _memo.get(digest)
-    if hit is not None:
-        return hit[1], digest
+        return [BuildError("no-cc", "no C compiler available")] * len(sources)
+    digests = [source_digest(s) for s in sources]
+    cold = {}
+    for source, digest in zip(sources, digests):
+        if digest not in _memo and digest not in cold and not _load_cached(digest):
+            cold[digest] = source
+    failed = _cc_all(cc, cold, jobs) if cold else {}
+    return [failed.get(d) or (_memo[d][1], d) for d in digests]
+
+
+def compile_kernel(source: str):
+    """:func:`compile_kernels` of one source, raising its BuildError."""
+    (got,) = compile_kernels([source])
+    if isinstance(got, BuildError):
+        raise got
+    return got
+
+
+def _load_cached(digest: str) -> bool:
+    """Load ``digest``'s cached object; unlink a corrupt or stale one."""
+    so = cache_dir() / f"{digest}.so"
+    if not so.exists():
+        return False
+    try:
+        _memo[digest] = _load(so)
+        return True
+    except (OSError, AttributeError):
+        so.unlink(missing_ok=True)
+        return False
+
+
+def _cc_all(cc: str, cold: Dict[str, str], jobs: int) -> Dict[str, BuildError]:
+    """Build ``cold``'s ``digest -> source`` entries; why some failed."""
     d = cache_dir()
     d.mkdir(parents=True, exist_ok=True)
-    so = d / f"{digest}.so"
-    csrc = d / f"{digest}.c"
-    lib_fn = None
-    if so.exists():
-        try:
-            lib_fn = _load(so)
-        except (OSError, AttributeError):
-            # Corrupt/stale entry (unloadable, or loadable without the
-            # entry point): degrade to a cold rebuild.
+    todo = list(cold.items())
+    running = []  # (digest, temp object, child), oldest first
+    failed = {}
+    try:
+        while todo or running:
+            while todo and len(running) < jobs:
+                digest, source = todo.pop(0)
+                csrc = d / f"{digest}.c"
+                atomic_write(csrc, source.encode())
+                tmp = _writer_tmp(d / f"{digest}.so")
+                running.append((digest, tmp, subprocess.Popen(
+                    [cc, *CC_FLAGS, "-o", str(tmp), str(csrc), "-lm"],
+                    stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+                    text=True, start_new_session=True,
+                )))
+            digest, tmp, proc = running[0]
+            _, err = proc.communicate()
+            del running[0]
             try:
-                so.unlink()
-            except OSError:
-                pass
-    if lib_fn is None:
-        atomic_write(csrc, source.encode())
-        tmp = _writer_tmp(so)
-        try:
-            cmd = [cc, *CC_FLAGS, "-o", str(tmp), str(csrc), "-lm"]
-            proc = subprocess.run(cmd, capture_output=True, text=True)
-            if proc.returncode != 0:
-                said = proc.stderr.strip().splitlines()
-                raise BuildError(
-                    "cc-failed",
-                    f"exit status {proc.returncode}: {said[0] if said else ''}",
-                )
-            try:
-                os.replace(tmp, so)
-                lib_fn = _load(so)
-            except (OSError, AttributeError) as e:
-                # What cc just wrote does not load.  Building it again
-                # would give the same object: unlink it and let the
-                # caller degrade.
-                so.unlink(missing_ok=True)
-                raise BuildError("so-unloadable", str(e)) from None
-        finally:
+                _install(digest, tmp, proc.returncode, err)
+            except BuildError as e:
+                failed[digest] = e
+            finally:
+                tmp.unlink(missing_ok=True)
+    finally:
+        for _, tmp, proc in running:
+            # The whole group: a compiler driver's own children would
+            # write on after it died.
+            with contextlib.suppress(ProcessLookupError):
+                os.killpg(proc.pid, signal.SIGKILL)
+            proc.communicate()
             tmp.unlink(missing_ok=True)
-    _memo[digest] = lib_fn
-    return lib_fn[1], digest
+    return failed
+
+
+def _install(digest: str, tmp: Path, status: int, stderr: str) -> None:
+    """Move what ``cc`` wrote into place and load it (:data:`_memo`)."""
+    if status != 0:
+        said = stderr.strip().splitlines()
+        raise BuildError(
+            "cc-failed", f"exit status {status}: {said[0] if said else ''}"
+        )
+    so = tmp.with_name(f"{digest}.so")
+    try:
+        os.replace(tmp, so)
+        _memo[digest] = _load(so)
+    except (OSError, AttributeError) as e:
+        # What cc just wrote does not load.  Building it again would
+        # give the same object: unlink it and let the caller degrade.
+        so.unlink(missing_ok=True)
+        raise BuildError("so-unloadable", str(e)) from None

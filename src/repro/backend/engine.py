@@ -7,19 +7,23 @@ outermost ``map`` statement completely -- outputs *and* every simulated
 returns ``True``, or touches nothing and returns ``False`` so the
 executor falls through to the vectorized/interpreted tiers.
 
-The first launch of a statement prints its kernel plan
-(:mod:`repro.mem.kernel`, shared with the vectorized tier) with
-:func:`repro.backend.cemit.emit_kernel`, producing launch-*structure*-
-specialized C plus a list of argument directives (which host scalars,
-symbolic expressions, index-function components, and buffers to marshal
-per launch).  The compiled entry point is cached by source digest
-(:mod:`repro.backend.build`); the per-statement plan is shared across
-all executors of a :class:`repro.runtime.Program`, exactly like the
-kernel plans.  A statement whose subtree the emitter
-declines -- or crashes on (``internal-error``) -- or whose C the
-toolchain fails to build is marked and never attempted again; a launch whose concrete structure no longer
-matches the plan (a rank or scalar-kind change) falls back for that
-launch only.  Either way :attr:`NativeEngine.declined` says why.
+:meth:`NativeEngine.plan` prints a statement's kernel plan
+(:mod:`repro.mem.kernel`, shared with the vectorized tier) for its first
+launch with :func:`repro.backend.cemit.emit_kernel`, producing launch-
+*structure*-specialized C plus a list of argument directives (which host
+scalars, symbolic expressions, index-function components, and buffers
+to marshal per launch); :meth:`NativeEngine.planning` then builds every
+kernel printed, one ``cc`` per core at once.  A :class:`repro.runtime.
+Program`'s first request plans all the kernels it reaches before it
+launches one; any other statement is planned at its first launch.  The
+compiled entry point is cached by source digest (:mod:`repro.backend.
+build`); the per-statement plan is shared across all executors of a
+Program, exactly like the kernel plans.  A statement whose subtree the
+emitter declines -- or crashes on (``internal-error``) -- or whose C the
+toolchain fails to build is marked and never attempted again; a launch
+whose concrete structure no longer matches the plan (a rank or
+scalar-kind change) falls back for that launch only.  Either way
+:attr:`NativeEngine.declined` says why.
 
 A launch is ``marshal -> fire -> distribute``: :meth:`NativeEngine.
 marshal` turns the directives into a :class:`Launch` (concrete argument
@@ -307,6 +311,9 @@ class NativeEngine:
         #: reader and nothing after this process.
         self.declined = DecisionLog()
         self._lock = threading.Lock()
+        #: id(stmt) -> (stmt, KernelSpec) printed by :meth:`plan`, not
+        #: yet built.
+        self._unbuilt: Dict[int, tuple] = {}
         #: Cumulative emission + cc wall clock (ExecStats.codegen_seconds).
         self.codegen_seconds = 0.0
 
@@ -314,7 +321,9 @@ class NativeEngine:
     def try_run_map(self, ex, stmt, exp, env, width, dests) -> bool:
         plan = self.plans.get(id(stmt))
         if plan is None:
-            plan = self._emit(ex, stmt, env, dests)
+            with self.planning():
+                self.plan(ex, stmt, env, dests)
+            plan = self.plans[id(stmt)]
         rec = ex._recorder
         if plan is REJECTED:
             if rec is not None:
@@ -338,39 +347,60 @@ class NativeEngine:
         return True
 
     # ------------------------------------------------------------------
-    def _emit(self, ex, stmt, env, dests):
+    @contextlib.contextmanager
+    def planning(self):
+        """Hold the engine while :meth:`plan` prints kernels, then build
+        every one it printed, one ``cc`` per core at once; the wall clock
+        counts in :attr:`codegen_seconds`."""
         with self._lock:
-            plan = self.plans.get(id(stmt))
-            if plan is not None:
-                return plan
             t0 = time.perf_counter()
             try:
-                kplan = ex._vec_plans[id(stmt)]
-                why = native_rule(kplan)
-                if why is not None:
-                    raise why
-                spec = emit_kernel(ex, kplan, env, dests)
-                fn, digest = build.compile_kernel(spec.source)
-                spec.fn = fn
-                spec.digest = digest
-                plan = spec
-            except (Declined, build.BuildError) as why:
-                self.declined.add(
-                    "native", why.rule, stmt.names[0], why.detail
-                )
-                plan = REJECTED
-            except Exception as bug:
-                # An emitter bug is not this request's problem, nor the
-                # next one's: the vectorized tier serves the statement,
-                # and the record is one no test run may contain.
-                self.declined.add(
-                    "native", "internal-error", stmt.names[0], repr(bug)
-                )
-                plan = REJECTED
-            self.codegen_seconds += time.perf_counter() - t0
-            self.plans[id(stmt)] = plan
-            self._planned.append(stmt)
-            return plan
+                yield
+            finally:
+                self._build()
+                self.codegen_seconds += time.perf_counter() - t0
+
+    def plan(self, ex, stmt, env, dests) -> None:
+        """Print ``stmt``'s kernel for its first launch (``env``, ``dests``),
+        to build when :meth:`planning` ends; or record why there is none."""
+        if id(stmt) in self.plans or id(stmt) in self._unbuilt:
+            return
+        self._planned.append(stmt)
+        try:
+            kplan = ex._vec_plans[id(stmt)]
+            why = native_rule(kplan)
+            if why is not None:
+                raise why
+            self._unbuilt[id(stmt)] = (stmt, emit_kernel(ex, kplan, env, dests))
+            return
+        except Declined as why:
+            self.declined.add("native", why.rule, stmt.names[0], why.detail)
+        except Exception as bug:
+            # An emitter bug is not this request's problem, nor the
+            # next one's: the vectorized tier serves the statement,
+            # and the record is one no test run may contain.
+            self.declined.add(
+                "native", "internal-error", stmt.names[0], repr(bug)
+            )
+        self.plans[id(stmt)] = REJECTED
+
+    def _build(self) -> None:
+        """Compile the printed kernels; a launch sees a plan only once
+        it is built (or ``REJECTED``, with its own record)."""
+        todo, self._unbuilt = list(self._unbuilt.values()), {}
+        try:
+            built = build.compile_kernels(
+                [spec.source for _, spec in todo], _cores()
+            )
+        except Exception as bug:  # recorded like an emitter bug
+            built = [build.BuildError("internal-error", repr(bug))] * len(todo)
+        for (stmt, spec), got in zip(todo, built):
+            if isinstance(got, build.BuildError):
+                self.declined.add("native", got.rule, stmt.names[0], got.detail)
+                self.plans[id(stmt)] = REJECTED
+            else:
+                spec.fn, spec.digest = got
+                self.plans[id(stmt)] = spec
 
     # ------------------------------------------------------------------
     def _launch(self, spec: KernelSpec, ex, env, width, dests) -> None:

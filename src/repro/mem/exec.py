@@ -128,8 +128,9 @@ class MemExecutor:
         #: compiled-C tier, attempted before the vectorized dispatch.
         #: Off by default on bare executors (the differential tests pin
         #: exact vec/interp launch counts); :class:`repro.runtime.
-        #: Program` wires a shared engine in for warm serving.
-        self._native = native if self.vectorize else None
+        #: Program` wires a shared engine in for warm serving -- and,
+        #: to plan kernels instead of sampling threads, into a dry one.
+        self._native = native if self.vectorize or mode == "dry" else None
         #: Optional :class:`repro.runtime.tape.TapeRecorder`: told of
         #: every host-level effect on buffer contents (input binding,
         #: copy, fill, point write, native launch) and of every
@@ -851,7 +852,9 @@ class MemExecutor:
                     for dest in dests:
                         if dest is not None:
                             self._check_region(dest)
-                if width > 0:
+                if width > 0 and self._native is not None:
+                    self._native.plan(self, stmt, env, dests)
+                elif width > 0:
                     # Every thread's scratch coexists for the kernel's
                     # duration, so its allocation growth scales too.
                     self._sampled(width, lambda: run_thread(width // 2))

@@ -147,6 +147,8 @@ class Program:
         #: dispatches straight into the cached shared object.
         self._native_engine = None
         self._native_probed = False
+        #: Whether the first native request's walk (:meth:`_walk`) ran.
+        self._walked = False
         #: Shape-class LRU: shape key -> launch tape state.  Evicting a
         #: class also drops its allocation plan (and the idle buffers
         #: only it could reuse) from the pool.
@@ -341,6 +343,8 @@ class Program:
         refused = cls.declined
         if refused is not None and refused.rule == "premise-violated":
             raise Declined(refused.rule, refused.detail)
+        if engine is not None and not self._walked:
+            self._walk(engine, inputs, cls)
         off = "native tier not in use" if engine is None else cls.declined
         tape = cls.tape if off is None else None
         with self.pool.lease() as lease, executing():
@@ -397,6 +401,43 @@ class Program:
                     if self._classes.get(skey) is cls:
                         self.pool.note_plan(skey, lease.manifest())
         return outs, stats
+
+    def _walk(self, engine, inputs, cls: _ShapeClass) -> None:
+        """Plan and build every kernel the first native request launches
+        before anything executes: a dry run of the host program (its
+        values are functions of the shape class) hands each outermost
+        map's first launch to the engine.  It stops at any exception or
+        at the first host statement that reads a buffer (the tape
+        recorder's rule), whose record turns ``cls``'s tape off unless a
+        map before it was rejected (the recorder names that one first)."""
+        with engine.planning():
+            if self._walked:
+                return
+            self._walked = True
+            try:
+                MemExecutor(
+                    self.compiled.fun, mode="dry", vec_plans=self._vec_plans,
+                    native=engine, recorder=_WalkStop,
+                ).run(**dict(inputs))
+                return
+            except _WalkStop as stop:
+                (why,) = stop.args
+            except Exception:  # the request meets it again, and says so
+                return
+        if REJECTED not in list(engine.plans.values()):  # others may plan
+            with self._lock:
+                cls.declined = self.declined.add(
+                    why.layer, why.rule, why.site, why.detail
+                )
+
+
+class _WalkStop(Exception):
+    """The walk's recorder: a dry run reaches nothing of a recorder but
+    :meth:`refuse`, whose record stops the walk."""
+
+    @staticmethod
+    def refuse(why: Decision) -> None:
+        raise _WalkStop(why)
 
 
 def _outermost_maps(block: A.Block):

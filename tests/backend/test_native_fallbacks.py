@@ -11,6 +11,7 @@ signature so tiers remain interchangeable.
 
 import subprocess
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -122,6 +123,92 @@ def test_failing_cc_degrades_and_says_so(rule, tmp_path, monkeypatch):
         assert ".so" in why.detail  # the loader's message names the object
         assert not list((tmp_path / "cache").glob("*.so"))  # unlinked
     assert stats.tape == f"off: {why}"
+
+
+@pytest.mark.native
+def test_one_failing_kernel_of_a_concurrent_build(tmp_path, monkeypatch):
+    """A ``REPRO_CC`` wrapper around the real compiler logs each build's
+    start and end and fails the first build it is asked for: at most
+    ``_cores()`` builds overlap, each is reaped before the request goes
+    on, the failure is its own statement's alone and no temp file stays
+    behind -- also when the build raises midway."""
+    import repro.backend.engine as engine
+    from repro.bench.programs import lud
+
+    log, cache = tmp_path / "log", tmp_path / "cache"
+    cc = tmp_path / "wrapcc"
+    cc.write_text(
+        "#!/bin/sh\n"
+        f'if [ "$1" = --version ]; then exec {build.find_cc()[0]} "$@"; fi\n'
+        f'echo "start $$" >> {log}\n'
+        "sleep 0.2\n"
+        f'if mkdir {tmp_path}/failed 2>/dev/null; then rc=1; echo "wrapcc: no" >&2\n'
+        f'else {build.find_cc()[0]} "$@"; rc=$?; fi\n'
+        f'echo "end $$" >> {log}\n'
+        "exit $rc\n"
+    )
+    cc.chmod(0o755)
+    monkeypatch.delenv("REPRO_NATIVE", raising=False)
+    monkeypatch.setenv("REPRO_CC", str(cc))
+    monkeypatch.setenv("REPRO_NATIVE_CACHE", str(cache))
+    monkeypatch.setattr(build, "_cc_info", None)
+    build.clear_memo()
+
+    def builds():
+        """(pid, overlap at its start) per build in the log."""
+        running, out = 0, []
+        for line in log.read_text().splitlines():
+            what, pid = line.split()
+            running += 1 if what == "start" else -1
+            if what == "start":
+                out.append((int(pid), running))
+        assert running == 0  # every build ended
+        return out
+
+    def reaped(pids):
+        return not [p for p in pids if Path(f"/proc/{p}").exists()]
+
+    inputs = lud.inputs_for(*lud.TEST_DATASETS["small"])
+    program = rt.compile(lud.build(), pipeline="full", memoize=False)
+    want, want_stats = program.run(inputs, native=False)
+    outs, stats = program.run(inputs)
+    for a, b in zip(outs, want):
+        assert np.array_equal(np.asarray(a), np.asarray(b))
+    assert stats.signature() == want_stats.signature()
+    started = builds()
+    maps = program.coverage()["maps"]
+    assert len(started) == len(maps) > 2
+    assert max(n for _, n in started) <= engine._cores()
+    if engine._cores() > 1:
+        assert max(n for _, n in started) > 1
+    assert reaped(p for p, _ in started)
+    (failed,) = [m for m in maps.values() if m["tier"] != "native"]
+    assert [d.rule for d in failed["declined"]] == ["cc-failed"]
+    assert failed["declined"][0].detail == "exit status 1: wrapcc: no"
+    assert not [f for f in cache.iterdir() if f.name.endswith(".tmp")]
+
+    # A build that raises midway still reaps every child and leaves no
+    # temp file; its kernels are rejected, the request is served.
+    log.unlink()
+    for f in cache.iterdir():
+        f.unlink()
+    build.clear_memo()
+
+    def broken(so):
+        raise RuntimeError("loader broke")
+
+    monkeypatch.setattr(build, "_load", broken)
+    program = rt.compile(lud.build(), pipeline="full", memoize=False)
+    outs, stats = program.run(inputs)
+    assert stats.native_launches == 0
+    for a, b in zip(outs, want):
+        assert np.array_equal(np.asarray(a), np.asarray(b))
+    assert reaped(int(l.split()[1]) for l in log.read_text().splitlines())
+    assert not [f for f in cache.iterdir() if f.name.endswith(".tmp")]
+    assert {
+        (d.rule, d.detail) for m in program.coverage()["maps"].values()
+        for d in m["declined"]
+    } == {("internal-error", "RuntimeError('loader broke')")}
 
 
 # -- kernel cache -------------------------------------------------------

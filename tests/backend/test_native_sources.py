@@ -6,13 +6,15 @@ benchmarks under the six pipeline presets (``small`` datasets), for the
 its sha256 and byte length in ``native_sources.json``.  A refactor of
 the emitter must leave that table as it is; a change to the kernels on
 purpose rewrites it (``python -m tests.backend.test_native_sources``)
-and declares its ``generated_c_bytes`` move.
+and declares its ``generated_c_bytes`` move.  A ``Program``'s
+first-request walk must plan the same kernels before anything launches.
 """
 
 import hashlib
 import json
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -23,6 +25,7 @@ from repro.bench.programs import all_benchmarks
 from repro.compiler import compile_fun
 from repro.mem.exec import MemExecutor
 from repro.pipeline import PRESETS
+from repro.runtime import Program
 from tests.backend.test_native_corpus import SEEDS, _inputs
 from tests.mem.test_vectorize import LOWERING_CASES
 from tests.opt.conftest import random_two_stage_pipeline
@@ -76,6 +79,24 @@ CASES = list(_cases())
 def test_emitted_c_is_pinned(key, build, inputs):
     want = json.loads(TABLE.read_text())[key]
     assert sources(build, inputs) == want
+
+
+@pytest.mark.parametrize(
+    "key, build, inputs", CASES, ids=[key for key, _, _ in CASES]
+)
+def test_first_request_walk_plans_the_pinned_c(key, build, inputs):
+    """A ``Program``'s walk plans, before any launch, every kernel its
+    first request would emit at that kernel's own first launch."""
+    program = Program(SimpleNamespace(fun=build()), memoize=False)
+    eng = program._native_engine = NativeEngine()
+    program._native_probed = True
+    program._walk(eng, inputs, program._shape_class(program.shape_key(inputs)))
+    specs = [s for s in eng.plans.values() if isinstance(s, KernelSpec)]
+    assert all(s.fn is not None and s.per_thread is None for s in specs)
+    assert sorted(
+        [hashlib.sha256(s.source.encode()).hexdigest(), len(s.source.encode())]
+        for s in specs
+    ) == json.loads(TABLE.read_text())[key]
 
 
 if __name__ == "__main__":

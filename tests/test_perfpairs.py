@@ -150,3 +150,97 @@ def test_a_finished_run_appends_one_history_line_per_workload(
     for line in lines:
         assert line["sha"] == head and line["src_lines"] == 1
         assert line["medians"] == {"first_call_s": 0.555, "peak_bytes": 4096}
+
+
+#: Per run: which side (the tree's ``side.txt``) and which interleaving
+#: (runs counted so far in ``$FAKE_RUNS``: 20 per interleaving of one
+#: workload) it is; the change is twice as fast on ``steady_s``, on
+#: ``flaky_s`` only in the first interleaving, and twice as slow on
+#: ``late_s`` only in the second.
+FAKE_TWO_INTERLEAVINGS = '''\
+import argparse, json, os, pathlib
+ap = argparse.ArgumentParser()
+ap.add_argument("--workload")
+ap.add_argument("--seed", type=int)
+ap.add_argument("--json")
+a = ap.parse_args()
+runs = pathlib.Path(os.environ["FAKE_RUNS"])
+second = runs.exists() and len(runs.read_text().splitlines()) >= 20
+with runs.open("a") as f:
+    f.write("run\\n")
+change = pathlib.Path("side.txt").read_text().strip() == "change"
+base = 1.0 + a.seed / 1000
+json.dump({"workloads": {a.workload: {
+    "ops_failed": 0, "ops_attempted": 3,
+    "metrics": {
+        "steady_s": base / 2 if change else base,
+        "flaky_s": base / 2 if change and not second else base,
+        "late_s": base * 2 if change and second else base,
+    },
+}}}, open(a.json, "w"))
+'''
+
+
+def test_a_verdict_stands_only_when_a_second_interleaving_agrees(
+    tmp_path, monkeypatch
+):
+    """Gain in both interleavings: gain.  Gain in the first only, or
+    worse in the second only: unresolved.  The history line carries the
+    session's parent medians and the ratios."""
+    import json
+    import subprocess
+
+    repo = tmp_path / "repo"
+    spec = {"unit": "s", "better": "lower", "bound": 0.25}
+    for rel, text in {
+        "perfbench/__init__.py": "",
+        "perfbench/__main__.py": FAKE_TWO_INTERLEAVINGS,
+        "side.txt": "parent\n",
+        "src/pkg/mod.py": "a = 1\n",
+        "benchmarks/results/perf_history.jsonl": "",
+        "BENCHMARK.json": json.dumps({
+            "workloads": [{"name": "w"}],
+            "end_to_end": [
+                dict(spec, name=n) for n in ("steady_s", "flaky_s", "late_s")
+            ],
+        }),
+    }.items():
+        (repo / rel).parent.mkdir(parents=True, exist_ok=True)
+        (repo / rel).write_text(text)
+
+    def git(*args):
+        return subprocess.run(
+            ["git", "-c", "user.name=t", "-c", "user.email=t@t", *args],
+            cwd=repo, check=True, capture_output=True, text=True,
+        ).stdout.strip()
+
+    git("init", "-q")
+    git("add", "-A")
+    git("commit", "-qm", "parent")
+    parent = git("rev-parse", "HEAD")
+    (repo / "side.txt").write_text("change\n")
+    git("commit", "-qam", "change")
+    mod = load_perfpairs()
+    monkeypatch.setattr(mod, "ROOT", repo)
+    monkeypatch.setenv("TMPDIR", str(tmp_path))
+    monkeypatch.setenv("FAKE_RUNS", str(tmp_path / "runs"))
+    out = tmp_path / "pairs.json"
+    assert mod.main([str(out)]) == 0
+    assert len((tmp_path / "runs").read_text().splitlines()) == 40
+    metrics = json.loads(out.read_text())["workloads"]["w"]["metrics"]
+    verdicts = {
+        n: (m["verdict"], m["second"]["verdict"]) for n, m in metrics.items()
+    }
+    assert verdicts == {
+        "steady_s": ("gain", "gain"),
+        "flaky_s": ("unresolved", "within bound"),
+        "late_s": ("unresolved", "worse"),
+    }
+    (line,) = [
+        json.loads(l) for l in
+        (repo / "benchmarks/results/perf_history.jsonl").read_text().splitlines()
+    ]
+    assert (line["session"], line["parent"]) == ("pairs.json", parent)
+    assert line["parent_medians"]["steady_s"] == 1.0055
+    assert line["ratios"]["steady_s"] == line["medians"]["steady_s"] / 1.0055
+    assert line["ratios"]["steady_s"] == pytest.approx(0.5)
