@@ -104,11 +104,6 @@ RULES = {
         "fusion changed what the pair writes, or a later pass re-homed "
         "the consumer without rewriting the FusedRecord",
     ),
-    "MS01": (
-        "allocation does not fit its memory space's capacity",
-        "placement chose a bounded on-chip space for a block that only "
-        "fits in DRAM",
-    ),
 }
 
 

@@ -18,7 +18,6 @@ from repro.analysis.frees import check_frees
 from repro.analysis.fusion import check_fusion
 from repro.analysis.liveness import check_liveness
 from repro.analysis.races import check_races
-from repro.analysis.spaces import check_spaces
 from repro.analysis.wellformed import check_wellformed
 from repro.ir import ast as A
 
@@ -31,7 +30,6 @@ CHECKERS = (
     ("races", check_races),
     ("frees", check_frees),
     ("fusion", check_fusion),
-    ("spaces", check_spaces),
 )
 
 

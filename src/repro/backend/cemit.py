@@ -45,13 +45,12 @@ from repro.ir.interp import InterpError
 from repro.ir.types import DTYPE_INFO
 from repro.mem.kernel import Block, Plan, declined, elision_guard, label
 from repro.mem.memir import array_bindings, binding_of
-from repro.mem.spaces import SPACES
 
 #: Counter slots per site: [entered, bytes_read, bytes_written, flops,
-#: elided_copies, elided_bytes, scratch_read, scratch_written].  The
-#: space slots (6-7) attribute the part of slots 1/2 that touched a
-#: non-HBM memory space (each row of repro.mem.spaces.SPACES names its
-#: pair); they are duplicates of, not additions to, the totals.
+#: elided_copies, elided_bytes, local_read, local_written].  Slots 6-7
+#: attribute the part of slots 1/2 that touched a kernel-local block
+#: (an ``("alloc", ...)`` buffer); they are duplicates of, not additions
+#: to, the totals.
 SLOTS = 8
 
 #: Bump when the emitted ABI or counter layout changes (part of the
@@ -223,8 +222,6 @@ class _Emitter:
         self.int_dirs: List[tuple] = []
         self.flt_dirs: List[tuple] = []
         self.buf_dirs: List[tuple] = []
-        #: Memory space per buffer slot, parallel to ``buf_dirs``.
-        self.buf_space: List[str] = []
         self.alloc_sites: List[tuple] = []
         #: ``(kind, label)`` of every counter site -> its row index.
         self.sites: Dict[Tuple[str, str], int] = {}
@@ -290,11 +287,10 @@ class _Emitter:
 
     def charge_rw(self, site: int, mem: MemObj, write: bool, n) -> None:
         """A read or write of ``n`` bytes -- pended when a constant --
-        with its attribution to a non-HBM space's slot."""
+        also charged to a local slot when the buffer is kernel-local."""
         slots = [2 if write else 1]
-        space = SPACES.get(self.buf_space[mem.buf])
-        if space is not None and space.slots is not None:
-            slots.append(space.slots[write])
+        if self.buf_dirs[mem.buf][0] == "alloc":
+            slots.append(7 if write else 6)
         for slot in slots:
             if isinstance(n, int):
                 self.pend(site, slot, n)
@@ -353,7 +349,6 @@ class _Emitter:
         if ent is None:
             bslot = len(self.buf_dirs)
             self.buf_dirs.append(("arr", source))
-            self.buf_space.append(self.ex._space_of(ra.mem))
             base = self._int_width
             self._int_width += sum(1 + 2 * r for r in ranks)
             lits = (None,) * (self._int_width - base)
@@ -386,13 +381,12 @@ class _Emitter:
         except InterpError:
             return None
 
-    def _mem_buf(self, name: str, resolved: str) -> int:
+    def _mem_buf(self, name: str) -> int:
         key = ("mem", name)
         slot = self._buf_slots.get(key)
         if slot is None:
             slot = len(self.buf_dirs)
             self.buf_dirs.append(("mem", name))
-            self.buf_space.append(self.ex._space_of(resolved))
             self._buf_slots[key] = slot
         return slot
 
@@ -457,10 +451,9 @@ class _Emitter:
         if obj is None:
             # A host-level block: resolvable through the launch env at
             # every launch (the resolved name may differ per launch).
-            resolved = self._host_mem(mem)
-            if resolved is None:
+            if self._host_mem(mem) is None:
                 raise declined("unsupported", f"unresolvable memory {mem!r}")
-            obj = MemObj(self._mem_buf(mem, resolved), "0", 0)
+            obj = MemObj(self._mem_buf(mem), "0", 0)
         self.check_scope(obj.scope)
         return obj
 
@@ -751,10 +744,8 @@ class _Emitter:
         site_idx = len(self.alloc_sites)
         bslot = len(self.buf_dirs)
         self.buf_dirs.append(("alloc", site_idx))
-        self.buf_space.append(exp.space)
         self.alloc_sites.append((
             name, exp.size, tuple(e[2] for e in self._alloc_path), exp.dtype,
-            exp.space,
         ))
         slot = "0"
         for cnt_c, idx, _ in self._alloc_path:

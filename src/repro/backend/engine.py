@@ -58,7 +58,6 @@ from repro.ir import scalar
 from repro.ir.interp import InterpError, eval_sym
 from repro.ir.types import DTYPE_INFO
 from repro.mem.kernel import declined, native_rule
-from repro.mem.spaces import SPACES
 
 #: Plan sentinel: no kernel for this statement (``NativeEngine.declined``
 #: holds the reason under the statement's binding name).
@@ -91,7 +90,7 @@ class Launch:
         self.fa_ptr = fa.ctypes.data
         #: Per in-kernel allocation site: (buffer position, element
         #: count, numpy dtype) of the fresh zeroed block each execution
-        #: needs, then (static name, bytes, block count, space) for the
+        #: needs, then (static name, bytes, block count) for the
         #: executor's footprint accounting.
         self.allocs = allocs
 
@@ -251,10 +250,6 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_forget_helpers)
 
 
-#: ``(space, read slot, written slot)`` of every space with counters.
-_SPACE_SLOTS = [(m.name, *m.slots) for m in SPACES.values() if m.slots]
-
-
 def distribute(stats, sites, counters) -> None:
     """Fold C-accumulated counters into ``stats``: one ``SLOTS``-wide
     row of ``counters`` per ``(kind, label)`` site.
@@ -270,18 +265,15 @@ def distribute(stats, sites, counters) -> None:
     for (kind, label), row in zip(sites, rows):
         if not any(row):
             continue
-        _ent, br, bw, fl, elc, elb = row[:6]
+        _ent, br, bw, fl, elc, elb, lr, lw = row
         ks = stats.kernel(kind, label)
         ks.bytes_read += br
         ks.bytes_written += bw
         ks.flops += fl
-        # Space slots duplicate the part of br/bw that touched a
-        # non-HBM space (each space's row in mem.spaces.SPACES).
-        for sp, rd, wr in _SPACE_SLOTS:
-            if row[rd]:
-                ks.space_read[sp] = ks.space_read.get(sp, 0) + row[rd]
-            if row[wr]:
-                ks.space_written[sp] = ks.space_written.get(sp, 0) + row[wr]
+        # The local slots duplicate the part of br/bw that touched a
+        # kernel-local block.
+        ks.local_read += lr
+        ks.local_written += lw
         stats.elided_copies += elc
         stats.elided_bytes += elb
 
@@ -414,14 +406,14 @@ class NativeEngine:
         # interpreter's exact accounting (one fresh zeroed block per
         # site holding all per-execution slots; freed wholesale when the
         # outermost map ends, via the kernel-alloc log).
-        for i, elems, np_dtype, name, nbytes, total, space in launch.allocs:
+        for i, elems, np_dtype, name, nbytes, total in launch.allocs:
             buf = np.zeros(elems, dtype=np_dtype)
             ex._alloc_counter += 1
             unique = f"{name}@{ex._alloc_counter}"
             ex.mem[unique] = buf
             ex.stats.alloc_count += total
             ex.stats.alloc_bytes += nbytes
-            ex._note_alloc(name, unique, nbytes, space)
+            ex._note_alloc(name, unique, nbytes)
             bufs[i] = buf
         counters = np.zeros(len(spec.sites) * SLOTS, dtype=np.int64)
         buf_ptrs = (ctypes.c_void_p * max(1, len(bufs)))(
@@ -478,9 +470,7 @@ class NativeEngine:
             elif tag == "mem":
                 bufs[i] = self._buffer(ex, d[1], env)
             else:  # ("alloc", site_idx)
-                name, size_sym, count_syms, dtype, space = (
-                    spec.alloc_sites[d[1]]
-                )
+                name, size_sym, count_syms, dtype = spec.alloc_sites[d[1]]
                 size = _eval_int(size_sym, env)
                 total = 1
                 for cs in count_syms:
@@ -488,7 +478,7 @@ class NativeEngine:
                 np_dtype, itemsize = DTYPE_INFO[dtype]
                 allocs.append((
                     i, total * size, np_dtype,
-                    name, total * size * itemsize, total, space,
+                    name, total * size * itemsize, total,
                 ))
         return Launch(
             spec, int(width),

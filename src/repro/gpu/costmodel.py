@@ -41,14 +41,12 @@ class CostModel:
                 f * self.device.stream_bandwidth
                 + (1.0 - f) * self.device.strided_bandwidth
             )
-        # Memory spaces are parallel channels: DRAM and on-chip traffic
-        # overlap, so the memory time is the *max* over per-space times,
-        # not their sum.  All-HBM kernels reduce to the old bytes/bw.
+        # Kernel-local and HBM traffic are parallel channels that
+        # overlap, so the memory time is the *max* of the two times, not
+        # their sum.  All-HBM kernels reduce to bytes/bw.
         mem_t = k.hbm_bytes / bw
-        for sp in set(k.space_read) | set(k.space_written):
-            sp_bytes = k.space_read.get(sp, 0) + k.space_written.get(sp, 0)
-            if sp_bytes:
-                mem_t = max(mem_t, sp_bytes / self.device.space_bandwidth(sp))
+        if k.local_bytes:
+            mem_t = max(mem_t, k.local_bytes / self.device.local_bandwidth)
         flop_t = k.flops / self.device.effective_flops
         return max(mem_t, flop_t) + k.launches * self.device.launch_overhead
 

@@ -14,7 +14,6 @@ for copy-bound benchmarks (e.g. LBM: 1.6x on MI100 vs 1.1x on A100).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
 
 
 @dataclass(frozen=True)
@@ -34,21 +33,19 @@ class Device:
     flop_efficiency: float
     #: Host-side kernel launch overhead, seconds.
     launch_overhead: float
-    #: Aggregate bandwidth of each on-chip space (:mod:`repro.mem.spaces`)
-    #: as a multiple of peak DRAM bandwidth.  Datasheet-order figure:
-    #: ~19 TB/s shared memory (``scratch``) on A100 vs 1.55 TB/s HBM2e.
-    space_bandwidth_x: Mapping[str, float]
+    #: Aggregate bandwidth of kernel-local memory (blocks allocated
+    #: inside an outermost map) as a multiple of peak DRAM bandwidth.
+    #: Datasheet-order figure: ~19 TB/s shared memory on A100 vs
+    #: 1.55 TB/s HBM2e.
+    local_bandwidth_x: float
 
     @property
     def stream_bandwidth(self) -> float:
         return self.peak_bandwidth * self.stream_efficiency
 
-    def space_bandwidth(self, space: str) -> float:
-        """Achievable bandwidth of one memory-space channel: the
-        streaming figure for ``hbm`` (and, conservatively, for a space
-        the device has no multiple for)."""
-        x = self.space_bandwidth_x.get(space)
-        return self.stream_bandwidth if x is None else self.peak_bandwidth * x
+    @property
+    def local_bandwidth(self) -> float:
+        return self.peak_bandwidth * self.local_bandwidth_x
 
     @property
     def strided_bandwidth(self) -> float:
@@ -68,7 +65,7 @@ A100 = Device(
     peak_flops=19.5e12,
     flop_efficiency=0.25,
     launch_overhead=4e-6,
-    space_bandwidth_x={"scratch": 12.0},
+    local_bandwidth_x=12.0,
 )
 
 #: AMD MI100: 1228 GB/s HBM2, 23.1 TFLOP/s f32, ~8 us launches (HIP).
@@ -80,5 +77,5 @@ MI100 = Device(
     peak_flops=23.1e12,
     flop_efficiency=0.25,
     launch_overhead=8e-6,
-    space_bandwidth_x={"scratch": 9.0},
+    local_bandwidth_x=9.0,
 )

@@ -376,15 +376,13 @@ class Alloc(Exp):
     """Allocate a memory block of ``size`` elements of ``dtype``.
 
     Only introduced by the memory pipeline; never written by frontends.
-    ``space`` names the memory tier the block lives in (``hbm`` or
-    ``scratch``, see :mod:`repro.mem.spaces`); the alloc is
-    the one place that says so -- bindings view the block, they do not
-    re-declare where it lives.
+    A block allocated inside an outermost map is kernel-local; the
+    executors derive that where they run the alloc, so the IR does not
+    say where a block lives.
     """
 
     size: SymExpr
     dtype: str
-    space: str = "hbm"
 
     def __post_init__(self):
         object.__setattr__(self, "size", sym(self.size))

@@ -312,12 +312,8 @@ class _Parser:
             size = self.parse_poly(stop={"x"})
             self.lx.expect("x")
             dtype = self.lx.next()[1]
-            space = "hbm"
-            if self.lx.peek()[1] == "@":
-                self.lx.next()
-                space = self.lx.next()[1]
             self.lx.expect(")")
-            return A.Alloc(size, dtype, space)
+            return A.Alloc(size, dtype)
         if kind == "name" and tok in UNARY and self.lx.peek(1)[1] != "with":
             # Unary op applied to one operand.
             self.lx.next()

@@ -7,7 +7,7 @@ The output mimics the paper's notation:
 
 Every annotation the compiler adds is printed, so two programs that print
 alike *are* alike: binders (pattern elements and loop parameters) carry
-``@ mem -> ixfn``, an ``alloc`` its ``@ space``, and a statement's
+``@ mem -> ixfn``, and a statement's
 ``last_uses`` / ``mem_frees`` / ``fused`` records trail it as ``--``
 comments.  :mod:`repro.ir.parser` discards all of them.
 """
@@ -139,6 +139,5 @@ def _pretty_exp(exp: A.Exp) -> str:
     if isinstance(exp, A.ArgMin):
         return f"argmin {exp.src}"
     if isinstance(exp, A.Alloc):
-        tag = f" @ {exp.space}" if exp.space != "hbm" else ""
-        return f"alloc ({exp.size} x {exp.dtype}{tag})"
+        return f"alloc ({exp.size} x {exp.dtype})"
     return f"<{type(exp).__name__}>"

@@ -29,7 +29,7 @@ free.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Set, Tuple
 
 import numpy as np
 
@@ -169,9 +169,9 @@ class MemExecutor:
         # unless the carried state still reaches them.
         self._live_bytes = 0
         self._peak_bytes = 0
-        # unique (run-time) block name -> memory space; parameter blocks
-        # and anything absent default to "hbm".
-        self._mem_space: Dict[str, str] = {}
+        # Unique (run-time) names of the kernel-local blocks: those
+        # allocated while an outermost map runs.  Every other block is HBM.
+        self._local: Set[str] = set()
         self._live_insts: Dict[str, int] = {}  # unique -> nbytes
         self._static_live: Dict[str, List[str]] = {}  # static -> uniques
         self._alloc_log: List[Tuple[str, str]] = []  # (static, unique)
@@ -305,18 +305,13 @@ class MemExecutor:
         if self._live_bytes > self._peak_bytes:
             self._peak_bytes = self._live_bytes
 
-    def _space_of(self, mem: str) -> str:
-        return self._mem_space.get(mem, "hbm")
-
-    def _note_alloc(
-        self, static: str, unique: str, nbytes: int, space: str = "hbm"
-    ) -> None:
+    def _note_alloc(self, static: str, unique: str, nbytes: int) -> None:
         self._bump_live(nbytes)
-        self._mem_space[unique] = space
         self._live_insts[unique] = nbytes
         self._static_live.setdefault(static, []).append(unique)
         self._alloc_log.append((static, unique))
         if self._kernel_stack:
+            self._local.add(unique)
             self._kernel_allocs.append((static, unique))
 
     def _note_free_unique(self, static: str, unique: str) -> None:
@@ -439,15 +434,15 @@ class MemExecutor:
     def _current_kernel(self) -> Optional[KernelStat]:
         return self._kernel_stack[-1] if self._kernel_stack else None
 
-    def _count_read(self, nbytes: int, space: str = "hbm") -> None:
+    def _count_read(self, nbytes: int, local: bool) -> None:
         ks = self._current_kernel()
         if ks is not None:
-            ks.note_read(nbytes, space)
+            ks.note_read(nbytes, local)
 
-    def _count_write(self, nbytes: int, space: str = "hbm") -> None:
+    def _count_write(self, nbytes: int, local: bool) -> None:
         ks = self._current_kernel()
         if ks is not None:
-            ks.note_written(nbytes, space)
+            ks.note_written(nbytes, local)
 
     def _count_flop(self, n: int = 1) -> None:
         ks = self._current_kernel()
@@ -472,8 +467,8 @@ class MemExecutor:
         if ks is None:
             ks = self.stats.kernel(kind, f"{kind}:{'/'.join(stmt.names)}")
             ks.launches += 1
-        ks.note_read(src.nbytes(), self._space_of(src.mem))
-        ks.note_written(dst.nbytes(), self._space_of(dst.mem))
+        ks.note_read(src.nbytes(), src.mem in self._local)
+        ks.note_written(dst.nbytes(), dst.mem in self._local)
         if self.mode == "real":
             offs = self._offsets(dst)
             if offs.size:
@@ -546,9 +541,7 @@ class MemExecutor:
             env[name] = MemRef(unique)
             self.stats.alloc_count += 1
             self.stats.alloc_bytes += size * DTYPE_INFO[exp.dtype][1]
-            self._note_alloc(
-                name, unique, size * DTYPE_INFO[exp.dtype][1], exp.space
-            )
+            self._note_alloc(name, unique, size * DTYPE_INFO[exp.dtype][1])
             return
 
         if isinstance(exp, (A.Lit, A.ScalarE, A.BinOp, A.UnOp)):
@@ -577,7 +570,7 @@ class MemExecutor:
                 if not isinstance(exp, A.Scratch):
                     ks.launches += 1
             if not isinstance(exp, A.Scratch):
-                ks.note_written(dest.nbytes(), self._space_of(dest.mem))
+                ks.note_written(dest.nbytes(), dest.mem in self._local)
                 if self.mode != "real" and self.debug:
                     self._check_region(dest)
                 if self.mode == "real":
@@ -638,7 +631,7 @@ class MemExecutor:
             src = env[exp.src]
             assert isinstance(src, RuntimeArray)
             idx = [eval_sym(i, env) for i in exp.indices]
-            self._count_read(src.itemsize, self._space_of(src.mem))
+            self._count_read(src.itemsize, src.mem in self._local)
             if self.mode == "real":
                 off = src.ixfn.apply_concrete(idx, {})
                 if self.debug:
@@ -682,7 +675,7 @@ class MemExecutor:
             if ks is None:
                 ks = self.stats.kernel("reduce", f"reduce:{stmt.names[0]}")
                 ks.launches += 1
-            ks.note_read(src.nbytes(), self._space_of(src.mem))
+            ks.note_read(src.nbytes(), src.mem in self._local)
             ks.bytes_written += src.itemsize
             ks.flops += src.size()
             if self.mode == "real":
@@ -724,7 +717,7 @@ class MemExecutor:
             if ks is None:
                 ks = self.stats.kernel("update", f"update:{stmt.names[0]}")
                 ks.launches += 1
-            ks.note_written(result.itemsize, self._space_of(result.mem))
+            ks.note_written(result.itemsize, result.mem in self._local)
             if self.mode == "real":
                 off = result.ixfn.apply_concrete(idx, {})
                 if self.debug:
@@ -811,9 +804,7 @@ class MemExecutor:
                 if isinstance(val, RuntimeArray):
                     self._copy_region(val, region, stmt, "map")
                 else:
-                    self._count_write(
-                        dest.itemsize, self._space_of(dest.mem)
-                    )
+                    self._count_write(dest.itemsize, dest.mem in self._local)
                     if self.mode == "real":
                         buf = self.mem[dest.mem]
                         off = region.ixfn.apply_concrete(

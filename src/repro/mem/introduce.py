@@ -42,11 +42,6 @@ class _Introducer:
         self.fun = fun
         self.prover = Prover(fun.build_context())
         self.counter = 0
-        # Depth of map-lambda nesting at the current program point.  A
-        # fresh array allocated inside a kernel body is thread-private
-        # working storage and is placed in the on-chip scratchpad; only
-        # host-level allocations default to HBM.
-        self.kernel_depth = 0
         # Bindings of every array variable currently in scope.
         self.bindings: Dict[str, MemBinding] = entry_bindings(fun)
 
@@ -55,16 +50,9 @@ class _Introducer:
         self.counter += 1
         return f"{prefix}_{self.counter}"
 
-    def placement_space(self) -> str:
-        """Default memory space at the current program point."""
-        return "scratch" if self.kernel_depth else "hbm"
-
     def alloc_stmt(self, size: SymExpr, dtype: str) -> Tuple[A.Let, str]:
         mem = self.fresh("mem")
-        stmt = A.Let(
-            [A.PatElem(mem, MEM_TYPE)],
-            A.Alloc(size, dtype, self.placement_space()),
-        )
+        stmt = A.Let([A.PatElem(mem, MEM_TYPE)], A.Alloc(size, dtype))
         return stmt, mem
 
     def bind_fresh(
@@ -141,11 +129,7 @@ class _Introducer:
             return
         # --- compound statements -------------------------------------
         if isinstance(exp, A.Map):
-            self.kernel_depth += 1
-            try:
-                self.process_block(exp.lam.body)
-            finally:
-                self.kernel_depth -= 1
+            self.process_block(exp.lam.body)
             for pe in stmt.pattern:
                 if pe.is_array():
                     self.bind_fresh(pe, out)

@@ -26,12 +26,7 @@ MEM_TYPE = ScalarType("i64")
 
 @dataclass(frozen=True)
 class MemBinding:
-    """``array @ mem -> ixfn``: where an array's elements live.
-
-    Which memory space that is is a property of the block, declared
-    once on its ``alloc`` (see :mod:`repro.mem.spaces`): a view cannot
-    disagree with the block it views.
-    """
+    """``array @ mem -> ixfn``: where an array's elements live."""
 
     mem: str
     ixfn: IndexFn

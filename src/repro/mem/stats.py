@@ -33,49 +33,43 @@ class KernelStat:
     bytes_read: int = 0
     bytes_written: int = 0
     flops: int = 0
-    #: Per-space traffic attribution (:mod:`repro.mem.spaces`): bytes of
-    #: ``bytes_read``/``bytes_written`` that touched a *non-HBM* space.
-    #: HBM traffic is the remainder, so the totals above stay the single
-    #: source of truth (and the signature stays space-agnostic).
-    space_read: Dict[str, int] = field(default_factory=dict)
-    space_written: Dict[str, int] = field(default_factory=dict)
+    #: The part of ``bytes_read``/``bytes_written`` that touched a
+    #: kernel-local block (one allocated inside an outermost map).  HBM
+    #: traffic is the remainder, so the totals above stay the single
+    #: source of truth (and the signature ignores locality).
+    local_read: int = 0
+    local_written: int = 0
 
     @property
     def bytes_total(self) -> int:
         return self.bytes_read + self.bytes_written
 
     @property
+    def local_bytes(self) -> int:
+        return self.local_read + self.local_written
+
+    @property
     def hbm_bytes(self) -> int:
         """Bytes read or written in HBM: the remainder of the totals."""
-        return (
-            self.bytes_total
-            - sum(self.space_read.values())
-            - sum(self.space_written.values())
-        )
+        return self.bytes_total - self.local_bytes
 
-    def note_read(self, nbytes: int, space: str = "hbm") -> None:
+    def note_read(self, nbytes: int, local: bool) -> None:
         self.bytes_read += nbytes
-        if space != "hbm":
-            self.space_read[space] = self.space_read.get(space, 0) + nbytes
+        if local:
+            self.local_read += nbytes
 
-    def note_written(self, nbytes: int, space: str = "hbm") -> None:
+    def note_written(self, nbytes: int, local: bool) -> None:
         self.bytes_written += nbytes
-        if space != "hbm":
-            self.space_written[space] = (
-                self.space_written.get(space, 0) + nbytes
-            )
+        if local:
+            self.local_written += nbytes
 
     def merge_scaled(self, other: "KernelStat", factor: float) -> None:
         self.launches += other.launches  # launches do not scale with threads
         self.bytes_read += int(other.bytes_read * factor)
         self.bytes_written += int(other.bytes_written * factor)
         self.flops += int(other.flops * factor)
-        for sp, n in other.space_read.items():
-            self.space_read[sp] = self.space_read.get(sp, 0) + int(n * factor)
-        for sp, n in other.space_written.items():
-            self.space_written[sp] = (
-                self.space_written.get(sp, 0) + int(n * factor)
-            )
+        self.local_read += int(other.local_read * factor)
+        self.local_written += int(other.local_written * factor)
 
 
 @dataclass
@@ -137,14 +131,7 @@ class ExecStats:
     def copy(self) -> "ExecStats":
         """An independent copy (every mutable part duplicated)."""
         out = copy.copy(self)
-        out.kernels = {
-            key: replace(
-                ks,
-                space_read=dict(ks.space_read),
-                space_written=dict(ks.space_written),
-            )
-            for key, ks in self.kernels.items()
-        }
+        out.kernels = {key: replace(ks) for key, ks in self.kernels.items()}
         return out
 
     def kernel(self, kind: str, label: str) -> KernelStat:

@@ -152,24 +152,25 @@ class _Block:
 
 
 class _View:
-    """An array inside a launch: its block, and its index function with
+    """An array inside a launch: its block, whether that block is
+    kernel-local (allocated inside this launch), and its index function with
     every LMAD component evaluated -- an int, or (offsets and strides
     only: the planner keeps shapes uniform) a full-width int64 lane
     vector.  ``off``/``dims`` are the index-side LMAD, ``outer`` the
     others, memory side first; a lane-expanded block's lane bases are
     part of the memory-side offset."""
 
-    __slots__ = ("mem", "space", "dtype", "item", "off", "dims", "outer")
+    __slots__ = ("mem", "local", "dtype", "item", "off", "dims", "outer")
 
-    def __init__(self, mem, space, dtype, off, dims, outer=()):
-        self.mem, self.space, self.dtype = mem, space, dtype
+    def __init__(self, mem, local, dtype, off, dims, outer=()):
+        self.mem, self.local, self.dtype = mem, local, dtype
         self.item = DTYPE_INFO[dtype][1]
         self.off, self.dims, self.outer = off, dims, outer
 
     def relaid(self, off, dims, outer=None) -> "_View":
         """The same block under another layout."""
         return _View(
-            self.mem, self.space, self.dtype, off, dims,
+            self.mem, self.local, self.dtype, off, dims,
             self.outer if outer is None else outer,
         )
 
@@ -253,7 +254,7 @@ def _view_maker(b, dtype: str) -> Callable[[_Run, dict], _View]:
                 lm = ((lm[0][0] + base, lm[0][1]),) + lm[1:]
             else:
                 off = base if off.__class__ is int and not off else off + base
-        return _View(mem, r.ex._space_of(mem), dtype, off, dims, lm)
+        return _View(mem, mem in r.ex._local, dtype, off, dims, lm)
 
     return make
 
@@ -265,7 +266,7 @@ def _view_of(ra: RuntimeArray, ex: MemExecutor) -> _View:
          tuple([(d.shape.as_int(), d.stride.as_int()) for d in l.dims]))
         for l in ra.ixfn.lmads
     ]
-    return _View(ra.mem, ex._space_of(ra.mem), ra.dtype, off, dims, tuple(outer))
+    return _View(ra.mem, ra.mem in ex._local, ra.dtype, off, dims, tuple(outer))
 
 
 # ----------------------------------------------------------------------
@@ -383,8 +384,8 @@ def _copy(r: _Run, src: _View, dst: _View) -> None:
     n_rem = W - n_el
     if n_rem == 0:
         return
-    r.ks.note_read(src_nb * n_rem, src.space)
-    r.ks.note_written(dst_nb * n_rem, dst.space)
+    r.ks.note_read(src_nb * n_rem, src.local)
+    r.ks.note_written(dst_nb * n_rem, dst.local)
     rows = None if n_el == 0 else np.flatnonzero(~same)
     doffs = _region(dst, rows, W)
     if doffs.size:
@@ -398,7 +399,7 @@ def _write_result(r: _Run, region: _View, val) -> None:
     if val.__class__ is _View:
         _copy(r, val, region)
         return
-    r.ks.note_written(region.item * r.W, region.space)
+    r.ks.note_written(region.item * r.W, region.local)
     off = _point(region, (), None, None)  # every index 0
     _store(r.ex.mem[region.mem], off, val)
 
@@ -525,7 +526,7 @@ def _index(node: Node) -> Step:
 
     def step(r, env):
         v = env[src]
-        r.ks.note_read(v.item * r.L, v.space)
+        r.ks.note_read(v.item * r.L, v.local)
         env[name] = r.ex.mem[v.mem][_point(v, idx_of, env, r.sel)]
 
     return step
@@ -551,7 +552,7 @@ def _alloc(node: Node) -> Step:
         ex.stats.alloc_bytes += W * size * item
         # One W-lane buffer stands for W per-thread blocks: same live
         # bytes as the interpreted tier's per-thread allocations.
-        ex._note_alloc(name, unique, W * size * item, exp.space)
+        ex._note_alloc(name, unique, W * size * item)
 
     return step
 
@@ -582,7 +583,7 @@ def _fill(node: Node) -> Step:
 
     def step(r, env):
         dest = env[name] = make(r, env)
-        r.ks.note_written(dest.size() * dest.item * r.L, dest.space)
+        r.ks.note_written(dest.size() * dest.item * r.L, dest.local)
         offs = _region(dest, None, r.W)
         if offs.size:
             buf = r.ex.mem[dest.mem]
@@ -634,7 +635,7 @@ def _update(node: Node) -> Step:
 
         def point(r, env):
             res = env[name] = make(r, env)
-            r.ks.note_written(res.item * r.L, res.space)
+            r.ks.note_written(res.item * r.L, res.local)
             off = _point(res, idx_of, env, r.sel)
             _store(r.ex.mem[res.mem], off, value_of(env))
 

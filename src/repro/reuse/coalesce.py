@@ -46,9 +46,9 @@ class ReuseStats:
     #: Deciding-tier tallies for this pass's size proofs (``structural``
     #: / ``polyhedral`` / ``unknown``), from the pool.
     tiers: Dict[str, int] = field(default_factory=dict)
-    #: Blocks passed over: one record per ``block -> donor`` a size,
-    #: dtype or space relation ruled out, one per block (``interference``)
-    #: that found every earlier block still live.
+    #: Blocks passed over: one record per ``block -> donor`` a size or
+    #: dtype relation ruled out, one per block (``interference``) that
+    #: found every earlier block still live.
     declined: DecisionLog = field(default_factory=DecisionLog)
     #: (survivor, candidate, "equal" | "fits" | "widened")
     records: List[Tuple[str, str, str]] = field(default_factory=list)
@@ -138,19 +138,12 @@ class _Coalescer:
             if donor.dtype != node.dtype:
                 self.stats.declined.add("reuse", "dtype", pair)
                 continue
-            if donor.stmt.exp.space != node.stmt.exp.space:
-                # Coalescing across memory spaces would silently migrate
-                # data between devices-within-the-device.
-                self.stats.declined.add("reuse", "space", pair)
-                continue
             mode = self._size_mode(donor, node, prover, prefix)
             if mode is None:
                 self.stats.declined.add("reuse", "size", pair)
                 continue
             if mode == "widened":
-                donor.stmt.exp = A.Alloc(
-                    node.size, donor.dtype, donor.stmt.exp.space
-                )
+                donor.stmt.exp = A.Alloc(node.size, donor.dtype)
                 self.stats.widened += 1
             self.stats.merged += 1
             self.stats.records.append((donor.mem, node.mem, mode))

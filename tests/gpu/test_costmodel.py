@@ -30,23 +30,21 @@ class TestDevices:
 
 
     def test_every_space_has_counter_slots_and_a_bandwidth(self):
-        """One table row per memory space: an on-chip space names its own
-        (read, written) pair of a native site row's counter slots, past
-        the six totals, and each device prices it; HBM is the remainder
-        and the streaming figure."""
+        """Kernel-local traffic has one (read, written) pair of a native
+        site row's counter slots, past the six totals, and each device
+        one bandwidth multiplier for it, above the streaming figure.  A
+        kernel of only local traffic is priced at exactly that
+        bandwidth."""
         from repro.backend.cemit import SLOTS
-        from repro.mem.spaces import SPACES
 
-        on_chip = [sp for sp in SPACES.values() if sp.name != "hbm"]
-        assert SPACES["hbm"].slots is None
-        slots = [k for sp in on_chip for k in sp.slots]
-        assert len(set(slots)) == len(slots) == 2 * len(on_chip)
-        assert set(slots) <= set(range(6, SLOTS))
+        assert SLOTS == 8  # slots 6-7: local_read, local_written
         for d in (A100, MI100):
-            assert set(d.space_bandwidth_x) == {sp.name for sp in on_chip}
-            assert d.space_bandwidth("hbm") == d.stream_bandwidth
-            for sp in on_chip:
-                assert d.space_bandwidth(sp.name) > d.stream_bandwidth
+            assert isinstance(d.local_bandwidth_x, float)
+            assert d.local_bandwidth > d.stream_bandwidth
+            k = KernelStat("map", "k", 0, 10**9, 10**9, 0, 10**9, 10**9)
+            assert k.hbm_bytes == 0
+            t = CostModel(d).kernel_time(k)
+            assert t == 2 * 10**9 / (d.peak_bandwidth * d.local_bandwidth_x)
 
 
 class TestCostModel:

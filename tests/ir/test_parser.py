@@ -68,6 +68,16 @@ class TestBasics:
         with pytest.raises(ParseError):
             parse_fun("fun f( = let")
 
+    @pytest.mark.parametrize("name", ["scratch", "hbm", "l2"])
+    def test_alloc_takes_no_space_annotation(self, name):
+        """Where a block lives is not written in the IR: an ``@ name``
+        after an alloc's dtype is a parse error, not a tag to keep."""
+        text = "fun f(n : i64) =\n  let (m : i64) = alloc (n x f32{}) in (m)"
+        exp = parse_fun(text.format("")).body.stmts[0].exp
+        assert exp == A.Alloc(Var("n"), "f32")
+        with pytest.raises(ParseError):
+            parse_fun(text.format(f" @ {name}"))
+
 
 class TestOperatorTable:
     """The parser's operator names are ``repro.ir.scalar``'s."""

@@ -12,21 +12,16 @@ def traffic_signature(stats) -> tuple:
     return stats.signature()[:3]
 
 
-def space_traffic(stats) -> tuple:
-    """Per-kernel non-HBM traffic: ``((kind, label), reads, writes)`` for
-    every kernel that touched a non-HBM space, each side a sorted tuple
-    of ``(space, bytes)``.
+def local_traffic(stats) -> tuple:
+    """Per-kernel kernel-local traffic: ``((kind, label), reads,
+    writes)`` for every kernel that touched a kernel-local block.
 
-    :meth:`ExecStats.signature` is space-agnostic, yet the cost model
+    :meth:`ExecStats.signature` ignores locality, yet the cost model
     prices these bytes (:meth:`repro.gpu.CostModel.kernel_time`), so the
     accountants are compared on them separately.
     """
-
-    def nonzero(d):
-        return tuple(sorted((sp, n) for sp, n in d.items() if n))
-
-    rows = (
-        (key, nonzero(ks.space_read), nonzero(ks.space_written))
+    return tuple(sorted(
+        (key, ks.local_read, ks.local_written)
         for key, ks in stats.kernels.items()
-    )
-    return tuple(sorted(r for r in rows if r[1] or r[2]))
+        if ks.local_bytes
+    ))

@@ -57,7 +57,7 @@ class TestExecStats:
     def test_summary_renders(self):
         st = ExecStats()
         st.kernel("map", "a").bytes_read = 1024
-        st.kernel("map", "a").note_written(64, "scratch")
+        st.kernel("map", "a").note_written(64, local=True)
         lines = st.summary().splitlines()
         assert "bytes read      : 1,024" in lines
         assert "bytes written   : 64" in lines

@@ -1,14 +1,12 @@
-"""Fuzz: random space assignments are invisible to semantics.
+"""Fuzz: every accountant agrees on what the cost model prices.
 
-Spaces are descriptive (see :mod:`repro.mem.spaces`): re-homing any
-alloc'd block into any space must leave the verifier clean (the
-assignment moves Alloc and bindings together), compute the same values,
-and keep every accountant in exact agreement on what the cost model
-prices: each kernel's per-space traffic across the interpreted,
-vectorized, native and unsampled dry runs, and the total peak of those
-runs and of ``estimate_peak``.  The corpus is the fusion generator's
-random pipelines with every block's space drawn at random, under both
-compile presets.
+A generated program must verify clean, compute the same values on every
+tier, and keep every accountant in exact agreement: each kernel's
+kernel-local traffic (bytes that touched a block allocated inside an
+outermost map) across the interpreted, vectorized, native and unsampled
+dry runs, and the total peak of those runs and of ``estimate_peak``.
+The corpus is the fusion generator's random pipelines under both
+compile presets; the mapnest corpus allocates inside its kernels.
 """
 
 import numpy as np
@@ -17,31 +15,11 @@ import pytest
 from repro.analysis import verify_fun
 from repro.backend import NativeEngine
 from repro.compiler import compile_fun
-from repro.ir import ast as A
 from repro.mem.exec import MemExecutor
-from repro.mem.memir import iter_stmts
-from repro.mem.spaces import SPACES
 from repro.reuse import estimate_peak
-from tests.analysis.conftest import assign_space
-from tests.mem import space_traffic
+from tests.mem import local_traffic
 
 N = 16
-
-
-def _alloc_names(fun):
-    return [
-        s.pattern[0].name
-        for s in iter_stmts(fun.body)
-        if isinstance(s.exp, A.Alloc)
-    ]
-
-
-def _scatter_spaces(fun, rng) -> int:
-    spaces = sorted(SPACES)
-    moved = 0
-    for mem in _alloc_names(fun):
-        moved += assign_space(fun, mem, spaces[rng.randint(len(spaces))])
-    return moved
 
 
 def _check(fun, inputs, dry_inputs, expected, native=False):
@@ -58,9 +36,9 @@ def _check(fun, inputs, dry_inputs, expected, native=False):
                              for k, v in inputs.items()})
         got = ex.mem[vals[0].mem][vals[0].ixfn.gather_offsets({})]
         assert np.allclose(got, expected), tier
-        runs[tier] = (space_traffic(st), st.peak_bytes)
+        runs[tier] = (local_traffic(st), st.peak_bytes)
     _, dry = MemExecutor(fun, mode="dry").run(**dry_inputs)
-    runs["dry"] = (space_traffic(dry), dry.peak_bytes)
+    runs["dry"] = (local_traffic(dry), dry.peak_bytes)
     assert len(set(runs.values())) == 1, runs
     assert dry.peak_bytes == estimate_peak(fun, inputs).peak_bytes
 
@@ -73,10 +51,9 @@ CORPORA = {
 SEEDS = {"two_stage": range(10), "mapnest": range(6)}
 
 
-def _scattered(request, corpus, seed, native=False):
+def _check_generated(request, corpus, seed, native=False):
     """Compile one generated program under ``full`` (odd seeds) or the
-    corpus's other preset, run it for the expected values, scatter its
-    blocks' spaces, and check."""
+    corpus's other preset, run it for the expected values, and check."""
     fixture, first, other, size = CORPORA[corpus]
     rng = np.random.RandomState(first + seed)
     fun = request.getfixturevalue(fixture)(rng)
@@ -87,19 +64,17 @@ def _scattered(request, corpus, seed, native=False):
     ex = MemExecutor(compiled.fun)
     vals, _ = ex.run(n=N, xs=x.copy())
     expected = np.copy(ex.mem[vals[0].mem][vals[0].ixfn.gather_offsets({})])
-
-    _scatter_spaces(compiled.fun, rng)
     _check(compiled.fun, {"n": N, "xs": x}, {"n": N}, expected, native)
 
 
 @pytest.mark.parametrize("seed", SEEDS["two_stage"])
 def test_random_spaces_two_stage(seed, request):
-    _scattered(request, "two_stage", seed)
+    _check_generated(request, "two_stage", seed)
 
 
 @pytest.mark.parametrize("seed", SEEDS["mapnest"])
 def test_random_spaces_mapnest(seed, request):
-    _scattered(request, "mapnest", seed)
+    _check_generated(request, "mapnest", seed)
 
 
 @pytest.mark.native
@@ -107,5 +82,5 @@ def test_random_spaces_mapnest(seed, request):
     "corpus,seed", [(c, s) for c, seeds in SEEDS.items() for s in seeds]
 )
 def test_random_spaces_native(corpus, seed, request):
-    """Both corpora again with the C tier's space counter slots."""
-    _scattered(request, corpus, seed, native=True)
+    """Both corpora again with the C tier's local counter slots."""
+    _check_generated(request, corpus, seed, native=True)

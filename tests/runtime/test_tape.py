@@ -24,7 +24,7 @@ from repro.lmad import IndexFn
 from repro.mem.exec import MemExecutor, RuntimeArray
 from repro.runtime import Program
 from repro.runtime.tape import _COPY, _LAUNCH, read_region, region_plan
-from tests.mem import space_traffic, traffic_signature
+from tests.mem import local_traffic, traffic_signature
 from tests.runtime import executor_run, idle_buffers, poison
 
 TAPED = {
@@ -78,7 +78,7 @@ def same_run(a, b):
         assert np.asarray(x).dtype == np.asarray(y).dtype
     assert st_a.signature() == st_b.signature()
     assert traffic_signature(st_a) == traffic_signature(st_b)
-    assert space_traffic(st_a) == space_traffic(st_b)
+    assert local_traffic(st_a) == local_traffic(st_b)
     for field in (
         "peak_bytes", "alloc_count", "alloc_bytes",
         "elided_copies", "elided_bytes", "fused_kernels",
