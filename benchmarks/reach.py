@@ -104,6 +104,7 @@ KEPT: Dict[Tuple[str, str], str] = {
     ("backend/build.py", "warn_unavailable_once"): "safety",
     ("backend/engine.py", "_forget_helpers"): "safety",
     ("backend/engine.py", "_eval_int"): "safety",
+    ("backend/engine.py", "NativeEngine._fell_back"): "safety",
     ("pipeline/passes.py", "Pass.run"): "safety",
     ("symbolic/expr.py", "SymExpr.__bool__"): "safety",
     ("mem/exec.py", "MemExecutor._check_"): "debug-mode",
@@ -126,6 +127,7 @@ KEPT: Dict[Tuple[str, str], str] = {
     ("lmad/ixfun.py", "IndexFn.permute"): "language",
     ("lmad/lmad.py", "Lmad.permute"): "language",
     ("mem/vectorize.py", "_alias"): "language",
+    ("runtime/tape.py", "TapeRecorder.fill"): "language",
     ("backend/cemit.py", "_Emitter._alias"): "language",
     ("backend/cemit.py", "_Emitter._copy"): "language",
     ("backend/cemit.py", "_Emitter._alloc"): "item 7",

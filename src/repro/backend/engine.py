@@ -13,9 +13,10 @@ launch with :func:`repro.backend.cemit.emit_kernel`, producing launch-
 *structure*-specialized C plus a list of argument directives (which host
 scalars, symbolic expressions, index-function components, and buffers
 to marshal per launch); :meth:`NativeEngine.planning` then builds every
-kernel printed, one ``cc`` per core at once.  A :class:`repro.runtime.
-Program`'s first request plans all the kernels it reaches before it
-launches one; any other statement is planned at its first launch.  The
+kernel printed, one ``cc`` per core at once.  The dry run that records
+a :class:`repro.runtime.Program` shape class's launch tape plans every
+kernel it reaches (:meth:`NativeEngine.record_map`) before anything
+launches; any other statement is planned at its first launch.  The
 compiled entry point is cached by source digest (:mod:`repro.backend.
 build`); the per-statement plan is shared across all executors of a
 Program, exactly like the kernel plans.  A statement whose subtree the
@@ -27,11 +28,12 @@ scalar-kind change) falls back for that launch only.  Either way
 
 A launch is ``marshal -> fire -> distribute``: :meth:`NativeEngine.
 marshal` turns the directives into a :class:`Launch` (concrete argument
-arrays; mutates nothing), :func:`fire` is the ctypes call, and
-:func:`distribute` folds the counters the C code accumulated into the
-run's ``KernelStat``s.  :mod:`repro.runtime.tape` keeps the ``Launch``
-objects of a captured run and replays them through the same ``fire``
-and ``distribute``.
+arrays, and the memory blocks to pass; mutates nothing), :func:`fire`
+is the ctypes call, and :func:`distribute` folds the counters the C code
+accumulated into the run's ``KernelStat``s.  A recording dry run stops
+after ``marshal``: :mod:`repro.runtime.tape` keeps its ``Launch``
+objects and every replay fires them through the same ``fire`` and
+``distribute``.
 
 ``fire`` is also where a launch is cut into parts: the iterations of an
 outermost map are independent (short-circuiting's cross-iteration check
@@ -311,32 +313,60 @@ class NativeEngine:
 
     # ------------------------------------------------------------------
     def try_run_map(self, ex, stmt, exp, env, width, dests) -> bool:
-        plan = self.plans.get(id(stmt))
-        if plan is None:
+        spec = self.plans.get(id(stmt))
+        if spec is None:
             with self.planning():
                 self.plan(ex, stmt, env, dests)
-            plan = self.plans[id(stmt)]
-        rec = ex._recorder
-        if plan is REJECTED:
-            if rec is not None:
-                rec.refuse(self.declined.at("native", stmt.names[0]))
+            spec = self.plans[id(stmt)]
+        if spec is REJECTED:
             return False
         try:
-            self._launch(plan, ex, env, width, dests)
+            launch, blocks = self.marshal(spec, ex, env, width, dests)
         except (Declined, InterpError) as e:
-            # This launch's concrete structure diverges from the plan.
-            rule, detail = (
-                (e.rule, e.detail) if isinstance(e, Declined)
-                else ("interp-error", str(e))
-            )
             with self._lock:
-                why = self.declined.add(
-                    "launch", rule, stmt.names[0], detail
-                )
-            if rec is not None:
-                rec.refuse(why)
+                self._fell_back(stmt, e)
             return False
+        # Commit: allocate, fire, distribute.
+        bufs = [ex.mem[b] if b is not None else None for b in blocks]
+        for (i, elems, np_dtype, *_), unique in zip(
+            launch.allocs, self._allocate(ex, launch)
+        ):
+            bufs[i] = ex.mem[unique] = np.zeros(elems, dtype=np_dtype)
+        counters = np.zeros(len(spec.sites) * SLOTS, dtype=np.int64)
+        buf_ptrs = (ctypes.c_void_p * max(1, len(bufs)))(
+            *[b.ctypes.data for b in bufs] or [0]
+        )
+        fire(launch, ctypes.addressof(buf_ptrs), counters.ctypes.data)
+        distribute(ex.stats, spec.sites, counters)
         return True
+
+    def record_map(self, ex, stmt, env, width, dests) -> None:
+        """:meth:`try_run_map` in the dry run that records a launch tape
+        (``ex._recorder``; under :meth:`planning`): plan the kernel,
+        marshal the launch and record it with its host accounting -- or
+        refuse the tape with the engine's record."""
+        rec = ex._recorder
+        spec = self.plan(ex, stmt, env, dests)
+        if spec is REJECTED:
+            rec.refuse(self.declined.at("native", stmt.names[0]))
+            return
+        try:
+            launch, blocks = self.marshal(spec, ex, env, width, dests)
+        except (Declined, InterpError) as e:
+            rec.refuse(self._fell_back(stmt, e))
+            return
+        self._allocate(ex, launch)
+        ex.stats.native_launches += 1
+        rec.launch(stmt.names[0], launch, blocks)
+
+    def _fell_back(self, stmt, e):
+        """Record that a launch's concrete structure diverges from the
+        plan (caller holds the lock)."""
+        rule, detail = (
+            (e.rule, e.detail) if isinstance(e, Declined)
+            else ("interp-error", str(e))
+        )
+        return self.declined.add("launch", rule, stmt.names[0], detail)
 
     # ------------------------------------------------------------------
     @contextlib.contextmanager
@@ -352,19 +382,23 @@ class NativeEngine:
                 self._build()
                 self.codegen_seconds += time.perf_counter() - t0
 
-    def plan(self, ex, stmt, env, dests) -> None:
+    def plan(self, ex, stmt, env, dests):
         """Print ``stmt``'s kernel for its first launch (``env``, ``dests``),
-        to build when :meth:`planning` ends; or record why there is none."""
-        if id(stmt) in self.plans or id(stmt) in self._unbuilt:
-            return
+        to build when :meth:`planning` ends; or record why there is none.
+        Returns the statement's spec (built or not) or :data:`REJECTED`."""
+        if id(stmt) in self._unbuilt:
+            return self._unbuilt[id(stmt)][1]
+        if id(stmt) in self.plans:
+            return self.plans[id(stmt)]
         self._planned.append(stmt)
         try:
             kplan = ex._vec_plans[id(stmt)]
             why = native_rule(kplan)
             if why is not None:
                 raise why
-            self._unbuilt[id(stmt)] = (stmt, emit_kernel(ex, kplan, env, dests))
-            return
+            spec = emit_kernel(ex, kplan, env, dests)
+            self._unbuilt[id(stmt)] = (stmt, spec)
+            return spec
         except Declined as why:
             self.declined.add("native", why.rule, stmt.names[0], why.detail)
         except Exception as bug:
@@ -375,6 +409,7 @@ class NativeEngine:
                 "native", "internal-error", stmt.names[0], repr(bug)
             )
         self.plans[id(stmt)] = REJECTED
+        return REJECTED
 
     def _build(self) -> None:
         """Compile the printed kernels; a launch sees a plan only once
@@ -395,41 +430,30 @@ class NativeEngine:
                 self.plans[id(stmt)] = spec
 
     # ------------------------------------------------------------------
-    def _launch(self, spec: KernelSpec, ex, env, width, dests) -> None:
-        """marshal -> fire -> distribute: the one launch path.
-
-        With a tape recorder attached to the executor the counters are
-        handed to it instead (it distributes them at the end of the run,
-        after snapshotting the run's host-only statistics)."""
-        launch, bufs = self.marshal(spec, ex, env, width, dests)
-        # Commit point: allocate the per-site backing blocks with the
-        # interpreter's exact accounting (one fresh zeroed block per
-        # site holding all per-execution slots; freed wholesale when the
-        # outermost map ends, via the kernel-alloc log).
-        for i, elems, np_dtype, name, nbytes, total in launch.allocs:
-            buf = np.zeros(elems, dtype=np_dtype)
+    @staticmethod
+    def _allocate(ex, launch: Launch) -> List[str]:
+        """Account a launch's per-site backing blocks with the
+        interpreter's exact accounting (one fresh zeroed block per site
+        holding all per-execution slots; freed wholesale when the
+        outermost map ends, via the kernel-alloc log).  Returns their
+        names in ``ex.mem``, where each block is its size until a real
+        launch puts the buffer there."""
+        names = []
+        for _, elems, _, name, nbytes, total in launch.allocs:
             ex._alloc_counter += 1
             unique = f"{name}@{ex._alloc_counter}"
-            ex.mem[unique] = buf
+            ex.mem[unique] = elems
             ex.stats.alloc_count += total
             ex.stats.alloc_bytes += nbytes
             ex._note_alloc(name, unique, nbytes)
-            bufs[i] = buf
-        counters = np.zeros(len(spec.sites) * SLOTS, dtype=np.int64)
-        buf_ptrs = (ctypes.c_void_p * max(1, len(bufs)))(
-            *[b.ctypes.data for b in bufs] or [0]
-        )
-        fire(launch, ctypes.addressof(buf_ptrs), counters.ctypes.data)
-        rec = ex._recorder
-        if rec is None:
-            distribute(ex.stats, spec.sites, counters)
-        else:
-            rec.launch(launch, bufs, counters)
+            names.append(unique)
+        return names
 
     def marshal(self, spec: KernelSpec, ex, env, width, dests):
         """Directives -> concrete arguments of one launch.
 
-        Returns ``(launch, bufs)``; ``bufs[i]`` is ``None`` where the
+        Returns ``(launch, blocks)``: ``blocks[i]`` names the memory
+        block of buffer argument ``i`` in ``ex.mem``, ``None`` where the
         kernel wants a per-launch backing block (``launch.allocs``).
         Mutates nothing: a :class:`~repro.decisions.Declined` here is a
         clean no-op fallback."""
@@ -460,15 +484,15 @@ class NativeEngine:
             self._scalar(env, d[1], d[2], want_int=False)
             for d in spec.flt_dirs
         ]
-        bufs: list = [None] * len(spec.buf_dirs)
+        blocks: list = [None] * len(spec.buf_dirs)
         allocs = []
         for i, d in enumerate(spec.buf_dirs):
             tag = d[0]
             if tag == "arr":
                 ra = self._source_array(d[1], env, dests)
-                bufs[i] = self._buffer(ex, ra.mem, env)
+                blocks[i] = ex._resolve_mem(ra.mem, env)
             elif tag == "mem":
-                bufs[i] = self._buffer(ex, d[1], env)
+                blocks[i] = ex._resolve_mem(d[1], env)
             else:  # ("alloc", site_idx)
                 name, size_sym, count_syms, dtype = spec.alloc_sites[d[1]]
                 size = _eval_int(size_sym, env)
@@ -484,7 +508,7 @@ class NativeEngine:
             spec, int(width),
             np.asarray(ia, dtype=np.int64), np.asarray(fa, dtype=np.float64),
             tuple(allocs),
-        ), bufs
+        ), blocks
 
     # ------------------------------------------------------------------
     @staticmethod
@@ -516,10 +540,3 @@ class NativeEngine:
         if v is None:
             raise declined("structure-changed", "symbolic index-function component")
         return v
-
-    @staticmethod
-    def _buffer(ex, mem, env) -> np.ndarray:
-        buf = ex.mem[ex._resolve_mem(mem, env)]
-        if not isinstance(buf, np.ndarray):
-            raise declined("structure-changed", "memory block is not materialized")
-        return buf

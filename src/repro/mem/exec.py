@@ -33,7 +33,6 @@ from typing import Dict, List, Mapping, Optional, Set, Tuple
 
 import numpy as np
 
-from repro.decisions import Decision
 from repro.lmad import IndexFn
 from repro.symbolic import SymExpr
 
@@ -128,15 +127,15 @@ class MemExecutor:
         #: compiled-C tier, attempted before the vectorized dispatch.
         #: Off by default on bare executors (the differential tests pin
         #: exact vec/interp launch counts); :class:`repro.runtime.
-        #: Program` wires a shared engine in for warm serving -- and,
-        #: to plan kernels instead of sampling threads, into a dry one.
+        #: Program` wires a shared engine in for warm serving -- and
+        #: into the dry run that records a launch tape.
         self._native = native if self.vectorize or mode == "dry" else None
-        #: Optional :class:`repro.runtime.tape.TapeRecorder`: told of
-        #: every host-level effect on buffer contents (input binding,
-        #: copy, fill, point write, native launch) and of every
-        #: host-level statement whose value depends on buffer contents,
-        #: so that the run's host schedule can be frozen and replayed.
-        self._recorder = recorder if self._native is not None else None
+        #: Optional :class:`repro.runtime.tape.TapeRecorder`, dry mode
+        #: with an engine only: each outermost map's launch is planned
+        #: and marshalled instead of sampling a thread, and the recorder
+        #: is told of every host-level effect on buffer contents and
+        #: stops the run at the first host-level read of them.
+        self._recorder = recorder if mode == "dry" and native else None
         #: Shadow-memory checking: every block gets a parallel boolean
         #: "was this element ever written" array; reads and writes are
         #: bounds-checked against the block extent.  Copies *propagate*
@@ -237,8 +236,6 @@ class MemExecutor:
                 buf, reused = self._pool.acquire(arr.size, t.dtype, zero=False)
                 np.copyto(buf, arr.reshape(-1))
                 self.mem[mem] = buf
-                if self._recorder is not None:
-                    self._recorder.input(p.name, buf)
                 if reused:
                     self.stats.pool_hits += 1
                 else:
@@ -251,6 +248,8 @@ class MemExecutor:
         else:
             size = eval_sym(t.size(), env)
             self.mem[mem] = size
+            if self._recorder is not None:
+                self._recorder.input(p.name, mem, t.dtype, size)
         # Input blocks are live for the whole run (never freed).
         self._bump_live(size * DTYPE_INFO[t.dtype][1])
         ixfn = self._instantiate(binding.ixfn, env)
@@ -474,11 +473,6 @@ class MemExecutor:
             if offs.size:
                 data = self._read(src)
                 self._write(dst, data.reshape(offs.shape))
-                if self._recorder is not None and not self._kernel_stack:
-                    self._recorder.copy(
-                        self.mem[dst.mem], offs,
-                        self.mem[src.mem], self._offsets(src),
-                    )
                 if self.debug:
                     # Copies move the shadow bits with the data: copying
                     # poison is legal, consuming it later is the error.
@@ -486,6 +480,10 @@ class MemExecutor:
                     dsh = self._shadow.get(dst.mem)
                     if ssh is not None and dsh is not None:
                         dsh[offs] = ssh[self._offsets(src)].reshape(offs.shape)
+        elif self._recorder is not None:
+            offs = self._offsets(dst)
+            if offs.size:
+                self._recorder.copy(dst.mem, offs, src.mem, self._offsets(src))
         elif self.debug:
             self._check_region(src)
             self._check_region(dst)
@@ -502,17 +500,6 @@ class MemExecutor:
                 for m in stmt.mem_frees:
                     self._note_free_static(m)
         return [self._resolve_result(r, env) for r in block.result]
-
-    def _host_data_dependent(self, stmt: A.Let, what: str) -> None:
-        """(Recording only.)  A host-level statement is about to produce
-        a scalar from buffer contents: everything downstream of it may
-        differ between two requests of one shape class, so no tape can
-        be frozen."""
-        if not self._kernel_stack:
-            self._recorder.refuse(Decision(
-                "tape", "host-data-dependent", stmt.names[0],
-                f"host-level {what}",
-            ))
 
     def _resolve_result(self, name: str, env: Dict[str, object]):
         if name in env:
@@ -538,6 +525,8 @@ class MemExecutor:
                     self._shadow[unique] = np.zeros(size, dtype=bool)
             else:
                 self.mem[unique] = size
+                if self._recorder is not None:
+                    self._recorder.acquire(unique, exp.dtype, size)
             env[name] = MemRef(unique)
             self.stats.alloc_count += 1
             self.stats.alloc_bytes += size * DTYPE_INFO[exp.dtype][1]
@@ -573,7 +562,7 @@ class MemExecutor:
                 ks.note_written(dest.nbytes(), dest.mem in self._local)
                 if self.mode != "real" and self.debug:
                     self._check_region(dest)
-                if self.mode == "real":
+                if self.mode == "real" or self._recorder is not None:
                     if isinstance(exp, A.Iota):
                         n = eval_sym(exp.n, env)
                         data = np.arange(n, dtype=DTYPE_INFO[exp.dtype][0])
@@ -582,11 +571,10 @@ class MemExecutor:
                             self._offsets(dest).shape,
                             self._scalar_operand(exp.value, env),
                         )
-                    self._write(dest, data)
-                    if self._recorder is not None and not self._kernel_stack:
-                        self._recorder.fill(
-                            self.mem[dest.mem], self._offsets(dest), data
-                        )
+                    if self.mode == "real":
+                        self._write(dest, data)
+                    else:
+                        self._recorder.fill(dest.mem, self._offsets(dest), data)
             # Scratch is *uninitialized* memory: it must not write anything.
             # (Zero-filling a scratch that short-circuiting re-homed into a
             # live destination region would clobber real data; fresh alloc
@@ -627,7 +615,7 @@ class MemExecutor:
 
         if isinstance(exp, A.Index):
             if self._recorder is not None:
-                self._host_data_dependent(stmt, "index")
+                self._recorder.host_read(stmt, exp)
             src = env[exp.src]
             assert isinstance(src, RuntimeArray)
             idx = [eval_sym(i, env) for i in exp.indices]
@@ -668,7 +656,7 @@ class MemExecutor:
 
         if isinstance(exp, (A.Reduce, A.ArgMin)):
             if self._recorder is not None:
-                self._host_data_dependent(stmt, type(exp).__name__.lower())
+                self._recorder.host_read(stmt, exp)
             src = env[exp.src]
             assert isinstance(src, RuntimeArray)
             ks = self._current_kernel()
@@ -724,8 +712,11 @@ class MemExecutor:
                     self._point_write_check(result.mem, off)
                 buf = self.mem[result.mem]
                 buf[off] = self._scalar_operand(exp.value, env)
-                if self._recorder is not None and not self._kernel_stack:
-                    self._recorder.fill(buf, off, buf[off])
+            elif self._recorder is not None:
+                self._recorder.fill(
+                    result.mem, result.ixfn.apply_concrete(idx, {}),
+                    self._scalar_operand(exp.value, env),
+                )
             elif self.debug:
                 off = result.ixfn.apply_concrete(idx, {})
                 self._check_bounds(result.mem, np.array([off]))
@@ -843,8 +834,8 @@ class MemExecutor:
                     for dest in dests:
                         if dest is not None:
                             self._check_region(dest)
-                if width > 0 and self._native is not None:
-                    self._native.plan(self, stmt, env, dests)
+                if width > 0 and self._recorder is not None:
+                    self._native.record_map(self, stmt, env, width, dests)
                 elif width > 0:
                     # Every thread's scratch coexists for the kernel's
                     # duration, so its allocation growth scales too.

@@ -122,8 +122,8 @@ class ExecStats:
     pool_misses: int = 0
     #: How :class:`repro.runtime.Program` produced this run with respect
     #: to its launch tapes (:mod:`repro.runtime.tape`): ``"captured"``
-    #: (ordinary executor, schedule frozen for later requests of this
-    #: shape class), ``"replayed"``, or ``"off: <reason>"``.  Describes
+    #: (the first replay of a tape just recorded for this shape class),
+    #: ``"replayed"``, or ``"off: <reason>"``.  Describes
     #: *how* the run executed -- excluded from :meth:`signature`.
     tape: str = "off: bare executor"
 

@@ -155,10 +155,6 @@ class PoolLease:
         """(dtype-agnostic) what this lease drew, as (np dtype str, size)."""
         return tuple((b.dtype.str, b.size) for b in self._held)
 
-    def buffers(self) -> Tuple[np.ndarray, ...]:
-        """The buffers this lease holds, in acquisition order."""
-        return tuple(self._held)
-
     def close(self) -> None:
         if self.closed:
             return

@@ -17,11 +17,12 @@ reusable across executions:
   across calls instead of re-allocated with ``np.zeros``;
 * the **launch tape** of each shape class (:mod:`repro.runtime.tape`):
   the host schedule of a native request -- acquisitions, marshalled
-  launches, host copies, output locations -- captured by the first
-  request of that class and replayed by every later one, so a warm
-  request costs its kernels rather than a trip through the symbolic
-  interpreter per statement.  Plans and tapes share one bounded LRU of
-  shape classes.
+  launches, host copies, output locations -- recorded by one dry walk
+  of the host program at the first request of that class, which also
+  plans (and builds, one ``cc`` per core) every kernel it reaches; that
+  request and every later one replay it, so a request costs its
+  kernels rather than a trip through the symbolic interpreter per
+  statement.  Plans and tapes share one bounded LRU of shape classes.
 
 Each :meth:`Program.run` that does not replay a tape builds a fresh
 :class:`~repro.mem.exec.MemExecutor` (executors are cheap, single-use
@@ -65,7 +66,9 @@ from repro.mem.exec import MemExecutor, RuntimeArray
 from repro.mem.stats import ExecStats
 from repro.runtime.cache import cache_mode, make_key, program_cache
 from repro.runtime.pool import BufferPool
-from repro.runtime.tape import Tape, TapeRecorder, read_region, region_plan
+from repro.runtime.tape import (
+    Stopped, Tape, TapeRecorder, read_region, region_plan,
+)
 
 
 def compile_cached(
@@ -147,8 +150,6 @@ class Program:
         #: dispatches straight into the cached shared object.
         self._native_engine = None
         self._native_probed = False
-        #: Whether the first native request's walk (:meth:`_walk`) ran.
-        self._walked = False
         #: Shape-class LRU: shape key -> launch tape state.  Evicting a
         #: class also drops its allocation plan (and the idle buffers
         #: only it could reuse) from the pool.
@@ -335,16 +336,19 @@ class Program:
     def _execute(
         self, inputs: Mapping[str, object], engine=None
     ) -> Tuple[List[object], ExecStats]:
-        """One real pooled execution (the memo's production path):
-        a replay of the shape class's launch tape when there is one,
-        else the executor -- recording, if a tape may come of it."""
+        """One real pooled execution (the memo's production path): a
+        replay of the shape class's launch tape -- recorded first, by
+        :meth:`_record`, at the class's first native request -- else the
+        executor."""
         skey = self.shape_key(inputs)
         cls = self._shape_class(skey)
         refused = cls.declined
         if refused is not None and refused.rule == "premise-violated":
             raise Declined(refused.rule, refused.detail)
-        if engine is not None and not self._walked:
-            self._walk(engine, inputs, cls)
+        recorded = (
+            engine is not None and cls.tape is None and cls.declined is None
+            and self._record(engine, inputs, cls)
+        )
         off = "native tier not in use" if engine is None else cls.declined
         tape = cls.tape if off is None else None
         with self.pool.lease() as lease, executing():
@@ -353,21 +357,22 @@ class Program:
                     outs, stats = tape.replay(inputs, lease)
                 except BaseException:
                     # Keep no tape a request failed on: the next request
-                    # at this shape goes through the executor again.
+                    # at this shape records it again.
                     cls.tape = None
                     raise
-                with self._lock:
-                    cls.replays += 1
-                stats.tape = "replayed"
+                if recorded:
+                    stats.tape = "captured"
+                else:
+                    with self._lock:
+                        cls.replays += 1
+                    stats.tape = "replayed"
             else:
-                rec = TapeRecorder() if off is None else None
                 ex = MemExecutor(
                     self.compiled.fun,
                     pool=lease,
                     offs_cache=self._offs_cache,
                     vec_plans=self._vec_plans,
                     native=engine,
-                    recorder=rec,
                 )
                 try:
                     vals, stats = ex.run(**dict(inputs))
@@ -381,15 +386,7 @@ class Program:
                         )
                     raise
                 outs = [materialize(ex, v) for v in vals]
-                if rec is not None:
-                    cls.tape = rec.finish(ex, lease, vals)
-                    why = rec.declined
-                    if why is not None:
-                        with self._lock:
-                            off = cls.declined = self.declined.add(
-                                why.layer, why.rule, why.site, why.detail
-                            )
-                stats.tape = "captured" if off is None else f"off: {off}"
+                stats.tape = f"off: {off}"
             if engine is not None:
                 stats.codegen_seconds = engine.codegen_seconds
             if self.pool.plan(skey) is None:
@@ -402,42 +399,38 @@ class Program:
                         self.pool.note_plan(skey, lease.manifest())
         return outs, stats
 
-    def _walk(self, engine, inputs, cls: _ShapeClass) -> None:
-        """Plan and build every kernel the first native request launches
-        before anything executes: a dry run of the host program (its
-        values are functions of the shape class) hands each outermost
-        map's first launch to the engine.  It stops at any exception or
-        at the first host statement that reads a buffer (the tape
-        recorder's rule), whose record turns ``cls``'s tape off unless a
-        map before it was rejected (the recorder names that one first)."""
+    def _record(self, engine, inputs, cls: _ShapeClass) -> bool:
+        """Record ``cls``'s launch tape in one dry run of the host
+        program (its values are functions of the shape class), building
+        every kernel it plans before anything executes.  A host read of
+        a buffer (which stops the run), a map without a kernel or a
+        launch that no longer fits its kernel turns the tape off, with
+        the first such record in program order.  Returns whether ``cls``
+        holds a tape recorded here."""
+        rec = TapeRecorder()
         with engine.planning():
-            if self._walked:
-                return
-            self._walked = True
+            if cls.tape is not None or cls.declined is not None:
+                return False  # a concurrent request recorded it
+            ex = MemExecutor(
+                self.compiled.fun, mode="dry", offs_cache=self._offs_cache,
+                vec_plans=self._vec_plans, native=engine, recorder=rec,
+            )
             try:
-                MemExecutor(
-                    self.compiled.fun, mode="dry", vec_plans=self._vec_plans,
-                    native=engine, recorder=_WalkStop,
-                ).run(**dict(inputs))
-                return
-            except _WalkStop as stop:
-                (why,) = stop.args
+                values, _ = ex.run(**dict(inputs))
+            except Stopped:
+                values = None
             except Exception:  # the request meets it again, and says so
-                return
-        if REJECTED not in list(engine.plans.values()):  # others may plan
-            with self._lock:
-                cls.declined = self.declined.add(
-                    why.layer, why.rule, why.site, why.detail
-                )
-
-
-class _WalkStop(Exception):
-    """The walk's recorder: a dry run reaches nothing of a recorder but
-    :meth:`refuse`, whose record stops the walk."""
-
-    @staticmethod
-    def refuse(why: Decision) -> None:
-        raise _WalkStop(why)
+                return False
+        tape = rec.freeze(ex, values, engine.declined)
+        with self._lock:
+            if tape is not None:
+                cls.tape = tape
+                return True
+            why = rec.declined
+            cls.declined = self.declined.add(
+                why.layer, why.rule, why.site, why.detail
+            )
+        return False
 
 
 def _outermost_maps(block: A.Block):

@@ -1,4 +1,4 @@
-"""Launch tapes: a Program's host schedule, captured once per shape class.
+"""Launch tapes: a Program's host schedule, recorded once per shape class.
 
 A warm native request spends most of its time in the Python *around*
 its kernels: instantiating index functions, walking argument
@@ -7,17 +7,20 @@ statements.  All of that is a function of the request's **shape class**
 (:meth:`repro.runtime.Program.shape_key`: array shapes plus the values
 and types of every scalar input) -- unless a host-level statement turns
 buffer *contents* into a scalar (``index``/``reduce``/``argmin`` outside
-a kernel), which the executor reports and which makes the request
-untapeable.
+a kernel), which stops the recording and makes the class untapeable.
 
-So the first native request at a shape runs the ordinary
-:class:`~repro.mem.exec.MemExecutor` with a :class:`TapeRecorder`
-attached; if every outermost map ran natively and no host value
-depended on data, the recorder freezes a :class:`Tape`:
+So the first native request at a shape walks the host program once, in
+a dry :class:`~repro.mem.exec.MemExecutor` with a :class:`TapeRecorder`
+attached: each outermost map's kernel is planned and its launch
+marshalled, never fired.  Once the kernels are built, if every map has
+one, no launch fell back and no host value depended on data, the
+recorder freezes a :class:`Tape`, and that request and every later one
+of the class replays it:
 
 * the ordered pool acquisitions ``(dtype, size, zero)`` -- a tape holds
-  **slot indices, never buffers**; every replay re-acquires from a fresh
-  lease, so concurrent replays are private and nothing is pinned;
+  **slot indices, never buffers** (the recorder names each acquired
+  memory block); every replay re-acquires from a fresh lease, so
+  concurrent replays are private and nothing is pinned;
 * the input bindings (parameter name -> slot);
 * the host schedule in program order: native launches (the
   :class:`~repro.backend.engine.Launch` objects the engine marshalled,
@@ -25,19 +28,17 @@ depended on data, the recorder freezes a :class:`Tape`:
   ``(slot, offsets)`` pairs (offset arrays are the ones the Program's
   offset cache already holds);
 * where the outputs live;
-* the run's *host-only* :class:`~repro.mem.stats.ExecStats` -- launch
-  counts, allocation and footprint accounting, fusion and elision
-  tallies made on the host -- snapshotted before any C-side counter was
-  folded in.
+* the walk's statistics: what the host accounts -- launch counts,
+  allocation and footprint accounting, fusion and elision tallies --
+  and nothing counted inside a kernel.
 
 A replay walks the tape: one :func:`~repro.backend.engine.fire` per
 launch -- with addresses into one pointer array and one counter array
 of the whole request -- no symbolic expression, no statement dispatch.
-Bytes and flops
-counted inside the kernels are **re-counted** by every replay and folded
-into a copy of the host-only statistics through the same
+Bytes and flops counted inside the kernels are counted by every replay
+and folded into a copy of the host statistics through the same
 :func:`~repro.backend.engine.distribute` the executor uses, so they
-follow each request's data, never the captured run's.
+follow each request's data.
 """
 
 from __future__ import annotations
@@ -54,9 +55,6 @@ from repro.ir.interp import InterpError
 from repro.ir.types import DTYPE_INFO
 from repro.mem.exec import RuntimeArray, read_region, region_plan
 from repro.mem.stats import ExecStats
-
-#: numpy dtype string -> IR dtype name (what ``PoolLease.acquire`` takes).
-_IR_DTYPE = {np.dtype(v[0]).str: k for k, v in DTYPE_INFO.items()}
 
 _LAUNCH, _COPY, _FILL = range(3)
 
@@ -81,7 +79,7 @@ class Tape:
     row_sink: np.ndarray
     #: ``("array", slot, region plan)`` or ``("const", value)``.
     outputs: tuple
-    #: The capturing run's host-only statistics.
+    #: The recording run's statistics (host accounting only).
     skeleton: ExecStats
     launches: int
 
@@ -136,103 +134,105 @@ class Tape:
         return outs, stats
 
 
+class Stopped(Exception):
+    """Raised through a recording run by :meth:`TapeRecorder.host_read`."""
+
+
 class TapeRecorder:
-    """What one capturing run tells the tape (see ``MemExecutor``'s
-    ``recorder`` and ``NativeEngine._launch``)."""
+    """What one recording dry run tells the tape (see ``MemExecutor``'s
+    ``recorder`` and ``NativeEngine.record_map``).  Buffers are named by
+    their memory block in the run's ``ex.mem``."""
 
     def __init__(self) -> None:
         #: Why no tape can be frozen from this run (the first refusal).
         self.declined: Optional[Decision] = None
-        self.launches = 0
+        #: ``(IR dtype, size, zero)`` per pool acquisition, in order,
+        #: and the slot of each acquired block.
+        self._acquisitions: List[tuple] = []
+        self._slot: Dict[str, int] = {}
         self._inputs: List[tuple] = []
-        #: The schedule so far; ``None`` once the run was refused.
-        self._ops: Optional[List[tuple]] = []
-        #: ``(sites, counters)`` of every native launch, folded into the
-        #: run's statistics by :meth:`finish`.
-        self._pending: List[tuple] = []
+        #: The schedule up to the first refusal.
+        self._ops: List[tuple] = []
 
     # -- told by the executor and the engine -----------------------------
     def refuse(self, why: Decision) -> None:
-        """A host-level value depends on buffer contents (layer
-        ``tape``), or an outermost map did not run natively (the
-        engine's own ``native`` / ``launch`` record)."""
-        if self._ops is not None:
-            self.declined, self._ops = why, None
+        """An outermost map has no kernel, or its launch no longer fits
+        the kernel (the engine's own ``native`` / ``launch`` record)."""
+        if self.declined is None:
+            self.declined = why
 
-    def input(self, name: str, buf: np.ndarray) -> None:
-        self._inputs.append((name, buf))
+    def host_read(self, stmt, exp) -> None:
+        """A host-level statement is about to produce a scalar from
+        buffer contents: everything downstream of it may differ between
+        two requests of one shape class, so the run stops here."""
+        self.refuse(Decision(
+            "tape", "host-data-dependent", stmt.names[0],
+            f"host-level {type(exp).__name__.lower()}",
+        ))
+        raise Stopped(self.declined)
 
-    def copy(self, dst, dst_offs, src, src_offs) -> None:
-        if self._ops is not None:
-            self._ops.append((_COPY, dst, dst_offs, src, src_offs))
+    def acquire(self, block: str, dtype: str, size: int, zero=True) -> None:
+        self._slot[block] = len(self._acquisitions)
+        self._acquisitions.append((dtype, size, zero))
 
-    def fill(self, buf, offs, data) -> None:
-        if self._ops is not None:
-            self._ops.append((_FILL, buf, offs, data))
+    def input(self, name: str, block: str, dtype: str, size: int) -> None:
+        self._inputs.append((name, len(self._acquisitions), DTYPE_INFO[dtype][0]))
+        self.acquire(block, dtype, size, zero=False)
 
-    def launch(self, launch: Launch, bufs, counters) -> None:
-        self.launches += 1
-        self._pending.append((launch.spec.sites, counters))
-        if self._ops is not None:
-            self._ops.append((_LAUNCH, launch, bufs))
+    def copy(self, dst: str, dst_offs, src: str, src_offs) -> None:
+        if self.declined is None:
+            self._ops.append(
+                (_COPY, self._slot[dst], dst_offs, self._slot[src], src_offs)
+            )
+
+    def fill(self, block: str, offs, data) -> None:
+        if self.declined is None:
+            self._ops.append((_FILL, self._slot[block], offs, data))
+
+    def launch(self, site: str, launch: Launch, blocks) -> None:
+        if self.declined is None:
+            self._ops.append((_LAUNCH, site, launch, blocks))
 
     # -- end of run ------------------------------------------------------
-    def finish(self, ex, lease, values) -> Optional[Tape]:
-        """Freeze the tape (``None`` when refused; see ``declined``),
-        then fold the launches' counters into ``ex.stats``.  Call once,
-        after ``ex.run`` returned ``values`` and before the lease
-        closes."""
-        tape = (
-            self._freeze(ex, lease, values) if self._ops is not None else None
-        )
-        for sites, counters in self._pending:
-            distribute(ex.stats, sites, counters)
-        return tape
-
-    def _freeze(self, ex, lease, values) -> Tape:
-        held = lease.buffers()
-        slot_of = {id(b): i for i, b in enumerate(held)}
-        inputs = tuple(
-            (name, slot_of[id(buf)], buf.dtype) for name, buf in self._inputs
-        )
-        input_slots = {slot for _, slot, _ in inputs}
-        acquisitions = tuple(
-            (_IR_DTYPE[b.dtype.str], b.size, i not in input_slots)
-            for i, b in enumerate(held)
-        )
+    def freeze(self, ex, values, log) -> Optional[Tape]:
+        """The tape of the run ``ex`` that returned ``values``, once its
+        kernels are built; ``None`` when refused (see ``declined``).  A
+        launch whose kernel did not build refuses, before anything the
+        run met after it, with its statement's ``native`` record in the
+        engine's ``log``."""
+        for op in self._ops:
+            if op[0] == _LAUNCH and op[2].spec.fn is None:
+                self.declined = log.at("native", op[1])
+                break
+        if self.declined is not None:
+            return None
+        held = len(self._acquisitions)
         ops: List[tuple] = []
         ptr_slots: List[int] = []
         sink_of: Dict[tuple, int] = {}
         row_sink: List[int] = []
         for op in self._ops:
             if op[0] == _LAUNCH:
-                _, launch, bufs = op
+                _, _, launch, blocks = op
                 ops.append((_LAUNCH, launch, len(ptr_slots), len(row_sink)))
-                own = {a[0] for a in launch.allocs}
+                # ``held``: a block the launch supplies itself
                 ptr_slots += [
-                    len(held) if i in own else slot_of[id(b)]
-                    for i, b in enumerate(bufs)
-                ] or [len(held)]
+                    held if b is None else self._slot[b] for b in blocks
+                ] or [held]
                 for site in launch.spec.sites:
                     row_sink.append(sink_of.setdefault(site, len(sink_of)))
-            elif op[0] == _COPY:
-                _, dst, doffs, src, soffs = op
-                ops.append(
-                    (_COPY, slot_of[id(dst)], doffs, slot_of[id(src)], soffs)
-                )
             else:
-                _, buf, offs, data = op
-                ops.append((_FILL, slot_of[id(buf)], offs, data))
+                ops.append(op)
         outputs = []
         for val in values:
             if isinstance(val, RuntimeArray):
                 plan = region_plan(val.ixfn, lambda v=val: ex._offsets(v))
-                outputs.append(("array", slot_of[id(ex.mem[val.mem])], plan))
+                outputs.append(("array", self._slot[val.mem], plan))
             else:
                 outputs.append(("const", val))
         return Tape(
-            acquisitions, inputs, tuple(ops),
+            tuple(self._acquisitions), tuple(self._inputs), tuple(ops),
             np.asarray(ptr_slots, dtype=np.intp), tuple(sink_of),
             np.asarray(row_sink, dtype=np.intp), tuple(outputs),
-            ex.stats.copy(), self.launches,
+            ex.stats.copy(), ex.stats.native_launches,
         )

@@ -90,7 +90,9 @@ def test_first_request_walk_plans_the_pinned_c(key, build, inputs):
     program = Program(SimpleNamespace(fun=build()), memoize=False)
     eng = program._native_engine = NativeEngine()
     program._native_probed = True
-    program._walk(eng, inputs, program._shape_class(program.shape_key(inputs)))
+    program._record(
+        eng, inputs, program._shape_class(program.shape_key(inputs))
+    )
     specs = [s for s in eng.plans.values() if isinstance(s, KernelSpec)]
     assert all(s.fn is not None and s.per_thread is None for s in specs)
     assert sorted(

@@ -1,10 +1,11 @@
 """Launch tapes: a replay must be observably the same program.
 
 The ordinary executor -- a fresh ``MemExecutor`` with no tape recorder
-(:func:`tests.runtime.executor_run`) -- is the reference; the capturing
-run and every replay -- on *different* inputs of the same shape class
--- must produce equal outputs and equal simulated statistics, including
-the counters C code accumulates from the data.
+(:func:`tests.runtime.executor_run`) -- is the reference; the first
+response of a shape class (the replay of the tape its dry walk just
+recorded) and every later replay -- on *different* inputs of the same
+shape class -- must produce equal outputs and equal simulated
+statistics, including the counters C code accumulates from the data.
 """
 
 import importlib
@@ -25,6 +26,7 @@ from repro.mem.exec import MemExecutor, RuntimeArray
 from repro.runtime import Program
 from repro.runtime.tape import _COPY, _LAUNCH, read_region, region_plan
 from tests.mem import local_traffic, traffic_signature
+from tests.opt.conftest import random_mapnest_pipeline, random_two_stage_pipeline
 from tests.runtime import executor_run, idle_buffers, poison
 
 TAPED = {
@@ -178,6 +180,69 @@ def test_replay_matches_executor(name, args):
 
 
 @pytest.mark.native
+@pytest.mark.parametrize(
+    "name,args", [(n, a) for n, sizes in TAPED.items() for a in sizes]
+)
+def test_first_request_is_one_dry_walk(name, args, monkeypatch):
+    """The walk that plans a class's kernels records its tape, and the
+    first response is that tape's replay: no real-mode executor runs."""
+    mod = module(name)
+    program = rt.compile(mod.build(), pipeline="full", memoize=False)
+    x = mod.inputs_for(*args)
+    reference = executor_run(program, x)
+    modes, init = [], MemExecutor.__init__
+
+    def counted(self, *a, **kw):
+        init(self, *a, **kw)
+        modes.append(self.mode)
+
+    monkeypatch.setattr(MemExecutor, "__init__", counted)
+    first = program.run(x)
+    monkeypatch.undo()
+    assert modes == ["dry"]
+    assert first[1].tape == "captured"
+    same_run(reference, first)
+
+
+#: The fusion corpora of ``tests/opt/test_space_fuzz.py`` under ``full``:
+#: (generator, seeds, length of ``xs``).
+N = 16
+GENERATED = [
+    (random_two_stage_pipeline, range(50), N),
+    (random_mapnest_pipeline, range(100, 150), N * N),
+]
+
+
+@pytest.mark.gate
+@pytest.mark.native
+def test_generated_programs_replay_like_the_executor():
+    """Every generated program that tapes answers its first request and
+    a second one of the same class, at new data, like the executor --
+    kernel-local allocations included (the mapnest corpus)."""
+    taped = 0
+    for generate, seeds, size in GENERATED:
+        for seed in seeds:
+            rng = np.random.RandomState(seed)
+            program = rt.compile(
+                generate(rng), pipeline="full", cache=False, memoize=False
+            )
+            requests = [
+                {"n": N, "xs": rng.randn(size).astype(np.float32)}
+                for _ in range(2)
+            ]
+            first = program.run(requests[0])
+            if first[1].tape != "captured":
+                assert first[1].tape.startswith("off: "), seed
+                continue
+            taped += 1
+            same_run(executor_run(program, requests[0]), first)
+            second = program.run(requests[1])
+            assert second[1].tape == "replayed", seed
+            same_run(executor_run(program, requests[1]), second)
+    assert taped >= 20
+
+
+@pytest.mark.native
 @pytest.mark.parametrize("name", ["nw", "hotspot", "lbm"])
 def test_unopt_replays_host_copies_and_kernel_scratch(name):
     """Without short-circuiting the host program copies between
@@ -284,26 +349,30 @@ def test_launch_time_mismatch_turns_one_class_off(monkeypatch):
     program = rt.compile(module("nw").build(), memoize=False)
     x = module("nw").inputs_for(4, 8)
     reference = executor_run(program, x)
-    marshal, calls = NativeEngine.marshal, []
+    marshal, calls = NativeEngine.marshal, {}
 
-    def flaky(self, *args):
-        calls.append(1)
-        if len(calls) in (2, 3, 6):
-            raise Declined("structure-changed", f"injected {len(calls)}")
-        return marshal(self, *args)
+    def flaky(self, spec, ex, *args):
+        # Launches 2, 3 and 6 of every run -- the walk's, then the
+        # executor's -- no longer fit their kernels.
+        k = calls[ex] = calls.get(ex, 0) + 1
+        if k in (2, 3, 6):
+            raise Declined("structure-changed", f"injected {k}")
+        return marshal(self, spec, ex, *args)
 
     monkeypatch.setattr(NativeEngine, "marshal", flaky)
     run = program.run(x)
     monkeypatch.undo()
+    assert [ex.mode for ex in calls] == ["dry", "real"]
     assert run[1].native_launches == reference[1].native_launches - 3
     # Launches 2 and 3 are of the first wavefront's map, 6 of the
     # second's: one record per statement (its first fallback), one
-    # repeat -- and the first record is what turned the tape off.
+    # repeat in the walk -- and the first record is what turned the
+    # tape off.  The executor's three fallbacks find them standing.
     log = program._native_engine.declined
     why, other = log.records
     assert (why.layer, why.rule) == ("launch", "structure-changed")
     assert (why.detail, other.detail) == ("injected 2", "injected 6")
-    assert why.site != other.site and log.repeats == 1
+    assert why.site != other.site and log.repeats == 1 + 3
     assert run[1].tape == f"off: {why}"
     assert state(program)["declined"] == why
     served = program.coverage()["maps"]
@@ -401,7 +470,9 @@ class Boom(RuntimeError):
 
 def warm(program, x, phase):
     """Emit ``program``'s kernels and fill its pool for ``x``'s shape;
-    for the ``replay`` phase also capture the tape of that shape."""
+    for the ``replay`` phase also capture the tape of that shape.  (In
+    the ``capture`` phase the failing request records the tape, and the
+    failure happens in its first replay.)"""
     if phase == "replay":
         assert program.run(x)[1].tape == "captured"
         return

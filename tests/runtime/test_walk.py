@@ -1,7 +1,8 @@
-"""The first native request's walk (``Program._walk``): a dry run of the
-host program plans every kernel the request reaches before anything
-launches, stops where the host program reads buffer contents, and
-leaves later kernels to their first launch."""
+"""A shape class's first native request walks its host program once
+(``Program._record``): a dry run that plans every kernel the request
+reaches before anything launches and records the launch tape, stops
+where the host program reads buffer contents, and leaves later kernels
+to their first launch."""
 
 import numpy as np
 import pytest
@@ -55,7 +56,9 @@ def request(n, seed=0):
 def walked(program, inputs):
     """The engine's plans after the walk alone, by map statement."""
     engine = program._native(None)
-    program._walk(engine, inputs, program._shape_class(program.shape_key(inputs)))
+    program._record(
+        engine, inputs, program._shape_class(program.shape_key(inputs))
+    )
     maps = list(_outermost_maps(program.compiled.fun.body))
     return [engine.plans.get(id(m)) for m in maps]
 
@@ -88,7 +91,10 @@ def test_the_walk_follows_host_loops_and_taken_branches():
     assert len(plans) == 2 and all(
         isinstance(p, KernelSpec) and p.per_thread is None for p in plans
     )
+    # The walk recorded the class's tape: the request replays it.
     stats = same_outputs(program, request(16))
+    assert stats.native_launches == 3 and stats.tape == "replayed"
+    stats = same_outputs(program, request(24))
     assert stats.native_launches == 3 and stats.tape == "captured"
 
 
@@ -97,7 +103,7 @@ def test_no_walk_without_the_native_tier(how, monkeypatch):
     if how == "env":
         monkeypatch.setenv("REPRO_NATIVE", "off")
     walks = []
-    monkeypatch.setattr(Program, "_walk", lambda *a: walks.append(a))
+    monkeypatch.setattr(Program, "_record", lambda *a: walks.append(a))
     program = rt.compile(argmin_between_maps(), memoize=False)
     program.run(request(8), native=None if how == "env" else False)
     assert walks == []

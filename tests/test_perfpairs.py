@@ -4,6 +4,8 @@ the parent's quartiles, wins and a verdict under the benchmark's rule
 stops the script; a finished one appends to the perf history."""
 
 import importlib.util
+import json
+import re
 from pathlib import Path
 
 import pytest
@@ -101,7 +103,6 @@ def test_a_finished_run_appends_one_history_line_per_workload(
 ):
     """The trajectory: after every pair has run, each workload's change
     medians and the ``src/`` line count go to ``perf_history.jsonl``."""
-    import json
     import subprocess
 
     repo = tmp_path / "repo"
@@ -187,7 +188,6 @@ def test_a_verdict_stands_only_when_a_second_interleaving_agrees(
     """Gain in both interleavings: gain.  Gain in the first only, or
     worse in the second only: unresolved.  The history line carries the
     session's parent medians and the ratios."""
-    import json
     import subprocess
 
     repo = tmp_path / "repo"
@@ -244,3 +244,18 @@ def test_a_verdict_stands_only_when_a_second_interleaving_agrees(
     assert line["parent_medians"]["steady_s"] == 1.0055
     assert line["ratios"]["steady_s"] == line["medians"]["steady_s"] / 1.0055
     assert line["ratios"]["steady_s"] == pytest.approx(0.5)
+
+
+def test_every_history_line_names_its_commits():
+    """Each line of the perf history names the measured commit and its
+    parent by full sha, and carries every field ``append_history``
+    writes: a ratio is only read against the commits it names."""
+    keys = ["session", "sha", "parent", "workload", "medians",
+            "parent_medians", "ratios", "src_lines"]
+    path = ROOT / "benchmarks" / "results" / "perf_history.jsonl"
+    for n, text in enumerate(path.read_text().splitlines(), 1):
+        line = json.loads(text)
+        assert sorted(line) == sorted(keys), n
+        for sha in (line["sha"], line["parent"]):
+            assert re.fullmatch(r"[0-9a-f]{40}", sha), (n, sha)
+        assert line["sha"] != line["parent"], n
