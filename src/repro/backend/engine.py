@@ -308,7 +308,9 @@ class NativeEngine:
         #: id(stmt) -> (stmt, KernelSpec) printed by :meth:`plan`, not
         #: yet built.
         self._unbuilt: Dict[int, tuple] = {}
-        #: Cumulative emission + cc wall clock (ExecStats.codegen_seconds).
+        #: Cumulative wall clock of printing kernels (:meth:`plan`) and
+        #: building them (:meth:`planning`): a walk that prints and builds
+        #: nothing adds nothing.
         self.codegen_seconds = 0.0
 
     # ------------------------------------------------------------------
@@ -372,15 +374,16 @@ class NativeEngine:
     @contextlib.contextmanager
     def planning(self):
         """Hold the engine while :meth:`plan` prints kernels, then build
-        every one it printed, one ``cc`` per core at once; the wall clock
-        counts in :attr:`codegen_seconds`."""
+        every one it printed, one ``cc`` per core at once; printing and
+        building count in :attr:`codegen_seconds`."""
         with self._lock:
-            t0 = time.perf_counter()
             try:
                 yield
             finally:
-                self._build()
-                self.codegen_seconds += time.perf_counter() - t0
+                if self._unbuilt:
+                    t0 = time.perf_counter()
+                    self._build()
+                    self.codegen_seconds += time.perf_counter() - t0
 
     def plan(self, ex, stmt, env, dests):
         """Print ``stmt``'s kernel for its first launch (``env``, ``dests``),
@@ -396,7 +399,9 @@ class NativeEngine:
             why = native_rule(kplan)
             if why is not None:
                 raise why
+            t0 = time.perf_counter()
             spec = emit_kernel(ex, kplan, env, dests)
+            self.codegen_seconds += time.perf_counter() - t0
             self._unbuilt[id(stmt)] = (stmt, spec)
             return spec
         except Declined as why:

@@ -112,7 +112,8 @@ def compile_fun(
     in O(lookup).  ``cache=None`` follows the ``REPRO_PROGCACHE``
     environment default (in-process LRU); ``cache=False`` forces a cold
     compile; ``cache="disk"`` adds the persistent layer under
-    ``benchmarks/results/.progcache/``.
+    ``benchmarks/results/.progcache/``; any other value raises
+    ``ValueError``.
 
     ``pipeline`` names a preset of :data:`repro.pipeline.PRESETS`; the
     ablations are presets too (``nosc``: no short-circuiting, ``nofuse``:

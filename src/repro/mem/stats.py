@@ -98,12 +98,10 @@ class ExecStats:
     vec_launches: int = 0
     interp_launches: int = 0
     #: Outermost map launches served by the compiled-C tier
-    #: (:mod:`repro.backend`) and the cumulative C-emission + compiler
-    #: wall clock behind them.  Like the other tier counters these
-    #: describe *how* the run executed, never *what* it simulated, so
-    #: both are excluded from :meth:`signature`.
+    #: (:mod:`repro.backend`).  Like the other tier counters this
+    #: describes *how* the run executed, never *what* it simulated, so
+    #: it is excluded from :meth:`signature`.
     native_launches: int = 0
-    codegen_seconds: float = 0.0
     #: Fusion accounting (:mod:`repro.opt.fuse`): producers inlined into
     #: the kernels this run launched, and the write+read round trip the
     #: elided intermediates would have cost.  Excluded from
@@ -238,9 +236,7 @@ class ExecStats:
         if self.native_launches:
             lines.append(
                 f"native kernels  : {self.native_launches} launches "
-                f"(hit rate {self.native_hit_rate:.2f}, "
-                f"codegen {self.codegen_seconds:.3f}s, "
-                f"tape {self.tape})"
+                f"(hit rate {self.native_hit_rate:.2f}, tape {self.tape})"
             )
         if self.pool_hits or self.pool_misses:
             lines.append(

@@ -5,17 +5,17 @@ immutable artifact; this package makes producing it *rare* and running it
 *cheap*:
 
 * :class:`Program` (:mod:`~repro.runtime.program`) -- a compiled
-  function plus its reusable runtime state: the frozen memory IR, the
-  vectorized dispatch plan, the LMAD offset cache, and the coalesced
-  allocation plan materialized into a :class:`BufferPool` -- and
-  :func:`materialize`, the one function that reads a result out of an
-  executor;
+  function plus its reusable runtime state: the frozen memory IR and
+  the kernel plans, and per shape class a :class:`BufferPool`, the LMAD
+  offset cache and the launch tape -- and :func:`materialize`, the one
+  function that reads a result out of an executor;
 * :class:`ProgramCache` (:mod:`~repro.runtime.cache`) -- the persistent
   compile cache (in-process LRU + opt-in disk layer) keyed by program
   hash, pipeline, symbolic-shape class, and assumptions;
 * :class:`BufferPool` / :class:`PoolLease` (:mod:`~repro.runtime.pool`)
-  -- pooled, zero-filled-on-demand buffers handed to the executor
-  instead of per-call ``np.zeros``, with thread-safe per-run leases.
+  -- exact-size pooled buffers, zero-filled on hand-out, given to the
+  executor instead of per-call ``np.zeros``, with thread-safe per-run
+  leases.
 
 Serving speed is perfbench's ``serve-mix`` workload; the thread-safety
 tests serve one program from many threads in ``tests/runtime/test_serve.py``.

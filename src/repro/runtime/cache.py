@@ -32,7 +32,9 @@ while the IR pretty-print is byte-identical to a cold compile's.
 
 The in-process layer is always safe to enable; the disk layer is opt-in
 (``REPRO_PROGCACHE=disk`` or ``cache="disk"``) because test suites that
-monkeypatch pass internals need compilations to be re-runnable.
+monkeypatch pass internals need compilations to be re-runnable.  A
+caller's ``cache=`` is ``None`` (the environment's choice), ``False``
+(no cache) or ``"disk"``.
 """
 
 from __future__ import annotations
@@ -135,19 +137,16 @@ def make_key(
 def cache_mode(requested=None) -> str:
     """Resolve a ``cache=`` argument against the environment default.
 
-    ``None`` defers to :data:`CACHE_ENV`; ``False``/``"off"`` disables;
-    ``True``/``"mem"`` means in-process only; ``"disk"`` adds the disk
-    layer.
+    ``None`` defers to :data:`CACHE_ENV` (in-process only unless it
+    says otherwise); ``False`` disables; ``"disk"`` adds the disk layer.
     """
     if requested is None:
         raw = os.environ.get(CACHE_ENV, "mem").strip().lower()
         if raw in ("0", "off", "false", "no"):
             return "off"
         return "disk" if raw == "disk" else "mem"
-    if requested is False or requested == "off":
+    if requested is False:
         return "off"
-    if requested is True or requested == "mem":
-        return "mem"
     if requested == "disk":
         return "disk"
     raise ValueError(f"unknown cache mode {requested!r}")

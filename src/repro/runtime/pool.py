@@ -18,20 +18,25 @@ release), matching the deterministic all-zeros contents of a fresh
 whose idle buffers were poisoned between requests hands out pristine
 memory.
 
+Each shape class of a :class:`~repro.runtime.Program` owns one pool
+(shared only with classes apart in floating-point scalars alone): its
+draw is a static property of the memory IR at that shape, so the pool
+lives and dies with the class.
+
 Concurrency follows a *leasing* rule: the pool itself is lock-protected
-and shared (typically one per :class:`~repro.runtime.Program`), while
-each execution draws its buffers through a private :class:`PoolLease`.
-A leased buffer belongs to exactly one run until the lease closes, so
-two workers serving the same program concurrently never share mutable
-executor state; closing the lease (normally via ``with``) returns every
-buffer to the shared free lists.
+and shared by every request of its shape class, while each execution
+draws its buffers through a private :class:`PoolLease`.  A leased buffer
+belongs to exactly one run until the lease closes, so two workers
+serving the same class concurrently never share mutable executor
+state; closing the lease (normally via ``with``) returns every buffer
+to the shared free lists.
 """
 
 from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -41,33 +46,13 @@ from repro.ir.types import DTYPE_INFO
 PoolKey = Tuple[str, int]
 
 
-def _pool_key(dtype: str, size: int) -> PoolKey:
-    return (np.dtype(DTYPE_INFO[dtype][0]).str, size)
-
-
-#: The materialized allocation plan of one shape class: the exact
-#: multiset of buffers its first execution drew, as
-#: :meth:`PoolLease.manifest` returns it.  Eviction
-#: (:meth:`BufferPool.drop_plan`) keeps the free lists the retained
-#: plans draw.
-Manifest = Tuple[PoolKey, ...]
-
-
 class BufferPool:
     """Shared, thread-safe free lists of exact-size flat buffers."""
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self._free: Dict[PoolKey, List[np.ndarray]] = {}
-        #: Cumulative acquisition counters (a lease also tallies its own).
-        self.hits = 0
-        self.misses = 0
-        #: shape-class key -> materialized allocation plan.
-        self._plans: Dict[str, Manifest] = {}
 
-    # ------------------------------------------------------------------
-    # Acquisition / release
-    # ------------------------------------------------------------------
     def acquire(
         self, size: int, dtype: str, zero: bool = True
     ) -> Tuple[np.ndarray, bool]:
@@ -78,18 +63,13 @@ class BufferPool:
         a fresh ``np.zeros``; callers that overwrite the whole buffer
         anyway (input binding) pass ``zero=False``.
         """
-        key = _pool_key(dtype, size)
+        np_dtype = np.dtype(DTYPE_INFO[dtype][0])
         with self._lock:
-            lst = self._free.get(key)
+            lst = self._free.get((np_dtype.str, size))
             buf = lst.pop() if lst else None
-            if buf is None:
-                self.misses += 1
-            else:
-                self.hits += 1
         if buf is None:
-            if zero:
-                return np.zeros(size, dtype=DTYPE_INFO[dtype][0]), False
-            return np.empty(size, dtype=DTYPE_INFO[dtype][0]), False
+            fresh = np.zeros if zero else np.empty
+            return fresh(size, dtype=np_dtype), False
         if zero:
             buf.fill(0)
         return buf, True
@@ -99,32 +79,6 @@ class BufferPool:
         with self._lock:
             self._free.setdefault(key, []).append(buf)
 
-    # ------------------------------------------------------------------
-    # Allocation-plan materialization
-    # ------------------------------------------------------------------
-    def note_plan(self, shape_key: str, manifest) -> None:
-        """Record a shape class's allocation plan (first run only)."""
-        with self._lock:
-            if shape_key not in self._plans:
-                self._plans[shape_key] = tuple(manifest)
-
-    def plan(self, shape_key: str) -> Optional[Manifest]:
-        return self._plans.get(shape_key)
-
-    def drop_plan(self, shape_key: str) -> None:
-        """Forget a shape class: its plan, and every idle buffer whose
-        ``(dtype, size)`` no retained plan draws (exact-size free lists
-        mean no later request of a retained class can match it)."""
-        with self._lock:
-            if self._plans.pop(shape_key, None) is None:
-                return
-            keep = {
-                key for manifest in self._plans.values() for key in manifest
-            }
-            for key in [k for k in self._free if k not in keep]:
-                del self._free[key]
-
-    # ------------------------------------------------------------------
     def lease(self) -> "PoolLease":
         return PoolLease(self)
 
@@ -150,10 +104,6 @@ class PoolLease:
         else:
             self.misses += 1
         return buf, reused
-
-    def manifest(self):
-        """(dtype-agnostic) what this lease drew, as (np dtype str, size)."""
-        return tuple((b.dtype.str, b.size) for b in self._held)
 
     def close(self) -> None:
         if self.closed:

@@ -8,29 +8,28 @@ reusable across executions:
   :class:`repro.mem.kernel.Plan`, with the body the vectorized tier
   staged from it (or why it declined), made once and shared by every
   subsequent run's executor;
-* the **offset cache** -- enumerated LMAD offsets per concrete index
-  function, the dominant warm-run cost after buffer allocation
-  (cleared whenever a shape class is evicted, so it holds entries of
-  retained classes only);
-* the **coalesced allocation plan**, materialized per shape class into a
-  :class:`~repro.runtime.pool.BufferPool` whose buffers are reused
-  across calls instead of re-allocated with ``np.zeros``;
-* the **launch tape** of each shape class (:mod:`repro.runtime.tape`):
-  the host schedule of a native request -- acquisitions, marshalled
-  launches, host copies, output locations -- recorded by one dry walk
-  of the host program at the first request of that class, which also
-  plans (and builds, one ``cc`` per core) every kernel it reaches; that
-  request and every later one replay it, so a request costs its
-  kernels rather than a trip through the symbolic interpreter per
-  statement.  Plans and tapes share one bounded LRU of shape classes.
+* per **shape class** (array shapes plus every scalar's type and
+  value), in one bounded LRU: a :class:`~repro.runtime.pool.BufferPool`
+  whose buffers -- the coalesced allocation plan at that shape -- are
+  reused across calls instead of re-allocated with ``np.zeros``; the
+  **offset cache**, enumerated LMAD offsets per concrete index function;
+  and the **launch tape** (:mod:`repro.runtime.tape`): the host schedule
+  of a native request -- acquisitions, marshalled launches, host copies,
+  output locations -- recorded by one dry walk of the host program at
+  the class's first request, which also plans (and builds, one ``cc``
+  per core) every kernel it reaches; that request and every later one
+  replay it, so a request costs its kernels rather than a trip through
+  the symbolic interpreter per statement.  Everything a class holds is
+  a function of its shape, so evicting a class drops it (classes apart
+  only in floating-point scalars share the pool and offsets).
 
 Each :meth:`Program.run` that does not replay a tape builds a fresh
 :class:`~repro.mem.exec.MemExecutor` (executors are cheap, single-use
-state machines) wired to a private pool lease, so concurrent workers
-serving the same program never share mutable executor state; the shared
-structures (pool free lists, offset cache, dispatch plans, tapes) are
-lock-protected, or hold immutable values whose loss only costs a
-recomputation.
+state machines) wired to a private lease of its class's pool, so
+concurrent workers serving the same program never share mutable
+executor state; the shared structures (pool free lists, offset caches,
+dispatch plans, tapes) are lock-protected, or hold immutable values
+whose loss only costs a recomputation.
 
 Outputs are materialized into caller-owned NumPy arrays before the lease
 closes -- a served response never aliases pool memory.
@@ -85,7 +84,8 @@ def compile_cached(
     *and the function's assumptions* -- see :mod:`repro.runtime.cache`.
     ``cache=None`` follows the ``REPRO_PROGCACHE`` environment default
     (in-process memoization); ``cache=False`` forces a cold compile;
-    ``cache="disk"`` adds the persistent on-disk layer.
+    ``cache="disk"`` adds the persistent on-disk layer; any other value
+    raises ``ValueError``.
     """
     from repro.compiler import _compile_uncached
 
@@ -108,12 +108,20 @@ def compile_cached(
 
 
 class _ShapeClass:
-    """What a Program retains per shape class beside the pool's
-    allocation plan: the launch tape, or why there is none."""
+    """What a Program retains per shape class: its buffer pool, its
+    offset arrays, and its launch tape or why there is none.  Classes
+    apart only in floating-point scalars (equal ``sizes``) share the
+    pool and offsets: no such scalar sizes a buffer, and sharing is
+    sound anyway (exact-size buffers, offsets keyed by index function)."""
 
-    __slots__ = ("tape", "declined", "replays")
+    __slots__ = ("sizes", "pool", "offs", "tape", "declined", "replays")
 
-    def __init__(self) -> None:
+    def __init__(self, sizes: str, twin: Optional["_ShapeClass"]) -> None:
+        self.sizes = sizes
+        self.pool = twin.pool if twin else BufferPool()
+        #: (mem, ixfn) -> offset array (read-only values; see
+        #: MemExecutor._offsets).
+        self.offs: Dict = twin.offs if twin else {}
         self.tape: Optional[Tape] = None
         #: The record that turned taping off for this class (None: not
         #: yet tried, or taped) -- or, under rule ``premise-violated``,
@@ -127,18 +135,12 @@ class Program:
 
     #: Bounded response-memo size (distinct request contents retained).
     MEMO_ENTRIES = 32
-    #: Bounded number of shape classes whose allocation plan and launch
-    #: tape are retained (least recently requested evicted first).
+    #: Bounded number of shape classes retained (least recently
+    #: requested evicted first).
     SHAPE_CLASSES = 16
 
     def __init__(self, compiled, memoize: bool = True):
         self.compiled = compiled
-        #: Shared allocation-plan pool (lock-protected; leased per run).
-        self.pool = BufferPool()
-        #: Shared per-(mem, ixfn) offset arrays (read-only values; see
-        #: MemExecutor._offsets).  Cleared when a shape class is
-        #: evicted: retained classes re-enumerate once.
-        self._offs_cache: Dict = {}
         #: Shared kernel plans (id(stmt) -> repro.mem.kernel.Plan: the
         #: staged body, or the Decision saying why the body is not
         #: expressible).
@@ -150,9 +152,7 @@ class Program:
         #: dispatches straight into the cached shared object.
         self._native_engine = None
         self._native_probed = False
-        #: Shape-class LRU: shape key -> launch tape state.  Evicting a
-        #: class also drops its allocation plan (and the idle buffers
-        #: only it could reuse) from the pool.
+        #: Shape-class LRU: shape key -> what the class retains.
         self._classes: "OrderedDict[str, _ShapeClass]" = OrderedDict()
         #: Why requests were not taped: one record per statement that
         #: refused a capture (a host-level data-dependent scalar, a map
@@ -160,6 +160,8 @@ class Program:
         #: many shape classes ran into it (``repeats``) -- and one per
         #: shape class the function's assumptions do not hold for.
         self.declined = DecisionLog()
+        #: The record that turns every later class's tape off (_record).
+        self._untaped: Optional[Decision] = None
         #: Serve repeated identical requests from prior responses
         #: (sound: the language is pure).  Overridable per call.
         self.memoize = memoize
@@ -170,31 +172,42 @@ class Program:
         self._lock = threading.Lock()
 
     # ------------------------------------------------------------------
-    def shape_key(self, inputs: Mapping[str, object]) -> str:
+    def shape_key(
+        self, inputs: Mapping[str, object], floats: bool = True
+    ) -> str:
         """The concrete shape class of one request's inputs: the shape
         of every array, the type and value of everything else (0-d
         included) -- so every value the host program computes without
-        reading a buffer is a function of this key."""
+        reading a buffer is a function of this key.  ``floats=False``
+        keeps only the type of a floating-point scalar: the key of the
+        buffers and offsets a class draws."""
         parts = []
         for name in sorted(inputs):
             v = inputs[name]
             shape = getattr(v, "shape", None)
-            parts.append(
-                f"{name}:{shape}" if shape
-                else f"{name}={type(v).__name__}:{v!r}"
-            )
+            if shape:
+                parts.append(f"{name}:{shape}")
+            elif floats or not isinstance(v, (float, np.floating)):
+                parts.append(f"{name}={type(v).__name__}:{v!r}")
+            else:
+                parts.append(f"{name}={type(v).__name__}")
         return "|".join(parts)
 
-    def _shape_class(self, skey: str) -> _ShapeClass:
-        """The (most recently used) LRU entry of ``skey``."""
+    def _shape_class(self, skey: str, inputs) -> _ShapeClass:
+        """The (most recently used) LRU entry of ``skey``, the class of
+        ``inputs``; a new one shares the pool and offsets of a retained
+        class of the same sizes."""
         with self._lock:
             cls = self._classes.get(skey)
             if cls is None:
-                cls = self._classes[skey] = _ShapeClass()
+                sizes = self.shape_key(inputs, floats=False)
+                twin = next(
+                    (c for c in self._classes.values() if c.sizes == sizes),
+                    None,
+                )
+                cls = self._classes[skey] = _ShapeClass(sizes, twin)
                 while len(self._classes) > self.SHAPE_CLASSES:
-                    evicted, _ = self._classes.popitem(last=False)
-                    self.pool.drop_plan(evicted)
-                    self._offs_cache.clear()
+                    self._classes.popitem(last=False)
             else:
                 self._classes.move_to_end(skey)
             return cls
@@ -341,7 +354,7 @@ class Program:
         :meth:`_record`, at the class's first native request -- else the
         executor."""
         skey = self.shape_key(inputs)
-        cls = self._shape_class(skey)
+        cls = self._shape_class(skey, inputs)
         refused = cls.declined
         if refused is not None and refused.rule == "premise-violated":
             raise Declined(refused.rule, refused.detail)
@@ -351,7 +364,7 @@ class Program:
         )
         off = "native tier not in use" if engine is None else cls.declined
         tape = cls.tape if off is None else None
-        with self.pool.lease() as lease, executing():
+        with cls.pool.lease() as lease, executing():
             if tape is not None:
                 try:
                     outs, stats = tape.replay(inputs, lease)
@@ -370,7 +383,7 @@ class Program:
                 ex = MemExecutor(
                     self.compiled.fun,
                     pool=lease,
-                    offs_cache=self._offs_cache,
+                    offs_cache=cls.offs,
                     vec_plans=self._vec_plans,
                     native=engine,
                 )
@@ -387,16 +400,6 @@ class Program:
                     raise
                 outs = [materialize(ex, v) for v in vals]
                 stats.tape = f"off: {off}"
-            if engine is not None:
-                stats.codegen_seconds = engine.codegen_seconds
-            if self.pool.plan(skey) is None:
-                # First execution at this shape class: freeze the
-                # allocation plan, so that evicting another class keeps
-                # the free lists this one draws.  (Not for a class
-                # evicted while this request ran.)
-                with self._lock:
-                    if self._classes.get(skey) is cls:
-                        self.pool.note_plan(skey, lease.manifest())
         return outs, stats
 
     def _record(self, engine, inputs, cls: _ShapeClass) -> bool:
@@ -405,32 +408,54 @@ class Program:
         every kernel it plans before anything executes.  A host read of
         a buffer (which stops the run), a map without a kernel or a
         launch that no longer fits its kernel turns the tape off, with
-        the first such record in program order.  Returns whether ``cls``
-        holds a tape recorded here."""
-        rec = TapeRecorder()
-        with engine.planning():
-            if cls.tape is not None or cls.declined is not None:
-                return False  # a concurrent request recorded it
-            ex = MemExecutor(
-                self.compiled.fun, mode="dry", offs_cache=self._offs_cache,
-                vec_plans=self._vec_plans, native=engine, recorder=rec,
-            )
-            try:
-                values, _ = ex.run(**dict(inputs))
-            except Stopped:
-                values = None
-            except Exception:  # the request meets it again, and says so
-                return False
-        tape = rec.freeze(ex, values, engine.declined)
-        with self._lock:
+        the first such record in program order.  A ``native`` or
+        ``tape`` record at a statement every walk reaches (see
+        :func:`_always_reached`) turns every later class off unwalked:
+        a map without a kernel never gets one, and a host read always
+        stops the walk.  Returns whether ``cls`` holds a tape recorded
+        here."""
+        why = self._untaped
+        if why is None:
+            rec = TapeRecorder()
+            with engine.planning():
+                if cls.tape is not None or cls.declined is not None:
+                    return False  # a concurrent request recorded it
+                ex = MemExecutor(
+                    self.compiled.fun, mode="dry", offs_cache=cls.offs,
+                    vec_plans=self._vec_plans, native=engine, recorder=rec,
+                )
+                try:
+                    values, _ = ex.run(**dict(inputs))
+                except Stopped:
+                    values = None
+                except Exception:  # the request meets it again, and says so
+                    return False
+            tape = rec.freeze(ex, values, engine.declined)
             if tape is not None:
-                cls.tape = tape
+                with self._lock:
+                    cls.tape = tape
                 return True
             why = rec.declined
-            cls.declined = self.declined.add(
-                why.layer, why.rule, why.site, why.detail
-            )
+            if why.layer in ("native", "tape") and why.site in _always_reached(
+                self.compiled.fun.body
+            ):
+                self._untaped = why
+        with self._lock:
+            if cls.declined is None:
+                cls.declined = self.declined.add(
+                    why.layer, why.rule, why.site, why.detail
+                )
         return False
+
+
+def _always_reached(block: A.Block):
+    """The sites every run of ``block`` reaches unless an earlier
+    statement stops it: its statements, and those of the body of a loop
+    among them that runs a constant, positive number of times."""
+    for stmt in block.stmts:
+        yield from stmt.names[:1]
+        if isinstance(stmt.exp, A.Loop) and (stmt.exp.count.as_int() or 0) > 0:
+            yield from _always_reached(stmt.exp.body)
 
 
 def _outermost_maps(block: A.Block):

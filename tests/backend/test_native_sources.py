@@ -91,7 +91,7 @@ def test_first_request_walk_plans_the_pinned_c(key, build, inputs):
     eng = program._native_engine = NativeEngine()
     program._native_probed = True
     program._record(
-        eng, inputs, program._shape_class(program.shape_key(inputs))
+        eng, inputs, program._shape_class(program.shape_key(inputs), inputs)
     )
     specs = [s for s in eng.plans.values() if isinstance(s, KernelSpec)]
     assert all(s.fn is not None and s.per_thread is None for s in specs)

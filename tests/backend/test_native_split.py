@@ -37,7 +37,7 @@ from tests.opt.conftest import (
     random_mapnest_pipeline,
     random_two_stage_pipeline,
 )
-from tests.runtime import executor_run, idle_buffers
+from tests.runtime import executor_run, idle_buffers, shape_class
 from tests.runtime.test_tape import Boom, same_run, seeded, warm
 
 pytestmark = [pytest.mark.gate, pytest.mark.native]
@@ -231,7 +231,8 @@ def test_a_raising_part_surfaces_after_every_part_returned(
     x = mod.inputs_for(6, 8)
     reference = executor_run(program, x)
     warm(program, x, phase)
-    clean = len(idle_buffers(program.pool))
+    pool = shape_class(program, x).pool
+    clean = len(idle_buffers(pool))
     helpers = _part_threads()
     raised = []
     with monkeypatch.context() as mp:
@@ -254,7 +255,7 @@ def test_a_raising_part_surfaces_after_every_part_returned(
     assert helpers <= _part_threads()
     assert all(t.is_alive() for t in helpers)
     assert len(split._idle) == HELPERS  # every helper back in the pool
-    assert len(idle_buffers(program.pool)) == clean
+    assert len(idle_buffers(pool)) == clean
     run = program.run(x)
     assert run[1].tape == "captured"
     same_run(reference, run)

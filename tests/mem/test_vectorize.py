@@ -428,7 +428,7 @@ class TestStaged:
         maps = program.coverage()["maps"]
         assert sorted(stagings) == sorted(maps)
         assert {m["tier"] for m in maps.values()} == {"vectorized"}
-        assert len(program.pool._plans) == len(shapes)  # eight classes
+        assert len(program.coverage()["classes"]) == len(shapes)
 
     def test_request_kinds_are_read_per_run(self, stagings):
         """One staged body, host scalars of every kind: each run gives the

@@ -8,6 +8,12 @@ from repro.mem.exec import MemExecutor
 from repro.runtime import BufferPool, materialize
 
 
+def shape_class(program, inputs):
+    """What ``program`` retains for the shape class of ``inputs``: its
+    ``pool``, its offset arrays ``offs`` and its tape."""
+    return program._classes[program.shape_key(inputs)]
+
+
 def idle_buffers(pool):
     """Every buffer on the pool's free lists, read under its lock."""
     with pool._lock:

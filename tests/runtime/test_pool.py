@@ -13,11 +13,9 @@ class TestAcquireRelease:
         buf, reused = pool.acquire(16, "f32")
         assert not reused
         assert buf.dtype == np.float32 and buf.size == 16
-        assert pool.misses == 1 and pool.hits == 0
         pool.release(buf)
         buf2, reused2 = pool.acquire(16, "f32")
         assert reused2 and buf2 is buf
-        assert pool.hits == 1
 
     def test_exact_size_keying(self):
         """A 16-element buffer never serves a 17-element request -- the
@@ -81,16 +79,15 @@ class TestLease:
             assert lease.misses == 2 and lease.hits == 0
         assert len(idle_buffers(pool)) == 2
 
-    def test_manifest_records_the_draw(self):
+    def test_close_returns_the_draw(self):
         pool = BufferPool()
         with pool.lease() as lease:
             lease.acquire(8, "f32")
             lease.acquire(4, "i64")
-            manifest = lease.manifest()
-        assert manifest == (
+        assert sorted((b.dtype.str, b.size) for b in idle_buffers(pool)) == [
             (np.dtype(np.float32).str, 8),
             (np.dtype(np.int64).str, 4),
-        )
+        ]
 
     def test_concurrent_leases_never_share(self):
         pool = BufferPool()

@@ -11,7 +11,7 @@ import pytest
 import repro.runtime as rt
 from repro.mem.exec import MemExecutor
 from tests.mem import traffic_signature
-from tests.runtime import poison
+from tests.runtime import idle_buffers, poison, shape_class
 from tests.runtime.test_serve import _run_uncached
 
 BENCHMARKS = ["nw", "lud", "hotspot", "lbm", "optionpricing", "locvolcalib", "nn"]
@@ -57,7 +57,7 @@ class TestPooledDifferential:
         mod, inputs = bench(name)
         program = rt.compile(mod.build(), pipeline="full")
         first, _ = program.run(inputs, memoize=False)
-        poison(program.pool)
+        poison(shape_class(program, inputs).pool)
         second, _ = program.run(inputs, memoize=False)
         for a, b in zip(first, second):
             assert np.array_equal(np.asarray(a), np.asarray(b))
@@ -157,10 +157,65 @@ class TestProgramHandle:
         # launches address buffers through LMADs and its contiguous
         # outputs are sliced, so a hotspot run enumerates none).
         program.run(inputs, memoize=False, native=False)
-        assert len(program._offs_cache) > 0
-        before = len(program._offs_cache)
+        offs = shape_class(program, inputs).offs
+        assert len(offs) > 0
+        before = dict(offs)
         program.run(inputs, memoize=False, native=False)
-        assert len(program._offs_cache) == before
+        assert offs.keys() == before.keys()
+        assert all(offs[k] is v for k, v in before.items())
+
+    def test_eviction_keeps_the_retained_classes_offsets(self, monkeypatch):
+        """Evicting a class drops that class: every retained class keeps
+        its offset arrays, the same objects."""
+        monkeypatch.setattr(rt.Program, "SHAPE_CLASSES", 2)
+        mod, _ = bench("lud")
+        program = rt.compile(mod.build(), memoize=False)
+        a, b, c = (mod.inputs_for(q, 4) for q in (2, 3, 4))
+        for x in (a, b, a):
+            program.run(x, native=False)
+        kept = dict(shape_class(program, a).offs)
+        assert kept
+        program.run(c, native=False)  # evicts b, the least recent
+        assert list(program._classes) == [
+            program.shape_key(x) for x in (a, c)
+        ]
+        offs = shape_class(program, a).offs
+        assert offs.keys() == kept.keys()
+        assert all(offs[k] is v for k, v in kept.items())
+
+    def test_a_new_class_draws_from_a_pool_of_its_own(self):
+        """hotspot at ``iters`` 5 and 6: two classes whose buffers have
+        the same sizes, and the second one's first request reuses none
+        of the first's (a pool shared by both classes would hand them on)."""
+        mod, _ = bench("hotspot")
+        program = rt.compile(mod.build(), memoize=False)
+        five, six = mod.inputs_for(16, 5), mod.inputs_for(16, 6)
+        program.run(five)
+        _, stats = program.run(six)
+        assert stats.pool_hits == 0 and stats.pool_misses > 0
+        sizes = [
+            {(b.dtype.str, b.size) for b in idle_buffers(cls.pool)}
+            for cls in program._classes.values()
+        ]
+        assert len(sizes) == 2 and sizes[0] == sizes[1]
+
+    def test_classes_apart_only_in_float_scalars_share_a_pool(
+        self, monkeypatch
+    ):
+        """nn's query point is a float scalar: each one is a shape class,
+        but they all draw the same buffers, from one pool, which outlives
+        the class that made it."""
+        monkeypatch.setattr(rt.Program, "SHAPE_CLASSES", 1)
+        mod, _ = bench("nn")
+        program = rt.compile(mod.build(), memoize=False)
+        a = mod.inputs_for(200)
+        b = dict(a, qlat=np.float32(46.0))
+        program.run(a)
+        pool = shape_class(program, a).pool
+        _, stats = program.run(b)  # evicts a's class
+        assert list(program._classes) == [program.shape_key(b)]
+        assert shape_class(program, b).pool is pool
+        assert stats.pool_misses == 0 and stats.pool_hits > 0
 
     def test_fresh_executor_still_works_without_pool(self):
         """compile() must not change plain MemExecutor usage."""
@@ -199,13 +254,13 @@ class TestPremises:
         assert program.declined.records == [cls["declined"]]
         assert program.declined.repeats == 0  # decided once, not per request
         assert program._classes[skey].tape is None
-        assert program.pool.plan(skey) is None
+        assert not idle_buffers(shape_class(program, inputs).pool)
         # Another class is served as if nothing had happened.
         ref_outs, ref_stats = _run_uncached(program.compiled.fun, good)
         outs, stats = program.run(good)
         for a, b in zip(ref_outs, outs):
             assert np.array_equal(np.asarray(a), np.asarray(b))
         assert stats.signature() == ref_stats.signature()
-        assert program.pool.plan(program.shape_key(good)) is not None
+        assert idle_buffers(shape_class(program, good).pool)
         with pytest.raises(Declined, match=detail):
             MemExecutor(program.compiled.fun).run(**inputs)

@@ -22,8 +22,9 @@ import repro.runtime as rt
 from repro.ir.types import DTYPE_INFO
 from repro.mem.exec import MemExecutor
 from repro.runtime import materialize
+from tests.runtime import idle_buffers, shape_class
 
-#: numpy dtype string (a manifest entry) -> the IR dtype a lease takes.
+#: numpy dtype string (of a pooled buffer) -> the IR dtype a lease takes.
 IR_DTYPE = {np.dtype(info[0]).str: name for name, info in DTYPE_INFO.items()}
 
 
@@ -87,17 +88,20 @@ def serve_program(program, inputs, requests, workers=1):
 
 
 def provision(program, inputs, leases):
-    """Warm the pool for ``leases`` concurrent runs: record the shape
-    class's allocation plan, hold that many leases over its manifest at
-    once, then return every buffer."""
+    """Warm the shape class's pool for ``leases`` concurrent runs: run
+    once (the idle buffers are then exactly what one run draws), hold
+    that many leases over that draw at once, then return every buffer.
+    Returns the draw, as ``(numpy dtype string, size)`` pairs."""
     program.run(inputs, memoize=False)
-    manifest = program.pool.plan(program.shape_key(inputs))
-    held = [program.pool.lease() for _ in range(leases)]
+    pool = shape_class(program, inputs).pool
+    draw = [(b.dtype.str, b.size) for b in idle_buffers(pool)]
+    held = [pool.lease() for _ in range(leases)]
     for lease in held:
-        for dt, size in manifest:
+        for dt, size in draw:
             lease.acquire(size, IR_DTYPE[dt])
     for lease in held:
         lease.close()
+    return draw
 
 
 def _run_uncached(fun, inputs, vectorize=True):
@@ -189,12 +193,12 @@ class TestConcurrencySmoke:
 
     def test_concurrent_leases_get_disjoint_buffers(self):
         """Two leases on a pool provisioned for two draw the same
-        manifest entry from the free list, and get different buffers."""
+        buffer size from the free list, and get different buffers."""
         mod, inputs = bench("hotspot")
         program = rt.compile(mod.build())
-        provision(program, inputs, leases=2)
-        dt, size = program.pool.plan(program.shape_key(inputs))[0]
-        l1, l2 = program.pool.lease(), program.pool.lease()
+        dt, size = provision(program, inputs, leases=2)[0]
+        pool = shape_class(program, inputs).pool
+        l1, l2 = pool.lease(), pool.lease()
         a, a_reused = l1.acquire(size, IR_DTYPE[dt])
         b, b_reused = l2.acquire(size, IR_DTYPE[dt])
         assert a_reused and b_reused
@@ -212,7 +216,8 @@ class TestMeasureServe:
         assert out["outputs_equal_interp"] and out["outputs_equal_vec"]
         assert out["signature_equal_interp"] and out["signature_equal_vec"]
         serve_program(program, inputs, requests=8, workers=2)
-        assert program.pool.hits > 0
+        _, stats = program.run(inputs, memoize=False)
+        assert stats.pool_hits > 0 and stats.pool_misses == 0
 
     def test_check_pooled_identical_bypasses_the_memo(self):
         mod, inputs = bench("hotspot")

@@ -27,7 +27,7 @@ from repro.runtime import Program
 from repro.runtime.tape import _COPY, _LAUNCH, read_region, region_plan
 from tests.mem import local_traffic, traffic_signature
 from tests.opt.conftest import random_mapnest_pipeline, random_two_stage_pipeline
-from tests.runtime import executor_run, idle_buffers, poison
+from tests.runtime import executor_run, idle_buffers, poison, shape_class
 
 TAPED = {
     "nw": [(4, 8), (6, 16)],
@@ -313,6 +313,34 @@ def test_untapeable_programs_say_why(name):
 
 
 @pytest.mark.native
+@pytest.mark.parametrize("name", sorted(UNTAPED))
+def test_a_new_class_takes_a_standing_refusal_unwalked(name, monkeypatch):
+    """Every walk reaches these refusals (top level, or a loop body that
+    always runs), and a refusal there stands: a new class runs the
+    executor alone, under the first class's record."""
+    mod = module(name)
+    args, why, _ = UNTAPED[name]
+    program = rt.compile(mod.build(), pipeline="full", memoize=False)
+    assert program.run(mod.inputs_for(*args))[1].tape == f"off: {why}"
+    repeats = program.declined.repeats
+    x = mod.inputs_for(*[max(1, a - 1) for a in args])
+    reference = executor_run(program, x)
+    modes, init = [], MemExecutor.__init__
+
+    def counted(self, *a, **kw):
+        init(self, *a, **kw)
+        modes.append(self.mode)
+
+    monkeypatch.setattr(MemExecutor, "__init__", counted)
+    run = program.run(x)
+    monkeypatch.undo()
+    assert modes == ["real"]
+    assert run[1].tape == f"off: {why}"
+    assert program.declined.repeats == repeats + 1
+    same_run(reference, run)
+
+
+@pytest.mark.native
 def test_counters_follow_each_requests_data():
     program = rt.compile(branchy(), memoize=False)
     flops = set()
@@ -501,18 +529,20 @@ def test_kernel_exception_keeps_pool_and_drops_tape(phase, monkeypatch):
     x = mod.inputs_for(3, 4)
     reference = executor_run(program, x)
     warm(program, x, phase)
-    clean = len(idle_buffers(program.pool))
+    pool = shape_class(program, x).pool
+    clean = len(idle_buffers(pool))
     fail_on_call(monkeypatch, program, 5)
     with pytest.raises(Boom):
         program.run(x)
     monkeypatch.undo()
-    assert len(idle_buffers(program.pool)) == clean
+    assert shape_class(program, x).pool is pool
+    assert len(idle_buffers(pool)) == clean
     assert state(program)["state"] == "new"  # no tape stored / kept
     run = program.run(x)
     assert run[1].tape == "captured"
     same_run(reference, run)
     same_run(reference, program.run(x))
-    assert len(idle_buffers(program.pool)) == clean
+    assert len(idle_buffers(pool)) == clean
 
 
 @pytest.mark.native
@@ -523,7 +553,7 @@ def test_poisoned_pool_replays_bit_identically(name):
     x = mod.inputs_for(*TAPED[name][0])
     reference = executor_run(program, x)
     program.run(x)
-    poison(program.pool)
+    poison(shape_class(program, x).pool)
     run = program.run(x)
     assert run[1].tape == "replayed"
     same_run(reference, run)
@@ -544,25 +574,25 @@ def test_evicted_tape_is_recaptured_not_resurrected():
 
 
 # ----------------------------------------------------------------------
-# The shape-class LRU bounds plans and idle buffers
+# The shape-class LRU bounds idle buffers and offset arrays
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("build", [branchy, host_reduce])
 def test_never_seen_shapes_leave_the_pool_bounded(build):
     program = rt.compile(build(), memoize=False)
     program.run(branchy_input(0, n=1))
     # offset arrays one class enumerates (none when its tape replays)
-    per_class = len(program._offs_cache)
+    (first,) = program._classes.values()
+    per_class = len(first.offs)
     for n in range(2, 501):
         program.run(branchy_input(0, n=n))
-    assert len(program._offs_cache) <= Program.SHAPE_CLASSES * per_class
-    pool = program.pool
-    assert len(pool._plans) <= Program.SHAPE_CLASSES
-    assert len(program.coverage()["classes"]) <= Program.SHAPE_CLASSES
+    classes = list(program._classes.values())
+    assert len(classes) == len(program.coverage()["classes"])
+    assert len(classes) <= Program.SHAPE_CLASSES
+    assert all(len(cls.offs) == per_class for cls in classes)
     # x and y of the retained classes, nothing of the 484 evicted ones
-    idle = sum(b.nbytes for b in idle_buffers(pool))
-    assert idle <= Program.SHAPE_CLASSES * 2 * 4 * 500
-    retained = {key for manifest in pool._plans.values() for key in manifest}
-    assert set(pool._free) <= retained
+    idle = [b for cls in classes for b in idle_buffers(cls.pool)]
+    assert len(idle) == 2 * len(classes)
+    assert sum(b.nbytes for b in idle) <= Program.SHAPE_CLASSES * 2 * 4 * 500
 
 
 def _reachable_index_fns(root):

@@ -4,6 +4,8 @@ reaches before anything launches and records the launch tape, stops
 where the host program reads buffer contents, and leaves later kernels
 to their first launch."""
 
+import importlib
+
 import numpy as np
 import pytest
 
@@ -57,7 +59,7 @@ def walked(program, inputs):
     """The engine's plans after the walk alone, by map statement."""
     engine = program._native(None)
     program._record(
-        engine, inputs, program._shape_class(program.shape_key(inputs))
+        engine, inputs, program._shape_class(program.shape_key(inputs), inputs)
     )
     maps = list(_outermost_maps(program.compiled.fun.body))
     return [engine.plans.get(id(m)) for m in maps]
@@ -107,3 +109,18 @@ def test_no_walk_without_the_native_tier(how, monkeypatch):
     program = rt.compile(argmin_between_maps(), memoize=False)
     program.run(request(8), native=None if how == "env" else False)
     assert walks == []
+
+
+@pytest.mark.native
+def test_a_walk_that_prints_and_builds_nothing_adds_no_codegen_time():
+    """``engine.codegen_seconds`` times printing and building kernels,
+    not the walk around them: nw's second class finds every kernel
+    planned and built."""
+    mod = importlib.import_module("repro.bench.programs.nw")
+    program = rt.compile(mod.build(), memoize=False)
+    program.run(mod.inputs_for(4, 8))
+    engine = program._native_engine
+    spent = engine.codegen_seconds
+    assert spent > 0
+    assert program.run(mod.inputs_for(6, 16))[1].tape == "captured"
+    assert engine.codegen_seconds == spent
