@@ -127,6 +127,7 @@ KEPT: Dict[Tuple[str, str], str] = {
     ("lmad/ixfun.py", "IndexFn.permute"): "language",
     ("lmad/lmad.py", "Lmad.permute"): "language",
     ("mem/vectorize.py", "_alias"): "language",
+    ("mem/exec.py", "MemExecutor._exec_varref"): "language",
     ("runtime/tape.py", "TapeRecorder.fill"): "language",
     ("backend/cemit.py", "_Emitter._alias"): "language",
     ("backend/cemit.py", "_Emitter._copy"): "language",

@@ -32,18 +32,24 @@ class InterpError(Exception):
 
 
 def eval_sym(expr: SymExpr, env: Mapping[str, object]) -> int:
-    """Evaluate a symbolic integer expression in a value environment."""
-    vals: Dict[str, int] = {}
-    for v in expr.free_vars():
-        if v not in env:
-            raise InterpError(f"unbound scalar {v!r} in index expression")
-        val = env[v]
-        if isinstance(val, np.generic):
-            val = val.item()
-        if not isinstance(val, int):
-            raise InterpError(f"scalar {v!r} is not an integer: {val!r}")
-        vals[v] = val
-    return expr.evaluate(vals)
+    """Evaluate a symbolic integer expression in a value environment, from
+    its compiled form (:meth:`SymExpr.compile`)."""
+    try:
+        return expr.compile()(env)
+    except KeyError as e:
+        raise InterpError(f"unbound scalar {e.args[0]!r} in index expression") from None
+    except TypeError as e:
+        raise InterpError(str(e)) from None
+
+
+def eval_operand(op: A.Operand, env: Mapping[str, object]):
+    """A scalar operand's value: a variable's, an index expression's or
+    the constant's own."""
+    if isinstance(op, str):
+        return env[op]
+    if isinstance(op, SymExpr):
+        return eval_sym(op, env)
+    return op
 
 
 def lmad_offsets_np(lmad: Lmad, env: Mapping[str, object]) -> np.ndarray:
@@ -109,13 +115,6 @@ class Interpreter:
         return [env[r] for r in block.result]
 
     # ------------------------------------------------------------------
-    def _operand(self, op: A.Operand, env: Mapping[str, object]):
-        if isinstance(op, str):
-            return env[op]
-        if isinstance(op, SymExpr):
-            return eval_sym(op, env)
-        return op
-
     def eval_exp(self, exp: A.Exp, env: Dict[str, object]) -> List[object]:
         if isinstance(exp, A.VarRef):
             return [env[exp.name]]
@@ -124,9 +123,9 @@ class Interpreter:
         if isinstance(exp, A.ScalarE):
             return [eval_sym(exp.expr, env)]
         if isinstance(exp, A.BinOp):
-            return [OPS[exp.op].scalar(self._operand(exp.x, env), self._operand(exp.y, env))]
+            return [OPS[exp.op].scalar(eval_operand(exp.x, env), eval_operand(exp.y, env))]
         if isinstance(exp, A.UnOp):
-            return [OPS[exp.op].scalar(self._operand(exp.x, env))]
+            return [OPS[exp.op].scalar(eval_operand(exp.x, env))]
         if isinstance(exp, A.Iota):
             n = eval_sym(exp.n, env)
             return [np.arange(n, dtype=DTYPE_INFO[exp.dtype][0])]
@@ -136,7 +135,7 @@ class Interpreter:
             return [np.zeros(shape, dtype=DTYPE_INFO[exp.dtype][0])]
         if isinstance(exp, A.Replicate):
             shape = tuple(eval_sym(s, env) for s in exp.shape)
-            value = self._operand(exp.value, env)
+            value = eval_operand(exp.value, env)
             dtype = getattr(value, "dtype", DTYPE_INFO[exp.dtype][0])
             return [np.full(shape, value, dtype=dtype)]
         if isinstance(exp, A.Copy):
@@ -171,7 +170,7 @@ class Interpreter:
         if isinstance(exp, A.Loop):
             return self._loop(exp, env)
         if isinstance(exp, A.If):
-            cond = self._operand(exp.cond, env)
+            cond = eval_operand(exp.cond, env)
             block = exp.then_block if cond else exp.else_block
             return self.run_block(block, dict(env))
         if isinstance(exp, A.Reduce):
@@ -214,9 +213,9 @@ class Interpreter:
         out = np.array(src, copy=True, order="C")
         if isinstance(exp.spec, A.PointSpec):
             idx = tuple(eval_sym(i, env) for i in exp.spec.indices)
-            out[idx] = self._operand(exp.value, env)
+            out[idx] = eval_operand(exp.value, env)
             return out
-        value = self._operand(exp.value, env)
+        value = eval_operand(exp.value, env)
         if isinstance(exp.spec, A.TripletSpec):
             index_arrays = []
             for axis, (start, count, step) in enumerate(exp.spec.triplets):

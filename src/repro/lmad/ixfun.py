@@ -78,10 +78,13 @@ class IndexFn:
         return self.lmads[0] if self.is_single() else None
 
     def free_vars(self) -> frozenset:
-        out: frozenset = frozenset()
-        for l in self.lmads:
-            out |= l.free_vars()
-        return out
+        # Cached in ``__dict__`` like the memos below, and like them never
+        # pickled or copied.
+        fv = self.__dict__.get("_fv")
+        if fv is None:
+            fv = frozenset().union(*(l.free_vars() for l in self.lmads))
+            object.__setattr__(self, "_fv", fv)
+        return fv
 
     def size(self) -> SymExpr:
         return self.inner.size()
@@ -118,10 +121,12 @@ class IndexFn:
         return (IndexFn, (self.lmads,))
 
     def substitute(self, mapping: Mapping[str, ExprLike]) -> "IndexFn":
-        key = tuple(
-            (k, sym(v))
-            for k, v in sorted(mapping.items(), key=lambda kv: kv[0])
-        )
+        # The executor instantiates with Python ints: its key is the
+        # sorted pairs as given, with no SymExpr built per variable.
+        if all(type(v) is int for v in mapping.values()):
+            key = tuple(sorted(mapping.items()))
+        else:
+            key = tuple(sorted((k, sym(v)) for k, v in mapping.items()))
         cache = self._memo("_subst_cache")
         hit = cache.get(key)
         if hit is None:

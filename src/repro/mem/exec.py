@@ -34,10 +34,9 @@ from typing import Dict, List, Mapping, Optional, Set, Tuple
 import numpy as np
 
 from repro.lmad import IndexFn
-from repro.symbolic import SymExpr
 
 from repro.ir import ast as A
-from repro.ir.interp import InterpError, bind_shape_vars, eval_sym
+from repro.ir.interp import InterpError, bind_shape_vars, eval_operand, eval_sym
 from repro.ir.scalar import OPS, REDUCTIONS
 from repro.ir.types import ArrayType, DTYPE_INFO
 from repro.mem.kernel import label, lower
@@ -510,190 +509,179 @@ class MemExecutor:
 
     def exec_stmt(self, stmt: A.Let, env: Dict[str, object]) -> None:
         exp = stmt.exp
+        run = self._EXEC.get(type(exp))
+        if run is None:
+            raise InterpError(f"unknown expression {type(exp).__name__}")
+        run(self, stmt, exp, env)
 
-        if isinstance(exp, A.Alloc):
-            size = eval_sym(exp.size, env)
-            name = stmt.names[0]
-            # Each execution creates a *fresh* block: an alloc inside a loop
-            # body must not alias the previous iteration's block, or
-            # double-buffered loops would read their own writes.
-            self._alloc_counter += 1
-            unique = f"{name}@{self._alloc_counter}"
-            if self.mode == "real":
-                self.mem[unique] = self._fresh_buffer(size, exp.dtype)
-                if self.debug:
-                    self._shadow[unique] = np.zeros(size, dtype=bool)
-            else:
-                self.mem[unique] = size
-                if self._recorder is not None:
-                    self._recorder.acquire(unique, exp.dtype, size)
-            env[name] = MemRef(unique)
-            self.stats.alloc_count += 1
-            self.stats.alloc_bytes += size * DTYPE_INFO[exp.dtype][1]
-            self._note_alloc(name, unique, size * DTYPE_INFO[exp.dtype][1])
-            return
-
-        if isinstance(exp, (A.Lit, A.ScalarE, A.BinOp, A.UnOp)):
-            env[stmt.names[0]] = self._scalar_exp(exp, env)
-            return
-
-        if isinstance(exp, A.VarRef):
-            pe = stmt.pattern[0]
-            if pe.is_array():
-                env[pe.name] = self._binding_value(pe, env)
-            else:
-                env[pe.name] = env[exp.name]
-            return
-
-        if isinstance(exp, (A.SliceT, A.LmadSlice, A.Rearrange, A.Reshape, A.Reverse)):
-            # Pure change of layout: the annotation is authoritative (it may
-            # have been rebased by short-circuiting); no data moves.
-            env[stmt.names[0]] = self._binding_value(stmt.pattern[0], env)
-            return
-
-        if isinstance(exp, (A.Iota, A.Replicate, A.Scratch)):
-            dest = self._binding_value(stmt.pattern[0], env)
-            ks = self._current_kernel()
-            if ks is None:
-                ks = self.stats.kernel("fill", f"fill:{stmt.names[0]}")
-                if not isinstance(exp, A.Scratch):
-                    ks.launches += 1
-            if not isinstance(exp, A.Scratch):
-                ks.note_written(dest.nbytes(), dest.mem in self._local)
-                if self.mode != "real" and self.debug:
-                    self._check_region(dest)
-                if self.mode == "real" or self._recorder is not None:
-                    if isinstance(exp, A.Iota):
-                        n = eval_sym(exp.n, env)
-                        data = np.arange(n, dtype=DTYPE_INFO[exp.dtype][0])
-                    else:
-                        data = np.full(
-                            self._offsets(dest).shape,
-                            self._scalar_operand(exp.value, env),
-                        )
-                    if self.mode == "real":
-                        self._write(dest, data)
-                    else:
-                        self._recorder.fill(dest.mem, self._offsets(dest), data)
-            # Scratch is *uninitialized* memory: it must not write anything.
-            # (Zero-filling a scratch that short-circuiting re-homed into a
-            # live destination region would clobber real data; fresh alloc
-            # buffers are already zeroed, matching the reference
-            # interpreter's deterministic "uninitialized" contents.)
-            env[stmt.names[0]] = dest
-            return
-
-        if isinstance(exp, A.Copy):
-            src = env[exp.src]
-            assert isinstance(src, RuntimeArray)
-            dest = self._binding_value(stmt.pattern[0], env)
-            self._copy_region(src, dest, stmt, "copy")
-            env[stmt.names[0]] = dest
-            return
-
-        if isinstance(exp, A.Concat):
-            dest = self._binding_value(stmt.pattern[0], env)
-            offset = 0
-            for s in exp.srcs:
-                src = env[s]
-                assert isinstance(src, RuntimeArray)
-                rows = src.ixfn.shape[0].as_int()
-                assert rows is not None
-                region_ixfn = dest.ixfn.slice_triplets(
-                    [(offset, rows, 1)]
-                    + [
-                        (0, d, 1)
-                        for d in [
-                            s_.as_int() for s_ in dest.ixfn.shape[1:]
-                        ]
-                    ]
-                )
-                self._copy_region(src, dest.region(region_ixfn), stmt, "concat")
-                offset += rows
-            env[stmt.names[0]] = dest
-            return
-
-        if isinstance(exp, A.Index):
+    def _exec_alloc(self, stmt: A.Let, exp: A.Alloc, env) -> None:
+        size = eval_sym(exp.size, env)
+        name = stmt.pattern[0].name
+        # Each execution creates a *fresh* block: an alloc inside a loop
+        # body must not alias the previous iteration's block, or
+        # double-buffered loops would read their own writes.
+        self._alloc_counter += 1
+        unique = f"{name}@{self._alloc_counter}"
+        if self.mode == "real":
+            self.mem[unique] = self._fresh_buffer(size, exp.dtype)
+            if self.debug:
+                self._shadow[unique] = np.zeros(size, dtype=bool)
+        else:
+            self.mem[unique] = size
             if self._recorder is not None:
-                self._recorder.host_read(stmt, exp)
-            src = env[exp.src]
-            assert isinstance(src, RuntimeArray)
-            idx = [eval_sym(i, env) for i in exp.indices]
-            self._count_read(src.itemsize, src.mem in self._local)
-            if self.mode == "real":
-                off = src.ixfn.apply_concrete(idx, {})
-                if self.debug:
-                    self._point_read_check(
-                        src.mem, off, f"{stmt.names[0]} = {exp.src}{idx}"
-                    )
-                buf = self.mem[src.mem]
-                env[stmt.names[0]] = buf[off]
-            else:
-                if self.debug:
-                    off = src.ixfn.apply_concrete(idx, {})
-                    self._check_bounds(src.mem, np.array([off]))
-                env[stmt.names[0]] = _dummy(src.dtype)
-            return
+                self._recorder.acquire(unique, exp.dtype, size)
+        env[name] = MemRef(unique)
+        self.stats.alloc_count += 1
+        self.stats.alloc_bytes += size * DTYPE_INFO[exp.dtype][1]
+        self._note_alloc(name, unique, size * DTYPE_INFO[exp.dtype][1])
 
-        if isinstance(exp, A.Update):
-            self._exec_update(stmt, exp, env)
-            return
+    def _exec_lit(self, stmt: A.Let, exp: A.Lit, env) -> None:
+        env[stmt.pattern[0].name] = np.dtype(DTYPE_INFO[exp.dtype][0]).type(exp.value)
 
-        if isinstance(exp, A.Map):
-            self._exec_map(stmt, exp, env)
-            return
+    def _exec_scalar(self, stmt: A.Let, exp: A.ScalarE, env) -> None:
+        env[stmt.pattern[0].name] = eval_sym(exp.expr, env)
 
-        if isinstance(exp, A.Loop):
-            self._exec_loop(stmt, exp, env)
-            return
+    def _exec_binop(self, stmt: A.Let, exp: A.BinOp, env) -> None:
+        row = OPS[exp.op]
+        self._count_flop(row.flops)
+        env[stmt.pattern[0].name] = row.scalar(
+            eval_operand(exp.x, env), eval_operand(exp.y, env)
+        )
 
-        if isinstance(exp, A.If):
-            cond = self._scalar_operand(exp.cond, env)
-            block = exp.then_block if cond else exp.else_block
-            vals = self.run_block(block, dict(env))
-            self._bind_compound_results(stmt, vals, env)
-            return
+    def _exec_unop(self, stmt: A.Let, exp: A.UnOp, env) -> None:
+        row = OPS[exp.op]
+        self._count_flop(row.flops)
+        env[stmt.pattern[0].name] = row.scalar(eval_operand(exp.x, env))
 
-        if isinstance(exp, (A.Reduce, A.ArgMin)):
-            if self._recorder is not None:
-                self._recorder.host_read(stmt, exp)
-            src = env[exp.src]
-            assert isinstance(src, RuntimeArray)
-            ks = self._current_kernel()
-            if ks is None:
-                ks = self.stats.kernel("reduce", f"reduce:{stmt.names[0]}")
+    def _exec_varref(self, stmt: A.Let, exp: A.VarRef, env) -> None:
+        pe = stmt.pattern[0]
+        if pe.is_array():
+            env[pe.name] = self._binding_value(pe, env)
+        else:
+            env[pe.name] = env[exp.name]
+
+    def _exec_layout(self, stmt: A.Let, exp: A.Exp, env) -> None:
+        # Pure change of layout: the annotation is authoritative (it may
+        # have been rebased by short-circuiting); no data moves.
+        env[stmt.pattern[0].name] = self._binding_value(stmt.pattern[0], env)
+
+    def _exec_fill(self, stmt: A.Let, exp: A.Exp, env) -> None:
+        dest = self._binding_value(stmt.pattern[0], env)
+        scratch = type(exp) is A.Scratch
+        ks = self._current_kernel()
+        if ks is None:
+            ks = self.stats.kernel("fill", f"fill:{stmt.names[0]}")
+            if not scratch:
                 ks.launches += 1
-            ks.note_read(src.nbytes(), src.mem in self._local)
-            ks.bytes_written += src.itemsize
-            ks.flops += src.size()
-            if self.mode == "real":
-                if self.debug:
-                    self._check_defined(
-                        src.mem, self._offsets(src),
-                        f"{type(exp).__name__.lower()} of {exp.src!r}",
+        if not scratch:
+            ks.note_written(dest.nbytes(), dest.mem in self._local)
+            if self.mode != "real" and self.debug:
+                self._check_region(dest)
+            if self.mode == "real" or self._recorder is not None:
+                if type(exp) is A.Iota:
+                    n = eval_sym(exp.n, env)
+                    data = np.arange(n, dtype=DTYPE_INFO[exp.dtype][0])
+                else:
+                    data = np.full(
+                        self._offsets(dest).shape,
+                        eval_operand(exp.value, env),
                     )
-                    data = self._read(src)
+                if self.mode == "real":
+                    self._write(dest, data)
                 else:
-                    # A contiguous region is read in place: no gather,
-                    # and no offset array left behind in the cache.
-                    data = view_region(self.mem[src.mem], region_plan(
-                        src.ixfn, lambda: self._offsets(src)
-                    ))
-                if isinstance(exp, A.ArgMin):
-                    i = int(np.argmin(data))
-                    env[stmt.names[0]] = data.reshape(-1)[i]
-                    env[stmt.names[1]] = i
-                else:
-                    env[stmt.names[0]] = REDUCTIONS[exp.op](data)
-            else:
-                if self.debug:
-                    self._check_region(src)
-                env[stmt.names[0]] = _dummy(src.dtype)
-                if isinstance(exp, A.ArgMin):
-                    env[stmt.names[1]] = 0
-            return
+                    self._recorder.fill(dest.mem, self._offsets(dest), data)
+        # Scratch is *uninitialized* memory: it must not write anything.
+        # (Zero-filling a scratch that short-circuiting re-homed into a
+        # live destination region would clobber real data; fresh alloc
+        # buffers are already zeroed, matching the reference
+        # interpreter's deterministic "uninitialized" contents.)
+        env[stmt.pattern[0].name] = dest
 
-        raise InterpError(f"unknown expression {type(exp).__name__}")
+    def _exec_copy(self, stmt: A.Let, exp: A.Copy, env) -> None:
+        src = env[exp.src]
+        assert isinstance(src, RuntimeArray)
+        dest = self._binding_value(stmt.pattern[0], env)
+        self._copy_region(src, dest, stmt, "copy")
+        env[stmt.pattern[0].name] = dest
+
+    def _exec_concat(self, stmt: A.Let, exp: A.Concat, env) -> None:
+        dest = self._binding_value(stmt.pattern[0], env)
+        offset = 0
+        for s in exp.srcs:
+            src = env[s]
+            assert isinstance(src, RuntimeArray)
+            rows = src.ixfn.shape[0].as_int()
+            assert rows is not None
+            region_ixfn = dest.ixfn.slice_triplets(
+                [(offset, rows, 1)]
+                + [(0, d.as_int(), 1) for d in dest.ixfn.shape[1:]]
+            )
+            self._copy_region(src, dest.region(region_ixfn), stmt, "concat")
+            offset += rows
+        env[stmt.pattern[0].name] = dest
+
+    def _exec_index(self, stmt: A.Let, exp: A.Index, env) -> None:
+        if self._recorder is not None:
+            self._recorder.host_read(stmt, exp)
+        src = env[exp.src]
+        assert isinstance(src, RuntimeArray)
+        idx = [eval_sym(i, env) for i in exp.indices]
+        self._count_read(src.itemsize, src.mem in self._local)
+        name = stmt.pattern[0].name
+        if self.mode == "real":
+            off = src.ixfn.apply_concrete(idx, {})
+            if self.debug:
+                self._point_read_check(src.mem, off, f"{name} = {exp.src}{idx}")
+            env[name] = self.mem[src.mem][off]
+        else:
+            if self.debug:
+                off = src.ixfn.apply_concrete(idx, {})
+                self._check_bounds(src.mem, np.array([off]))
+            env[name] = _DUMMY[src.dtype]
+
+    def _exec_if(self, stmt: A.Let, exp: A.If, env) -> None:
+        cond = eval_operand(exp.cond, env)
+        block = exp.then_block if cond else exp.else_block
+        self._bind_compound_results(stmt, self.run_block(block, dict(env)), env)
+
+    def _exec_reduce(self, stmt: A.Let, exp: A.Exp, env) -> None:
+        if self._recorder is not None:
+            self._recorder.host_read(stmt, exp)
+        src = env[exp.src]
+        assert isinstance(src, RuntimeArray)
+        ks = self._current_kernel()
+        if ks is None:
+            ks = self.stats.kernel("reduce", f"reduce:{stmt.names[0]}")
+            ks.launches += 1
+        ks.note_read(src.nbytes(), src.mem in self._local)
+        ks.bytes_written += src.itemsize
+        ks.flops += src.size()
+        argmin = type(exp) is A.ArgMin
+        if self.mode == "real":
+            if self.debug:
+                self._check_defined(
+                    src.mem, self._offsets(src),
+                    f"{type(exp).__name__.lower()} of {exp.src!r}",
+                )
+                data = self._read(src)
+            else:
+                # A contiguous region is read in place: no gather,
+                # and no offset array left behind in the cache.
+                data = view_region(self.mem[src.mem], region_plan(
+                    src.ixfn, lambda: self._offsets(src)
+                ))
+            if argmin:
+                i = int(np.argmin(data))
+                env[stmt.names[0]] = data.reshape(-1)[i]
+                env[stmt.names[1]] = i
+            else:
+                env[stmt.names[0]] = REDUCTIONS[exp.op](data)
+        else:
+            if self.debug:
+                self._check_region(src)
+            env[stmt.names[0]] = _DUMMY[src.dtype]
+            if argmin:
+                env[stmt.names[1]] = 0
 
     # ------------------------------------------------------------------
     def _exec_update(self, stmt: A.Let, exp: A.Update, env) -> None:
@@ -711,11 +699,11 @@ class MemExecutor:
                 if self.debug:
                     self._point_write_check(result.mem, off)
                 buf = self.mem[result.mem]
-                buf[off] = self._scalar_operand(exp.value, env)
+                buf[off] = eval_operand(exp.value, env)
             elif self._recorder is not None:
                 self._recorder.fill(
                     result.mem, result.ixfn.apply_concrete(idx, {}),
-                    self._scalar_operand(exp.value, env),
+                    eval_operand(exp.value, env),
                 )
             elif self.debug:
                 off = result.ixfn.apply_concrete(idx, {})
@@ -965,41 +953,41 @@ class MemExecutor:
                 else:
                     env[pe.name] = val
 
-    # ------------------------------------------------------------------
-    # Scalars
-    # ------------------------------------------------------------------
-    def _scalar_operand(self, op: A.Operand, env):
-        if isinstance(op, str):
-            return env[op]
-        if isinstance(op, SymExpr):
-            return eval_sym(op, env)
-        return op
+    #: ``exec_stmt``'s handler for each expression type: one lookup by
+    #: exact type in place of a chain of ``isinstance`` tests, and a class
+    #: attribute so that no executor carries it (see ``_exec_map``).
+    _EXEC = {
+        A.Alloc: _exec_alloc,
+        A.Lit: _exec_lit,
+        A.ScalarE: _exec_scalar,
+        A.BinOp: _exec_binop,
+        A.UnOp: _exec_unop,
+        A.VarRef: _exec_varref,
+        **dict.fromkeys(
+            (A.SliceT, A.LmadSlice, A.Rearrange, A.Reshape, A.Reverse),
+            _exec_layout,
+        ),
+        **dict.fromkeys((A.Iota, A.Replicate, A.Scratch), _exec_fill),
+        A.Copy: _exec_copy,
+        A.Concat: _exec_concat,
+        A.Index: _exec_index,
+        A.Update: _exec_update,
+        A.Map: _exec_map,
+        A.Loop: _exec_loop,
+        A.If: _exec_if,
+        A.Reduce: _exec_reduce,
+        A.ArgMin: _exec_reduce,
+    }
 
-    def _scalar_exp(self, exp: A.Exp, env):
-        if isinstance(exp, A.Lit):
-            return np.dtype(DTYPE_INFO[exp.dtype][0]).type(exp.value)
-        if isinstance(exp, A.ScalarE):
-            return eval_sym(exp.expr, env)
-        row = OPS[exp.op]
-        self._count_flop(row.flops)
-        if isinstance(exp, A.BinOp):
-            return row.scalar(
-                self._scalar_operand(exp.x, env), self._scalar_operand(exp.y, env)
-            )
-        return row.scalar(self._scalar_operand(exp.x, env))
 
-
-def _dummy(dtype: str):
-    """Placeholder value for dry-mode reads (data never matters there).
-
-    Floats use 1.0 so dummy divisions don't raise spurious 0/0 warnings;
-    integers use 0 so dummy indices stay in bounds.
-    """
-    if dtype == "bool":
-        return False
-    if dtype == "i64":
-        return 0
-    return np.dtype(DTYPE_INFO[dtype][0]).type(1)
+#: Placeholder value for dry-mode reads (data never matters there).
+#: Floats use 1.0 so dummy divisions don't raise spurious 0/0 warnings;
+#: integers use 0 so dummy indices stay in bounds.
+_DUMMY = {
+    **{dt: np.dtype(np_dt).type(1) for dt, (np_dt, _) in DTYPE_INFO.items()},
+    "bool": False,
+    "i64": 0,
+}
 
 
 def region_plan(ixfn, offsets) -> tuple:

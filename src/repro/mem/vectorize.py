@@ -187,35 +187,16 @@ class _View:
 # ----------------------------------------------------------------------
 # Compiled evaluators
 # ----------------------------------------------------------------------
-def _int(v):
-    """A scalar as ``eval_sym`` reads it: NumPy integers as Python ints."""
+def _lane(_name: str, v):
+    """A binding as an evaluator reads it: a NumPy integer as a Python
+    int, an int64 lane vector as it is."""
     return v.item() if isinstance(v, np.generic) else v
 
 
 def _evaluator(expr: SymExpr) -> Callable[[dict], object]:
     """``expr`` as a function of an environment: a Python int where every
-    variable is uniform, else an int64 lane vector.  (Integer arithmetic,
-    so the order of the terms does not matter.)"""
-    b = expr.constant_term()
-    terms = [(c, mono) for mono, c in expr.terms.items() if mono]
-    if not terms:
-        return _constant(b)
-    if len(terms) == 1 and len(terms[0][1]) == 1 and terms[0][1][0][1] == 1:
-        a, ((var, _),) = terms[0]
-        if a == 1 and not b:  # a copy of a name: no arithmetic on lanes
-            return lambda env: _int(env[var])
-        return lambda env: a * _int(env[var]) + b
-
-    def poly(env):
-        out = b
-        for c, mono in terms:
-            val = c
-            for v, p in mono:
-                val = val * _int(env[v]) ** p
-            out = out + val
-        return out
-
-    return poly
+    variable is uniform, else an int64 lane vector."""
+    return expr.compile(_lane)
 
 
 def _operand(op: A.Operand):

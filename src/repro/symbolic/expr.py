@@ -28,7 +28,9 @@ Design notes
 from __future__ import annotations
 
 import math
-from typing import Dict, Mapping, Optional, Tuple, Union
+from typing import Callable, Dict, Mapping, Optional, Tuple, Union
+
+import numpy as np
 
 #: A monomial: sorted tuple of (variable, power) pairs, powers >= 1.
 Monomial = Tuple[Tuple[str, int], ...]
@@ -77,7 +79,7 @@ class SymExpr:
     prover for semantic equality under assumptions).
     """
 
-    __slots__ = ("_terms", "_hash", "_fv")
+    __slots__ = ("_terms", "_hash", "_fv", "_ev")
 
     def __init__(self, terms: Mapping[Monomial, int]):
         # Drop zero coefficients to keep the normal form canonical.
@@ -86,10 +88,12 @@ class SymExpr:
         }
         self._hash: Optional[int] = None
         self._fv: Optional[frozenset] = None
+        self._ev: Optional[Callable[[Mapping[str, object]], object]] = None
 
     def __reduce__(self):
-        # Terms only: ``_hash`` is built from per-process string hashes and
-        # ``_fv`` is a memo; neither belongs in a pickle or a deep copy.
+        # Terms only: ``_hash`` is built from per-process string hashes,
+        # ``_fv`` is a memo and ``_ev`` compiled code; none belongs in a
+        # pickle or a deep copy.
         return (SymExpr, (self._terms,))
 
     # ------------------------------------------------------------------
@@ -332,6 +336,22 @@ class SymExpr:
             total += val
         return total
 
+    def compile(
+        self, conv: Optional[Callable[[str, object], object]] = None
+    ) -> Callable[[Mapping[str, object]], object]:
+        """This polynomial as a function of an environment.  A variable
+        bound to a Python ``int`` is read as it is, any other binding as
+        ``conv(name, value)``: by default (:func:`_as_int`) a NumPy
+        integer or a ``bool`` as a Python ``int`` and anything else a
+        ``TypeError``.  An unbound variable raises ``KeyError(name)``.
+        The default form is compiled once per expression."""
+        if conv is not None:
+            return _compile(self, conv)
+        ev = self._ev
+        if ev is None:
+            ev = self._ev = _compile(self, _as_int)
+        return ev
+
     def content(self) -> int:
         """GCD of all coefficients (0 for the zero polynomial)."""
         g = 0
@@ -392,6 +412,56 @@ class SymExpr:
             else:
                 parts.append(f"+ {body}" if c > 0 else f"- {body}")
         return " ".join(parts)
+
+
+def _as_int(name: str, x: object) -> int:
+    """:meth:`SymExpr.compile`'s default reading of a binding that is not
+    a Python ``int``."""
+    if isinstance(x, np.generic):
+        x = x.item()
+    if not isinstance(x, int):
+        raise TypeError(f"scalar {name!r} is not an integer: {x!r}")
+    return int(x)
+
+
+def _compile(expr: SymExpr, conv) -> Callable[[Mapping[str, object]], object]:
+    """:meth:`SymExpr.compile`'s code: a constant, one linear term, or any
+    polynomial, whose variables are read in ``free_vars()`` order.
+    (Integer arithmetic: the order of the terms is free.)"""
+    b = expr.constant_term()
+    terms = [(c, m) for m, c in expr.terms.items() if m]
+    if not terms:
+        return lambda _: b
+    if len(terms) == 1 and len(terms[0][1]) == 1 and terms[0][1][0][1] == 1:
+        a, ((var, _),) = terms[0]
+        if a == 1 and not b:  # a copy of a name: no arithmetic
+
+            def copy(env):
+                x = env[var]
+                return x if type(x) is int else conv(var, x)
+
+            return copy
+
+        def linear(env):
+            x = env[var]
+            return a * (x if type(x) is int else conv(var, x)) + b
+
+        return linear
+    names = tuple(expr.free_vars())
+
+    def poly(env):
+        vals = {}
+        for v in names:
+            x = env[v]
+            vals[v] = x if type(x) is int else conv(v, x)
+        out = b
+        for c, m in terms:
+            for v, p in m:
+                c = c * vals[v] ** p
+            out = out + c
+        return out
+
+    return poly
 
 
 def Var(name: str) -> SymExpr:

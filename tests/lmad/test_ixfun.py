@@ -1,5 +1,8 @@
 """Tests for index functions, including the paper's fig. 3 walkthrough."""
 
+import copy
+import pickle
+
 import numpy as np
 import pytest
 
@@ -190,3 +193,39 @@ class TestInstanceMemoization:
         b = IndexFn.row_major([n])
         a.fix_dim(0, 1)  # populate a cache on one side only
         assert a == b and hash(a) == hash(b)
+
+
+class TestInstantiation:
+    """``substitute`` with Python ints (the executor's instantiation) keys
+    its memo by the sorted ``(name, int)`` pairs; the memos and the cached
+    free variables never leave the instance."""
+
+    def fn(self):
+        return IndexFn.row_major([n, m], offset=n * m + 1).transpose()
+
+    def test_int_and_symexpr_mappings_agree(self):
+        ints = self.fn().substitute({"m": 3, "n": 5})
+        syms = self.fn().substitute({"n": sym(5), "m": sym(3)})
+        assert ints == syms
+        assert ints.free_vars() == frozenset()
+        assert ints.gather_offsets({}).tolist() == syms.gather_offsets({}).tolist()
+
+    def test_a_repeated_int_lookup_is_the_same_object(self):
+        f = self.fn()
+        first = f.substitute({"n": 5, "m": 3})
+        assert f.substitute({"m": 3, "n": 5}) is first
+        assert f.substitute({"n": 6, "m": 3}) is not first
+        # A bool is not an int binding: it takes the SymExpr key, which
+        # refuses it as before.
+        with pytest.raises(TypeError):
+            f.substitute({"n": True, "m": 3})
+
+    def test_pickle_and_deepcopy_carry_only_the_lmads(self):
+        f = self.fn()
+        assert f.free_vars() == frozenset({"n", "m"})
+        f.substitute({"n": 5, "m": 3})
+        assert {"_fv", "_subst_cache"} <= set(f.__dict__)
+        for clone in (pickle.loads(pickle.dumps(f)), copy.deepcopy(f)):
+            assert clone == f
+            assert set(clone.__dict__) == {"lmads"}
+        assert f.__reduce__() == (IndexFn, (f.lmads,))

@@ -6,6 +6,8 @@ import pytest
 
 from repro.ir import FunBuilder, f32, run_fun
 from repro.ir import ast as A
+from repro.ir.interp import InterpError
+from repro.ir.types import ScalarType
 from repro.lmad import IndexFn, lmad
 from repro.mem import introduce_memory
 from repro.mem.exec import MemExecutor, RuntimeArray, UninitializedReadError
@@ -271,3 +273,25 @@ class TestHostLevelReads:
         assert MemExecutor(fun).run(x=x.copy())[0] == [0.0]
         with pytest.raises(UninitializedReadError):
             MemExecutor(fun, debug=True).run(x=x.copy())
+
+
+class _Unregistered(A.Exp):
+    __slots__ = ()
+
+
+class _ScalarSubclass(A.ScalarE):
+    pass
+
+
+@pytest.mark.parametrize("mode", ["real", "dry"])
+@pytest.mark.parametrize("exp", [_Unregistered(), _ScalarSubclass(n)],
+                         ids=["exp-subclass", "scalar-subclass"])
+def test_an_unregistered_expression_type_is_unknown(mode, exp):
+    """``exec_stmt`` dispatches on the expression's exact type: any other
+    type, a subclass of a handled one included, is an unknown
+    expression in either mode."""
+    ex = MemExecutor(introduce_memory(diag_fun()), mode=mode)
+    stmt = A.Let([A.PatElem("x", ScalarType("i64"))], exp)
+    name = type(exp).__name__
+    with pytest.raises(InterpError, match=f"^unknown expression {name}$"):
+        ex.exec_stmt(stmt, {"n": 4})

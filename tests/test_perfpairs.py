@@ -6,6 +6,7 @@ stops the script; a finished one appends to the perf history."""
 import importlib.util
 import json
 import re
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -253,9 +254,24 @@ def test_every_history_line_names_its_commits():
     keys = ["session", "sha", "parent", "workload", "medians",
             "parent_medians", "ratios", "src_lines"]
     path = ROOT / "benchmarks" / "results" / "perf_history.jsonl"
-    for n, text in enumerate(path.read_text().splitlines(), 1):
-        line = json.loads(text)
+    lines = [json.loads(text) for text in path.read_text().splitlines()]
+    for n, line in enumerate(lines, 1):
         assert sorted(line) == sorted(keys), n
         for sha in (line["sha"], line["parent"]):
             assert re.fullmatch(r"[0-9a-f]{40}", sha), (n, sha)
         assert line["sha"] != line["parent"], n
+    if not (ROOT / ".git").exists():
+        return
+    # The newest session may name the commit its measuring clone made of
+    # a change that lands under another sha; every older line must name
+    # commits of this history.
+    newest = lines[-1]["session"]
+    for n, line in enumerate(lines, 1):
+        if line["session"] == newest:
+            continue
+        for sha in (line["sha"], line["parent"]):
+            found = subprocess.run(
+                ["git", "cat-file", "-e", f"{sha}^{{commit}}"],
+                cwd=ROOT, capture_output=True,
+            )
+            assert found.returncode == 0, (n, sha)
