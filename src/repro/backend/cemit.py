@@ -143,6 +143,8 @@ class KernelSpec:
     alloc_sites: List[tuple]
     #: Per counter-site: (kind, label); site 0 is the launch.
     sites: Tuple[Tuple[str, str], ...]
+    #: Positions of the buffer arguments the body stores into.
+    writes: frozenset = frozenset()
     fn: object = None  # ctypes function, attached by the builder
     digest: str = ""
     #: Counted bytes (slots 1 and 2, every site) per thread of the
@@ -222,6 +224,7 @@ class _Emitter:
         self.int_dirs: List[tuple] = []
         self.flt_dirs: List[tuple] = []
         self.buf_dirs: List[tuple] = []
+        self.writes: set = set()
         self.alloc_sites: List[tuple] = []
         #: ``(kind, label)`` of every counter site -> its row index.
         self.sites: Dict[Tuple[str, str], int] = {}
@@ -289,6 +292,8 @@ class _Emitter:
         """A read or write of ``n`` bytes -- pended when a constant --
         also charged to a local slot when the buffer is kernel-local."""
         slots = [2 if write else 1]
+        if write:
+            self.writes.add(mem.buf)
         if self.buf_dirs[mem.buf][0] == "alloc":
             slots.append(7 if write else 6)
         for slot in slots:
@@ -988,4 +993,5 @@ def emit_kernel(ex, plan: Plan, env, dests) -> KernelSpec:
         buf_dirs=em.buf_dirs,
         alloc_sites=em.alloc_sites,
         sites=tuple(em.sites),
+        writes=frozenset(em.writes),
     )

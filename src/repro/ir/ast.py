@@ -447,9 +447,10 @@ class Let:
     exp: Exp
     last_uses: frozenset = field(default_factory=frozenset)
     #: Memory blocks whose lifetime ends at this statement, filled by
-    #: :mod:`repro.reuse.liveranges`.  Pure accounting for the executor's
-    #: high-water mark -- like ``mem`` annotations, deletable without
-    #: changing program semantics.
+    #: :mod:`repro.reuse.liveranges`.  The executor's high-water mark
+    #: follows them, and a pooled run hands the block's buffer back here
+    #: -- like ``mem`` annotations, deletable without changing program
+    #: semantics.
     mem_frees: Tuple[str, ...] = ()
     #: Producer maps vertically fused into this statement by
     #: :mod:`repro.opt.fuse` (empty for all other statements).

@@ -121,17 +121,32 @@ class IndexFn:
         return (IndexFn, (self.lmads,))
 
     def substitute(self, mapping: Mapping[str, ExprLike]) -> "IndexFn":
-        # The executor instantiates with Python ints: its key is the
-        # sorted pairs as given, with no SymExpr built per variable.
-        if all(type(v) is int for v in mapping.values()):
-            key = tuple(sorted(mapping.items()))
-        else:
-            key = tuple(sorted((k, sym(v)) for k, v in mapping.items()))
+        key = tuple(sorted((k, sym(v)) for k, v in mapping.items()))
         cache = self._memo("_subst_cache")
         hit = cache.get(key)
         if hit is None:
             hit = IndexFn(tuple(l.substitute(mapping) for l in self.lmads))
             cache[key] = hit
+        return hit
+
+    def var_order(self) -> Tuple[str, ...]:
+        """The free variables, sorted: the order :meth:`instantiate`
+        takes their values in (cached like :meth:`free_vars`)."""
+        order = self.__dict__.get("_fvo")
+        if order is None:
+            order = tuple(sorted(self.free_vars()))
+            object.__setattr__(self, "_fvo", order)
+        return order
+
+    def instantiate(self, values: Tuple[int, ...]) -> "IndexFn":
+        """:meth:`substitute` of Python ints given in :meth:`var_order`
+        (the executor's instantiation), memoized by the tuple itself."""
+        cache = self._memo("_subst_cache")  # no key of substitute's
+        hit = cache.get(values)
+        if hit is None:
+            mapping = dict(zip(self.var_order(), values))
+            hit = IndexFn(tuple(l.substitute(mapping) for l in self.lmads))
+            cache[values] = hit
         return hit
 
     def is_direct(self, prover: Prover) -> bool:

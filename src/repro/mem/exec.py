@@ -42,6 +42,7 @@ from repro.ir.types import ArrayType, DTYPE_INFO
 from repro.mem.kernel import label, lower
 from repro.mem.memir import MemBinding, binding_of
 from repro.mem.stats import ExecStats, KernelStat
+from repro.symbolic.expr import int_binding
 
 
 class MemCheckError(InterpError):
@@ -185,9 +186,10 @@ class MemExecutor:
         )
         #: Pooled-buffer lease (repro.runtime.pool.PoolLease): real-mode
         #: allocations draw zero-filled buffers from it instead of paying
-        #: a fresh np.zeros per call.  The lease's lifetime is the
-        #: caller's concern -- buffers may be recycled once it closes, so
-        #: outputs must be materialized first.
+        #: a fresh np.zeros per call, and each block's buffer goes back
+        #: where the lifetime model retires the block (``_retire``).  The
+        #: lease's lifetime is the caller's concern -- buffers may be
+        #: recycled once it closes, so outputs must be materialized first.
         self._pool = pool if mode == "real" else None
         #: Shared kernel-plan dict (id(stmt) -> repro.mem.kernel.Plan),
         #: again for cross-run amortization; None keeps a private one.
@@ -258,17 +260,8 @@ class MemExecutor:
     # Helpers
     # ------------------------------------------------------------------
     def _instantiate(self, ixfn: IndexFn, env: Mapping[str, object]) -> IndexFn:
-        subst = {}
-        for v in ixfn.free_vars():
-            if v not in env:
-                raise InterpError(f"unbound variable {v!r} in index function")
-            val = env[v]
-            if isinstance(val, np.generic):
-                val = val.item()
-            if not isinstance(val, int):
-                raise InterpError(f"index-function var {v!r} is not an int")
-            subst[v] = val
-        return ixfn.substitute(subst) if subst else ixfn
+        names = ixfn.var_order()
+        return ixfn.instantiate(_ints(names, env)) if names else ixfn
 
     def _fresh_buffer(self, size: int, dtype: str) -> np.ndarray:
         """A zero-filled flat buffer: pooled when leased, np.zeros else.
@@ -320,6 +313,19 @@ class MemExecutor:
         lst = self._static_live.get(static)
         if lst and unique in lst:
             lst.remove(unique)
+        self._retire(unique)
+
+    def _retire(self, unique: str) -> None:
+        """The accountant ended ``unique``'s lifetime.  On a lease its
+        buffer goes back to the pool, and the block leaves ``self.mem``
+        (so a stray access raises instead of reading a reused buffer),
+        as it does in a tape recording, whose recorder logs it."""
+        if self._pool is not None:
+            self._pool.release(self.mem.pop(unique))
+            self._shadow.pop(unique, None)
+        elif self._recorder is not None:
+            del self.mem[unique]
+            self._recorder.retire(unique)
 
     def _note_free_static(self, static: str) -> None:
         for unique in list(self._static_live.get(static, ())):
@@ -482,7 +488,9 @@ class MemExecutor:
         elif self._recorder is not None:
             offs = self._offsets(dst)
             if offs.size:
-                self._recorder.copy(dst.mem, offs, src.mem, self._offsets(src))
+                self._recorder.copy(
+                    stmt.names[0], dst.mem, offs, src.mem, self._offsets(src)
+                )
         elif self.debug:
             self._check_region(src)
             self._check_region(dst)
@@ -589,7 +597,9 @@ class MemExecutor:
                 if self.mode == "real":
                     self._write(dest, data)
                 else:
-                    self._recorder.fill(dest.mem, self._offsets(dest), data)
+                    self._recorder.fill(
+                        stmt.names[0], dest.mem, self._offsets(dest), data
+                    )
         # Scratch is *uninitialized* memory: it must not write anything.
         # (Zero-filling a scratch that short-circuiting re-homed into a
         # live destination region would clobber real data; fresh alloc
@@ -625,18 +635,28 @@ class MemExecutor:
             self._recorder.host_read(stmt, exp)
         src = env[exp.src]
         assert isinstance(src, RuntimeArray)
-        idx = [eval_sym(i, env) for i in exp.indices]
         self._count_read(src.itemsize, src.mem in self._local)
         name = stmt.pattern[0].name
+        if self.mode == "dry" and not self.debug:
+            # The read is a placeholder: evaluate nothing, but an
+            # unbound name stays the error evaluating would raise (each
+            # index's free names are derived once, by the expression).
+            for i in exp.indices:
+                for v in i.free_vars():
+                    if v not in env:
+                        raise InterpError(
+                            f"unbound scalar {v!r} in index expression"
+                        )
+            env[name] = _DUMMY[src.dtype]
+            return
+        idx = [eval_sym(i, env) for i in exp.indices]
+        off = src.ixfn.apply_concrete(idx, {})
         if self.mode == "real":
-            off = src.ixfn.apply_concrete(idx, {})
             if self.debug:
                 self._point_read_check(src.mem, off, f"{name} = {exp.src}{idx}")
             env[name] = self.mem[src.mem][off]
         else:
-            if self.debug:
-                off = src.ixfn.apply_concrete(idx, {})
-                self._check_bounds(src.mem, np.array([off]))
+            self._check_bounds(src.mem, np.array([off]))
             env[name] = _DUMMY[src.dtype]
 
     def _exec_if(self, stmt: A.Let, exp: A.If, env) -> None:
@@ -702,7 +722,7 @@ class MemExecutor:
                 buf[off] = eval_operand(exp.value, env)
             elif self._recorder is not None:
                 self._recorder.fill(
-                    result.mem, result.ixfn.apply_concrete(idx, {}),
+                    stmt.names[0], result.mem, result.ixfn.apply_concrete(idx, {}),
                     eval_operand(exp.value, env),
                 )
             elif self.debug:
@@ -718,12 +738,8 @@ class MemExecutor:
             region = result.region(result.ixfn.slice_triplets(trips))
         else:
             assert isinstance(spec, A.LmadSpec)
-            inst = spec.lmad.substitute(
-                {
-                    v: env[v] if not isinstance(env[v], np.generic) else env[v].item()
-                    for v in spec.lmad.free_vars()
-                }
-            )
+            names = tuple(spec.lmad.free_vars())
+            inst = spec.lmad.substitute(dict(zip(names, _ints(names, env))))
             region = result.region(result.ixfn.lmad_slice(inst))
         value = env[exp.value] if isinstance(exp.value, str) else None
         if not isinstance(value, RuntimeArray):
@@ -838,6 +854,7 @@ class MemExecutor:
                     lst = self._static_live.get(static)
                     if lst and unique in lst:
                         lst.remove(unique)
+                    self._retire(unique)
                 self._kernel_allocs = []
                 self._live_bytes = baseline
 
@@ -988,6 +1005,25 @@ _DUMMY = {
     "bool": False,
     "i64": 0,
 }
+
+
+def _ints(names, env: Mapping[str, object]) -> Tuple[int, ...]:
+    """The ``int`` each of ``names`` is bound to in ``env``, read as
+    :func:`~repro.symbolic.expr.int_binding` reads one."""
+    vals = []
+    for v in names:
+        if v not in env:
+            raise InterpError(f"unbound variable {v!r} in index function")
+        x = env[v]
+        if type(x) is not int:
+            try:
+                x = int_binding(v, x)
+            except TypeError:
+                raise InterpError(
+                    f"index-function var {v!r} is not an int"
+                ) from None
+        vals.append(x)
+    return tuple(vals)
 
 
 def region_plan(ixfn, offsets) -> tuple:

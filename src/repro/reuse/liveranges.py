@@ -24,7 +24,9 @@ carried state instead.
 position into ``Let.mem_frees``.  The executor (and so the footprint
 estimate, a dry-mode run of it) applies these only at host level
 (outside kernels): blocks allocated inside a ``map`` die wholesale when
-the kernel ends.
+the kernel ends.  A run on a pool lease returns a block's buffer where
+it dies, so the footprint is what the run holds, not only what it
+reports.
 """
 
 from __future__ import annotations
@@ -248,9 +250,9 @@ def annotate_frees(fun: A.Fun) -> int:
     A block is annotated at every scope level of its subtree where it is
     touched (an inner-loop block's current instance dies at its last use
     inside the body; whatever instances survive the loop die at the loop
-    statement's own last-touch position in the enclosing block).  Frees
-    are accounting: the executor pops the block from its live set, it
-    never deletes the buffer.
+    statement's own last-touch position in the enclosing block).  The
+    executor pops the block from its live set there, and a run on a
+    pool lease hands the block's buffer back.
     """
     ranges = LiveRanges(fun)
     placed = 0

@@ -15,7 +15,8 @@ immutable artifact; this package makes producing it *rare* and running it
 * :class:`BufferPool` / :class:`PoolLease` (:mod:`~repro.runtime.pool`)
   -- exact-size pooled buffers, zero-filled on hand-out, given to the
   executor instead of per-call ``np.zeros``, with thread-safe per-run
-  leases.
+  leases that take each buffer back where the memory IR ends its
+  block's lifetime, so a request holds what its schedule has live.
 
 Serving speed is perfbench's ``serve-mix`` workload; the thread-safety
 tests serve one program from many threads in ``tests/runtime/test_serve.py``.

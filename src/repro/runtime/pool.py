@@ -9,14 +9,11 @@ page faults included -- dominates small-program latency.
 
 :class:`BufferPool` keeps returned buffers on free lists keyed by exact
 ``(numpy dtype, element count)`` so a pooled buffer is byte-for-byte the
-same shape the executor would have allocated: the high-water footprint
-accounting (``ExecStats.peak_bytes``) stays bit-identical to the
-unpooled path because the executor's lifetime model never sees a
-difference.  Reused buffers are **zero-filled on acquisition** (not on
-release), matching the deterministic all-zeros contents of a fresh
-``np.zeros`` -- the semantics ``Scratch`` relies on -- so even a pool
-whose idle buffers were poisoned between requests hands out pristine
-memory.
+same shape the executor would have allocated.  Reused buffers are
+**zero-filled on acquisition** (not on release), matching the
+deterministic all-zeros contents of a fresh ``np.zeros`` -- the
+semantics ``Scratch`` relies on -- so even a pool whose idle buffers
+were poisoned between requests hands out pristine memory.
 
 Each shape class of a :class:`~repro.runtime.Program` owns one pool
 (shared only with classes apart in floating-point scalars alone): its
@@ -26,10 +23,12 @@ lives and dies with the class.
 Concurrency follows a *leasing* rule: the pool itself is lock-protected
 and shared by every request of its shape class, while each execution
 draws its buffers through a private :class:`PoolLease`.  A leased buffer
-belongs to exactly one run until the lease closes, so two workers
-serving the same class concurrently never share mutable executor
-state; closing the lease (normally via ``with``) returns every buffer
-to the shared free lists.
+belongs to exactly one run until the run hands it back --
+:meth:`PoolLease.release`, where the memory IR ends its block's
+lifetime (``Let.mem_frees``, a host loop's iteration end, a kernel's
+end), so a request holds only what its schedule has live -- or the
+lease closes (normally via ``with``) and returns the rest.  Two workers
+serving the same class concurrently never share mutable executor state.
 """
 
 from __future__ import annotations
@@ -88,7 +87,8 @@ class PoolLease:
     """One run's private claim on pool buffers (returned on close)."""
 
     pool: BufferPool
-    _held: List[np.ndarray] = field(default_factory=list)
+    #: id -> buffer, for every buffer handed out and not yet returned.
+    _held: Dict[int, np.ndarray] = field(default_factory=dict)
     hits: int = 0
     misses: int = 0
     closed: bool = False
@@ -98,18 +98,25 @@ class PoolLease:
     ) -> Tuple[np.ndarray, bool]:
         assert not self.closed, "lease already closed"
         buf, reused = self.pool.acquire(size, dtype, zero=zero)
-        self._held.append(buf)
+        self._held[id(buf)] = buf
         if reused:
             self.hits += 1
         else:
             self.misses += 1
         return buf, reused
 
+    def release(self, buf: np.ndarray) -> None:
+        """Hand ``buf`` back before the lease closes: its block is dead.
+        A buffer this lease did not hand out (a kernel tier's own
+        scratch) is left alone."""
+        if self._held.pop(id(buf), None) is not None:
+            self.pool.release(buf)
+
     def close(self) -> None:
         if self.closed:
             return
         self.closed = True
-        for buf in self._held:
+        for buf in self._held.values():
             self.pool.release(buf)
         self._held.clear()
 

@@ -11,7 +11,8 @@ reusable across executions:
 * per **shape class** (array shapes plus every scalar's type and
   value), in one bounded LRU: a :class:`~repro.runtime.pool.BufferPool`
   whose buffers -- the coalesced allocation plan at that shape -- are
-  reused across calls instead of re-allocated with ``np.zeros``; the
+  reused across calls instead of re-allocated with ``np.zeros``, and
+  within a call as the memory IR's lifetimes free them; the
   **offset cache**, enumerated LMAD offsets per concrete index function;
   and the **launch tape** (:mod:`repro.runtime.tape`): the host schedule
   of a native request -- acquisitions, marshalled launches, host copies,
@@ -32,7 +33,10 @@ dispatch plans, tapes) are lock-protected, or hold immutable values
 whose loss only costs a recomputation.
 
 Outputs are materialized into caller-owned NumPy arrays before the lease
-closes -- a served response never aliases pool memory.
+closes -- a served response never aliases pool memory -- and a request
+holds no more pooled bytes at once than its ``ExecStats.peak_bytes``:
+a block's buffer goes back to the pool where the lifetime model retires
+it, and a tape reads an input nothing writes in the caller's array.
 
 Because the source language is pure, a compiled program is a
 referentially transparent function of its inputs: same bytes in, same
@@ -226,7 +230,13 @@ class Program:
         (``"captured"``, ``"off"``, or ``"new"`` before the first native
         request), the ``launches`` on it, the ``replays`` served, and
         ``declined``, the record that turned it off (or, under
-        ``premise-violated``, that refuses the class's requests)."""
+        ``premise-violated``, that refuses the class's requests); and
+        for a captured tape its ``slots`` (the memory blocks it
+        acquires), ``buffers`` (what a replay draws from an empty pool:
+        blocks of equal ``(dtype, size)`` whose lifetimes do not overlap
+        share one), ``bytes`` (the most its lease holds at once) and per
+        array input ``"in place"`` (the caller's array: nothing on the
+        tape writes it) or ``"copied: written by <site>"``."""
         engine = self._native_engine
         maps = {}
         for stmt in _outermost_maps(self.compiled.fun.body):
@@ -258,6 +268,7 @@ class Program:
                     "launches": cls.tape.launches if cls.tape else 0,
                     "replays": cls.replays,
                     "declined": cls.declined,
+                    **(cls.tape.footprint if cls.tape else {}),
                 }
                 for skey, cls in self._classes.items()
             }
@@ -313,8 +324,9 @@ class Program:
     ) -> Tuple[List[object], ExecStats]:
         """Execute (or recall) one request against pooled buffers.
 
-        Inputs are read, never mutated (the executor copies array
-        parameters into leased buffers).  Outputs are materialized NumPy
+        Inputs are read, never mutated: a tape binds an array input that
+        nothing on it writes in place and copies the others into leased
+        buffers, as the executor copies every one.  Outputs are materialized NumPy
         arrays/scalars owned by the caller.  The returned
         :class:`ExecStats` carries ``pool_hits``/``pool_misses``; on a
         response-memo hit it is a copy of the producing run's stats

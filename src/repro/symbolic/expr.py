@@ -341,7 +341,7 @@ class SymExpr:
     ) -> Callable[[Mapping[str, object]], object]:
         """This polynomial as a function of an environment.  A variable
         bound to a Python ``int`` is read as it is, any other binding as
-        ``conv(name, value)``: by default (:func:`_as_int`) a NumPy
+        ``conv(name, value)``: by default (:func:`int_binding`) a NumPy
         integer or a ``bool`` as a Python ``int`` and anything else a
         ``TypeError``.  An unbound variable raises ``KeyError(name)``.
         The default form is compiled once per expression."""
@@ -349,7 +349,7 @@ class SymExpr:
             return _compile(self, conv)
         ev = self._ev
         if ev is None:
-            ev = self._ev = _compile(self, _as_int)
+            ev = self._ev = _compile(self, int_binding)
         return ev
 
     def content(self) -> int:
@@ -414,9 +414,11 @@ class SymExpr:
         return " ".join(parts)
 
 
-def _as_int(name: str, x: object) -> int:
-    """:meth:`SymExpr.compile`'s default reading of a binding that is not
-    a Python ``int``."""
+def int_binding(name: str, x: object) -> int:
+    """The one reading of a binding that is not a Python ``int`` as an
+    integer (:meth:`SymExpr.compile`'s default, and how the executor
+    instantiates index functions): a NumPy integer or a ``bool`` as its
+    ``int``, anything else a ``TypeError``."""
     if isinstance(x, np.generic):
         x = x.item()
     if not isinstance(x, int):

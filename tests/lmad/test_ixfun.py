@@ -196,9 +196,18 @@ class TestInstanceMemoization:
 
 
 class TestInstantiation:
-    """``substitute`` with Python ints (the executor's instantiation) keys
-    its memo by the sorted ``(name, int)`` pairs; the memos and the cached
-    free variables never leave the instance."""
+    """``instantiate`` (the executor's) takes Python ints in
+    ``var_order()`` and keys its memo by that tuple; ``substitute`` keys
+    its own by the sorted ``(name, SymExpr)`` pairs; the memos and the
+    cached free variables never leave the instance."""
+
+    def test_instantiate_takes_ints_in_var_order(self):
+        f = self.fn()
+        assert f.var_order() == ("m", "n")
+        got = f.instantiate((3, 5))
+        assert got == f.substitute({"m": 3, "n": 5})
+        assert f.instantiate((3, 5)) is got
+        assert f.instantiate((5, 3)) != got
 
     def fn(self):
         return IndexFn.row_major([n, m], offset=n * m + 1).transpose()

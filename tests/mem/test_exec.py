@@ -295,3 +295,41 @@ def test_an_unregistered_expression_type_is_unknown(mode, exp):
     name = type(exp).__name__
     with pytest.raises(InterpError, match=f"^unknown expression {name}$"):
         ex.exec_stmt(stmt, {"n": 4})
+
+
+@pytest.mark.parametrize("debug", [False, True], ids=["plain", "debug"])
+@pytest.mark.parametrize("mode", ["real", "dry"])
+def test_an_unbound_index_name_is_one_error_in_every_mode(mode, debug):
+    """A dry read without ``debug`` evaluates no index (it returns a
+    placeholder), yet an unbound name is still the error evaluating
+    raises; a bound one reads."""
+    ex = MemExecutor(introduce_memory(diag_fun()), mode=mode, debug=debug)
+    ex.mem["blk"] = np.arange(6, dtype=np.float32) if mode == "real" else 6
+    if debug and mode == "real":
+        ex._shadow["blk"] = np.ones(6, dtype=bool)
+    env = {"a": RuntimeArray("blk", IndexFn.row_major([6]), "f32"), "i": 1}
+    stmt = A.Let(
+        [A.PatElem("x", ScalarType("f32"))],
+        A.Index("a", (Var("i") + Var("ghost"),)),
+    )
+    with pytest.raises(
+        InterpError, match="^unbound scalar 'ghost' in index expression$"
+    ):
+        ex.exec_stmt(stmt, env)
+    env["ghost"] = 3
+    ex.exec_stmt(stmt, env)
+    assert env["x"] == (4.0 if mode == "real" else 1.0)
+
+
+def test_instantiation_reads_each_binding_as_an_int():
+    ex = MemExecutor(introduce_memory(diag_fun()))
+    f = IndexFn.row_major([Var("n")])
+    assert ex._instantiate(f, {"n": np.int64(4)}) == IndexFn.row_major([4])
+    with pytest.raises(
+        InterpError, match="^unbound variable 'n' in index function$"
+    ):
+        ex._instantiate(f, {})
+    with pytest.raises(
+        InterpError, match="^index-function var 'n' is not an int$"
+    ):
+        ex._instantiate(f, {"n": 4.0})

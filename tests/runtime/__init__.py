@@ -5,7 +5,7 @@ import numpy as np
 
 from repro.backend import maybe_engine
 from repro.mem.exec import MemExecutor
-from repro.runtime import BufferPool, materialize
+from repro.runtime import BufferPool, PoolLease, materialize
 
 
 def shape_class(program, inputs):
@@ -24,12 +24,46 @@ def poison(pool):
     """Overwrite every idle buffer with NaN / all-ones: a dirty pool must
     still serve bit-identical results, because acquisition zeros."""
     for buf in idle_buffers(pool):
-        if buf.dtype.kind == "f":
-            buf.fill(np.nan)
-        elif buf.dtype.kind == "b":
-            buf.fill(True)
-        else:
-            buf.fill(np.iinfo(buf.dtype).max)
+        poison_buffer(buf)
+
+
+def poison_buffer(buf):
+    if buf.dtype.kind == "f":
+        buf.fill(np.nan)
+    elif buf.dtype.kind == "b":
+        buf.fill(True)
+    else:
+        buf.fill(np.iinfo(buf.dtype).max)
+
+
+class WatchedPool(BufferPool):
+    """A pool that poisons every buffer it takes back, mid-request or
+    at close, and whose leases (``leases``) record the most buffers and
+    bytes each held at once."""
+
+    def __init__(self):
+        super().__init__()
+        self.leases = []
+
+    def release(self, buf):
+        poison_buffer(buf)
+        super().release(buf)
+
+    def lease(self):
+        lease = WatchedLease(self)
+        self.leases.append(lease)
+        return lease
+
+
+class WatchedLease(PoolLease):
+    most_buffers = most_bytes = 0
+
+    def acquire(self, size, dtype, zero=True):
+        got = super().acquire(size, dtype, zero)
+        held = self._held.values()
+        self.most_buffers = max(self.most_buffers, len(held))
+        self.most_bytes = max(self.most_bytes, sum(b.nbytes for b in held))
+        return got
 
 
 def executor_run(program, inputs):
