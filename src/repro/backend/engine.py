@@ -92,8 +92,8 @@ class Launch:
         self.fa_ptr = fa.ctypes.data
         #: Per in-kernel allocation site: (buffer position, element
         #: count, numpy dtype) of the fresh zeroed block each execution
-        #: needs, then (static name, bytes, block count) for the
-        #: executor's footprint accounting.
+        #: needs, then (static name, IR dtype, block count) for its
+        #: birth in the executor (``MemExecutor._born``).
         self.allocs = allocs
 
 
@@ -328,12 +328,12 @@ class NativeEngine:
             with self._lock:
                 self._fell_back(stmt, e)
             return False
-        # Commit: allocate, fire, distribute.
+        # Commit: allocate, fire, distribute.  The backing blocks are
+        # kernel scratch: they die when the outermost map ends.
         bufs = [ex.mem[b] if b is not None else None for b in blocks]
-        for (i, elems, np_dtype, *_), unique in zip(
-            launch.allocs, self._allocate(ex, launch)
-        ):
-            bufs[i] = ex.mem[unique] = np.zeros(elems, dtype=np_dtype)
+        for i, elems, np_dtype, name, dtype, count in launch.allocs:
+            bufs[i] = np.zeros(elems, dtype=np_dtype)
+            ex._born(name, dtype, elems, count, bufs[i])
         counters = np.zeros(len(spec.sites) * SLOTS, dtype=np.int64)
         buf_ptrs = (ctypes.c_void_p * max(1, len(bufs)))(
             *[b.ctypes.data for b in bufs] or [0]
@@ -357,7 +357,8 @@ class NativeEngine:
         except (Declined, InterpError) as e:
             rec.refuse(self._fell_back(stmt, e))
             return
-        self._allocate(ex, launch)
+        for _, elems, _, name, dtype, count in launch.allocs:
+            ex._born(name, dtype, elems, count)
         ex.stats.native_launches += 1
         rec.launch(stmt.names[0], launch, blocks)
 
@@ -435,25 +436,6 @@ class NativeEngine:
                 self.plans[id(stmt)] = spec
 
     # ------------------------------------------------------------------
-    @staticmethod
-    def _allocate(ex, launch: Launch) -> List[str]:
-        """Account a launch's per-site backing blocks with the
-        interpreter's exact accounting (one fresh zeroed block per site
-        holding all per-execution slots; freed wholesale when the
-        outermost map ends, via the kernel-alloc log).  Returns their
-        names in ``ex.mem``, where each block is its size until a real
-        launch puts the buffer there."""
-        names = []
-        for _, elems, _, name, nbytes, total in launch.allocs:
-            ex._alloc_counter += 1
-            unique = f"{name}@{ex._alloc_counter}"
-            ex.mem[unique] = elems
-            ex.stats.alloc_count += total
-            ex.stats.alloc_bytes += nbytes
-            ex._note_alloc(name, unique, nbytes)
-            names.append(unique)
-        return names
-
     def marshal(self, spec: KernelSpec, ex, env, width, dests):
         """Directives -> concrete arguments of one launch.
 
@@ -504,10 +486,8 @@ class NativeEngine:
                 total = 1
                 for cs in count_syms:
                     total *= _eval_int(cs, env)
-                np_dtype, itemsize = DTYPE_INFO[dtype]
                 allocs.append((
-                    i, total * size, np_dtype,
-                    name, total * size * itemsize, total,
+                    i, total * size, DTYPE_INFO[dtype][0], name, dtype, total,
                 ))
         return Launch(
             spec, int(width),

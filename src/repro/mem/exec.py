@@ -29,7 +29,7 @@ free.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Set, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -159,22 +159,16 @@ class MemExecutor:
         self.mem: Dict[str, object] = {}  # name -> ndarray (real) | int (dry)
         self.stats = ExecStats()
         self._kernel_stack: List[KernelStat] = []
+        # Block lifetimes (born in _born, dead in _free): each live block
+        # by unique name -> (static, nbytes, birth), in birth order; the
+        # live bytes and their high-water mark (inputs included; a dry
+        # run's is what repro.reuse.footprint reports); and the
+        # kernel-local blocks still alive, those born while an outermost
+        # map runs (every other block is HBM).
         self._alloc_counter = 0
-        # Live-allocation accounting (the high-water mark; a dry-mode run
-        # of it is what repro.reuse.footprint reports).  Lifetimes follow
-        # the Let.mem_frees annotations at host level; blocks allocated
-        # inside a kernel die wholesale when the outermost map ends; and
-        # blocks born inside a host loop die at each iteration's end
-        # unless the carried state still reaches them.
-        self._live_bytes = 0
-        self._peak_bytes = 0
-        # Unique (run-time) names of the kernel-local blocks: those
-        # allocated while an outermost map runs.  Every other block is HBM.
-        self._local: Set[str] = set()
-        self._live_insts: Dict[str, int] = {}  # unique -> nbytes
-        self._static_live: Dict[str, List[str]] = {}  # static -> uniques
-        self._alloc_log: List[Tuple[str, str]] = []  # (static, unique)
-        self._kernel_allocs: List[Tuple[str, str]] = []
+        self._live: Dict[str, Tuple[str, int, int]] = {}
+        self._live_bytes = self._peak_bytes = 0
+        self._local: Dict[str, None] = {}
         # Offset arrays depend only on the (fully concrete) index function,
         # so identical regions accessed across loop iterations share one
         # array.  Callers never mutate the result.  A Program serving the
@@ -185,11 +179,12 @@ class MemExecutor:
             offs_cache if offs_cache is not None else {}
         )
         #: Pooled-buffer lease (repro.runtime.pool.PoolLease): real-mode
-        #: allocations draw zero-filled buffers from it instead of paying
-        #: a fresh np.zeros per call, and each block's buffer goes back
-        #: where the lifetime model retires the block (``_retire``).  The
-        #: lease's lifetime is the caller's concern -- buffers may be
-        #: recycled once it closes, so outputs must be materialized first.
+        #: births draw zero-filled buffers from it instead of paying a
+        #: fresh np.zeros per call, and each block's buffer goes back where
+        #: the lifetime model retires the block (:meth:`_free`).  The lease
+        #: counts the run's pool hits and misses.  Its lifetime is the
+        #: caller's concern -- buffers may be recycled once it closes, so
+        #: outputs must be materialized first.
         self._pool = pool if mode == "real" else None
         #: Shared kernel-plan dict (id(stmt) -> repro.mem.kernel.Plan),
         #: again for cross-run amortization; None keeps a private one.
@@ -218,6 +213,9 @@ class MemExecutor:
                 self._bind_input_array(p, inputs, env)
         values = self.run_block(self.fun.body, env)
         self.stats.peak_bytes = self._peak_bytes
+        if self._pool is not None:
+            self.stats.pool_hits = self._pool.hits
+            self.stats.pool_misses = self._pool.misses
         return values, self.stats
 
     def _bind_input_array(self, p: A.Param, inputs, env) -> None:
@@ -232,15 +230,10 @@ class MemExecutor:
                 inputs[p.name], dtype=DTYPE_INFO[t.dtype][0]
             )
             if self._pool is not None:
-                # Input contents overwrite the whole buffer: skip the
-                # zero fill, count the pool round trip like an alloc.
-                buf, reused = self._pool.acquire(arr.size, t.dtype, zero=False)
+                # Input contents overwrite the whole buffer: no zero fill.
+                buf = self._pool.acquire(arr.size, t.dtype, zero=False)[0]
                 np.copyto(buf, arr.reshape(-1))
                 self.mem[mem] = buf
-                if reused:
-                    self.stats.pool_hits += 1
-                else:
-                    self.stats.pool_misses += 1
             else:
                 self.mem[mem] = arr.reshape(-1).copy()
             size = arr.size
@@ -263,22 +256,6 @@ class MemExecutor:
         names = ixfn.var_order()
         return ixfn.instantiate(_ints(names, env)) if names else ixfn
 
-    def _fresh_buffer(self, size: int, dtype: str) -> np.ndarray:
-        """A zero-filled flat buffer: pooled when leased, np.zeros else.
-
-        Pooled buffers are zero-filled on acquisition, so the two paths
-        are indistinguishable to the program -- the differential tests
-        pin outputs and traffic signatures bit-identical either way.
-        """
-        if self._pool is not None:
-            buf, reused = self._pool.acquire(size, dtype)
-            if reused:
-                self.stats.pool_hits += 1
-            else:
-                self.stats.pool_misses += 1
-            return buf
-        return np.zeros(size, dtype=DTYPE_INFO[dtype][0])
-
     def _resolve_mem(self, name: str, env: Mapping[str, object]) -> str:
         seen = set()
         while name in env and isinstance(env[name], MemRef) and name not in seen:
@@ -296,40 +273,51 @@ class MemExecutor:
         if self._live_bytes > self._peak_bytes:
             self._peak_bytes = self._live_bytes
 
-    def _note_alloc(self, static: str, unique: str, nbytes: int) -> None:
+    def _born(
+        self, static: str, dtype: str, elems: int, count: int = 1, buf=None
+    ) -> str:
+        """The birth of ``count`` blocks of the alloc ``static`` as one
+        block of ``elems`` ``dtype`` elements (a fast tier's lane-expanded
+        buffer stands for its per-thread blocks), fresh each time, so a
+        loop's iterations never alias.  Real mode backs it with ``buf``
+        (a fast tier's own scratch), a zeroed leased buffer or np.zeros;
+        dry mode with its size.  Returns its unique name in ``self.mem``."""
+        self._alloc_counter += 1
+        unique = f"{static}@{self._alloc_counter}"
+        nbytes = elems * DTYPE_INFO[dtype][1]
+        if self.mode == "dry":
+            self.mem[unique] = elems
+            if self._recorder is not None and not self._kernel_stack:
+                self._recorder.acquire(unique, dtype, elems)
+        elif buf is not None:
+            self.mem[unique] = buf
+        elif self._pool is not None:
+            self.mem[unique] = self._pool.acquire(elems, dtype)[0]
+        else:
+            self.mem[unique] = np.zeros(elems, dtype=DTYPE_INFO[dtype][0])
+        if self.debug and self.mode == "real":
+            self._shadow[unique] = np.zeros(elems, dtype=bool)
+        self.stats.alloc_count += count
+        self.stats.alloc_bytes += nbytes
+        self._live[unique] = (static, nbytes, self._alloc_counter)
         self._bump_live(nbytes)
-        self._live_insts[unique] = nbytes
-        self._static_live.setdefault(static, []).append(unique)
-        self._alloc_log.append((static, unique))
         if self._kernel_stack:
-            self._local.add(unique)
-            self._kernel_allocs.append((static, unique))
+            self._local[unique] = None
+        return unique
 
-    def _note_free_unique(self, static: str, unique: str) -> None:
-        nbytes = self._live_insts.pop(unique, None)
-        if nbytes is None:
-            return
-        self._bump_live(-nbytes)
-        lst = self._static_live.get(static)
-        if lst and unique in lst:
-            lst.remove(unique)
-        self._retire(unique)
-
-    def _retire(self, unique: str) -> None:
-        """The accountant ended ``unique``'s lifetime.  On a lease its
-        buffer goes back to the pool, and the block leaves ``self.mem``
-        (so a stray access raises instead of reading a reused buffer),
-        as it does in a tape recording, whose recorder logs it."""
+    def _free(self, unique: str) -> None:
+        """The death of a block where the lifetime model ends it: at a
+        host ``Let.mem_frees``, at a host-loop iteration's end unless the
+        carried state still reaches it, or at its outermost map's end.
+        It leaves ``self.mem`` (a stray access raises), its buffer goes
+        back to the lease, and a tape recorder logs it."""
+        self._live_bytes -= self._live.pop(unique)[1]
+        buf = self.mem.pop(unique)
         if self._pool is not None:
-            self._pool.release(self.mem.pop(unique))
-            self._shadow.pop(unique, None)
-        elif self._recorder is not None:
-            del self.mem[unique]
+            self._pool.release(buf)
+        self._shadow.pop(unique, None)
+        if self._recorder is not None:
             self._recorder.retire(unique)
-
-    def _note_free_static(self, static: str) -> None:
-        for unique in list(self._static_live.get(static, ())):
-            self._note_free_unique(static, unique)
 
     def _binding_value(
         self, pe: A.PatElem, env: Mapping[str, object]
@@ -504,8 +492,9 @@ class MemExecutor:
             if stmt.mem_frees and not self._kernel_stack:
                 # Host-level lifetime ends (repro.reuse.liveranges);
                 # inside a kernel, blocks die at the outermost map's end.
-                for m in stmt.mem_frees:
-                    self._note_free_static(m)
+                frees = stmt.mem_frees
+                for u in [u for u, v in self._live.items() if v[0] in frees]:
+                    self._free(u)
         return [self._resolve_result(r, env) for r in block.result]
 
     def _resolve_result(self, name: str, env: Dict[str, object]):
@@ -523,25 +512,8 @@ class MemExecutor:
         run(self, stmt, exp, env)
 
     def _exec_alloc(self, stmt: A.Let, exp: A.Alloc, env) -> None:
-        size = eval_sym(exp.size, env)
         name = stmt.pattern[0].name
-        # Each execution creates a *fresh* block: an alloc inside a loop
-        # body must not alias the previous iteration's block, or
-        # double-buffered loops would read their own writes.
-        self._alloc_counter += 1
-        unique = f"{name}@{self._alloc_counter}"
-        if self.mode == "real":
-            self.mem[unique] = self._fresh_buffer(size, exp.dtype)
-            if self.debug:
-                self._shadow[unique] = np.zeros(size, dtype=bool)
-        else:
-            self.mem[unique] = size
-            if self._recorder is not None:
-                self._recorder.acquire(unique, exp.dtype, size)
-        env[name] = MemRef(unique)
-        self.stats.alloc_count += 1
-        self.stats.alloc_bytes += size * DTYPE_INFO[exp.dtype][1]
-        self._note_alloc(name, unique, size * DTYPE_INFO[exp.dtype][1])
+        env[name] = MemRef(self._born(name, exp.dtype, eval_sym(exp.size, env)))
 
     def _exec_lit(self, stmt: A.Let, exp: A.Lit, env) -> None:
         env[stmt.pattern[0].name] = np.dtype(DTYPE_INFO[exp.dtype][0]).type(exp.value)
@@ -786,7 +758,6 @@ class MemExecutor:
             # instance-dict keys (and specializing attribute loads) past
             # 29 attributes, which costs every executor mode ~6 %.
             baseline = self._live_bytes
-            self._kernel_allocs = []
 
         def run_thread(i: int) -> None:
             child = dict(env)
@@ -849,13 +820,9 @@ class MemExecutor:
             if not nested:
                 # Kernel scratch dies wholesale at the outermost map's
                 # end (per-thread arrays have no host-visible lifetime).
-                for static, unique in self._kernel_allocs:
-                    self._live_insts.pop(unique, None)
-                    lst = self._static_live.get(static)
-                    if lst and unique in lst:
-                        lst.remove(unique)
-                    self._retire(unique)
-                self._kernel_allocs = []
+                for unique in self._local:
+                    self._free(unique)
+                self._local = {}
                 self._live_bytes = baseline
 
         for pe, dest in zip(stmt.pattern, dests):
@@ -903,7 +870,7 @@ class MemExecutor:
         self._bump_live(int(growth * factor) - growth)
 
     def _run_loop_iterations(self, iterations, exp, env, state) -> None:
-        free_mark = len(self._alloc_log)
+        mark = self._alloc_counter
         for it in iterations:
             child = dict(env)
             child[exp.index] = it
@@ -941,9 +908,9 @@ class MemExecutor:
                             seen.add(n)
                             n = child[n].name
                         reachable.add(n)
-                for static, unique in self._alloc_log[free_mark:]:
-                    if unique in self._live_insts and unique not in reachable:
-                        self._note_free_unique(static, unique)
+                for u in [u for u, v in self._live.items() if v[2] > mark]:
+                    if u not in reachable:
+                        self._free(u)
 
     # ------------------------------------------------------------------
     def _bind_compound_results(self, stmt: A.Let, vals: List[object], env) -> None:

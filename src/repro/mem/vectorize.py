@@ -517,23 +517,21 @@ def _index(node: Node) -> Step:
 # Steps: arrays
 # ----------------------------------------------------------------------
 def _alloc(node: Node) -> Step:
-    name, exp = node.stmt.names[0], node.exp
-    size_of = _evaluator(exp.size)
-    np_dtype, item = DTYPE_INFO[exp.dtype]
+    """An in-body alloc: one zeroed ``W * size`` buffer of the tier's
+    own (never leased) stands for the ``W`` per-thread blocks, born
+    through :meth:`~repro.mem.exec.MemExecutor._born` with the
+    interpreted tier's counts and live bytes; it dies with the launch's
+    other kernel scratch."""
+    name, dtype = node.stmt.names[0], node.exp.dtype
+    size_of, np_dtype = _evaluator(node.exp.size), DTYPE_INFO[dtype][0]
 
     def step(r, env):
-        ex, W = r.ex, r.W
-        size = int(size_of(env))
-        ex._alloc_counter += 1
-        unique = f"{name}@{ex._alloc_counter}"
-        ex.mem[unique] = np.zeros(W * size, dtype=np_dtype)
+        W, size = r.W, int(size_of(env))
+        unique = r.ex._born(
+            name, dtype, W * size, W, np.zeros(W * size, dtype=np_dtype)
+        )
         r.blocks[unique] = r.lanes * size
         env[name] = MemRef(unique)
-        ex.stats.alloc_count += W
-        ex.stats.alloc_bytes += W * size * item
-        # One W-lane buffer stands for W per-thread blocks: same live
-        # bytes as the interpreted tier's per-thread allocations.
-        ex._note_alloc(name, unique, W * size * item)
 
     return step
 

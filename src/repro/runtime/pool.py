@@ -29,6 +29,8 @@ lifetime (``Let.mem_frees``, a host loop's iteration end, a kernel's
 end), so a request holds only what its schedule has live -- or the
 lease closes (normally via ``with``) and returns the rest.  Two workers
 serving the same class concurrently never share mutable executor state.
+The lease is the one counter of pool hits and misses: a run or a replay
+copies them into ``ExecStats.pool_hits``/``pool_misses`` when it ends.
 """
 
 from __future__ import annotations
@@ -84,7 +86,9 @@ class BufferPool:
 
 @dataclass
 class PoolLease:
-    """One run's private claim on pool buffers (returned on close)."""
+    """One run's private claim on pool buffers (returned on close), and
+    the count of its acquisitions the pool served (``hits``) or newly
+    allocated (``misses``)."""
 
     pool: BufferPool
     #: id -> buffer, for every buffer handed out and not yet returned.

@@ -139,16 +139,23 @@ def test_a_tape_binds_what_nothing_writes_in_place(name, args, copied, monkeypat
     assert entry["bytes"] == lease.most_bytes <= stats.peak_bytes
 
 
-def test_a_lease_run_keeps_only_live_blocks():
-    """The blocks a lease run retired leave ``ex.mem``: what remains
-    are the inputs and the blocks of the results."""
+@pytest.mark.parametrize("how", ["bare", "dry", "leased"])
+def test_a_lease_run_keeps_only_live_blocks(how):
+    """The blocks a run retired leave ``ex.mem`` in every mode -- a bare
+    real executor, a dry one and one on a lease: what remains are the
+    inputs and the blocks of the results."""
     mod = module("hotspot")
     program = rt.compile(mod.build(), memoize=False)
+    fun = program.compiled.fun
     with WatchedPool().lease() as lease:
-        ex = MemExecutor(program.compiled.fun, pool=lease)
-        vals, _ = ex.run(**mod.inputs_for(16, 5))
+        if how == "dry":
+            ex = MemExecutor(fun, mode="dry")
+            vals, _ = ex.run(**mod.dry_inputs_for(16, 5))
+        else:
+            ex = MemExecutor(fun, pool=lease if how == "leased" else None)
+            vals, _ = ex.run(**mod.inputs_for(16, 5))
         inputs = {
-            binding_of(p).mem for p in program.compiled.fun.params
+            binding_of(p).mem for p in fun.params
             if binding_of(p) is not None
         }
         assert set(ex.mem) == inputs | {v.mem for v in vals}
